@@ -11,7 +11,6 @@
 
 #include <cstdio>
 
-#include "core/explorer.h"
 #include "core/methodology.h"
 #include "core/report.h"
 #include "core/strategy.h"
@@ -106,21 +105,6 @@ BENCHMARK(BM_EngineFullReprice)
     ->RangeMultiplier(4)
     ->Range(4, 256)
     ->Complexity();
-
-void BM_ExploreDesignSpace(benchmark::State& state) {
-  const auto app = workloads::build_ofdm_model();
-  const auto p = platform::make_paper_platform(1500, 2);
-  core::ExploreSpec spec;
-  spec.constraints = {workloads::kOfdmTimingConstraint / 2,
-                      workloads::kOfdmTimingConstraint,
-                      2 * workloads::kOfdmTimingConstraint};
-  spec.threads = static_cast<int>(state.range(0));
-  for (auto _ : state) {
-    benchmark::DoNotOptimize(
-        core::explore_design_space(app.cdfg, app.profile, p, spec));
-  }
-}
-BENCHMARK(BM_ExploreDesignSpace)->Arg(1)->Arg(2)->Arg(4);
 
 // ---- packed engine vs the legacy IR-walking paths ------------------
 // The data-oriented core flattens per-block quantities into a

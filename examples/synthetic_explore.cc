@@ -1,8 +1,8 @@
 // Design-space exploration on synthetic applications: sweeps the FPGA
 // area and the CGC data-path size over randomly generated loop-nest
-// CDFGs, then runs the multi-threaded DesignSpaceExplorer over the
-// constraint x strategy x ordering grid — the experiments to run before
-// committing to a platform configuration.
+// CDFGs, then sweeps the constraint x strategy x ordering grid of one
+// platform — the experiments to run before committing to a platform
+// configuration.
 
 #include <cstdio>
 
@@ -74,16 +74,17 @@ int main() {
               optimal.subsets_evaluated);
 
   // Full design-space exploration: constraints x strategies x orderings
-  // on a thread pool, Pareto front over (final cycles, kernels moved).
-  // Constraints are left empty, so the explorer sweeps 1/4, 1/2 and 3/4
-  // of the all-fine-grain cycles.
-  core::ExploreSpec spec;
+  // on the default one-point platform grid (A_FPGA 1500, 2 CGCs), with
+  // the Pareto front over (final cycles, kernels moved, energy).
+  // Constraints are left empty, so the sweep covers 1/4, 1/2 and 3/4 of
+  // the all-fine-grain cycles.
+  const std::vector<core::CorpusApp> corpus = {
+      {"synthetic", app.cdfg, app.profile}};
+  core::SweepSpec spec;
   spec.orderings = {core::KernelOrdering::kWeightDescending,
                     core::KernelOrdering::kBenefitDescending};
-  spec.threads = 4;
-  const auto summary =
-      core::explore_design_space(app.cdfg, app.profile, p, spec);
-  std::printf("\nexplorer sweep (%zu grid points, 4 threads):\n%s",
-              summary.points.size(), core::describe(summary).c_str());
+  const auto summary = core::sweep_design_space(corpus, spec);
+  std::printf("\nexploration sweep (%zu grid points):\n%s",
+              summary.cells.size(), core::describe(summary).c_str());
   return 0;
 }

@@ -38,7 +38,7 @@ EnergyBreakdown estimate_energy(const ir::Cdfg& cdfg,
                                 const EnergyModel& model = {});
 
 /// Same pricing on a caller-owned mapper, reusing its fine-grain
-/// mappings instead of re-mapping every block — the explorer/sweep hot
+/// mappings instead of re-mapping every block — the sweep hot
 /// path. Byte-identical to the standalone overload (same per-block terms
 /// accumulated in the same block order).
 EnergyBreakdown estimate_energy(const HybridMapper& mapper,

@@ -38,24 +38,6 @@ HybridMapper make_mapper(SweepCache* cache, const Fingerprint& shard,
   return HybridMapper(cdfg, platform);
 }
 
-/// All-fine-grain cycles of one (app, platform) pair, memoized so the
-/// default-constraint fractions resolve on a warm cache without touching
-/// a mapper at all.
-std::int64_t memoized_all_fine(SweepCache* cache, const Fingerprint& shard,
-                               const ir::Cdfg& cdfg,
-                               const ir::ProfileData& profile,
-                               const platform::Platform& platform) {
-  if (cache) {
-    if (const std::optional<std::int64_t> hit = cache->find_all_fine(shard)) {
-      return *hit;
-    }
-  }
-  const std::int64_t all_fine =
-      make_mapper(cache, shard, cdfg, platform).all_fine_cycles(profile);
-  if (cache) cache->store_all_fine(shard, all_fine);
-  return all_fine;
-}
-
 std::vector<std::string> moved_block_names(const ir::Cdfg& cdfg,
                                            const PartitionReport& report) {
   std::vector<std::string> names;
@@ -87,159 +69,6 @@ std::vector<std::int64_t> default_constraints(std::int64_t all_fine) {
 }
 
 }  // namespace
-
-ExploreSummary explore_design_space(const ir::Cdfg& cdfg,
-                                    const ir::ProfileData& profile,
-                                    const platform::Platform& platform,
-                                    const ExploreSpec& spec) {
-  require(!spec.strategies.empty() && !spec.orderings.empty(),
-          "explore_design_space: empty strategy/ordering grid");
-
-  SweepCache* cache = spec.cache;
-  Fingerprint app_fp;
-  Fingerprint platform_fp;
-  Fingerprint shard;
-  if (cache) {
-    app_fp = app_fingerprint(cdfg, profile);
-    platform_fp = fingerprint(platform);
-    shard = shard_key(app_fp, platform_fp);
-  }
-
-  std::vector<std::int64_t> constraints = spec.constraints;
-  if (constraints.empty()) {
-    const std::int64_t all_fine =
-        cache ? memoized_all_fine(cache, shard, cdfg, profile, platform)
-              : HybridMapper(cdfg, platform).all_fine_cycles(profile);
-    constraints = default_constraints(all_fine);
-  }
-  const std::vector<double> budgets =
-      spec.energy_budgets.empty()
-          ? std::vector<double>{spec.base.cost.energy_budget_pj}
-          : spec.energy_budgets;
-
-  ExploreSummary summary;
-  for (const std::int64_t constraint : constraints) {
-    for (const double budget : budgets) {
-      for (const StrategyKind strategy : spec.strategies) {
-        for (const KernelOrdering ordering : spec.orderings) {
-          ExplorePoint point;
-          point.constraint = constraint;
-          point.energy_budget_pj = budget;
-          point.strategy = strategy;
-          point.ordering = ordering;
-          summary.points.push_back(point);
-        }
-      }
-    }
-  }
-
-  // One job per (strategy, ordering) pair: those two pick the walk, and
-  // the whole constraints x budgets axis of that walk is priced in one
-  // run_methodology_axis call (a shared walk for greedy/annealing, a
-  // per-cell search for exhaustive). Cached cells are filtered out
-  // first so a warm axis never touches a mapper.
-  const std::size_t strategy_count = spec.strategies.size();
-  const std::size_t ordering_count = spec.orderings.size();
-  const std::size_t jobs = strategy_count * ordering_count;
-  const int threads = worker_count(jobs, spec.threads);
-
-  // Each worker owns one mapper for the (cdfg, platform) pair — built
-  // lazily on its first cache miss (or first job, uncached) and reused
-  // across every job it claims; runs are independent and written to
-  // their own slot, so scheduling cannot change the output.
-  std::atomic<std::size_t> next{0};
-  auto worker = [&]() {
-    std::optional<HybridMapper> mapper;
-    auto ensure_mapper = [&]() -> HybridMapper& {
-      if (!mapper) mapper.emplace(make_mapper(cache, shard, cdfg, platform));
-      return *mapper;
-    };
-    for (;;) {
-      const std::size_t job = next.fetch_add(1);
-      if (job >= jobs) break;
-      MethodologyOptions options = spec.base;
-      options.strategy = spec.strategies[job / ordering_count];
-      options.ordering = spec.orderings[job % ordering_count];
-      std::vector<std::size_t> missed;
-      std::vector<AxisCell> axis;
-      for (std::size_t ci = 0; ci < constraints.size(); ++ci) {
-        for (std::size_t bi = 0; bi < budgets.size(); ++bi) {
-          const std::size_t index =
-              ((ci * budgets.size() + bi) * strategy_count +
-               job / ordering_count) *
-                  ordering_count +
-              job % ordering_count;
-          ExplorePoint& point = summary.points[index];
-          if (cache) {
-            options.cost.energy_budget_pj = point.energy_budget_pj;
-            const Fingerprint key =
-                cell_key(app_fp, platform_fp, options, point.constraint);
-            if (const std::optional<CachedCell> hit = cache->find_cell(key)) {
-              point.report = hit->report;
-              continue;
-            }
-          }
-          missed.push_back(index);
-          axis.push_back({point.constraint, point.energy_budget_pj});
-        }
-      }
-      if (missed.empty()) continue;
-      const std::vector<PartitionReport> reports =
-          run_methodology_axis(ensure_mapper(), profile, axis, options);
-      for (std::size_t m = 0; m < missed.size(); ++m) {
-        ExplorePoint& point = summary.points[missed[m]];
-        point.report = reports[m];
-        if (cache) {
-          options.cost.energy_budget_pj = point.energy_budget_pj;
-          CachedCell cell;
-          cell.report = point.report;
-          cell.moved_names = moved_block_names(cdfg, point.report);
-          cache->store_cell(
-              cell_key(app_fp, platform_fp, options, point.constraint),
-              std::move(cell));
-        }
-      }
-    }
-    // Republish the snapshot with the coarse schedules accumulated while
-    // working, so later restores skip the lazy CGC mapping too.
-    if (cache && mapper) {
-      cache->store_mapper(shard,
-                          std::make_shared<MapperState>(mapper->state()));
-    }
-  };
-  if (threads == 1) {
-    worker();
-  } else {
-    std::vector<std::thread> pool;
-    pool.reserve(static_cast<std::size_t>(threads));
-    for (int t = 0; t < threads; ++t) pool.emplace_back(worker);
-    for (std::thread& t : pool) t.join();
-  }
-
-  // Pareto front over (final cycles, kernels moved, energy pJ), all
-  // minimized. A point is dominated when another is no worse on every
-  // axis and strictly better on one.
-  for (std::size_t i = 0; i < summary.points.size(); ++i) {
-    const PartitionReport& a = summary.points[i].report;
-    bool dominated = false;
-    for (std::size_t j = 0; j < summary.points.size() && !dominated; ++j) {
-      if (i == j) continue;
-      const PartitionReport& b = summary.points[j].report;
-      const bool no_worse = b.final_cycles <= a.final_cycles &&
-                            b.moved.size() <= a.moved.size() &&
-                            b.energy.total_pj() <= a.energy.total_pj();
-      const bool better = b.final_cycles < a.final_cycles ||
-                          b.moved.size() < a.moved.size() ||
-                          b.energy.total_pj() < a.energy.total_pj();
-      dominated = no_worse && better;
-    }
-    if (!dominated) {
-      summary.points[i].on_pareto_front = true;
-      summary.pareto.push_back(i);
-    }
-  }
-  return summary;
-}
 
 int worker_count(std::size_t jobs, int requested) {
   int threads = requested > 0
@@ -300,15 +129,46 @@ std::optional<PlatformGrid> parse_platform_grid(std::string_view spec) {
 std::size_t sweep_cells_per_shard(const SweepSpec& spec) {
   const std::size_t constraint_slots =
       spec.constraints.empty() ? 3 : spec.constraints.size();
-  const std::size_t budget_slots =
-      spec.energy_budgets.empty() ? 1 : spec.energy_budgets.size();
-  return constraint_slots * budget_slots * spec.strategies.size() *
-         spec.orderings.size();
+  return constraint_slots * sweep_energy_budgets(spec).size() *
+         spec.strategies.size() * spec.orderings.size();
 }
 
 std::size_t sweep_shard_count(const std::vector<CorpusApp>& corpus,
                               const SweepSpec& spec) {
   return corpus.size() * spec.grid.size();
+}
+
+std::vector<double> sweep_energy_budgets(const SweepSpec& spec) {
+  return spec.energy_budgets.empty()
+             ? std::vector<double>{spec.base.cost.energy_budget_pj}
+             : spec.energy_budgets;
+}
+
+SweepShardCoords sweep_shard_coords(const SweepSpec& spec, std::size_t shard) {
+  const std::size_t platform_index = shard % spec.grid.size();
+  SweepShardCoords coords;
+  coords.app = shard / spec.grid.size();
+  coords.a_fpga = spec.grid.areas[platform_index / spec.grid.cgc_counts.size()];
+  coords.cgcs =
+      spec.grid.cgc_counts[platform_index % spec.grid.cgc_counts.size()];
+  coords.platform = platform::make_paper_platform(coords.a_fpga, coords.cgcs);
+  coords.platform_cost = platform::platform_cost(coords.platform);
+  return coords;
+}
+
+void fill_slot_coords(const SweepSpec& spec, const std::vector<double>& budgets,
+                      const SweepShardCoords& shard, std::size_t slot,
+                      SweepCell& cell) {
+  const std::size_t orderings = spec.orderings.size();
+  const std::size_t strategies = spec.strategies.size();
+  cell.app = shard.app;
+  cell.a_fpga = shard.a_fpga;
+  cell.cgcs = shard.cgcs;
+  cell.platform_cost = shard.platform_cost;
+  cell.energy_budget_pj =
+      budgets[(slot / (orderings * strategies)) % budgets.size()];
+  cell.strategy = spec.strategies[(slot / orderings) % strategies];
+  cell.ordering = spec.orderings[slot % orderings];
 }
 
 void validate_sweep_inputs(const std::vector<CorpusApp>& corpus,
@@ -344,26 +204,15 @@ std::size_t compute_sweep_shard(const std::vector<CorpusApp>& corpus,
                                 const std::vector<Fingerprint>& app_fps,
                                 std::size_t shard, SweepCell* slots) {
   SweepCache* cache = spec.cache;
-  const std::vector<double> budgets =
-      spec.energy_budgets.empty()
-          ? std::vector<double>{spec.base.cost.energy_budget_pj}
-          : spec.energy_budgets;
-
-  const std::size_t app_index = shard / spec.grid.size();
-  const std::size_t platform_index = shard % spec.grid.size();
-  const double area =
-      spec.grid.areas[platform_index / spec.grid.cgc_counts.size()];
-  const int cgcs =
-      spec.grid.cgc_counts[platform_index % spec.grid.cgc_counts.size()];
-  const CorpusApp& app = corpus[app_index];
-  const platform::Platform p = platform::make_paper_platform(area, cgcs);
-  const double cost = platform::platform_cost(p);
+  const std::vector<double> budgets = sweep_energy_budgets(spec);
+  const SweepShardCoords coords = sweep_shard_coords(spec, shard);
+  const CorpusApp& app = corpus[coords.app];
 
   Fingerprint platform_fp;
   Fingerprint group_key;
   if (cache) {
-    platform_fp = fingerprint(p);
-    group_key = shard_key(app_fps[app_index], platform_fp);
+    platform_fp = fingerprint(coords.platform);
+    group_key = shard_key(app_fps[coords.app], platform_fp);
   }
 
   // The mapper is built (or restored from a cached snapshot) only
@@ -372,7 +221,7 @@ std::size_t compute_sweep_shard(const std::vector<CorpusApp>& corpus,
   std::optional<HybridMapper> mapper;
   auto ensure_mapper = [&]() -> HybridMapper& {
     if (!mapper) {
-      mapper.emplace(make_mapper(cache, group_key, app.cdfg, p));
+      mapper.emplace(make_mapper(cache, group_key, app.cdfg, coords.platform));
     }
     return *mapper;
   };
@@ -411,17 +260,11 @@ std::size_t compute_sweep_shard(const std::vector<CorpusApp>& corpus,
                   ordering_count +
               oi;
           SweepCell& cell = slots[index];
-          cell.app = app_index;
-          cell.a_fpga = area;
-          cell.cgcs = cgcs;
-          cell.platform_cost = cost;
+          fill_slot_coords(spec, budgets, coords, index, cell);
           cell.constraint = constraints[ci];
-          cell.energy_budget_pj = budgets[bi];
-          cell.strategy = spec.strategies[si];
-          cell.ordering = spec.orderings[oi];
           if (cache) {
             options.cost.energy_budget_pj = budgets[bi];
-            const Fingerprint key = cell_key(app_fps[app_index], platform_fp,
+            const Fingerprint key = cell_key(app_fps[coords.app], platform_fp,
                                              options, constraints[ci]);
             if (std::optional<CachedCell> hit = cache->find_cell(key)) {
               cell.report = std::move(hit->report);
@@ -445,7 +288,7 @@ std::size_t compute_sweep_shard(const std::vector<CorpusApp>& corpus,
           CachedCell fresh;
           fresh.report = cell.report;
           fresh.moved_names = cell.moved_names;
-          cache->store_cell(cell_key(app_fps[app_index], platform_fp,
+          cache->store_cell(cell_key(app_fps[coords.app], platform_fp,
                                      options, cell.constraint),
                             std::move(fresh));
         }
@@ -580,33 +423,6 @@ SweepSummary sweep_design_space(const std::vector<CorpusApp>& corpus,
 
   finalize_sweep_summary(summary, shard_used, cells_per_shard);
   return summary;
-}
-
-std::string describe(const ExploreSummary& summary) {
-  TextTable table({"constraint", "strategy", "ordering", "moved",
-                   "final cycles", "% reduction", "energy nJ", "met",
-                   "pareto"});
-  for (const ExplorePoint& point : summary.points) {
-    char reduction[32];
-    std::snprintf(reduction, sizeof reduction, "%.1f",
-                  point.report.reduction_percent());
-    char energy[32];
-    std::snprintf(energy, sizeof energy, "%.1f",
-                  point.report.energy.total_pj() / 1000.0);
-    table.add_row({with_thousands(point.constraint),
-                   strategy_name(point.strategy),
-                   kernel_ordering_name(point.ordering),
-                   std::to_string(point.report.moved.size()),
-                   with_thousands(point.report.final_cycles), reduction,
-                   energy, point.report.met ? "yes" : "no",
-                   point.on_pareto_front ? "*" : ""});
-  }
-  std::ostringstream os;
-  os << table.to_string();
-  os << summary.pareto.size() << " of " << summary.points.size()
-     << " grid points on the pareto front "
-     << "(final cycles vs kernels moved vs energy)\n";
-  return os.str();
 }
 
 std::string describe(const SweepSummary& summary) {

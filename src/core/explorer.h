@@ -14,71 +14,14 @@ namespace amdrel::core {
 
 class SweepCache;
 
-/// The grid a design-space exploration sweeps: timing constraints x
-/// partitioning strategies x kernel orderings, on one (cdfg, platform).
-struct ExploreSpec {
-  /// Timing constraints to sweep; empty defaults to 1/4, 1/2 and 3/4 of
-  /// the app's all-fine-grain cycle count.
-  std::vector<std::int64_t> constraints;
-  /// Energy budgets (pJ) to sweep — the energy axis of the grid,
-  /// consulted by kEnergy/kCombined objectives. Empty sweeps the single
-  /// budget already in base.energy_budget_pj, so timing-only specs are
-  /// unchanged.
-  std::vector<double> energy_budgets;
-  std::vector<StrategyKind> strategies = all_strategies();
-  std::vector<KernelOrdering> orderings = {KernelOrdering::kWeightDescending};
-  /// Per-run options (seed, annealing budget, ...); strategy and ordering
-  /// are overwritten per grid point.
-  MethodologyOptions base;
-  /// Worker threads; 0 picks the hardware concurrency. Results are
-  /// identical for any thread count.
-  int threads = 0;
-  /// Optional content-addressed memoization store (core/sweep_cache.h).
-  /// Repeated grid points hit whole cached cell results and repeated
-  /// (cdfg, platform) pairs restore mapper snapshots instead of
-  /// re-mapping. Null runs uncached; results are identical either way.
-  SweepCache* cache = nullptr;
-};
-
-/// One grid point of an exploration, with its methodology result.
-struct ExplorePoint {
-  std::int64_t constraint = 0;
-  double energy_budget_pj = 0;
-  StrategyKind strategy = StrategyKind::kGreedyPaper;
-  KernelOrdering ordering = KernelOrdering::kWeightDescending;
-  PartitionReport report;
-  bool on_pareto_front = false;
-};
-
-/// Exploration output: every grid point in deterministic grid order
-/// (constraint-major, then energy budget, strategy, ordering) plus the
-/// Pareto front over (final cycles, kernels moved, energy pJ) — all
-/// minimized, fewer moved kernels meaning more of the application stays
-/// on the fine-grain hardware.
-struct ExploreSummary {
-  std::vector<ExplorePoint> points;
-  std::vector<std::size_t> pareto;  ///< indices into points, ascending
-};
-
-/// Sweeps the spec's grid across a thread pool. Each worker builds one
-/// HybridMapper for the (cdfg, platform) pair and reuses it for every run
-/// it picks up, so the per-point cost is the engine search, not
-/// re-mapping every block. Deterministic: the output depends only on the
-/// spec (not on thread scheduling).
-ExploreSummary explore_design_space(const ir::Cdfg& cdfg,
-                                    const ir::ProfileData& profile,
-                                    const platform::Platform& platform,
-                                    const ExploreSpec& spec);
-
-/// Renders the summary as a fixed-width table (one row per grid point,
-/// Pareto-front rows marked), for the CLI and the examples.
-std::string describe(const ExploreSummary& summary);
-
 // ---------------------------------------------------------------------------
-// Platform-grid x corpus sweeps: the "what platform should we build, and
-// for which applications" question. Where explore_design_space sweeps the
-// engine's knobs on one (app, platform), sweep_design_space crosses a
-// grid of platform instances with a corpus of applications.
+// Design-space sweeps: the "what platform should we build, and for which
+// applications" question. sweep_design_space crosses a grid of platform
+// instances with a corpus of applications and, for every (app, platform)
+// pair, the engine's knobs: timing constraints x energy budgets x
+// strategies x kernel orderings. Exploring one app on one platform is
+// the same call over a one-app corpus and a one-point grid; its per-app
+// front, app_pareto[0], is that exploration's Pareto front.
 // ---------------------------------------------------------------------------
 
 /// The platform axes of a sweep: every (A_FPGA, CGC count) pair of the
@@ -104,26 +47,32 @@ struct CorpusApp {
   ir::ProfileData profile;
 };
 
-/// The full sweep grid: platform axes crossed with the engine axes of
-/// ExploreSpec, applied to every corpus app.
+/// The full sweep grid: platform axes crossed with the engine axes
+/// (constraints x energy budgets x strategies x orderings), applied to
+/// every corpus app.
 struct SweepSpec {
   PlatformGrid grid;
   /// Timing constraints; empty sweeps 1/4, 1/2 and 3/4 of each
-  /// (app, platform) cell's all-fine-grain cycle count, exactly like
-  /// ExploreSpec (the fractions adapt to the app's scale, so one spec
-  /// serves OFDM's 10^5 cycles and JPEG's 10^7 alike).
+  /// (app, platform) cell's all-fine-grain cycle count (the fractions
+  /// adapt to the app's scale, so one spec serves OFDM's 10^5 cycles and
+  /// JPEG's 10^7 alike).
   std::vector<std::int64_t> constraints;
-  /// Energy budgets (pJ); empty sweeps the single budget in
-  /// base.energy_budget_pj. See ExploreSpec::energy_budgets.
+  /// Energy budgets (pJ) — the energy axis, consulted by kEnergy and
+  /// kCombined objectives. Empty sweeps the single budget in
+  /// base.cost.energy_budget_pj; see sweep_energy_budgets.
   std::vector<double> energy_budgets;
   std::vector<StrategyKind> strategies = all_strategies();
   std::vector<KernelOrdering> orderings = {KernelOrdering::kWeightDescending};
+  /// Per-run options (seed, annealing budget, ...); strategy, ordering
+  /// and energy budget are overwritten per cell.
   MethodologyOptions base;
   /// Worker threads; 0 picks the hardware concurrency. Results are
   /// identical for any thread count.
   int threads = 0;
-  /// Optional content-addressed memoization store shared with
-  /// ExploreSpec::cache; see there. Null runs uncached.
+  /// Optional content-addressed memoization store (core/sweep_cache.h).
+  /// Repeated cells hit whole cached results and repeated (cdfg,
+  /// platform) pairs restore mapper snapshots instead of re-mapping.
+  /// Null runs uncached; results are identical either way.
   SweepCache* cache = nullptr;
 };
 
@@ -156,16 +105,16 @@ struct SweepSummary {
   std::vector<std::size_t> global_pareto;            ///< cell indices, ascending
 };
 
-/// Worker threads a sweep or exploration actually runs for `jobs`
-/// independent work units: `requested` (0 = the hardware concurrency)
-/// clamped to [1, jobs]. Shared by the explorer and the CLI's reporting.
+/// Worker threads a sweep actually runs for `jobs` independent work
+/// units: `requested` (0 = the hardware concurrency) clamped to
+/// [1, jobs]. Shared by the sweep, its workers and the CLI's reporting.
 int worker_count(std::size_t jobs, int requested);
 
 /// Runs the whole grid x corpus sweep on a thread pool. Work is sharded
 /// by (app, platform) cell group: a worker claims one group, builds one
 /// HybridMapper for that (cdfg, platform) pair and reuses it across every
 /// (constraint, strategy, ordering) cell of the group — each cell
-/// identical to a standalone explore_design_space / run_methodology call.
+/// identical to a standalone run_methodology call.
 /// Deterministic: output depends only on (corpus, spec), never on thread
 /// scheduling.
 SweepSummary sweep_design_space(const std::vector<CorpusApp>& corpus,
@@ -190,6 +139,33 @@ std::size_t sweep_cells_per_shard(const SweepSpec& spec);
 /// index the sweep service partitions across workers.
 std::size_t sweep_shard_count(const std::vector<CorpusApp>& corpus,
                               const SweepSpec& spec);
+
+/// The energy-budget axis: spec.energy_budgets, or the single budget in
+/// spec.base.cost.energy_budget_pj when that is empty.
+std::vector<double> sweep_energy_budgets(const SweepSpec& spec);
+
+/// The coordinates a shard index fixes for every cell of the shard.
+struct SweepShardCoords {
+  std::size_t app = 0;
+  double a_fpga = 0;
+  int cgcs = 0;
+  platform::Platform platform;  ///< make_paper_platform(a_fpga, cgcs)
+  double platform_cost = 0;
+};
+
+/// Decodes shard `shard` (see sweep_shard_count) and builds and prices
+/// its platform, once per shard.
+SweepShardCoords sweep_shard_coords(const SweepSpec& spec, std::size_t shard);
+
+/// The slot layout of a shard, in one place: slot i is constraint-major,
+/// then energy budget, strategy, ordering. Fills the fields of `cell`
+/// that the shard and slot indices fix — app, a_fpga, cgcs,
+/// platform_cost, energy_budget_pj, strategy and ordering. The
+/// constraint is resolved per shard and left to the caller. `budgets`
+/// must be sweep_energy_budgets(spec).
+void fill_slot_coords(const SweepSpec& spec, const std::vector<double>& budgets,
+                      const SweepShardCoords& shard, std::size_t slot,
+                      SweepCell& cell);
 
 /// The argument checks sweep_design_space performs (non-empty corpus,
 /// grid and strategy/ordering axes; unique app names). Throws Error.

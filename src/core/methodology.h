@@ -143,7 +143,7 @@ PartitionReport run_methodology(const ir::Cdfg& cdfg,
 
 /// Same flow on a caller-owned mapper, so sweeps over many constraints or
 /// strategies reuse one (cdfg, platform) mapping instead of re-mapping
-/// every block per run (the DesignSpaceExplorer's hot path).
+/// every block per run (the sweep's hot path).
 PartitionReport run_methodology(HybridMapper& mapper,
                                 const ir::ProfileData& profile,
                                 std::int64_t timing_constraint_cycles,
@@ -156,7 +156,7 @@ PartitionReport run_methodology(HybridMapper& mapper,
 /// walk does not consult the constraint (greedy, annealing) price all
 /// cells from one shared walk via PartitionStrategy::run_axis. Each
 /// returned report is byte-identical to a standalone run_methodology
-/// with that cell's constraint and budget (the explorer's golden sweeps
+/// with that cell's constraint and budget (the sweep goldens
 /// pin this). Cells already met by the all-fine solution early-exit
 /// with empty kernel lists, exactly like the single-cell flow.
 std::vector<PartitionReport> run_methodology_axis(

@@ -39,9 +39,8 @@ namespace amdrel::core {
 // v4: cell lines carry the reconfiguration columns (t_reconfig cycles
 // and the floorplan cost's IEEE-754 bit pattern).
 
-/// One memoized sweep cell: everything sweep_design_space /
-/// explore_design_space derive per (app, platform, options, constraint)
-/// coordinate. moved_names duplicates report.moved as block names so a
+/// One memoized sweep cell: everything sweep_design_space derives per
+/// (app, platform, options, constraint) coordinate. moved_names duplicates report.moved as block names so a
 /// hit never needs the CDFG.
 struct CachedCell {
   PartitionReport report;

@@ -19,7 +19,6 @@
 
 #include "core/sweep_cache.h"
 #include "core/wire.h"
-#include "platform/platform.h"
 #include "support/error.h"
 #include "support/strings.h"
 
@@ -242,9 +241,7 @@ WorkerStreamConsumer::WorkerStreamConsumer(
           "consume_worker_stream: summary slot layout mismatch");
   require(shard_used.size() == shards_,
           "consume_worker_stream: shard_used size mismatch");
-  budgets_ = spec.energy_budgets.empty()
-                 ? std::vector<double>{spec.base.cost.energy_budget_pj}
-                 : spec.energy_budgets;
+  budgets_ = sweep_energy_budgets(spec);
   inner_ = budgets_.size() * spec.strategies.size() * spec.orderings.size();
 }
 
@@ -358,6 +355,7 @@ WorkerStreamConsumer::Event WorkerStreamConsumer::feed_shard(
   if (shard.used == 0) return complete_shard(shard.shard, 0);
   in_shard_ = true;
   cur_shard_ = shard.shard;
+  cur_coords_ = sweep_shard_coords(spec_, cur_shard_);
   cur_used_ = shard.used;
   cur_slot_ = 0;
   return Event::kNone;
@@ -374,33 +372,12 @@ WorkerStreamConsumer::Event WorkerStreamConsumer::feed_cell(
           cat("worker stream:", line_no_, ": expected cell ", cur_slot_,
               " of shard ", cur_shard_));
 
-  // Coordinates derivable from the shard index are derived HERE, from
-  // the same inputs the single-process sweep uses — the wire cannot
-  // place a cell on a platform it was not computed for.
-  const std::size_t app_index = cur_shard_ / spec_.grid.size();
-  const std::size_t platform_index = cur_shard_ % spec_.grid.size();
-  const double area =
-      spec_.grid.areas[platform_index / spec_.grid.cgc_counts.size()];
-  const int cgcs =
-      spec_.grid.cgc_counts[platform_index % spec_.grid.cgc_counts.size()];
-  const double cost =
-      platform::platform_cost(platform::make_paper_platform(area, cgcs));
-
-  const std::size_t ordering_count = spec_.orderings.size();
-  const std::size_t strategy_count = spec_.strategies.size();
-  const std::size_t oi = cur_slot_ % ordering_count;
-  const std::size_t si = (cur_slot_ / ordering_count) % strategy_count;
-  const std::size_t bi =
-      (cur_slot_ / (ordering_count * strategy_count)) % budgets_.size();
+  // Coordinates derivable from the shard and slot indices are derived
+  // HERE, by the slot layout the single-process sweep uses — the wire
+  // cannot place a cell on a platform it was not computed for.
   SweepCell& dest = summary_.cells[cur_shard_ * cells_per_shard_ + cur_slot_];
-  dest.app = app_index;
-  dest.a_fpga = area;
-  dest.cgcs = cgcs;
-  dest.platform_cost = cost;
+  fill_slot_coords(spec_, budgets_, cur_coords_, cur_slot_, dest);
   dest.constraint = cell.payload.report.timing_constraint;
-  dest.energy_budget_pj = budgets_[bi];
-  dest.strategy = spec_.strategies[si];
-  dest.ordering = spec_.orderings[oi];
   dest.report = std::move(cell.payload.report);
   dest.moved_names = std::move(cell.payload.moved_names);
 

@@ -169,6 +169,7 @@ class WorkerStreamConsumer {
 
   bool in_shard_ = false;
   std::size_t cur_shard_ = 0;
+  SweepShardCoords cur_coords_;  ///< priced once per shard line
   std::size_t cur_used_ = 0;
   std::size_t cur_slot_ = 0;
   std::size_t last_shard_ = 0;

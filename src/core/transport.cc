@@ -74,8 +74,11 @@ class FdChannel : public WorkerChannel {
   ~FdChannel() override {
     if (pid_ >= 0 && !reaped_) {
       // An unfinished forked worker is being retired (idle timeout or
-      // failed run): make sure it dies before we wait on it.
-      ::kill(pid_, SIGKILL);
+      // failed run): make sure it dies before we wait on it. The worker
+      // leads its own process group, so this also kills whatever it
+      // spawned (a wrapper shell's children), which would otherwise
+      // outlive it holding the pipe open.
+      ::kill(-pid_, SIGKILL);
       reap();
     }
     if (fd_ >= 0) ::close(fd_);
@@ -183,6 +186,7 @@ std::unique_ptr<WorkerChannel> ForkPipeTransport::open_worker(
   const pid_t pid = ::fork();
   require(pid >= 0, "ForkPipeTransport: fork failed");
   if (pid == 0) {
+    ::setpgid(0, 0);  // its own group, so one kill reaches its children
     ::dup2(fds[1], 1);  // the wire protocol is the child's stdout
     ::close(fds[0]);
     ::close(fds[1]);
@@ -196,6 +200,9 @@ std::unique_ptr<WorkerChannel> ForkPipeTransport::open_worker(
     std::fprintf(stderr, "amdrelc serve: cannot exec %s\n", argv[0]);
     ::_exit(127);
   }
+  // Also set from this side, so the group exists before any kill; the
+  // loser of the race with the child's own call fails harmlessly.
+  ::setpgid(pid, pid);
   ::close(fds[1]);
   const int index = spawned_++;
   return std::make_unique<FdChannel>(

@@ -18,8 +18,9 @@ namespace amdrel::core {
 //   WorkerChannel — one connected worker: a pollable fd, a non-blocking
 //   line reader, and (for bidirectional transports) a line writer. The
 //   channel owns the worker's lifetime: destroying an unfinished channel
-//   forcibly terminates a forked worker (SIGKILL + reap) or drops a
-//   socket — the coordinator's idle-timeout retirement path.
+//   forcibly terminates a forked worker (SIGKILL to its process group,
+//   then reap) or drops a socket — the coordinator's idle-timeout
+//   retirement path.
 //
 //   Transport — a factory of channels. ForkPipeTransport reproduces the
 //   pre-Transport behavior byte-for-byte: fork/exec a worker process
@@ -95,9 +96,10 @@ using WorkerCommandFn =
     std::function<std::vector<std::string>(const std::vector<std::size_t>&)>;
 
 /// Local fork/exec transport: one-directional pipe from the worker's
-/// stdout, byte-for-byte the pre-Transport serve behavior. Retry support
-/// comes from respawning (open_worker with the unfinished shards), not
-/// reassignment.
+/// stdout, byte-for-byte the pre-Transport serve behavior. Each worker
+/// leads its own process group, so retiring it also kills any process
+/// it spawned. Retry support comes from respawning (open_worker with the
+/// unfinished shards), not reassignment.
 class ForkPipeTransport : public Transport {
  public:
   explicit ForkPipeTransport(WorkerCommandFn command);

@@ -93,32 +93,6 @@ TEST(SweepCacheTest, CachedSweepIsByteIdenticalToUncached) {
   }
 }
 
-TEST(SweepCacheTest, ExplorerSharesTheCellAndMapperMemo) {
-  const auto app = workloads::build_ofdm_model();
-  const auto platform = platform::make_paper_platform(1500, 2);
-  SweepCache cache;
-  ExploreSpec spec;
-  spec.constraints = {workloads::kOfdmTimingConstraint};
-  spec.threads = 2;
-  spec.cache = &cache;
-
-  ExploreSpec uncached = spec;
-  uncached.cache = nullptr;
-  const std::string reference =
-      describe(explore_design_space(app.cdfg, app.profile, platform,
-                                    uncached));
-
-  const auto cold =
-      explore_design_space(app.cdfg, app.profile, platform, spec);
-  EXPECT_EQ(describe(cold), reference);
-  cache.reset_stats();
-  const auto warm =
-      explore_design_space(app.cdfg, app.profile, platform, spec);
-  EXPECT_EQ(describe(warm), reference);
-  EXPECT_EQ(cache.stats().cell_misses, 0u);
-  EXPECT_EQ(cache.stats().mapper_builds, 0u);
-}
-
 TEST(SweepCacheTest, SyntheticCorpusCachedEqualsUncachedAnyThreads) {
   std::vector<CorpusApp> corpus;
   for (int i = 0; i < 4; ++i) {
@@ -277,17 +251,17 @@ TEST(SweepCacheTest, LoadRejectsCorruptFiles) {
 TEST(SweepCacheTest, LoadAcceptsOwnSave) {
   // A saved cache containing a cell with every serialized field must
   // round-trip exactly, including kernels and moved names.
-  const auto app = workloads::build_ofdm_model();
-  const auto platform = platform::make_paper_platform(1500, 2);
+  // A one-app corpus on the default one-point grid.
+  const auto ofdm = workloads::build_ofdm_model();
+  const std::vector<CorpusApp> corpus = {{"ofdm", ofdm.cdfg, ofdm.profile}};
   SweepCache cache;
-  ExploreSpec spec;
+  SweepSpec spec;
   spec.constraints = {workloads::kOfdmTimingConstraint};
   spec.strategies = {StrategyKind::kGreedyPaper};
   spec.threads = 1;
   spec.cache = &cache;
-  const auto summary =
-      explore_design_space(app.cdfg, app.profile, platform, spec);
-  ASSERT_FALSE(summary.points.empty());
+  const auto summary = sweep_design_space(corpus, spec);
+  ASSERT_FALSE(summary.cells.empty());
 
   const std::string path = temp_path("sweep_cache_ownsave.jsonl");
   std::string error;
@@ -297,20 +271,15 @@ TEST(SweepCacheTest, LoadAcceptsOwnSave) {
 
   cache.reset_stats();
   fresh.reset_stats();
-  ExploreSpec warm_spec = spec;
+  SweepSpec warm_spec = spec;
   warm_spec.cache = &fresh;
-  const auto warm =
-      explore_design_space(app.cdfg, app.profile, platform, warm_spec);
+  const auto warm = sweep_design_space(corpus, warm_spec);
   EXPECT_EQ(describe(warm), describe(summary));
   EXPECT_EQ(fresh.stats().cell_misses, 0u);
 
   // The reloaded report matches the original field by field.
-  const PartitionReport& a = summary.points.front().report;
-  ExploreSpec replay = spec;
-  replay.cache = &fresh;
-  const ExploreSummary replayed =
-      explore_design_space(app.cdfg, app.profile, platform, replay);
-  const PartitionReport& b = replayed.points.front().report;
+  const PartitionReport& a = summary.cells.front().report;
+  const PartitionReport& b = warm.cells.front().report;
   EXPECT_EQ(a.app, b.app);
   EXPECT_EQ(a.timing_constraint, b.timing_constraint);
   EXPECT_EQ(a.initial_cycles, b.initial_cycles);
@@ -332,6 +301,7 @@ TEST(SweepCacheTest, LoadAcceptsOwnSave) {
     EXPECT_EQ(a.kernels[i].loop_depth, b.kernels[i].loop_depth);
     EXPECT_EQ(a.kernels[i].cgc_eligible, b.kernels[i].cgc_eligible);
   }
+  EXPECT_EQ(summary.cells.front().moved_names, warm.cells.front().moved_names);
   std::remove(path.c_str());
 }
 

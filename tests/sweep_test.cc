@@ -1,8 +1,8 @@
 // Platform-grid x corpus sweep: grid-spec parsing, cell enumeration
-// order, Pareto-front invariants, and the cross-check property that pins
-// the sharded sweep to the old semantics — every cell of a batched sweep
-// must be identical to an independent single-platform, single-app
-// DesignSpaceExplorer run.
+// order, Pareto-front invariants, the cross-check property that pins
+// the sharded, axis-batched sweep to the paper's flow — every cell must
+// be identical to an independent run_methodology call — and the
+// single-app, single-platform exploration as a one-shard sweep.
 
 #include "core/explorer.h"
 
@@ -99,9 +99,10 @@ TEST(SweepTest, CellOrderIsAppMajorThenPlatformThenEngineGrid) {
   }
 }
 
-// The tentpole property: random platform grids, batched sweep vs the
-// standalone single-platform, single-app explorer — every cell must carry
-// the same report, rendered byte-identical.
+// The tentpole property: random platform grids, batched sweep vs one
+// standalone run_methodology call per cell, each on a freshly built
+// mapper — every cell must carry the same report, rendered
+// byte-identical.
 class SweepCrossCheck : public ::testing::TestWithParam<std::uint64_t> {};
 
 TEST_P(SweepCrossCheck, CellsEqualStandaloneExplorerRuns) {
@@ -140,34 +141,45 @@ TEST_P(SweepCrossCheck, CellsEqualStandaloneExplorerRuns) {
 
   const auto summary = sweep_design_space(corpus, spec);
 
-  // Replay every (app, platform) group through the standalone explorer
-  // with an identical engine grid and compare cell by cell.
+  // Walk the grid in cell order — default constraints are the quarter
+  // points of each (app, platform) pair's all-fine-grain cycles — and
+  // replay every cell as its own run_methodology call.
   std::size_t index = 0;
-  for (const CorpusApp& app : corpus) {
+  for (std::size_t a = 0; a < corpus.size(); ++a) {
+    const CorpusApp& app = corpus[a];
     for (const double area : spec.grid.areas) {
       for (const int cgcs : spec.grid.cgc_counts) {
         const auto p = platform::make_paper_platform(area, cgcs);
-        ExploreSpec standalone;
-        standalone.constraints = spec.constraints;
-        standalone.strategies = spec.strategies;
-        standalone.orderings = spec.orderings;
-        standalone.base = spec.base;
-        standalone.threads = 1;
-        const auto expected =
-            explore_design_space(app.cdfg, app.profile, p, standalone);
-        for (const ExplorePoint& point : expected.points) {
-          const SweepCell& cell = summary.cells[index++];
-          EXPECT_EQ(cell.constraint, point.constraint);
-          EXPECT_EQ(cell.strategy, point.strategy);
-          EXPECT_EQ(cell.ordering, point.ordering);
-          EXPECT_EQ(cell.report.moved, point.report.moved);
-          EXPECT_EQ(cell.report.final_cycles, point.report.final_cycles);
-          EXPECT_EQ(cell.report.met, point.report.met);
-          EXPECT_EQ(cell.report.engine_iterations,
-                    point.report.engine_iterations);
-          // Byte-identical when rendered through the same report path.
-          EXPECT_EQ(describe(cell.report, app.cdfg),
-                    describe(point.report, app.cdfg));
+        const std::int64_t all_fine =
+            HybridMapper(app.cdfg, p).all_fine_cycles(app.profile);
+        for (const std::int64_t constraint :
+             {all_fine / 4, all_fine / 2, (3 * all_fine) / 4}) {
+          for (const StrategyKind strategy : spec.strategies) {
+            for (const KernelOrdering ordering : spec.orderings) {
+              ASSERT_LT(index, summary.cells.size());
+              const SweepCell& cell = summary.cells[index++];
+              EXPECT_EQ(cell.app, a);
+              EXPECT_EQ(cell.a_fpga, area);
+              EXPECT_EQ(cell.cgcs, cgcs);
+              EXPECT_EQ(cell.constraint, constraint);
+              EXPECT_EQ(cell.strategy, strategy);
+              EXPECT_EQ(cell.ordering, ordering);
+              MethodologyOptions options = spec.base;
+              options.strategy = strategy;
+              options.ordering = ordering;
+              options.cost.energy_budget_pj = cell.energy_budget_pj;
+              const PartitionReport expected = run_methodology(
+                  app.cdfg, app.profile, p, constraint, options);
+              EXPECT_EQ(cell.report.moved, expected.moved);
+              EXPECT_EQ(cell.report.final_cycles, expected.final_cycles);
+              EXPECT_EQ(cell.report.met, expected.met);
+              EXPECT_EQ(cell.report.engine_iterations,
+                        expected.engine_iterations);
+              // Byte-identical when rendered through the same report path.
+              EXPECT_EQ(describe(cell.report, app.cdfg),
+                        describe(expected, app.cdfg));
+            }
+          }
         }
       }
     }
@@ -419,13 +431,10 @@ TEST(SweepIoTest, JsonDeclaresSchemaVersionAndCellCountMatchesCsv) {
   EXPECT_EQ(csv_rows, summary.cells.size() + 1);  // header + one per cell
 }
 
-TEST(SweepTest, TinyAppDefaultConstraintSlotsCompacted) {
-  // One corpus app whose all-fine cycle count collapses the default 1/4,
-  // 1/2, 3/4 fractions to the single clamped constraint 1 (see the
-  // explorer test of the same name), swept next to OFDM whose fractions
-  // stay distinct: the tiny app's shards fill one constraint slot each
-  // and the unused tail must be compacted away, not emitted as
-  // uninitialized cells.
+/// A one-block app that never executes (empty profile), so its
+/// all-fine cycle count is 0 and the default 1/4, 1/2, 3/4 constraint
+/// fractions all round down to 0.
+CorpusApp tiny_app() {
   CorpusApp tiny;
   tiny.name = "tiny";
   tiny.cdfg = ir::Cdfg("tiny");
@@ -435,9 +444,18 @@ TEST(SweepTest, TinyAppDefaultConstraintSlotsCompacted) {
   const ir::NodeId sum = dfg.add_node(ir::OpKind::kAdd, {in, in});
   dfg.add_node(ir::OpKind::kOutput, {sum});
   tiny.cdfg.set_entry(b);
+  return tiny;
+}
 
+TEST(SweepTest, TinyAppDefaultConstraintSlotsCompacted) {
+  // One corpus app whose all-fine cycle count collapses the default 1/4,
+  // 1/2, 3/4 fractions to the single clamped constraint 1 (see
+  // ExplorerTest.TinyAppDefaultConstraintsClampAndDedupe), swept next to
+  // OFDM whose fractions stay distinct: the tiny app's shards fill one
+  // constraint slot each and the unused tail must be compacted away, not
+  // emitted as uninitialized cells.
   std::vector<CorpusApp> corpus;
-  corpus.push_back(std::move(tiny));
+  corpus.push_back(tiny_app());
   const workloads::PaperApp ofdm = build_ofdm_model();
   corpus.push_back({"ofdm", ofdm.cdfg, ofdm.profile});
 
@@ -452,7 +470,9 @@ TEST(SweepTest, TinyAppDefaultConstraintSlotsCompacted) {
   ASSERT_EQ(summary.cells.size(), 2u * 1u + 2u * 3u);
   for (const SweepCell& cell : summary.cells) {
     EXPECT_GE(cell.constraint, 1) << summary.apps[cell.app];
-    if (cell.app == 0) EXPECT_EQ(cell.constraint, 1);
+    if (cell.app == 0) {
+      EXPECT_EQ(cell.constraint, 1);
+    }
   }
   // App-major cell order survives the compaction.
   EXPECT_EQ(summary.cells[0].app, 0u);
@@ -465,6 +485,153 @@ TEST(SweepTest, TinyAppDefaultConstraintSlotsCompacted) {
   EXPECT_EQ(static_cast<std::size_t>(
                 std::count(csv.begin(), csv.end(), '\n')),
             summary.cells.size() + 1);
+}
+
+// ---------------------------------------------------------------------------
+// Exploring one app on one platform: the sweep over a one-app corpus and
+// a one-point grid (the default PlatformGrid, A_FPGA 1500 x 2 CGCs).
+
+std::vector<CorpusApp> ofdm_only() {
+  const workloads::PaperApp ofdm = build_ofdm_model();
+  return {{"ofdm", ofdm.cdfg, ofdm.profile}};
+}
+
+SweepSpec ofdm_point_spec() {
+  SweepSpec spec;
+  spec.constraints = {workloads::kOfdmTimingConstraint / 2,
+                      workloads::kOfdmTimingConstraint,
+                      2 * workloads::kOfdmTimingConstraint};
+  spec.orderings = {KernelOrdering::kWeightDescending,
+                    KernelOrdering::kBenefitDescending};
+  spec.threads = 1;
+  return spec;
+}
+
+TEST(ExplorerTest, GridOrderAndSize) {
+  const SweepSpec spec = ofdm_point_spec();
+  const auto summary = sweep_design_space(ofdm_only(), spec);
+  ASSERT_EQ(summary.cells.size(), spec.constraints.size() *
+                                      spec.strategies.size() *
+                                      spec.orderings.size());
+  const double cost =
+      platform::platform_cost(platform::make_paper_platform(1500, 2));
+  // Constraint-major, then strategy, then ordering, all on one platform.
+  std::size_t index = 0;
+  for (const std::int64_t constraint : spec.constraints) {
+    for (const StrategyKind strategy : spec.strategies) {
+      for (const KernelOrdering ordering : spec.orderings) {
+        const SweepCell& cell = summary.cells[index++];
+        EXPECT_EQ(cell.app, 0u);
+        EXPECT_EQ(cell.a_fpga, 1500);
+        EXPECT_EQ(cell.cgcs, 2);
+        EXPECT_EQ(cell.platform_cost, cost);
+        EXPECT_EQ(cell.constraint, constraint);
+        EXPECT_EQ(cell.strategy, strategy);
+        EXPECT_EQ(cell.ordering, ordering);
+      }
+    }
+  }
+}
+
+TEST(ExplorerTest, ParetoFrontInvariants) {
+  // With one platform the cost axis is constant, so the app's front is
+  // the exploration front over (final cycles, kernels moved, energy),
+  // and with one app it is also the global front.
+  const auto summary = sweep_design_space(ofdm_only(), ofdm_point_spec());
+  ASSERT_EQ(summary.app_pareto.size(), 1u);
+  const std::vector<std::size_t>& front = summary.app_pareto[0];
+  ASSERT_FALSE(front.empty());
+  EXPECT_EQ(front, summary.global_pareto);
+
+  auto dominates = [](const PartitionReport& a, const PartitionReport& b) {
+    const bool no_worse = a.final_cycles <= b.final_cycles &&
+                          a.moved.size() <= b.moved.size() &&
+                          a.energy.total_pj() <= b.energy.total_pj();
+    const bool better = a.final_cycles < b.final_cycles ||
+                        a.moved.size() < b.moved.size() ||
+                        a.energy.total_pj() < b.energy.total_pj();
+    return no_worse && better;
+  };
+  for (const std::size_t i : front) {
+    ASSERT_LT(i, summary.cells.size());
+    EXPECT_TRUE(summary.cells[i].on_app_pareto);
+    for (const SweepCell& other : summary.cells) {
+      EXPECT_FALSE(dominates(other.report, summary.cells[i].report));
+    }
+  }
+  // Every off-front cell is dominated by a front cell.
+  for (const SweepCell& cell : summary.cells) {
+    if (cell.on_app_pareto) continue;
+    bool dominated = false;
+    for (const std::size_t i : front) {
+      dominated = dominated || dominates(summary.cells[i].report, cell.report);
+    }
+    EXPECT_TRUE(dominated);
+  }
+}
+
+TEST(ExplorerTest, EmptyConstraintsSweepFractionsOfAllFine) {
+  const auto corpus = ofdm_only();
+  SweepSpec spec;  // no constraints: 1/4, 1/2, 3/4 of all-fine
+  spec.threads = 1;
+  const auto summary = sweep_design_space(corpus, spec);
+  const std::int64_t all_fine =
+      HybridMapper(corpus[0].cdfg, platform::make_paper_platform(1500, 2))
+          .all_fine_cycles(corpus[0].profile);
+  ASSERT_EQ(summary.cells.size(),
+            3 * spec.strategies.size() * spec.orderings.size());
+  EXPECT_EQ(summary.cells.front().constraint, all_fine / 4);
+  EXPECT_EQ(summary.cells.back().constraint, (3 * all_fine) / 4);
+}
+
+TEST(ExplorerTest, EnergyBudgetAxisExpandsGrid) {
+  SweepSpec spec;
+  spec.constraints = {workloads::kOfdmTimingConstraint};
+  spec.energy_budgets = {1.0e6, 7.0e5};
+  spec.strategies = {StrategyKind::kGreedyPaper};
+  spec.base.cost.objective.kind = ObjectiveKind::kEnergy;
+  spec.threads = 1;
+  const auto summary = sweep_design_space(ofdm_only(), spec);
+  ASSERT_EQ(summary.cells.size(), 2u);
+  EXPECT_EQ(summary.cells[0].energy_budget_pj, 1.0e6);
+  EXPECT_EQ(summary.cells[1].energy_budget_pj, 7.0e5);
+  for (const SweepCell& cell : summary.cells) {
+    EXPECT_EQ(cell.report.objective, ObjectiveKind::kEnergy);
+    EXPECT_TRUE(cell.report.met);
+    EXPECT_LE(cell.report.energy.total_pj(), cell.energy_budget_pj);
+  }
+  // The tighter budget needs strictly more kernels on the CGC.
+  EXPECT_LT(summary.cells[0].report.moved.size(),
+            summary.cells[1].report.moved.size());
+}
+
+TEST(ExplorerTest, EmptyStrategyGridRejected) {
+  SweepSpec spec;
+  spec.constraints = {1000};
+  spec.strategies.clear();
+  EXPECT_THROW(sweep_design_space(ofdm_only(), spec), Error);
+}
+
+TEST(ExplorerTest, TinyAppDefaultConstraintsClampAndDedupe) {
+  // The tiny app's default fractions all round down to 0: each must be
+  // clamped to at least one cycle and the duplicates dropped, instead of
+  // sweeping three unmeetable "finish in no cycles" constraints.
+  const std::vector<CorpusApp> corpus = {tiny_app()};
+  ASSERT_EQ(HybridMapper(corpus[0].cdfg, platform::make_paper_platform(1500, 2))
+                .all_fine_cycles(corpus[0].profile),
+            0);
+  SweepSpec spec;  // default constraints
+  spec.threads = 1;
+  const auto summary = sweep_design_space(corpus, spec);
+  // Capacity is three constraint slots; one is filled and the cell list
+  // is compacted to it.
+  const std::size_t walks = spec.strategies.size() * spec.orderings.size();
+  ASSERT_EQ(sweep_cells_per_shard(spec), 3 * walks);
+  ASSERT_EQ(summary.cells.size(), walks);
+  for (const SweepCell& cell : summary.cells) {
+    EXPECT_EQ(cell.constraint, 1);
+    EXPECT_TRUE(cell.report.met);
+  }
 }
 
 }  // namespace

@@ -7,9 +7,12 @@
 #include "core/transport.h"
 
 #ifndef _WIN32
+#include <signal.h>
 #include <unistd.h>
 #endif
 
+#include <cerrno>
+#include <chrono>
 #include <cstdio>
 #include <fstream>
 #include <map>
@@ -144,13 +147,44 @@ TEST_F(ForkFaultTest, RecoversFromKilledWorker) {
   EXPECT_EQ(attempts_[2], 2);
 }
 
+/// True once `pid` no longer runs: gone (ESRCH), or a zombie waiting for
+/// whichever ancestor inherited it to reap it.
+bool process_gone(pid_t pid) {
+  if (::kill(pid, 0) != 0 && errno == ESRCH) return true;
+  std::ifstream stat("/proc/" + std::to_string(pid) + "/stat");
+  std::string line;
+  if (!std::getline(stat, line)) return false;
+  const std::size_t paren = line.rfind(')');
+  return paren != std::string::npos && paren + 2 < line.size() &&
+         line[paren + 2] == 'Z';
+}
+
 TEST_F(ForkFaultTest, RecoversFromIdleTimeout) {
-  // The hung worker writes nothing; the 200ms idle timeout must declare
-  // it dead (and SIGKILL it — no 30s test stall) and retry its shard.
-  ForkPipeTransport transport = faulty_transport(0, "sleep 30");
+  // The hung worker is a shell that spawned a child and writes nothing;
+  // the 200ms idle timeout must declare it dead and retry its shard.
+  // Killing only the shell would orphan the child, which keeps the
+  // inherited pipe open for its whole 30s — the whole process group
+  // must die with the shell.
+  const std::string pid_path = testing::TempDir() + "transport_orphan_" +
+                               std::to_string(::getpid()) + ".pid";
+  ForkPipeTransport transport = faulty_transport(
+      0, "sleep 30 & echo $! > '" + pid_path + "'; wait");
   const SweepSummary summary = serve_with(transport, /*idle_timeout_ms=*/200);
   EXPECT_EQ(sweep_to_json(summary), expected_json_);
   EXPECT_EQ(attempts_[0], 2);
+
+  long child = 0;
+  ASSERT_TRUE(static_cast<bool>(std::ifstream(pid_path) >> child));
+  std::remove(pid_path.c_str());
+  ASSERT_GT(child, 0);
+  const auto deadline =
+      std::chrono::steady_clock::now() + std::chrono::seconds(1);
+  while (!process_gone(static_cast<pid_t>(child)) &&
+         std::chrono::steady_clock::now() < deadline) {
+    std::this_thread::sleep_for(std::chrono::milliseconds(10));
+  }
+  EXPECT_TRUE(process_gone(static_cast<pid_t>(child)))
+      << "the hung worker's child " << child << " outlived it";
 }
 
 TEST_F(ForkFaultTest, FailsLoudlyWhenRetriesAreExhausted) {
