@@ -533,6 +533,23 @@ TEST(ExplorerTest, GridOrderAndSize) {
   }
 }
 
+TEST(ExplorerTest, PointsMatchDirectMethodologyRuns) {
+  const auto corpus = ofdm_only();
+  const auto p = platform::make_paper_platform(1500, 2);
+  const auto summary = sweep_design_space(corpus, ofdm_point_spec());
+  ASSERT_FALSE(summary.cells.empty());
+  for (const SweepCell& cell : summary.cells) {
+    MethodologyOptions options;
+    options.strategy = cell.strategy;
+    options.ordering = cell.ordering;
+    const auto direct = run_methodology(corpus[0].cdfg, corpus[0].profile, p,
+                                        cell.constraint, options);
+    EXPECT_EQ(cell.report.moved, direct.moved);
+    EXPECT_EQ(cell.report.final_cycles, direct.final_cycles);
+    EXPECT_EQ(cell.report.met, direct.met);
+  }
+}
+
 TEST(ExplorerTest, ParetoFrontInvariants) {
   // With one platform the cost axis is constant, so the app's front is
   // the exploration front over (final cycles, kernels moved, energy),
