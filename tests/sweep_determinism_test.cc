@@ -1,5 +1,5 @@
 // Golden-file and determinism tests for the machine-readable sweep
-// output (core/sweep_io.h).
+// output (core/sweep_io.h) and the sweep cache file (core/sweep_cache.h).
 //
 // A fixed platform grid x {OFDM, JPEG} corpus sweep is rendered to JSON
 // and CSV and pinned byte-for-byte against tests/golden/sweep.json.golden
@@ -8,7 +8,9 @@
 // across repeated runs — the determinism contract every later scaling PR
 // (process sharding, caching) builds on. The JSON carries a
 // schema_version field, so any intentional format change is an explicit,
-// reviewed event:
+// reviewed event. tests/golden/sweep_cache.jsonl.golden pins the bytes
+// SweepCache::save writes, generation stamps included. Regenerate all
+// three with:
 //   ./build/tests/sweep_determinism_test --regen
 // then review the diff of tests/golden/.
 
@@ -18,6 +20,8 @@
 #include <sstream>
 #include <string>
 #include <thread>
+#include <utility>
+#include <vector>
 
 #include <gtest/gtest.h>
 
@@ -160,6 +164,52 @@ TEST(SweepDeterminismTest, PersistedCacheServesGoldenSweep) {
   std::remove(path.c_str());
 }
 
+// The pinned cache file: OFDM on one 1500x2 platform, greedy and
+// annealing. A cold run is saved (generation 1), loaded into a fresh
+// cache and rerun under explicit constraints, then saved again
+// (generation 2): the first run's cells and its all-fine entry stay
+// untouched at gen 1, while the new cells and the restored mapper
+// snapshot are stamped gen 2.
+std::string cache_file_bytes() {
+  std::vector<core::CorpusApp> corpus;
+  for (core::CorpusApp& app : workloads::paper_corpus()) {
+    if (app.name == "ofdm") corpus.push_back(std::move(app));
+  }
+  core::SweepSpec spec;
+  spec.grid.areas = {1500};
+  spec.grid.cgc_counts = {2};
+  spec.strategies = {core::StrategyKind::kGreedyPaper,
+                     core::StrategyKind::kAnnealing};
+  spec.orderings = {core::KernelOrdering::kWeightDescending};
+  spec.threads = 1;
+
+  const std::string path = testing::TempDir() + "golden_cache_bytes.jsonl";
+  std::remove(path.c_str());
+  std::string error;
+  {
+    core::SweepCache cold;
+    spec.cache = &cold;
+    core::sweep_design_space(corpus, spec);
+    if (!cold.save(path, &error)) return "save failed: " + error;
+  }
+  core::SweepCache warm;
+  if (!warm.load(path, &error)) return "load failed: " + error;
+  spec.cache = &warm;
+  spec.constraints = {60000, 100000};
+  core::sweep_design_space(corpus, spec);
+  if (!warm.save(path, &error)) return "save failed: " + error;
+
+  std::ifstream in(path, std::ios::binary);
+  std::ostringstream ss;
+  ss << in.rdbuf();
+  std::remove(path.c_str());
+  return ss.str();
+}
+
+TEST(SweepDeterminismTest, CacheFileMatchesCommittedGolden) {
+  expect_matches_golden(cache_file_bytes(), "sweep_cache.jsonl.golden");
+}
+
 }  // namespace
 }  // namespace amdrel
 
@@ -173,7 +223,10 @@ int main(int argc, char** argv) {
       std::ofstream csv(amdrel::golden_path("sweep.csv.golden"),
                         std::ios::binary);
       csv << amdrel::core::sweep_to_csv(summary);
-      return json.good() && csv.good() ? 0 : 1;
+      std::ofstream cache(amdrel::golden_path("sweep_cache.jsonl.golden"),
+                          std::ios::binary);
+      cache << amdrel::cache_file_bytes();
+      return json.good() && csv.good() && cache.good() ? 0 : 1;
     }
   }
   ::testing::InitGoogleTest(&argc, argv);
