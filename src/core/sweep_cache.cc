@@ -4,9 +4,9 @@
 #include <cassert>
 #include <cstdio>
 #include <fstream>
-#include <numeric>
 #include <ostream>
 #include <sstream>
+#include <tuple>
 #include <utility>
 
 #ifndef _WIN32
@@ -34,6 +34,28 @@ using jsonl::get_string;
 // JSON machinery itself lives in core/json_lines.h.
 // ---------------------------------------------------------------------------
 
+namespace {
+
+template <typename T>
+void write_int_array(std::ostream& os, const std::vector<T>& values) {
+  os << '[';
+  for (std::size_t i = 0; i < values.size(); ++i) {
+    if (i) os << ',';
+    os << values[i];
+  }
+  os << ']';
+}
+
+// True when every item of `row` from index `first` on is an integer.
+bool ints_from(const JsonValue& row, std::size_t first) {
+  return std::all_of(row.items.begin() + static_cast<std::ptrdiff_t>(first),
+                     row.items.end(), [](const JsonValue& item) {
+                       return item.kind == JsonValue::Kind::kInt;
+                     });
+}
+
+}  // namespace
+
 void write_cell_payload(std::ostream& os, const PartitionReport& r,
                         const std::vector<std::string>& moved_names) {
   os << "\"app\":\"" << json_escape(r.app) << "\","
@@ -53,12 +75,9 @@ void write_cell_payload(std::ostream& os, const PartitionReport& r,
        << k.total_weight << ',' << k.loop_depth << ','
        << (k.cgc_eligible ? 1 : 0) << ']';
   }
-  os << "],\"moved\":[";
-  for (std::size_t i = 0; i < r.moved.size(); ++i) {
-    if (i) os << ',';
-    os << r.moved[i];
-  }
-  os << "],\"moved_names\":[";
+  os << "],\"moved\":";
+  write_int_array(os, r.moved);
+  os << ",\"moved_names\":[";
   for (std::size_t i = 0; i < moved_names.size(); ++i) {
     if (i) os << ',';
     os << '"' << json_escape(moved_names[i]) << '"';
@@ -115,11 +134,8 @@ bool read_cell_payload(const JsonValue& object, CachedCell& cell) {
 
   const JsonValue* energy = object.find("energy_bits");
   if (!energy || energy->kind != JsonValue::Kind::kArray ||
-      energy->items.size() != 4) {
+      energy->items.size() != 4 || !ints_from(*energy, 0)) {
     return false;
-  }
-  for (const JsonValue& field : energy->items) {
-    if (field.kind != JsonValue::Kind::kInt) return false;
   }
   r.energy.fine_pj = bits_to_double(energy->items[0].integer);
   r.energy.coarse_pj = bits_to_double(energy->items[1].integer);
@@ -129,11 +145,9 @@ bool read_cell_payload(const JsonValue& object, CachedCell& cell) {
   const JsonValue* kernels = object.find("kernels");
   if (!kernels || kernels->kind != JsonValue::Kind::kArray) return false;
   for (const JsonValue& row : kernels->items) {
-    if (row.kind != JsonValue::Kind::kArray || row.items.size() != 6) {
+    if (row.kind != JsonValue::Kind::kArray || row.items.size() != 6 ||
+        !ints_from(row, 0)) {
       return false;
-    }
-    for (const JsonValue& field : row.items) {
-      if (field.kind != JsonValue::Kind::kInt) return false;
     }
     analysis::KernelInfo k;
     k.block = static_cast<ir::BlockId>(row.items[0].integer);
@@ -165,36 +179,6 @@ bool read_cell_payload(const JsonValue& object, CachedCell& cell) {
 }
 
 namespace {
-
-// ---------------------------------------------------------------------------
-// Whole-line writers/readers for the cache file. Every line is written
-// in canonical field order so identical caches are byte-identical on
-// disk.
-// ---------------------------------------------------------------------------
-
-void write_cell_line(std::ostream& os, const Fingerprint& key,
-                     std::uint64_t gen, const CachedCell& cell) {
-  os << "{\"kind\":\"cell\",\"key\":\"" << key.to_hex() << "\",\"gen\":"
-     << gen << ",";
-  write_cell_payload(os, cell.report, cell.moved_names);
-  os << "}\n";
-}
-
-void write_all_fine_line(std::ostream& os, const Fingerprint& key,
-                         std::uint64_t gen, std::int64_t cycles) {
-  os << "{\"kind\":\"all_fine\",\"key\":\"" << key.to_hex() << "\",\"gen\":"
-     << gen << ",\"cycles\":" << cycles << "}\n";
-}
-
-template <typename T>
-void write_int_array(std::ostream& os, const std::vector<T>& values) {
-  os << '[';
-  for (std::size_t i = 0; i < values.size(); ++i) {
-    if (i) os << ',';
-    os << values[i];
-  }
-  os << ']';
-}
 
 // A mapper snapshot serializes the full MapperState: per block the
 // fine-grain mapping (temporal partitioning + timing model) and, when
@@ -244,14 +228,6 @@ void write_mapper_payload(std::ostream& os, const MapperState& state) {
   os << ']';
 }
 
-void write_mapper_line(std::ostream& os, const Fingerprint& key,
-                       std::uint64_t gen, const MapperState& state) {
-  os << "{\"kind\":\"mapper\",\"key\":\"" << key.to_hex() << "\",\"gen\":"
-     << gen << ",";
-  write_mapper_payload(os, state);
-  os << "}\n";
-}
-
 bool read_int_array(const JsonValue& value, std::vector<std::int64_t>& out) {
   if (value.kind != JsonValue::Kind::kArray) return false;
   out.reserve(value.items.size());
@@ -282,10 +258,8 @@ bool read_mapper_payload(const JsonValue& object, MapperState& state) {
     finegrain::FpgaBlockMapping m;
     std::vector<std::int64_t> partition_of;
     if (!read_int_array(row.items[0], partition_of)) return false;
-    m.partitioning.partition_of.reserve(partition_of.size());
-    for (const std::int64_t p : partition_of) {
-      m.partitioning.partition_of.push_back(static_cast<int>(p));
-    }
+    m.partitioning.partition_of.assign(partition_of.begin(),
+                                       partition_of.end());
     if (row.items[1].kind != JsonValue::Kind::kInt ||
         row.items[1].integer < 0) {
       return false;
@@ -297,12 +271,7 @@ bool read_mapper_payload(const JsonValue& object, MapperState& state) {
     for (const std::int64_t bits : area_bits) {
       m.partitioning.partition_area.push_back(bits_to_double(bits));
     }
-    for (const int i : {3, 4, 5, 6, 7}) {
-      if (row.items[static_cast<std::size_t>(i)].kind !=
-          JsonValue::Kind::kInt) {
-        return false;
-      }
-    }
+    if (!ints_from(row, 3)) return false;
     m.exec_cycles = row.items[3].integer;
     m.boundary_words = row.items[4].integer;
     m.boundary_cycles = row.items[5].integer;
@@ -341,12 +310,7 @@ bool read_mapper_payload(const JsonValue& object, MapperState& state) {
       p.col = static_cast<int>(triples[i + 2]);
       m.schedule.placement.push_back(p);
     }
-    for (const int i : {3, 4, 5, 6, 7}) {
-      if (row.items[static_cast<std::size_t>(i)].kind !=
-          JsonValue::Kind::kInt) {
-        return false;
-      }
-    }
+    if (!ints_from(row, 3)) return false;
     m.schedule.total_cgc_cycles = row.items[3].integer;
     m.schedule.configurations = row.items[4].integer;
     m.schedule.mem_accesses = row.items[5].integer;
@@ -370,132 +334,6 @@ bool read_gen(const JsonValue& object, const char* name, std::uint64_t& out) {
   out = static_cast<std::uint64_t>(v->integer);
   return true;
 }
-
-/// Everything one cache file holds, with per-entry generation stamps.
-struct ParsedFile {
-  std::map<Fingerprint, CachedCell> cells;
-  std::map<Fingerprint, std::int64_t> all_fine;
-  std::map<Fingerprint, MapperState> mappers;
-  std::map<Fingerprint, std::uint64_t> cell_gens;
-  std::map<Fingerprint, std::uint64_t> all_fine_gens;
-  std::map<Fingerprint, std::uint64_t> mapper_gens;
-  std::uint64_t generation = 0;  ///< header counter; the next save is +1
-};
-
-/// Parses a whole cache file with the strict whole-file rejection
-/// contract (shared by load() and the merge-on-save re-read inside
-/// save()). `out` may be partially filled on failure; callers discard it.
-bool parse_cache_file(const std::string& path, ParsedFile& out,
-                      std::string* error) {
-  auto reject = [&](const std::string& why) {
-    if (error) *error = why;
-    return false;
-  };
-
-  std::ifstream in(path, std::ios::binary);
-  if (!in.good()) return reject("cannot open " + path);
-
-  std::string line;
-  std::size_t line_no = 0;
-  bool saw_header = false;
-  while (std::getline(in, line)) {
-    ++line_no;
-    if (line.empty()) continue;
-    JsonValue object;
-    if (!JsonParser(line).parse(object) ||
-        object.kind != JsonValue::Kind::kObject) {
-      return reject(cat(path, ":", line_no, ": not a JSON object"));
-    }
-    std::string kind;
-    if (!get_string(object, "kind", kind)) {
-      return reject(cat(path, ":", line_no, ": missing \"kind\""));
-    }
-    if (!saw_header) {
-      std::int64_t schema = 0;
-      std::int64_t algorithm = 0;
-      if (kind != "header" ||
-          !get_int(object, "schema_version", schema) ||
-          !get_int(object, "fingerprint_algorithm", algorithm)) {
-        return reject(cat(path, ":", line_no, ": missing header line"));
-      }
-      if (schema != kSweepCacheSchemaVersion) {
-        return reject(cat(path, ": schema_version ", schema,
-                          " (this build reads ", kSweepCacheSchemaVersion,
-                          ")"));
-      }
-      if (algorithm != kFingerprintAlgorithmVersion) {
-        return reject(cat(path, ": fingerprint_algorithm ", algorithm,
-                          " (this build uses ", kFingerprintAlgorithmVersion,
-                          ")"));
-      }
-      if (!read_gen(object, "generation", out.generation)) {
-        return reject(cat(path, ":", line_no, ": malformed generation"));
-      }
-      saw_header = true;
-      continue;
-    }
-
-    std::string key_hex;
-    if (!get_string(object, "key", key_hex)) {
-      return reject(cat(path, ":", line_no, ": missing \"key\""));
-    }
-    const std::optional<Fingerprint> key = Fingerprint::from_hex(key_hex);
-    if (!key) {
-      return reject(cat(path, ":", line_no, ": malformed key"));
-    }
-    std::uint64_t gen = 0;
-    if (!read_gen(object, "gen", gen)) {
-      return reject(cat(path, ":", line_no, ": malformed gen"));
-    }
-    if (kind == "all_fine") {
-      std::int64_t cycles = 0;
-      if (!get_int(object, "cycles", cycles)) {
-        return reject(cat(path, ":", line_no, ": malformed all_fine entry"));
-      }
-      if (!out.all_fine.emplace(*key, cycles).second) {
-        return reject(cat(path, ":", line_no, ": duplicate key"));
-      }
-      out.all_fine_gens.emplace(*key, gen);
-    } else if (kind == "cell") {
-      CachedCell cell;
-      if (!read_cell_payload(object, cell)) {
-        return reject(cat(path, ":", line_no, ": malformed cell entry"));
-      }
-      if (!out.cells.emplace(*key, std::move(cell)).second) {
-        return reject(cat(path, ":", line_no, ": duplicate key"));
-      }
-      out.cell_gens.emplace(*key, gen);
-    } else if (kind == "mapper") {
-      MapperState state;
-      if (!read_mapper_payload(object, state)) {
-        return reject(cat(path, ":", line_no, ": malformed mapper entry"));
-      }
-      if (!out.mappers.emplace(*key, std::move(state)).second) {
-        return reject(cat(path, ":", line_no, ": duplicate key"));
-      }
-      out.mapper_gens.emplace(*key, gen);
-    } else {
-      return reject(cat(path, ":", line_no, ": unknown kind \"", kind, "\""));
-    }
-  }
-  if (in.bad()) return reject("read error on " + path);
-  if (!saw_header) return reject(path + ": empty cache file (no header)");
-  return true;
-}
-
-#ifndef NDEBUG
-// Content-addressed keys mean a collision must carry an identical
-// payload; compare via the canonical serialization so every field
-// participates. (Mapper snapshots are exempt: their coarse half
-// accumulates lazily, so two correct snapshots can differ.)
-bool same_cell_payload(const CachedCell& a, const CachedCell& b) {
-  std::ostringstream sa;
-  std::ostringstream sb;
-  write_cell_payload(sa, a.report, a.moved_names);
-  write_cell_payload(sb, b.report, b.moved_names);
-  return sa.str() == sb.str();
-}
-#endif
 
 /// Exclusive advisory lock on a sidecar lock file, held for the
 /// load-merge-evict-write cycle in save(). The lock file is created on
@@ -605,87 +443,132 @@ void remove_stale_temps(const std::string& path) {
 
 }  // namespace
 
-struct SweepCache::Entries {
-  std::map<Fingerprint, CachedCell> cells;
-  std::map<Fingerprint, std::int64_t> all_fine;
-  std::map<Fingerprint, std::shared_ptr<const MapperState>> mappers;
-  std::map<Fingerprint, std::uint64_t> cell_gens;
-  std::map<Fingerprint, std::uint64_t> all_fine_gens;
-  std::map<Fingerprint, std::uint64_t> mapper_gens;
+using MapperPtr = std::shared_ptr<const MapperState>;
+
+// The three entry kinds. Each knows its line name, file order, eviction
+// rank (lowest goes first at equal age) and payload codec; every
+// per-kind loop below visits them through for_each_kind.
+
+template <>
+struct SweepCache::Kind<std::int64_t> {
+  using Value = std::int64_t;
+  static constexpr const char* kName = "all_fine";
+  static constexpr int kFileOrder = 0;
+  static constexpr int kEvictRank = 1;
+  static constexpr auto kTable = &Tables::all_fine;
+  static void write(std::ostream& os, std::int64_t cycles) {
+    os << "\"cycles\":" << cycles;
+  }
+  static bool read(const JsonValue& object, std::int64_t& cycles) {
+    return get_int(object, "cycles", cycles);
+  }
+  static bool same(std::int64_t a, std::int64_t b) { return a == b; }
 };
 
-SweepCache::SweepCache(int shard_count)
-    : shards_(static_cast<std::size_t>(
-          shard_count < 1 ? 1 : (shard_count > 4096 ? 4096 : shard_count))) {}
+template <>
+struct SweepCache::Kind<CachedCell> {
+  using Value = CachedCell;
+  static constexpr const char* kName = "cell";
+  static constexpr int kFileOrder = 1;
+  static constexpr int kEvictRank = 2;
+  static constexpr auto kTable = &Tables::cells;
+  static void write(std::ostream& os, const CachedCell& cell) {
+    write_cell_payload(os, cell.report, cell.moved_names);
+  }
+  static constexpr auto read = &read_cell_payload;
+  // Content-addressed keys mean a collision must carry an identical
+  // payload; compare via the canonical serialization so every field
+  // participates.
+  static bool same(const CachedCell& a, const CachedCell& b) {
+    std::ostringstream sa;
+    std::ostringstream sb;
+    write(sa, a);
+    write(sb, b);
+    return sa.str() == sb.str();
+  }
+};
 
-SweepCache::Shard& SweepCache::shard_for(const Fingerprint& key) {
-  return shards_[static_cast<std::size_t>(key.lo) % shards_.size()];
+template <>
+struct SweepCache::Kind<MapperPtr> {
+  using Value = MapperPtr;
+  static constexpr const char* kName = "mapper";
+  static constexpr int kFileOrder = 2;
+  static constexpr int kEvictRank = 0;  // bulky and rebuildable
+  static constexpr auto kTable = &Tables::mappers;
+  static void write(std::ostream& os, const MapperPtr& state) {
+    write_mapper_payload(os, *state);
+  }
+  static bool read(const JsonValue& object, MapperPtr& out) {
+    auto state = std::make_shared<MapperState>();
+    out = state;
+    return read_mapper_payload(object, *state);
+  }
+  // A snapshot's coarse half accumulates lazily, so two correct
+  // snapshots of one key can differ; any of them may win a collision.
+  static bool same(const MapperPtr&, const MapperPtr&) { return true; }
+};
+
+template <typename F>
+void SweepCache::for_each_kind(F&& f) {
+  f(Kind<std::int64_t>{});
+  f(Kind<CachedCell>{});
+  f(Kind<MapperPtr>{});
 }
 
-const SweepCache::Shard& SweepCache::shard_for(const Fingerprint& key) const {
-  return shards_[static_cast<std::size_t>(key.lo) % shards_.size()];
+SweepCache::Shard& SweepCache::shard_for(const Fingerprint& key) {
+  return shards_[static_cast<std::size_t>(key.lo) % kShardCount];
+}
+
+template <typename V>
+std::optional<V> SweepCache::find(const Fingerprint& key, Counter hits,
+                                  Counter misses) {
+  Shard& shard = shard_for(key);
+  const std::lock_guard<std::mutex> lock(shard.mutex);
+  Table<V>& table = shard.tables.*Kind<V>::kTable;
+  const auto it = table.find(key);
+  if (it == table.end()) {
+    ++(shard.stats.*misses);
+    return std::nullopt;
+  }
+  ++(shard.stats.*hits);
+  it->second.untouched_gen.reset();  // touched: stamped fresh on the next save
+  return it->second.value;
+}
+
+template <typename V>
+void SweepCache::store(const Fingerprint& key, V value) {
+  Shard& shard = shard_for(key);
+  const std::lock_guard<std::mutex> lock(shard.mutex);
+  (shard.tables.*Kind<V>::kTable)
+      .insert_or_assign(key, Entry<V>{std::move(value), std::nullopt});
 }
 
 std::optional<CachedCell> SweepCache::find_cell(const Fingerprint& key) {
-  Shard& shard = shard_for(key);
-  const std::lock_guard<std::mutex> lock(shard.mutex);
-  const auto it = shard.cells.find(key);
-  if (it == shard.cells.end()) {
-    ++shard.stats.cell_misses;
-    return std::nullopt;
-  }
-  ++shard.stats.cell_hits;
-  shard.cell_gens.erase(key);  // touched: stamped fresh on the next save
-  return it->second;
+  return find<CachedCell>(key, &SweepCacheStats::cell_hits,
+                          &SweepCacheStats::cell_misses);
 }
 
 void SweepCache::store_cell(const Fingerprint& key, CachedCell cell) {
-  Shard& shard = shard_for(key);
-  const std::lock_guard<std::mutex> lock(shard.mutex);
-  shard.cells.insert_or_assign(key, std::move(cell));
-  shard.cell_gens.erase(key);
+  store(key, std::move(cell));
 }
 
 std::optional<std::int64_t> SweepCache::find_all_fine(const Fingerprint& key) {
-  Shard& shard = shard_for(key);
-  const std::lock_guard<std::mutex> lock(shard.mutex);
-  const auto it = shard.all_fine.find(key);
-  if (it == shard.all_fine.end()) {
-    ++shard.stats.all_fine_misses;
-    return std::nullopt;
-  }
-  ++shard.stats.all_fine_hits;
-  shard.all_fine_gens.erase(key);
-  return it->second;
+  return find<std::int64_t>(key, &SweepCacheStats::all_fine_hits,
+                            &SweepCacheStats::all_fine_misses);
 }
 
 void SweepCache::store_all_fine(const Fingerprint& key, std::int64_t cycles) {
-  Shard& shard = shard_for(key);
-  const std::lock_guard<std::mutex> lock(shard.mutex);
-  shard.all_fine.insert_or_assign(key, cycles);
-  shard.all_fine_gens.erase(key);
+  store(key, cycles);
 }
 
-std::shared_ptr<const MapperState> SweepCache::find_mapper(
-    const Fingerprint& key) {
-  Shard& shard = shard_for(key);
-  const std::lock_guard<std::mutex> lock(shard.mutex);
-  const auto it = shard.mappers.find(key);
-  if (it == shard.mappers.end()) {
-    ++shard.stats.mapper_builds;
-    return nullptr;
-  }
-  ++shard.stats.mapper_restores;
-  shard.mapper_gens.erase(key);
-  return it->second;
+MapperPtr SweepCache::find_mapper(const Fingerprint& key) {
+  return find<MapperPtr>(key, &SweepCacheStats::mapper_restores,
+                         &SweepCacheStats::mapper_builds)
+      .value_or(nullptr);
 }
 
-void SweepCache::store_mapper(const Fingerprint& key,
-                              std::shared_ptr<const MapperState> state) {
-  Shard& shard = shard_for(key);
-  const std::lock_guard<std::mutex> lock(shard.mutex);
-  shard.mappers.insert_or_assign(key, std::move(state));
-  shard.mapper_gens.erase(key);
+void SweepCache::store_mapper(const Fingerprint& key, MapperPtr state) {
+  store(key, std::move(state));
 }
 
 SweepCacheStats SweepCache::stats() const {
@@ -698,7 +581,7 @@ SweepCacheStats SweepCache::stats() const {
     total.mapper_builds += shard.stats.mapper_builds;
     total.all_fine_hits += shard.stats.all_fine_hits;
     total.all_fine_misses += shard.stats.all_fine_misses;
-    total.cells += shard.cells.size();
+    total.cells += shard.tables.cells.size();
   }
   total.entries_loaded = entries_loaded_.load(std::memory_order_relaxed);
   total.lock_degraded = lock_degraded_.load(std::memory_order_relaxed);
@@ -716,26 +599,16 @@ void SweepCache::reset_stats() {
   entries_evicted_.store(0, std::memory_order_relaxed);
 }
 
-void SweepCache::snapshot(Entries& out) const {
+SweepCache::Tables SweepCache::snapshot() const {
+  Tables out;
   for (const Shard& shard : shards_) {
     const std::lock_guard<std::mutex> lock(shard.mutex);
-    for (const auto& [key, cell] : shard.cells) out.cells.emplace(key, cell);
-    for (const auto& [key, cycles] : shard.all_fine) {
-      out.all_fine.emplace(key, cycles);
-    }
-    for (const auto& [key, state] : shard.mappers) {
-      out.mappers.emplace(key, state);
-    }
-    for (const auto& [key, gen] : shard.cell_gens) {
-      out.cell_gens.emplace(key, gen);
-    }
-    for (const auto& [key, gen] : shard.all_fine_gens) {
-      out.all_fine_gens.emplace(key, gen);
-    }
-    for (const auto& [key, gen] : shard.mapper_gens) {
-      out.mapper_gens.emplace(key, gen);
-    }
+    for_each_kind([&](auto kind) {
+      const auto& table = shard.tables.*decltype(kind)::kTable;
+      (out.*decltype(kind)::kTable).insert(table.begin(), table.end());
+    });
   }
+  return out;
 }
 
 void SweepCache::merge_from(const SweepCache& other) {
@@ -743,84 +616,129 @@ void SweepCache::merge_from(const SweepCache& other) {
 
   // Snapshot the source shard-by-shard first, so the two caches' locks
   // are never held together (no lock-order cycle if callers merge in
-  // both directions).
-  std::map<Fingerprint, CachedCell> cells;
-  std::map<Fingerprint, std::int64_t> all_fine;
-  std::map<Fingerprint, std::shared_ptr<const MapperState>> mappers;
-  for (const Shard& shard : other.shards_) {
-    const std::lock_guard<std::mutex> lock(shard.mutex);
-    for (const auto& [key, cell] : shard.cells) cells.emplace(key, cell);
-    for (const auto& [key, cycles] : shard.all_fine) {
-      all_fine.emplace(key, cycles);
-    }
-    for (const auto& [key, state] : shard.mappers) {
-      mappers.emplace(key, state);
-    }
-  }
+  // both directions). Merging counts as touching: the merged key is
+  // wanted by this cache, so the next save stamps it with the fresh
+  // generation.
+  absorb(other.snapshot(), /*touch=*/true);
+}
 
-  // Merging counts as touching: the merged key is wanted by this cache,
-  // so the next save stamps it with the fresh generation.
-  for (auto& [key, cell] : cells) {
-    Shard& shard = shard_for(key);
-    const std::lock_guard<std::mutex> lock(shard.mutex);
-    const auto [it, inserted] = shard.cells.try_emplace(key, std::move(cell));
-    assert(inserted || same_cell_payload(it->second, cell));
-    (void)it;
-    (void)inserted;
-    shard.cell_gens.erase(key);
+std::uint64_t SweepCache::absorb(Tables from, bool touch) {
+  std::uint64_t count = 0;
+  for_each_kind([&](auto kind) {
+    using K = decltype(kind);
+    for (auto& [key, entry] : from.*K::kTable) {
+      Shard& shard = shard_for(key);
+      const std::lock_guard<std::mutex> lock(shard.mutex);
+      [[maybe_unused]] const auto [it, inserted] =
+          (shard.tables.*K::kTable).try_emplace(key, std::move(entry));
+      assert(inserted || K::same(it->second.value, entry.value));
+      if (touch) it->second.untouched_gen.reset();
+    }
+    count += (from.*K::kTable).size();
+  });
+  return count;
+}
+
+/// Parses a whole cache file with the strict whole-file rejection
+/// contract (shared by load() and the merge-on-save re-read inside
+/// save()). Every parsed entry is untouched at its on-disk generation.
+/// Returns the header's generation counter; a rejected file returns
+/// nullopt and leaves `out` empty.
+std::optional<std::uint64_t> SweepCache::parse_file(const std::string& path,
+                                                    Tables& out,
+                                                    std::string* error) {
+  auto reject = [&](const std::string& why) -> std::optional<std::uint64_t> {
+    if (error) *error = why;
+    out = Tables{};
+    return std::nullopt;
+  };
+
+  std::ifstream in(path, std::ios::binary);
+  if (!in.good()) return reject("cannot open " + path);
+
+  std::string line;
+  std::size_t line_no = 0;
+  bool saw_header = false;
+  std::uint64_t generation = 0;
+  while (std::getline(in, line)) {
+    ++line_no;
+    if (line.empty()) continue;
+    JsonValue object;
+    if (!JsonParser(line).parse(object) ||
+        object.kind != JsonValue::Kind::kObject) {
+      return reject(cat(path, ":", line_no, ": not a JSON object"));
+    }
+    std::string kind;
+    if (!get_string(object, "kind", kind)) {
+      return reject(cat(path, ":", line_no, ": missing \"kind\""));
+    }
+    if (!saw_header) {
+      std::int64_t schema = 0;
+      std::int64_t algorithm = 0;
+      if (kind != "header" ||
+          !get_int(object, "schema_version", schema) ||
+          !get_int(object, "fingerprint_algorithm", algorithm)) {
+        return reject(cat(path, ":", line_no, ": missing header line"));
+      }
+      if (schema != kSweepCacheSchemaVersion) {
+        return reject(cat(path, ": schema_version ", schema,
+                          " (this build reads ", kSweepCacheSchemaVersion,
+                          ")"));
+      }
+      if (algorithm != kFingerprintAlgorithmVersion) {
+        return reject(cat(path, ": fingerprint_algorithm ", algorithm,
+                          " (this build uses ", kFingerprintAlgorithmVersion,
+                          ")"));
+      }
+      if (!read_gen(object, "generation", generation)) {
+        return reject(cat(path, ":", line_no, ": malformed generation"));
+      }
+      saw_header = true;
+      continue;
+    }
+
+    std::string key_hex;
+    if (!get_string(object, "key", key_hex)) {
+      return reject(cat(path, ":", line_no, ": missing \"key\""));
+    }
+    const std::optional<Fingerprint> key = Fingerprint::from_hex(key_hex);
+    if (!key) {
+      return reject(cat(path, ":", line_no, ": malformed key"));
+    }
+    std::uint64_t gen = 0;
+    if (!read_gen(object, "gen", gen)) {
+      return reject(cat(path, ":", line_no, ": malformed gen"));
+    }
+    std::string why = cat("unknown kind \"", kind, "\"");
+    for_each_kind([&](auto k) {
+      using K = decltype(k);
+      if (kind != K::kName) return;
+      Entry<typename K::Value> entry{{}, gen};
+      if (!K::read(object, entry.value)) {
+        why = cat("malformed ", K::kName, " entry");
+      } else if (!(out.*K::kTable).emplace(*key, std::move(entry)).second) {
+        why = "duplicate key";
+      } else {
+        why.clear();
+      }
+    });
+    if (!why.empty()) return reject(cat(path, ":", line_no, ": ", why));
   }
-  for (const auto& [key, cycles] : all_fine) {
-    Shard& shard = shard_for(key);
-    const std::lock_guard<std::mutex> lock(shard.mutex);
-    const auto [it, inserted] = shard.all_fine.emplace(key, cycles);
-    assert(inserted || it->second == cycles);
-    (void)it;
-    (void)inserted;
-    shard.all_fine_gens.erase(key);
-  }
-  for (auto& [key, state] : mappers) {
-    Shard& shard = shard_for(key);
-    const std::lock_guard<std::mutex> lock(shard.mutex);
-    shard.mappers.try_emplace(key, std::move(state));
-    shard.mapper_gens.erase(key);
-  }
+  if (in.bad()) return reject("read error on " + path);
+  if (!saw_header) return reject(path + ": empty cache file (no header)");
+  return generation;
 }
 
 bool SweepCache::load(const std::string& path, std::string* error) {
-  ParsedFile file;
-  if (!parse_cache_file(path, file, error)) return false;
+  Tables file;
+  if (!parse_file(path, file, error)) return false;
 
-  const std::uint64_t loaded =
-      file.cells.size() + file.all_fine.size() + file.mappers.size();
   for (Shard& shard : shards_) {
     const std::lock_guard<std::mutex> lock(shard.mutex);
-    shard.cells.clear();
-    shard.all_fine.clear();
-    shard.mappers.clear();
-    shard.cell_gens.clear();
-    shard.all_fine_gens.clear();
-    shard.mapper_gens.clear();
+    shard.tables = Tables{};
   }
-  for (auto& [key, cell] : file.cells) {
-    Shard& shard = shard_for(key);
-    const std::lock_guard<std::mutex> lock(shard.mutex);
-    shard.cells.emplace(key, std::move(cell));
-    shard.cell_gens.emplace(key, file.cell_gens[key]);
-  }
-  for (const auto& [key, cycles] : file.all_fine) {
-    Shard& shard = shard_for(key);
-    const std::lock_guard<std::mutex> lock(shard.mutex);
-    shard.all_fine.emplace(key, cycles);
-    shard.all_fine_gens.emplace(key, file.all_fine_gens[key]);
-  }
-  for (auto& [key, state] : file.mappers) {
-    Shard& shard = shard_for(key);
-    const std::lock_guard<std::mutex> lock(shard.mutex);
-    shard.mappers.emplace(key,
-                          std::make_shared<MapperState>(std::move(state)));
-    shard.mapper_gens.emplace(key, file.mapper_gens[key]);
-  }
-  entries_loaded_.store(loaded, std::memory_order_relaxed);
+  entries_loaded_.store(absorb(std::move(file), /*touch=*/false),
+                        std::memory_order_relaxed);
   return true;
 }
 
@@ -835,97 +753,56 @@ bool SweepCache::save(const std::string& path, std::string* error) const {
     warn_lock_degraded(path);
   }
 
-  Entries mem;
-  snapshot(mem);
+  const Tables mem = snapshot();
 
   // Merge-on-save: union whatever another writer persisted since we
   // loaded (or a pre-existing file we never loaded). Our in-memory
   // entry wins a collision — both sides computed it from the same
   // fingerprinted inputs, so the payloads match (asserted in debug for
   // cells). A corrupt or version-mismatched file fails the strict parse
-  // and is simply overwritten; that is the PR-4 rejection backstop.
-  ParsedFile disk;
-  {
-    ParsedFile parsed;
-    std::string ignored;
-    if (parse_cache_file(path, parsed, &ignored)) disk = std::move(parsed);
-  }
-  const std::uint64_t new_gen = disk.generation + 1;
-
-  // Generation of one surviving entry: touched-in-memory entries get the
-  // fresh generation; loaded-but-untouched entries keep aging, unless a
-  // concurrent writer's save stamped the disk copy younger.
-  auto resolve_gen = [&](const std::map<Fingerprint, std::uint64_t>& untouched,
-                         const std::map<Fingerprint, std::uint64_t>& on_disk,
-                         const Fingerprint& key) {
-    const auto it = untouched.find(key);
-    std::uint64_t gen = it == untouched.end() ? new_gen : it->second;
-    const auto dit = on_disk.find(key);
-    if (dit != on_disk.end() && dit->second > gen) gen = dit->second;
-    return gen;
-  };
+  // and is simply overwritten; that is the strict-rejection backstop.
+  Tables disk;
+  const std::uint64_t new_gen = parse_file(path, disk, nullptr).value_or(0) + 1;
 
   // Render every candidate line up front so the eviction policy can work
   // in serialized bytes — the unit the size cap is expressed in.
-  // kind: 0 = all_fine, 1 = cell, 2 = mapper (the file order).
   struct Line {
     std::uint64_t gen;
-    int kind;
+    int order;
+    int rank;
     Fingerprint key;
     std::string text;
   };
   std::vector<Line> lines;
-  lines.reserve(mem.cells.size() + disk.cells.size() + mem.all_fine.size() +
-                disk.all_fine.size() + mem.mappers.size() +
-                disk.mappers.size());
-
-  for (const auto& [key, cycles] : mem.all_fine) {
-    const std::uint64_t gen =
-        resolve_gen(mem.all_fine_gens, disk.all_fine_gens, key);
-    std::ostringstream os;
-    write_all_fine_line(os, key, gen, cycles);
-    lines.push_back(Line{gen, 0, key, os.str()});
-  }
-  for (const auto& [key, cycles] : disk.all_fine) {
-    if (mem.all_fine.count(key)) {
-      assert(mem.all_fine.at(key) == cycles);
-      continue;
+  for_each_kind([&](auto kind) {
+    using K = decltype(kind);
+    const auto& ours = mem.*K::kTable;
+    const auto& theirs = disk.*K::kTable;
+    auto add = [&](const Fingerprint& key, std::uint64_t gen,
+                   const auto& value) {
+      std::ostringstream os;
+      os << "{\"kind\":\"" << K::kName << "\",\"key\":\"" << key.to_hex()
+         << "\",\"gen\":" << gen << ",";
+      K::write(os, value);
+      os << "}\n";
+      lines.push_back(Line{gen, K::kFileOrder, K::kEvictRank, key, os.str()});
+    };
+    // Touched-in-memory entries get the fresh generation; loaded but
+    // untouched entries keep aging, unless a concurrent writer's save
+    // stamped the disk copy younger.
+    for (const auto& [key, entry] : ours) {
+      std::uint64_t gen = entry.untouched_gen.value_or(new_gen);
+      const auto it = theirs.find(key);
+      if (it != theirs.end()) {
+        assert(K::same(entry.value, it->second.value));
+        gen = std::max(gen, *it->second.untouched_gen);
+      }
+      add(key, gen, entry.value);
     }
-    const std::uint64_t gen = disk.all_fine_gens.at(key);
-    std::ostringstream os;
-    write_all_fine_line(os, key, gen, cycles);
-    lines.push_back(Line{gen, 0, key, os.str()});
-  }
-  for (const auto& [key, cell] : mem.cells) {
-    const std::uint64_t gen = resolve_gen(mem.cell_gens, disk.cell_gens, key);
-    std::ostringstream os;
-    write_cell_line(os, key, gen, cell);
-    lines.push_back(Line{gen, 1, key, os.str()});
-  }
-  for (const auto& [key, cell] : disk.cells) {
-    if (mem.cells.count(key)) {
-      assert(same_cell_payload(mem.cells.at(key), cell));
-      continue;
+    for (const auto& [key, entry] : theirs) {
+      if (!ours.count(key)) add(key, *entry.untouched_gen, entry.value);
     }
-    const std::uint64_t gen = disk.cell_gens.at(key);
-    std::ostringstream os;
-    write_cell_line(os, key, gen, cell);
-    lines.push_back(Line{gen, 1, key, os.str()});
-  }
-  for (const auto& [key, state] : mem.mappers) {
-    const std::uint64_t gen =
-        resolve_gen(mem.mapper_gens, disk.mapper_gens, key);
-    std::ostringstream os;
-    write_mapper_line(os, key, gen, *state);
-    lines.push_back(Line{gen, 2, key, os.str()});
-  }
-  for (const auto& [key, state] : disk.mappers) {
-    if (mem.mappers.count(key)) continue;  // snapshots may differ; ours wins
-    const std::uint64_t gen = disk.mapper_gens.at(key);
-    std::ostringstream os;
-    write_mapper_line(os, key, gen, state);
-    lines.push_back(Line{gen, 2, key, os.str()});
-  }
+  });
 
   const std::string header =
       cat("{\"kind\":\"header\",\"schema_version\":", kSweepCacheSchemaVersion,
@@ -934,41 +811,23 @@ bool SweepCache::save(const std::string& path, std::string* error) const {
 
   // Eviction, inside the same critical section and strictly AFTER the
   // union: drop lines until the file fits the cap, oldest generation
-  // first; at equal age mapper snapshots (bulky, rebuildable) go before
-  // all-fine entries before cells, then by key — deterministic, so
+  // first; at equal age by eviction rank (mapper snapshots, then
+  // all-fine entries, then cells), then by key — deterministic, so
   // identical caches still serialize byte-identically.
   const std::uint64_t cap = save_size_cap_.load(std::memory_order_relaxed);
   if (cap > 0) {
     std::uint64_t total = header.size();
     for (const Line& line : lines) total += line.text.size();
     if (total > cap) {
-      std::vector<std::size_t> order(lines.size());
-      std::iota(order.begin(), order.end(), std::size_t{0});
-      auto evict_rank = [](int kind) { return kind == 2 ? 0 : kind == 0 ? 1 : 2; };
-      std::sort(order.begin(), order.end(),
-                [&](std::size_t a, std::size_t b) {
-                  const Line& la = lines[a];
-                  const Line& lb = lines[b];
-                  if (la.gen != lb.gen) return la.gen < lb.gen;
-                  if (la.kind != lb.kind) {
-                    return evict_rank(la.kind) < evict_rank(lb.kind);
-                  }
-                  return la.key < lb.key;
-                });
-      std::vector<char> keep(lines.size(), 1);
-      std::uint64_t dropped = 0;
-      for (const std::size_t index : order) {
-        if (total <= cap) break;
-        keep[index] = 0;
-        total -= lines[index].text.size();
-        ++dropped;
+      std::sort(lines.begin(), lines.end(), [](const Line& a, const Line& b) {
+        return std::tie(a.gen, a.rank, a.key) < std::tie(b.gen, b.rank, b.key);
+      });
+      std::size_t dropped = 0;
+      while (dropped < lines.size() && total > cap) {
+        total -= lines[dropped++].text.size();
       }
-      std::vector<Line> kept;
-      kept.reserve(lines.size() - static_cast<std::size_t>(dropped));
-      for (std::size_t i = 0; i < lines.size(); ++i) {
-        if (keep[i]) kept.push_back(std::move(lines[i]));
-      }
-      lines = std::move(kept);
+      lines.erase(lines.begin(),
+                  lines.begin() + static_cast<std::ptrdiff_t>(dropped));
       entries_evicted_.fetch_add(dropped, std::memory_order_relaxed);
     }
   }
@@ -976,8 +835,7 @@ bool SweepCache::save(const std::string& path, std::string* error) const {
   // Canonical file order: header, then all_fine/cell/mapper groups each
   // sorted by key.
   std::sort(lines.begin(), lines.end(), [](const Line& a, const Line& b) {
-    if (a.kind != b.kind) return a.kind < b.kind;
-    return a.key < b.key;
+    return std::tie(a.order, a.key) < std::tie(b.order, b.key);
   });
   std::string content = header;
   for (const Line& line : lines) content += line.text;

@@ -1,5 +1,6 @@
 #pragma once
 
+#include <array>
 #include <atomic>
 #include <cstdint>
 #include <iosfwd>
@@ -79,8 +80,8 @@ struct SweepCacheStats {
 };
 
 /// Content-addressed memoization store for design-space sweeps. Three
-/// maps, all keyed by fingerprints of the inputs that determine the
-/// value:
+/// entry kinds, all keyed by fingerprints of the inputs that determine
+/// the value:
 ///   - whole cell results       (cell_key: app x platform x options x
 ///                               constraint),
 ///   - all-fine-grain cycles    (shard_key: app x platform; resolves
@@ -90,13 +91,13 @@ struct SweepCacheStats {
 ///                               restores instead of re-mapping).
 ///
 /// Thread-safe AND process-safe:
-///   - In memory the index is sharded into N fingerprint-addressed
-///     buckets (default kDefaultShardCount), each behind its own mutex,
-///     so a 16-thread sweep pool does not serialize on one lock. Keys
-///     are uniformly-mixed digests, so bucket occupancy is balanced.
+///   - In memory the index is split into kShardCount fingerprint-addressed
+///     buckets, each behind its own mutex, so a 16-thread sweep pool does
+///     not serialize on one lock. Keys are uniformly-mixed digests, so
+///     bucket occupancy is balanced.
 ///   - On disk, save() is merge-on-save under an advisory file lock
 ///     (sidecar "<path>.lock"): it re-loads the target file, unions it
-///     with the in-memory maps, applies the eviction policy, and
+///     with the in-memory entries, applies the eviction policy, and
 ///     atomically renames a temp file over the target. Two processes
 ///     persisting to the same path therefore lose no entries —
 ///     content-addressed keys make the union safe (equal keys imply
@@ -107,23 +108,14 @@ struct SweepCacheStats {
 /// them).
 class SweepCache {
  public:
-  /// Default in-memory shard count: matches the thread counts the sweep
-  /// pool realistically runs at; see ROADMAP direction 4.
-  static constexpr int kDefaultShardCount = 16;
-
   /// Default save() size cap: large enough that the builtin corpus never
   /// evicts, small enough that a fleet-shared cache file stops growing
   /// at "tens of MB" scale.
   static constexpr std::uint64_t kDefaultSaveSizeCapBytes = 64ull << 20;
 
-  /// shard_count is clamped to [1, 4096]. One shard degenerates to the
-  /// old single-mutex index (useful in tests); results never depend on
-  /// the count, only lock contention does.
-  explicit SweepCache(int shard_count = kDefaultShardCount);
+  SweepCache() = default;
   SweepCache(const SweepCache&) = delete;
   SweepCache& operator=(const SweepCache&) = delete;
-
-  int shard_count() const { return static_cast<int>(shards_.size()); }
 
   std::optional<CachedCell> find_cell(const Fingerprint& key);
   void store_cell(const Fingerprint& key, CachedCell cell);
@@ -140,9 +132,6 @@ class SweepCache {
   /// eviction off entirely.
   void set_save_size_cap(std::uint64_t bytes) {
     save_size_cap_.store(bytes, std::memory_order_relaxed);
-  }
-  std::uint64_t save_size_cap() const {
-    return save_size_cap_.load(std::memory_order_relaxed);
   }
 
   /// Aggregated over every shard (each locked in turn, so the totals are
@@ -185,7 +174,7 @@ class SweepCache {
   ///      rejection backstop — and simply overwritten),
   ///   3. applies the eviction policy INSIDE the same locked critical
   ///      section, strictly after the union: when the serialized file
-  ///      exceeds save_size_cap(), entries are dropped oldest
+  ///      exceeds the save size cap, entries are dropped oldest
   ///      generation first (mapper snapshots before all-fine entries
   ///      before cells at equal age, then by key — fully
   ///      deterministic). Union-then-evict under one lock means a
@@ -210,37 +199,67 @@ class SweepCache {
   bool save(const std::string& path, std::string* error) const;
 
  private:
-  /// One bucket of the sharded index: its own mutex, the three key maps,
+  /// In-memory bucket count: matches the thread counts the sweep pool
+  /// realistically runs at. Results never depend on it, only lock
+  /// contention does.
+  static constexpr std::size_t kShardCount = 16;
+
+  /// One memoized value. untouched_gen is the on-disk generation of an
+  /// entry loaded and not touched since; a find hit, store or merge
+  /// clears it, so save() stamps touched entries with the new generation
+  /// while untouched ones keep aging (the substrate of
+  /// least-recently-touched eviction).
+  template <typename V>
+  struct Entry {
+    V value;
+    std::optional<std::uint64_t> untouched_gen;
+  };
+  template <typename V>
+  using Table = std::map<Fingerprint, Entry<V>>;
+
+  /// The three entry kinds, in file order. Kind<V> (sweep_cache.cc)
+  /// gives each its line name, file order, eviction rank and payload
+  /// codec; every per-kind loop goes through for_each_kind there.
+  struct Tables {
+    Table<std::int64_t> all_fine;
+    Table<CachedCell> cells;
+    Table<std::shared_ptr<const MapperState>> mappers;
+  };
+  template <typename V>
+  struct Kind;
+  template <typename F>
+  static void for_each_kind(F&& f);
+
+  /// One bucket of the sharded index: its own mutex, the entry tables,
   /// and the shard's share of the traffic counters (cells/entries_loaded
   /// are derived, not counted per shard).
   struct Shard {
     mutable std::mutex mutex;
-    std::map<Fingerprint, CachedCell> cells;
-    std::map<Fingerprint, std::int64_t> all_fine;
-    std::map<Fingerprint, std::shared_ptr<const MapperState>> mappers;
-    /// Generation stamps for entries loaded from disk and NOT touched
-    /// since — a find hit or store erases the key, so save() can stamp
-    /// touched entries with the new generation while untouched ones
-    /// keep aging (the substrate of least-recently-touched eviction).
-    std::map<Fingerprint, std::uint64_t> cell_gens;
-    std::map<Fingerprint, std::uint64_t> all_fine_gens;
-    std::map<Fingerprint, std::uint64_t> mapper_gens;
+    Tables tables;
     SweepCacheStats stats;
   };
 
-  /// Everything save() snapshots out of the shards in one pass.
-  struct Entries;
-
   Shard& shard_for(const Fingerprint& key);
-  const Shard& shard_for(const Fingerprint& key) const;
 
-  /// Copies every entry (and untouched-generation stamp) into `out`,
-  /// locking one shard at a time (the serialization and merge snapshot).
-  void snapshot(Entries& out) const;
+  using Counter = std::uint64_t SweepCacheStats::*;
+  template <typename V>
+  std::optional<V> find(const Fingerprint& key, Counter hits, Counter misses);
+  template <typename V>
+  void store(const Fingerprint& key, V value);
 
-  // The shard array is sized once at construction and never reallocated
-  // (std::mutex is immovable).
-  std::vector<Shard> shards_;
+  /// Copies every entry, locking one shard at a time (the serialization
+  /// and merge snapshot).
+  Tables snapshot() const;
+  /// Moves `from`'s entries into their shards (an existing entry wins a
+  /// collision); `touch` marks every absorbed key as touched. Returns
+  /// the number of entries in `from`.
+  std::uint64_t absorb(Tables from, bool touch);
+
+  static std::optional<std::uint64_t> parse_file(const std::string& path,
+                                                 Tables& out,
+                                                 std::string* error);
+
+  std::array<Shard, kShardCount> shards_;
   std::atomic<std::uint64_t> entries_loaded_{0};
   std::atomic<std::uint64_t> save_size_cap_{kDefaultSaveSizeCapBytes};
   // save() is const (it only reads the maps) but still reports traffic;

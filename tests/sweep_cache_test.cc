@@ -354,38 +354,31 @@ CachedCell cell_named(const std::string& app, std::int64_t cycles) {
   return cell;
 }
 
-TEST(SweepCacheTest, ShardCountIsClampedAndResultsAreShardCountFree) {
-  EXPECT_EQ(SweepCache(0).shard_count(), 1);
-  EXPECT_EQ(SweepCache(-5).shard_count(), 1);
-  EXPECT_EQ(SweepCache(100000).shard_count(), 4096);
-  EXPECT_EQ(SweepCache().shard_count(), SweepCache::kDefaultShardCount);
-
-  // The memoized sweep must be byte-identical whatever the shard count
-  // and thread count — sharding moves lock boundaries, never results.
+TEST(SweepCacheTest, CachedResultsAreThreadCountFree) {
+  // The memoized sweep must be byte-identical whatever the thread count
+  // — the sharded index moves lock boundaries, never results.
   const auto corpus = workloads::paper_corpus();
   const std::string uncached =
       sweep_to_json(sweep_design_space(corpus, small_spec(2, nullptr)));
   const int hw =
       static_cast<int>(std::max(1u, std::thread::hardware_concurrency()));
-  for (const int shards : {1, 16}) {
-    SweepCache cache(shards);
-    for (const int threads : {1, 2, hw}) {
-      EXPECT_EQ(sweep_to_json(
-                    sweep_design_space(corpus, small_spec(threads, &cache))),
-                uncached)
-          << shards << " shards, " << threads << " threads";
-    }
-    // Warm by now: every cell hit, nothing rebuilt.
-    cache.reset_stats();
-    sweep_design_space(corpus, small_spec(2, &cache));
-    EXPECT_EQ(cache.stats().cell_misses, 0u) << shards << " shards";
-    EXPECT_EQ(cache.stats().mapper_builds, 0u) << shards << " shards";
+  SweepCache cache;
+  for (const int threads : {1, 2, hw}) {
+    EXPECT_EQ(sweep_to_json(
+                  sweep_design_space(corpus, small_spec(threads, &cache))),
+              uncached)
+        << threads << " threads";
   }
+  // Warm by now: every cell hit, nothing rebuilt.
+  cache.reset_stats();
+  sweep_design_space(corpus, small_spec(2, &cache));
+  EXPECT_EQ(cache.stats().cell_misses, 0u);
+  EXPECT_EQ(cache.stats().mapper_builds, 0u);
 }
 
 TEST(SweepCacheTest, StatsAggregateAcrossShards) {
-  SweepCache cache(8);
-  // Keys chosen to land on every bucket (shard = lo % 8).
+  SweepCache cache;
+  // Keys chosen to land on every one of the 16 buckets (shard = lo % 16).
   for (std::uint64_t lo = 0; lo < 24; ++lo) {
     cache.store_cell(key_of(1, lo), cell_named("app", 100));
   }
@@ -404,7 +397,7 @@ TEST(SweepCacheTest, StatsAggregateAcrossShards) {
 
 TEST(SweepCacheTest, MergeFromUnionsEntriesAndKeepsExisting) {
   SweepCache a;
-  SweepCache b(1);  // merging works across different shard counts
+  SweepCache b;
   const Fingerprint shared = key_of(1, 1);
   a.store_cell(shared, cell_named("shared", 42));
   a.store_all_fine(key_of(2, 1), 1000);
