@@ -141,14 +141,20 @@ class JsonParser {
     const bool negative = p_ != end_ && *p_ == '-';
     if (negative) ++p_;
     if (p_ == end_ || *p_ < '0' || *p_ > '9') return false;
+    // A negative magnitude may reach 2^63: INT64_MIN is a real value here
+    // (the bit pattern of the double -0.0).
+    const std::uint64_t limit =
+        negative ? 0x8000000000000000ULL : 0x7fffffffffffffffULL;
     std::uint64_t magnitude = 0;
     while (p_ != end_ && *p_ >= '0' && *p_ <= '9') {
       const std::uint64_t digit = static_cast<std::uint64_t>(*p_++ - '0');
-      if (magnitude > (0x7fffffffffffffffULL - digit) / 10) return false;
+      if (magnitude > (limit - digit) / 10) return false;
       magnitude = magnitude * 10 + digit;
     }
-    out.integer = negative ? -static_cast<std::int64_t>(magnitude)
-                           : static_cast<std::int64_t>(magnitude);
+    // Negating magnitude - 1 keeps -2^63 clear of signed overflow.
+    out.integer = !negative || magnitude == 0
+                      ? static_cast<std::int64_t>(magnitude)
+                      : -static_cast<std::int64_t>(magnitude - 1) - 1;
     return true;
   }
 

@@ -6,6 +6,9 @@
 
 #include "core/wire.h"
 
+#include <cmath>
+#include <cstdint>
+#include <limits>
 #include <sstream>
 #include <string>
 #include <vector>
@@ -114,6 +117,30 @@ TEST(WireTest, CellRoundTripsByteIdentically) {
   encode_cell(again, cell.shard, cell.slot, cell.payload.report,
               cell.payload.moved_names);
   EXPECT_EQ(again.str(), os.str());
+}
+
+// -0.0's bit pattern is INT64_MIN, whose magnitude (2^63) exceeds
+// INT64_MAX; an energy budget of -0 must still cross the parser and the
+// cell codec with its sign bit intact.
+TEST(WireTest, Int64MinAndNegativeZeroRoundTrip) {
+  const std::int64_t min = std::numeric_limits<std::int64_t>::min();
+  jsonl::JsonValue value;
+  ASSERT_TRUE(jsonl::JsonParser(std::to_string(min)).parse(value));
+  EXPECT_EQ(value.kind, jsonl::JsonValue::Kind::kInt);
+  EXPECT_EQ(value.integer, min);
+  EXPECT_EQ(jsonl::double_to_bits(-0.0), min);
+  EXPECT_FALSE(jsonl::JsonParser("-9223372036854775809").parse(value));
+  EXPECT_FALSE(jsonl::JsonParser("9223372036854775808").parse(value));
+
+  PartitionReport report;
+  report.objective = ObjectiveKind::kEnergy;
+  report.energy_budget_pj = -0.0;
+  std::ostringstream os;
+  encode_cell(os, /*shard=*/0, /*slot=*/0, report, {});
+  Cell cell;
+  ASSERT_TRUE(decode_cell(parsed(encoded_line(os.str())), cell));
+  EXPECT_EQ(cell.payload.report.energy_budget_pj, 0.0);
+  EXPECT_TRUE(std::signbit(cell.payload.report.energy_budget_pj));
 }
 
 TEST(WireTest, WorkerDoneRoundTrips) {
