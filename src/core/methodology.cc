@@ -110,9 +110,8 @@ std::vector<PartitionReport> run_methodology_axis(
   std::vector<AxisCell> open_cells;
   open_cells.reserve(open.size());
   for (std::size_t c : open) open_cells.push_back(cells[c]);
-  const std::vector<StrategyResult> results =
-      make_strategy(options.strategy)
-          ->run_axis({mapper, profile, options, kernels, open_cells});
+  const std::vector<StrategyResult> results = run_strategy(
+      options.strategy, {mapper, profile, options, kernels, open_cells});
 
   // Reprice each final split's energy from scratch (block order, not
   // the search's move order) so the emitted numbers never depend on the

@@ -25,7 +25,7 @@ enum class KernelOrdering {
   kRandom,             ///< seeded shuffle
 };
 
-/// Which PartitionStrategy the engine dispatches to (see core/strategy.h).
+/// Which search run_strategy dispatches to (see core/strategy.h).
 enum class StrategyKind {
   kGreedyPaper,  ///< paper Figure 2 steps 4-5: move kernels in order
   kExhaustive,   ///< branch-and-bound optimum over small kernel sets
@@ -123,7 +123,7 @@ struct PartitionReport {
 };
 
 /// One (timing constraint, energy budget) cell of a batched constraint
-/// axis (see run_methodology_axis / PartitionStrategy::run_axis).
+/// axis (see run_methodology_axis / run_strategy).
 /// options.cost.energy_budget_pj is ignored on the axis path — each cell
 /// carries its own budget.
 struct AxisCell {
@@ -154,7 +154,7 @@ PartitionReport run_methodology(HybridMapper& mapper,
 /// in a single pass: the all-fine baseline, kernel extraction and
 /// ordering run once (they are cell-independent), and strategies whose
 /// walk does not consult the constraint (greedy, annealing) price all
-/// cells from one shared walk via PartitionStrategy::run_axis. Each
+/// cells from one shared walk via run_strategy. Each
 /// returned report is byte-identical to a standalone run_methodology
 /// with that cell's constraint and budget (the sweep goldens
 /// pin this). Cells already met by the all-fine solution early-exit

@@ -47,7 +47,7 @@ struct EnergyBreakdown {
 /// the sum of the fine-side terms over unmoved blocks plus the
 /// coarse-side terms over moved ones — per-block additive, which is what
 /// makes the IncrementalSplit O(1) energy deltas exact (up to float
-/// summation order) and the ExhaustiveStrategy energy bound admissible.
+/// summation order) and the exhaustive strategy's energy bound admissible.
 /// Priced by block_energy() in core/energy.h; mirrors
 /// HybridMapper::fine_contribution_cycles on the cycle side.
 struct BlockEnergy {
@@ -69,11 +69,11 @@ enum class ObjectiveKind {
   kCombined,  ///< minimize weighted sum; met when BOTH limits hold
 };
 
-/// The pluggable cost objective every PartitionStrategy searches under.
+/// The pluggable cost objective every strategy searches under.
 /// A split is reduced to one scalar `value` (minimized by all three
 /// strategies) plus a `met` predicate (the stop/acceptance test). Both
 /// are per-block additive in the underlying terms — the property the
-/// IncrementalSplit O(1) deltas and the ExhaustiveStrategy bound rely
+/// IncrementalSplit O(1) deltas and the exhaustive strategy's bound rely
 /// on; see the B&B caveat on run_methodology.
 struct CostObjective {
   ObjectiveKind kind = ObjectiveKind::kTiming;

@@ -2,6 +2,7 @@
 
 #include <algorithm>
 #include <cmath>
+#include <memory>
 #include <random>
 
 #include "core/cost_model.h"
@@ -10,38 +11,9 @@
 
 namespace amdrel::core {
 
-std::vector<StrategyResult> PartitionStrategy::run_axis(
-    const AxisContext& ctx) {
-  std::vector<StrategyResult> results;
-  results.reserve(ctx.cells.size());
-  for (const AxisCell& cell : ctx.cells) {
-    MethodologyOptions options = ctx.options;
-    options.cost.energy_budget_pj = cell.energy_budget_pj;
-    results.push_back(run({ctx.mapper, ctx.profile, cell.timing_constraint,
-                           options, ctx.kernels}));
-  }
-  return results;
-}
-
 namespace {
 
-/// Narrows a single-cell StrategyContext to the axis form the batched
-/// walks consume; the greedy and annealing run() entry points delegate
-/// through this so the single-cell and batched paths are one code path.
-std::vector<AxisCell> single_cell(const StrategyContext& ctx) {
-  return {{ctx.timing_constraint, ctx.options.cost.energy_budget_pj}};
-}
-
-}  // namespace
-
-StrategyResult GreedyPaperStrategy::run(const StrategyContext& ctx) {
-  const std::vector<AxisCell> cells = single_cell(ctx);
-  return std::move(run_axis(
-      {ctx.mapper, ctx.profile, ctx.options, ctx.kernels, cells})[0]);
-}
-
-std::vector<StrategyResult> GreedyPaperStrategy::run_axis(
-    const AxisContext& ctx) {
+std::vector<StrategyResult> greedy(const AxisContext& ctx) {
   const std::size_t cells = ctx.cells.size();
   std::vector<StrategyResult> results(cells);
   const std::unique_ptr<CostModel> cost_model =
@@ -114,7 +86,7 @@ std::vector<StrategyResult> GreedyPaperStrategy::run_axis(
   return results;
 }
 
-StrategyResult ExhaustiveStrategy::run(const StrategyContext& ctx) {
+StrategyResult exhaustive(const AxisContext& ctx, const AxisCell& cell) {
   StrategyResult result;
   const CostObjective& objective = ctx.options.cost.objective;
   const std::unique_ptr<CostModel> cost_model =
@@ -123,7 +95,7 @@ StrategyResult ExhaustiveStrategy::run(const StrategyContext& ctx) {
                          cost_model.get());
   const double root_value = split.objective_value();
   const auto split_met = [&](const IncrementalSplit& s) {
-    return s.meets(ctx.timing_constraint, ctx.options.cost.energy_budget_pj);
+    return s.meets(cell.timing_constraint, cell.energy_budget_pj);
   };
 
   // Candidates: the first eligible kernels in the analysis order (capped),
@@ -241,7 +213,7 @@ StrategyResult ExhaustiveStrategy::run(const StrategyContext& ctx) {
     const bool can_improve_met =
         objective.met(split.cost().total() + suffix_cycles[i],
                       split.energy().total_pj() + suffix_energy[i],
-                      ctx.timing_constraint, ctx.options.cost.energy_budget_pj) &&
+                      cell.timing_constraint, cell.energy_budget_pj) &&
         (!met_found || split.moved_count() + 1 <= met_moves);
     if (!can_improve_any && !can_improve_met) return;
 
@@ -270,14 +242,7 @@ StrategyResult ExhaustiveStrategy::run(const StrategyContext& ctx) {
   return result;
 }
 
-StrategyResult AnnealingStrategy::run(const StrategyContext& ctx) {
-  const std::vector<AxisCell> cells = single_cell(ctx);
-  return std::move(run_axis(
-      {ctx.mapper, ctx.profile, ctx.options, ctx.kernels, cells})[0]);
-}
-
-std::vector<StrategyResult> AnnealingStrategy::run_axis(
-    const AxisContext& ctx) {
+std::vector<StrategyResult> annealing(const AxisContext& ctx) {
   const std::size_t cells = ctx.cells.size();
   std::vector<StrategyResult> results(cells);
   const std::unique_ptr<CostModel> cost_model =
@@ -331,12 +296,11 @@ std::vector<StrategyResult> AnnealingStrategy::run_axis(
 
   // One walk prices every cell: the rng stream, acceptance tests and
   // best tracking consult only objective values, never a constraint or
-  // budget, so the trajectory a standalone run() would follow for any
+  // budget, so the trajectory a standalone run would follow for any
   // cell is exactly this one up to that cell's stop point. Each cell
   // resolves online the first time the accepted split meets it; the
-  // walk ends early once every cell has resolved (which makes the
-  // single-cell run() byte-identical to the old implementation by
-  // construction).
+  // walk ends early once every cell has resolved, exactly where a
+  // single-cell walk would stop.
   std::vector<char> resolved(cells, 0);
   std::size_t unresolved = cells;
   int uphill_proposed = 0;
@@ -427,16 +391,25 @@ std::vector<StrategyResult> AnnealingStrategy::run_axis(
   return results;
 }
 
-std::unique_ptr<PartitionStrategy> make_strategy(StrategyKind kind) {
+}  // namespace
+
+std::vector<StrategyResult> run_strategy(StrategyKind kind,
+                                         const AxisContext& ctx) {
   switch (kind) {
     case StrategyKind::kGreedyPaper:
-      return std::make_unique<GreedyPaperStrategy>();
-    case StrategyKind::kExhaustive:
-      return std::make_unique<ExhaustiveStrategy>();
+      return greedy(ctx);
+    case StrategyKind::kExhaustive: {
+      std::vector<StrategyResult> results;
+      results.reserve(ctx.cells.size());
+      for (const AxisCell& cell : ctx.cells) {
+        results.push_back(exhaustive(ctx, cell));
+      }
+      return results;
+    }
     case StrategyKind::kAnnealing:
-      return std::make_unique<AnnealingStrategy>();
+      return annealing(ctx);
   }
-  throw Error("make_strategy: unknown strategy kind");
+  throw Error("run_strategy: unknown strategy kind");
 }
 
 const std::vector<StrategyKind>& all_strategies() {

@@ -1,6 +1,5 @@
 #pragma once
 
-#include <memory>
 #include <optional>
 #include <string_view>
 #include <vector>
@@ -9,29 +8,19 @@
 
 namespace amdrel::core {
 
-/// Everything a partitioning strategy needs to search the split space:
-/// the (cdfg, platform) mapper, the profile, the constraint, the run
-/// options and the ordered kernel candidates from the analysis step.
-/// The cost objective (timing cycles, energy pJ, or a weighted
-/// combination) and the energy budget ride in options.cost.objective /
-/// options.cost.energy_budget_pj — strategies minimize
-/// IncrementalSplit::objective_value() and stop on the objective's met()
-/// test, so all three searches serve all three objectives.
-struct StrategyContext {
-  HybridMapper& mapper;
-  const ir::ProfileData& profile;
-  std::int64_t timing_constraint = 0;
-  const MethodologyOptions& options;
-  const std::vector<analysis::KernelInfo>& kernels;  ///< already ordered
-};
-
 // AxisCell lives in core/methodology.h (next to MethodologyOptions) so
 // run_methodology_axis can take cells without including this header.
 
-/// A whole constraint axis sharing one (mapper, profile, options,
-/// kernels) walk: the cells differ only in their stop/acceptance limits.
-/// options.cost.energy_budget_pj is ignored — each cell carries its own
-/// budget.
+/// Everything a partitioning strategy needs to search the split space
+/// for a whole constraint axis: the (cdfg, platform) mapper, the
+/// profile, the run options, the ordered kernel candidates from the
+/// analysis step, and the cells, which differ only in their
+/// stop/acceptance limits. The cost objective (timing cycles, energy pJ,
+/// or a weighted combination) rides in options.cost.objective —
+/// strategies minimize IncrementalSplit::objective_value() and stop on
+/// the objective's met() test, so all three searches serve all three
+/// objectives. options.cost.energy_budget_pj is ignored — each cell
+/// carries its own budget.
 struct AxisContext {
   HybridMapper& mapper;
   const ir::ProfileData& profile;
@@ -53,71 +42,34 @@ struct StrategyResult {
   int uphill_accepted = 0;
 };
 
-/// The partitioning engine of paper Figure 2 steps 4-5, abstracted: a
-/// strategy receives the analyzed kernels and decides which blocks run on
-/// the coarse-grain data-path. Implementations must be deterministic for
-/// a fixed (context, options.random_seed).
+/// The partitioning engine of paper Figure 2 steps 4-5: decides which
+/// analyzed kernels run on the coarse-grain data-path. Returns one
+/// StrategyResult per ctx.cells entry, each identical to a run over that
+/// cell alone; deterministic for a fixed (ctx, options.random_seed).
+///   - greedy: the paper's engine. Commits kernels one by one in the
+///     analysis order, re-pricing the split after each movement via
+///     O(1) incremental deltas, until the constraint is met.
+///   - exhaustive: branch-and-bound over subsets of the top
+///     options.exhaustive_max_kernels eligible kernels. Returns the
+///     subset meeting the constraint with the fewest moves (ties: fewest
+///     cycles); when no subset meets it, the subset minimizing total
+///     cycles. Recursion state lives in SmallBitsets so the frontier
+///     fits in registers.
+///   - annealing: seeded simulated annealing over all eligible kernels,
+///     random membership flips with a geometric cooling schedule. Meant
+///     for kernel sets too large for the exhaustive search.
+/// Greedy commits and annealing acceptance consult only objective
+/// values (the limits only decide where each cell stops), so each walks
+/// once and finalizes every cell online — turning the sweep's
+/// constraints x budgets factor into array scans. Exhaustive searches
+/// per cell: its pruning, and thus engine_iterations, depends on the
+/// constraint.
 ///
-/// To add a new strategy: subclass, then register the new kind in
-/// StrategyKind (core/methodology.h) and in make_strategy /
-/// strategy_name / parse_strategy / all_strategies below.
-class PartitionStrategy {
- public:
-  virtual ~PartitionStrategy() = default;
-  virtual const char* name() const = 0;
-  virtual StrategyResult run(const StrategyContext& ctx) = 0;
-
-  /// Prices every cell of a constraint axis, one StrategyResult per
-  /// ctx.cells entry, each byte-identical to a standalone run() with
-  /// that cell's constraint and budget. Strategies whose walk does not
-  /// depend on the constraint (greedy commits and annealing acceptance
-  /// consult only objective values; the limits only decide where each
-  /// cell stops) override this with a single shared walk that finalizes
-  /// cells online — turning the sweep's constraints x budgets factor
-  /// into array scans. The default falls back to one run() per cell
-  /// (the branch-and-bound search prunes differently per constraint, so
-  /// its visit counts are not derivable from a shared walk).
-  virtual std::vector<StrategyResult> run_axis(const AxisContext& ctx);
-};
-
-/// The paper's engine: commit kernels one by one in the analysis order,
-/// re-pricing the split after each movement (now via O(1) incremental
-/// deltas), until the timing constraint is met. The walk itself is
-/// constraint-independent, so run_axis prices a whole constraint axis
-/// from one walk.
-class GreedyPaperStrategy final : public PartitionStrategy {
- public:
-  const char* name() const override { return "greedy"; }
-  StrategyResult run(const StrategyContext& ctx) override;
-  std::vector<StrategyResult> run_axis(const AxisContext& ctx) override;
-};
-
-/// Branch-and-bound over subsets of the top options.exhaustive_max_kernels
-/// eligible kernels. Returns the subset meeting the constraint with the
-/// fewest moves (ties: fewest cycles); when no subset meets it, the
-/// subset minimizing total cycles. Recursion state lives in SmallBitsets
-/// so the frontier fits in registers; run_axis keeps the per-cell
-/// default (the pruning — and thus engine_iterations — depends on the
-/// constraint).
-class ExhaustiveStrategy final : public PartitionStrategy {
- public:
-  const char* name() const override { return "exhaustive"; }
-  StrategyResult run(const StrategyContext& ctx) override;
-};
-
-/// Seeded simulated annealing over all eligible kernels: random membership
-/// flips with a geometric cooling schedule, minimizing total cycles. Meant
-/// for kernel sets too large for the exhaustive search. Acceptance
-/// depends only on objective values, so run_axis replays one walk for
-/// every cell of a constraint axis.
-class AnnealingStrategy final : public PartitionStrategy {
- public:
-  const char* name() const override { return "annealing"; }
-  StrategyResult run(const StrategyContext& ctx) override;
-  std::vector<StrategyResult> run_axis(const AxisContext& ctx) override;
-};
-
-std::unique_ptr<PartitionStrategy> make_strategy(StrategyKind kind);
+/// To add a strategy: add a StrategyKind enumerator (core/methodology.h),
+/// a search function in strategy.cc dispatched from run_strategy, and
+/// its name in strategy_name / all_strategies.
+std::vector<StrategyResult> run_strategy(StrategyKind kind,
+                                         const AxisContext& ctx);
 
 /// All registered strategy kinds, in presentation order.
 const std::vector<StrategyKind>& all_strategies();
