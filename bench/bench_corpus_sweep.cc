@@ -99,13 +99,13 @@ BENCHMARK(BM_CorpusSweepWarmCache)->Unit(benchmark::kMillisecond);
 // Lock contention on the sharded in-memory index: N threads hammer
 // get/put on a shared cache. Each thread walks its own key sequence
 // (hit on its own writes, miss on a rotated range), so the measurement
-// is dominated by index locking, not payload construction. Run with
-// --benchmark_min_time or the CI 16-thread arg to compare the sharded
-// index against the old single-mutex behavior (SweepCache(1)).
+// is dominated by index locking, not payload construction. The /1 arg
+// is the uncontended reference for the /4 and /16 rows of the cache's
+// 16-bucket index.
 void BM_CacheContention(benchmark::State& state) {
   const int threads = static_cast<int>(state.range(0));
   constexpr std::uint64_t kKeysPerThread = 256;
-  core::SweepCache cache;  // default shard count
+  core::SweepCache cache;
   core::CachedCell cell;
   cell.report.app = "contention";
   cell.report.final_cycles = 1;

@@ -80,8 +80,7 @@ BENCHMARK(BM_EnergyMethodology);
 
 // Energy-objective design-space sweep over the paper corpus and the
 // Table-2/3 platform grid, including the JSON emission — the end-to-end
-// hot path of `amdrelc explore --objective energy`. Part of the CI
-// bench-regression gate (bench/baselines/BENCH_sweep.json).
+// hot path of `amdrelc explore --objective energy`.
 void BM_EnergySweep(benchmark::State& state) {
   const auto corpus = workloads::paper_corpus();
   core::SweepSpec spec;
