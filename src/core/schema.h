@@ -40,6 +40,8 @@ inline constexpr int kSweepCacheSchemaVersion = 4;
 ///      "round_done" after each assign batch. The one-directional
 ///      static stream (wire_header / shard / cell / worker_done) is
 ///      unchanged byte-for-byte.
-inline constexpr int kSweepWireProtocolVersion = 3;
+///  v4: "shard_ack" removed; forked workers speak the round protocol on
+///      stdin/stdout, so every serve worker runs assign rounds.
+inline constexpr int kSweepWireProtocolVersion = 4;
 
 }  // namespace amdrel::core

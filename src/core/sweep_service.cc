@@ -39,7 +39,7 @@ std::vector<std::vector<std::size_t>> partition_shards(std::size_t shard_count,
 namespace {
 
 /// Computes `assigned` shards and streams them in assigned order —
-/// shared by the static and the connected worker. Honors spec.threads
+/// shared by the one-shot and the serve worker. Honors spec.threads
 /// (shards are computed by a pool but emitted in order) with per-shard
 /// flush so a pipe/socket transport streams instead of buffering the
 /// whole run. `emitted_shards` counts across calls (rounds) for the
@@ -181,14 +181,6 @@ std::size_t run_sweep_worker_connected(const std::vector<CorpusApp>& corpus,
     require(wire::parse_line(line, object),
             "connected worker: malformed coordinator line");
     switch (wire::line_kind(object)) {
-      case wire::LineKind::kShardAck: {
-        wire::ShardAck ack;
-        require(wire::decode_shard_ack(object, ack) && ack.shard < shards &&
-                    computed[ack.shard],
-                "connected worker: ack for a shard this worker never "
-                "streamed");
-        break;
-      }
       case wire::LineKind::kAssign: {
         wire::Assign assign;
         require(wire::decode_assign(object, assign),
@@ -473,13 +465,16 @@ SweepSummary serve_design_space(const std::vector<CorpusApp>& corpus,
     WorkerStreamConsumer consumer;
     Clock::time_point last_activity;
     bool busy = false;
+    /// A fresh worker's first assign line, held back until its
+    /// wire_header arrives: a worker still building its corpus is not
+    /// reading yet, and a large batch would overrun the socket buffer.
+    std::string first_assign;
 
     Conn(std::unique_ptr<WorkerChannel> ch,
          const std::vector<CorpusApp>& corpus, const SweepSpec& spec,
-         SweepSummary& summary, std::vector<std::size_t>& shard_used,
-         bool dynamic)
+         SweepSummary& summary, std::vector<std::size_t>& shard_used)
         : channel(std::move(ch)),
-          consumer(corpus, spec, summary, shard_used, dynamic),
+          consumer(corpus, spec, summary, shard_used, /*dynamic=*/true),
           last_activity(Clock::now()) {}
   };
   std::vector<std::unique_ptr<Conn>> conns;
@@ -498,11 +493,6 @@ SweepSummary serve_design_space(const std::vector<CorpusApp>& corpus,
     if (options.on_shard_complete) {
       options.on_shard_complete(s, summary.cells.data() + s * cells_per_shard,
                                 conn.consumer.last_used());
-    }
-    if (conn.channel->supports_reassignment()) {
-      // Informational ack; best-effort by design (wire v3), so a slow
-      // worker can never stall the event loop.
-      conn.channel->write_line(wire::encode_shard_ack({s}));
     }
   };
 
@@ -524,41 +514,38 @@ SweepSummary serve_design_space(const std::vector<CorpusApp>& corpus,
     for (const std::size_t s : unfinished) pending.push_back(s);
   };
 
-  // Hands `batch` to a worker: an idle reassignable survivor if one is
-  // live, else a fresh channel from the transport (waiting up to
-  // timeout_ms). False if no worker materialized.
+  // Hands `batch` to a worker: an idle survivor if one is live, else a
+  // fresh channel from the transport (waiting up to timeout_ms). False
+  // if no worker materialized.
   auto start_round = [&](const std::vector<std::size_t>& batch,
                          int timeout_ms) -> bool {
     std::size_t retry = 0;
     for (const std::size_t s : batch) {
       retry = std::max(retry, static_cast<std::size_t>(attempts[s]));
     }
-    auto begin = [&](Conn& conn) {
-      conn.consumer.begin_round(batch);
-      conn.busy = true;
-      conn.last_activity = Clock::now();
-      for (const std::size_t s : batch) ++attempts[s];
-    };
+    const std::string assign = wire::encode_assign({batch, retry});
+    Conn* target = nullptr;
     for (const std::unique_ptr<Conn>& conn : conns) {
-      if (conn->busy || !conn->channel->supports_reassignment()) continue;
-      if (!conn->channel->write_line(wire::encode_assign({batch, retry}))) {
-        continue;  // write-broken; it will be culled when its fd closes
+      // A write-broken survivor is skipped; it is culled when its fd
+      // closes.
+      if (!conn->busy && conn->channel->write_line(assign)) {
+        target = conn.get();
+        break;
       }
-      begin(*conn);
-      return true;
     }
-    std::unique_ptr<WorkerChannel> channel =
-        options.transport->open_worker(batch, timeout_ms);
-    if (!channel) return false;
-    const bool dynamic = channel->supports_reassignment();
-    if (dynamic &&
-        !channel->write_line(wire::encode_assign({batch, retry}))) {
-      return false;  // stillborn connection; caller decides what's next
+    if (target == nullptr) {
+      std::unique_ptr<WorkerChannel> channel =
+          options.transport->open_worker(timeout_ms);
+      if (!channel) return false;
+      conns.push_back(std::make_unique<Conn>(std::move(channel), corpus, spec,
+                                             summary, shard_used));
+      target = conns.back().get();
+      target->first_assign = assign;
     }
-    auto conn = std::make_unique<Conn>(std::move(channel), corpus, spec,
-                                       summary, shard_used, dynamic);
-    begin(*conn);
-    conns.push_back(std::move(conn));
+    target->consumer.begin_round(batch);
+    target->busy = true;
+    target->last_activity = Clock::now();
+    for (const std::size_t s : batch) ++attempts[s];
     return true;
   };
 
@@ -579,27 +566,23 @@ SweepSummary serve_design_space(const std::vector<CorpusApp>& corpus,
                      conn.channel->describe(), why);
   };
 
-  // Reads whatever `conn` has to say, feeding the consumer. Returns
-  // {round_completed, closed}.
-  struct DrainResult {
-    bool round_complete = false;
-    bool closed = false;
-  };
-  auto drain_conn = [&](Conn& conn) -> DrainResult {
-    DrainResult result;
+  // Feeds whatever `conn` has to say to its consumer, then sends a
+  // held-back first assign once the header is in. False once the worker
+  // is gone: its stream closed, or it stopped taking our writes.
+  auto drain_conn = [&](Conn& conn) -> bool {
     std::vector<std::string> lines;
     const ChannelStatus status = conn.channel->read_lines(lines);
     if (!lines.empty()) conn.last_activity = Clock::now();
     for (const std::string& line : lines) {
       const Event event = conn.consumer.feed(line);
-      if (event == Event::kShardComplete) {
-        note_complete(conn);
-      } else if (event == Event::kRoundComplete) {
-        result.round_complete = true;
-      }
+      if (event == Event::kShardComplete) note_complete(conn);
+      if (event == Event::kRoundComplete) conn.busy = false;
     }
-    result.closed = status == ChannelStatus::kClosed;
-    return result;
+    if (!conn.first_assign.empty() && conn.consumer.header_seen()) {
+      if (!conn.channel->write_line(conn.first_assign)) return false;
+      conn.first_assign.clear();
+    }
+    return status == ChannelStatus::kOk;
   };
 
   while (completed_count < shards) {
@@ -646,28 +629,11 @@ SweepSummary serve_design_space(const std::vector<CorpusApp>& corpus,
       Conn& conn = *conns[i];
       const bool readable =
           (fds[i].revents & (POLLIN | POLLHUP | POLLERR)) != 0;
-      DrainResult drained;
-      if (readable) drained = drain_conn(conn);
-      if (drained.round_complete) {
-        conn.busy = false;
-        if (!conn.channel->supports_reassignment()) {
-          // Static worker: its one stream is complete — reap it.
-          require(conn.channel->finish(),
-                  cat("serve_design_space: ", conn.channel->describe(),
-                      " exited uncleanly after a complete stream"));
-          continue;  // drop
-        }
-        if (drained.closed) continue;  // finished round, then hung up
-        kept.push_back(std::move(conns[i]));
+      if (readable && !drain_conn(conn)) {
+        // Gone mid-round: its unfinished shards are retried. Gone
+        // between rounds: nothing is lost. Either way ~Conn reaps it.
+        if (conn.busy) fail_conn(conn, "disconnected mid-round");
         continue;
-      }
-      if (drained.closed) {
-        if (conn.busy) {
-          const bool clean = conn.channel->finish();
-          fail_conn(conn, clean ? "stream ended before round completion"
-                                : "died mid-round");
-        }
-        continue;  // drop (idle hangup needs no retry)
       }
       if (conn.busy && options.idle_timeout_ms > 0 &&
           Clock::now() - conn.last_activity >
@@ -680,58 +646,39 @@ SweepSummary serve_design_space(const std::vector<CorpusApp>& corpus,
     conns.swap(kept);
   }
 
-  // Every shard landed. Wind down: static channels still owe their
-  // worker_done trailer (strict — same contract as before the Transport
-  // seam); dynamic channels get a shutdown line and answer with
-  // worker_done, leniently (their data is already validated).
+  // Every shard landed. Wind every worker down with the shutdown
+  // handshake: finish its last round (the round_done may still be
+  // unread), send shutdown, read worker_done, then finish() — which for
+  // a forked worker waits for its exit, so its --cache save is on disk
+  // before serve returns. All shutdowns go out before the first wait,
+  // so the workers' saves overlap. A worker that misses a step or exits
+  // nonzero fails the run.
   const Clock::time_point goodbye_deadline =
       Clock::now() + std::chrono::seconds(10);
+  auto drain_until = [&](Conn& conn, const auto& done) {
+    while (!done() && Clock::now() < goodbye_deadline) {
+      pollfd pfd{conn.channel->poll_fd(), POLLIN, 0};
+      const int ready = ::poll(&pfd, 1, 100);
+      if (ready < 0 && errno == EINTR) continue;
+      require(ready >= 0, "serve_design_space: poll failed");
+      if (ready > 0 && !drain_conn(conn)) break;
+    }
+  };
+  auto handshake_error = [](const Conn& conn) {
+    return cat("serve_design_space: ", conn.channel->describe(),
+               " did not complete the shutdown handshake");
+  };
   for (const std::unique_ptr<Conn>& conn : conns) {
-    const bool dynamic = conn->channel->supports_reassignment();
-    bool handshake_ok = !conn->busy;
-    while (conn->busy && Clock::now() < goodbye_deadline) {
-      pollfd pfd{conn->channel->poll_fd(), POLLIN, 0};
-      const int ready = ::poll(&pfd, 1, 100);
-      if (ready < 0 && errno == EINTR) continue;
-      require(ready >= 0, "serve_design_space: poll failed");
-      if (ready == 0) continue;
-      const DrainResult drained = drain_conn(*conn);
-      if (drained.round_complete) {
-        conn->busy = false;
-        handshake_ok = true;
-      } else if (drained.closed) {
-        break;
-      }
-    }
-    if (!dynamic) {
-      require(handshake_ok,
-              cat("serve_design_space: ", conn->channel->describe(),
-                  " never sent its stream trailer"));
-      require(conn->channel->finish(),
-              cat("serve_design_space: ", conn->channel->describe(),
-                  " exited uncleanly after a complete stream"));
-      continue;
-    }
-    if (!handshake_ok ||
-        !conn->channel->write_line(wire::encode_shutdown())) {
-      std::cerr << "amdrelc serve: " << conn->channel->describe()
-                << " did not complete the shutdown handshake\n";
-      continue;
-    }
-    bool done = false;
-    while (!done && Clock::now() < goodbye_deadline) {
-      pollfd pfd{conn->channel->poll_fd(), POLLIN, 0};
-      const int ready = ::poll(&pfd, 1, 100);
-      if (ready < 0 && errno == EINTR) continue;
-      require(ready >= 0, "serve_design_space: poll failed");
-      if (ready == 0) continue;
-      const DrainResult drained = drain_conn(*conn);
-      done = conn->consumer.connection_done() || drained.closed;
-    }
-    if (!conn->consumer.connection_done()) {
-      std::cerr << "amdrelc serve: " << conn->channel->describe()
-                << " closed without worker_done\n";
-    }
+    drain_until(*conn, [&] { return !conn->busy; });
+    require(!conn->busy && conn->channel->write_line(wire::encode_shutdown()),
+            handshake_error(*conn));
+  }
+  for (const std::unique_ptr<Conn>& conn : conns) {
+    drain_until(*conn, [&] { return conn->consumer.connection_done(); });
+    require(conn->consumer.connection_done(), handshake_error(*conn));
+    require(conn->channel->finish(),
+            cat("serve_design_space: ", conn->channel->describe(),
+                " exited uncleanly"));
   }
   conns.clear();
 

@@ -20,23 +20,24 @@ namespace amdrel::core {
 //
 // Topology: `amdrelc serve` partitions the deterministic (app, platform)
 // shard index round-robin across N workers reached through a pluggable
-// core::Transport — locally forked `amdrelc worker --shards` processes
-// (ForkPipeTransport) or `amdrelc worker --connect` dial-ins over TCP
-// (TcpTransport). Every worker runs its shards through
-// compute_sweep_shard — the EXACT code path a single-process sweep's
-// threads run — and streams the resulting cell groups back as
-// newline-delimited JSON (core/wire.h). The coordinator writes each
-// streamed cell into the slot the single-process layout assigns it and
-// derives the Pareto fronts itself (finalize_sweep_summary), so the
-// merged summary is byte-identical to a single-process sweep at ANY
-// worker count — and under ANY injected worker failure — by
-// construction rather than by comparison.
+// core::Transport — locally forked `amdrelc worker` processes talking
+// on their stdin/stdout (ForkPipeTransport) or `amdrelc worker
+// --connect` dial-ins over TCP (TcpTransport). Both speak one protocol:
+// the coordinator sends "assign" batches, and every worker runs its
+// shards through compute_sweep_shard — the EXACT code path a
+// single-process sweep's threads run — and streams the resulting cell
+// groups back as newline-delimited JSON (core/wire.h). The coordinator
+// writes each streamed cell into the slot the single-process layout
+// assigns it and derives the Pareto fronts itself
+// (finalize_sweep_summary), so the merged summary is byte-identical to
+// a single-process sweep at ANY worker count — and under ANY injected
+// worker failure — by construction rather than by comparison.
 //
 // Fault tolerance: the coordinator tracks per-worker health (disconnect
 // detection plus an idle timeout) and retries a dead worker's
-// *unfinished* shards — on an idle surviving connection, a newly
-// accepted dial-in, or a respawned process — up to a bounded number of
-// attempts per shard. Re-computation is safe because cells are
+// *unfinished* shards — on an idle surviving worker first, else on a
+// newly accepted dial-in or a respawned process — up to a bounded
+// number of attempts per shard. Re-computation is safe because cells are
 // content-addressed and deterministic: a retried shard overwrites the
 // dead worker's partial cells with identical bytes, and a shard counts
 // as done exactly once.
@@ -46,8 +47,9 @@ namespace amdrel::core {
 // malformed cell or any other PROTOCOL violation still throws Error and
 // fails the whole run — only CONNECTION failures (EOF mid-stream, a
 // killed or hung worker) are retried, and once a shard exhausts its
-// retry budget the run fails loudly. There is never a silently partial
-// merged artifact.
+// retry budget the run fails loudly. A worker still live at the end
+// must complete the shutdown handshake, and a forked one must exit 0.
+// There is never a silently partial merged artifact.
 // ---------------------------------------------------------------------------
 
 // The coordinator<->worker wire protocol version
@@ -68,12 +70,14 @@ std::vector<std::vector<std::size_t>> partition_shards(std::size_t shard_count,
 /// fault-injection flag (--fail-after-shards) rides here.
 using ShardEmitHook = std::function<void(std::size_t)>;
 
-/// Static worker half: computes `assigned` shards of the (corpus, spec)
-/// sweep and streams them to `os` in the one-directional wire format, in
-/// assigned order. Honors spec.threads (shards are computed by a pool
-/// but emitted in order) and spec.cache exactly like sweep_design_space
-/// — a disk-warm cache short-circuits compute, and freshly computed
-/// cells/mapper snapshots are published to it for the eventual save.
+/// One-shot worker half: computes `assigned` shards of the (corpus,
+/// spec) sweep and streams them to `os` in the one-directional wire
+/// format, in assigned order. No serve transport uses it; it is the
+/// in-process reference that consume_worker_stream reads back. Honors
+/// spec.threads (shards are computed by a pool but emitted in order) and
+/// spec.cache exactly like sweep_design_space — a disk-warm cache
+/// short-circuits compute, and freshly computed cells/mapper snapshots
+/// are published to it for the eventual save.
 /// Returns the number of cells emitted. Throws Error on invalid inputs
 /// (out-of-range or duplicate shard indices) or an unwritable stream.
 std::size_t run_sweep_worker(const std::vector<CorpusApp>& corpus,
@@ -82,13 +86,14 @@ std::size_t run_sweep_worker(const std::vector<CorpusApp>& corpus,
                              std::ostream& os,
                              const ShardEmitHook& after_shard = {});
 
-/// Dynamic worker half (wire v3): announces the header on `out`, then
-/// serves "assign" batches read from `in` — each computed exactly like
+/// Serve worker half: announces the header on `out`, then serves
+/// "assign" batches read from `in` — each computed exactly like
 /// run_sweep_worker and answered with shard/cell lines plus a
 /// round_done — until a "shutdown" line, acknowledged with a final
-/// worker_done. shard_ack lines from the coordinator are validated and
-/// ignored. Returns total cells across all rounds. Throws Error if the
-/// coordinator breaks protocol or disconnects before shutdown.
+/// worker_done. `amdrelc worker` runs it on stdin/stdout when forked by
+/// serve and on a socket with --connect. Returns total cells across all
+/// rounds. Throws Error if the coordinator breaks protocol or
+/// disconnects before shutdown.
 std::size_t run_sweep_worker_connected(const std::vector<CorpusApp>& corpus,
                                        const SweepSpec& spec, std::istream& in,
                                        std::ostream& out,
@@ -105,10 +110,10 @@ std::size_t run_sweep_worker_connected(const std::vector<CorpusApp>& corpus,
 /// Error.
 class WorkerStreamConsumer {
  public:
-  /// `dynamic` selects the wire v3 round protocol (round_done
+  /// `dynamic` selects the round protocol serve speaks (round_done
   /// terminates an assign batch; worker_done only closes the
-  /// connection) over the static single-batch stream (worker_done
-  /// terminates the one round).
+  /// connection) over the one-shot stream of consume_worker_stream
+  /// (worker_done terminates the one round).
   WorkerStreamConsumer(const std::vector<CorpusApp>& corpus,
                        const SweepSpec& spec, SweepSummary& summary,
                        std::vector<std::size_t>& shard_used, bool dynamic);
@@ -176,7 +181,7 @@ class WorkerStreamConsumer {
   std::size_t last_used_ = 0;
 };
 
-/// Coordinator half of one static worker stream, one-shot: validates and
+/// Coordinator half of one run_sweep_worker stream, one-shot: validates and
 /// parses the whole stream and writes its cells into `summary.cells`
 /// (which must hold the full shards x cells_per_shard slot layout) and
 /// its per-shard fill counts into `shard_used`. Implemented on

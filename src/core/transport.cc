@@ -21,12 +21,11 @@ namespace amdrel::core {
 
 #ifdef _WIN32
 
-ForkPipeTransport::ForkPipeTransport(WorkerCommandFn command)
-    : command_(std::move(command)), describe_("fork/pipe") {}
+ForkPipeTransport::ForkPipeTransport(std::vector<std::string> command)
+    : command_(std::move(command)), describe_("fork") {}
 
-std::unique_ptr<WorkerChannel> ForkPipeTransport::open_worker(
-    const std::vector<std::size_t>&, int) {
-  fail("ForkPipeTransport: requires POSIX fork/pipe");
+std::unique_ptr<WorkerChannel> ForkPipeTransport::open_worker(int) {
+  fail("ForkPipeTransport: requires POSIX fork/socketpair");
 }
 
 const std::string& ForkPipeTransport::describe() const { return describe_; }
@@ -36,8 +35,7 @@ TcpTransport::TcpTransport(support::net::Socket listener)
 
 int TcpTransport::port() const { fail("TcpTransport: requires POSIX sockets"); }
 
-std::unique_ptr<WorkerChannel> TcpTransport::open_worker(
-    const std::vector<std::size_t>&, int) {
+std::unique_ptr<WorkerChannel> TcpTransport::open_worker(int) {
   fail("TcpTransport: requires POSIX sockets");
 }
 
@@ -59,25 +57,24 @@ void set_cloexec(int fd) {
           "transport: cannot set FD_CLOEXEC");
 }
 
-/// Both concrete channels: a non-blocking read fd plus, for sockets, the
-/// same fd writable. `pid` >= 0 marks a forked worker the channel must
-/// reap (or SIGKILL on early destruction).
+/// Both concrete channels: one non-blocking socket fd, read and
+/// written. `pid` >= 0 marks a forked worker the channel must reap (or
+/// SIGKILL on early destruction).
 class FdChannel : public WorkerChannel {
  public:
-  FdChannel(int fd, pid_t pid, bool reassignable, std::string name)
-      : fd_(fd), pid_(pid), reassignable_(reassignable),
-        name_(std::move(name)) {
+  FdChannel(int fd, pid_t pid, std::string name)
+      : fd_(fd), pid_(pid), name_(std::move(name)) {
     set_nonblocking(fd_);
     set_cloexec(fd_);
   }
 
   ~FdChannel() override {
     if (pid_ >= 0 && !reaped_) {
-      // An unfinished forked worker is being retired (idle timeout or
-      // failed run): make sure it dies before we wait on it. The worker
-      // leads its own process group, so this also kills whatever it
-      // spawned (a wrapper shell's children), which would otherwise
-      // outlive it holding the pipe open.
+      // An unfinished forked worker is being retired (dead, idle
+      // timeout or failed run): make sure it dies before we wait on it.
+      // The worker leads its own process group, so this also kills
+      // whatever it spawned (a wrapper shell's children), which would
+      // otherwise outlive it holding the socket open.
       ::kill(-pid_, SIGKILL);
       reap();
     }
@@ -110,7 +107,7 @@ class FdChannel : public WorkerChannel {
   }
 
   bool write_line(const std::string& line) override {
-    if (!reassignable_ || write_broken_ || closed_) return false;
+    if (write_broken_ || closed_) return false;
     std::size_t off = 0;
     while (off < line.size()) {
       const ssize_t n = ::send(fd_, line.data() + off, line.size() - off,
@@ -131,10 +128,6 @@ class FdChannel : public WorkerChannel {
       return false;
     }
     return true;
-  }
-
-  bool supports_reassignment() const override {
-    return reassignable_ && !write_broken_;
   }
 
   bool finish() override {
@@ -159,7 +152,6 @@ class FdChannel : public WorkerChannel {
 
   int fd_ = -1;
   pid_t pid_ = -1;
-  bool reassignable_ = false;
   std::string name_;
   std::string buffer_;
   bool closed_ = false;
@@ -170,29 +162,28 @@ class FdChannel : public WorkerChannel {
 
 }  // namespace
 
-ForkPipeTransport::ForkPipeTransport(WorkerCommandFn command)
-    : command_(std::move(command)), describe_("fork/pipe") {
-  require(static_cast<bool>(command_),
-          "ForkPipeTransport: no worker command configured");
+ForkPipeTransport::ForkPipeTransport(std::vector<std::string> command)
+    : command_(std::move(command)), describe_("fork") {
+  require(!command_.empty(), "ForkPipeTransport: empty worker argv");
 }
 
-std::unique_ptr<WorkerChannel> ForkPipeTransport::open_worker(
-    const std::vector<std::size_t>& shards, int timeout_ms) {
+std::unique_ptr<WorkerChannel> ForkPipeTransport::open_worker(int timeout_ms) {
   (void)timeout_ms;  // forking is immediate
-  const std::vector<std::string> command = command_(shards);
-  require(!command.empty(), "ForkPipeTransport: empty worker argv");
   int fds[2];
-  require(::pipe(fds) == 0, "ForkPipeTransport: pipe failed");
+  require(::socketpair(AF_UNIX, SOCK_STREAM, 0, fds) == 0,
+          "ForkPipeTransport: socketpair failed");
   const pid_t pid = ::fork();
   require(pid >= 0, "ForkPipeTransport: fork failed");
   if (pid == 0) {
     ::setpgid(0, 0);  // its own group, so one kill reaches its children
-    ::dup2(fds[1], 1);  // the wire protocol is the child's stdout
+    // The wire protocol is the child's stdin and stdout.
+    ::dup2(fds[1], 0);
+    ::dup2(fds[1], 1);
     ::close(fds[0]);
     ::close(fds[1]);
     std::vector<char*> argv;
-    argv.reserve(command.size() + 1);
-    for (const std::string& arg : command) {
+    argv.reserve(command_.size() + 1);
+    for (const std::string& arg : command_) {
       argv.push_back(const_cast<char*>(arg.c_str()));
     }
     argv.push_back(nullptr);
@@ -206,7 +197,7 @@ std::unique_ptr<WorkerChannel> ForkPipeTransport::open_worker(
   ::close(fds[1]);
   const int index = spawned_++;
   return std::make_unique<FdChannel>(
-      fds[0], pid, /*reassignable=*/false,
+      fds[0], pid,
       cat("worker ", index, " (pid ", static_cast<long>(pid), ")"));
 }
 
@@ -220,15 +211,12 @@ TcpTransport::TcpTransport(support::net::Socket listener)
 
 int TcpTransport::port() const { return support::net::local_port(listener_); }
 
-std::unique_ptr<WorkerChannel> TcpTransport::open_worker(
-    const std::vector<std::size_t>& shards, int timeout_ms) {
-  (void)shards;  // assignment travels on the wire after the accept
+std::unique_ptr<WorkerChannel> TcpTransport::open_worker(int timeout_ms) {
   std::optional<support::net::Socket> conn =
       support::net::accept_tcp(listener_, timeout_ms);
   if (!conn) return nullptr;
   const int index = accepted_++;
   return std::make_unique<FdChannel>(conn->release(), /*pid=*/-1,
-                                     /*reassignable=*/true,
                                      cat("tcp worker ", index));
 }
 

@@ -41,7 +41,6 @@ LineKind line_kind(const JsonValue& object) {
   if (kind == "cell") return LineKind::kCell;
   if (kind == "worker_done") return LineKind::kWorkerDone;
   if (kind == "assign") return LineKind::kAssign;
-  if (kind == "shard_ack") return LineKind::kShardAck;
   if (kind == "round_done") return LineKind::kRoundDone;
   if (kind == "shutdown") return LineKind::kShutdown;
   return LineKind::kUnknown;
@@ -124,17 +123,6 @@ bool decode_assign(const JsonValue& object, Assign& assign) {
     assign.shards.push_back(static_cast<std::size_t>(item.integer));
   }
   return true;
-}
-
-std::string encode_shard_ack(const ShardAck& ack) {
-  std::ostringstream os;
-  os << "{\"kind\":\"shard_ack\",\"shard\":" << ack.shard << "}\n";
-  return os.str();
-}
-
-bool decode_shard_ack(const JsonValue& object, ShardAck& ack) {
-  return line_kind(object) == LineKind::kShardAck &&
-         get_size(object, "shard", ack.shard);
 }
 
 std::string encode_round_done(const RoundDone& done) {

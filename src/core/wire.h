@@ -17,8 +17,9 @@ namespace amdrel::core::wire {
 // so transports, the coordinator, workers and tests all share ONE
 // encode/decode per line kind instead of re-parsing ad hoc.
 //
-// Static (one-directional) stream — a `worker --shards` process's
-// stdout, unchanged since wire v2:
+// One-shot stream — the reference pair run_sweep_worker /
+// consume_worker_stream (core/sweep_service.h) writes and reads it in
+// process; no serve transport carries it:
 //   {"kind":"wire_header","protocol":P,"schema_version":S,
 //    "fingerprint_algorithm":F,"shards":N}      // exactly once, first
 //   {"kind":"shard","shard":S,"used":U}         // one per shard,
@@ -26,13 +27,11 @@ namespace amdrel::core::wire {
 //                                               //   slots 0..U-1 in order
 //   {"kind":"worker_done","cells":M}            // exactly once, then EOF
 //
-// Dynamic (bidirectional) control lines — wire v3, spoken over a socket
-// by `worker --connect`:
+// Round protocol — what every serve worker speaks, forked (over a
+// socketpair on its stdin/stdout) or dialed in with `worker --connect`:
 //   coordinator -> worker:
 //     {"kind":"assign","retry":R,"shards":[...]}  // compute these next;
 //                                                 //   R = prior attempts
-//     {"kind":"shard_ack","shard":S}              // informational,
-//                                                 //   best-effort
 //     {"kind":"shutdown"}                         // no further work
 //   worker -> coordinator:
 //     wire_header once, then per assign batch the shard/cell lines
@@ -54,7 +53,6 @@ enum class LineKind {
   kCell,
   kWorkerDone,
   kAssign,
-  kShardAck,
   kRoundDone,
   kShutdown,
 };
@@ -88,10 +86,6 @@ struct Assign {
   std::size_t retry = 0;
 };
 
-struct ShardAck {
-  std::size_t shard = 0;
-};
-
 struct RoundDone {
   std::size_t cells = 0;
 };
@@ -121,9 +115,6 @@ bool decode_worker_done(const jsonl::JsonValue& object, WorkerDone& done);
 
 std::string encode_assign(const Assign& assign);
 bool decode_assign(const jsonl::JsonValue& object, Assign& assign);
-
-std::string encode_shard_ack(const ShardAck& ack);
-bool decode_shard_ack(const jsonl::JsonValue& object, ShardAck& ack);
 
 std::string encode_round_done(const RoundDone& done);
 bool decode_round_done(const jsonl::JsonValue& object, RoundDone& done);

@@ -27,9 +27,8 @@ TEST(SchemaVersionTest, SweepCacheSchemaVersionIsPinned) {
 }
 
 TEST(SchemaVersionTest, SweepWireProtocolVersionIsPinned) {
-  // v3: bidirectional control lines (assign/shard_ack/round_done/
-  // shutdown) for connected transports, on top of the v2 cell stream.
-  EXPECT_EQ(core::kSweepWireProtocolVersion, 3);
+  // v4: shard_ack removed; every serve worker runs assign rounds.
+  EXPECT_EQ(core::kSweepWireProtocolVersion, 4);
 }
 
 }  // namespace

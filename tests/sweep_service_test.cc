@@ -9,8 +9,6 @@
 #include "core/sweep_service.h"
 
 #include <algorithm>
-#include <cstdio>
-#include <fstream>
 #include <numeric>
 #include <sstream>
 #include <string>
@@ -23,6 +21,7 @@
 #include "core/sweep_cache.h"
 #include "core/sweep_io.h"
 #include "core/transport.h"
+#include "fake_worker.h"
 #include "support/error.h"
 #include "workloads/paper_models.h"
 
@@ -204,51 +203,29 @@ TEST_F(StreamRejectionTest, RejectsEmptyStream) {
 }
 
 // End-to-end through real fork/exec: serve_design_space with /bin/sh
-// workers that replay a pre-rendered valid stream must reproduce the
-// sweep, and a worker that exits nonzero must fail the run.
+// workers that answer assigns with pre-rendered valid shard bodies must
+// reproduce the sweep, and a worker that exits nonzero must fail the
+// run.
 #ifndef _WIN32
 TEST(SweepServiceTest, ServeMergesCommandWorkers) {
   const auto corpus = workloads::paper_corpus();
   const SweepSpec spec = small_spec(1, nullptr);
   const std::string json = sweep_to_json(sweep_design_space(corpus, spec));
 
-  // Render each possible single-worker assignment up front; the spawned
-  // command is a shell that cats the right pre-rendered stream.
-  const std::size_t shards = sweep_shard_count(corpus, spec);
-  std::vector<std::string> streams;
-  for (std::size_t s = 0; s < shards; ++s) {
-    std::ostringstream os;
-    run_sweep_worker(corpus, spec, {s}, os);
-    streams.push_back(os.str());
-  }
-  const std::string dir = testing::TempDir();
-  std::vector<std::string> paths;
-  for (std::size_t s = 0; s < shards; ++s) {
-    const std::string path =
-        dir + "sweep_service_stream_" + std::to_string(s) + ".ndjson";
-    std::ofstream(path, std::ios::binary) << streams[s];
-    paths.push_back(path);
-  }
-
-  ForkPipeTransport transport(
-      [&](const std::vector<std::size_t>& assigned) {
-        EXPECT_EQ(assigned.size(), 1u);
-        return std::vector<std::string>{"/bin/cat", paths[assigned[0]]};
-      });
+  const FakeWorker fake(corpus, spec, "sweep_service_fake");
+  ForkPipeTransport transport(fake.command());
   ServeOptions options;
-  options.workers = static_cast<int>(shards);  // one shard per worker
+  options.workers = static_cast<int>(sweep_shard_count(corpus, spec));
   options.transport = &transport;
   const auto summary = serve_design_space(corpus, spec, options);
   EXPECT_EQ(sweep_to_json(summary), json);
-  for (const std::string& path : paths) std::remove(path.c_str());
+  EXPECT_EQ(fake.spawns(), options.workers);  // one shard per worker
 }
 
 TEST(SweepServiceTest, ServeFailsWhenAWorkerExitsNonzero) {
   const auto corpus = workloads::paper_corpus();
   const SweepSpec spec = small_spec(1, nullptr);
-  ForkPipeTransport transport([](const std::vector<std::size_t>&) {
-    return std::vector<std::string>{"/bin/sh", "-c", "exit 3"};
-  });
+  ForkPipeTransport transport({"/bin/sh", "-c", "exit 3"});
   ServeOptions options;
   options.workers = 2;
   options.transport = &transport;

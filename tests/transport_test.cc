@@ -1,8 +1,10 @@
 // Transport fault tolerance (core/transport.h + serve_design_space):
 // a dead worker — mid-stream EOF, SIGKILL, idle hang — must cost only a
 // bounded retry of its unfinished shards, never a byte of the merged
-// summary; protocol violations and exhausted retry budgets must fail
-// loudly. Plus the TCP transport end-to-end over loopback, in-process.
+// summary, and it lands on an idle survivor before anything respawns;
+// protocol violations, exhausted retry budgets and a worker that misses
+// the shutdown handshake or exits nonzero must fail loudly. Plus the
+// TCP transport end-to-end over loopback, in-process.
 
 #include "core/transport.h"
 
@@ -16,6 +18,7 @@
 #include <cstdio>
 #include <fstream>
 #include <map>
+#include <memory>
 #include <sstream>
 #include <string>
 #include <thread>
@@ -28,6 +31,7 @@
 #include "core/sweep_service.h"
 #include "support/error.h"
 #include "support/net.h"
+#include "fake_worker.h"
 #include "workloads/paper_models.h"
 
 namespace amdrel::core {
@@ -64,9 +68,8 @@ TEST(TransportTest, PartitionShardsWithZeroShards) {
 #ifndef _WIN32
 
 // Shared scaffolding for the fork-transport fault tests: the expected
-// single-process summary, one pre-rendered full wire stream per shard,
-// and a per-shard spawn counter so a command function can misbehave on
-// the first attempt only.
+// single-process summary and a scripted fake worker (tests/fake_worker.h)
+// whose hooks inject one fault each.
 class ForkFaultTest : public testing::Test {
  protected:
   void SetUp() override {
@@ -74,77 +77,73 @@ class ForkFaultTest : public testing::Test {
     spec_ = small_spec();
     expected_json_ = sweep_to_json(sweep_design_space(corpus_, spec_));
     shards_ = sweep_shard_count(corpus_, spec_);
-    // Paths carry the pid: ctest runs each TEST_F as its own process,
-    // concurrently, and a shared name would let one test's TearDown
-    // delete the streams another test's workers are still cat-ing.
-    const std::string dir = testing::TempDir();
-    const std::string tag = std::to_string(::getpid());
-    for (std::size_t s = 0; s < shards_; ++s) {
-      std::ostringstream os;
-      run_sweep_worker(corpus_, spec_, {s}, os);
-      streams_.push_back(os.str());
-      const std::string path = dir + "transport_stream_" + tag + "_" +
-                               std::to_string(s) + ".ndjson";
-      std::ofstream(path, std::ios::binary) << streams_.back();
-      paths_.push_back(path);
-    }
+    fake_ = std::make_unique<FakeWorker>(corpus_, spec_, "transport_fake");
   }
 
-  void TearDown() override {
-    for (const std::string& path : paths_) std::remove(path.c_str());
-  }
-
-  /// One worker per shard whose first attempt at `broken_shard` runs
-  /// `first_attempt` (a shell snippet; the stream file path is $0's
-  /// argument, spliced in by the caller) and whose every other
-  /// invocation faithfully cats the pre-rendered stream.
-  ForkPipeTransport faulty_transport(std::size_t broken_shard,
-                                     const std::string& first_attempt) {
-    return ForkPipeTransport(
-        [this, broken_shard, first_attempt](
-            const std::vector<std::size_t>& assigned) {
-          EXPECT_EQ(assigned.size(), 1u);
-          const std::size_t shard = assigned[0];
-          const int attempt = ++attempts_[shard];
-          if (shard == broken_shard && attempt == 1) {
-            return std::vector<std::string>{"/bin/sh", "-c", first_attempt};
-          }
-          return std::vector<std::string>{"/bin/cat", paths_[shard]};
-        });
-  }
-
-  SweepSummary serve_with(Transport& transport, int idle_timeout_ms = 0) {
+  /// Serves the sweep on fake workers running `hooks`, one shard per
+  /// worker unless `workers` says otherwise.
+  SweepSummary serve_with(const FakeWorkerHooks& hooks,
+                          int idle_timeout_ms = 0, int workers = 0) {
+    ForkPipeTransport transport(fake_->command(hooks));
     ServeOptions options;
-    options.workers = static_cast<int>(shards_);
+    options.workers = workers > 0 ? workers : static_cast<int>(shards_);
     options.transport = &transport;
     options.idle_timeout_ms = idle_timeout_ms;
     return serve_design_space(corpus_, spec_, options);
+  }
+
+  /// Asserts that serving on `hooks` fails with an Error naming `what`.
+  void expect_serve_error(const FakeWorkerHooks& hooks,
+                          const std::string& what) {
+    try {
+      serve_with(hooks);
+      FAIL() << "expected Error containing: " << what;
+    } catch (const Error& e) {
+      EXPECT_NE(std::string(e.what()).find(what), std::string::npos)
+          << e.what();
+    }
   }
 
   std::vector<CorpusApp> corpus_;
   SweepSpec spec_;
   std::string expected_json_;
   std::size_t shards_ = 0;
-  std::vector<std::string> streams_;
-  std::vector<std::string> paths_;
-  std::map<std::size_t, int> attempts_;
+  std::unique_ptr<FakeWorker> fake_;
 };
 
 TEST_F(ForkFaultTest, RecoversFromMidStreamEof) {
-  // First attempt truncates after the header and shard line — a clean
-  // EOF mid-round, as if the worker host vanished between writes.
-  ForkPipeTransport transport =
-      faulty_transport(1, "head -n 2 '" + paths_[1] + "'");
-  const SweepSummary summary = serve_with(transport);
+  // First attempt at shard 1 writes only its shard line and exits 0 — a
+  // clean EOF mid-round, as if the worker host vanished between writes.
+  FakeWorkerHooks hooks;
+  hooks.before_shard =
+      "if [ \"$s\" = 1 ] && first_try; then "
+      "head -n 1 \"$d/body_1\"; exit 0; fi";
+  const SweepSummary summary = serve_with(hooks);
   EXPECT_EQ(sweep_to_json(summary), expected_json_);
-  EXPECT_EQ(attempts_[1], 2);
+  EXPECT_EQ(fake_->assignments(1), 2);
 }
 
 TEST_F(ForkFaultTest, RecoversFromKilledWorker) {
-  ForkPipeTransport transport = faulty_transport(2, "kill -9 $$");
-  const SweepSummary summary = serve_with(transport);
+  FakeWorkerHooks hooks;
+  hooks.before_shard = "if [ \"$s\" = 2 ] && first_try; then kill -9 $$; fi";
+  const SweepSummary summary = serve_with(hooks);
   EXPECT_EQ(sweep_to_json(summary), expected_json_);
-  EXPECT_EQ(attempts_[2], 2);
+  EXPECT_EQ(fake_->assignments(2), 2);
+}
+
+TEST_F(ForkFaultTest, KilledWorkerShardsFinishOnIdleSurvivor) {
+  // Two workers. The one holding shard 0 dies on it, but only once the
+  // other has finished its round and sits idle: the dead worker's whole
+  // batch must be reassigned to that survivor, with no respawn.
+  FakeWorkerHooks hooks;
+  hooks.before_shard =
+      "if [ \"$s\" = 0 ] && first_try; then "
+      "while [ ! -e \"$d/idle\" ]; do sleep 0.01; done; kill -9 $$; fi";
+  hooks.after_round = "touch \"$d/idle\"";
+  const SweepSummary summary = serve_with(hooks, 0, /*workers=*/2);
+  EXPECT_EQ(sweep_to_json(summary), expected_json_);
+  EXPECT_EQ(fake_->spawns(), 2);
+  EXPECT_EQ(fake_->assignments(0), 2);
 }
 
 /// True once `pid` no longer runs: gone (ESRCH), or a zombie waiting for
@@ -163,19 +162,18 @@ TEST_F(ForkFaultTest, RecoversFromIdleTimeout) {
   // The hung worker is a shell that spawned a child and writes nothing;
   // the 200ms idle timeout must declare it dead and retry its shard.
   // Killing only the shell would orphan the child, which keeps the
-  // inherited pipe open for its whole 30s — the whole process group
+  // inherited socket open for its whole 30s — the whole process group
   // must die with the shell.
-  const std::string pid_path = testing::TempDir() + "transport_orphan_" +
-                               std::to_string(::getpid()) + ".pid";
-  ForkPipeTransport transport = faulty_transport(
-      0, "sleep 30 & echo $! > '" + pid_path + "'; wait");
-  const SweepSummary summary = serve_with(transport, /*idle_timeout_ms=*/200);
+  const std::string pid_path = fake_->path("orphan.pid");
+  FakeWorkerHooks hooks;
+  hooks.before_shard = "if [ \"$s\" = 0 ] && first_try; then "
+                       "sleep 30 & echo $! > '" + pid_path + "'; wait; fi";
+  const SweepSummary summary = serve_with(hooks, /*idle_timeout_ms=*/200);
   EXPECT_EQ(sweep_to_json(summary), expected_json_);
-  EXPECT_EQ(attempts_[0], 2);
+  EXPECT_EQ(fake_->assignments(0), 2);
 
   long child = 0;
   ASSERT_TRUE(static_cast<bool>(std::ifstream(pid_path) >> child));
-  std::remove(pid_path.c_str());
   ASSERT_GT(child, 0);
   const auto deadline =
       std::chrono::steady_clock::now() + std::chrono::seconds(1);
@@ -188,10 +186,7 @@ TEST_F(ForkFaultTest, RecoversFromIdleTimeout) {
 }
 
 TEST_F(ForkFaultTest, FailsLoudlyWhenRetriesAreExhausted) {
-  ForkPipeTransport transport([this](const std::vector<std::size_t>& a) {
-    ++attempts_[a[0]];
-    return std::vector<std::string>{"/bin/sh", "-c", "exit 3"};
-  });
+  ForkPipeTransport transport({"/bin/sh", "-c", "exit 3"});
   ServeOptions options;
   options.workers = static_cast<int>(shards_);
   options.transport = &transport;
@@ -206,53 +201,65 @@ TEST_F(ForkFaultTest, FailsLoudlyWhenRetriesAreExhausted) {
 }
 
 TEST_F(ForkFaultTest, ProtocolViolationIsNotRetried) {
-  // The worker assigned shard 1 replays shard 0's stream: an unassigned
+  // The worker assigned shard 1 replays shard 0's body: an unassigned
   // shard is a PROTOCOL violation — wrong bytes, not a dead peer — and
   // must fail the run immediately instead of burning retries.
-  ForkPipeTransport transport(
-      [this](const std::vector<std::size_t>& assigned) {
-        ++attempts_[assigned[0]];
-        return std::vector<std::string>{
-            "/bin/cat", paths_[assigned[0] == 1 ? 0 : assigned[0]]};
-      });
-  ServeOptions options;
-  options.workers = static_cast<int>(shards_);
-  options.transport = &transport;
-  EXPECT_THROW(serve_design_space(corpus_, spec_, options), Error);
-  EXPECT_EQ(attempts_[1], 1);
+  FakeWorkerHooks hooks;
+  hooks.before_shard = "if [ \"$s\" = 1 ]; then s=0; fi";
+  expect_serve_error(hooks, "was not assigned");
+  EXPECT_EQ(fake_->assignments(1), 1);
 }
 
 TEST_F(ForkFaultTest, DuplicateShardReplayFailsLoudly) {
-  // A stream delivering its shard twice (e.g. a confused retry wrapper
+  // A worker delivering its shard twice (e.g. a confused retry wrapper
   // replaying a whole round) must be rejected, not double-merged.
-  const std::string& stream = streams_[1];
-  const std::size_t body_begin = stream.find('\n') + 1;  // after header
-  const std::size_t done = stream.find("{\"kind\":\"worker_done\"");
-  ASSERT_NE(done, std::string::npos);
-  const std::string body = stream.substr(body_begin, done - body_begin);
-  const std::string doctored =
-      stream.substr(0, done) + body + stream.substr(done);
-  const std::string path = testing::TempDir() + "transport_dup_" +
-                           std::to_string(::getpid()) + ".ndjson";
-  std::ofstream(path, std::ios::binary) << doctored;
+  FakeWorkerHooks hooks;
+  hooks.before_shard = "if [ \"$s\" = 1 ]; then cat \"$d/body_1\"; fi";
+  expect_serve_error(hooks, "streamed twice");
+}
 
-  ForkPipeTransport transport(
-      [this, &path](const std::vector<std::size_t>& assigned) {
-        return std::vector<std::string>{
-            "/bin/cat", assigned[0] == 1 ? path : paths_[assigned[0]]};
-      });
-  ServeOptions options;
-  options.workers = static_cast<int>(shards_);
-  options.transport = &transport;
-  EXPECT_THROW(serve_design_space(corpus_, spec_, options), Error);
-  std::remove(path.c_str());
+TEST_F(ForkFaultTest, MissedShutdownHandshakeFailsServe) {
+  // Every shard arrives, but the workers exit 0 on shutdown without
+  // the worker_done trailer.
+  FakeWorkerHooks hooks;
+  hooks.on_shutdown = "exit 0";
+  expect_serve_error(hooks, "did not complete the shutdown handshake");
+}
+
+TEST_F(ForkFaultTest, NonzeroExitAfterHandshakeFailsServe) {
+  FakeWorkerHooks hooks;
+  hooks.on_shutdown = "done_line; exit 1";
+  expect_serve_error(hooks, "exited uncleanly");
+}
+
+TEST_F(ForkFaultTest, ServeWaitsForForkedWorkersToExit) {
+  // A worker's --cache save runs after worker_done; serve must not
+  // return before the worker process has exited.
+  FakeWorkerHooks hooks;
+  hooks.on_shutdown =
+      "done_line; sleep 0.2; echo exited >> \"$d/exited\"; exit 0";
+  serve_with(hooks, 0, /*workers=*/2);
+  std::ifstream exited(fake_->path("exited"));
+  int lines = 0;
+  for (std::string line; std::getline(exited, line);) ++lines;
+  EXPECT_EQ(lines, 2);
+}
+
+TEST_F(ForkFaultTest, FirstAssignWaitsForTheHeader) {
+  // A worker still building its corpus is not reading; an assign larger
+  // than the socket buffer, written then, would time out and be lost.
+  // So nothing may arrive before the worker's header: these workers
+  // fail if a byte is waiting for them before they print it.
+  FakeWorkerHooks hooks;
+  hooks.before_header =
+      "sleep 0.2; if timeout 0.2 head -c 1 > /dev/null; then exit 3; fi";
+  const SweepSummary summary = serve_with(hooks);
+  EXPECT_EQ(sweep_to_json(summary), expected_json_);
+  EXPECT_EQ(fake_->spawns(), static_cast<int>(shards_));
 }
 
 TEST_F(ForkFaultTest, StreamsPartialShardsExactlyOnce) {
-  ForkPipeTransport transport(
-      [this](const std::vector<std::size_t>& assigned) {
-        return std::vector<std::string>{"/bin/cat", paths_[assigned[0]]};
-      });
+  ForkPipeTransport transport(fake_->command());
   std::map<std::size_t, std::size_t> completed;  // shard -> used
   std::size_t streamed_cells = 0;
   ServeOptions options;

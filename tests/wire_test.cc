@@ -184,16 +184,6 @@ TEST(WireTest, EmptyAssignRoundTrips) {
   EXPECT_EQ(out.retry, 0u);
 }
 
-TEST(WireTest, ShardAckRoundTrips) {
-  ShardAck ack;
-  ack.shard = 6;
-  const jsonl::JsonValue object = parsed(encoded_line(encode_shard_ack(ack)));
-  EXPECT_EQ(line_kind(object), LineKind::kShardAck);
-  ShardAck out;
-  ASSERT_TRUE(decode_shard_ack(object, out));
-  EXPECT_EQ(out.shard, 6u);
-}
-
 TEST(WireTest, RoundDoneRoundTrips) {
   RoundDone done;
   done.cells = 18;
@@ -245,9 +235,6 @@ TEST(WireTest, DecodersRejectMissingFields) {
                              assign));
   EXPECT_FALSE(decode_assign(
       parsed("{\"kind\":\"assign\",\"retry\":0,\"shards\":[-1]}"), assign));
-
-  ShardAck ack;
-  EXPECT_FALSE(decode_shard_ack(parsed("{\"kind\":\"shard_ack\"}"), ack));
 
   RoundDone round;
   EXPECT_FALSE(decode_round_done(parsed("{\"kind\":\"round_done\"}"),

@@ -12,14 +12,12 @@
 //                                           TCP dial-ins from other
 //                                           hosts; output byte-identical
 //                                           to explore
-//   amdrelc worker    [file.mc] [options]   one serve worker: either
-//                                           computes its --shards list
-//                                           and streams the wire
-//                                           protocol on stdout, or
-//                                           --connect's to a listening
-//                                           coordinator and serves
-//                                           assignment rounds over the
-//                                           socket
+//   amdrelc worker    [file.mc] [options]   one serve worker: serves
+//                                           the wire round protocol on
+//                                           stdin/stdout (as forked by
+//                                           serve) or, with --connect,
+//                                           over a socket to a
+//                                           listening coordinator
 //   amdrelc dump-tac  <file.mc> [options]   lowered three-address code
 //   amdrelc dump-dot  <file.mc> [options]   CDFG in Graphviz DOT
 //   amdrelc cache-merge <out> <in...>       fold sweep cache files into one
@@ -39,6 +37,7 @@
 #include <cstring>
 #include <fstream>
 #include <iostream>
+#include <limits>
 #include <memory>
 #include <optional>
 #include <sstream>
@@ -107,11 +106,10 @@ struct Options {
 
   // serve / worker (the distributed split of explore)
   std::optional<int> workers;
-  std::optional<std::vector<std::size_t>> shards;
   std::string listen_spec;               ///< serve --listen HOST:PORT
   std::string connect_spec;              ///< worker --connect HOST:PORT
   std::string stream_partial_path;       ///< serve --stream-partial PATH
-  std::optional<double> worker_timeout;  ///< serve --worker-timeout seconds
+  std::optional<int> worker_timeout_ms;  ///< serve --worker-timeout, in ms
   std::optional<int> max_retries;        ///< serve --max-retries N
   std::optional<int> fail_after_shards;  ///< worker --fail-after-shards N
 
@@ -459,10 +457,17 @@ const OptionSpec kOptions[] = {
      "the deterministic one)"},
     {"--worker-timeout", true,
      [](Options& o, const std::string& v, const std::string& f) {
-       o.worker_timeout = parse_double(v, f);
-       if (!std::isfinite(*o.worker_timeout) || *o.worker_timeout < 0) {
+       const double seconds = parse_double(v, f);
+       if (!std::isfinite(seconds) || seconds < 0) {
          usage_error(f, "timeout must be >= 0 and finite");
        }
+       const double ms = seconds * 1000.0;
+       if (ms > static_cast<double>(std::numeric_limits<int>::max())) {
+         usage_error(f, "timeout must be at most 2147483 seconds");
+       }
+       // A positive timeout under 1 ms still times out: it must not
+       // truncate to 0, which disables the timeout.
+       o.worker_timeout_ms = seconds > 0 && ms < 1.0 ? 1 : static_cast<int>(ms);
      },
      "serve only: seconds of mid-round silence before a worker is "
      "declared dead and its unfinished shards retried (0 disables; "
@@ -477,37 +482,13 @@ const OptionSpec kOptions[] = {
      },
      "serve only: extra assignment attempts allowed per shard after the "
      "first before the run fails (0 disables retry; default 2)"},
-    {"--shards", true,
-     [](Options& o, const std::string& v, const std::string& f) {
-       // split() drops a trailing empty field; "0,1," must not silently
-       // parse as "0,1".
-       if (v.empty() || v.back() == ',') {
-         usage_error(f, "malformed shard list '" + v + "'");
-       }
-       std::vector<std::size_t> shards;
-       for (const std::string& item : split_list(v)) {
-         const std::int64_t shard = parse_i64(item, f);
-         if (shard < 0) usage_error(f, "shard indices must be >= 0");
-         const auto value = static_cast<std::size_t>(shard);
-         if (std::find(shards.begin(), shards.end(), value) !=
-             shards.end()) {
-           usage_error(f, "duplicate shard " + item);
-         }
-         shards.push_back(value);
-       }
-       if (shards.empty()) usage_error(f, "empty shard list");
-       o.shards = std::move(shards);
-     },
-     "worker only: i,j,... the (app, platform) shard indices this worker "
-     "computes and streams on stdout (normally passed by serve, not "
-     "typed by hand)"},
     {"--connect", true,
      [](Options& o, const std::string& v, const std::string& f) {
        set_host_port(o.connect_spec, v, f);
      },
      "worker only: dial a listening coordinator at HOST:PORT (empty host "
      "= loopback) and serve assignment rounds over the socket instead of "
-     "taking a --shards list"},
+     "on stdin/stdout"},
     {"--fail-after-shards", true,
      [](Options& o, const std::string& v, const std::string& f) {
        const int count = parse_int(v, f);
@@ -542,9 +523,10 @@ const OptionSpec* find_option(const std::string& name) {
   }
   text +=
       "(explore/serve/worker accept --corpus in place of the positional "
-      "file; serve forks `amdrelc worker` processes — or, with --listen, "
-      "accepts `worker --connect` dial-ins — and its sweep output is "
-      "byte-identical to explore)\n";
+      "file; serve forks `amdrelc worker` processes that speak the wire "
+      "protocol on stdin/stdout — or, with --listen, accepts `worker "
+      "--connect` dial-ins — and its sweep output is byte-identical to "
+      "explore)\n";
   std::fprintf(stderr, "%s", text.c_str());
   std::exit(2);
 }
@@ -589,24 +571,17 @@ Options parse_args(int argc, char** argv) {
   }
   // The distributed-split flags are command-specific: the coordinator
   // side (fan-out width, transport address, fault-tolerance knobs,
-  // partial stream) belongs to serve, the assignment side (--shards /
-  // --connect, fault injection) to worker.
+  // partial stream) belongs to serve, the worker side (--connect, fault
+  // injection) to worker.
   if (options.workers && options.command != "serve") usage();
   if (!options.listen_spec.empty() && options.command != "serve") usage();
   if (!options.stream_partial_path.empty() && options.command != "serve") {
     usage();
   }
-  if (options.worker_timeout && options.command != "serve") usage();
+  if (options.worker_timeout_ms && options.command != "serve") usage();
   if (options.max_retries && options.command != "serve") usage();
-  if (options.shards && options.command != "worker") usage();
   if (!options.connect_spec.empty() && options.command != "worker") usage();
   if (options.fail_after_shards && options.command != "worker") usage();
-  // A worker's assignment comes from exactly one source: a --shards list
-  // (static stdout stream) or a --connect coordinator (socket rounds).
-  if (options.command == "worker" &&
-      options.shards.has_value() != options.connect_spec.empty()) {
-    usage();
-  }
   // serve's own cache traffic is zero (its workers compute the cells),
   // so a serve-side stats file would only ever hold zeros.
   if (options.command == "serve" && !options.cache_stats_path.empty()) {
@@ -942,18 +917,19 @@ int cmd_explore(const Options& options) {
 }
 
 // The fork transport's worker command: this binary re-run as `amdrelc
-// worker` with the original sweep flags plus the --shards assignment.
-// The original argv is forwarded verbatim EXCEPT the serve-only flags:
+// worker` with the original sweep flags; it serves rounds on the
+// stdin/stdout the transport hands it. The original argv is forwarded
+// verbatim EXCEPT the serve-only flags:
 // --workers/--listen/--worker-timeout/--max-retries (coordinator
 // concerns) and the artifact outputs --json/--csv/--stream-partial
 // (workers emit wire protocol on stdout, not artifacts; --cache-stats
 // is already rejected for serve in parse_args). --cache IS forwarded:
 // each worker loads the shared file and persists with merge-on-save,
 // exactly the concurrent-writer regime the cache's file lock exists for.
-core::WorkerCommandFn forked_worker_command(int argc, char** argv) {
-  std::vector<std::string> base_command;
-  base_command.push_back(argv[0]);
-  base_command.push_back("worker");
+std::vector<std::string> forked_worker_command(int argc, char** argv) {
+  std::vector<std::string> command;
+  command.push_back(argv[0]);
+  command.push_back("worker");
   for (int i = 2; i < argc; ++i) {
     const std::string arg = argv[i];
     if (arg == "--workers" || arg == "--json" || arg == "--csv" ||
@@ -962,19 +938,9 @@ core::WorkerCommandFn forked_worker_command(int argc, char** argv) {
       ++i;  // skip the flag's value too
       continue;
     }
-    base_command.push_back(arg);
+    command.push_back(arg);
   }
-  return [base_command](const std::vector<std::size_t>& assigned) {
-    std::vector<std::string> command = base_command;
-    std::string joined;
-    for (std::size_t i = 0; i < assigned.size(); ++i) {
-      if (i) joined += ',';
-      joined += std::to_string(assigned[i]);
-    }
-    command.push_back("--shards");
-    command.push_back(joined);
-    return command;
-  };
+  return command;
 }
 
 // Coordinator: reaches workers through the configured transport — forked
@@ -990,9 +956,8 @@ int cmd_serve(const Options& options, int argc, char** argv) {
   core::ServeOptions serve;
   serve.workers = options.workers.value_or(2);
   if (options.max_retries) serve.max_shard_retries = *options.max_retries;
-  if (options.worker_timeout) {
-    serve.idle_timeout_ms =
-        static_cast<int>(*options.worker_timeout * 1000.0);
+  if (options.worker_timeout_ms) {
+    serve.idle_timeout_ms = *options.worker_timeout_ms;
   }
 
   std::unique_ptr<core::Transport> transport;
@@ -1045,11 +1010,11 @@ int cmd_serve(const Options& options, int argc, char** argv) {
   return 0;
 }
 
-// One serve worker. In --shards mode stdout carries ONLY the wire
-// protocol (profiling and cache diagnostics already go to stderr); in
-// --connect mode the same protocol rides the socket and stdout stays
-// free. Serve consumes either through the strict stream validator in
-// core/sweep_service.h.
+// One serve worker. Forked by serve, it speaks the wire round protocol
+// on stdin/stdout, so stdout carries ONLY the protocol (profiling and
+// cache diagnostics already go to stderr); with --connect the same
+// protocol rides the socket and stdout stays free. The cache is saved
+// after the shutdown handshake, before the process exits.
 int cmd_worker(const Options& options) {
   const std::vector<core::CorpusApp> corpus = build_corpus(options);
   core::SweepSpec spec = build_sweep_spec(options);
@@ -1087,8 +1052,8 @@ int cmd_worker(const Options& options) {
     stream.flush();
     require(stream.good(), "worker: cannot write result stream to socket");
   } else {
-    core::run_sweep_worker(corpus, spec, *options.shards, std::cout,
-                           after_shard);
+    core::run_sweep_worker_connected(corpus, spec, std::cin, std::cout,
+                                     after_shard);
     std::cout.flush();
     require(std::cout.good(),
             "worker: cannot write result stream to stdout");
