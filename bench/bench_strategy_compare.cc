@@ -14,7 +14,6 @@
 #include "core/methodology.h"
 #include "core/report.h"
 #include "core/strategy.h"
-#include "ir/packed_graph.h"
 #include "synth/cdfg_generator.h"
 #include "workloads/paper_models.h"
 
@@ -106,39 +105,10 @@ BENCHMARK(BM_EngineFullReprice)
     ->Range(4, 256)
     ->Complexity();
 
-// ---- packed engine vs the legacy IR-walking paths ------------------
-// The data-oriented core flattens per-block quantities into a
-// PackedCdfg (SoA node arrays + CSR adjacency) at mapper construction
-// and prices whole constraint axes from one strategy walk. Each pair
-// below measures a replaced hot path against the node-walking or
-// per-cell equivalent it displaced; the regression gate tracks both so
-// the gap itself is pinned.
-
-void BM_PackedVsLegacy_PackedAsap(benchmark::State& state) {
-  const auto app = make_scaling_app(32);
-  const ir::PackedCdfg packed(app.cdfg);
-  std::vector<std::int32_t> scratch;
-  for (auto _ : state) {
-    std::int64_t sum = 0;
-    for (ir::BlockId b = 0; b < packed.num_blocks(); ++b) {
-      sum += packed.asap_levels_into(b, scratch);
-    }
-    benchmark::DoNotOptimize(sum);
-  }
-}
-BENCHMARK(BM_PackedVsLegacy_PackedAsap);
-
-void BM_PackedVsLegacy_DfgAsap(benchmark::State& state) {
-  const auto app = make_scaling_app(32);
-  for (auto _ : state) {
-    std::int64_t sum = 0;
-    for (const auto& block : app.cdfg.blocks()) {
-      sum += block.dfg.max_asap_level();
-    }
-    benchmark::DoNotOptimize(sum);
-  }
-}
-BENCHMARK(BM_PackedVsLegacy_DfgAsap);
+// ---- batched engine vs the legacy per-cell path --------------------
+// The data-oriented core prices whole constraint axes from one strategy
+// walk. The pair below measures the batched axis against the per-cell
+// runs it displaced, so the gap itself is pinned.
 
 void BM_PackedVsLegacy_BatchedAxis(benchmark::State& state) {
   const auto app = make_scaling_app(16);

@@ -13,8 +13,7 @@ std::int64_t CostModel::reconfig_cycles(
   std::vector<std::int64_t> savings;
   savings.reserve(moved.size());
   for (const ir::BlockId block : moved) {
-    const std::int64_t load =
-        load_cycles(mapper.packed().node_count(block));
+    const std::int64_t load = load_cycles(mapper.node_count(block));
     const std::int64_t w = std::max<std::int64_t>(
         1, static_cast<std::int64_t>(profile.count(block)));
     total += load * w;
@@ -33,7 +32,7 @@ std::int64_t CostModel::moved_units(const HybridMapper& mapper,
                                     const std::vector<ir::BlockId>& moved) {
   std::int64_t units = 0;
   for (const ir::BlockId block : moved) {
-    units += mapper.packed().node_count(block);
+    units += mapper.node_count(block);
   }
   return units;
 }

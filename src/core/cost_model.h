@@ -24,7 +24,7 @@ namespace amdrel::core {
 /// Pricing semantics of the reconfiguration charge, shared by the exact
 /// evaluator below and IncrementalSplit's incremental repricing:
 ///
-///   units(b)  = packed node count of block b (bitstream-size proxy)
+///   units(b)  = DFG node count of block b (bitstream-size proxy)
 ///   load(b)   = model.load_cycles(units(b))          (0 when disabled)
 ///   w(b)      = max(1, profile iterations of b)
 ///   R         = resident_regions() >= 1

@@ -40,20 +40,11 @@ BlockEnergy block_energy(const ir::OpMix& mix, std::int64_t comm_words,
   return be;
 }
 
-BlockEnergy block_energy(const ir::Dfg& dfg,
-                         const finegrain::FpgaBlockMapping& mapping,
-                         std::uint64_t iterations, const EnergyModel& model) {
-  return block_energy(dfg.op_mix(),
-                      dfg.live_in_count() + dfg.live_out_count(), mapping,
-                      iterations, model);
-}
-
 EnergyBreakdown estimate_energy(const HybridMapper& mapper,
                                 const ir::ProfileData& profile,
                                 const std::vector<ir::BlockId>& moved,
                                 const EnergyModel& model) {
   const ir::Cdfg& cdfg = mapper.cdfg();
-  const ir::PackedCdfg& packed = mapper.packed();
   std::vector<bool> is_moved(cdfg.size(), false);
   for (ir::BlockId block : moved) {
     require(block >= 0 && block < cdfg.size(),
@@ -64,8 +55,7 @@ EnergyBreakdown estimate_energy(const HybridMapper& mapper,
   EnergyBreakdown breakdown;
   for (const ir::BasicBlock& block : cdfg.blocks()) {
     const BlockEnergy be = block_energy(
-        packed.op_mix(block.id),
-        packed.live_in_count(block.id) + packed.live_out_count(block.id),
+        mapper.op_mix(block.id), mapper.live_words(block.id),
         mapper.fine(block.id), profile.count(block.id), model);
     if (is_moved[block.id]) {
       breakdown.coarse_pj += be.coarse_pj;

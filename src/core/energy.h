@@ -10,21 +10,15 @@ namespace amdrel::core {
 // through core/methodology.h) so the CostObjective abstraction and the
 // IncrementalSplit energy deltas can use them without this header.
 
-/// Prices one block for both sides of the split (the BlockEnergy struct
-/// lives in core/objective.h with the other energy value types, so the
-/// IncrementalSplit can hold contributions without this header).
-/// `mapping` must be the
-/// block's fine-grain mapping on the platform being priced. Blocks that
-/// never execute contribute nothing (matching estimate_energy, which
-/// skips them including their amortized reconfiguration charge).
-BlockEnergy block_energy(const ir::Dfg& dfg,
-                         const finegrain::FpgaBlockMapping& mapping,
-                         std::uint64_t iterations, const EnergyModel& model);
-
-/// Same pricing from a precomputed op mix and live-in/out word count
-/// (the PackedCdfg per-block cache), so the engine hot paths never walk
-/// DFG nodes to price energy. Bit-identical to the Dfg overload: the
-/// same per-term arithmetic on the same values.
+/// Prices one block for both sides of the split from its op mix and
+/// live-in/out word count (HybridMapper::op_mix / live_words), so the
+/// engine hot paths never walk DFG nodes to price energy. The
+/// BlockEnergy struct lives in core/objective.h with the other energy
+/// value types, so the IncrementalSplit can hold contributions without
+/// this header. `mapping` must be the block's fine-grain mapping on the
+/// platform being priced. Blocks that never execute contribute nothing
+/// (matching estimate_energy, which skips them including their
+/// amortized reconfiguration charge).
 BlockEnergy block_energy(const ir::OpMix& mix, std::int64_t comm_words,
                          const finegrain::FpgaBlockMapping& mapping,
                          std::uint64_t iterations, const EnergyModel& model);

@@ -12,20 +12,23 @@ namespace amdrel::core {
 
 void HybridMapper::build_block_tables() {
   const auto blocks = static_cast<std::size_t>(cdfg_->size());
+  op_mix_.resize(blocks);
+  live_words_.resize(blocks);
+  node_count_.resize(blocks);
   fine_inv_cycles_.resize(blocks);
   amortized_charge_.resize(blocks);
   comm_inv_cycles_.resize(blocks);
-  eligible_.resize(blocks);
   coarse_inv_cycles_.assign(blocks, -1);
   for (std::size_t b = 0; b < blocks; ++b) {
-    const auto id = static_cast<ir::BlockId>(b);
+    const ir::Dfg& dfg = cdfg_->block(static_cast<ir::BlockId>(b)).dfg;
+    op_mix_[b] = dfg.op_mix();
+    live_words_[b] = dfg.live_in_count() + dfg.live_out_count();
+    node_count_[b] = dfg.size();
     fine_inv_cycles_[b] = fine_[b].cycles_per_invocation(platform_->fpga);
     amortized_charge_[b] =
         fine_[b].amortized_reconfigs * platform_->fpga.reconfig_cycles;
-    const std::int64_t words =
-        packed_.live_in_count(id) + packed_.live_out_count(id);
-    comm_inv_cycles_[b] = words * platform_->memory.transfer_cycles_per_word;
-    eligible_[b] = packed_.has_division(id) ? 0 : 1;
+    comm_inv_cycles_[b] =
+        live_words_[b] * platform_->memory.transfer_cycles_per_word;
     if (coarse_.size() > b && coarse_[b].has_value()) {
       coarse_inv_cycles_[b] = coarse_[b]->cycles_per_invocation_fpga;
     }
@@ -34,7 +37,7 @@ void HybridMapper::build_block_tables() {
 
 HybridMapper::HybridMapper(const ir::Cdfg& cdfg,
                            const platform::Platform& platform)
-    : cdfg_(&cdfg), platform_(&platform), packed_(cdfg) {
+    : cdfg_(&cdfg), platform_(&platform) {
   platform::validate_platform(platform);
   fine_ = finegrain::map_cdfg_to_fpga(cdfg, platform.fpga, platform.memory);
   coarse_.resize(static_cast<std::size_t>(cdfg.size()));
@@ -46,7 +49,6 @@ HybridMapper::HybridMapper(const ir::Cdfg& cdfg,
                            const MapperState& state)
     : cdfg_(&cdfg),
       platform_(&platform),
-      packed_(cdfg),
       fine_(state.fine),
       coarse_(state.coarse) {
   platform::validate_platform(platform);
@@ -91,10 +93,6 @@ const coarsegrain::CgcBlockMapping& HybridMapper::coarse(ir::BlockId block) {
         slot->cycles_per_invocation_fpga;
   }
   return *slot;
-}
-
-bool HybridMapper::cgc_eligible(ir::BlockId block) const {
-  return eligible_[static_cast<std::size_t>(block)] != 0;
 }
 
 std::int64_t HybridMapper::fine_cycles_per_invocation(
@@ -185,13 +183,12 @@ IncrementalSplit::IncrementalSplit(HybridMapper& mapper,
     : IncrementalSplit(mapper, profile, objective) {
   if (cost_model == nullptr || !cost_model->prices_reconfiguration()) return;
   cost_model_ = cost_model;
-  const ir::PackedCdfg& packed = mapper.packed();
   const auto blocks = static_cast<std::size_t>(mapper.cdfg().size());
   reconfig_load_.resize(blocks);
   reconfig_saving_.resize(blocks);
   for (std::size_t b = 0; b < blocks; ++b) {
     const auto id = static_cast<ir::BlockId>(b);
-    const std::int64_t load = cost_model->load_cycles(packed.node_count(id));
+    const std::int64_t load = cost_model->load_cycles(mapper.node_count(id));
     const std::int64_t w = std::max<std::int64_t>(1, iters_[b]);
     reconfig_load_[b] = load;
     reconfig_saving_[b] = load * (w - 1);
@@ -228,14 +225,12 @@ IncrementalSplit::IncrementalSplit(HybridMapper& mapper,
   if (!objective.needs_energy()) return;
   // Price every block once; the all-fine starting breakdown accumulates
   // the fine-side terms in block order, matching estimate_energy({}).
-  const ir::PackedCdfg& packed = mapper.packed();
   block_energy_.reserve(blocks);
   for (std::size_t b = 0; b < blocks; ++b) {
     const auto id = static_cast<ir::BlockId>(b);
-    block_energy_.push_back(block_energy(
-        packed.op_mix(id),
-        packed.live_in_count(id) + packed.live_out_count(id),
-        mapper.fine(id), profile.count(id), objective.energy));
+    block_energy_.push_back(block_energy(mapper.op_mix(id),
+                                         mapper.live_words(id), mapper.fine(id),
+                                         profile.count(id), objective.energy));
     const BlockEnergy& be = block_energy_.back();
     energy_.fine_pj += be.fine_pj;
     energy_.comm_pj += be.fine_comm_pj;

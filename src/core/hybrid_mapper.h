@@ -8,7 +8,6 @@
 #include "core/objective.h"
 #include "finegrain/fpga_mapper.h"
 #include "ir/cdfg.h"
-#include "ir/packed_graph.h"
 #include "ir/profile.h"
 #include "platform/platform.h"
 #include "support/bitset.h"
@@ -52,11 +51,11 @@ struct MapperState {
 /// partitioning engine re-evaluates the split after every kernel movement
 /// (paper section 3.4); caching keeps that loop cheap and deterministic.
 ///
-/// Construction also builds a PackedCdfg view of the application and
-/// flattens every per-block quantity the engine hot paths need —
+/// Construction flattens every per-block quantity the engine hot paths
+/// need — each block's op mix, live-in/out word count and node count,
 /// fine-grain invocation cycles, amortized reconfiguration charges,
-/// communication cycles, CGC eligibility — into dense arrays indexed by
-/// block id, so split pricing never walks IR nodes or searches a map.
+/// communication cycles — into dense arrays indexed by block id, so
+/// split and energy pricing never walk IR nodes or search a map.
 class HybridMapper {
  public:
   HybridMapper(const ir::Cdfg& cdfg, const platform::Platform& platform);
@@ -78,9 +77,18 @@ class HybridMapper {
   const ir::Cdfg& cdfg() const { return *cdfg_; }
   const platform::Platform& platform() const { return *platform_; }
 
-  /// The packed, structure-of-arrays view of the application built at
-  /// construction; the engine's zero-allocation traversal substrate.
-  const ir::PackedCdfg& packed() const { return packed_; }
+  /// Per-block summaries of the block's Dfg, computed once at
+  /// construction: Dfg::op_mix(), live_in_count() + live_out_count(),
+  /// and size().
+  const ir::OpMix& op_mix(ir::BlockId block) const {
+    return op_mix_[static_cast<std::size_t>(block)];
+  }
+  std::int64_t live_words(ir::BlockId block) const {
+    return live_words_[static_cast<std::size_t>(block)];
+  }
+  ir::NodeId node_count(ir::BlockId block) const {
+    return node_count_[static_cast<std::size_t>(block)];
+  }
 
   const finegrain::FpgaBlockMapping& fine(ir::BlockId block) const;
 
@@ -88,7 +96,8 @@ class HybridMapper {
   /// blocks the CGC cannot execute (divisions).
   const coarsegrain::CgcBlockMapping& coarse(ir::BlockId block);
 
-  bool cgc_eligible(ir::BlockId block) const;
+  /// False for blocks holding a division, which the CGC cannot execute.
+  bool cgc_eligible(ir::BlockId block) const { return op_mix(block).div == 0; }
 
   std::int64_t fine_cycles_per_invocation(ir::BlockId block) const;
   std::int64_t coarse_cycles_per_invocation(ir::BlockId block);
@@ -124,16 +133,17 @@ class HybridMapper {
 
   const ir::Cdfg* cdfg_;
   const platform::Platform* platform_;
-  ir::PackedCdfg packed_;
   std::vector<finegrain::FpgaBlockMapping> fine_;
   std::vector<std::optional<coarsegrain::CgcBlockMapping>> coarse_;
 
   // Dense per-block tables flattened at construction (block-id indexed).
+  std::vector<ir::OpMix> op_mix_;
+  std::vector<std::int64_t> live_words_;  ///< live-in + live-out count
+  std::vector<ir::NodeId> node_count_;
   std::vector<std::int64_t> fine_inv_cycles_;   ///< cycles_per_invocation
   std::vector<std::int64_t> amortized_charge_;  ///< amortized reconfig cycles
   std::vector<std::int64_t> comm_inv_cycles_;   ///< live words * transfer cost
   std::vector<std::int64_t> coarse_inv_cycles_;  ///< memo; -1 = unscheduled
-  std::vector<std::uint8_t> eligible_;
 };
 
 /// Incrementally-priced fine/coarse split. Starts at the all-fine-grain

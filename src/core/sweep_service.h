@@ -138,10 +138,8 @@ class WorkerStreamConsumer {
 
   std::size_t last_shard() const { return last_shard_; }
   std::size_t last_used() const { return last_used_; }
-  bool round_active() const { return round_active_; }
   bool header_seen() const { return header_seen_; }
   bool connection_done() const { return done_; }
-  std::size_t total_cells() const { return total_cells_; }
   /// Shards of the current round not yet fully streamed — the retry set
   /// when the connection dies mid-round.
   std::vector<std::size_t> round_unfinished() const;

@@ -117,15 +117,4 @@ constexpr std::string_view op_name(OpKind kind) {
   return "?";
 }
 
-constexpr std::string_view op_class_name(OpClass cls) {
-  switch (cls) {
-    case OpClass::kAlu: return "alu";
-    case OpClass::kMul: return "mul";
-    case OpClass::kDiv: return "div";
-    case OpClass::kMem: return "mem";
-    case OpClass::kMeta: return "meta";
-  }
-  return "?";
-}
-
 }  // namespace amdrel::ir

@@ -123,7 +123,7 @@ TEST(ReconfigChargeTest, SingleMovedBlockPaysOneLoad) {
     if (!mapper.cgc_eligible(b)) continue;
     // One moved module always holds a region: it pays exactly one load
     // regardless of its iteration count.
-    const std::int64_t load = model.load_cycles(mapper.packed().node_count(b));
+    const std::int64_t load = model.load_cycles(mapper.node_count(b));
     EXPECT_EQ(model.reconfig_cycles(mapper, app.profile, {b}), load);
   }
 }
@@ -151,7 +151,7 @@ TEST(ReconfigChargeTest, ResidencyDiscountsTheTopSavers) {
   // single region the charge can only grow.
   std::int64_t loads = 0;
   for (const ir::BlockId b : moved) {
-    loads += all_resident.load_cycles(mapper.packed().node_count(b));
+    loads += all_resident.load_cycles(mapper.node_count(b));
   }
   EXPECT_EQ(all_resident.reconfig_cycles(mapper, app.profile, moved), loads);
   EXPECT_GE(one_region.reconfig_cycles(mapper, app.profile, moved), loads);

@@ -1,6 +1,7 @@
 // Pins the data-oriented engine core to the legacy IR-walking paths:
-// the PackedCdfg mirrors every per-block quantity of the Dfgs it was
-// built from, the bitset-backed IncrementalSplit stays bit-identical to
+// HybridMapper's packed per-block tables (op mix, live words, node count,
+// CGC eligibility) mirror the Dfgs they were computed from through both
+// constructors, the bitset-backed IncrementalSplit stays bit-identical to
 // full HybridMapper::evaluate repricing under random move/unmove churn,
 // batched constraint-axis runs reproduce standalone per-cell runs
 // field-for-field (including engine_iterations), and MapperState
@@ -14,7 +15,6 @@
 #include "core/energy.h"
 #include "core/hybrid_mapper.h"
 #include "core/methodology.h"
-#include "ir/packed_graph.h"
 #include "platform/platform.h"
 #include "synth/cdfg_generator.h"
 #include "workloads/paper_models.h"
@@ -31,62 +31,34 @@ synth::SyntheticApp make_app(std::uint64_t seed) {
   return synth::generate_app(config);
 }
 
-// ------------------------------------------------- PackedCdfg vs Dfg --
+// --------------------------------- mapper per-block tables vs Dfg --
 
 class PackedGraphProperty : public ::testing::TestWithParam<std::uint64_t> {
 };
 
 TEST_P(PackedGraphProperty, MirrorsEveryPerBlockQuantity) {
   const synth::SyntheticApp app = make_app(GetParam());
-  const ir::PackedCdfg packed(app.cdfg);
-  ASSERT_EQ(packed.num_blocks(), app.cdfg.size());
+  const auto platform = platform::make_paper_platform(1500, 2);
+  const HybridMapper cold(app.cdfg, platform);
+  const HybridMapper restored(app.cdfg, platform, cold.state());
 
-  std::vector<std::int32_t> scratch;
-  for (const ir::BasicBlock& block : app.cdfg.blocks()) {
-    const ir::Dfg& dfg = block.dfg;
-    ASSERT_EQ(packed.node_count(block.id), dfg.size()) << block.name;
+  for (const HybridMapper* mapper : {&cold, &restored}) {
+    for (const ir::BasicBlock& block : app.cdfg.blocks()) {
+      const ir::Dfg& dfg = block.dfg;
+      const ir::OpMix expect = dfg.op_mix();
+      const ir::OpMix& mix = mapper->op_mix(block.id);
+      EXPECT_EQ(mix.alu, expect.alu) << block.name;
+      EXPECT_EQ(mix.mul, expect.mul) << block.name;
+      EXPECT_EQ(mix.div, expect.div) << block.name;
+      EXPECT_EQ(mix.mem, expect.mem) << block.name;
+      EXPECT_EQ(mix.meta, expect.meta) << block.name;
 
-    const ir::OpMix expect = dfg.op_mix();
-    const ir::OpMix& mix = packed.op_mix(block.id);
-    EXPECT_EQ(mix.alu, expect.alu);
-    EXPECT_EQ(mix.mul, expect.mul);
-    EXPECT_EQ(mix.div, expect.div);
-    EXPECT_EQ(mix.mem, expect.mem);
-    EXPECT_EQ(mix.meta, expect.meta);
-
-    EXPECT_EQ(packed.live_in_count(block.id), dfg.live_in_count());
-    EXPECT_EQ(packed.live_out_count(block.id), dfg.live_out_count());
-    EXPECT_EQ(packed.has_division(block.id), dfg.has_division());
-    EXPECT_EQ(packed.max_asap_level(block.id), dfg.max_asap_level());
-
-    const std::vector<int> levels = dfg.asap_levels();
-    const std::int32_t max_level =
-        packed.asap_levels_into(block.id, scratch);
-    ASSERT_EQ(scratch.size(), levels.size());
-    for (std::size_t i = 0; i < levels.size(); ++i) {
-      EXPECT_EQ(scratch[i], levels[i]) << block.name << " node " << i;
-    }
-    EXPECT_EQ(max_level, packed.max_asap_level(block.id));
-
-    // The CSR adjacency carries the same operand/user lists node by
-    // node, in order.
-    const ir::PackedDfgView view = packed.view(block.id);
-    for (ir::NodeId n = 0; n < dfg.size(); ++n) {
-      const ir::Dfg::Node& node = dfg.node(n);
-      const std::int32_t begin = view.operand_offsets[n];
-      const std::int32_t end = view.operand_offsets[n + 1];
-      ASSERT_EQ(end - begin,
-                static_cast<std::int32_t>(node.operands.size()));
-      for (std::int32_t e = begin; e < end; ++e) {
-        EXPECT_EQ(view.operand_data[e], node.operands[e - begin]);
-      }
-      const std::vector<ir::NodeId>& users = dfg.users(n);
-      const std::int32_t ubegin = view.user_offsets[n];
-      const std::int32_t uend = view.user_offsets[n + 1];
-      ASSERT_EQ(uend - ubegin, static_cast<std::int32_t>(users.size()));
-      for (std::int32_t e = ubegin; e < uend; ++e) {
-        EXPECT_EQ(view.user_data[e], users[e - ubegin]);
-      }
+      EXPECT_EQ(mapper->live_words(block.id),
+                dfg.live_in_count() + dfg.live_out_count())
+          << block.name;
+      EXPECT_EQ(mapper->node_count(block.id), dfg.size()) << block.name;
+      EXPECT_EQ(mapper->cgc_eligible(block.id), !dfg.has_division())
+          << block.name;
     }
   }
 }

@@ -221,6 +221,7 @@ const OptionSpec kOptions[] = {
     {"--constraint", true,
      [](Options& o, const std::string& v, const std::string& f) {
        o.constraint = parse_i64(v, f);
+       if (*o.constraint < 0) usage_error(f, "constraint must be >= 0");
      },
      "timing constraint in FPGA cycles (default: half of the "
      "all-fine-grain cycles)"},
@@ -322,12 +323,15 @@ const OptionSpec kOptions[] = {
     {"--top", true,
      [](Options& o, const std::string& v, const std::string& f) {
        o.top = parse_int(v, f);
+       if (o.top < 0) usage_error(f, "row count must be >= 0");
      },
      "rows to print in analyze (default 10)"},
     {"--constraints", true,
      [](Options& o, const std::string& v, const std::string& f) {
        for (const std::string& item : split_list(v)) {
-         o.constraints.push_back(parse_i64(item, f));
+         const std::int64_t constraint = parse_i64(item, f);
+         if (constraint < 0) usage_error(f, "constraints must be >= 0");
+         o.constraints.push_back(constraint);
        }
      },
      "explore only: c1,c2,... constraint sweep (default: 1/4, 1/2 and "
@@ -399,8 +403,10 @@ const OptionSpec kOptions[] = {
     {"--threads", true,
      [](Options& o, const std::string& v, const std::string& f) {
        o.threads = parse_int(v, f);
+       if (o.threads < 0) usage_error(f, "thread count must be >= 0");
      },
-     "worker threads for the in-process sweep (default 2)"},
+     "worker threads for the in-process sweep (0 = one per core; "
+     "default 2)"},
     {"--cache", true,
      [](Options& o, const std::string& v, const std::string&) {
        set_path(o.cache_path, v);
