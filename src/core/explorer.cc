@@ -183,8 +183,8 @@ void validate_sweep_inputs(const std::vector<CorpusApp>& corpus,
   for (std::size_t i = 0; i < corpus.size(); ++i) {
     for (std::size_t j = i + 1; j < corpus.size(); ++j) {
       require(corpus[i].name != corpus[j].name,
-              "sweep_design_space: duplicate corpus app name '" +
-                  corpus[i].name + "'");
+              "sweep_design_space: duplicate corpus app name '",
+              corpus[i].name, "'");
     }
   }
 }

@@ -53,11 +53,11 @@ HybridMapper::HybridMapper(const ir::Cdfg& cdfg,
       coarse_(state.coarse) {
   platform::validate_platform(platform);
   require(static_cast<ir::BlockId>(fine_.size()) == cdfg.size(),
-          cat("HybridMapper: snapshot covers ", fine_.size(),
-              " blocks but the CDFG has ", cdfg.size()));
+          "HybridMapper: snapshot covers ", fine_.size(),
+          " blocks but the CDFG has ", cdfg.size());
   require(coarse_.size() <= fine_.size(),
-          cat("HybridMapper: snapshot holds ", coarse_.size(),
-              " coarse mappings for ", fine_.size(), " blocks"));
+          "HybridMapper: snapshot holds ", coarse_.size(),
+          " coarse mappings for ", fine_.size(), " blocks");
   // Snapshots persist on disk since cache schema v3, so the block-count
   // vouch above is no longer enough: a snapshot keyed correctly but
   // edited (or decoded from a corrupted line that slipped every other
@@ -67,9 +67,9 @@ HybridMapper::HybridMapper(const ir::Cdfg& cdfg,
     const ir::BasicBlock& bb = cdfg.block(static_cast<ir::BlockId>(b));
     require(static_cast<ir::NodeId>(fine_[b].partitioning.partition_of
                                         .size()) == bb.dfg.size(),
-            cat("HybridMapper: snapshot partitioning of block ", b,
-                " covers ", fine_[b].partitioning.partition_of.size(),
-                " nodes but the block has ", bb.dfg.size()));
+            "HybridMapper: snapshot partitioning of block ", b,
+            " covers ", fine_[b].partitioning.partition_of.size(),
+            " nodes but the block has ", bb.dfg.size());
   }
   coarse_.resize(static_cast<std::size_t>(cdfg.size()));
   build_block_tables();

@@ -139,9 +139,9 @@ std::size_t run_sweep_worker(const std::vector<CorpusApp>& corpus,
   const std::size_t cells_per_shard = sweep_cells_per_shard(spec);
   std::vector<char> claimed(shards, 0);
   for (const std::size_t shard : assigned) {
-    require(shard < shards, cat("run_sweep_worker: shard ", shard,
-                                " out of range (", shards, " shards)"));
-    require(!claimed[shard], cat("run_sweep_worker: duplicate shard ", shard));
+    require(shard < shards, "run_sweep_worker: shard ", shard,
+            " out of range (", shards, " shards)");
+    require(!claimed[shard], "run_sweep_worker: duplicate shard ", shard);
     claimed[shard] = 1;
   }
   const std::vector<Fingerprint> app_fps =
@@ -186,10 +186,10 @@ std::size_t run_sweep_worker_connected(const std::vector<CorpusApp>& corpus,
         require(wire::decode_assign(object, assign),
                 "connected worker: malformed assign line");
         for (const std::size_t s : assign.shards) {
-          require(s < shards, cat("connected worker: shard ", s,
-                                  " out of range (", shards, " shards)"));
+          require(s < shards, "connected worker: shard ", s,
+                  " out of range (", shards, " shards)");
           require(!computed[s],
-                  cat("connected worker: shard ", s, " assigned twice"));
+                  "connected worker: shard ", s, " assigned twice");
           computed[s] = 1;
         }
         const std::size_t round =
@@ -257,7 +257,7 @@ WorkerStreamConsumer::Event WorkerStreamConsumer::feed(
   require(!done_, "worker stream: data after worker_done");
   JsonValue object;
   require(wire::parse_line(line, object),
-          cat("worker stream:", line_no_, ": not a JSON object"));
+          "worker stream:", line_no_, ": not a JSON object");
   const wire::LineKind kind = wire::line_kind(object);
   if (!header_seen_) {
     require(kind == wire::LineKind::kHeader,
@@ -274,7 +274,7 @@ WorkerStreamConsumer::Event WorkerStreamConsumer::feed(
     case wire::LineKind::kWorkerDone: {
       wire::WorkerDone done;
       require(wire::decode_worker_done(object, done),
-              cat("worker stream:", line_no_, ": malformed worker_done"));
+              "worker stream:", line_no_, ": malformed worker_done");
       require(done.cells == total_cells_,
               "worker stream: worker_done cell count mismatch");
       if (dynamic_) {
@@ -285,25 +285,25 @@ WorkerStreamConsumer::Event WorkerStreamConsumer::feed(
       }
       require(round_active_, "worker stream: worker_done outside a round");
       require(round_completed_ == expected_.size(),
-              cat("worker stream: streamed ", round_completed_, " of ",
-                  expected_.size(), " assigned shards"));
+              "worker stream: streamed ", round_completed_, " of ",
+              expected_.size(), " assigned shards");
       round_active_ = false;
       done_ = true;
       return Event::kRoundComplete;
     }
     case wire::LineKind::kRoundDone: {
-      require(dynamic_, cat("worker stream:", line_no_,
-                            ": unexpected kind \"round_done\""));
+      require(dynamic_, "worker stream:", line_no_,
+              ": unexpected kind \"round_done\"");
       require(round_active_ && !in_shard_,
-              cat("worker stream:", line_no_, ": round_done out of place"));
+              "worker stream:", line_no_, ": round_done out of place");
       wire::RoundDone done;
       require(wire::decode_round_done(object, done),
-              cat("worker stream:", line_no_, ": malformed round_done"));
+              "worker stream:", line_no_, ": malformed round_done");
       require(done.cells == round_cells_,
               "worker stream: round_done cell count mismatch");
       require(round_completed_ == expected_.size(),
-              cat("worker stream: round streamed ", round_completed_, " of ",
-                  expected_.size(), " assigned shards"));
+              "worker stream: round streamed ", round_completed_, " of ",
+              expected_.size(), " assigned shards");
       round_active_ = false;
       return Event::kRoundComplete;
     }
@@ -331,19 +331,19 @@ WorkerStreamConsumer::Event WorkerStreamConsumer::feed_header(
 WorkerStreamConsumer::Event WorkerStreamConsumer::feed_shard(
     const JsonValue& object) {
   require(round_active_,
-          cat("worker stream:", line_no_, ": shard outside a round"));
-  require(!in_shard_, cat("worker stream:", line_no_, ": expected cell ",
-                          cur_slot_, " of shard ", cur_shard_));
+          "worker stream:", line_no_, ": shard outside a round");
+  require(!in_shard_, "worker stream:", line_no_, ": expected cell ",
+          cur_slot_, " of shard ", cur_shard_);
   wire::ShardBegin shard;
   require(wire::decode_shard_begin(object, shard),
-          cat("worker stream:", line_no_, ": malformed shard line"));
+          "worker stream:", line_no_, ": malformed shard line");
   require(expected_.count(shard.shard) != 0,
-          cat("worker stream: shard ", shard.shard, " was not assigned"));
+          "worker stream: shard ", shard.shard, " was not assigned");
   require(consumed_.insert(shard.shard).second,
-          cat("worker stream: shard ", shard.shard, " streamed twice"));
+          "worker stream: shard ", shard.shard, " streamed twice");
   require(shard.used <= cells_per_shard_ && shard.used % inner_ == 0,
-          cat("worker stream: shard ", shard.shard, " claims ", shard.used,
-              " cells (capacity ", cells_per_shard_, ")"));
+          "worker stream: shard ", shard.shard, " claims ", shard.used,
+          " cells (capacity ", cells_per_shard_, ")");
   if (shard.used == 0) return complete_shard(shard.shard, 0);
   in_shard_ = true;
   cur_shard_ = shard.shard;
@@ -356,13 +356,13 @@ WorkerStreamConsumer::Event WorkerStreamConsumer::feed_shard(
 WorkerStreamConsumer::Event WorkerStreamConsumer::feed_cell(
     const JsonValue& object) {
   require(round_active_ && in_shard_,
-          cat("worker stream:", line_no_, ": unexpected cell line"));
+          "worker stream:", line_no_, ": unexpected cell line");
   wire::Cell cell;
   require(wire::decode_cell(object, cell),
-          cat("worker stream:", line_no_, ": malformed cell payload"));
+          "worker stream:", line_no_, ": malformed cell payload");
   require(cell.shard == cur_shard_ && cell.slot == cur_slot_,
-          cat("worker stream:", line_no_, ": expected cell ", cur_slot_,
-              " of shard ", cur_shard_));
+          "worker stream:", line_no_, ": expected cell ", cur_slot_,
+          " of shard ", cur_shard_);
 
   // Coordinates derivable from the shard and slot indices are derived
   // HERE, by the slot layout the single-process sweep uses — the wire
@@ -487,7 +487,7 @@ SweepSummary serve_design_space(const std::vector<CorpusApp>& corpus,
   auto note_complete = [&](Conn& conn) {
     const std::size_t s = conn.consumer.last_shard();
     require(!completed[s],
-            cat("serve_design_space: shard ", s, " completed twice"));
+            "serve_design_space: shard ", s, " completed twice");
     completed[s] = 1;
     ++completed_count;
     if (options.on_shard_complete) {
@@ -505,9 +505,9 @@ SweepSummary serve_design_space(const std::vector<CorpusApp>& corpus,
     if (unfinished.empty()) return;
     for (const std::size_t s : unfinished) {
       require(attempts[s] <= options.max_shard_retries,
-              cat("serve_design_space: ", who, " ", why, "; shard ", s,
-                  " already failed ", attempts[s],
-                  " attempt(s); giving up"));
+              "serve_design_space: ", who, " ", why, "; shard ", s,
+              " already failed ", attempts[s],
+              " attempt(s); giving up");
     }
     std::cerr << "amdrelc serve: " << who << " " << why << "; retrying "
               << unfinished.size() << " shard(s)\n";
@@ -677,8 +677,8 @@ SweepSummary serve_design_space(const std::vector<CorpusApp>& corpus,
     drain_until(*conn, [&] { return conn->consumer.connection_done(); });
     require(conn->consumer.connection_done(), handshake_error(*conn));
     require(conn->channel->finish(),
-            cat("serve_design_space: ", conn->channel->describe(),
-                " exited uncleanly"));
+            "serve_design_space: ", conn->channel->describe(),
+            " exited uncleanly");
   }
   conns.clear();
 

@@ -27,9 +27,9 @@ TemporalPartitioning partition_dfg(const ir::Dfg& dfg,
       if (!ir::is_schedulable(node.kind)) continue;
       const double current_area = fpga.area(node.kind);
       require(current_area <= fpga.usable_area,
-              cat("temporal partitioning: operation '", ir::op_name(node.kind),
-                  "' (area ", current_area, ") exceeds A_FPGA = ",
-                  fpga.usable_area));
+              "temporal partitioning: operation '", ir::op_name(node.kind),
+              "' (area ", current_area, ") exceeds A_FPGA = ",
+              fpga.usable_area);
       any_node = true;
       if (area_covered + current_area <= fpga.usable_area) {
         result.partition_of[id] = current;
@@ -86,9 +86,9 @@ TemporalPartitioning partition_dfg_list(const ir::Dfg& dfg,
       if (placed[id] || !ready(id)) continue;
       const double area = fpga.area(dfg.node(id).kind);
       require(area <= fpga.usable_area,
-              cat("list temporal partitioning: operation '",
-                  ir::op_name(dfg.node(id).kind), "' (area ", area,
-                  ") exceeds A_FPGA = ", fpga.usable_area));
+              "list temporal partitioning: operation '",
+              ir::op_name(dfg.node(id).kind), "' (area ", area,
+              ") exceeds A_FPGA = ", fpga.usable_area);
       if (area_covered + area > fpga.usable_area) continue;
       placed[id] = true;
       result.partition_of[id] = current;

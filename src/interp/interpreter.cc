@@ -54,13 +54,13 @@ void Interpreter::set_input(const std::string& array_name,
                             const std::vector<std::int32_t>& values) {
   const int index = program_.find_array(array_name);
   require(index >= 0,
-          cat("interpreter: no array named '", array_name, "'"));
+          "interpreter: no array named '", array_name, "'");
   const ir::ArraySymbol& symbol = program_.arrays[index];
-  require(!symbol.is_const, cat("interpreter: array '", array_name,
-                                "' is const and cannot be an input"));
+  require(!symbol.is_const, "interpreter: array '", array_name,
+          "' is const and cannot be an input");
   require(static_cast<std::int64_t>(values.size()) <= symbol.size,
-          cat("interpreter: input for '", array_name, "' has ",
-              values.size(), " values but the array holds ", symbol.size));
+          "interpreter: input for '", array_name, "' has ",
+          values.size(), " values but the array holds ", symbol.size);
   inputs_[array_name] = values;
 }
 
@@ -68,7 +68,7 @@ const std::vector<std::int32_t>& Interpreter::array(
     const std::string& array_name) const {
   const int index = program_.find_array(array_name);
   require(index >= 0,
-          cat("interpreter: no array named '", array_name, "'"));
+          "interpreter: no array named '", array_name, "'");
   return storage_[index];
 }
 
@@ -119,8 +119,8 @@ RunResult Interpreter::run(std::uint64_t max_instructions) {
           const std::int32_t index = regs[instr.src1];
           require(index >= 0 &&
                       index < static_cast<std::int32_t>(memory.size()),
-                  cat("interpreter: load out of bounds: ",
-                      program_.arrays[instr.array].name, "[", index, "]"));
+                  "interpreter: load out of bounds: ",
+                  program_.arrays[instr.array].name, "[", index, "]");
           regs[instr.dst] = memory[index];
           break;
         }
@@ -129,8 +129,8 @@ RunResult Interpreter::run(std::uint64_t max_instructions) {
           const std::int32_t index = regs[instr.src1];
           require(index >= 0 &&
                       index < static_cast<std::int32_t>(memory.size()),
-                  cat("interpreter: store out of bounds: ",
-                      program_.arrays[instr.array].name, "[", index, "]"));
+                  "interpreter: store out of bounds: ",
+                  program_.arrays[instr.array].name, "[", index, "]");
           memory[index] = regs[instr.src2];
           break;
         }

@@ -2,9 +2,9 @@
 
 #include <map>
 #include <set>
+#include <string>
 
 #include "support/error.h"
-#include "support/strings.h"
 
 namespace amdrel::ir {
 
@@ -55,10 +55,8 @@ Cdfg build_cdfg(const TacProgram& program) {
   // as live-out (may-live approximation, conservative in the right
   // direction for communication costs).
   std::vector<std::set<int>> exposed(program.blocks.size());
-  std::set<int> exposed_anywhere;
   for (std::size_t i = 0; i < program.blocks.size(); ++i) {
     exposed[i] = upward_exposed_uses(program.blocks[i]);
-    exposed_anywhere.insert(exposed[i].begin(), exposed[i].end());
   }
 
   for (const TacBlock& tac_block : program.blocks) {
@@ -73,7 +71,7 @@ Cdfg build_cdfg(const TacProgram& program) {
           !program.reg_names[reg].empty()) {
         return program.reg_names[reg];
       }
-      return cat("%", reg);
+      return "%" + std::to_string(reg);
     };
     auto value_of = [&](int reg) -> NodeId {
       if (const auto it = last_def.find(reg); it != last_def.end()) {

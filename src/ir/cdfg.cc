@@ -22,7 +22,7 @@ BlockId Cdfg::add_block(std::string block_name) {
 
 void Cdfg::add_edge(BlockId from, BlockId to) {
   require(from >= 0 && from < size() && to >= 0 && to < size(),
-          cat("Cdfg::add_edge: bad edge ", from, " -> ", to));
+          "Cdfg::add_edge: bad edge ", from, " -> ", to);
   auto& out = succs_[from];
   if (std::find(out.begin(), out.end(), to) != out.end()) return;
   out.push_back(to);
@@ -35,22 +35,22 @@ void Cdfg::set_entry(BlockId entry) {
 }
 
 BasicBlock& Cdfg::block(BlockId id) {
-  require(id >= 0 && id < size(), cat("Cdfg::block: bad id ", id));
+  require(id >= 0 && id < size(), "Cdfg::block: bad id ", id);
   return blocks_[id];
 }
 
 const BasicBlock& Cdfg::block(BlockId id) const {
-  require(id >= 0 && id < size(), cat("Cdfg::block: bad id ", id));
+  require(id >= 0 && id < size(), "Cdfg::block: bad id ", id);
   return blocks_[id];
 }
 
 const std::vector<BlockId>& Cdfg::successors(BlockId id) const {
-  require(id >= 0 && id < size(), cat("Cdfg::successors: bad id ", id));
+  require(id >= 0 && id < size(), "Cdfg::successors: bad id ", id);
   return succs_[id];
 }
 
 const std::vector<BlockId>& Cdfg::predecessors(BlockId id) const {
-  require(id >= 0 && id < size(), cat("Cdfg::predecessors: bad id ", id));
+  require(id >= 0 && id < size(), "Cdfg::predecessors: bad id ", id);
   return preds_[id];
 }
 
@@ -185,12 +185,12 @@ void Cdfg::validate() const {
   require(entry_ != kNoBlock, "Cdfg::validate: no entry block");
   require(entry_ >= 0 && entry_ < size(), "Cdfg::validate: bad entry id");
   for (BlockId b = 0; b < size(); ++b) {
-    require(blocks_[b].id == b, cat("Cdfg::validate: block ", b,
-                                    " has mismatched id ", blocks_[b].id));
+    require(blocks_[b].id == b, "Cdfg::validate: block ", b,
+            " has mismatched id ", blocks_[b].id);
     blocks_[b].dfg.validate();
     for (BlockId s : succs_[b]) {
       require(s >= 0 && s < size(),
-              cat("Cdfg::validate: bad successor ", s, " of block ", b));
+              "Cdfg::validate: bad successor ", s, " of block ", b);
     }
   }
 }

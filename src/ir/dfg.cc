@@ -12,8 +12,8 @@ NodeId Dfg::add_node(OpKind kind, std::vector<NodeId> operands,
   const NodeId id = size();
   for (NodeId operand : operands) {
     require(operand >= 0 && operand < id,
-            cat("Dfg::add_node: operand ", operand,
-                " out of range for new node ", id));
+            "Dfg::add_node: operand ", operand,
+            " out of range for new node ", id);
   }
   Node node;
   node.kind = kind;
@@ -34,12 +34,12 @@ NodeId Dfg::add_const(std::int64_t value, std::string label) {
 }
 
 const Dfg::Node& Dfg::node(NodeId id) const {
-  require(id >= 0 && id < size(), cat("Dfg::node: bad id ", id));
+  require(id >= 0 && id < size(), "Dfg::node: bad id ", id);
   return nodes_[id];
 }
 
 const std::vector<NodeId>& Dfg::users(NodeId id) const {
-  require(id >= 0 && id < size(), cat("Dfg::users: bad id ", id));
+  require(id >= 0 && id < size(), "Dfg::users: bad id ", id);
   return users_[id];
 }
 
@@ -131,38 +131,38 @@ void Dfg::validate() const {
     const Node& n = nodes_[id];
     for (NodeId operand : n.operands) {
       require(operand >= 0 && operand < id,
-              cat("Dfg::validate: node ", id, " has bad operand ", operand));
+              "Dfg::validate: node ", id, " has bad operand ", operand);
     }
     switch (n.kind) {
       case OpKind::kConst:
       case OpKind::kInput:
         require(n.operands.empty(),
-                cat("Dfg::validate: source node ", id, " has operands"));
+                "Dfg::validate: source node ", id, " has operands");
         break;
       case OpKind::kOutput:
         require(n.operands.size() == 1,
-                cat("Dfg::validate: output node ", id,
-                    " must have exactly one operand"));
+                "Dfg::validate: output node ", id,
+                " must have exactly one operand");
         break;
       case OpKind::kNot:
       case OpKind::kNeg:
       case OpKind::kCopy:
         require(n.operands.size() == 1,
-                cat("Dfg::validate: unary node ", id, " arity != 1"));
+                "Dfg::validate: unary node ", id, " arity != 1");
         break;
       case OpKind::kLoad:
         require(n.operands.size() == 1,
-                cat("Dfg::validate: load node ", id,
-                    " must have exactly one (address) operand"));
+                "Dfg::validate: load node ", id,
+                " must have exactly one (address) operand");
         break;
       case OpKind::kStore:
         require(n.operands.size() == 2,
-                cat("Dfg::validate: store node ", id,
-                    " must have (address, value) operands"));
+                "Dfg::validate: store node ", id,
+                " must have (address, value) operands");
         break;
       default:
         require(n.operands.size() == 2,
-                cat("Dfg::validate: binary node ", id, " arity != 2"));
+                "Dfg::validate: binary node ", id, " arity != 2");
         break;
     }
   }

@@ -33,20 +33,20 @@ void TacProgram::validate() const {
           "TacProgram::validate: bad entry block");
   auto check_reg = [&](int reg, const char* what) {
     require(reg >= 0 && reg < num_regs,
-            cat("TacProgram::validate: bad ", what, " register ", reg));
+            "TacProgram::validate: bad ", what, " register ", reg);
   };
   auto check_block = [&](BlockId b) {
     require(b >= 0 && b < static_cast<BlockId>(blocks.size()),
-            cat("TacProgram::validate: bad target block ", b));
+            "TacProgram::validate: bad target block ", b);
   };
   for (std::size_t bi = 0; bi < blocks.size(); ++bi) {
     const TacBlock& block = blocks[bi];
     require(block.id == static_cast<BlockId>(bi),
-            cat("TacProgram::validate: block ", bi, " id mismatch"));
+            "TacProgram::validate: block ", bi, " id mismatch");
     for (const TacInstr& instr : block.body) {
       require(is_tac_body_op(instr.op),
-              cat("TacProgram::validate: structural op '",
-                  op_name(instr.op), "' in TAC body"));
+              "TacProgram::validate: structural op '",
+              op_name(instr.op), "' in TAC body");
       switch (instr.op) {
         case OpKind::kConst:
           check_reg(instr.dst, "dst");
@@ -71,8 +71,8 @@ void TacProgram::validate() const {
                       instr.array < static_cast<int>(arrays.size()),
                   "TacProgram::validate: store to bad array");
           require(!arrays[instr.array].is_const,
-                  cat("TacProgram::validate: store to const array '",
-                      arrays[instr.array].name, "'"));
+                  "TacProgram::validate: store to const array '",
+                  arrays[instr.array].name, "'");
           break;
         default:  // binary arithmetic
           check_reg(instr.dst, "dst");
@@ -96,12 +96,12 @@ void TacProgram::validate() const {
     }
   }
   for (const ArraySymbol& array : arrays) {
-    require(array.size > 0, cat("TacProgram::validate: array '", array.name,
-                                "' has non-positive size"));
+    require(array.size > 0, "TacProgram::validate: array '", array.name,
+            "' has non-positive size");
     require(array.init.empty() ||
                 static_cast<std::int64_t>(array.init.size()) == array.size,
-            cat("TacProgram::validate: array '", array.name,
-                "' initializer size mismatch"));
+            "TacProgram::validate: array '", array.name,
+            "' initializer size mismatch");
   }
 }
 

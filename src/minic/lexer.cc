@@ -1,6 +1,7 @@
 #include "minic/lexer.h"
 
 #include <cctype>
+#include <cstdint>
 #include <map>
 
 #include "support/error.h"
@@ -143,8 +144,8 @@ class Lexer {
         advance();
         advance();
         while (!(peek() == '*' && peek(1) == '/')) {
-          require(!at_end(), cat("lexer: unterminated block comment at line ",
-                                 start.line));
+          require(!at_end(), "lexer: unterminated block comment at line ",
+                  start.line);
           advance();
         }
         advance();
@@ -178,19 +179,28 @@ class Lexer {
         text.push_back(advance());
       }
       require(!text.empty(),
-              cat("lexer: bad hex literal at line ", token.loc.line));
+              "lexer: bad hex literal at line ", token.loc.line);
     } else {
       while (!at_end() && std::isdigit(static_cast<unsigned char>(peek()))) {
         text.push_back(advance());
       }
     }
-    errno = 0;
+    // Check the bound after every digit: the value is at most 2^31 - 1
+    // before each step, so it never overflows however long the literal.
+    std::int64_t value = 0;
+    for (const char c : text) {
+      const int digit = std::isdigit(static_cast<unsigned char>(c))
+                            ? c - '0'
+                            : std::tolower(static_cast<unsigned char>(c)) -
+                                  'a' + 10;
+      value = value * base + digit;
+      require(value <= 0x7fffffffLL,
+              "lexer: integer literal out of 32-bit range at line ",
+              token.loc.line);
+    }
     token.kind = TokenKind::kIntLiteral;
-    token.int_value = std::stoll(text, nullptr, base);
+    token.int_value = value;
     token.text = std::move(text);
-    require(token.int_value <= 0x7fffffffLL,
-            cat("lexer: integer literal out of 32-bit range at line ",
-                token.loc.line));
   }
 
   void lex_operator(Token& token) {

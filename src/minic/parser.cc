@@ -35,9 +35,9 @@ class Parser {
   const Token& advance() { return tokens_[pos_++]; }
   const Token& expect(TokenKind kind, const char* context) {
     require(check(kind),
-            cat("parse error at line ", peek().loc.line, ", column ",
-                peek().loc.column, ": expected ", token_kind_name(kind),
-                " in ", context, ", got ", token_kind_name(peek().kind)));
+            "parse error at line ", peek().loc.line, ", column ",
+            peek().loc.column, ": expected ", token_kind_name(kind),
+            " in ", context, ", got ", token_kind_name(peek().kind));
     return advance();
   }
   [[noreturn]] void error_here(const std::string& message) const {
@@ -51,8 +51,8 @@ class Parser {
     if (check(TokenKind::kKwVoid) ||
         (check(TokenKind::kKwInt) && peek(1).kind == TokenKind::kIdentifier &&
          peek(2).kind == TokenKind::kLParen)) {
-      require(!is_const, cat("parse error at line ", peek().loc.line,
-                             ": functions cannot be const"));
+      require(!is_const, "parse error at line ", peek().loc.line,
+              ": functions cannot be const");
       program.functions.push_back(parse_function());
     } else {
       program.globals.push_back(parse_decl(is_const));
@@ -91,9 +91,9 @@ class Parser {
         param.dims.push_back(advance().int_value);
       } else {
         require(param.dims.empty(),
-                cat("parse error at line ", param.loc.line,
-                    ": only the first dimension of an array parameter may "
-                    "be omitted"));
+                "parse error at line ", param.loc.line,
+                ": only the first dimension of an array parameter may "
+                "be omitted");
         param.dims.push_back(0);  // "any length", 1-D only
       }
       expect(TokenKind::kRBracket, "parameter");
@@ -115,8 +115,8 @@ class Parser {
     stmt->name = expect(TokenKind::kIdentifier, "declaration").text;
     while (match(TokenKind::kLBracket)) {
       const Token& size = expect(TokenKind::kIntLiteral, "array size");
-      require(size.int_value > 0, cat("parse error at line ", size.loc.line,
-                                      ": array size must be positive"));
+      require(size.int_value > 0, "parse error at line ", size.loc.line,
+              ": array size must be positive");
       stmt->dims.push_back(size.int_value);
       expect(TokenKind::kRBracket, "declaration");
     }

@@ -31,8 +31,8 @@ class Checker {
   void run() {
     for (const auto& function : program_.functions) {
       require(functions_.emplace(function.name, &function).second,
-              cat("semantic error at line ", function.loc.line,
-                  ": redefinition of function '", function.name, "'"));
+              "semantic error at line ", function.loc.line,
+              ": redefinition of function '", function.name, "'");
     }
     if (require_main_) {
       const auto it = functions_.find("main");

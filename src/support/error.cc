@@ -4,8 +4,4 @@ namespace amdrel {
 
 void fail(const std::string& msg) { throw Error(msg); }
 
-void require(bool cond, const std::string& msg) {
-  if (!cond) fail(msg);
-}
-
 }  // namespace amdrel

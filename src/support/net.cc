@@ -105,7 +105,7 @@ sockaddr_in resolve_ipv4(const std::string& host, int port,
   addrinfo* result = nullptr;
   require(::getaddrinfo(host.c_str(), nullptr, &hints, &result) == 0 &&
               result != nullptr,
-          cat(what, ": cannot resolve host \"", host, "\""));
+          what, ": cannot resolve host \"", host, "\"");
   addr.sin_addr =
       reinterpret_cast<const sockaddr_in*>(result->ai_addr)->sin_addr;
   ::freeaddrinfo(result);
@@ -122,10 +122,10 @@ Socket listen_tcp(const std::string& host, int port) {
   sockaddr_in addr = resolve_ipv4(host, port, "listen_tcp");
   require(::bind(sock.fd(), reinterpret_cast<const sockaddr*>(&addr),
                  sizeof addr) == 0,
-          cat("listen_tcp: cannot bind ", host.empty() ? "*" : host, ":",
-              port, " (", std::strerror(errno), ")"));
+          "listen_tcp: cannot bind ", host.empty() ? "*" : host, ":",
+          port, " (", std::strerror(errno), ")");
   require(::listen(sock.fd(), 64) == 0,
-          cat("listen_tcp: listen failed (", std::strerror(errno), ")"));
+          "listen_tcp: listen failed (", std::strerror(errno), ")");
   return sock;
 }
 
@@ -147,8 +147,8 @@ std::optional<Socket> accept_tcp(const Socket& listener, int timeout_ms) {
     if (ready == 0) return std::nullopt;
     const int fd = ::accept(listener.fd(), nullptr, nullptr);
     if (fd < 0 && (errno == EINTR || errno == ECONNABORTED)) continue;
-    require(fd >= 0, cat("accept_tcp: accept failed (", std::strerror(errno),
-                         ")"));
+    require(fd >= 0, "accept_tcp: accept failed (", std::strerror(errno),
+            ")");
     const int one = 1;
     ::setsockopt(fd, IPPROTO_TCP, TCP_NODELAY, &one, sizeof one);
     return Socket(fd);
@@ -171,10 +171,10 @@ Socket connect_tcp(const std::string& host, int port, int timeout_ms) {
     }
     const int error = errno;
     require(error == ECONNREFUSED || error == EINTR || error == ETIMEDOUT,
-            cat("connect_tcp: cannot connect ", target, ":", port, " (",
-                std::strerror(error), ")"));
+            "connect_tcp: cannot connect ", target, ":", port, " (",
+            std::strerror(error), ")");
     require(std::chrono::steady_clock::now() < deadline,
-            cat("connect_tcp: timed out connecting ", target, ":", port));
+            "connect_tcp: timed out connecting ", target, ":", port);
     std::this_thread::sleep_for(std::chrono::milliseconds(50));
   }
 }

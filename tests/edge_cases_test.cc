@@ -3,6 +3,10 @@
 
 #include <gtest/gtest.h>
 
+#include <ostream>
+#include <string>
+#include <string_view>
+
 #include "core/baselines.h"
 #include "core/methodology.h"
 #include "core/report.h"
@@ -10,6 +14,7 @@
 #include "ir/build_cdfg.h"
 #include "minic/frontend.h"
 #include "support/error.h"
+#include "support/strings.h"
 #include "workloads/paper_models.h"
 
 namespace amdrel {
@@ -300,6 +305,64 @@ TEST(ErrorPaths, TacValidateCatchesStoreToConst) {
   tac.blocks.push_back(block);
   tac.entry = 0;
   EXPECT_THROW(tac.validate(), Error);
+}
+
+// ---- require ----------------------------------------------------------------
+
+// A message part that counts how often it is formatted.
+struct CountedPart {
+  int* streamed;
+};
+
+std::ostream& operator<<(std::ostream& os, const CountedPart& part) {
+  ++*part.streamed;
+  return os << "counted";
+}
+
+template <class... Parts>
+std::string failure_message(const Parts&... parts) {
+  try {
+    require(false, parts...);
+  } catch (const Error& e) {
+    return e.what();
+  }
+  ADD_FAILURE() << "require(false, ...) did not throw";
+  return {};
+}
+
+TEST(Require, PassingCheckFormatsNoPart) {
+  int streamed = 0;
+  const CountedPart part{&streamed};
+  for (int i = 0; i < 3; ++i) require(true, "bad id ", part, ' ', i);
+  EXPECT_EQ(streamed, 0);
+  EXPECT_THROW(require(false, "bad id ", part), Error);
+  EXPECT_EQ(streamed, 1);
+}
+
+TEST(Require, FailureMessageIsCatOfParts) {
+  EXPECT_EQ(failure_message("interpreter: division by zero"),
+            cat("interpreter: division by zero"));
+  const std::string owned = "cannot open missing.mc";
+  EXPECT_EQ(failure_message(owned), cat(owned));
+  const std::string_view view = "block";
+  const std::string tail = " of 3";
+  EXPECT_EQ(failure_message("Dfg::node: bad id ", 42, ' ', view, ':', -7, tail),
+            cat("Dfg::node: bad id ", 42, ' ', view, ':', -7, tail));
+  EXPECT_EQ(failure_message("Dfg::node: bad id ", 42, ' ', view, ':', -7, tail),
+            "Dfg::node: bad id 42 block:-7 of 3");
+}
+
+TEST(Require, LiteralMessageMatchesStringMessage) {
+  // A lone literal throws the bytes a std::string message built from
+  // the same literal did.
+  std::string string_message;
+  try {
+    fail(std::string("interpreter: division by zero"));
+  } catch (const Error& e) {
+    string_message = e.what();
+  }
+  EXPECT_EQ(failure_message("interpreter: division by zero"), string_message);
+  EXPECT_EQ(string_message, "interpreter: division by zero");
 }
 
 }  // namespace

@@ -2,6 +2,8 @@
 
 #include <gtest/gtest.h>
 
+#include <string>
+
 #include "minic/lexer.h"
 #include "minic/parser.h"
 #include "minic/sema.h"
@@ -53,6 +55,37 @@ TEST(LexerTest, BlockCommentsAndNesting) {
 TEST(LexerTest, RejectsStrayCharacters) {
   EXPECT_THROW(tokenize("int $x;"), Error);
   EXPECT_THROW(tokenize("int x = 99999999999;"), Error);  // > int32
+}
+
+// Literals past int64 must fail like any other out-of-range literal,
+// not with std::out_of_range from the conversion.
+void expect_out_of_range(const std::string& source) {
+  try {
+    tokenize(source);
+    ADD_FAILURE() << "no error for " << source;
+  } catch (const Error& e) {
+    EXPECT_STREQ(e.what(),
+                 "lexer: integer literal out of 32-bit range at line 2");
+  }
+}
+
+TEST(LexerTest, RejectsLiteralsPastInt64) {
+  expect_out_of_range("\nint x = 99999999999999999999;");
+  expect_out_of_range("\nint x = 0x10000000000000000;");
+  expect_out_of_range("\nint x = 0xFFFFFFFFFFFFFFFFFFFF;");
+  expect_out_of_range("\nint x = 2147483648;");
+  expect_out_of_range("\nint x = 0x80000000;");
+}
+
+TEST(LexerTest, AcceptsInt32Bounds) {
+  const auto tokens =
+      tokenize("2147483647 0x7fffffff 0x7FFFFFFF 000000000000000000000042 0");
+  EXPECT_EQ(tokens[0].int_value, 2147483647);
+  EXPECT_EQ(tokens[1].int_value, 0x7fffffff);
+  EXPECT_EQ(tokens[2].int_value, 0x7fffffff);
+  EXPECT_EQ(tokens[3].int_value, 42);
+  EXPECT_EQ(tokens[3].text, "000000000000000000000042");
+  EXPECT_EQ(tokens[4].int_value, 0);
 }
 
 // ---- parser ----------------------------------------------------------------

@@ -610,7 +610,7 @@ Options parse_args(int argc, char** argv) {
 
 std::string read_file(const std::string& path) {
   std::ifstream in(path);
-  require(in.good(), "cannot open " + path);
+  require(in.good(), "cannot open ", path);
   std::ostringstream ss;
   ss << in.rdbuf();
   return ss.str();
@@ -765,7 +765,7 @@ void write_output_file(const std::string& path, const std::string& content,
   std::ofstream out(path, std::ios::binary);
   out << content;
   out.flush();  // surface ENOSPC-style errors before the good() check
-  require(out.good(), std::string("cannot write ") + path);
+  require(out.good(), "cannot write ", path);
   std::fprintf(stderr, "wrote sweep %s to %s\n", what, path.c_str());
 }
 
@@ -989,7 +989,7 @@ int cmd_serve(const Options& options, int argc, char** argv) {
   if (!options.stream_partial_path.empty()) {
     for (const core::CorpusApp& app : corpus) app_names.push_back(app.name);
     partial.open(options.stream_partial_path, std::ios::binary);
-    require(partial.good(), "cannot write " + options.stream_partial_path);
+    require(partial.good(), "cannot write ", options.stream_partial_path);
     core::write_partial_stream_header(partial, shards);
     serve.on_shard_complete = [&partial, &app_names](
                                   std::size_t shard,
@@ -1003,7 +1003,7 @@ int cmd_serve(const Options& options, int argc, char** argv) {
   const auto summary = core::serve_design_space(corpus, spec, serve);
   if (!options.stream_partial_path.empty()) {
     partial.flush();
-    require(partial.good(), "cannot write " + options.stream_partial_path);
+    require(partial.good(), "cannot write ", options.stream_partial_path);
     std::fprintf(stderr, "wrote partial shard stream to %s\n",
                  options.stream_partial_path.c_str());
   }
