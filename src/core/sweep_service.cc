@@ -1,5 +1,6 @@
 #include "core/sweep_service.h"
 
+#include <algorithm>
 #include <atomic>
 #include <chrono>
 #include <condition_variable>
@@ -26,17 +27,11 @@ namespace amdrel::core {
 
 using jsonl::JsonValue;
 
-std::vector<std::vector<std::size_t>> partition_shards(std::size_t shard_count,
-                                                       int workers) {
-  require(workers >= 1, "partition_shards: workers must be >= 1");
-  std::vector<std::vector<std::size_t>> out(static_cast<std::size_t>(workers));
-  for (std::size_t s = 0; s < shard_count; ++s) {
-    out[s % out.size()].push_back(s);
-  }
-  return out;
-}
-
 namespace {
+
+/// How long serve waits for a worker to materialize when the run cannot
+/// progress without one: at launch, and whenever no worker is live.
+constexpr int kSpawnTimeoutMs = 60000;
 
 /// Computes `assigned` shards and streams them in assigned order —
 /// shared by the one-shot and the serve worker. Honors spec.threads
@@ -444,12 +439,8 @@ SweepSummary serve_design_space(const std::vector<CorpusApp>& corpus,
           "serve_design_space: no transport configured");
   const std::size_t shards = sweep_shard_count(corpus, spec);
   const std::size_t cells_per_shard = sweep_cells_per_shard(spec);
-  int workers = options.workers < 1 ? 1 : options.workers;
-  if (static_cast<std::size_t>(workers) > shards) {
-    workers = static_cast<int>(shards);
-  }
-  const std::vector<std::vector<std::size_t>> partition =
-      partition_shards(shards, workers);
+  const std::size_t width =
+      static_cast<std::size_t>(std::max(1, options.workers));
 
   SweepSummary summary;
   summary.apps.reserve(corpus.size());
@@ -482,7 +473,11 @@ SweepSummary serve_design_space(const std::vector<CorpusApp>& corpus,
   std::vector<int> attempts(shards, 0);
   std::vector<char> completed(shards, 0);
   std::size_t completed_count = 0;
-  std::deque<std::size_t> pending;
+  // The one place a shard waits for a worker: at the start, and again
+  // after a failed attempt. Every unfinished shard is either here or in
+  // the round of a live worker.
+  std::deque<std::size_t> queue;
+  for (std::size_t s = 0; s < shards; ++s) queue.push_back(s);
 
   auto note_complete = [&](Conn& conn) {
     const std::size_t s = conn.consumer.last_shard();
@@ -497,7 +492,7 @@ SweepSummary serve_design_space(const std::vector<CorpusApp>& corpus,
   };
 
   // Charges one failed attempt to every unfinished shard of a dead
-  // round and queues them for reassignment — or gives up loudly once a
+  // round and queues them for the survivors — or gives up loudly once a
   // shard exhausts its budget.
   auto charge_and_queue = [&](const std::vector<std::size_t>& unfinished,
                               const std::string& who,
@@ -511,55 +506,59 @@ SweepSummary serve_design_space(const std::vector<CorpusApp>& corpus,
     }
     std::cerr << "amdrelc serve: " << who << " " << why << "; retrying "
               << unfinished.size() << " shard(s)\n";
-    for (const std::size_t s : unfinished) pending.push_back(s);
+    queue.insert(queue.end(), unfinished.begin(), unfinished.end());
   };
 
-  // Hands `batch` to a worker: an idle survivor if one is live, else a
-  // fresh channel from the transport (waiting up to timeout_ms). False
-  // if no worker materialized.
-  auto start_round = [&](const std::vector<std::size_t>& batch,
-                         int timeout_ms) -> bool {
+  // The one place a batch is handed to a worker. Guided self-scheduling
+  // (Polychronopoulos & Kuck, 1987): the first ceil(queued / width)
+  // shards, so one worker gets the whole sweep in one assign and N
+  // workers get shrinking batches whose tail an idle worker steals. A
+  // fresh worker's assign waits for its header. False, with the batch
+  // still queued, if the assign cannot be written.
+  auto assign = [&](Conn& conn) -> bool {
+    const auto end = queue.begin() + static_cast<std::ptrdiff_t>(
+                                         (queue.size() + width - 1) / width);
+    const std::vector<std::size_t> batch(queue.begin(), end);
     std::size_t retry = 0;
     for (const std::size_t s : batch) {
       retry = std::max(retry, static_cast<std::size_t>(attempts[s]));
     }
-    const std::string assign = wire::encode_assign({batch, retry});
-    Conn* target = nullptr;
-    for (const std::unique_ptr<Conn>& conn : conns) {
-      // A write-broken survivor is skipped; it is culled when its fd
-      // closes.
-      if (!conn->busy && conn->channel->write_line(assign)) {
-        target = conn.get();
-        break;
-      }
+    const std::string line = wire::encode_assign({batch, retry});
+    if (!conn.consumer.header_seen()) {
+      conn.first_assign = line;
+    } else if (!conn.channel->write_line(line)) {
+      return false;
     }
-    if (target == nullptr) {
-      std::unique_ptr<WorkerChannel> channel =
-          options.transport->open_worker(timeout_ms);
-      if (!channel) return false;
-      conns.push_back(std::make_unique<Conn>(std::move(channel), corpus, spec,
-                                             summary, shard_used));
-      target = conns.back().get();
-      target->first_assign = assign;
-    }
-    target->consumer.begin_round(batch);
-    target->busy = true;
-    target->last_activity = Clock::now();
+    queue.erase(queue.begin(), end);
+    conn.consumer.begin_round(batch);
+    conn.busy = true;
+    conn.last_activity = Clock::now();
     for (const std::size_t s : batch) ++attempts[s];
     return true;
   };
 
-  // Initial launch: one round per non-empty partition slot. A slot whose
-  // worker never materializes (e.g. fewer dial-ins than --workers) is
-  // queued for reassignment rather than failed — survivors absorb it.
-  for (const std::vector<std::size_t>& slot : partition) {
-    if (slot.empty()) continue;
-    if (!start_round(slot, options.spawn_timeout_ms)) {
-      std::cerr << "amdrelc serve: no worker for a batch of " << slot.size()
-                << " shard(s); queued for reassignment\n";
-      for (const std::size_t s : slot) pending.push_back(s);
+  // Opens up to `width` fresh workers while shards are queued, each
+  // bound to its batch. Runs at the start and again only when no worker
+  // is live, so survivors always take a dead worker's shards first.
+  auto launch = [&] {
+    std::size_t tried = 0;
+    std::size_t started = 0;
+    for (; tried < width && !queue.empty(); ++tried) {
+      std::unique_ptr<WorkerChannel> channel =
+          options.transport->open_worker(kSpawnTimeoutMs);
+      if (!channel) continue;
+      conns.push_back(std::make_unique<Conn>(std::move(channel), corpus, spec,
+                                             summary, shard_used));
+      assign(*conns.back());
+      ++started;
     }
-  }
+    require(started > 0, "serve_design_space: no worker available for ",
+            queue.size(), " unfinished shard(s)");
+    if (started < tried) {
+      std::cerr << "amdrelc serve: " << started << " of " << width
+                << " worker(s) started\n";
+    }
+  };
 
   auto fail_conn = [&](Conn& conn, const std::string& why) {
     charge_and_queue(conn.consumer.round_unfinished(),
@@ -586,31 +585,16 @@ SweepSummary serve_design_space(const std::vector<CorpusApp>& corpus,
   };
 
   while (completed_count < shards) {
-    // Dispatch queued retries: an idle survivor or an opportunistic
-    // (non-blocking) fresh channel; if nothing is in flight at all,
-    // block on the transport — and give up loudly if even that yields
-    // no worker.
-    if (!pending.empty()) {
-      const std::vector<std::size_t> batch(pending.begin(), pending.end());
-      if (start_round(batch, 0)) {
-        pending.clear();
+    if (conns.empty()) launch();
+    // Every idle live worker takes the next batch. One whose assign
+    // cannot be written is dropped; nothing was handed to it.
+    for (auto it = conns.begin(); it != conns.end();) {
+      if (!(*it)->busy && !queue.empty() && !assign(**it)) {
+        it = conns.erase(it);
       } else {
-        bool any_busy = false;
-        for (const std::unique_ptr<Conn>& conn : conns) {
-          any_busy = any_busy || conn->busy;
-        }
-        if (!any_busy) {
-          if (start_round(batch, options.spawn_timeout_ms)) {
-            pending.clear();
-          } else {
-            fail(cat("serve_design_space: no worker available for ",
-                     batch.size(), " unfinished shard(s)"));
-          }
-        }
+        ++it;
       }
     }
-    require(!conns.empty() || !pending.empty(),
-            "serve_design_space: no workers and no pending work");
     if (conns.empty()) continue;
 
     std::vector<pollfd> fds;
@@ -630,7 +614,7 @@ SweepSummary serve_design_space(const std::vector<CorpusApp>& corpus,
       const bool readable =
           (fds[i].revents & (POLLIN | POLLHUP | POLLERR)) != 0;
       if (readable && !drain_conn(conn)) {
-        // Gone mid-round: its unfinished shards are retried. Gone
+        // Gone mid-round: its unfinished shards are queued again. Gone
         // between rounds: nothing is lost. Either way ~Conn reaps it.
         if (conn.busy) fail_conn(conn, "disconnected mid-round");
         continue;

@@ -18,13 +18,16 @@ namespace amdrel::core {
 // Distributed sweep service: the coordinator/worker split of
 // sweep_design_space (ROADMAP direction 1, "serve a corpus on a fleet").
 //
-// Topology: `amdrelc serve` partitions the deterministic (app, platform)
-// shard index round-robin across N workers reached through a pluggable
-// core::Transport — locally forked `amdrelc worker` processes talking
-// on their stdin/stdout (ForkPipeTransport) or `amdrelc worker
-// --connect` dial-ins over TCP (TcpTransport). Both speak one protocol:
-// the coordinator sends "assign" batches, and every worker runs its
-// shards through compute_sweep_shard — the EXACT code path a
+// Topology: `amdrelc serve` keeps the deterministic (app, platform)
+// shard indices in one queue and hands them out to N workers reached
+// through a pluggable core::Transport — locally forked `amdrelc worker`
+// processes talking on their stdin/stdout (ForkPipeTransport) or
+// `amdrelc worker --connect` dial-ins over TCP (TcpTransport). Each idle
+// worker takes the next batch, the first ceil(queued / N) shards (guided
+// self-scheduling), so one worker gets the whole sweep in one assign and
+// N workers get shrinking batches whose tail the first idle one steals.
+// Both transports speak one protocol: the coordinator sends "assign"
+// batches, and every worker runs its shards through compute_sweep_shard — the EXACT code path a
 // single-process sweep's threads run — and streams the resulting cell
 // groups back as newline-delimited JSON (core/wire.h). The coordinator
 // writes each streamed cell into the slot the single-process layout
@@ -34,13 +37,14 @@ namespace amdrel::core {
 // worker failure — by construction rather than by comparison.
 //
 // Fault tolerance: the coordinator tracks per-worker health (disconnect
-// detection plus an idle timeout) and retries a dead worker's
-// *unfinished* shards — on an idle surviving worker first, else on a
-// newly accepted dial-in or a respawned process — up to a bounded
-// number of attempts per shard. Re-computation is safe because cells are
-// content-addressed and deterministic: a retried shard overwrites the
-// dead worker's partial cells with identical bytes, and a shard counts
-// as done exactly once.
+// detection plus an idle timeout) and puts a dead worker's *unfinished*
+// shards back on the queue, where the surviving workers take them. Fresh
+// workers — newly accepted dial-ins or respawned processes — are opened
+// only when no worker is left. Each shard gets a bounded number of
+// attempts. Re-computation is safe because cells are content-addressed
+// and deterministic: a retried shard overwrites the dead worker's
+// partial cells with identical bytes, and a shard counts as done exactly
+// once.
 //
 // Failure semantics: strict where it must be. A version-mismatched
 // header, an unassigned or repeated shard, an out-of-order slot, a
@@ -57,13 +61,6 @@ namespace amdrel::core {
 // constant in core/schema.h; the line grammar and codecs live in
 // core/wire.h. The coordinator rejects a worker speaking a different
 // version.
-
-/// Round-robin partition of shards 0..shard_count-1 across `workers`
-/// slots: shard s goes to slot s % workers. Deterministic and balanced
-/// to within one shard; slots can be empty only when workers >
-/// shard_count.
-std::vector<std::vector<std::size_t>> partition_shards(std::size_t shard_count,
-                                                       int workers);
 
 /// Observation hook: called after each shard a worker emits, with the
 /// running count of shards emitted on this stream. The CLI's
@@ -194,8 +191,9 @@ void consume_worker_stream(std::istream& in,
 /// How serve_design_space reaches workers and how patient it is with
 /// them.
 struct ServeOptions {
-  /// Worker count (initial partition width); clamped to [1, shard
-  /// count].
+  /// Fleet width: how many workers serve opens (never more than there
+  /// are queued shards), and the divisor of each batch. Values below 1
+  /// count as 1.
   int workers = 1;
   /// Channel factory (core/transport.h). Required; not owned.
   Transport* transport = nullptr;
@@ -205,10 +203,6 @@ struct ServeOptions {
   /// A worker whose stream stays silent this long mid-round is declared
   /// dead and its unfinished shards retried. <= 0 disables the timeout.
   int idle_timeout_ms = 300000;
-  /// How long open_worker may wait for a worker to materialize when the
-  /// run cannot progress without one (initial launch and retries with no
-  /// survivors).
-  int spawn_timeout_ms = 60000;
   /// Streaming partial results: called as each shard completes — in
   /// completion order, exactly once per shard — with (shard index, its
   /// cells in slot order, used count). The cells live in the summary
@@ -217,14 +211,14 @@ struct ServeOptions {
       on_shard_complete;
 };
 
-/// Coordinator: partitions the sweep across workers reached through
-/// options.transport, merges their streams with per-worker health
-/// tracking and bounded shard retry, and finalizes the summary. The
-/// result is byte-identical to sweep_design_space(corpus, spec) at any
-/// worker count and under any injected worker failure that stays within
-/// the retry budget. Throws Error on protocol violations, on a shard
-/// exhausting its retries, or when the platform lacks poll/fork
-/// (non-POSIX builds).
+/// Coordinator: hands the sweep's shards out from one queue to workers
+/// reached through options.transport, merges their streams with
+/// per-worker health tracking and bounded shard retry, and finalizes the
+/// summary. The result is byte-identical to sweep_design_space(corpus,
+/// spec) at any worker count and under any injected worker failure that
+/// stays within the retry budget. Throws Error on protocol violations,
+/// on a shard exhausting its retries, when no worker materializes, or
+/// when the platform lacks poll/fork (non-POSIX builds).
 SweepSummary serve_design_space(const std::vector<CorpusApp>& corpus,
                                 const SweepSpec& spec,
                                 const ServeOptions& options);

@@ -3,9 +3,9 @@
 // prints the header, answers each assign by cat-ing shard bodies that
 // the real worker (run_sweep_worker_connected) rendered in-process plus
 // a round_done, and answers shutdown with worker_done. Shell hooks let a
-// test inject a fault at a chosen shard or step. Every spawn and every
-// assigned shard is logged, so tests can assert retries without
-// depending on which worker a retry lands on.
+// test inject a fault at a chosen shard or step. Every spawn, every
+// assign's shard list, every assigned shard and every served (shard,
+// pid) pair is logged, so tests can assert retries and batch shapes.
 
 #pragma once
 
@@ -13,6 +13,7 @@
 
 #include <unistd.h>
 
+#include <algorithm>
 #include <cstddef>
 #include <filesystem>
 #include <fstream>
@@ -92,11 +93,13 @@ class FakeWorker {
         "  case $line in\n"
         "    *'\"kind\":\"assign\"'*)\n"
         "      list=${line#*\\[}; list=${list%\\]*}\n"
+        "      echo \"$list\" >> \"$d/rounds\"\n"
         "      cells=0\n"
         "      for s in $(echo \"$list\" | tr , ' '); do\n"
         "        echo \"$s\" >> \"$d/assigned\"\n"
         "        " + hook(hooks.before_shard) + "\n"
         "        cat \"$d/body_$s\"\n"
+        "        echo \"$s $$\" >> \"$d/served\"\n"
         "        cells=$((cells + $(cat \"$d/count_$s\")))\n"
         "      done\n"
         "      total=$((total + cells))\n"
@@ -119,22 +122,36 @@ class FakeWorker {
   }
 
   /// How many fake workers have started.
-  int spawns() const { return count_lines("spawns", nullptr); }
+  int spawns() const { return static_cast<int>(lines("spawns").size()); }
 
   /// How many times `shard` has been assigned to any fake worker.
   int assignments(std::size_t shard) const {
-    const std::string wanted = std::to_string(shard);
-    return count_lines("assigned", &wanted);
+    const std::vector<std::string> assigned = lines("assigned");
+    return static_cast<int>(
+        std::count(assigned.begin(), assigned.end(), std::to_string(shard)));
+  }
+
+  /// Every assign's shard list in arrival order, e.g. "0,1,2,3".
+  std::vector<std::string> rounds() const { return lines("rounds"); }
+
+  /// The pids of the fake workers that served `shard`, in order.
+  std::vector<std::string> servers(std::size_t shard) const {
+    const std::string prefix = std::to_string(shard) + " ";
+    std::vector<std::string> pids;
+    for (const std::string& line : lines("served")) {
+      if (line.rfind(prefix, 0) == 0) {
+        pids.push_back(line.substr(prefix.size()));
+      }
+    }
+    return pids;
   }
 
  private:
-  int count_lines(const std::string& file, const std::string* match) const {
+  std::vector<std::string> lines(const std::string& file) const {
     std::ifstream in(path(file));
-    int n = 0;
-    for (std::string line; std::getline(in, line);) {
-      n += match == nullptr || line == *match;
-    }
-    return n;
+    std::vector<std::string> out;
+    for (std::string line; std::getline(in, line);) out.push_back(line);
+    return out;
   }
 
   std::string dir_;

@@ -9,7 +9,6 @@
 #include "core/sweep_service.h"
 
 #include <algorithm>
-#include <numeric>
 #include <sstream>
 #include <string>
 #include <thread>
@@ -39,40 +38,10 @@ SweepSpec small_spec(int threads, SweepCache* cache) {
   return spec;
 }
 
-TEST(SweepServiceTest, PartitionShardsIsRoundRobinAndComplete) {
-  const auto split = partition_shards(7, 3);
-  ASSERT_EQ(split.size(), 3u);
-  EXPECT_EQ(split[0], (std::vector<std::size_t>{0, 3, 6}));
-  EXPECT_EQ(split[1], (std::vector<std::size_t>{1, 4}));
-  EXPECT_EQ(split[2], (std::vector<std::size_t>{2, 5}));
-
-  // Every shard appears exactly once, for any (count, workers) shape;
-  // slot sizes are balanced to within one.
-  for (const std::size_t count : {0u, 1u, 5u, 16u}) {
-    for (const int workers : {1, 2, 3, 8}) {
-      const auto parts = partition_shards(count, workers);
-      ASSERT_EQ(parts.size(), static_cast<std::size_t>(workers));
-      std::vector<std::size_t> seen;
-      std::size_t smallest = count, largest = 0;
-      for (const auto& part : parts) {
-        smallest = std::min(smallest, part.size());
-        largest = std::max(largest, part.size());
-        seen.insert(seen.end(), part.begin(), part.end());
-      }
-      std::sort(seen.begin(), seen.end());
-      std::vector<std::size_t> expected(count);
-      std::iota(expected.begin(), expected.end(), 0u);
-      EXPECT_EQ(seen, expected) << count << " shards, " << workers;
-      EXPECT_LE(largest - smallest, 1u) << count << " shards, " << workers;
-    }
-  }
-  EXPECT_THROW(partition_shards(4, 0), Error);
-  EXPECT_THROW(partition_shards(4, -1), Error);
-}
-
-// Runs the full worker->wire->coordinator loop in-process for a given
-// worker split and returns the finalized summary, exercising exactly
-// what serve_design_space does minus fork/pipe plumbing.
+// Runs the full worker->wire->coordinator loop in-process, one one-shot
+// stream per worker over a round-robin split (shard s to worker
+// s % workers), and returns the finalized summary: what
+// serve_design_space does minus fork/pipe plumbing.
 SweepSummary roundtrip(const std::vector<CorpusApp>& corpus,
                        const SweepSpec& spec, int workers) {
   const std::size_t shards = sweep_shard_count(corpus, spec);
@@ -81,8 +50,10 @@ SweepSummary roundtrip(const std::vector<CorpusApp>& corpus,
   for (const CorpusApp& app : corpus) summary.apps.push_back(app.name);
   summary.cells.resize(shards * cells_per_shard);
   std::vector<std::size_t> shard_used(shards, 0);
-  for (const auto& assigned : partition_shards(shards, workers)) {
-    if (assigned.empty()) continue;
+  const auto stride = static_cast<std::size_t>(workers);
+  for (std::size_t first = 0; first < std::min(stride, shards); ++first) {
+    std::vector<std::size_t> assigned;
+    for (std::size_t s = first; s < shards; s += stride) assigned.push_back(s);
     std::stringstream wire;
     run_sweep_worker(corpus, spec, assigned, wire);
     consume_worker_stream(wire, corpus, spec, assigned, summary, shard_used);

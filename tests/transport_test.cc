@@ -1,10 +1,13 @@
 // Transport fault tolerance (core/transport.h + serve_design_space):
 // a dead worker — mid-stream EOF, SIGKILL, idle hang — must cost only a
 // bounded retry of its unfinished shards, never a byte of the merged
-// summary, and it lands on an idle survivor before anything respawns;
-// protocol violations, exhausted retry budgets and a worker that misses
-// the shutdown handshake or exits nonzero must fail loudly. Plus the
-// TCP transport end-to-end over loopback, in-process.
+// summary, and its shards go back on the one shard queue for the
+// survivors before anything respawns; protocol violations, exhausted
+// retry budgets and a worker that misses the shutdown handshake or
+// exits nonzero must fail loudly. The queue's batch rule is pinned too:
+// one worker gets the whole sweep in one assign, and an idle worker
+// steals the queued tail. Plus the TCP transport end-to-end over
+// loopback, in-process.
 
 #include "core/transport.h"
 
@@ -45,24 +48,6 @@ SweepSpec small_spec() {
   spec.orderings = {KernelOrdering::kWeightDescending};
   spec.threads = 1;
   return spec;
-}
-
-TEST(TransportTest, PartitionShardsWithMoreWorkersThanShards) {
-  // Workers beyond the shard count get empty (but present) slots: the
-  // coordinator simply has nothing to hand them.
-  const auto split = partition_shards(2, 5);
-  ASSERT_EQ(split.size(), 5u);
-  EXPECT_EQ(split[0], (std::vector<std::size_t>{0}));
-  EXPECT_EQ(split[1], (std::vector<std::size_t>{1}));
-  EXPECT_TRUE(split[2].empty());
-  EXPECT_TRUE(split[3].empty());
-  EXPECT_TRUE(split[4].empty());
-}
-
-TEST(TransportTest, PartitionShardsWithZeroShards) {
-  const auto split = partition_shards(0, 3);
-  ASSERT_EQ(split.size(), 3u);
-  for (const auto& slot : split) EXPECT_TRUE(slot.empty());
 }
 
 #ifndef _WIN32
@@ -133,8 +118,8 @@ TEST_F(ForkFaultTest, RecoversFromKilledWorker) {
 
 TEST_F(ForkFaultTest, KilledWorkerShardsFinishOnIdleSurvivor) {
   // Two workers. The one holding shard 0 dies on it, but only once the
-  // other has finished its round and sits idle: the dead worker's whole
-  // batch must be reassigned to that survivor, with no respawn.
+  // other has finished a round: the dead worker's unfinished shards go
+  // back on the queue and the survivor takes them, with no respawn.
   FakeWorkerHooks hooks;
   hooks.before_shard =
       "if [ \"$s\" = 0 ] && first_try; then "
@@ -259,23 +244,52 @@ TEST_F(ForkFaultTest, FirstAssignWaitsForTheHeader) {
 }
 
 TEST_F(ForkFaultTest, StreamsPartialShardsExactlyOnce) {
-  ForkPipeTransport transport(fake_->command());
-  std::map<std::size_t, std::size_t> completed;  // shard -> used
-  std::size_t streamed_cells = 0;
-  ServeOptions options;
-  options.workers = static_cast<int>(shards_);
-  options.transport = &transport;
-  options.on_shard_complete = [&](std::size_t shard, const SweepCell* cells,
-                                  std::size_t used) {
-    ASSERT_NE(cells, nullptr);
-    EXPECT_EQ(completed.count(shard), 0u) << "shard streamed twice";
-    completed[shard] = used;
-    streamed_cells += used;
-  };
-  const SweepSummary summary = serve_design_space(corpus_, spec_, options);
+  for (const int workers : {1, 2, 3, static_cast<int>(shards_)}) {
+    ForkPipeTransport transport(fake_->command());
+    std::map<std::size_t, std::size_t> completed;  // shard -> used
+    std::size_t streamed_cells = 0;
+    ServeOptions options;
+    options.workers = workers;
+    options.transport = &transport;
+    options.on_shard_complete = [&](std::size_t shard,
+                                    const SweepCell* cells,
+                                    std::size_t used) {
+      ASSERT_NE(cells, nullptr);
+      EXPECT_EQ(completed.count(shard), 0u) << "shard streamed twice";
+      completed[shard] = used;
+      streamed_cells += used;
+    };
+    const SweepSummary summary = serve_design_space(corpus_, spec_, options);
+    EXPECT_EQ(sweep_to_json(summary), expected_json_) << workers;
+    EXPECT_EQ(completed.size(), shards_) << workers;
+    EXPECT_EQ(streamed_cells, summary.cells.size()) << workers;
+  }
+}
+
+TEST_F(ForkFaultTest, OneWorkerTakesTheWholeSweepInOneAssign) {
+  ASSERT_EQ(shards_, 4u);
+  const SweepSummary summary = serve_with({}, 0, /*workers=*/1);
   EXPECT_EQ(sweep_to_json(summary), expected_json_);
-  EXPECT_EQ(completed.size(), shards_);
-  EXPECT_EQ(streamed_cells, summary.cells.size());
+  EXPECT_EQ(fake_->rounds(), (std::vector<std::string>{"0,1,2,3"}));
+}
+
+TEST_F(ForkFaultTest, IdleWorkerStealsTheQueuedTail) {
+  // Two workers over four shards: the first takes ceil(4/2) = {0,1},
+  // the second ceil(2/2) = {2}, and shard 3 waits in the queue. The
+  // worker holding shard 0 stalls (bounded) until shard 3 is served, so
+  // shard 3 can only come from the worker that went idle after shard 2.
+  ASSERT_EQ(shards_, 4u);
+  FakeWorkerHooks hooks;
+  hooks.before_shard =
+      "if [ \"$s\" = 0 ]; then i=0; "
+      "while ! grep -q '^3 ' \"$d/served\" 2>/dev/null && [ $i -lt 500 ]; "
+      "do sleep 0.01; i=$((i + 1)); done; fi";
+  const SweepSummary summary = serve_with(hooks, 0, /*workers=*/2);
+  EXPECT_EQ(sweep_to_json(summary), expected_json_);
+  EXPECT_EQ(fake_->spawns(), 2);
+  const std::vector<std::string> served_2 = fake_->servers(2);
+  ASSERT_EQ(served_2.size(), 1u);
+  EXPECT_EQ(fake_->servers(3), served_2);
 }
 
 // ---------------------------------------------------------------------------

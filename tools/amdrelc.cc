@@ -26,9 +26,10 @@
 // Options are declared once in kOptions below — name, arity, validating
 // apply function and help text — and parsed by one loop shared by every
 // subcommand; usage() renders its help from the same table. Malformed
-// values are usage errors (exit 2) that name the offending flag; which
-// flags each COMMAND accepts is enforced by the explicit applicability
-// checks at the end of parse_args.
+// values are usage errors (exit 2) that name the offending flag. A flag
+// that belongs to one command (OptionSpec::command) is a flag-named
+// usage error on any other; the remaining cross-flag rules are checked
+// at the end of parse_args.
 
 #include <algorithm>
 #include <cmath>
@@ -189,14 +190,16 @@ void set_host_port(std::string& field, const std::string& value,
 
 /// One CLI option: flag name, whether it consumes a value, the
 /// validating apply function (which reports problems as flag-named usage
-/// errors), and the help text usage() renders. This table is the entire
-/// flag surface — adding an option is one entry, and parse, validation
-/// and help can never drift apart.
+/// errors), the help text usage() renders, and the one command that owns
+/// the flag (nullptr = any command). This table is the entire flag
+/// surface — adding an option is one entry, and parse, validation, help
+/// and the forked worker's argv can never drift apart.
 struct OptionSpec {
   const char* name;
   bool takes_value;
   void (*apply)(Options&, const std::string& value, const std::string& flag);
   const char* help;
+  const char* command = nullptr;
 };
 
 const OptionSpec kOptions[] = {
@@ -442,15 +445,18 @@ const OptionSpec kOptions[] = {
        }
        o.workers = workers;
      },
-     "serve only: worker count — fork fan-out, or with --listen the "
-     "number of dial-ins served concurrently (default 2)"},
+     "worker count — fork fan-out, or with --listen the number of "
+     "dial-ins served concurrently; also the batch divisor: an idle worker "
+     "takes ceil(queued shards / N) (default 2)",
+     "serve"},
     {"--listen", true,
      [](Options& o, const std::string& v, const std::string& f) {
        set_host_port(o.listen_spec, v, f);
      },
-     "serve only: accept `amdrelc worker --connect` dial-ins on "
-     "HOST:PORT instead of forking local workers (port 0 = ephemeral; "
-     "the bound port is announced on stderr)"},
+     "accept `amdrelc worker --connect` dial-ins on HOST:PORT instead of "
+     "forking local workers (port 0 = ephemeral; the bound port is "
+     "announced on stderr)",
+     "serve"},
     {"--stream-partial", true,
      [](Options& o, const std::string& v, const std::string& f) {
        if (v.empty() || v.rfind("--", 0) == 0) {
@@ -458,9 +464,10 @@ const OptionSpec kOptions[] = {
        }
        o.stream_partial_path = v;
      },
-     "serve only: append finished shards to PATH as schema-v3 NDJSON "
-     "while the sweep runs (completion order; the merged artifact stays "
-     "the deterministic one)"},
+     "append finished shards to PATH as schema-v3 NDJSON while the sweep "
+     "runs (completion order; the merged artifact stays the deterministic "
+     "one)",
+     "serve"},
     {"--worker-timeout", true,
      [](Options& o, const std::string& v, const std::string& f) {
        const double seconds = parse_double(v, f);
@@ -475,9 +482,9 @@ const OptionSpec kOptions[] = {
        // truncate to 0, which disables the timeout.
        o.worker_timeout_ms = seconds > 0 && ms < 1.0 ? 1 : static_cast<int>(ms);
      },
-     "serve only: seconds of mid-round silence before a worker is "
-     "declared dead and its unfinished shards retried (0 disables; "
-     "default 300)"},
+     "seconds of mid-round silence before a worker is declared dead and "
+     "its unfinished shards retried (0 disables; default 300)",
+     "serve"},
     {"--max-retries", true,
      [](Options& o, const std::string& v, const std::string& f) {
        const int retries = parse_int(v, f);
@@ -486,23 +493,26 @@ const OptionSpec kOptions[] = {
        }
        o.max_retries = retries;
      },
-     "serve only: extra assignment attempts allowed per shard after the "
-     "first before the run fails (0 disables retry; default 2)"},
+     "extra assignment attempts allowed per shard after the first before "
+     "the run fails (0 disables retry; default 2)",
+     "serve"},
     {"--connect", true,
      [](Options& o, const std::string& v, const std::string& f) {
        set_host_port(o.connect_spec, v, f);
      },
-     "worker only: dial a listening coordinator at HOST:PORT (empty host "
-     "= loopback) and serve assignment rounds over the socket instead of "
-     "on stdin/stdout"},
+     "dial a listening coordinator at HOST:PORT (empty host = loopback) "
+     "and serve assignment rounds over the socket instead of on "
+     "stdin/stdout",
+     "worker"},
     {"--fail-after-shards", true,
      [](Options& o, const std::string& v, const std::string& f) {
        const int count = parse_int(v, f);
        if (count < 1) usage_error(f, "shard count must be >= 1");
        o.fail_after_shards = count;
      },
-     "worker only: raise SIGKILL after emitting N shards — deterministic "
-     "fault injection for the serve retry tests"},
+     "raise SIGKILL after emitting N shards — deterministic fault "
+     "injection for the serve retry tests",
+     "worker"},
 };
 
 const OptionSpec* find_option(const std::string& name) {
@@ -524,6 +534,10 @@ const OptionSpec* find_option(const std::string& name) {
     text += spec.name;
     if (spec.takes_value) text += " <value>";
     text += "\n      ";
+    if (spec.command != nullptr) {
+      text += spec.command;
+      text += " only: ";
+    }
     text += spec.help;
     text += '\n';
   }
@@ -556,6 +570,10 @@ Options parse_args(int argc, char** argv) {
         if (++i >= argc) usage_error(arg, "missing value");
         value = argv[i];
       }
+      if (spec->command != nullptr && options.command != spec->command) {
+        usage_error(arg, cat("wrong command `", options.command, "` (",
+                             spec->command, " only)"));
+      }
       spec->apply(options, value, arg);
     } else if (options.command == "cache-merge" && !arg.empty() &&
                arg[0] != '-') {
@@ -575,19 +593,6 @@ Options parse_args(int argc, char** argv) {
   if (options.file.empty() && !(sweep_command && !options.corpus.empty())) {
     usage();
   }
-  // The distributed-split flags are command-specific: the coordinator
-  // side (fan-out width, transport address, fault-tolerance knobs,
-  // partial stream) belongs to serve, the worker side (--connect, fault
-  // injection) to worker.
-  if (options.workers && options.command != "serve") usage();
-  if (!options.listen_spec.empty() && options.command != "serve") usage();
-  if (!options.stream_partial_path.empty() && options.command != "serve") {
-    usage();
-  }
-  if (options.worker_timeout_ms && options.command != "serve") usage();
-  if (options.max_retries && options.command != "serve") usage();
-  if (!options.connect_spec.empty() && options.command != "worker") usage();
-  if (options.fail_after_shards && options.command != "worker") usage();
   // serve's own cache traffic is zero (its workers compute the cells),
   // so a serve-side stats file would only ever hold zeros.
   if (options.command == "serve" && !options.cache_stats_path.empty()) {
@@ -925,26 +930,29 @@ int cmd_explore(const Options& options) {
 // The fork transport's worker command: this binary re-run as `amdrelc
 // worker` with the original sweep flags; it serves rounds on the
 // stdin/stdout the transport hands it. The original argv is forwarded
-// verbatim EXCEPT the serve-only flags:
-// --workers/--listen/--worker-timeout/--max-retries (coordinator
-// concerns) and the artifact outputs --json/--csv/--stream-partial
-// (workers emit wire protocol on stdout, not artifacts; --cache-stats
-// is already rejected for serve in parse_args). --cache IS forwarded:
-// each worker loads the shared file and persists with merge-on-save,
-// exactly the concurrent-writer regime the cache's file lock exists for.
+// verbatim EXCEPT the flags kOptions gives to serve (coordinator
+// concerns and the --stream-partial artifact) and the artifact outputs
+// --json/--csv (workers emit wire protocol on stdout, not artifacts;
+// --cache-stats is already rejected for serve in parse_args). --cache
+// IS forwarded: each worker loads the shared file and persists with
+// merge-on-save, exactly the concurrent-writer regime the cache's file
+// lock exists for.
 std::vector<std::string> forked_worker_command(int argc, char** argv) {
   std::vector<std::string> command;
   command.push_back(argv[0]);
   command.push_back("worker");
   for (int i = 2; i < argc; ++i) {
     const std::string arg = argv[i];
-    if (arg == "--workers" || arg == "--json" || arg == "--csv" ||
-        arg == "--listen" || arg == "--stream-partial" ||
-        arg == "--worker-timeout" || arg == "--max-retries") {
+    const OptionSpec* spec = find_option(arg);
+    const bool serve_side = spec != nullptr &&
+                            ((spec->command != nullptr &&
+                              std::strcmp(spec->command, "serve") == 0) ||
+                             arg == "--json" || arg == "--csv");
+    if (!serve_side) {
+      command.push_back(arg);
+    } else if (spec->takes_value) {
       ++i;  // skip the flag's value too
-      continue;
     }
-    command.push_back(arg);
   }
   return command;
 }
