@@ -8,6 +8,7 @@
 #include <iterator>
 #include <sstream>
 #include <thread>
+#include <tuple>
 
 #include "core/report.h"
 #include "core/sweep_cache.h"
@@ -333,40 +334,70 @@ void finalize_sweep_summary(SweepSummary& summary,
   // (zero under the additive cost model, so pre-v3 fronts are
   // unchanged): a cheaper chip that forces expensive module placement
   // should not dominate a costlier one that does not.
-  auto dominates = [](const SweepCell& b, const SweepCell& a) {
-    const double b_cost = b.platform_cost + b.report.floorplan_cost;
-    const double a_cost = a.platform_cost + a.report.floorplan_cost;
-    const bool no_worse = b.report.final_cycles <= a.report.final_cycles &&
-                          b.report.moved.size() <= a.report.moved.size() &&
-                          b_cost <= a_cost &&
-                          b.report.energy.total_pj() <=
-                              a.report.energy.total_pj();
-    const bool better = b.report.final_cycles < a.report.final_cycles ||
-                        b.report.moved.size() < a.report.moved.size() ||
-                        b_cost < a_cost ||
-                        b.report.energy.total_pj() <
-                            a.report.energy.total_pj();
+  //
+  // Sort-filter skyline (Chomicki et al., "Skyline with presorting",
+  // ICDE 2003). A dominator is <= on every key and < on one, so it sorts
+  // strictly before every cell it dominates in lexicographic key order;
+  // by transitivity a cell is dominated exactly when a front cell
+  // already seen dominates it. O(n log n + n * |front|), not O(n^2).
+  struct Point {
+    std::int64_t cycles;
+    std::size_t moved;
+    double cost;
+    double energy_pj;
+    std::size_t cell;
+  };
+  auto dominates = [](const Point& b, const Point& a) {
+    const bool no_worse = b.cycles <= a.cycles && b.moved <= a.moved &&
+                          b.cost <= a.cost && b.energy_pj <= a.energy_pj;
+    const bool better = b.cycles < a.cycles || b.moved < a.moved ||
+                        b.cost < a.cost || b.energy_pj < a.energy_pj;
     return no_worse && better;
   };
-  summary.app_pareto.resize(summary.apps.size());
+  std::vector<Point> sorted;
+  sorted.reserve(summary.cells.size());
   for (std::size_t i = 0; i < summary.cells.size(); ++i) {
     SweepCell& cell = summary.cells[i];
-    bool app_dominated = false;
-    bool global_dominated = false;
-    for (const SweepCell& other : summary.cells) {
-      if (&other == &cell || !dominates(other, cell)) continue;
-      global_dominated = true;
-      app_dominated = app_dominated || other.app == cell.app;
-      if (app_dominated) break;
-    }
-    if (!app_dominated) {
+    const Point point{cell.report.final_cycles, cell.report.moved.size(),
+                      cell.platform_cost + cell.report.floorplan_cost,
+                      cell.report.energy.total_pj(), i};
+    if (std::isnan(point.cost) || std::isnan(point.energy_pj)) {
+      // Every comparison with NaN is false: such a cell is never
+      // dominated and dominates nothing. It also cannot be sorted.
       cell.on_app_pareto = true;
-      summary.app_pareto[cell.app].push_back(i);
-    }
-    if (!global_dominated) {
       cell.on_global_pareto = true;
-      summary.global_pareto.push_back(i);
+    } else {
+      sorted.push_back(point);
     }
+  }
+  std::sort(sorted.begin(), sorted.end(), [](const Point& x, const Point& y) {
+    return std::tie(x.cycles, x.moved, x.cost, x.energy_pj) <
+           std::tie(y.cycles, y.moved, y.cost, y.energy_pj);
+  });
+  auto dominated_by = [&](const std::vector<Point>& front, const Point& p) {
+    return std::any_of(front.begin(), front.end(),
+                       [&](const Point& f) { return dominates(f, p); });
+  };
+  std::vector<Point> global_front;
+  std::vector<std::vector<Point>> app_fronts(summary.apps.size());
+  for (const Point& point : sorted) {
+    SweepCell& cell = summary.cells[point.cell];
+    std::vector<Point>& app_front = app_fronts[cell.app];
+    if (!dominated_by(global_front, point)) {
+      global_front.push_back(point);
+      cell.on_global_pareto = true;
+    } else if (dominated_by(app_front, point)) {
+      continue;
+    }
+    app_front.push_back(point);
+    cell.on_app_pareto = true;
+  }
+
+  summary.app_pareto.resize(summary.apps.size());
+  for (std::size_t i = 0; i < summary.cells.size(); ++i) {
+    const SweepCell& cell = summary.cells[i];
+    if (cell.on_app_pareto) summary.app_pareto[cell.app].push_back(i);
+    if (cell.on_global_pareto) summary.global_pareto.push_back(i);
   }
 }
 

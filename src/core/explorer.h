@@ -197,7 +197,11 @@ std::size_t compute_sweep_shard(const std::vector<CorpusApp>& corpus,
 /// cells_per_shard slots in shard order) and computes the per-app and
 /// global Pareto fronts. The coordinator runs this over worker-streamed
 /// cells; byte-identity follows because fronts are derived here, never
-/// transmitted.
+/// transmitted. The fronts come from a sort-filter skyline: one
+/// lexicographic sort of the cells' keys, then each cell is tested only
+/// against the fronts built so far, O(n log n + n * |front|). A cell
+/// with a NaN cost or energy key is on both fronts and dominates
+/// nothing, exactly as under the all-pairs dominance test.
 void finalize_sweep_summary(SweepSummary& summary,
                             const std::vector<std::size_t>& shard_used,
                             std::size_t cells_per_shard);

@@ -1,20 +1,25 @@
 // Platform-grid x corpus sweep: grid-spec parsing, cell enumeration
 // order, Pareto-front invariants, the cross-check property that pins
 // the sharded, axis-batched sweep to the paper's flow — every cell must
-// be identical to an independent run_methodology call — and the
-// single-app, single-platform exploration as a one-shard sweep.
+// be identical to an independent run_methodology call — the
+// single-app, single-platform exploration as a one-shard sweep, and the
+// Pareto skyline against the all-pairs oracle on synthetic cells.
 
 #include "core/explorer.h"
 
 #include <algorithm>
+#include <cmath>
 #include <cstdio>
+#include <limits>
 #include <random>
 #include <thread>
+#include <utility>
 
 #include <gtest/gtest.h>
 
 #include "core/report.h"
 #include "core/sweep_io.h"
+#include "pareto_oracle.h"
 #include "support/error.h"
 #include "synth/cdfg_generator.h"
 #include "workloads/paper_models.h"
@@ -199,20 +204,7 @@ TEST(SweepTest, ParetoFrontInvariants) {
   spec.threads = 2;
   const auto summary = sweep_design_space(corpus, spec);
 
-  auto dominates = [](const SweepCell& b, const SweepCell& a) {
-    const bool no_worse = b.report.final_cycles <= a.report.final_cycles &&
-                          b.report.moved.size() <= a.report.moved.size() &&
-                          b.platform_cost <= a.platform_cost &&
-                          b.report.energy.total_pj() <=
-                              a.report.energy.total_pj();
-    const bool better = b.report.final_cycles < a.report.final_cycles ||
-                        b.report.moved.size() < a.report.moved.size() ||
-                        b.platform_cost < a.platform_cost ||
-                        b.report.energy.total_pj() <
-                            a.report.energy.total_pj();
-    return no_worse && better;
-  };
-
+  expect_oracle_fronts(summary);
   ASSERT_EQ(summary.app_pareto.size(), corpus.size());
   for (std::size_t app = 0; app < corpus.size(); ++app) {
     EXPECT_FALSE(summary.app_pareto[app].empty());
@@ -222,7 +214,7 @@ TEST(SweepTest, ParetoFrontInvariants) {
       EXPECT_TRUE(summary.cells[i].on_app_pareto);
       for (const SweepCell& other : summary.cells) {
         if (other.app != app) continue;
-        EXPECT_FALSE(dominates(other, summary.cells[i]));
+        EXPECT_FALSE(oracle_dominates(other, summary.cells[i]));
       }
     }
   }
@@ -233,7 +225,7 @@ TEST(SweepTest, ParetoFrontInvariants) {
     // subset of all cells).
     EXPECT_TRUE(summary.cells[i].on_app_pareto);
     for (const SweepCell& other : summary.cells) {
-      EXPECT_FALSE(dominates(other, summary.cells[i]));
+      EXPECT_FALSE(oracle_dominates(other, summary.cells[i]));
     }
   }
   // Off-front cells are dominated by a same-app cell.
@@ -242,7 +234,7 @@ TEST(SweepTest, ParetoFrontInvariants) {
     bool dominated = false;
     for (const SweepCell& other : summary.cells) {
       if (other.app != cell.app) continue;
-      dominated = dominated || dominates(other, cell);
+      dominated = dominated || oracle_dominates(other, cell);
     }
     EXPECT_TRUE(dominated);
   }
@@ -560,20 +552,12 @@ TEST(ExplorerTest, ParetoFrontInvariants) {
   ASSERT_FALSE(front.empty());
   EXPECT_EQ(front, summary.global_pareto);
 
-  auto dominates = [](const PartitionReport& a, const PartitionReport& b) {
-    const bool no_worse = a.final_cycles <= b.final_cycles &&
-                          a.moved.size() <= b.moved.size() &&
-                          a.energy.total_pj() <= b.energy.total_pj();
-    const bool better = a.final_cycles < b.final_cycles ||
-                        a.moved.size() < b.moved.size() ||
-                        a.energy.total_pj() < b.energy.total_pj();
-    return no_worse && better;
-  };
+  expect_oracle_fronts(summary);
   for (const std::size_t i : front) {
     ASSERT_LT(i, summary.cells.size());
     EXPECT_TRUE(summary.cells[i].on_app_pareto);
     for (const SweepCell& other : summary.cells) {
-      EXPECT_FALSE(dominates(other.report, summary.cells[i].report));
+      EXPECT_FALSE(oracle_dominates(other, summary.cells[i]));
     }
   }
   // Every off-front cell is dominated by a front cell.
@@ -581,7 +565,7 @@ TEST(ExplorerTest, ParetoFrontInvariants) {
     if (cell.on_app_pareto) continue;
     bool dominated = false;
     for (const std::size_t i : front) {
-      dominated = dominated || dominates(summary.cells[i].report, cell.report);
+      dominated = dominated || oracle_dominates(summary.cells[i], cell);
     }
     EXPECT_TRUE(dominated);
   }
@@ -648,6 +632,232 @@ TEST(ExplorerTest, TinyAppDefaultConstraintsClampAndDedupe) {
   for (const SweepCell& cell : summary.cells) {
     EXPECT_EQ(cell.constraint, 1);
     EXPECT_TRUE(cell.report.met);
+  }
+}
+
+// ---- ParetoSkyline: finalize_sweep_summary's sort-filter skyline
+// against the all-pairs oracle (pareto_oracle.h) on synthetic cells.
+
+// A cost or energy key: mostly from a tiny range, so ties and equal
+// keys are frequent; with `specials`, sometimes -0.0, +-inf or NaN (as a
+// NaN literal or as inf + -inf from the key's two summands).
+std::pair<double, double> synthetic_key(std::mt19937_64& rng, bool specials) {
+  const double inf = std::numeric_limits<double>::infinity();
+  switch (rng() % (specials ? 9 : 4)) {
+    case 0: return {-0.0, -0.0};
+    case 1: return {0.0, 0.0};
+    case 2: return {1.0, 0.0};
+    case 3: return {1.0, 1.0};
+    case 4: return {-0.0, 0.0};
+    case 5: return {inf, 0.0};
+    case 6: return {-inf, 0.0};
+    case 7: return {std::numeric_limits<double>::quiet_NaN(), 0.0};
+    default: return {inf, -inf};
+  }
+}
+
+SweepCell synthetic_cell(std::mt19937_64& rng, std::size_t apps,
+                         bool specials) {
+  SweepCell cell;
+  cell.app = rng() % apps;
+  cell.report.final_cycles = static_cast<std::int64_t>(rng() % 4);
+  cell.report.moved.resize(rng() % 3);
+  const auto [platform, floorplan] = synthetic_key(rng, specials);
+  cell.platform_cost = platform;
+  cell.report.floorplan_cost = floorplan;
+  const auto [fine, coarse] = synthetic_key(rng, specials);
+  cell.report.energy.fine_pj = fine;
+  cell.report.energy.coarse_pj = coarse;
+  // total_pj() sums four terms; keep a -0.0 total -0.0.
+  const double zero = std::signbit(fine) && fine == 0 ? -0.0 : 0.0;
+  cell.report.energy.reconfig_pj = zero;
+  cell.report.energy.comm_pj = zero;
+  return cell;
+}
+
+// A summary of `shards` x `cells_per_shard` slots over `apps` apps, as a
+// sweep hands it to finalize_sweep_summary. With `short_shards` some
+// shards fill only a prefix of their slots. Each slot's constraint is
+// its slot index, so the compaction can be checked; some cells copy an
+// earlier cell's keys exactly.
+struct SyntheticSweep {
+  SweepSummary summary;
+  std::vector<std::size_t> shard_used;
+  std::vector<std::int64_t> kept_slots;  ///< slots that survive compaction
+};
+
+SyntheticSweep synthetic_sweep(std::mt19937_64& rng, std::size_t apps,
+                               std::size_t shards,
+                               std::size_t cells_per_shard, bool short_shards,
+                               bool specials) {
+  SyntheticSweep sweep;
+  sweep.summary.apps.resize(apps);
+  sweep.summary.cells.resize(shards * cells_per_shard);
+  for (std::size_t shard = 0; shard < shards; ++shard) {
+    const std::size_t used = short_shards && rng() % 3 == 0
+                                 ? rng() % (cells_per_shard + 1)
+                                 : cells_per_shard;
+    sweep.shard_used.push_back(used);
+    for (std::size_t k = 0; k < cells_per_shard; ++k) {
+      const std::size_t slot = shard * cells_per_shard + k;
+      SweepCell& cell = sweep.summary.cells[slot];
+      cell = slot > 0 && rng() % 8 == 0
+                 ? sweep.summary.cells[rng() % slot]
+                 : synthetic_cell(rng, apps, specials);
+      cell.constraint = static_cast<std::int64_t>(slot);
+      if (k < used) sweep.kept_slots.push_back(cell.constraint);
+    }
+  }
+  return sweep;
+}
+
+void expect_skyline_matches_oracle(SyntheticSweep sweep,
+                                   std::size_t cells_per_shard) {
+  finalize_sweep_summary(sweep.summary, sweep.shard_used, cells_per_shard);
+  std::vector<std::int64_t> slots;
+  for (const SweepCell& cell : sweep.summary.cells) {
+    slots.push_back(cell.constraint);
+  }
+  EXPECT_EQ(slots, sweep.kept_slots);
+  expect_oracle_fronts(sweep.summary);
+}
+
+class ParetoSkylineOracle : public ::testing::TestWithParam<std::uint64_t> {};
+
+TEST_P(ParetoSkylineOracle, MatchesOracle) {
+  std::mt19937_64 rng(GetParam());
+  for (const std::size_t apps : {std::size_t{1}, std::size_t{7}}) {
+    for (const bool specials : {false, true}) {
+      SCOPED_TRACE(testing::Message() << "apps " << apps << " specials "
+                                      << specials);
+      const std::size_t cells_per_shard = 1 + rng() % 8;
+      expect_skyline_matches_oracle(
+          synthetic_sweep(rng, apps, rng() % 40, cells_per_shard,
+                          /*short_shards=*/true, specials),
+          cells_per_shard);
+    }
+  }
+}
+
+TEST_P(ParetoSkylineOracle, TwoThousandCellsMatchOracle) {
+  std::mt19937_64 rng(GetParam());
+  const std::size_t apps = GetParam() % 2 == 0 ? 1 : 7;
+  expect_skyline_matches_oracle(
+      synthetic_sweep(rng, apps, 250, 8, /*short_shards=*/false,
+                      /*specials=*/GetParam() % 4 < 2),
+      8);
+}
+
+INSTANTIATE_TEST_SUITE_P(Seeds, ParetoSkylineOracle,
+                         ::testing::Range<std::uint64_t>(1, 51));
+
+TEST(ParetoSkyline, ZeroAndOneCell) {
+  std::mt19937_64 rng(1);
+  expect_skyline_matches_oracle(synthetic_sweep(rng, 1, 0, 4, false, true),
+                                4);
+  expect_skyline_matches_oracle(synthetic_sweep(rng, 3, 1, 1, false, true),
+                                1);
+  // A lone shard that filled none of its slots.
+  SyntheticSweep empty = synthetic_sweep(rng, 2, 1, 3, false, false);
+  empty.shard_used = {0};
+  empty.kept_slots.clear();
+  expect_skyline_matches_oracle(std::move(empty), 3);
+}
+
+TEST(ParetoSkyline, NaNKeysStayOnBothFronts) {
+  // Each cell is better than the next on every key except cell 1's NaN
+  // energy: NaN cells are never dominated and dominate nothing.
+  SweepSummary summary;
+  summary.apps = {"a"};
+  summary.cells.resize(3);
+  for (std::size_t i = 0; i < 3; ++i) {
+    summary.cells[i].report.final_cycles = static_cast<std::int64_t>(i);
+    summary.cells[i].report.energy.fine_pj = static_cast<double>(i);
+  }
+  summary.cells[1].report.energy.fine_pj =
+      std::numeric_limits<double>::quiet_NaN();
+  finalize_sweep_summary(summary, {3}, 3);
+  EXPECT_EQ(summary.global_pareto, (std::vector<std::size_t>{0, 1}));
+  EXPECT_EQ(summary.app_pareto[0], (std::vector<std::size_t>{0, 1}));
+  expect_oracle_fronts(summary);
+}
+
+TEST(ParetoSkyline, SignedZerosAndDuplicatesTie) {
+  // -0.0 == +0.0, so neither zero-energy cell dominates the other, and
+  // an exact duplicate of a front cell is on the front too.
+  SweepSummary summary;
+  summary.apps = {"a"};
+  summary.cells.resize(3);
+  summary.cells[0].report.energy = {-0.0, -0.0, -0.0, -0.0};
+  summary.cells[1].report.energy = {0.0, 0.0, 0.0, 0.0};
+  summary.cells[2] = summary.cells[0];
+  finalize_sweep_summary(summary, {3}, 3);
+  EXPECT_EQ(summary.global_pareto, (std::vector<std::size_t>{0, 1, 2}));
+  expect_oracle_fronts(summary);
+}
+
+// A front certificate, O(|members| * |front|): no front cell is
+// dominated by any member, and every member off the front is dominated
+// by a front cell. `front` must list members in ascending order, and
+// `flag` must be set on exactly the front's cells.
+void expect_front_certificate(const std::vector<SweepCell>& cells,
+                              const std::vector<std::size_t>& members,
+                              const std::vector<std::size_t>& front,
+                              bool SweepCell::*flag) {
+  EXPECT_TRUE(std::is_sorted(front.begin(), front.end()));
+  for (const std::size_t f : front) {
+    ASSERT_LT(f, cells.size());
+    for (const std::size_t m : members) {
+      ASSERT_FALSE(oracle_dominates(cells[m], cells[f]))
+          << "front cell " << f << " dominated by " << m;
+    }
+  }
+  std::size_t flagged = 0;
+  for (const std::size_t m : members) {
+    if (cells[m].*flag) {
+      ++flagged;
+      continue;
+    }
+    const bool dominated =
+        std::any_of(front.begin(), front.end(), [&](std::size_t f) {
+          return oracle_dominates(cells[f], cells[m]);
+        });
+    ASSERT_TRUE(dominated) << "off-front cell " << m << " undominated";
+  }
+  EXPECT_EQ(flagged, front.size());
+}
+
+TEST(ParetoSkyline, ThousandAppCorpusCertificate) {
+  // 1000 apps x 36 cells, the size of a 1000-app corpus sweep.
+  constexpr std::size_t kApps = 1000;
+  constexpr std::size_t kCellsPerApp = 36;
+  std::mt19937_64 rng(2024);
+  std::uniform_real_distribution<double> energy(0.0, 1e6);
+  SweepSummary summary;
+  summary.apps.resize(kApps);
+  summary.cells.resize(kApps * kCellsPerApp);
+  std::vector<std::vector<std::size_t>> members(kApps);
+  std::vector<std::size_t> all;
+  for (std::size_t i = 0; i < summary.cells.size(); ++i) {
+    SweepCell& cell = summary.cells[i];
+    cell.app = i / kCellsPerApp;
+    cell.report.final_cycles = static_cast<std::int64_t>(rng() % 5000);
+    cell.report.moved.resize(rng() % 6);
+    cell.platform_cost = static_cast<double>(rng() % 16) * 100.0;
+    cell.report.energy.fine_pj = energy(rng);
+    members[cell.app].push_back(i);
+    all.push_back(i);
+  }
+  finalize_sweep_summary(summary, std::vector<std::size_t>(kApps, kCellsPerApp),
+                         kCellsPerApp);
+  ASSERT_EQ(summary.app_pareto.size(), kApps);
+  EXPECT_LT(summary.global_pareto.size(), all.size());
+  expect_front_certificate(summary.cells, all, summary.global_pareto,
+                           &SweepCell::on_global_pareto);
+  for (std::size_t app = 0; app < kApps; ++app) {
+    expect_front_certificate(summary.cells, members[app],
+                             summary.app_pareto[app],
+                             &SweepCell::on_app_pareto);
   }
 }
 
