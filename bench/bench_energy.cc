@@ -49,8 +49,11 @@ void print_energy_study(const workloads::PaperApp& app,
     add("timing-driven split",
         core::estimate_energy(app.cdfg, app.profile, p, timing.moved));
 
-    const auto energy = core::run_energy_methodology(
-        app.cdfg, app.profile, p, all_fine.total_pj() * 0.5);
+    core::MethodologyOptions energy_options;
+    energy_options.cost.objective.kind = core::ObjectiveKind::kEnergy;
+    energy_options.cost.energy_budget_pj = all_fine.total_pj() * 0.5;
+    const auto energy = core::run_methodology(
+        app.cdfg, app.profile, p, /*timing_constraint=*/0, energy_options);
     add("energy-driven (50% budget)", energy.energy);
   }
   std::printf("%s\n", table.to_string().c_str());
@@ -69,11 +72,13 @@ BENCHMARK(BM_EnergyEstimate);
 void BM_EnergyMethodology(benchmark::State& state) {
   const auto app = workloads::build_jpeg_model();
   const auto p = platform::make_paper_platform(1500, 2);
-  const double budget =
+  core::MethodologyOptions options;
+  options.cost.objective.kind = core::ObjectiveKind::kEnergy;
+  options.cost.energy_budget_pj =
       core::estimate_energy(app.cdfg, app.profile, p, {}).total_pj() * 0.5;
   for (auto _ : state) {
-    benchmark::DoNotOptimize(
-        core::run_energy_methodology(app.cdfg, app.profile, p, budget));
+    benchmark::DoNotOptimize(core::run_methodology(
+        app.cdfg, app.profile, p, /*timing_constraint=*/0, options));
   }
 }
 BENCHMARK(BM_EnergyMethodology);

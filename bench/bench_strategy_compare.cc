@@ -141,8 +141,8 @@ void BM_PackedVsLegacy_PerCellAxis(benchmark::State& state) {
 BENCHMARK(BM_PackedVsLegacy_PerCellAxis);
 
 // ---- reconfiguration-aware pricing overhead ------------------------
-// The CostModel seam is free when pricing is off (the additive fast
-// path skips the repricing machinery entirely) and O(|moved| log
+// Reconfiguration pricing is free when off (IncrementalSplit's additive
+// fast path skips the repricing machinery entirely) and O(|moved| log
 // |moved|) per move when on. This pair pins both sides: a greedy
 // methodology run under the additive model vs the identical run with a
 // nonzero reconfiguration model (residency top-R repricing active on

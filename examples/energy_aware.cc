@@ -1,8 +1,9 @@
 // Energy-constrained partitioning (the paper's stated future work): move
 // kernels to the ASIC CGC data-path until the application's energy drops
-// under a budget, and inspect the breakdown. The energy variant now runs
-// on the shared strategy engine, so the same budget can also be searched
-// by branch-and-bound or simulated annealing — compared at the bottom.
+// under a budget, and inspect the breakdown. The energy variant is
+// run_methodology under the energy objective, so the same budget can also
+// be searched by branch-and-bound or simulated annealing — compared at
+// the bottom.
 
 #include <cstdio>
 
@@ -36,10 +37,14 @@ int main() {
       app.cdfg, app.profile, p, {app.block_by_label("BB22")});
   print_breakdown("BB22 on CGC data-path:", hot_moved);
 
-  // Ask the energy engine for a 50% cut.
+  // Ask the engine for a 50% energy cut. Under the energy objective
+  // met() checks the budget and ignores the timing constraint.
   const double budget = all_fine.total_pj() * 0.5;
-  const auto report =
-      core::run_energy_methodology(app.cdfg, app.profile, p, budget);
+  core::MethodologyOptions energy;
+  energy.cost.objective.kind = core::ObjectiveKind::kEnergy;
+  energy.cost.energy_budget_pj = budget;
+  const auto report = core::run_methodology(app.cdfg, app.profile, p,
+                                            /*timing_constraint=*/0, energy);
   std::printf("\nenergy budget %.1f nJ (50%% of all-fine): %s after moving",
               budget / 1000.0, report.met ? "met" : "NOT met");
   for (const ir::BlockId block : report.moved) {
@@ -47,7 +52,8 @@ int main() {
   }
   std::printf("\n");
   print_breakdown("after energy partitioning:", report.energy);
-  std::printf("energy reduction: %.1f%%\n", report.reduction_percent());
+  std::printf("energy reduction: %.1f%%\n",
+              report.energy_reduction_percent());
 
   // The same budget through every strategy of the shared engine: the
   // branch-and-bound proves the fewest-moves split, annealing matches
@@ -56,11 +62,11 @@ int main() {
               budget / 1000.0);
   bool all_met = true;
   for (const core::StrategyKind kind : core::all_strategies()) {
-    core::MethodologyOptions options;
+    core::MethodologyOptions options = energy;
     options.strategy = kind;
     options.exhaustive_max_kernels = 12;
-    const auto result = core::run_energy_methodology(
-        app.cdfg, app.profile, p, budget, core::EnergyModel{}, options);
+    const auto result = core::run_methodology(
+        app.cdfg, app.profile, p, /*timing_constraint=*/0, options);
     std::printf("  %-10s %s, %zu kernel(s) moved, %10.1f nJ\n",
                 core::strategy_name(kind),
                 result.met ? "met    " : "NOT met",

@@ -78,37 +78,4 @@ EnergyBreakdown estimate_energy(const ir::Cdfg& cdfg,
   return estimate_energy(mapper, profile, moved, model);
 }
 
-EnergyPartitionReport run_energy_methodology(
-    const ir::Cdfg& cdfg, const ir::ProfileData& profile,
-    const platform::Platform& platform, double budget_pj,
-    const EnergyModel& model, const MethodologyOptions& options) {
-  MethodologyOptions engine = options;
-  engine.cost.objective.kind = ObjectiveKind::kEnergy;
-  engine.cost.objective.energy = model;
-  engine.cost.energy_budget_pj = budget_pj;
-  // The timing constraint is irrelevant under kEnergy (met() ignores
-  // it); 0 keeps the step-2 early exit purely energy-driven.
-  const PartitionReport report =
-      run_methodology(cdfg, profile, platform, /*timing_constraint=*/0,
-                      engine);
-
-  EnergyPartitionReport out;
-  out.initial_pj = report.initial_energy_pj;
-  out.moved = report.moved;
-  out.energy = report.energy;
-  out.met = report.met;
-  out.engine_iterations = report.engine_iterations;
-  return out;
-}
-
-EnergyPartitionReport run_energy_methodology(
-    const ir::Cdfg& cdfg, const ir::ProfileData& profile,
-    const platform::Platform& platform, double budget_pj,
-    const EnergyModel& model, const analysis::AnalysisOptions& options) {
-  MethodologyOptions engine;
-  engine.analysis = options;
-  return run_energy_methodology(cdfg, profile, platform, budget_pj, model,
-                                engine);
-}
-
 }  // namespace amdrel::core

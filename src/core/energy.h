@@ -40,43 +40,4 @@ EnergyBreakdown estimate_energy(const HybridMapper& mapper,
                                 const std::vector<ir::BlockId>& moved,
                                 const EnergyModel& model = {});
 
-/// Result of the energy-constrained partitioning variant.
-struct EnergyPartitionReport {
-  double initial_pj = 0;  ///< all-fine energy
-  std::vector<ir::BlockId> moved;
-  EnergyBreakdown energy;
-  bool met = false;
-  int engine_iterations = 0;
-
-  double reduction_percent() const {
-    return initial_pj == 0.0
-               ? 0.0
-               : 100.0 * (1.0 - energy.total_pj() / initial_pj);
-  }
-};
-
-/// The methodology of Figure 2 with the timing check replaced by an
-/// energy budget: kernels move (in decreasing total-weight order) to the
-/// coarse-grain hardware until total energy drops below `budget_pj`.
-/// A thin dispatcher over run_methodology with ObjectiveKind::kEnergy —
-/// energy and timing share the whole strategy engine. The default
-/// (greedy) strategy reproduces the original standalone loop
-/// byte-for-byte whenever the budget is met (golden-pinned); for an
-/// unmeetable budget it reports the best split found, which is never
-/// worse in energy than the old always-commit result.
-EnergyPartitionReport run_energy_methodology(
-    const ir::Cdfg& cdfg, const ir::ProfileData& profile,
-    const platform::Platform& platform, double budget_pj,
-    const EnergyModel& model = {},
-    const analysis::AnalysisOptions& options = {});
-
-/// Same flow with full engine control: options picks the strategy
-/// (greedy, branch-and-bound, annealing), ordering, seed and search
-/// knobs; its objective kind / energy model / budget fields are
-/// overwritten from `model` and `budget_pj`.
-EnergyPartitionReport run_energy_methodology(
-    const ir::Cdfg& cdfg, const ir::ProfileData& profile,
-    const platform::Platform& platform, double budget_pj,
-    const EnergyModel& model, const MethodologyOptions& options);
-
 }  // namespace amdrel::core

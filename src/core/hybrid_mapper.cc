@@ -3,7 +3,6 @@
 #include <algorithm>
 #include <functional>
 
-#include "core/cost_model.h"
 #include "core/energy.h"
 #include "support/error.h"
 #include "support/strings.h"
@@ -163,44 +162,11 @@ std::int64_t HybridMapper::all_fine_cycles(
   return finegrain::fpga_total_cycles(fine_, profile, platform_->fpga);
 }
 
-namespace {
-
-const CostObjective& timing_objective() {
-  static const CostObjective objective;  // default-constructed = kTiming
-  return objective;
-}
-
-}  // namespace
-
-IncrementalSplit::IncrementalSplit(HybridMapper& mapper,
-                                   const ir::ProfileData& profile)
-    : IncrementalSplit(mapper, profile, timing_objective()) {}
-
 IncrementalSplit::IncrementalSplit(HybridMapper& mapper,
                                    const ir::ProfileData& profile,
-                                   const CostObjective& objective,
-                                   const CostModel* cost_model)
-    : IncrementalSplit(mapper, profile, objective) {
-  if (cost_model == nullptr || !cost_model->prices_reconfiguration()) return;
-  cost_model_ = cost_model;
-  const auto blocks = static_cast<std::size_t>(mapper.cdfg().size());
-  reconfig_load_.resize(blocks);
-  reconfig_saving_.resize(blocks);
-  for (std::size_t b = 0; b < blocks; ++b) {
-    const auto id = static_cast<ir::BlockId>(b);
-    const std::int64_t load = cost_model->load_cycles(mapper.node_count(id));
-    const std::int64_t w = std::max<std::int64_t>(1, iters_[b]);
-    reconfig_load_[b] = load;
-    reconfig_saving_[b] = load * (w - 1);
-  }
-}
-
-IncrementalSplit::IncrementalSplit(HybridMapper& mapper,
-                                   const ir::ProfileData& profile,
-                                   const CostObjective& objective)
+                                   const ObjectiveSpec& spec)
     : mapper_(&mapper),
-      profile_(&profile),
-      objective_(&objective),
+      objective_(spec.objective),
       moved_(static_cast<std::size_t>(mapper.cdfg().size())),
       pos_(static_cast<std::size_t>(mapper.cdfg().size()), -1) {
   const auto blocks = static_cast<std::size_t>(mapper.cdfg().size());
@@ -222,7 +188,19 @@ IncrementalSplit::IncrementalSplit(HybridMapper& mapper,
     comm_total_[b] = mapper.comm_cycles_per_invocation(id) * iters_[b];
     cost_.t_fpga += fine_contrib_[b];
   }
-  if (!objective.needs_energy()) return;
+  if (spec.reconfig.bitstream_cycles_per_unit > 0) {
+    resident_regions_ =
+        spec.reconfig.resident_regions(mapper.platform().cgc.count);
+    reconfig_load_.resize(blocks);
+    reconfig_saving_.resize(blocks);
+    for (std::size_t b = 0; b < blocks; ++b) {
+      const std::int64_t load = spec.reconfig.load_cycles(
+          mapper.node_count(static_cast<ir::BlockId>(b)));
+      reconfig_load_[b] = load;
+      reconfig_saving_[b] = load * (std::max<std::int64_t>(1, iters_[b]) - 1);
+    }
+  }
+  if (!objective_.needs_energy()) return;
   // Price every block once; the all-fine starting breakdown accumulates
   // the fine-side terms in block order, matching estimate_energy({}).
   block_energy_.reserve(blocks);
@@ -230,7 +208,7 @@ IncrementalSplit::IncrementalSplit(HybridMapper& mapper,
     const auto id = static_cast<ir::BlockId>(b);
     block_energy_.push_back(block_energy(mapper.op_mix(id),
                                          mapper.live_words(id), mapper.fine(id),
-                                         profile.count(id), objective.energy));
+                                         profile.count(id), objective_.energy));
     const BlockEnergy& be = block_energy_.back();
     energy_.fine_pj += be.fine_pj;
     energy_.comm_pj += be.fine_comm_pj;
@@ -276,7 +254,7 @@ void IncrementalSplit::move(ir::BlockId block) {
   moved_.set(b);
   pos_[b] = static_cast<std::int32_t>(order_.size());
   order_.push_back(block);
-  if (cost_model_ != nullptr) {
+  if (resident_regions_ > 0) {
     reconfig_sum_ +=
         reconfig_load_[b] * std::max<std::int64_t>(1, iters_[b]);
     reprice_reconfig();
@@ -307,7 +285,7 @@ void IncrementalSplit::unmove(ir::BlockId block) {
   order_.pop_back();
   pos_[b] = -1;
   moved_.clear(b);
-  if (cost_model_ != nullptr) {
+  if (resident_regions_ > 0) {
     reconfig_sum_ -=
         reconfig_load_[b] * std::max<std::int64_t>(1, iters_[b]);
     reprice_reconfig();
@@ -319,8 +297,8 @@ void IncrementalSplit::reprice_reconfig() {
   // the residency discount couples blocks, so this exact-window
   // repricing re-selects the top-R savings over the moved set. The
   // discount SUM is order-independent (ties contribute the same value
-  // whichever block wins the region), so the result matches
-  // CostModel::reconfig_cycles whatever the move history.
+  // whichever block wins the region), so the result matches a
+  // from-scratch evaluation whatever the move history.
   reconfig_scratch_.clear();
   for (const ir::BlockId block : order_) {
     reconfig_scratch_.push_back(
@@ -328,7 +306,7 @@ void IncrementalSplit::reprice_reconfig() {
   }
   const std::size_t resident = std::min<std::size_t>(
       reconfig_scratch_.size(),
-      static_cast<std::size_t>(cost_model_->resident_regions()));
+      static_cast<std::size_t>(resident_regions_));
   std::partial_sort(
       reconfig_scratch_.begin(),
       reconfig_scratch_.begin() + static_cast<std::ptrdiff_t>(resident),

@@ -14,13 +14,11 @@
 
 namespace amdrel::core {
 
-class CostModel;
-
 /// Cost of one fine/coarse split of the application: the three terms of
 /// the paper's equation (2), all in FPGA clock cycles, plus the
-/// configuration-load charge the reconfiguration-aware CostModel adds on
-/// top of the paper's additive pricing. t_reconfig is 0 under the
-/// additive model, so total() — and every golden derived from it — is
+/// configuration-load charge a platform::ReconfigModel adds on top of
+/// the paper's additive pricing. t_reconfig is 0 when the model prices
+/// no load latency, so total() — and every golden derived from it — is
 /// unchanged when reconfiguration pricing is off.
 struct SplitCost {
   std::int64_t t_fpga = 0;
@@ -158,7 +156,7 @@ class HybridMapper {
 /// flattened into a dense array at construction, so move()/unmove() are
 /// a handful of array reads and integer adds.
 ///
-/// Constructed with a CostObjective that needs_energy(), the split also
+/// Constructed with an objective that needs_energy(), the split also
 /// tracks an EnergyBreakdown with the same O(1) per-move deltas: every
 /// block's fine- and coarse-side contributions are priced once up front
 /// (core/energy.h block_energy) and added/subtracted on movement. The
@@ -167,28 +165,21 @@ class HybridMapper {
 /// floating-point summation order (within ulps; the property tests pin
 /// this). Final reports always reprice via estimate_energy, so emitted
 /// numbers are byte-deterministic regardless of the search path.
+///
+/// When spec.reconfig prices load latency (bitstream_cycles_per_unit >
+/// 0) the split also maintains cost().t_reconfig, the charge defined in
+/// platform/reconfig_model.h; otherwise it is the additive fast path
+/// with no repricing work at all. The charge is NOT per-block additive
+/// (region residency couples moved blocks), so each move/unmove exactly
+/// reprices it over the moved-set window: the per-block load*iterations
+/// sum stays incremental and only the top-R residency discount is
+/// recomputed, O(|moved| log |moved|). A property test pins the result
+/// against a from-scratch evaluation under random move/unmove churn.
 class IncrementalSplit {
  public:
-  IncrementalSplit(HybridMapper& mapper, const ir::ProfileData& profile);
-
-  /// Energy-aware split: tracks the breakdown when
-  /// objective.needs_energy(). The objective must outlive the split.
+  /// Copies spec.objective; the split keeps no reference to `spec`.
   IncrementalSplit(HybridMapper& mapper, const ir::ProfileData& profile,
-                   const CostObjective& objective);
-
-  /// Cost-model-aware split: additionally maintains cost().t_reconfig
-  /// under the given pricing model (nullptr or a non-reconfiguring model
-  /// is the additive fast path — no repricing work at all). The model
-  /// must outlive the split. The reconfiguration charge is NOT per-block
-  /// additive (region residency couples moved blocks), so each
-  /// move/unmove exactly reprices the charge over the moved-set window:
-  /// the per-block load*iterations sum stays incremental and only the
-  /// top-R residency discount is recomputed, O(|moved| log |moved|). A
-  /// property test pins the result against CostModel::reconfig_cycles'
-  /// from-scratch evaluation under random move/unmove churn.
-  IncrementalSplit(HybridMapper& mapper, const ir::ProfileData& profile,
-                   const CostObjective& objective,
-                   const CostModel* cost_model);
+                   const ObjectiveSpec& spec = {});
 
   const SplitCost& cost() const { return cost_; }
 
@@ -197,15 +188,15 @@ class IncrementalSplit {
   const EnergyBreakdown& energy() const { return energy_; }
 
   /// The scalar the construction objective minimizes for the current
-  /// split (timing objective when constructed without one).
+  /// split (timing objective by default).
   double objective_value() const {
-    return objective_->value(cost_.total(), energy_.total_pj());
+    return objective_.value(cost_.total(), energy_.total_pj());
   }
 
   /// The construction objective's constraint test on the current split.
   bool meets(std::int64_t timing_constraint, double energy_budget_pj) const {
-    return objective_->met(cost_.total(), energy_.total_pj(),
-                           timing_constraint, energy_budget_pj);
+    return objective_.met(cost_.total(), energy_.total_pj(),
+                          timing_constraint, energy_budget_pj);
   }
   bool is_moved(ir::BlockId block) const;
   std::size_t moved_count() const { return order_.size(); }
@@ -228,13 +219,11 @@ class IncrementalSplit {
   std::int64_t coarse_total_cycles(ir::BlockId block);
 
   /// Recomputes the residency discount over the moved set and refreshes
-  /// cost_.t_reconfig. Only called when the model prices reconfiguration.
+  /// cost_.t_reconfig. Only called when the split prices reconfiguration.
   void reprice_reconfig();
 
   HybridMapper* mapper_;
-  const ir::ProfileData* profile_;
-  const CostObjective* objective_;  ///< never null (default: timing)
-  const CostModel* cost_model_ = nullptr;  ///< null = additive pricing
+  CostObjective objective_;
   SplitCost cost_;
   EnergyBreakdown energy_;
   std::vector<BlockEnergy> block_energy_;  ///< per block; empty when untracked
@@ -245,8 +234,9 @@ class IncrementalSplit {
   std::vector<std::int64_t> comm_total_;    ///< comm cycles * iterations
   std::vector<std::int64_t> coarse_total_;  ///< memo; -1 = not yet priced
 
-  // Reconfiguration pricing tables, built only when cost_model_ prices
-  // reconfiguration (all empty on the additive fast path).
+  // Reconfiguration pricing tables, built only when the spec prices load
+  // latency (all empty on the additive fast path).
+  int resident_regions_ = 0;  ///< PR regions; 0 = additive pricing
   std::vector<std::int64_t> reconfig_load_;    ///< load cycles per block
   std::vector<std::int64_t> reconfig_saving_;  ///< load * (iterations - 1)
   std::int64_t reconfig_sum_ = 0;  ///< sum of load * iterations over moved

@@ -4,7 +4,6 @@
 #include <map>
 #include <random>
 
-#include "core/cost_model.h"
 #include "core/energy.h"
 #include "core/strategy.h"
 #include "support/error.h"
@@ -119,16 +118,17 @@ std::vector<PartitionReport> run_methodology_axis(
   // split, so the (deterministic) repricing is memoized on the moved
   // set.
   std::map<std::vector<ir::BlockId>, EnergyBreakdown> energy_memo;
-  const std::unique_ptr<CostModel> cost_model =
-      make_cost_model(options.cost, mapper.platform());
   for (std::size_t j = 0; j < open.size(); ++j) {
     PartitionReport& report = reports[open[j]];
     const StrategyResult& result = results[j];
     report.kernels = kernels;
     report.moved = result.moved;
     report.cost = result.cost;
-    report.floorplan_cost =
-        cost_model->floorplan_cost(CostModel::moved_units(mapper, report.moved));
+    std::int64_t moved_units = 0;
+    for (const ir::BlockId block : report.moved) {
+      moved_units += mapper.node_count(block);
+    }
+    report.floorplan_cost = options.cost.reconfig.floorplan_cost(moved_units);
     report.final_cycles = result.cost.total();
     report.cycles_in_cgc = result.cost.t_coarse;
     auto memo = energy_memo.find(report.moved);

@@ -10,7 +10,6 @@
 #include "ir/cdfg.h"
 #include "ir/profile.h"
 #include "platform/platform.h"
-#include "platform/reconfig_model.h"
 
 namespace amdrel::core {
 
@@ -30,27 +29,6 @@ enum class StrategyKind {
   kGreedyPaper,  ///< paper Figure 2 steps 4-5: move kernels in order
   kExhaustive,   ///< branch-and-bound optimum over small kernel sets
   kAnnealing,    ///< seeded simulated annealing for large kernel sets
-};
-
-/// Everything that defines WHAT a run optimizes and how movements are
-/// priced, grouped so run_methodology, explore, the sweep specs and the
-/// fingerprints all consume one struct instead of re-plumbing each knob
-/// (the flag sprawl this replaces). A fourth pricing surface — the
-/// reconfiguration model — lands here rather than as loose fields.
-struct ObjectiveSpec {
-  /// What the selected strategy minimizes and which constraint(s) `met`
-  /// checks: the paper's timing flow, the energy variant, or a weighted
-  /// combination (see core/objective.h). Also carries the EnergyModel
-  /// that prices every report's energy columns.
-  CostObjective objective;
-  /// Energy budget in pJ, the energy-side analogue of the
-  /// timing_constraint parameter; consulted by kEnergy/kCombined.
-  double energy_budget_pj = 0;
-  /// Partial-reconfiguration pricing for moved modules (load latency,
-  /// prefetch overlap, region residency, floorplan cost). All-zero
-  /// defaults reproduce the additive v2 flow byte-for-byte; see
-  /// core/cost_model.h for the pricing interface it selects.
-  platform::ReconfigModel reconfig;
 };
 
 struct MethodologyOptions {

@@ -5,6 +5,8 @@
 #include <string_view>
 #include <vector>
 
+#include "platform/reconfig_model.h"
+
 namespace amdrel::core {
 
 /// Per-operation/per-event energy characterization of the platform — the
@@ -98,6 +100,26 @@ struct CostObjective {
   /// The constraint test behind `stop_when_met` and PartitionReport::met.
   bool met(std::int64_t total_cycles, double energy_pj,
            std::int64_t timing_constraint, double energy_budget_pj) const;
+};
+
+/// Everything that defines WHAT a run optimizes and how movements are
+/// priced, grouped so run_methodology, explore, the sweep specs, the
+/// fingerprints and IncrementalSplit all consume one struct instead of
+/// re-plumbing each knob.
+struct ObjectiveSpec {
+  /// What the selected strategy minimizes and which constraint(s) `met`
+  /// checks: the paper's timing flow, the energy variant, or a weighted
+  /// combination. Also carries the EnergyModel that prices every
+  /// report's energy columns.
+  CostObjective objective;
+  /// Energy budget in pJ, the energy-side analogue of the
+  /// timing_constraint parameter; consulted by kEnergy/kCombined.
+  double energy_budget_pj = 0;
+  /// Partial-reconfiguration pricing for moved modules (load latency,
+  /// prefetch overlap, region residency, floorplan cost). All-zero
+  /// defaults reproduce the additive flow byte-for-byte; see
+  /// platform/reconfig_model.h for the charge it prices.
+  platform::ReconfigModel reconfig;
 };
 
 /// All registered objective kinds, in presentation order.

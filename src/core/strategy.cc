@@ -2,10 +2,8 @@
 
 #include <algorithm>
 #include <cmath>
-#include <memory>
 #include <random>
 
-#include "core/cost_model.h"
 #include "support/bitset.h"
 #include "support/error.h"
 
@@ -16,10 +14,7 @@ namespace {
 std::vector<StrategyResult> greedy(const AxisContext& ctx) {
   const std::size_t cells = ctx.cells.size();
   std::vector<StrategyResult> results(cells);
-  const std::unique_ptr<CostModel> cost_model =
-      make_cost_model(ctx.options.cost, ctx.mapper.platform());
-  IncrementalSplit split(ctx.mapper, ctx.profile, ctx.options.cost.objective,
-                         cost_model.get());
+  IncrementalSplit split(ctx.mapper, ctx.profile, ctx.options.cost);
   // Objective values of pure-timing splits are integer cycle counts held
   // exactly in a double, so these comparisons replicate the original
   // int64 ones bit-for-bit.
@@ -89,10 +84,7 @@ std::vector<StrategyResult> greedy(const AxisContext& ctx) {
 StrategyResult exhaustive(const AxisContext& ctx, const AxisCell& cell) {
   StrategyResult result;
   const CostObjective& objective = ctx.options.cost.objective;
-  const std::unique_ptr<CostModel> cost_model =
-      make_cost_model(ctx.options.cost, ctx.mapper.platform());
-  IncrementalSplit split(ctx.mapper, ctx.profile, objective,
-                         cost_model.get());
+  IncrementalSplit split(ctx.mapper, ctx.profile, ctx.options.cost);
   const double root_value = split.objective_value();
   const auto split_met = [&](const IncrementalSplit& s) {
     return s.meets(cell.timing_constraint, cell.energy_budget_pj);
@@ -135,7 +127,7 @@ StrategyResult exhaustive(const AxisContext& ctx, const AxisCell& cell) {
   // (sum of the remaining negative deltas, per axis) — the admissible
   // bound.
   //
-  // Admissibility under the reconfiguration-aware CostModel (which is
+  // Admissibility under reconfiguration pricing (which is
   // deliberately NOT per-block additive): write the cycle cost of a
   // moved set M as C(M) = A(M) + E(M), where A(M) = base + sum over M of
   // (additive cycle delta + load(b)) and the residency excess
@@ -245,10 +237,7 @@ StrategyResult exhaustive(const AxisContext& ctx, const AxisCell& cell) {
 std::vector<StrategyResult> annealing(const AxisContext& ctx) {
   const std::size_t cells = ctx.cells.size();
   std::vector<StrategyResult> results(cells);
-  const std::unique_ptr<CostModel> cost_model =
-      make_cost_model(ctx.options.cost, ctx.mapper.platform());
-  IncrementalSplit split(ctx.mapper, ctx.profile, ctx.options.cost.objective,
-                         cost_model.get());
+  IncrementalSplit split(ctx.mapper, ctx.profile, ctx.options.cost);
 
   std::vector<ir::BlockId> candidates;
   for (const analysis::KernelInfo& kernel : ctx.kernels) {

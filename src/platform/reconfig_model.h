@@ -1,5 +1,6 @@
 #pragma once
 
+#include <algorithm>
 #include <cmath>
 #include <cstdint>
 
@@ -27,8 +28,27 @@ namespace amdrel::platform {
 ///     moved modules occupy, reported next to platform_cost rather than
 ///     added to the cycle objective.
 ///
-/// All-zero defaults price exactly like the additive v2 model — that
-/// identity is the migration gate for the CostModel redesign.
+/// The charge for a moved set M, priced incrementally by
+/// core::IncrementalSplit:
+///
+///   units(b)  = DFG node count of block b (bitstream-size proxy)
+///   load(b)   = load_cycles(units(b))
+///   w(b)      = max(1, profile iterations of b)
+///   R         = resident_regions(cgc_count) >= 1
+///
+///   t_reconfig(M) = sum_{b in M} load(b)*w(b)
+///                 - sum_{b in topR(M)} load(b)*(w(b)-1)
+///
+/// where topR(M) holds the R moved blocks with the largest re-load
+/// saving load(b)*(w(b)-1). Equivalently t_reconfig(M) = sum load(b) +
+/// E(M) with the excess E(M) = sum savings - topR savings >= 0. E is
+/// monotone nondecreasing under set inclusion (adding a block with
+/// saving s raises the topR sum by at most s), which is exactly what
+/// keeps the exhaustive strategy's suffix bound admissible — see the
+/// proof note in core/strategy.cc.
+///
+/// All-zero defaults price exactly like the paper's additive equation
+/// (2): no cycles and no floorplan charge, every golden unchanged.
 struct ReconfigModel {
   /// ICAP throughput reciprocal: FPGA cycles to stream one unit (one op
   /// node) of configuration. 0 disables reconfiguration pricing.
@@ -59,6 +79,20 @@ struct ReconfigModel {
                        bitstream_cycles_per_unit *
                        (1.0 - prefetch_overlap);
     return static_cast<std::int64_t>(std::ceil(raw));
+  }
+
+  /// PR regions that keep a configuration resident: `regions`, or one
+  /// per CGC when it is 0. Always >= 1.
+  int resident_regions(int cgc_count) const {
+    return regions > 0 ? regions : std::max(1, cgc_count);
+  }
+
+  /// Area-equivalent floorplan charge for `units` total moved op nodes.
+  /// A disabled model charges +0.0 even when floorplan_cost_per_unit is
+  /// -0.0, so `--floorplan-cost -0` prints like the flagless run.
+  double floorplan_cost(std::int64_t units) const {
+    if (!enabled()) return 0.0;
+    return floorplan_cost_per_unit * static_cast<double>(units);
   }
 };
 

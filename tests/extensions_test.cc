@@ -14,6 +14,18 @@ using workloads::build_jpeg_model;
 using workloads::build_ofdm_model;
 using workloads::PaperApp;
 
+// The energy-constrained variant of Figure 2: run_methodology under the
+// energy objective with `budget_pj` as the budget (met() ignores the
+// timing constraint under kEnergy).
+PartitionReport run_energy(const PaperApp& app, const platform::Platform& p,
+                           double budget_pj,
+                           MethodologyOptions options = {}) {
+  options.cost.objective.kind = ObjectiveKind::kEnergy;
+  options.cost.energy_budget_pj = budget_pj;
+  return run_methodology(app.cdfg, app.profile, p, /*timing_constraint=*/0,
+                         options);
+}
+
 TEST(PipelineTest, PipelineNeverSlowerThanSequential) {
   const PaperApp app = build_ofdm_model();
   const auto report = run_methodology(
@@ -94,19 +106,18 @@ TEST(EnergyTest, EnergyMethodologyMeetsBudget) {
   const auto p = platform::make_paper_platform(1500, 2);
   const double all_fine =
       estimate_energy(app.cdfg, app.profile, p, {}).total_pj();
-  const EnergyPartitionReport report = run_energy_methodology(
-      app.cdfg, app.profile, p, /*budget_pj=*/all_fine * 0.6);
+  const PartitionReport report =
+      run_energy(app, p, /*budget_pj=*/all_fine * 0.6);
   EXPECT_TRUE(report.met);
   EXPECT_FALSE(report.moved.empty());
   EXPECT_LE(report.energy.total_pj(), all_fine * 0.6);
-  EXPECT_GT(report.reduction_percent(), 0.0);
+  EXPECT_GT(report.energy_reduction_percent(), 0.0);
 }
 
 TEST(EnergyTest, TrivialBudgetNeedsNoMoves) {
   const PaperApp app = build_ofdm_model();
   const auto p = platform::make_paper_platform(1500, 2);
-  const EnergyPartitionReport report = run_energy_methodology(
-      app.cdfg, app.profile, p, /*budget_pj=*/1e18);
+  const PartitionReport report = run_energy(app, p, /*budget_pj=*/1e18);
   EXPECT_TRUE(report.met);
   EXPECT_TRUE(report.moved.empty());
 }
@@ -114,11 +125,10 @@ TEST(EnergyTest, TrivialBudgetNeedsNoMoves) {
 TEST(EnergyTest, ImpossibleBudgetReportsBestEffort) {
   const PaperApp app = build_jpeg_model();
   const auto p = platform::make_paper_platform(1500, 2);
-  const EnergyPartitionReport report =
-      run_energy_methodology(app.cdfg, app.profile, p, /*budget_pj=*/1.0);
+  const PartitionReport report = run_energy(app, p, /*budget_pj=*/1.0);
   EXPECT_FALSE(report.met);
   EXPECT_FALSE(report.moved.empty());
-  EXPECT_LT(report.energy.total_pj(), report.initial_pj);
+  EXPECT_LT(report.energy.total_pj(), report.initial_energy_pj);
 }
 
 // With an unmeetable budget the strategy engine reports the best split
@@ -130,8 +140,7 @@ TEST(EnergyTest, ImpossibleBudgetReportsBestEffort) {
 TEST(EnergyStrategyTest, UnmetBudgetNeverWorseThanOldAlwaysCommitLoop) {
   const PaperApp app = build_jpeg_model();
   const auto p = platform::make_paper_platform(1500, 2);
-  const EnergyPartitionReport report =
-      run_energy_methodology(app.cdfg, app.profile, p, /*budget_pj=*/1.0);
+  const PartitionReport report = run_energy(app, p, /*budget_pj=*/1.0);
   ASSERT_FALSE(report.met);
 
   // The old loop's result: every CGC-eligible kernel committed.
@@ -159,8 +168,8 @@ TEST(EnergyStrategyTest, AllStrategiesServeTheEnergyObjective) {
     MethodologyOptions options;
     options.strategy = kind;
     options.exhaustive_max_kernels = 12;
-    const EnergyPartitionReport report = run_energy_methodology(
-        app.cdfg, app.profile, p, all_fine * 0.006, EnergyModel{}, options);
+    const PartitionReport report =
+        run_energy(app, p, all_fine * 0.006, options);
     EXPECT_TRUE(report.met) << strategy_name(kind);
     EXPECT_FALSE(report.moved.empty()) << strategy_name(kind);
     EXPECT_LE(report.energy.total_pj(), all_fine * 0.006)
@@ -181,13 +190,11 @@ TEST(EnergyStrategyTest, ExhaustiveMeetsBudgetWithFewestMoves) {
   const double budget = all_fine * 0.006;
 
   MethodologyOptions greedy;
-  const EnergyPartitionReport g = run_energy_methodology(
-      app.cdfg, app.profile, p, budget, EnergyModel{}, greedy);
+  const PartitionReport g = run_energy(app, p, budget, greedy);
   MethodologyOptions exhaustive;
   exhaustive.strategy = StrategyKind::kExhaustive;
   exhaustive.exhaustive_max_kernels = 12;
-  const EnergyPartitionReport e = run_energy_methodology(
-      app.cdfg, app.profile, p, budget, EnergyModel{}, exhaustive);
+  const PartitionReport e = run_energy(app, p, budget, exhaustive);
   ASSERT_TRUE(g.met);
   ASSERT_TRUE(e.met);
   EXPECT_LE(e.moved.size(), g.moved.size());
@@ -201,10 +208,8 @@ TEST(EnergyStrategyTest, AnnealingIsDeterministicPerSeed) {
   MethodologyOptions options;
   options.strategy = StrategyKind::kAnnealing;
   options.random_seed = 42;
-  const EnergyPartitionReport a = run_energy_methodology(
-      app.cdfg, app.profile, p, all_fine * 0.005, EnergyModel{}, options);
-  const EnergyPartitionReport b = run_energy_methodology(
-      app.cdfg, app.profile, p, all_fine * 0.005, EnergyModel{}, options);
+  const PartitionReport a = run_energy(app, p, all_fine * 0.005, options);
+  const PartitionReport b = run_energy(app, p, all_fine * 0.005, options);
   EXPECT_EQ(a.moved, b.moved);
   EXPECT_DOUBLE_EQ(a.energy.total_pj(), b.energy.total_pj());
 }

@@ -76,10 +76,10 @@ TEST_P(SplitChurnProperty, MatchesEvaluateAndEstimateEnergyUnderChurn) {
   const auto platform = platform::make_paper_platform(1500, 2);
   HybridMapper mapper(app.cdfg, platform);
 
-  CostObjective objective;
-  objective.kind = ObjectiveKind::kCombined;
-  objective.energy_weight = 1e-6;
-  IncrementalSplit split(mapper, app.profile, objective);
+  ObjectiveSpec spec;
+  spec.objective.kind = ObjectiveKind::kCombined;
+  spec.objective.energy_weight = 1e-6;
+  IncrementalSplit split(mapper, app.profile, spec);
 
   std::vector<ir::BlockId> eligible;
   for (const ir::BasicBlock& block : app.cdfg.blocks()) {
@@ -106,7 +106,7 @@ TEST_P(SplitChurnProperty, MatchesEvaluateAndEstimateEnergyUnderChurn) {
     EXPECT_EQ(split.cost().t_comm, full.t_comm) << "step " << step;
 
     const EnergyBreakdown repriced = estimate_energy(
-        mapper, app.profile, split.moved(), objective.energy);
+        mapper, app.profile, split.moved(), spec.objective.energy);
     EXPECT_NEAR(split.energy().total_pj(), repriced.total_pj(),
                 1e-6 * (1.0 + repriced.total_pj()))
         << "step " << step;

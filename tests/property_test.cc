@@ -301,8 +301,11 @@ TEST_P(MethodologyProperty, EnergyBreakdownConsistent) {
   const auto all_fine = core::estimate_energy(app.cdfg, app.profile, p, {});
   EXPECT_GE(all_fine.fine_pj, 0.0);
   EXPECT_EQ(all_fine.coarse_pj, 0.0);
-  const auto report = core::run_energy_methodology(
-      app.cdfg, app.profile, p, all_fine.total_pj() * 0.8);
+  core::MethodologyOptions options;
+  options.cost.objective.kind = core::ObjectiveKind::kEnergy;
+  options.cost.energy_budget_pj = all_fine.total_pj() * 0.8;
+  const auto report = core::run_methodology(app.cdfg, app.profile, p,
+                                            /*timing_constraint=*/0, options);
   // the engine reports exactly the breakdown of its final split
   const auto repriced =
       core::estimate_energy(app.cdfg, app.profile, p, report.moved);
@@ -352,9 +355,9 @@ TEST_P(MethodologyProperty, IncrementalEnergyMatchesEstimate) {
   const auto app = make_app();
   const auto p = platform::make_paper_platform(1500, 2);
   core::HybridMapper mapper(app.cdfg, p);
-  core::CostObjective objective;
-  objective.kind = core::ObjectiveKind::kEnergy;
-  core::IncrementalSplit split(mapper, app.profile, objective);
+  core::ObjectiveSpec spec;
+  spec.objective.kind = core::ObjectiveKind::kEnergy;
+  core::IncrementalSplit split(mapper, app.profile, spec);
 
   std::vector<ir::BlockId> eligible;
   for (const auto& block : app.cdfg.blocks()) {
@@ -377,7 +380,7 @@ TEST_P(MethodologyProperty, IncrementalEnergyMatchesEstimate) {
       split.move(block);
     }
     const core::EnergyBreakdown reference = core::estimate_energy(
-        mapper, app.profile, split.moved(), objective.energy);
+        mapper, app.profile, split.moved(), spec.objective.energy);
     ASSERT_TRUE(near(split.energy().fine_pj, reference.fine_pj))
         << "step " << step << ": " << split.energy().fine_pj << " vs "
         << reference.fine_pj;

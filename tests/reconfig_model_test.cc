@@ -1,14 +1,15 @@
-// The CostModel seam: additive-equivalence (the migration gate — a cost
-// model that prices nothing must reproduce the pre-CostModel engine
-// exactly), the exact-window repricing of IncrementalSplit's t_reconfig
-// under random churn, and small-N brute-force optimality of the
-// redesigned branch-and-bound bound under nonzero inter-block
-// reconfiguration terms.
+// Reconfiguration pricing (platform::ReconfigModel): additive
+// equivalence (a model that prices no load latency must reproduce the
+// paper's additive engine exactly), the exact-window repricing of
+// IncrementalSplit's t_reconfig under random churn, and small-N
+// brute-force optimality of the branch-and-bound bound under nonzero
+// inter-block reconfiguration terms.
 
-#include "core/cost_model.h"
+#include "platform/reconfig_model.h"
 
 #include <gtest/gtest.h>
 
+#include <cmath>
 #include <cstdint>
 #include <random>
 #include <vector>
@@ -17,7 +18,7 @@
 #include "core/hybrid_mapper.h"
 #include "core/methodology.h"
 #include "platform/platform.h"
-#include "platform/reconfig_model.h"
+#include "reconfig_oracle.h"
 #include "synth/cdfg_generator.h"
 
 namespace amdrel {
@@ -58,45 +59,50 @@ TEST(ReconfigModelTest, PrefetchOverlapHidesAFractionOfTheLoad) {
   EXPECT_EQ(model.load_cycles(10), 4);   // ceil(4.0)
 }
 
-// ----------------------------------------------------- model choice ----
-
-TEST(MakeCostModelTest, ZeroSpecSelectsTheAdditiveModel) {
-  const auto p = platform::make_paper_platform(1500, 2);
-  core::ObjectiveSpec spec;
-  const auto model = core::make_cost_model(spec, p);
-  EXPECT_FALSE(model->prices_reconfiguration());
-  EXPECT_EQ(model->load_cycles(100), 0);
-  EXPECT_EQ(model->floorplan_cost(100), 0.0);
+TEST(ReconfigModelTest, ZeroModelPricesNothing) {
+  const platform::ReconfigModel model;
+  EXPECT_EQ(model.load_cycles(100), 0);
+  EXPECT_EQ(model.floorplan_cost(100), 0.0);
+  // A disabled model charges +0.0 even for a -0 per-unit charge, so a
+  // `--floorplan-cost -0` report prints like the flagless one.
+  platform::ReconfigModel negative_zero;
+  negative_zero.floorplan_cost_per_unit = -0.0;
+  negative_zero.bitstream_cycles_per_unit = -0.0;
+  EXPECT_FALSE(negative_zero.enabled());
+  EXPECT_EQ(negative_zero.load_cycles(100), 0);
+  EXPECT_FALSE(std::signbit(negative_zero.floorplan_cost(100)));
 }
 
-TEST(MakeCostModelTest, ReconfigSpecSelectsTheReconfigModel) {
-  const auto p = platform::make_paper_platform(1500, 2);
-  core::ObjectiveSpec spec;
-  spec.reconfig.bitstream_cycles_per_unit = 2.0;
-  spec.reconfig.floorplan_cost_per_unit = 0.5;
-  const auto model = core::make_cost_model(spec, p);
-  EXPECT_TRUE(model->prices_reconfiguration());
-  EXPECT_EQ(model->load_cycles(3), 6);
-  EXPECT_EQ(model->floorplan_cost(10), 5.0);
-  // regions == 0 resolves to the platform's CGC count.
-  EXPECT_EQ(model->resident_regions(), p.cgc.count);
+TEST(ReconfigModelTest, LatencyAndFloorplanModelPricesBoth) {
+  platform::ReconfigModel model;
+  model.bitstream_cycles_per_unit = 2.0;
+  model.floorplan_cost_per_unit = 0.5;
+  EXPECT_EQ(model.load_cycles(3), 6);
+  EXPECT_EQ(model.floorplan_cost(10), 5.0);
 }
 
-TEST(MakeCostModelTest, FloorplanOnlySpecPricesNoCycles) {
-  const auto p = platform::make_paper_platform(1500, 2);
-  core::ObjectiveSpec spec;
-  spec.reconfig.floorplan_cost_per_unit = 1.25;
-  const auto model = core::make_cost_model(spec, p);
-  EXPECT_FALSE(model->prices_reconfiguration());
-  EXPECT_EQ(model->floorplan_cost(8), 10.0);
+TEST(ReconfigModelTest, FloorplanOnlyModelPricesNoCycles) {
+  platform::ReconfigModel model;
+  model.floorplan_cost_per_unit = 1.25;
+  EXPECT_TRUE(model.enabled());
+  EXPECT_EQ(model.load_cycles(100), 0);
+  EXPECT_EQ(model.floorplan_cost(8), 10.0);
 }
 
-TEST(ReconfigCostModelTest, ExplicitRegionsOverrideTheDefault) {
-  platform::ReconfigModel rm;
-  rm.bitstream_cycles_per_unit = 1.0;
-  rm.regions = 3;
-  const core::ReconfigCostModel model(rm, 2);
-  EXPECT_EQ(model.resident_regions(), 3);
+TEST(ReconfigModelTest, ZeroRegionsResolveToTheCgcCount) {
+  const auto p = platform::make_paper_platform(1500, 3);
+  platform::ReconfigModel model;
+  model.bitstream_cycles_per_unit = 1.0;
+  EXPECT_EQ(model.resident_regions(p.cgc.count), p.cgc.count);
+  // Never fewer than one region, whatever the CGC count.
+  EXPECT_EQ(model.resident_regions(0), 1);
+}
+
+TEST(ReconfigModelTest, ExplicitRegionsOverrideTheDefault) {
+  platform::ReconfigModel model;
+  model.bitstream_cycles_per_unit = 1.0;
+  model.regions = 3;
+  EXPECT_EQ(model.resident_regions(2), 3);
 }
 
 // --------------------------------------------- exact charge pricing ----
@@ -115,16 +121,21 @@ TEST(ReconfigChargeTest, SingleMovedBlockPaysOneLoad) {
   const auto p = platform::make_paper_platform(1500, 2);
   core::HybridMapper mapper(app.cdfg, p);
 
-  platform::ReconfigModel rm;
-  rm.bitstream_cycles_per_unit = 2.0;
-  const core::ReconfigCostModel model(rm, p.cgc.count);
+  core::ObjectiveSpec spec;
+  spec.reconfig.bitstream_cycles_per_unit = 2.0;
+  const platform::ReconfigModel& model = spec.reconfig;
+  core::IncrementalSplit split(mapper, app.profile, spec);
 
   for (ir::BlockId b = 0; b < app.cdfg.size(); ++b) {
     if (!mapper.cgc_eligible(b)) continue;
     // One moved module always holds a region: it pays exactly one load
     // regardless of its iteration count.
     const std::int64_t load = model.load_cycles(mapper.node_count(b));
-    EXPECT_EQ(model.reconfig_cycles(mapper, app.profile, {b}), load);
+    EXPECT_EQ(core::oracle_reconfig_cycles(model, mapper, app.profile, {b}),
+              load);
+    split.move(b);
+    EXPECT_EQ(split.cost().t_reconfig, load);
+    split.unmove(b);
   }
 }
 
@@ -140,12 +151,11 @@ TEST(ReconfigChargeTest, ResidencyDiscountsTheTopSavers) {
   ASSERT_GE(eligible.size(), 3u);
   const std::vector<ir::BlockId> moved(eligible.begin(), eligible.begin() + 3);
 
-  platform::ReconfigModel rm;
-  rm.bitstream_cycles_per_unit = 3.0;
-  rm.regions = 3;
-  const core::ReconfigCostModel all_resident(rm, p.cgc.count);
-  rm.regions = 1;
-  const core::ReconfigCostModel one_region(rm, p.cgc.count);
+  platform::ReconfigModel all_resident;
+  all_resident.bitstream_cycles_per_unit = 3.0;
+  all_resident.regions = 3;
+  platform::ReconfigModel one_region = all_resident;
+  one_region.regions = 1;
 
   // With every moved module resident, each pays exactly one load; with a
   // single region the charge can only grow.
@@ -153,8 +163,12 @@ TEST(ReconfigChargeTest, ResidencyDiscountsTheTopSavers) {
   for (const ir::BlockId b : moved) {
     loads += all_resident.load_cycles(mapper.node_count(b));
   }
-  EXPECT_EQ(all_resident.reconfig_cycles(mapper, app.profile, moved), loads);
-  EXPECT_GE(one_region.reconfig_cycles(mapper, app.profile, moved), loads);
+  EXPECT_EQ(
+      core::oracle_reconfig_cycles(all_resident, mapper, app.profile, moved),
+      loads);
+  EXPECT_GE(
+      core::oracle_reconfig_cycles(one_region, mapper, app.profile, moved),
+      loads);
 }
 
 // ------------------------------------------- incremental repricing ----
@@ -163,7 +177,7 @@ class ReconfigChurnProperty : public ::testing::TestWithParam<std::uint64_t> {
 };
 
 // The exact-window repricing contract: after ANY move/unmove sequence the
-// incremental t_reconfig equals the from-scratch CostModel evaluation of
+// incremental t_reconfig equals the from-scratch oracle evaluation of
 // the current moved set, and the additive terms stay bit-identical to
 // HybridMapper::evaluate.
 TEST_P(ReconfigChurnProperty, IncrementalMatchesFullRepricing) {
@@ -171,14 +185,12 @@ TEST_P(ReconfigChurnProperty, IncrementalMatchesFullRepricing) {
   const auto p = platform::make_paper_platform(1500, 2);
   core::HybridMapper mapper(app.cdfg, p);
 
-  platform::ReconfigModel rm;
-  rm.bitstream_cycles_per_unit = 2.5;
-  rm.prefetch_overlap = 0.25;
-  rm.regions = GetParam() % 2 == 0 ? 0 : 2;  // exercise the default too
-  const core::ReconfigCostModel model(rm, p.cgc.count);
-
-  const core::CostObjective objective;
-  core::IncrementalSplit split(mapper, app.profile, objective, &model);
+  core::ObjectiveSpec spec;
+  spec.reconfig.bitstream_cycles_per_unit = 2.5;
+  spec.reconfig.prefetch_overlap = 0.25;
+  // Exercise the regions default too.
+  spec.reconfig.regions = GetParam() % 2 == 0 ? 0 : 2;
+  core::IncrementalSplit split(mapper, app.profile, spec);
 
   std::vector<ir::BlockId> eligible;
   for (ir::BlockId b = 0; b < app.cdfg.size(); ++b) {
@@ -200,7 +212,8 @@ TEST_P(ReconfigChurnProperty, IncrementalMatchesFullRepricing) {
     }
 
     ASSERT_EQ(split.cost().t_reconfig,
-              model.reconfig_cycles(mapper, app.profile, split.moved()));
+              core::oracle_reconfig_cycles(spec.reconfig, mapper, app.profile,
+                                           split.moved()));
     const core::SplitCost full = mapper.evaluate(app.profile, split.moved());
     ASSERT_EQ(split.cost().t_fpga, full.t_fpga);
     ASSERT_EQ(split.cost().t_coarse, full.t_coarse);
@@ -208,20 +221,17 @@ TEST_P(ReconfigChurnProperty, IncrementalMatchesFullRepricing) {
   }
 }
 
-// A model that prices no cycles must leave the split on the additive
+// A spec that prices no cycles must leave the split on the additive
 // fast path: zero t_reconfig forever, costs identical to a plain split.
 TEST_P(ReconfigChurnProperty, ZeroLatencyModelIsInert) {
   const auto app = make_app(GetParam());
   const auto p = platform::make_paper_platform(1500, 2);
   core::HybridMapper mapper(app.cdfg, p);
 
-  platform::ReconfigModel rm;
-  rm.floorplan_cost_per_unit = 4.0;  // enabled, but no cycle pricing
-  const core::ReconfigCostModel model(rm, p.cgc.count);
-
-  const core::CostObjective objective;
-  core::IncrementalSplit with_model(mapper, app.profile, objective, &model);
-  core::IncrementalSplit plain(mapper, app.profile, objective);
+  core::ObjectiveSpec spec;
+  spec.reconfig.floorplan_cost_per_unit = 4.0;  // enabled, no cycle pricing
+  core::IncrementalSplit with_model(mapper, app.profile, spec);
+  core::IncrementalSplit plain(mapper, app.profile);
 
   std::mt19937_64 rng(GetParam());
   std::vector<ir::BlockId> eligible;
@@ -262,7 +272,7 @@ struct EquivalenceCase {
 class AdditiveEquivalence : public ::testing::TestWithParam<EquivalenceCase> {
 };
 
-// The migration gate as a property: a reconfiguration model with zero
+// The additive identity as a property: a reconfiguration model with zero
 // load latency must leave every engine output — cycles, energy, moved
 // set, met flag, iteration counts — exactly as the plain additive run
 // produced it, across all strategies and objectives. Only the reported
@@ -309,7 +319,7 @@ TEST_P(AdditiveEquivalence, ZeroLatencyModelReproducesTheAdditiveRun) {
     EXPECT_EQ(base.floorplan_cost, 0.0);
     EXPECT_EQ(priced.floorplan_cost,
               2.5 * static_cast<double>(
-                        core::CostModel::moved_units(mapper, priced.moved)));
+                        core::oracle_moved_units(mapper, priced.moved)));
   }
 }
 
@@ -361,8 +371,8 @@ TEST_P(ExhaustiveReconfigOptimality, MatchesBruteForceEnumeration) {
   // the result is the best total anywhere in the subset lattice.
   const auto report = core::run_methodology(mapper, app.profile, 1, options);
 
-  const auto model = core::make_cost_model(options.cost, p);
-  ASSERT_TRUE(model->prices_reconfiguration());
+  const platform::ReconfigModel& model = options.cost.reconfig;
+  ASSERT_GT(model.bitstream_cycles_per_unit, 0.0);
 
   // The engine's candidate set: the first eligible kernels, capped.
   std::vector<ir::BlockId> candidates;
@@ -383,14 +393,15 @@ TEST_P(ExhaustiveReconfigOptimality, MatchesBruteForceEnumeration) {
     }
     const std::int64_t total =
         mapper.evaluate(app.profile, moved).total() +
-        model->reconfig_cycles(mapper, app.profile, moved);
+        core::oracle_reconfig_cycles(model, mapper, app.profile, moved);
     best = std::min(best, total);
   }
 
   EXPECT_EQ(report.final_cycles, best);
   // The reported split itself reprices to its reported cost.
   EXPECT_EQ(report.cost.t_reconfig,
-            model->reconfig_cycles(mapper, app.profile, report.moved));
+            core::oracle_reconfig_cycles(model, mapper, app.profile,
+                                         report.moved));
   EXPECT_EQ(report.final_cycles,
             mapper.evaluate(app.profile, report.moved).total() +
                 report.cost.t_reconfig);

@@ -32,6 +32,7 @@
 // at the end of parse_args.
 
 #include <algorithm>
+#include <cctype>
 #include <cmath>
 #include <csignal>
 #include <cstdio>
@@ -134,39 +135,50 @@ std::vector<std::string> split_list(const std::string& spec) {
 }
 
 // Malformed numeric flag values are usage errors naming the offending
-// flag, matching how unknown strategy/ordering names are handled
-// (std::sto* would otherwise throw std::invalid_argument past main's
-// Error handler).
-std::int64_t parse_i64(const std::string& text, const std::string& flag) {
+// flag, matching how unknown strategy/ordering names are handled. The
+// whole token must parse: std::sto* skip leading blanks and stop at the
+// first character they cannot use, so "12abc" would read as 12 and
+// "2.9" as an int 2, and std::stoull wraps "-1" to 2^64 - 1.
+template <class Parse>
+auto parse_number(const std::string& text, const std::string& flag,
+                  Parse parse) {
+  std::size_t used = 0;
   try {
-    return std::stoll(text);
+    if (!text.empty() && !std::isspace(static_cast<unsigned char>(text[0]))) {
+      const auto value = parse(text, &used);
+      if (used == text.size()) return value;
+    }
   } catch (const std::exception&) {
-    usage_error(flag, "malformed numeric value '" + text + "'");
+    // std::invalid_argument or std::out_of_range: reported below.
   }
+  usage_error(flag, "malformed numeric value '" + text + "'");
+}
+
+std::int64_t parse_i64(const std::string& text, const std::string& flag) {
+  return parse_number(text, flag, [](const std::string& t, std::size_t* n) {
+    return static_cast<std::int64_t>(std::stoll(t, n));
+  });
 }
 
 std::uint64_t parse_u64(const std::string& text, const std::string& flag) {
-  try {
-    return std::stoull(text);
-  } catch (const std::exception&) {
-    usage_error(flag, "malformed numeric value '" + text + "'");
+  if (!text.empty() && text[0] == '-') {
+    usage_error(flag, "negative value '" + text + "'");
   }
+  return parse_number(text, flag, [](const std::string& t, std::size_t* n) {
+    return static_cast<std::uint64_t>(std::stoull(t, n));
+  });
 }
 
 int parse_int(const std::string& text, const std::string& flag) {
-  try {
-    return std::stoi(text);
-  } catch (const std::exception&) {
-    usage_error(flag, "malformed numeric value '" + text + "'");
-  }
+  return parse_number(text, flag, [](const std::string& t, std::size_t* n) {
+    return std::stoi(t, n);
+  });
 }
 
 double parse_double(const std::string& text, const std::string& flag) {
-  try {
-    return std::stod(text);
-  } catch (const std::exception&) {
-    usage_error(flag, "malformed numeric value '" + text + "'");
-  }
+  return parse_number(text, flag, [](const std::string& t, std::size_t* n) {
+    return std::stod(t, n);
+  });
 }
 
 // A path-valued flag must not swallow the next flag as its value; the
@@ -430,9 +442,6 @@ const OptionSpec kOptions[] = {
      "--cache; explore/worker only)"},
     {"--cache-cap-bytes", true,
      [](Options& o, const std::string& v, const std::string& f) {
-       // A leading '-' would parse as a huge unsigned value; reject it
-       // as the usage error it is.
-       if (v.empty() || v[0] == '-') usage_error(f, "cap must be >= 0");
        o.cache_cap = parse_u64(v, f);
      },
      "size cap for the saved cache file; entries beyond it are evicted "
