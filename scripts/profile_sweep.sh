@@ -1,31 +1,40 @@
 #!/usr/bin/env sh
-# Profiles the corpus-sweep hot path (bench_corpus_sweep, cold-cache
-# filter by default) and prints a flat hot-spot report.
+# Profiles the corpus-sweep hot path, a cold `amdrelc explore` over the
+# built-in corpus (a fresh cache file, so every cell is computed and
+# written), and prints a flat hot-spot report.
 #
-#   scripts/profile_sweep.sh [build-dir] [benchmark-filter]
+#   scripts/profile_sweep.sh [build-dir] [explore flags...]
 #
-# Defaults: build-dir "build", filter "ColdCache". Uses `perf record`
-# when available; falls back to a gprof build (-pg, its own build tree
-# under <build-dir>-gprof) when perf is missing — containers and CI
-# runners often lack perf_event access, and gprof needs no kernel
-# support. Artifacts (perf.data / gmon.out and the text report) land in
-# <build-dir>/profile/.
+# Defaults: build-dir "build"; flags "--corpus ofdm,jpeg,fir,sobel
+# --grid 600,800,1000,1500,2200,3300,5000,8000x1,2,3,4 --strategies
+# greedy,annealing --orderings weight,benefit --threads 1". Uses
+# `perf record` when available; falls back to a gprof build (-pg, its own
+# build tree under <build-dir>-gprof) when perf is missing — containers
+# and CI runners often lack perf_event access, and gprof needs no kernel
+# support. Artifacts (perf.data / gmon.out, the cache file and the text
+# report) land in <build-dir>/profile/.
 set -eu
 
 BUILD_DIR=${1:-build}
-FILTER=${2:-ColdCache}
+[ $# -gt 0 ] && shift
+if [ $# -eq 0 ]; then
+  set -- --corpus ofdm,jpeg,fir,sobel \
+    --grid 600,800,1000,1500,2200,3300,5000,8000x1,2,3,4 \
+    --strategies greedy,annealing --orderings weight,benefit --threads 1
+fi
 SRC_DIR=$(CDPATH= cd -- "$(dirname -- "$0")/.." && pwd)
 OUT_DIR="$SRC_DIR/$BUILD_DIR/profile"
 mkdir -p "$OUT_DIR"
-
-BENCH_ARGS="--benchmark_filter=$FILTER --benchmark_repetitions=1"
+CACHE="$OUT_DIR/profile_cache.jsonl"
 
 if command -v perf >/dev/null 2>&1 &&
     perf record -o /dev/null -- true >/dev/null 2>&1; then
-  echo "== perf record over bench_corpus_sweep ($FILTER) =="
-  cmake --build "$SRC_DIR/$BUILD_DIR" --target bench_corpus_sweep -j
+  echo "== perf record over a cold amdrelc explore =="
+  cmake --build "$SRC_DIR/$BUILD_DIR" --target amdrelc -j
+  rm -f "$CACHE" "$CACHE".*
   perf record -g -o "$OUT_DIR/perf.data" -- \
-    "$SRC_DIR/$BUILD_DIR/bench/bench_corpus_sweep" $BENCH_ARGS
+    "$SRC_DIR/$BUILD_DIR/tools/amdrelc" explore "$@" --cache "$CACHE" \
+    > /dev/null
   perf report -i "$OUT_DIR/perf.data" --stdio --percent-limit 1 \
     > "$OUT_DIR/perf_report.txt"
   head -60 "$OUT_DIR/perf_report.txt"
@@ -38,12 +47,13 @@ GPROF_DIR="$SRC_DIR/$BUILD_DIR-gprof"
 cmake -B "$GPROF_DIR" -S "$SRC_DIR" \
   -DCMAKE_BUILD_TYPE=RelWithDebInfo \
   -DCMAKE_CXX_FLAGS="-pg" -DCMAKE_EXE_LINKER_FLAGS="-pg" >/dev/null
-cmake --build "$GPROF_DIR" --target bench_corpus_sweep -j
+cmake --build "$GPROF_DIR" --target amdrelc -j
+rm -f "$CACHE" "$CACHE".*
 (
   cd "$OUT_DIR"
-  "$GPROF_DIR/bench/bench_corpus_sweep" $BENCH_ARGS
+  "$GPROF_DIR/tools/amdrelc" explore "$@" --cache "$CACHE" > /dev/null
 )
-gprof "$GPROF_DIR/bench/bench_corpus_sweep" "$OUT_DIR/gmon.out" \
+gprof "$GPROF_DIR/tools/amdrelc" "$OUT_DIR/gmon.out" \
   > "$OUT_DIR/gprof_report.txt"
 awk '/^ *time/{found=1} found' "$OUT_DIR/gprof_report.txt" | head -40
 echo "full report: $OUT_DIR/gprof_report.txt"

@@ -4,8 +4,12 @@
 #include <atomic>
 #include <cctype>
 #include <cmath>
+#include <condition_variable>
 #include <cstdio>
+#include <exception>
 #include <iterator>
+#include <mutex>
+#include <numeric>
 #include <sstream>
 #include <thread>
 #include <tuple>
@@ -401,6 +405,84 @@ void finalize_sweep_summary(SweepSummary& summary,
   }
 }
 
+void compute_sweep_shards(const std::vector<CorpusApp>& corpus,
+                          const SweepSpec& spec,
+                          const std::vector<Fingerprint>& app_fps,
+                          const std::vector<std::size_t>& shards,
+                          const ShardSink& sink) {
+  const std::size_t cells_per_shard = sweep_cells_per_shard(spec);
+  const int threads = worker_count(shards.size(), spec.threads);
+  if (threads == 1) {
+    for (std::size_t job = 0; job < shards.size(); ++job) {
+      std::vector<SweepCell> cells(cells_per_shard);
+      const std::size_t used =
+          compute_sweep_shard(corpus, spec, app_fps, shards[job], cells.data());
+      sink(job, cells, used);
+    }
+    return;
+  }
+
+  // Threads compute in claim order; the calling thread hands the shards
+  // to `sink` in list order. A failed shard stops the claiming, so every
+  // shard before it is already claimed and will finish: the in-order walk
+  // below reaches the first failure in list order and never waits on an
+  // unclaimed shard.
+  struct Pending {
+    std::vector<SweepCell> cells;
+    std::size_t used = 0;
+    std::exception_ptr failure;
+    bool done = false;
+  };
+  std::vector<Pending> pending(shards.size());
+  std::mutex mutex;
+  std::condition_variable ready;
+  std::atomic<std::size_t> next{0};
+  std::atomic<bool> stop{false};
+  auto worker = [&]() {
+    while (!stop.load()) {
+      const std::size_t job = next.fetch_add(1);
+      if (job >= shards.size()) return;
+      std::vector<SweepCell> cells(cells_per_shard);
+      std::size_t used = 0;
+      std::exception_ptr failure;
+      try {
+        used = compute_sweep_shard(corpus, spec, app_fps, shards[job],
+                                   cells.data());
+      } catch (...) {
+        failure = std::current_exception();
+        stop.store(true);
+      }
+      {
+        const std::lock_guard<std::mutex> lock(mutex);
+        pending[job] = Pending{std::move(cells), used, failure, true};
+      }
+      ready.notify_all();
+    }
+  };
+  std::vector<std::thread> pool;
+  std::exception_ptr failure;
+  try {
+    pool.reserve(static_cast<std::size_t>(threads));
+    for (int t = 0; t < threads; ++t) pool.emplace_back(worker);
+    for (std::size_t job = 0; job < shards.size(); ++job) {
+      std::unique_lock<std::mutex> lock(mutex);
+      ready.wait(lock, [&] { return pending[job].done; });
+      Pending shard = std::move(pending[job]);
+      lock.unlock();
+      if (shard.failure) {
+        failure = shard.failure;
+        break;
+      }
+      sink(job, shard.cells, shard.used);
+    }
+  } catch (...) {
+    failure = std::current_exception();
+  }
+  stop.store(true);
+  for (std::thread& t : pool) t.join();
+  if (failure) std::rethrow_exception(failure);
+}
+
 SweepSummary sweep_design_space(const std::vector<CorpusApp>& corpus,
                                 const SweepSpec& spec) {
   validate_sweep_inputs(corpus, spec);
@@ -427,30 +509,18 @@ SweepSummary sweep_design_space(const std::vector<CorpusApp>& corpus,
       spec.cache ? sweep_app_fingerprints(corpus) : std::vector<Fingerprint>{};
 
   // Cells each shard actually filled (== cells_per_shard except when
-  // default constraints collapsed); each slot is written by exactly the
-  // worker that claimed the shard.
+  // default constraints collapsed).
   std::vector<std::size_t> shard_used(shards, 0);
-
-  std::atomic<std::size_t> next{0};
-  auto worker = [&]() {
-    for (;;) {
-      const std::size_t shard = next.fetch_add(1);
-      if (shard >= shards) return;
-      shard_used[shard] =
-          compute_sweep_shard(corpus, spec, app_fps, shard,
-                              summary.cells.data() + shard * cells_per_shard);
-    }
-  };
-
-  const int threads = worker_count(shards, spec.threads);
-  if (threads == 1) {
-    worker();
-  } else {
-    std::vector<std::thread> pool;
-    pool.reserve(static_cast<std::size_t>(threads));
-    for (int t = 0; t < threads; ++t) pool.emplace_back(worker);
-    for (std::thread& t : pool) t.join();
-  }
+  std::vector<std::size_t> all(shards);
+  std::iota(all.begin(), all.end(), std::size_t{0});
+  compute_sweep_shards(
+      corpus, spec, app_fps, all,
+      [&](std::size_t shard, std::vector<SweepCell>& cells, std::size_t used) {
+        std::move(cells.begin(), cells.end(),
+                  summary.cells.begin() +
+                      static_cast<std::ptrdiff_t>(shard * cells_per_shard));
+        shard_used[shard] = used;
+      });
 
   finalize_sweep_summary(summary, shard_used, cells_per_shard);
   return summary;

@@ -1,6 +1,7 @@
 #pragma once
 
 #include <cstdint>
+#include <functional>
 #include <optional>
 #include <string>
 #include <string_view>
@@ -191,6 +192,27 @@ std::size_t compute_sweep_shard(const std::vector<CorpusApp>& corpus,
                                 const SweepSpec& spec,
                                 const std::vector<Fingerprint>& app_fps,
                                 std::size_t shard, SweepCell* slots);
+
+/// Receives one computed shard on the thread that called
+/// compute_sweep_shards: its position in the shard list, its
+/// cells_per_shard slots and how many of them compute_sweep_shard filled.
+using ShardSink = std::function<void(std::size_t index,
+                                     std::vector<SweepCell>& cells,
+                                     std::size_t used)>;
+
+/// The one sweep pool: computes the listed shards (indices as in
+/// sweep_shard_count) on worker_count(shards.size(), spec.threads)
+/// threads and hands each to `sink` strictly in list order, as soon as it
+/// and every shard before it are done. Threads claim shards in list
+/// order. When a shard throws, no further shard is claimed, the threads
+/// are joined and the failure first in list order is rethrown, after the
+/// shards before it reached `sink` — what a one-thread run reports. A
+/// throwing `sink` stops and joins the pool the same way.
+void compute_sweep_shards(const std::vector<CorpusApp>& corpus,
+                          const SweepSpec& spec,
+                          const std::vector<Fingerprint>& app_fps,
+                          const std::vector<std::size_t>& shards,
+                          const ShardSink& sink);
 
 /// The post-compute half of sweep_design_space: compacts away unused
 /// tail slots (summary.cells must hold shard_used.size() x

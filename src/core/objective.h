@@ -128,7 +128,7 @@ const std::vector<ObjectiveKind>& all_objectives();
 const char* objective_name(ObjectiveKind kind);
 
 /// Inverse of objective_name ("timing", "energy", "combined"); nullopt
-/// for unknown names. Shared by the CLI, sweep_io and the benches.
+/// for unknown names. Shared by the CLI and sweep_io.
 std::optional<ObjectiveKind> parse_objective(std::string_view name);
 
 }  // namespace amdrel::core

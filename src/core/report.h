@@ -7,7 +7,7 @@
 
 namespace amdrel::core {
 
-/// Minimal fixed-width text table used by the benches and examples to
+/// Minimal fixed-width text table used by the CLI and examples to
 /// print paper-style result tables.
 class TextTable {
  public:

@@ -77,7 +77,7 @@ const std::vector<StrategyKind>& all_strategies();
 const char* strategy_name(StrategyKind kind);
 
 /// Inverse of strategy_name ("greedy", "exhaustive", "annealing");
-/// nullopt for unknown names. Shared by the CLI and the benches.
+/// nullopt for unknown names. Shared by the CLI and perfbench.
 std::optional<StrategyKind> parse_strategy(std::string_view name);
 
 /// All kernel orderings, in presentation order.

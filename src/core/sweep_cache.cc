@@ -1,6 +1,7 @@
 #include "core/sweep_cache.h"
 
 #include <algorithm>
+#include <atomic>
 #include <cassert>
 #include <cstdio>
 #include <fstream>
@@ -515,31 +516,25 @@ void SweepCache::for_each_kind(F&& f) {
   f(Kind<MapperPtr>{});
 }
 
-SweepCache::Shard& SweepCache::shard_for(const Fingerprint& key) {
-  return shards_[static_cast<std::size_t>(key.lo) % kShardCount];
-}
-
 template <typename V>
 std::optional<V> SweepCache::find(const Fingerprint& key, Counter hits,
                                   Counter misses) {
-  Shard& shard = shard_for(key);
-  const std::lock_guard<std::mutex> lock(shard.mutex);
-  Table<V>& table = shard.tables.*Kind<V>::kTable;
+  const std::lock_guard<std::mutex> lock(mutex_);
+  Table<V>& table = tables_.*Kind<V>::kTable;
   const auto it = table.find(key);
   if (it == table.end()) {
-    ++(shard.stats.*misses);
+    ++(stats_.*misses);
     return std::nullopt;
   }
-  ++(shard.stats.*hits);
+  ++(stats_.*hits);
   it->second.untouched_gen.reset();  // touched: stamped fresh on the next save
   return it->second.value;
 }
 
 template <typename V>
 void SweepCache::store(const Fingerprint& key, V value) {
-  Shard& shard = shard_for(key);
-  const std::lock_guard<std::mutex> lock(shard.mutex);
-  (shard.tables.*Kind<V>::kTable)
+  const std::lock_guard<std::mutex> lock(mutex_);
+  (tables_.*Kind<V>::kTable)
       .insert_or_assign(key, Entry<V>{std::move(value), std::nullopt});
 }
 
@@ -571,72 +566,47 @@ void SweepCache::store_mapper(const Fingerprint& key, MapperPtr state) {
   store(key, std::move(state));
 }
 
+void SweepCache::set_save_size_cap(std::uint64_t bytes) {
+  const std::lock_guard<std::mutex> lock(mutex_);
+  save_size_cap_ = bytes;
+}
+
 SweepCacheStats SweepCache::stats() const {
-  SweepCacheStats total;
-  for (const Shard& shard : shards_) {
-    const std::lock_guard<std::mutex> lock(shard.mutex);
-    total.cell_hits += shard.stats.cell_hits;
-    total.cell_misses += shard.stats.cell_misses;
-    total.mapper_restores += shard.stats.mapper_restores;
-    total.mapper_builds += shard.stats.mapper_builds;
-    total.all_fine_hits += shard.stats.all_fine_hits;
-    total.all_fine_misses += shard.stats.all_fine_misses;
-    total.cells += shard.tables.cells.size();
-  }
-  total.entries_loaded = entries_loaded_.load(std::memory_order_relaxed);
-  total.lock_degraded = lock_degraded_.load(std::memory_order_relaxed);
-  total.entries_evicted = entries_evicted_.load(std::memory_order_relaxed);
+  const std::lock_guard<std::mutex> lock(mutex_);
+  SweepCacheStats total = stats_;
+  total.cells = tables_.cells.size();
   return total;
 }
 
 void SweepCache::reset_stats() {
-  for (Shard& shard : shards_) {
-    const std::lock_guard<std::mutex> lock(shard.mutex);
-    shard.stats = SweepCacheStats{};
-  }
-  entries_loaded_.store(0, std::memory_order_relaxed);
-  lock_degraded_.store(0, std::memory_order_relaxed);
-  entries_evicted_.store(0, std::memory_order_relaxed);
+  const std::lock_guard<std::mutex> lock(mutex_);
+  stats_ = SweepCacheStats{};
 }
 
 SweepCache::Tables SweepCache::snapshot() const {
-  Tables out;
-  for (const Shard& shard : shards_) {
-    const std::lock_guard<std::mutex> lock(shard.mutex);
-    for_each_kind([&](auto kind) {
-      const auto& table = shard.tables.*decltype(kind)::kTable;
-      (out.*decltype(kind)::kTable).insert(table.begin(), table.end());
-    });
-  }
-  return out;
+  const std::lock_guard<std::mutex> lock(mutex_);
+  return tables_;
 }
 
 void SweepCache::merge_from(const SweepCache& other) {
   if (&other == this) return;
 
-  // Snapshot the source shard-by-shard first, so the two caches' locks
-  // are never held together (no lock-order cycle if callers merge in
-  // both directions). Merging counts as touching: the merged key is
-  // wanted by this cache, so the next save stamps it with the fresh
-  // generation.
-  absorb(other.snapshot(), /*touch=*/true);
-}
-
-std::uint64_t SweepCache::absorb(Tables from, bool touch) {
-  std::uint64_t count = 0;
+  // Snapshot the source first, so the two caches' locks are never held
+  // together (no lock-order cycle if callers merge in both directions).
+  // Merging counts as touching: the merged key is wanted by this cache,
+  // so the next save stamps it with the fresh generation. An existing
+  // entry wins a collision.
+  Tables from = other.snapshot();
+  const std::lock_guard<std::mutex> lock(mutex_);
   for_each_kind([&](auto kind) {
     using K = decltype(kind);
     for (auto& [key, entry] : from.*K::kTable) {
-      Shard& shard = shard_for(key);
-      const std::lock_guard<std::mutex> lock(shard.mutex);
       [[maybe_unused]] const auto [it, inserted] =
-          (shard.tables.*K::kTable).try_emplace(key, std::move(entry));
+          (tables_.*K::kTable).try_emplace(key, std::move(entry));
       assert(inserted || K::same(it->second.value, entry.value));
-      if (touch) it->second.untouched_gen.reset();
+      it->second.untouched_gen.reset();
     }
-    count += (from.*K::kTable).size();
   });
-  return count;
 }
 
 /// Parses a whole cache file with the strict whole-file rejection
@@ -733,12 +703,12 @@ bool SweepCache::load(const std::string& path, std::string* error) {
   Tables file;
   if (!parse_file(path, file, error)) return false;
 
-  for (Shard& shard : shards_) {
-    const std::lock_guard<std::mutex> lock(shard.mutex);
-    shard.tables = Tables{};
-  }
-  entries_loaded_.store(absorb(std::move(file), /*touch=*/false),
-                        std::memory_order_relaxed);
+  const std::lock_guard<std::mutex> lock(mutex_);
+  tables_ = std::move(file);
+  stats_.entries_loaded = 0;
+  for_each_kind([&](auto kind) {
+    stats_.entries_loaded += (tables_.*decltype(kind)::kTable).size();
+  });
   return true;
 }
 
@@ -748,12 +718,16 @@ bool SweepCache::save(const std::string& path, std::string* error) const {
   // survives the rename below (locking `path` itself would lock an
   // inode the rename is about to orphan).
   const ScopedFileLock file_lock(path + ".lock");
-  if (!file_lock.held()) {
-    lock_degraded_.fetch_add(1, std::memory_order_relaxed);
-    warn_lock_degraded(path);
-  }
+  if (!file_lock.held()) warn_lock_degraded(path);
 
-  const Tables mem = snapshot();
+  Tables mem;
+  std::uint64_t cap = 0;
+  {
+    const std::lock_guard<std::mutex> lock(mutex_);
+    if (!file_lock.held()) ++stats_.lock_degraded;
+    mem = tables_;
+    cap = save_size_cap_;
+  }
 
   // Merge-on-save: union whatever another writer persisted since we
   // loaded (or a pre-existing file we never loaded). Our in-memory
@@ -814,7 +788,6 @@ bool SweepCache::save(const std::string& path, std::string* error) const {
   // first; at equal age by eviction rank (mapper snapshots, then
   // all-fine entries, then cells), then by key — deterministic, so
   // identical caches still serialize byte-identically.
-  const std::uint64_t cap = save_size_cap_.load(std::memory_order_relaxed);
   if (cap > 0) {
     std::uint64_t total = header.size();
     for (const Line& line : lines) total += line.text.size();
@@ -828,7 +801,8 @@ bool SweepCache::save(const std::string& path, std::string* error) const {
       }
       lines.erase(lines.begin(),
                   lines.begin() + static_cast<std::ptrdiff_t>(dropped));
-      entries_evicted_.fetch_add(dropped, std::memory_order_relaxed);
+      const std::lock_guard<std::mutex> lock(mutex_);
+      stats_.entries_evicted += dropped;
     }
   }
 

@@ -1,7 +1,5 @@
 #pragma once
 
-#include <array>
-#include <atomic>
 #include <cstdint>
 #include <iosfwd>
 #include <map>
@@ -91,10 +89,7 @@ struct SweepCacheStats {
 ///                               restores instead of re-mapping).
 ///
 /// Thread-safe AND process-safe:
-///   - In memory the index is split into kShardCount fingerprint-addressed
-///     buckets, each behind its own mutex, so a 16-thread sweep pool does
-///     not serialize on one lock. Keys are uniformly-mixed digests, so
-///     bucket occupancy is balanced.
+///   - In memory one mutex guards the entry tables and the counters.
 ///   - On disk, save() is merge-on-save under an advisory file lock
 ///     (sidecar "<path>.lock"): it re-loads the target file, unions it
 ///     with the in-memory entries, applies the eviction policy, and
@@ -130,13 +125,9 @@ class SweepCache {
   /// Byte budget for the file save() writes; serialized entries beyond
   /// it are evicted least-recently-touched first (see save()). 0 turns
   /// eviction off entirely.
-  void set_save_size_cap(std::uint64_t bytes) {
-    save_size_cap_.store(bytes, std::memory_order_relaxed);
-  }
+  void set_save_size_cap(std::uint64_t bytes);
 
-  /// Aggregated over every shard (each locked in turn, so the totals are
-  /// consistent per shard but not a cross-shard atomic snapshot — fine
-  /// for counters whose values already depend on thread interleaving).
+  /// One consistent snapshot of the counters, taken under the lock.
   SweepCacheStats stats() const;
   void reset_stats();
 
@@ -199,11 +190,6 @@ class SweepCache {
   bool save(const std::string& path, std::string* error) const;
 
  private:
-  /// In-memory bucket count: matches the thread counts the sweep pool
-  /// realistically runs at. Results never depend on it, only lock
-  /// contention does.
-  static constexpr std::size_t kShardCount = 16;
-
   /// One memoized value. untouched_gen is the on-disk generation of an
   /// entry loaded and not touched since; a find hit, store or merge
   /// clears it, so save() stamps touched entries with the new generation
@@ -230,42 +216,27 @@ class SweepCache {
   template <typename F>
   static void for_each_kind(F&& f);
 
-  /// One bucket of the sharded index: its own mutex, the entry tables,
-  /// and the shard's share of the traffic counters (cells/entries_loaded
-  /// are derived, not counted per shard).
-  struct Shard {
-    mutable std::mutex mutex;
-    Tables tables;
-    SweepCacheStats stats;
-  };
-
-  Shard& shard_for(const Fingerprint& key);
-
   using Counter = std::uint64_t SweepCacheStats::*;
   template <typename V>
   std::optional<V> find(const Fingerprint& key, Counter hits, Counter misses);
   template <typename V>
   void store(const Fingerprint& key, V value);
 
-  /// Copies every entry, locking one shard at a time (the serialization
-  /// and merge snapshot).
+  /// Copies every entry under the lock (the merge snapshot).
   Tables snapshot() const;
-  /// Moves `from`'s entries into their shards (an existing entry wins a
-  /// collision); `touch` marks every absorbed key as touched. Returns
-  /// the number of entries in `from`.
-  std::uint64_t absorb(Tables from, bool touch);
 
   static std::optional<std::uint64_t> parse_file(const std::string& path,
                                                  Tables& out,
                                                  std::string* error);
 
-  std::array<Shard, kShardCount> shards_;
-  std::atomic<std::uint64_t> entries_loaded_{0};
-  std::atomic<std::uint64_t> save_size_cap_{kDefaultSaveSizeCapBytes};
-  // save() is const (it only reads the maps) but still reports traffic;
-  // mutable atomics keep that signature honest, like entries_loaded_.
-  mutable std::atomic<std::uint64_t> lock_degraded_{0};
-  mutable std::atomic<std::uint64_t> entries_evicted_{0};
+  // Everything below is guarded by mutex_. save() is const (it only
+  // reads the tables) but still counts degraded locks and evictions, so
+  // the counters are mutable. stats_.cells is derived in stats(), never
+  // counted.
+  mutable std::mutex mutex_;
+  Tables tables_;
+  mutable SweepCacheStats stats_;
+  std::uint64_t save_size_cap_ = kDefaultSaveSizeCapBytes;
 };
 
 }  // namespace amdrel::core

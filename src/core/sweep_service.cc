@@ -1,16 +1,12 @@
 #include "core/sweep_service.h"
 
 #include <algorithm>
-#include <atomic>
 #include <chrono>
-#include <condition_variable>
 #include <deque>
 #include <iostream>
 #include <istream>
 #include <memory>
-#include <mutex>
 #include <ostream>
-#include <thread>
 #include <utility>
 
 #ifndef _WIN32
@@ -35,81 +31,32 @@ constexpr int kSpawnTimeoutMs = 60000;
 
 /// Computes `assigned` shards and streams them in assigned order —
 /// shared by the one-shot and the serve worker. Honors spec.threads
-/// (shards are computed by a pool but emitted in order) with per-shard
-/// flush so a pipe/socket transport streams instead of buffering the
-/// whole run. `emitted_shards` counts across calls (rounds) for the
-/// after_shard hook.
+/// through compute_sweep_shards, with a per-shard flush so a pipe/socket
+/// transport streams instead of buffering the whole run.
+/// `emitted_shards` counts across calls (rounds) for the after_shard
+/// hook.
 std::size_t emit_assigned_shards(const std::vector<CorpusApp>& corpus,
                                  const SweepSpec& spec,
                                  const std::vector<Fingerprint>& app_fps,
                                  const std::vector<std::size_t>& assigned,
-                                 std::size_t cells_per_shard, std::ostream& os,
+                                 std::ostream& os,
                                  const ShardEmitHook& after_shard,
                                  std::size_t& emitted_shards) {
   std::size_t total = 0;
-  auto emit = [&](std::size_t shard, const std::vector<SweepCell>& cells,
-                  std::size_t used) {
-    wire::encode_shard_begin(os, {shard, used});
-    for (std::size_t i = 0; i < used; ++i) {
-      wire::encode_cell(os, shard, i, cells[i].report, cells[i].moved_names);
-    }
-    os.flush();
-    total += used;
-    ++emitted_shards;
-    if (after_shard) after_shard(emitted_shards);
-  };
-
-  const int threads = worker_count(assigned.size(), spec.threads);
-  if (threads <= 1) {
-    for (const std::size_t shard : assigned) {
-      std::vector<SweepCell> cells(cells_per_shard);
-      const std::size_t used =
-          compute_sweep_shard(corpus, spec, app_fps, shard, cells.data());
-      emit(shard, cells, used);
-    }
-    return total;
-  }
-  // A pool computes shards in claim order, but the stream is emitted
-  // strictly in `assigned` order — same deterministic-output recipe as
-  // the single-process sweep's precomputed slots.
-  struct Pending {
-    std::vector<SweepCell> cells;
-    std::size_t used = 0;
-    bool done = false;
-  };
-  std::vector<Pending> pending(assigned.size());
-  std::mutex mutex;
-  std::condition_variable ready;
-  std::atomic<std::size_t> next{0};
-  auto pool_worker = [&]() {
-    for (;;) {
-      const std::size_t job = next.fetch_add(1);
-      if (job >= assigned.size()) return;
-      std::vector<SweepCell> cells(cells_per_shard);
-      const std::size_t used = compute_sweep_shard(corpus, spec, app_fps,
-                                                   assigned[job],
-                                                   cells.data());
-      {
-        const std::lock_guard<std::mutex> lock(mutex);
-        pending[job].cells = std::move(cells);
-        pending[job].used = used;
-        pending[job].done = true;
-      }
-      ready.notify_all();
-    }
-  };
-  std::vector<std::thread> pool;
-  pool.reserve(static_cast<std::size_t>(threads));
-  for (int t = 0; t < threads; ++t) pool.emplace_back(pool_worker);
-  for (std::size_t job = 0; job < assigned.size(); ++job) {
-    std::unique_lock<std::mutex> lock(mutex);
-    ready.wait(lock, [&] { return pending[job].done; });
-    const std::vector<SweepCell> cells = std::move(pending[job].cells);
-    const std::size_t used = pending[job].used;
-    lock.unlock();
-    emit(assigned[job], cells, used);
-  }
-  for (std::thread& t : pool) t.join();
+  compute_sweep_shards(
+      corpus, spec, app_fps, assigned,
+      [&](std::size_t job, std::vector<SweepCell>& cells, std::size_t used) {
+        const std::size_t shard = assigned[job];
+        wire::encode_shard_begin(os, {shard, used});
+        for (std::size_t i = 0; i < used; ++i) {
+          wire::encode_cell(os, shard, i, cells[i].report,
+                            cells[i].moved_names);
+        }
+        os.flush();
+        total += used;
+        ++emitted_shards;
+        if (after_shard) after_shard(emitted_shards);
+      });
   return total;
 }
 
@@ -131,7 +78,6 @@ std::size_t run_sweep_worker(const std::vector<CorpusApp>& corpus,
                              const ShardEmitHook& after_shard) {
   validate_sweep_inputs(corpus, spec);
   const std::size_t shards = sweep_shard_count(corpus, spec);
-  const std::size_t cells_per_shard = sweep_cells_per_shard(spec);
   std::vector<char> claimed(shards, 0);
   for (const std::size_t shard : assigned) {
     require(shard < shards, "run_sweep_worker: shard ", shard,
@@ -145,8 +91,8 @@ std::size_t run_sweep_worker(const std::vector<CorpusApp>& corpus,
   wire::encode_header(os, local_header(shards));
   std::size_t emitted_shards = 0;
   const std::size_t total =
-      emit_assigned_shards(corpus, spec, app_fps, assigned, cells_per_shard,
-                           os, after_shard, emitted_shards);
+      emit_assigned_shards(corpus, spec, app_fps, assigned, os, after_shard,
+                           emitted_shards);
   wire::encode_worker_done(os, {total});
   os.flush();
   require(os.good(), "run_sweep_worker: stream write failed");
@@ -159,7 +105,6 @@ std::size_t run_sweep_worker_connected(const std::vector<CorpusApp>& corpus,
                                        const ShardEmitHook& after_shard) {
   validate_sweep_inputs(corpus, spec);
   const std::size_t shards = sweep_shard_count(corpus, spec);
-  const std::size_t cells_per_shard = sweep_cells_per_shard(spec);
   const std::vector<Fingerprint> app_fps =
       spec.cache ? sweep_app_fingerprints(corpus) : std::vector<Fingerprint>{};
 
@@ -188,9 +133,8 @@ std::size_t run_sweep_worker_connected(const std::vector<CorpusApp>& corpus,
           computed[s] = 1;
         }
         const std::size_t round =
-            emit_assigned_shards(corpus, spec, app_fps, assign.shards,
-                                 cells_per_shard, out, after_shard,
-                                 emitted_shards);
+            emit_assigned_shards(corpus, spec, app_fps, assign.shards, out,
+                                 after_shard, emitted_shards);
         total += round;
         out << wire::encode_round_done({round});
         out.flush();

@@ -42,8 +42,8 @@ TemporalPartitioning partition_dfg(const ir::Dfg& dfg,
 /// partition with any *ready* node (all predecessors already placed) that
 /// still fits, pulling work from later levels forward. It never produces
 /// more partitions than Figure 3 and often fewer; the price is a packing
-/// order that no longer mirrors pure level order. Compare with
-/// bench_ablation_mapper.
+/// order that no longer mirrors pure level order. Compare with Ablation D
+/// in examples/paper_tables.
 TemporalPartitioning partition_dfg_list(const ir::Dfg& dfg,
                                         const platform::FpgaModel& fpga);
 

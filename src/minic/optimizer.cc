@@ -62,8 +62,7 @@ bool is_binary(OpKind op) {
 
 class Optimizer {
  public:
-  Optimizer(TacProgram& program, const OptimizeOptions& options)
-      : prog_(program), options_(options) {}
+  explicit Optimizer(TacProgram& program) : prog_(program) {}
 
   int run() {
     int total = 0;
@@ -72,7 +71,7 @@ class Optimizer {
     do {
       pass_changes = 0;
       for (auto& block : prog_.blocks) pass_changes += local_pass(block);
-      if (options_.eliminate_dead_code) pass_changes += dce_pass();
+      pass_changes += dce_pass();
       total += pass_changes;
       require(++guard < 64, "optimizer: fixed point not reached");
     } while (pass_changes > 0);
@@ -120,39 +119,37 @@ class Optimizer {
 
     for (TacInstr& instr : block.body) {
       // Rewrite sources through copy chains first.
-      if (options_.propagate_copies) {
-        if (instr.op != OpKind::kConst && instr.src1 >= 0) {
-          const int c = canonical(instr.src1);
-          if (c != instr.src1) {
-            instr.src1 = c;
-            changes++;
-          }
+      if (instr.op != OpKind::kConst && instr.src1 >= 0) {
+        const int c = canonical(instr.src1);
+        if (c != instr.src1) {
+          instr.src1 = c;
+          changes++;
         }
-        if (instr.src2 >= 0) {
-          const int c = canonical(instr.src2);
-          if (c != instr.src2) {
-            instr.src2 = c;
-            changes++;
-          }
+      }
+      if (instr.src2 >= 0) {
+        const int c = canonical(instr.src2);
+        if (c != instr.src2) {
+          instr.src2 = c;
+          changes++;
         }
       }
 
       // Fold / simplify.
-      if (options_.fold_constants && is_binary(instr.op)) {
+      if (is_binary(instr.op)) {
         const auto a = known(instr.src1);
         const auto b = known(instr.src2);
         if (a && b) {
           if (const auto value = fold(instr.op, *a, *b)) {
             make_const(instr, *value);
           }
-        } else if (options_.simplify_algebra && (a || b)) {
+        } else if (a || b) {
           simplify_with_one_const(instr, a, b, make_const, make_copy);
-        } else if (options_.simplify_algebra && instr.src1 == instr.src2) {
+        } else if (instr.src1 == instr.src2) {
           simplify_same_operand(instr, make_const, make_copy);
         }
-      } else if (options_.fold_constants && instr.op == OpKind::kNot) {
+      } else if (instr.op == OpKind::kNot) {
         if (const auto a = known(instr.src1)) make_const(instr, ~*a);
-      } else if (options_.fold_constants && instr.op == OpKind::kNeg) {
+      } else if (instr.op == OpKind::kNeg) {
         if (const auto a = known(instr.src1)) {
           make_const(instr, wrap(-std::int64_t{*a}));
         }
@@ -172,16 +169,14 @@ class Optimizer {
     }
 
     // The terminator's condition can fold to a constant branch.
-    if (options_.propagate_copies &&
-        block.term.kind == ir::Terminator::Kind::kBr) {
+    if (block.term.kind == ir::Terminator::Kind::kBr) {
       const int c = canonical(block.term.cond_reg);
       if (c != block.term.cond_reg) {
         block.term.cond_reg = c;
         changes++;
       }
     }
-    if (options_.fold_constants &&
-        block.term.kind == ir::Terminator::Kind::kBr) {
+    if (block.term.kind == ir::Terminator::Kind::kBr) {
       if (const auto value = known(block.term.cond_reg)) {
         block.term.kind = ir::Terminator::Kind::kJmp;
         block.term.if_true =
@@ -191,8 +186,7 @@ class Optimizer {
         changes++;
       }
     }
-    if (options_.propagate_copies &&
-        block.term.kind == ir::Terminator::Kind::kRet &&
+    if (block.term.kind == ir::Terminator::Kind::kRet &&
         block.term.ret_reg >= 0) {
       const int c = canonical(block.term.ret_reg);
       if (c != block.term.ret_reg) {
@@ -302,13 +296,12 @@ class Optimizer {
   }
 
   TacProgram& prog_;
-  OptimizeOptions options_;
 };
 
 }  // namespace
 
-int optimize(ir::TacProgram& program, const OptimizeOptions& options) {
-  return Optimizer(program, options).run();
+int optimize(ir::TacProgram& program) {
+  return Optimizer(program).run();
 }
 
 }  // namespace amdrel::minic

@@ -4,15 +4,10 @@
 
 namespace amdrel::minic {
 
-struct OptimizeOptions {
-  bool fold_constants = true;     ///< 2+3 -> 5, within a block
-  bool propagate_copies = true;   ///< y = x; use(y) -> use(x), within a block
-  bool simplify_algebra = true;   ///< x*1, x+0, x<<0, x*0, x-x, ...
-  bool eliminate_dead_code = true;  ///< defs of never-read registers
-};
-
-/// Classic scalar cleanups over the lowered TAC, run to a fixed point.
-/// All rewrites are local to a basic block except dead-code elimination,
+/// Classic scalar cleanups over the lowered TAC, run to a fixed point:
+/// constant folding (2+3 -> 5), copy propagation (y = x; use(y) ->
+/// use(x)), algebraic simplification (x*1, x+0, x<<0, x*0, x-x, ...) and
+/// dead-code elimination (defs of never-read registers). All rewrites are local to a basic block except dead-code elimination,
 /// which uses whole-program register read counts (registers cannot alias,
 /// so a never-read register's definitions are all dead). Stores and
 /// terminators are never removed.
@@ -23,6 +18,6 @@ struct OptimizeOptions {
 /// from running SUIF's scalar passes before its own tools.
 ///
 /// Returns the total number of rewrites applied.
-int optimize(ir::TacProgram& program, const OptimizeOptions& options = {});
+int optimize(ir::TacProgram& program);
 
 }  // namespace amdrel::minic

@@ -15,8 +15,7 @@ struct SyntheticApp {
   ir::ProfileData profile;
 };
 
-/// Parameters of the random loop-nest generator used by property tests
-/// and scaling benches.
+/// Parameters of the random loop-nest generator used by property tests.
 struct CdfgGenConfig {
   int segments = 4;          ///< top-level regions (block or loop)
   int max_loop_depth = 2;    ///< deepest loop nesting generated

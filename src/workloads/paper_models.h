@@ -57,7 +57,7 @@ inline constexpr std::int64_t kOfdmTimingConstraint = 60000;
 inline constexpr std::int64_t kJpegTimingConstraint = 11000000;
 
 /// Both paper applications as a sweep corpus ({"ofdm", "jpeg"}), for the
-/// grid x corpus explorer, its tests and the benches.
+/// grid x corpus explorer and its tests.
 std::vector<core::CorpusApp> paper_corpus();
 
 }  // namespace amdrel::workloads

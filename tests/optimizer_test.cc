@@ -159,16 +159,5 @@ TEST(OptimizerTest, OptimizedProgramRunsFewerInstructions) {
   EXPECT_LT(rb.instructions_executed, ra.instructions_executed);
 }
 
-TEST(OptimizerTest, SelectiveOptions) {
-  ir::TacProgram tac = compile("int main() { return 2 + 3; }");
-  OptimizeOptions options;
-  options.fold_constants = false;
-  options.simplify_algebra = false;
-  options.eliminate_dead_code = false;
-  options.propagate_copies = false;
-  EXPECT_EQ(optimize(tac, options), 0);
-  EXPECT_EQ(count_op(tac, ir::OpKind::kAdd), 1);
-}
-
 }  // namespace
 }  // namespace amdrel::minic

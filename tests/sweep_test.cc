@@ -11,6 +11,7 @@
 #include <cmath>
 #include <cstdio>
 #include <limits>
+#include <numeric>
 #include <random>
 #include <thread>
 #include <utility>
@@ -271,6 +272,56 @@ TEST(SweepTest, EmptyCorpusAndEmptyGridRejected) {
   SweepSpec tiny;
   tiny.strategies = {StrategyKind::kGreedyPaper};
   EXPECT_THROW(sweep_design_space(duplicated, tiny), Error);
+}
+
+// A shard that throws on a pool thread fails the sweep with the error a
+// one-thread run reports, the first failing shard in shard order, instead
+// of escaping the thread and aborting the process. Shard 0 (A_FPGA 1500)
+// succeeds; shards 1 and 2 cannot place a multiplier and fail fast, in
+// either order in time.
+TEST(SweepTest, FailingShardRethrowsFirstFailureInShardOrder) {
+  const auto corpus = paper_corpus();
+  SweepSpec spec;
+  spec.grid.areas = {1500, 10, 20};
+  spec.grid.cgc_counts = {2};
+  spec.strategies = {StrategyKind::kGreedyPaper};
+  spec.orderings = {KernelOrdering::kWeightDescending};
+  auto failure = [&](int threads) {
+    spec.threads = threads;
+    try {
+      sweep_design_space(corpus, spec);
+    } catch (const Error& e) {
+      return std::string(e.what());
+    }
+    return std::string("no error");
+  };
+  const std::string serial = failure(1);
+  EXPECT_NE(serial.find("exceeds A_FPGA = 10"), std::string::npos) << serial;
+  for (int round = 0; round < 5; ++round) EXPECT_EQ(failure(4), serial);
+}
+
+// A throwing sink stops the pool too: no later shard reaches the sink,
+// the threads are joined and the sink's error propagates.
+TEST(SweepTest, ThrowingSinkStopsThePool) {
+  const auto corpus = paper_corpus();
+  SweepSpec spec;
+  spec.grid.areas = {1500, 5000};
+  spec.grid.cgc_counts = {2, 3};
+  spec.strategies = {StrategyKind::kGreedyPaper};
+  spec.orderings = {KernelOrdering::kWeightDescending};
+  spec.threads = 4;
+  std::vector<std::size_t> shards(sweep_shard_count(corpus, spec));
+  std::iota(shards.begin(), shards.end(), std::size_t{0});
+  std::vector<std::size_t> seen;
+  EXPECT_THROW(compute_sweep_shards(
+                   corpus, spec, {}, shards,
+                   [&](std::size_t index, std::vector<SweepCell>&,
+                       std::size_t) {
+                     seen.push_back(index);
+                     if (index == 1) fail("sink failed");
+                   }),
+               Error);
+  EXPECT_EQ(seen, (std::vector<std::size_t>{0, 1}));
 }
 
 TEST(SweepTest, EnergyBudgetAxisMultipliesCells) {
