@@ -9,8 +9,11 @@
 // (process sharding, caching) builds on. The JSON carries a
 // schema_version field, so any intentional format change is an explicit,
 // reviewed event. tests/golden/sweep_cache.jsonl.golden pins the bytes
-// SweepCache::save writes, generation stamps included. Regenerate all
-// three with:
+// SweepCache::save writes, generation stamps included. The same sweep
+// also pins the other three writers: a worker's wire stream
+// (sweep_worker.wire.golden), the --stream-partial NDJSON
+// (sweep_partial.ndjson.golden) and the stdout table
+// (sweep_table.txt.golden). Regenerate all six with:
 //   ./build/tests/sweep_determinism_test --regen
 // then review the diff of tests/golden/.
 
@@ -28,6 +31,7 @@
 #include "core/explorer.h"
 #include "core/sweep_cache.h"
 #include "core/sweep_io.h"
+#include "core/sweep_service.h"
 #include "workloads/paper_models.h"
 
 #ifndef AMDREL_GOLDEN_DIR
@@ -75,6 +79,38 @@ void expect_matches_golden(const std::string& rendered, const char* name) {
          "changed, regenerate with --regen and review the diff";
 }
 
+// A worker's one-shot wire stream over every shard of the golden sweep,
+// in shard order.
+std::string worker_stream_bytes() {
+  const auto corpus = workloads::paper_corpus();
+  const core::SweepSpec spec = golden_spec(2);
+  std::vector<std::size_t> all(core::sweep_shard_count(corpus, spec));
+  for (std::size_t i = 0; i < all.size(); ++i) all[i] = i;
+  std::ostringstream os;
+  core::run_sweep_worker(corpus, spec, all, os);
+  return os.str();
+}
+
+// The --stream-partial NDJSON of the golden sweep, shards in index order
+// (serve writes them in completion order; the line bytes are the same).
+std::string partial_stream_bytes() {
+  const auto corpus = workloads::paper_corpus();
+  const core::SweepSpec spec = golden_spec(2);
+  std::vector<std::string> apps;
+  for (const core::CorpusApp& app : corpus) apps.push_back(app.name);
+  std::vector<std::size_t> all(core::sweep_shard_count(corpus, spec));
+  for (std::size_t i = 0; i < all.size(); ++i) all[i] = i;
+  std::ostringstream os;
+  core::write_partial_stream_header(os, all.size());
+  core::compute_sweep_shards(
+      corpus, spec, {}, all,
+      [&](std::size_t shard, std::vector<core::SweepCell>& cells,
+          std::size_t used) {
+        core::write_partial_stream_shard(os, apps, shard, cells.data(), used);
+      });
+  return os.str();
+}
+
 TEST(SweepDeterminismTest, JsonMatchesCommittedGolden) {
   expect_matches_golden(core::sweep_to_json(run_sweep(2)),
                         "sweep.json.golden");
@@ -82,6 +118,18 @@ TEST(SweepDeterminismTest, JsonMatchesCommittedGolden) {
 
 TEST(SweepDeterminismTest, CsvMatchesCommittedGolden) {
   expect_matches_golden(core::sweep_to_csv(run_sweep(2)), "sweep.csv.golden");
+}
+
+TEST(SweepDeterminismTest, WorkerStreamMatchesCommittedGolden) {
+  expect_matches_golden(worker_stream_bytes(), "sweep_worker.wire.golden");
+}
+
+TEST(SweepDeterminismTest, PartialStreamMatchesCommittedGolden) {
+  expect_matches_golden(partial_stream_bytes(), "sweep_partial.ndjson.golden");
+}
+
+TEST(SweepDeterminismTest, TableMatchesCommittedGolden) {
+  expect_matches_golden(core::describe(run_sweep(2)), "sweep_table.txt.golden");
 }
 
 TEST(SweepDeterminismTest, ByteIdenticalAcrossThreadCounts) {
@@ -226,7 +274,20 @@ int main(int argc, char** argv) {
       std::ofstream cache(amdrel::golden_path("sweep_cache.jsonl.golden"),
                           std::ios::binary);
       cache << amdrel::cache_file_bytes();
-      return json.good() && csv.good() && cache.good() ? 0 : 1;
+      std::ofstream wire(amdrel::golden_path("sweep_worker.wire.golden"),
+                         std::ios::binary);
+      wire << amdrel::worker_stream_bytes();
+      std::ofstream partial(
+          amdrel::golden_path("sweep_partial.ndjson.golden"),
+          std::ios::binary);
+      partial << amdrel::partial_stream_bytes();
+      std::ofstream table(amdrel::golden_path("sweep_table.txt.golden"),
+                          std::ios::binary);
+      table << amdrel::core::describe(summary);
+      return json.good() && csv.good() && cache.good() && wire.good() &&
+                     partial.good() && table.good()
+                 ? 0
+                 : 1;
     }
   }
   ::testing::InitGoogleTest(&argc, argv);
