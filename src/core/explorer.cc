@@ -5,12 +5,10 @@
 #include <cctype>
 #include <cmath>
 #include <condition_variable>
-#include <cstdio>
 #include <exception>
 #include <iterator>
 #include <mutex>
 #include <numeric>
-#include <sstream>
 #include <thread>
 #include <tuple>
 
@@ -533,32 +531,30 @@ std::string describe(const SweepSummary& summary) {
   std::size_t on_app_front = 0;
   for (const SweepCell& cell : summary.cells) {
     on_app_front += cell.on_app_pareto ? 1 : 0;
-    char area[32];
-    std::snprintf(area, sizeof area, "%g", cell.a_fpga);
-    char reduction[32];
-    std::snprintf(reduction, sizeof reduction, "%.1f",
-                  cell.report.reduction_percent());
-    char energy[32];
-    std::snprintf(energy, sizeof energy, "%.1f",
-                  cell.report.energy.total_pj() / 1000.0);
-    table.add_row({summary.apps[cell.app], area, std::to_string(cell.cgcs),
-                   with_thousands(cell.constraint),
-                   strategy_name(cell.strategy),
-                   kernel_ordering_name(cell.ordering),
-                   std::to_string(cell.report.moved.size()),
-                   with_thousands(cell.report.final_cycles), reduction,
-                   energy, cell.report.met ? "yes" : "no",
-                   cell.on_global_pareto ? "**"
-                   : cell.on_app_pareto  ? "*"
-                                         : ""});
+    const PartitionReport& r = cell.report;
+    table.cell(summary.apps[cell.app])
+        .cell(text::General{cell.a_fpga, 6})
+        .cell(cell.cgcs)
+        .cell(text::Thousands{cell.constraint})
+        .cell(strategy_name(cell.strategy))
+        .cell(kernel_ordering_name(cell.ordering))
+        .cell(r.moved.size())
+        .cell(text::Thousands{r.final_cycles})
+        .cell(text::Fixed{r.reduction_percent(), 1})
+        .cell(text::Fixed{r.energy.total_pj() / 1000.0, 1})
+        .cell(r.met ? "yes" : "no")
+        .cell(cell.on_global_pareto ? "**"
+              : cell.on_app_pareto  ? "*"
+                                    : "")
+        .end_row();
   }
-  std::ostringstream os;
-  os << table.to_string();
-  os << on_app_front << " of " << summary.cells.size()
-     << " cells on a per-app pareto front, " << summary.global_pareto.size()
-     << " on the merged global front "
-     << "(final cycles vs kernels moved vs platform cost vs energy)\n";
-  return os.str();
+  std::string out = table.to_string();
+  text::append(out, on_app_front, " of ", summary.cells.size(),
+               " cells on a per-app pareto front, ",
+               summary.global_pareto.size(),
+               " on the merged global front "
+               "(final cycles vs kernels moved vs platform cost vs energy)\n");
+  return out;
 }
 
 }  // namespace amdrel::core

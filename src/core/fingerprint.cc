@@ -1,7 +1,8 @@
 #include "core/fingerprint.h"
 
-#include <cstdio>
 #include <cstring>
+
+#include "support/text.h"
 
 namespace amdrel::core {
 
@@ -29,11 +30,7 @@ std::uint64_t avalanche(std::uint64_t value) {
 }  // namespace
 
 std::string Fingerprint::to_hex() const {
-  char buffer[33];
-  std::snprintf(buffer, sizeof buffer, "%016llx%016llx",
-                static_cast<unsigned long long>(hi),
-                static_cast<unsigned long long>(lo));
-  return buffer;
+  return text::render(text::Hex64{hi}, text::Hex64{lo});
 }
 
 std::optional<Fingerprint> Fingerprint::from_hex(std::string_view text) {

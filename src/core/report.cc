@@ -1,133 +1,115 @@
 #include "core/report.h"
 
 #include <algorithm>
-#include <sstream>
-
-#include "support/strings.h"
 
 namespace amdrel::core {
 
-TextTable::TextTable(std::vector<std::string> header) {
-  rows_.push_back(std::move(header));
+using text::append;
+using text::Fixed;
+using text::General;
+using text::Thousands;
+
+TextTable::TextTable(const std::vector<std::string>& header) {
+  add_row(header);
 }
 
-void TextTable::add_row(std::vector<std::string> row) {
-  rows_.push_back(std::move(row));
+void TextTable::add_row(const std::vector<std::string>& row) {
+  for (const std::string& text : row) cell(text);
+  end_row();
 }
 
 std::string TextTable::to_string() const {
+  auto begin = [&](std::size_t c) { return c == 0 ? 0 : cell_end_[c - 1]; };
   std::vector<std::size_t> width;
-  for (const auto& row : rows_) {
-    if (width.size() < row.size()) width.resize(row.size(), 0);
-    for (std::size_t c = 0; c < row.size(); ++c) {
-      width[c] = std::max(width[c], row[c].size());
+  std::size_t first = 0;
+  for (const std::size_t last : row_end_) {
+    if (width.size() < last - first) width.resize(last - first, 0);
+    for (std::size_t c = first; c < last; ++c) {
+      width[c - first] = std::max(width[c - first], cell_end_[c] - begin(c));
     }
+    first = last;
   }
-  std::ostringstream os;
-  for (std::size_t r = 0; r < rows_.size(); ++r) {
-    for (std::size_t c = 0; c < rows_[r].size(); ++c) {
-      os << rows_[r][c];
-      if (c + 1 < rows_[r].size()) {
-        os << std::string(width[c] - rows_[r][c].size() + 2, ' ');
-      }
+  std::string out;
+  first = 0;
+  for (std::size_t r = 0; r < row_end_.size(); ++r) {
+    const std::size_t last = row_end_[r];
+    for (std::size_t c = first; c < last; ++c) {
+      const std::size_t size = cell_end_[c] - begin(c);
+      out.append(text_, begin(c), size);
+      if (c + 1 < last) out.append(width[c - first] - size + 2, ' ');
     }
-    os << "\n";
+    out += '\n';
     if (r == 0) {
       std::size_t total = 0;
       for (std::size_t c = 0; c < width.size(); ++c) {
         total += width[c] + (c + 1 < width.size() ? 2 : 0);
       }
-      os << std::string(total, '-') << "\n";
+      out.append(total, '-');
+      out += '\n';
     }
+    first = last;
   }
-  return os.str();
-}
-
-std::string with_thousands(std::int64_t value) {
-  const bool negative = value < 0;
-  std::string digits = std::to_string(negative ? -value : value);
-  std::string out;
-  int count = 0;
-  for (auto it = digits.rbegin(); it != digits.rend(); ++it) {
-    if (count != 0 && count % 3 == 0) out.push_back(',');
-    out.push_back(*it);
-    ++count;
-  }
-  if (negative) out.push_back('-');
-  std::reverse(out.begin(), out.end());
   return out;
 }
 
+std::string with_thousands(std::int64_t value) {
+  return text::render(Thousands{value});
+}
+
 std::string describe(const PartitionReport& report, const ir::Cdfg& cdfg) {
-  std::ostringstream os;
-  os << "application: " << report.app << "\n";
+  auto nj = [](double pj) { return Fixed{pj / 1000.0, 1}; };
+  std::string out;
+  append(out, "application: ", report.app, '\n');
   // Timing-objective reports keep the original byte-pinned layout; the
   // energy lines appear only when the run searched under an
   // energy-aware objective.
   const bool energy_aware = report.objective != ObjectiveKind::kTiming;
   if (energy_aware) {
-    char budget[64];
-    std::snprintf(budget, sizeof budget, "%.1f",
-                  report.energy_budget_pj / 1000.0);
-    os << "objective: " << objective_name(report.objective) << "\n";
-    os << "energy budget: " << budget << " nJ\n";
+    append(out, "objective: ", objective_name(report.objective),
+           "\nenergy budget: ", nj(report.energy_budget_pj), " nJ\n");
   }
-  os << "timing constraint: " << with_thousands(report.timing_constraint)
-     << " cycles\n";
-  os << "all-fine-grain (initial): " << with_thousands(report.initial_cycles)
-     << " cycles" << (report.initial_meets ? "  [already meets constraint]" : "")
-     << "\n";
+  append(out, "timing constraint: ", Thousands{report.timing_constraint},
+         " cycles\nall-fine-grain (initial): ",
+         Thousands{report.initial_cycles}, " cycles",
+         report.initial_meets ? "  [already meets constraint]" : "", '\n');
   if (!report.initial_meets) {
-    os << "kernels found: " << report.kernels.size() << "\n";
-    os << "moved to CGC data-path:";
+    append(out, "kernels found: ", report.kernels.size(),
+           "\nmoved to CGC data-path:");
     for (ir::BlockId block : report.moved) {
-      os << " " << cdfg.block(block).name;
+      append(out, ' ', cdfg.block(block).name);
     }
-    os << "\n";
     // The reconfiguration term appears only when a cost model priced it:
     // the additive model's reports — and every pre-v3 golden — keep the
     // exact three-term breakdown byte-for-byte.
-    os << "final: " << with_thousands(report.final_cycles)
-       << " cycles  (t_FPGA " << with_thousands(report.cost.t_fpga)
-       << " + t_coarse " << with_thousands(report.cost.t_coarse)
-       << " + t_comm " << with_thousands(report.cost.t_comm);
+    append(out, "\nfinal: ", Thousands{report.final_cycles},
+           " cycles  (t_FPGA ", Thousands{report.cost.t_fpga},
+           " + t_coarse ", Thousands{report.cost.t_coarse}, " + t_comm ",
+           Thousands{report.cost.t_comm});
     if (report.cost.t_reconfig != 0) {
-      os << " + t_reconfig " << with_thousands(report.cost.t_reconfig);
+      append(out, " + t_reconfig ", Thousands{report.cost.t_reconfig});
     }
-    os << ")\n";
+    out += ")\n";
     if (report.floorplan_cost != 0) {
-      char floorplan[64];
-      std::snprintf(floorplan, sizeof floorplan, "%.4f",
-                    report.floorplan_cost);
-      os << "floorplan cost: " << floorplan << "\n";
+      append(out, "floorplan cost: ", Fixed{report.floorplan_cost, 4}, '\n');
     }
-    os << "cycle reduction: ";
-    os.precision(3);
-    os << report.reduction_percent() << "%\n";
-    os << "constraint " << (report.met ? "met" : "NOT met") << " after "
-       << report.engine_iterations << " engine iteration(s)\n";
+    append(out, "cycle reduction: ", General{report.reduction_percent(), 3},
+           "%\nconstraint ", report.met ? "met" : "NOT met", " after ",
+           report.engine_iterations, " engine iteration(s)\n");
   }
   if (energy_aware) {
-    auto nj = [](double pj) {
-      char buffer[64];
-      std::snprintf(buffer, sizeof buffer, "%.1f", pj / 1000.0);
-      return std::string(buffer);
-    };
-    os << "energy: " << nj(report.energy.total_pj()) << " nJ (fine "
-       << nj(report.energy.fine_pj) << " + coarse "
-       << nj(report.energy.coarse_pj) << " + reconfig "
-       << nj(report.energy.reconfig_pj) << " + comm "
-       << nj(report.energy.comm_pj) << "), all-fine "
-       << nj(report.initial_energy_pj) << " nJ\n";
-    os << "energy reduction: ";
-    os.precision(3);
-    os << report.energy_reduction_percent() << "%\n";
-    os << (report.objective == ObjectiveKind::kCombined
+    append(out, "energy: ", nj(report.energy.total_pj()), " nJ (fine ",
+           nj(report.energy.fine_pj), " + coarse ",
+           nj(report.energy.coarse_pj), " + reconfig ",
+           nj(report.energy.reconfig_pj), " + comm ",
+           nj(report.energy.comm_pj), "), all-fine ",
+           nj(report.initial_energy_pj), " nJ\nenergy reduction: ",
+           General{report.energy_reduction_percent(), 3}, "%\n",
+           report.objective == ObjectiveKind::kCombined
                ? "combined objective "
-               : "energy budget ")
-       << (report.met ? "met" : "NOT met") << "\n";
+               : "energy budget ",
+           report.met ? "met" : "NOT met", '\n');
   }
-  return os.str();
+  return out;
 }
 
 }  // namespace amdrel::core

@@ -5,8 +5,7 @@
 #include <cassert>
 #include <cstdio>
 #include <fstream>
-#include <ostream>
-#include <sstream>
+#include <numeric>
 #include <tuple>
 #include <utility>
 
@@ -18,6 +17,7 @@
 #endif
 
 #include "support/strings.h"
+#include "support/text.h"
 
 namespace amdrel::core {
 
@@ -28,6 +28,8 @@ using jsonl::double_to_bits;
 using jsonl::get_bool;
 using jsonl::get_int;
 using jsonl::get_string;
+using text::append;
+using text::JsonEscaped;
 
 // ---------------------------------------------------------------------------
 // Cell payload codec — the canonical field order shared by the cache
@@ -38,13 +40,12 @@ using jsonl::get_string;
 namespace {
 
 template <typename T>
-void write_int_array(std::ostream& os, const std::vector<T>& values) {
-  os << '[';
+void append_int_array(std::string& out, const std::vector<T>& values) {
+  out += '[';
   for (std::size_t i = 0; i < values.size(); ++i) {
-    if (i) os << ',';
-    os << values[i];
+    append(out, i ? "," : "", values[i]);
   }
-  os << ']';
+  out += ']';
 }
 
 // True when every item of `row` from index `first` on is an integer.
@@ -57,45 +58,37 @@ bool ints_from(const JsonValue& row, std::size_t first) {
 
 }  // namespace
 
-void write_cell_payload(std::ostream& os, const PartitionReport& r,
-                        const std::vector<std::string>& moved_names) {
-  os << "\"app\":\"" << json_escape(r.app) << "\","
-     << "\"constraint\":" << r.timing_constraint << ","
-     << "\"objective\":" << static_cast<int>(r.objective) << ","
-     << "\"energy_budget_bits\":" << double_to_bits(r.energy_budget_pj)
-     << ","
-     << "\"initial_cycles\":" << r.initial_cycles << ","
-     << "\"initial_energy_bits\":" << double_to_bits(r.initial_energy_pj)
-     << ","
-     << "\"initial_meets\":" << (r.initial_meets ? "true" : "false") << ","
-     << "\"kernels\":[";
+void append_part(std::string& out, const CellPayload& payload) {
+  const PartitionReport& r = payload.report;
+  append(out, "\"app\":\"", JsonEscaped{r.app},
+         "\",\"constraint\":", r.timing_constraint,
+         ",\"objective\":", static_cast<int>(r.objective),
+         ",\"energy_budget_bits\":", double_to_bits(r.energy_budget_pj),
+         ",\"initial_cycles\":", r.initial_cycles,
+         ",\"initial_energy_bits\":", double_to_bits(r.initial_energy_pj),
+         ",\"initial_meets\":", r.initial_meets, ",\"kernels\":[");
   for (std::size_t i = 0; i < r.kernels.size(); ++i) {
     const analysis::KernelInfo& k = r.kernels[i];
-    if (i) os << ',';
-    os << '[' << k.block << ',' << k.exec_freq << ',' << k.op_weight << ','
-       << k.total_weight << ',' << k.loop_depth << ','
-       << (k.cgc_eligible ? 1 : 0) << ']';
+    append(out, i ? ",[" : "[", k.block, ',', k.exec_freq, ',', k.op_weight,
+           ',', k.total_weight, ',', k.loop_depth, ',',
+           k.cgc_eligible ? 1 : 0, ']');
   }
-  os << "],\"moved\":";
-  write_int_array(os, r.moved);
-  os << ",\"moved_names\":[";
-  for (std::size_t i = 0; i < moved_names.size(); ++i) {
-    if (i) os << ',';
-    os << '"' << json_escape(moved_names[i]) << '"';
+  out += "],\"moved\":";
+  append_int_array(out, r.moved);
+  out += ",\"moved_names\":[";
+  for (std::size_t i = 0; i < payload.moved_names.size(); ++i) {
+    append(out, i ? ",\"" : "\"", JsonEscaped{payload.moved_names[i]}, '"');
   }
-  os << "],\"t_fpga\":" << r.cost.t_fpga << ","
-     << "\"t_coarse\":" << r.cost.t_coarse << ","
-     << "\"t_comm\":" << r.cost.t_comm << ","
-     << "\"t_reconfig\":" << r.cost.t_reconfig << ","
-     << "\"floorplan_bits\":" << double_to_bits(r.floorplan_cost) << ","
-     << "\"final_cycles\":" << r.final_cycles << ","
-     << "\"cycles_in_cgc\":" << r.cycles_in_cgc << ","
-     << "\"energy_bits\":[" << double_to_bits(r.energy.fine_pj) << ","
-     << double_to_bits(r.energy.coarse_pj) << ","
-     << double_to_bits(r.energy.reconfig_pj) << ","
-     << double_to_bits(r.energy.comm_pj) << "],"
-     << "\"met\":" << (r.met ? "true" : "false") << ","
-     << "\"engine_iterations\":" << r.engine_iterations;
+  append(out, "],\"t_fpga\":", r.cost.t_fpga, ",\"t_coarse\":", r.cost.t_coarse,
+         ",\"t_comm\":", r.cost.t_comm, ",\"t_reconfig\":", r.cost.t_reconfig,
+         ",\"floorplan_bits\":", double_to_bits(r.floorplan_cost),
+         ",\"final_cycles\":", r.final_cycles,
+         ",\"cycles_in_cgc\":", r.cycles_in_cgc,
+         ",\"energy_bits\":[", double_to_bits(r.energy.fine_pj), ',',
+         double_to_bits(r.energy.coarse_pj), ',',
+         double_to_bits(r.energy.reconfig_pj), ',',
+         double_to_bits(r.energy.comm_pj), "],\"met\":", r.met,
+         ",\"engine_iterations\":", r.engine_iterations);
 }
 
 bool read_cell_payload(const JsonValue& object, CachedCell& cell) {
@@ -185,48 +178,45 @@ namespace {
 // fine-grain mapping (temporal partitioning + timing model) and, when
 // present, the coarse-grain schedule. Partition areas are doubles and
 // travel as IEEE-754 bit patterns like every other double in the file.
-void write_mapper_payload(std::ostream& os, const MapperState& state) {
-  os << "\"fine\":[";
+void append_mapper_payload(std::string& out, const MapperState& state) {
+  out += "\"fine\":[";
   for (std::size_t b = 0; b < state.fine.size(); ++b) {
     const finegrain::FpgaBlockMapping& m = state.fine[b];
-    if (b) os << ',';
-    os << '[';
-    write_int_array(os, m.partitioning.partition_of);
-    os << ',' << m.partitioning.num_partitions << ",[";
+    out += b ? ",[" : "[";
+    append_int_array(out, m.partitioning.partition_of);
+    append(out, ',', m.partitioning.num_partitions, ",[");
     for (std::size_t i = 0; i < m.partitioning.partition_area.size(); ++i) {
-      if (i) os << ',';
-      os << double_to_bits(m.partitioning.partition_area[i]);
+      append(out, i ? "," : "",
+             double_to_bits(m.partitioning.partition_area[i]));
     }
-    os << "]," << m.exec_cycles << ',' << m.boundary_words << ','
-       << m.boundary_cycles << ',' << m.reconfigs_per_invocation << ','
-       << m.amortized_reconfigs << ']';
+    append(out, "],", m.exec_cycles, ',', m.boundary_words, ',',
+           m.boundary_cycles, ',', m.reconfigs_per_invocation, ',',
+           m.amortized_reconfigs, ']');
   }
-  os << "],\"coarse\":[";
+  out += "],\"coarse\":[";
   for (std::size_t b = 0; b < state.coarse.size(); ++b) {
-    if (b) os << ',';
+    if (b) out += ',';
     if (!state.coarse[b].has_value()) {
       // The strict parser has no null; an empty array marks a block
       // whose coarse schedule was never (lazily) built.
-      os << "[]";
+      out += "[]";
       continue;
     }
     const coarsegrain::CgcBlockMapping& m = *state.coarse[b];
-    os << '[';
-    write_int_array(os, m.schedule.start);
-    os << ',';
-    write_int_array(os, m.schedule.finish);
-    os << ",[";
+    out += '[';
+    append_int_array(out, m.schedule.start);
+    out += ',';
+    append_int_array(out, m.schedule.finish);
+    out += ",[";
     for (std::size_t i = 0; i < m.schedule.placement.size(); ++i) {
       const coarsegrain::CgcPlacement& p = m.schedule.placement[i];
-      if (i) os << ',';
-      os << p.cgc << ',' << p.row << ',' << p.col;
+      append(out, i ? "," : "", p.cgc, ',', p.row, ',', p.col);
     }
-    os << "]," << m.schedule.total_cgc_cycles << ','
-       << m.schedule.configurations << ',' << m.schedule.mem_accesses << ','
-       << m.schedule.peak_registers << ',' << m.cycles_per_invocation_fpga
-       << ']';
+    append(out, "],", m.schedule.total_cgc_cycles, ',',
+           m.schedule.configurations, ',', m.schedule.mem_accesses, ',',
+           m.schedule.peak_registers, ',', m.cycles_per_invocation_fpga, ']');
   }
-  os << ']';
+  out += ']';
 }
 
 bool read_int_array(const JsonValue& value, std::vector<std::int64_t>& out) {
@@ -446,19 +436,18 @@ void remove_stale_temps(const std::string& path) {
 
 using MapperPtr = std::shared_ptr<const MapperState>;
 
-// The three entry kinds. Each knows its line name, file order, eviction
-// rank (lowest goes first at equal age) and payload codec; every
-// per-kind loop below visits them through for_each_kind.
+// The three entry kinds. Each knows its line name, eviction rank
+// (lowest goes first at equal age) and payload codec; every per-kind
+// loop below visits them through for_each_kind, in file order.
 
 template <>
 struct SweepCache::Kind<std::int64_t> {
   using Value = std::int64_t;
   static constexpr const char* kName = "all_fine";
-  static constexpr int kFileOrder = 0;
   static constexpr int kEvictRank = 1;
   static constexpr auto kTable = &Tables::all_fine;
-  static void write(std::ostream& os, std::int64_t cycles) {
-    os << "\"cycles\":" << cycles;
+  static void write(std::string& out, std::int64_t cycles) {
+    append(out, "\"cycles\":", cycles);
   }
   static bool read(const JsonValue& object, std::int64_t& cycles) {
     return get_int(object, "cycles", cycles);
@@ -470,22 +459,21 @@ template <>
 struct SweepCache::Kind<CachedCell> {
   using Value = CachedCell;
   static constexpr const char* kName = "cell";
-  static constexpr int kFileOrder = 1;
   static constexpr int kEvictRank = 2;
   static constexpr auto kTable = &Tables::cells;
-  static void write(std::ostream& os, const CachedCell& cell) {
-    write_cell_payload(os, cell.report, cell.moved_names);
+  static void write(std::string& out, const CachedCell& cell) {
+    append(out, CellPayload{cell.report, cell.moved_names});
   }
   static constexpr auto read = &read_cell_payload;
   // Content-addressed keys mean a collision must carry an identical
   // payload; compare via the canonical serialization so every field
   // participates.
   static bool same(const CachedCell& a, const CachedCell& b) {
-    std::ostringstream sa;
-    std::ostringstream sb;
+    std::string sa;
+    std::string sb;
     write(sa, a);
     write(sb, b);
-    return sa.str() == sb.str();
+    return sa == sb;
   }
 };
 
@@ -493,11 +481,10 @@ template <>
 struct SweepCache::Kind<MapperPtr> {
   using Value = MapperPtr;
   static constexpr const char* kName = "mapper";
-  static constexpr int kFileOrder = 2;
   static constexpr int kEvictRank = 0;  // bulky and rebuildable
   static constexpr auto kTable = &Tables::mappers;
-  static void write(std::ostream& os, const MapperPtr& state) {
-    write_mapper_payload(os, *state);
+  static void write(std::string& out, const MapperPtr& state) {
+    append_mapper_payload(out, *state);
   }
   static bool read(const JsonValue& object, MapperPtr& out) {
     auto state = std::make_shared<MapperState>();
@@ -720,15 +707,6 @@ bool SweepCache::save(const std::string& path, std::string* error) const {
   const ScopedFileLock file_lock(path + ".lock");
   if (!file_lock.held()) warn_lock_degraded(path);
 
-  Tables mem;
-  std::uint64_t cap = 0;
-  {
-    const std::lock_guard<std::mutex> lock(mutex_);
-    if (!file_lock.held()) ++stats_.lock_degraded;
-    mem = tables_;
-    cap = save_size_cap_;
-  }
-
   // Merge-on-save: union whatever another writer persisted since we
   // loaded (or a pre-existing file we never loaded). Our in-memory
   // entry wins a collision — both sides computed it from the same
@@ -738,81 +716,93 @@ bool SweepCache::save(const std::string& path, std::string* error) const {
   Tables disk;
   const std::uint64_t new_gen = parse_file(path, disk, nullptr).value_or(0) + 1;
 
-  // Render every candidate line up front so the eviction policy can work
-  // in serialized bytes — the unit the size cap is expressed in.
+  // The whole file is rendered into one buffer, header first, so the
+  // eviction policy can work in serialized bytes — the unit the size cap
+  // is expressed in. Each entry line is recorded by its byte range. Lines
+  // come out in canonical file order: the kinds in for_each_kind order,
+  // each the key-ordered merge of the in-memory and on-disk tables.
   struct Line {
     std::uint64_t gen;
-    int order;
     int rank;
-    Fingerprint key;
-    std::string text;
+    std::size_t begin;
+    std::size_t end;
   };
+  std::string content;
+  append(content, "{\"kind\":\"header\",\"schema_version\":",
+         kSweepCacheSchemaVersion, ",\"fingerprint_algorithm\":",
+         kFingerprintAlgorithmVersion, ",\"generation\":", new_gen,
+         ",\"generator\":\"amdrel\"}\n");
+  const std::size_t header_size = content.size();
   std::vector<Line> lines;
-  for_each_kind([&](auto kind) {
-    using K = decltype(kind);
-    const auto& ours = mem.*K::kTable;
-    const auto& theirs = disk.*K::kTable;
-    auto add = [&](const Fingerprint& key, std::uint64_t gen,
-                   const auto& value) {
-      std::ostringstream os;
-      os << "{\"kind\":\"" << K::kName << "\",\"key\":\"" << key.to_hex()
-         << "\",\"gen\":" << gen << ",";
-      K::write(os, value);
-      os << "}\n";
-      lines.push_back(Line{gen, K::kFileOrder, K::kEvictRank, key, os.str()});
-    };
-    // Touched-in-memory entries get the fresh generation; loaded but
-    // untouched entries keep aging, unless a concurrent writer's save
-    // stamped the disk copy younger.
-    for (const auto& [key, entry] : ours) {
-      std::uint64_t gen = entry.untouched_gen.value_or(new_gen);
-      const auto it = theirs.find(key);
-      if (it != theirs.end()) {
-        assert(K::same(entry.value, it->second.value));
-        gen = std::max(gen, *it->second.untouched_gen);
+  std::uint64_t cap = 0;
+  {
+    const std::lock_guard<std::mutex> lock(mutex_);
+    if (!file_lock.held()) ++stats_.lock_degraded;
+    cap = save_size_cap_;
+    for_each_kind([&](auto kind) {
+      using K = decltype(kind);
+      const auto& ours = tables_.*K::kTable;
+      const auto& theirs = disk.*K::kTable;
+      auto add = [&](const Fingerprint& key, std::uint64_t gen,
+                     const auto& value) {
+        const std::size_t begin = content.size();
+        append(content, "{\"kind\":\"", K::kName, "\",\"key\":\"",
+               text::Hex64{key.hi}, text::Hex64{key.lo}, "\",\"gen\":", gen,
+               ',');
+        K::write(content, value);
+        content += "}\n";
+        lines.push_back(Line{gen, K::kEvictRank, begin, content.size()});
+      };
+      // Touched-in-memory entries get the fresh generation; loaded but
+      // untouched entries keep aging, unless a concurrent writer's save
+      // stamped the disk copy younger.
+      for (auto a = ours.begin(), b = theirs.begin();
+           a != ours.end() || b != theirs.end();) {
+        if (a == ours.end() || (b != theirs.end() && b->first < a->first)) {
+          add(b->first, *b->second.untouched_gen, b->second.value);
+          ++b;
+          continue;
+        }
+        std::uint64_t gen = a->second.untouched_gen.value_or(new_gen);
+        if (b != theirs.end() && !(a->first < b->first)) {
+          assert(K::same(a->second.value, b->second.value));
+          gen = std::max(gen, *b->second.untouched_gen);
+          ++b;
+        }
+        add(a->first, gen, a->second.value);
+        ++a;
       }
-      add(key, gen, entry.value);
-    }
-    for (const auto& [key, entry] : theirs) {
-      if (!ours.count(key)) add(key, *entry.untouched_gen, entry.value);
-    }
-  });
-
-  const std::string header =
-      cat("{\"kind\":\"header\",\"schema_version\":", kSweepCacheSchemaVersion,
-          ",\"fingerprint_algorithm\":", kFingerprintAlgorithmVersion,
-          ",\"generation\":", new_gen, ",\"generator\":\"amdrel\"}\n");
+    });
+  }
 
   // Eviction, inside the same critical section and strictly AFTER the
   // union: drop lines until the file fits the cap, oldest generation
   // first; at equal age by eviction rank (mapper snapshots, then
-  // all-fine entries, then cells), then by key — deterministic, so
+  // all-fine entries, then cells), then by key — a kind's lines are in
+  // key order, so their offsets break that tie. Deterministic, so
   // identical caches still serialize byte-identically.
-  if (cap > 0) {
-    std::uint64_t total = header.size();
-    for (const Line& line : lines) total += line.text.size();
-    if (total > cap) {
-      std::sort(lines.begin(), lines.end(), [](const Line& a, const Line& b) {
-        return std::tie(a.gen, a.rank, a.key) < std::tie(b.gen, b.rank, b.key);
-      });
-      std::size_t dropped = 0;
-      while (dropped < lines.size() && total > cap) {
-        total -= lines[dropped++].text.size();
-      }
-      lines.erase(lines.begin(),
-                  lines.begin() + static_cast<std::ptrdiff_t>(dropped));
-      const std::lock_guard<std::mutex> lock(mutex_);
-      stats_.entries_evicted += dropped;
+  if (cap > 0 && content.size() > cap) {
+    std::vector<std::size_t> oldest(lines.size());
+    std::iota(oldest.begin(), oldest.end(), std::size_t{0});
+    std::sort(oldest.begin(), oldest.end(), [&](std::size_t a, std::size_t b) {
+      return std::tie(lines[a].gen, lines[a].rank, lines[a].begin) <
+             std::tie(lines[b].gen, lines[b].rank, lines[b].begin);
+    });
+    std::uint64_t total = content.size();
+    std::size_t dropped = 0;
+    while (dropped < oldest.size() && total > cap) {
+      Line& line = lines[oldest[dropped++]];
+      total -= line.end - line.begin;
+      line.end = line.begin;
     }
+    std::string kept = content.substr(0, header_size);
+    for (const Line& line : lines) {
+      kept.append(content, line.begin, line.end - line.begin);
+    }
+    content = std::move(kept);
+    const std::lock_guard<std::mutex> lock(mutex_);
+    stats_.entries_evicted += dropped;
   }
-
-  // Canonical file order: header, then all_fine/cell/mapper groups each
-  // sorted by key.
-  std::sort(lines.begin(), lines.end(), [](const Line& a, const Line& b) {
-    return std::tie(a.order, a.key) < std::tie(b.order, b.key);
-  });
-  std::string content = header;
-  for (const Line& line : lines) content += line.text;
 
   // With the lock held no other writer can have an in-flight temp, so
   // any "<path>.tmp.*" leftover is from a crashed writer and is swept.
@@ -829,7 +819,7 @@ bool SweepCache::save(const std::string& path, std::string* error) const {
   const std::string temp = unique_temp_path(path);
   {
     std::ofstream out(temp, std::ios::binary);
-    out << content;
+    out.write(content.data(), static_cast<std::streamsize>(content.size()));
     out.flush();
     if (!out.good()) {
       if (error) *error = "cannot write " + temp;

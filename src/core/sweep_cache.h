@@ -1,7 +1,6 @@
 #pragma once
 
 #include <cstdint>
-#include <iosfwd>
 #include <map>
 #include <memory>
 #include <mutex>
@@ -48,14 +47,18 @@ struct CachedCell {
 
 /// Canonical serialization of a cell result's payload fields (everything
 /// after the "kind"/"key" envelope of a cache "cell" line, in fixed field
-/// order, no surrounding braces). Shared verbatim by the cache file and
-/// the sweep service's wire "cell" lines (core/sweep_service.cc), so a
-/// cell that travelled coordinator<->worker is bit-identical to one that
-/// round-tripped through the cache.
-void write_cell_payload(std::ostream& os, const PartitionReport& report,
-                        const std::vector<std::string>& moved_names);
+/// order, no surrounding braces), appended with
+/// text::append(out, CellPayload{report, moved_names}). Shared verbatim
+/// by the cache file and the sweep service's wire "cell" lines
+/// (core/wire.cc), so a cell that travelled coordinator<->worker is
+/// bit-identical to one that round-tripped through the cache.
+struct CellPayload {
+  const PartitionReport& report;
+  const std::vector<std::string>& moved_names;
+};
+void append_part(std::string& out, const CellPayload& payload);
 
-/// Inverse of write_cell_payload over a parsed JSON object; false on any
+/// Inverse of the CellPayload serialization over a parsed JSON object; false on any
 /// missing, mistyped or inconsistent field (never coerces).
 bool read_cell_payload(const jsonl::JsonValue& object, CachedCell& cell);
 
@@ -185,8 +188,10 @@ class SweepCache {
   /// with the file's next generation — that is what makes the eviction
   /// order "least recently touched".
   /// The in-memory cache is NOT mutated (disk-only entries stay on
-  /// disk); load() afterwards to absorb them. Returns false with a
-  /// diagnostic on I/O failure.
+  /// disk); load() afterwards to absorb them. The lines are rendered
+  /// straight from the tables under the in-memory lock, so a concurrent
+  /// find or store waits for the render, never for the disk. Returns
+  /// false with a diagnostic on I/O failure.
   bool save(const std::string& path, std::string* error) const;
 
  private:
@@ -204,8 +209,9 @@ class SweepCache {
   using Table = std::map<Fingerprint, Entry<V>>;
 
   /// The three entry kinds, in file order. Kind<V> (sweep_cache.cc)
-  /// gives each its line name, file order, eviction rank and payload
-  /// codec; every per-kind loop goes through for_each_kind there.
+  /// gives each its line name, eviction rank and payload codec; every
+  /// per-kind loop goes through for_each_kind there, which visits them
+  /// in file order.
   struct Tables {
     Table<std::int64_t> all_fine;
     Table<CachedCell> cells;

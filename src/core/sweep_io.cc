@@ -1,185 +1,135 @@
 #include "core/sweep_io.h"
 
-#include <cstdio>
 #include <ostream>
-#include <sstream>
 
 #include "core/strategy.h"
-#include "support/strings.h"
+#include "support/text.h"
 
 namespace amdrel::core {
+
+using text::append;
+using text::CsvField;
+using text::Fixed;
+using text::General;
+using text::JsonEscaped;
 
 namespace {
 
 // %.10g keeps integral platform values ("1500", "2076") free of trailing
 // zeros while round-tripping any realistic area exactly.
-std::string format_double(double value) {
-  char buffer[64];
-  std::snprintf(buffer, sizeof buffer, "%.10g", value);
-  return buffer;
-}
+General area(double value) { return {value, 10}; }
 
-std::string format_percent(double value) {
-  char buffer[32];
-  std::snprintf(buffer, sizeof buffer, "%.2f", value);
-  return buffer;
-}
+// Percentages are strings in the emissions, fixed "%.2f".
+Fixed percent(double value) { return {value, 2}; }
 
 // Fixed four-decimal rendering for energy pJ values: enough to show the
 // sub-pJ tail the models produce while staying byte-stable (no %g
 // precision cliffs on 11-digit JPEG energies).
-std::string format_energy(double value) {
-  char buffer[64];
-  std::snprintf(buffer, sizeof buffer, "%.4f", value);
-  return buffer;
-}
-
-// RFC-4180 quoting: fields containing the separator, quotes or newlines
-// are wrapped in double quotes with embedded quotes doubled. App names
-// can be arbitrary (CLI file paths); block names are generator-chosen.
-std::string csv_escape(const std::string& field) {
-  if (field.find_first_of(",\"\n\r") == std::string::npos) return field;
-  std::string out = "\"";
-  for (const char c : field) {
-    if (c == '"') out += '"';
-    out += c;
-  }
-  out += '"';
-  return out;
-}
+Fixed energy(double value) { return {value, 4}; }
 
 template <typename T>
-void append_index_list(std::ostringstream& os, const std::vector<T>& indices) {
-  os << '[';
+void append_index_list(std::string& out, const std::vector<T>& indices) {
+  out += '[';
   for (std::size_t i = 0; i < indices.size(); ++i) {
-    if (i) os << ", ";
-    os << indices[i];
+    if (i) out += ", ";
+    append(out, indices[i]);
   }
-  os << ']';
+  out += ']';
 }
 
 // The cell fields shared byte-for-byte by the merged artifact
 // (sweep_to_json, which appends the pareto markers) and the partial
 // NDJSON stream (write_partial_stream_shard, which has none): "app"
 // through "engine_iterations", no braces, no trailing separator.
-void append_cell_fields(std::ostream& os, const std::vector<std::string>& apps,
+void append_cell_fields(std::string& out, const std::vector<std::string>& apps,
                         const SweepCell& cell) {
-  os << "\"app\": \"" << json_escape(apps[cell.app]) << "\", "
-     << "\"a_fpga\": " << format_double(cell.a_fpga) << ", "
-     << "\"cgcs\": " << cell.cgcs << ", "
-     << "\"platform_cost\": " << format_double(cell.platform_cost) << ", "
-     << "\"constraint\": " << cell.constraint << ", "
-     << "\"strategy\": \"" << strategy_name(cell.strategy) << "\", "
-     << "\"ordering\": \"" << kernel_ordering_name(cell.ordering) << "\", "
-     << "\"objective\": \"" << objective_name(cell.report.objective)
-     << "\", "
-     << "\"energy_budget_pj\": " << format_energy(cell.energy_budget_pj)
-     << ", "
-     << "\"initial_cycles\": " << cell.report.initial_cycles << ", "
-     << "\"final_cycles\": " << cell.report.final_cycles << ", "
-     << "\"cycles_in_cgc\": " << cell.report.cycles_in_cgc << ", "
-     << "\"t_fpga\": " << cell.report.cost.t_fpga << ", "
-     << "\"t_coarse\": " << cell.report.cost.t_coarse << ", "
-     << "\"t_comm\": " << cell.report.cost.t_comm << ", "
-     << "\"reconfig_cycles\": " << cell.report.cost.t_reconfig << ", "
-     << "\"floorplan_cost\": " << format_energy(cell.report.floorplan_cost)
-     << ", "
-     << "\"initial_energy_pj\": "
-     << format_energy(cell.report.initial_energy_pj) << ", "
-     << "\"energy_pj\": " << format_energy(cell.report.energy.total_pj())
-     << ", "
-     << "\"moved\": " << cell.report.moved.size() << ", "
-     << "\"moved_blocks\": [";
+  const PartitionReport& r = cell.report;
+  append(out, "\"app\": \"", JsonEscaped{apps[cell.app]},
+         "\", \"a_fpga\": ", area(cell.a_fpga), ", \"cgcs\": ", cell.cgcs,
+         ", \"platform_cost\": ", area(cell.platform_cost),
+         ", \"constraint\": ", cell.constraint, ", \"strategy\": \"",
+         strategy_name(cell.strategy), "\", \"ordering\": \"",
+         kernel_ordering_name(cell.ordering), "\", \"objective\": \"",
+         objective_name(r.objective), "\", \"energy_budget_pj\": ",
+         energy(cell.energy_budget_pj), ", \"initial_cycles\": ",
+         r.initial_cycles, ", \"final_cycles\": ", r.final_cycles,
+         ", \"cycles_in_cgc\": ", r.cycles_in_cgc, ", \"t_fpga\": ",
+         r.cost.t_fpga, ", \"t_coarse\": ", r.cost.t_coarse,
+         ", \"t_comm\": ", r.cost.t_comm, ", \"reconfig_cycles\": ",
+         r.cost.t_reconfig, ", \"floorplan_cost\": ", energy(r.floorplan_cost),
+         ", \"initial_energy_pj\": ", energy(r.initial_energy_pj),
+         ", \"energy_pj\": ", energy(r.energy.total_pj()), ", \"moved\": ",
+         r.moved.size(), ", \"moved_blocks\": [");
   for (std::size_t m = 0; m < cell.moved_names.size(); ++m) {
-    if (m) os << ", ";
-    os << '"' << json_escape(cell.moved_names[m]) << '"';
+    append(out, m ? ", \"" : "\"", JsonEscaped{cell.moved_names[m]}, '"');
   }
-  os << "], "
-     << "\"met\": " << (cell.report.met ? "true" : "false") << ", "
-     << "\"reduction_percent\": \""
-     << format_percent(cell.report.reduction_percent()) << "\", "
-     << "\"energy_reduction_percent\": \""
-     << format_percent(cell.report.energy_reduction_percent()) << "\", "
-     << "\"engine_iterations\": " << cell.report.engine_iterations;
+  append(out, "], \"met\": ", r.met, ", \"reduction_percent\": \"",
+         percent(r.reduction_percent()), "\", \"energy_reduction_percent\": \"",
+         percent(r.energy_reduction_percent()), "\", \"engine_iterations\": ",
+         r.engine_iterations);
 }
 
 }  // namespace
 
 std::string sweep_to_json(const SweepSummary& summary) {
-  std::ostringstream os;
-  os << "{\n";
-  os << "  \"schema_version\": " << kSweepSchemaVersion << ",\n";
-  os << "  \"generator\": \"amdrel\",\n";
-  os << "  \"apps\": [";
+  std::string out;
+  append(out, "{\n  \"schema_version\": ", kSweepSchemaVersion,
+         ",\n  \"generator\": \"amdrel\",\n  \"apps\": [");
   for (std::size_t i = 0; i < summary.apps.size(); ++i) {
-    if (i) os << ", ";
-    os << '"' << json_escape(summary.apps[i]) << '"';
+    append(out, i ? ", \"" : "\"", JsonEscaped{summary.apps[i]}, '"');
   }
-  os << "],\n";
-  os << "  \"cells\": [\n";
+  out += "],\n  \"cells\": [\n";
   for (std::size_t i = 0; i < summary.cells.size(); ++i) {
     const SweepCell& cell = summary.cells[i];
-    os << "    {";
-    append_cell_fields(os, summary.apps, cell);
-    os << ", "
-       << "\"app_pareto\": " << (cell.on_app_pareto ? "true" : "false")
-       << ", "
-       << "\"global_pareto\": " << (cell.on_global_pareto ? "true" : "false")
-       << '}' << (i + 1 < summary.cells.size() ? "," : "") << '\n';
+    out += "    {";
+    append_cell_fields(out, summary.apps, cell);
+    append(out, ", \"app_pareto\": ", cell.on_app_pareto,
+           ", \"global_pareto\": ", cell.on_global_pareto,
+           i + 1 < summary.cells.size() ? "},\n" : "}\n");
   }
-  os << "  ],\n";
-  os << "  \"app_pareto\": {";
+  out += "  ],\n  \"app_pareto\": {";
   for (std::size_t app = 0; app < summary.apps.size(); ++app) {
-    if (app) os << ", ";
-    os << '"' << json_escape(summary.apps[app]) << "\": ";
-    append_index_list(os, summary.app_pareto[app]);
+    append(out, app ? ", \"" : "\"", JsonEscaped{summary.apps[app]}, "\": ");
+    append_index_list(out, summary.app_pareto[app]);
   }
-  os << "},\n";
-  os << "  \"global_pareto\": ";
-  append_index_list(os, summary.global_pareto);
-  os << "\n}\n";
-  return os.str();
+  out += "},\n  \"global_pareto\": ";
+  append_index_list(out, summary.global_pareto);
+  out += "\n}\n";
+  return out;
 }
 
 std::string sweep_to_csv(const SweepSummary& summary) {
-  std::ostringstream os;
-  os << "app,a_fpga,cgcs,platform_cost,constraint,strategy,ordering,"
-        "objective,energy_budget_pj,"
-        "initial_cycles,final_cycles,cycles_in_cgc,t_fpga,t_coarse,t_comm,"
-        "reconfig_cycles,floorplan_cost,"
-        "initial_energy_pj,energy_pj,"
-        "moved,moved_blocks,met,reduction_percent,energy_reduction_percent,"
-        "engine_iterations,app_pareto,global_pareto\n";
+  std::string out =
+      "app,a_fpga,cgcs,platform_cost,constraint,strategy,ordering,"
+      "objective,energy_budget_pj,"
+      "initial_cycles,final_cycles,cycles_in_cgc,t_fpga,t_coarse,t_comm,"
+      "reconfig_cycles,floorplan_cost,"
+      "initial_energy_pj,energy_pj,"
+      "moved,moved_blocks,met,reduction_percent,energy_reduction_percent,"
+      "engine_iterations,app_pareto,global_pareto\n";
+  std::string blocks;
   for (const SweepCell& cell : summary.cells) {
-    std::string blocks;
+    const PartitionReport& r = cell.report;
+    blocks.clear();
     for (const std::string& name : cell.moved_names) {
       if (!blocks.empty()) blocks += ';';
       blocks += name;
     }
-    blocks = csv_escape(blocks);
-    os << csv_escape(summary.apps[cell.app]) << ','
-       << format_double(cell.a_fpga) << ','
-       << cell.cgcs << ',' << format_double(cell.platform_cost) << ','
-       << cell.constraint << ',' << strategy_name(cell.strategy) << ','
-       << kernel_ordering_name(cell.ordering) << ','
-       << objective_name(cell.report.objective) << ','
-       << format_energy(cell.energy_budget_pj) << ','
-       << cell.report.initial_cycles << ',' << cell.report.final_cycles << ','
-       << cell.report.cycles_in_cgc << ',' << cell.report.cost.t_fpga << ','
-       << cell.report.cost.t_coarse << ',' << cell.report.cost.t_comm << ','
-       << cell.report.cost.t_reconfig << ','
-       << format_energy(cell.report.floorplan_cost) << ','
-       << format_energy(cell.report.initial_energy_pj) << ','
-       << format_energy(cell.report.energy.total_pj()) << ','
-       << cell.report.moved.size() << ',' << blocks << ','
-       << (cell.report.met ? "true" : "false") << ','
-       << format_percent(cell.report.reduction_percent()) << ','
-       << format_percent(cell.report.energy_reduction_percent()) << ','
-       << cell.report.engine_iterations << ','
-       << (cell.on_app_pareto ? "true" : "false") << ','
-       << (cell.on_global_pareto ? "true" : "false") << '\n';
+    append(out, CsvField{summary.apps[cell.app]}, ',', area(cell.a_fpga), ',',
+           cell.cgcs, ',', area(cell.platform_cost), ',', cell.constraint, ',',
+           strategy_name(cell.strategy), ',',
+           kernel_ordering_name(cell.ordering), ',',
+           objective_name(r.objective), ',', energy(cell.energy_budget_pj),
+           ',', r.initial_cycles, ',', r.final_cycles, ',', r.cycles_in_cgc,
+           ',', r.cost.t_fpga, ',', r.cost.t_coarse, ',', r.cost.t_comm, ',',
+           r.cost.t_reconfig, ',', energy(r.floorplan_cost), ',',
+           energy(r.initial_energy_pj), ',', energy(r.energy.total_pj()), ',',
+           r.moved.size(), ',', CsvField{blocks}, ',', r.met, ',',
+           percent(r.reduction_percent()), ',',
+           percent(r.energy_reduction_percent()), ',', r.engine_iterations,
+           ',', cell.on_app_pareto, ',', cell.on_global_pareto, '\n');
   }
-  return os.str();
+  return out;
 }
 
 std::string cache_stats_to_json(const SweepCacheStats& stats) {
@@ -188,31 +138,25 @@ std::string cache_stats_to_json(const SweepCacheStats& stats) {
       lookups == 0 ? 0.0
                    : static_cast<double>(stats.cell_hits) /
                          static_cast<double>(lookups);
-  char rate_text[32];
-  std::snprintf(rate_text, sizeof rate_text, "%.2f", rate);
-  std::ostringstream os;
-  os << "{\n";
-  os << "  \"schema_version\": " << kSweepCacheSchemaVersion << ",\n";
-  os << "  \"generator\": \"amdrel\",\n";
-  os << "  \"cell_hits\": " << stats.cell_hits << ",\n";
-  os << "  \"cell_misses\": " << stats.cell_misses << ",\n";
-  os << "  \"cell_hit_rate\": \"" << rate_text << "\",\n";
-  os << "  \"mapper_restores\": " << stats.mapper_restores << ",\n";
-  os << "  \"mapper_builds\": " << stats.mapper_builds << ",\n";
-  os << "  \"all_fine_hits\": " << stats.all_fine_hits << ",\n";
-  os << "  \"all_fine_misses\": " << stats.all_fine_misses << ",\n";
-  os << "  \"cells\": " << stats.cells << ",\n";
-  os << "  \"entries_loaded\": " << stats.entries_loaded << ",\n";
-  os << "  \"lock_degraded\": " << stats.lock_degraded << ",\n";
-  os << "  \"entries_evicted\": " << stats.entries_evicted << "\n";
-  os << "}\n";
-  return os.str();
+  return text::render(
+      "{\n  \"schema_version\": ", kSweepCacheSchemaVersion,
+      ",\n  \"generator\": \"amdrel\",\n  \"cell_hits\": ", stats.cell_hits,
+      ",\n  \"cell_misses\": ", stats.cell_misses,
+      ",\n  \"cell_hit_rate\": \"", percent(rate),
+      "\",\n  \"mapper_restores\": ", stats.mapper_restores,
+      ",\n  \"mapper_builds\": ", stats.mapper_builds,
+      ",\n  \"all_fine_hits\": ", stats.all_fine_hits,
+      ",\n  \"all_fine_misses\": ", stats.all_fine_misses,
+      ",\n  \"cells\": ", stats.cells,
+      ",\n  \"entries_loaded\": ", stats.entries_loaded,
+      ",\n  \"lock_degraded\": ", stats.lock_degraded,
+      ",\n  \"entries_evicted\": ", stats.entries_evicted, "\n}\n");
 }
 
 void write_partial_stream_header(std::ostream& os, std::size_t shards) {
-  os << "{\"kind\":\"sweep_partial\",\"schema_version\":"
-     << kSweepSchemaVersion
-     << ",\"generator\":\"amdrel\",\"shards\":" << shards << "}\n";
+  os << text::render("{\"kind\":\"sweep_partial\",\"schema_version\":",
+                     kSweepSchemaVersion,
+                     ",\"generator\":\"amdrel\",\"shards\":", shards, "}\n");
   os.flush();
 }
 
@@ -220,16 +164,18 @@ void write_partial_stream_shard(std::ostream& os,
                                 const std::vector<std::string>& apps,
                                 std::size_t shard, const SweepCell* cells,
                                 std::size_t used) {
-  os << "{\"kind\":\"shard\",\"shard\":" << shard << ",\"used\":" << used
-     << "}\n";
+  std::string out;
+  append(out, "{\"kind\":\"shard\",\"shard\":", shard, ",\"used\":", used,
+         "}\n");
   for (std::size_t slot = 0; slot < used; ++slot) {
-    os << "{\"kind\":\"cell\",\"shard\":" << shard << ",\"slot\":" << slot
-       << ", ";
-    append_cell_fields(os, apps, cells[slot]);
-    os << "}\n";
+    append(out, "{\"kind\":\"cell\",\"shard\":", shard, ",\"slot\":", slot,
+           ", ");
+    append_cell_fields(out, apps, cells[slot]);
+    out += "}\n";
   }
-  // Per-shard flush: the whole point is that a reader sees finished
-  // shards while the sweep is still running.
+  // One write and a flush per shard: the whole point is that a reader
+  // sees finished shards while the sweep is still running.
+  os.write(out.data(), static_cast<std::streamsize>(out.size()));
   os.flush();
 }
 

@@ -1,7 +1,8 @@
 #include "core/wire.h"
 
 #include <ostream>
-#include <sstream>
+
+#include "support/text.h"
 
 namespace amdrel::core::wire {
 
@@ -9,8 +10,20 @@ using jsonl::JsonParser;
 using jsonl::JsonValue;
 using jsonl::get_int;
 using jsonl::get_string;
+using text::append;
+using text::render;
 
 namespace {
+
+// Each data line is built in one reused per-thread buffer and handed to
+// the stream in one write.
+template <typename... Parts>
+void write_line(std::ostream& os, const Parts&... parts) {
+  thread_local std::string line;
+  line.clear();
+  append(line, parts...);
+  os.write(line.data(), static_cast<std::streamsize>(line.size()));
+}
 
 bool get_size(const JsonValue& object, const char* name, std::size_t& out) {
   std::int64_t value = 0;
@@ -47,10 +60,10 @@ LineKind line_kind(const JsonValue& object) {
 }
 
 void encode_header(std::ostream& os, const Header& header) {
-  os << "{\"kind\":\"wire_header\",\"protocol\":" << header.protocol
-     << ",\"schema_version\":" << header.schema_version
-     << ",\"fingerprint_algorithm\":" << header.fingerprint_algorithm
-     << ",\"shards\":" << header.shards << "}\n";
+  write_line(os, "{\"kind\":\"wire_header\",\"protocol\":", header.protocol,
+             ",\"schema_version\":", header.schema_version,
+             ",\"fingerprint_algorithm\":", header.fingerprint_algorithm,
+             ",\"shards\":", header.shards, "}\n");
 }
 
 bool decode_header(const JsonValue& object, Header& header) {
@@ -63,8 +76,8 @@ bool decode_header(const JsonValue& object, Header& header) {
 }
 
 void encode_shard_begin(std::ostream& os, const ShardBegin& shard) {
-  os << "{\"kind\":\"shard\",\"shard\":" << shard.shard
-     << ",\"used\":" << shard.used << "}\n";
+  write_line(os, "{\"kind\":\"shard\",\"shard\":", shard.shard,
+             ",\"used\":", shard.used, "}\n");
 }
 
 bool decode_shard_begin(const JsonValue& object, ShardBegin& shard) {
@@ -76,10 +89,8 @@ bool decode_shard_begin(const JsonValue& object, ShardBegin& shard) {
 void encode_cell(std::ostream& os, std::size_t shard, std::size_t slot,
                  const PartitionReport& report,
                  const std::vector<std::string>& moved_names) {
-  os << "{\"kind\":\"cell\",\"shard\":" << shard << ",\"slot\":" << slot
-     << ",";
-  write_cell_payload(os, report, moved_names);
-  os << "}\n";
+  write_line(os, "{\"kind\":\"cell\",\"shard\":", shard, ",\"slot\":", slot,
+             ',', CellPayload{report, moved_names}, "}\n");
 }
 
 bool decode_cell(const JsonValue& object, Cell& cell) {
@@ -90,7 +101,7 @@ bool decode_cell(const JsonValue& object, Cell& cell) {
 }
 
 void encode_worker_done(std::ostream& os, const WorkerDone& done) {
-  os << "{\"kind\":\"worker_done\",\"cells\":" << done.cells << "}\n";
+  write_line(os, "{\"kind\":\"worker_done\",\"cells\":", done.cells, "}\n");
 }
 
 bool decode_worker_done(const JsonValue& object, WorkerDone& done) {
@@ -99,14 +110,13 @@ bool decode_worker_done(const JsonValue& object, WorkerDone& done) {
 }
 
 std::string encode_assign(const Assign& assign) {
-  std::ostringstream os;
-  os << "{\"kind\":\"assign\",\"retry\":" << assign.retry << ",\"shards\":[";
+  std::string line = render("{\"kind\":\"assign\",\"retry\":", assign.retry,
+                            ",\"shards\":[");
   for (std::size_t i = 0; i < assign.shards.size(); ++i) {
-    if (i) os << ',';
-    os << assign.shards[i];
+    append(line, i ? "," : "", assign.shards[i]);
   }
-  os << "]}\n";
-  return os.str();
+  line += "]}\n";
+  return line;
 }
 
 bool decode_assign(const JsonValue& object, Assign& assign) {
@@ -126,9 +136,7 @@ bool decode_assign(const JsonValue& object, Assign& assign) {
 }
 
 std::string encode_round_done(const RoundDone& done) {
-  std::ostringstream os;
-  os << "{\"kind\":\"round_done\",\"cells\":" << done.cells << "}\n";
-  return os.str();
+  return render("{\"kind\":\"round_done\",\"cells\":", done.cells, "}\n");
 }
 
 bool decode_round_done(const JsonValue& object, RoundDone& done) {

@@ -1,10 +1,11 @@
 #pragma once
 
-#include <cstdio>
 #include <sstream>
 #include <string>
 #include <string_view>
 #include <vector>
+
+#include "support/text.h"
 
 namespace amdrel {
 
@@ -32,26 +33,7 @@ std::string cat(const Ts&... parts) {
 /// emitters and the sweep-cache persistence, whose byte-for-byte
 /// round-trip contracts require one escaping rule.
 inline std::string json_escape(const std::string& text) {
-  std::string out;
-  out.reserve(text.size() + 2);
-  for (const char c : text) {
-    switch (c) {
-      case '"': out += "\\\""; break;
-      case '\\': out += "\\\\"; break;
-      case '\n': out += "\\n"; break;
-      case '\r': out += "\\r"; break;
-      case '\t': out += "\\t"; break;
-      default:
-        if (static_cast<unsigned char>(c) < 0x20) {
-          char buffer[8];
-          std::snprintf(buffer, sizeof buffer, "\\u%04x", c);
-          out += buffer;
-        } else {
-          out += c;
-        }
-    }
-  }
-  return out;
+  return text::render(text::JsonEscaped{text});
 }
 
 /// Splits on a separator. Note getline semantics: a trailing separator

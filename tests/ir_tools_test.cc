@@ -1,3 +1,5 @@
+#include <cstdint>
+
 #include <gtest/gtest.h>
 
 #include "coarsegrain/schedule_dump.h"
@@ -82,6 +84,7 @@ TEST(WithThousandsTest, FormatsGroups) {
   EXPECT_EQ(core::with_thousands(1000), "1,000");
   EXPECT_EQ(core::with_thousands(1234567), "1,234,567");
   EXPECT_EQ(core::with_thousands(-1234567), "-1,234,567");
+  EXPECT_EQ(core::with_thousands(INT64_MIN), "-9,223,372,036,854,775,808");
 }
 
 TEST(StringsTest, CatConcatenatesMixedTypes) {
