@@ -29,8 +29,15 @@ std::uint64_t avalanche(std::uint64_t value) {
 
 }  // namespace
 
-std::string Fingerprint::to_hex() const {
-  return text::render(text::Hex64{hi}, text::Hex64{lo});
+std::string Fingerprint::to_hex() const { return text::render(*this); }
+
+void append_part(std::string& out, const Fingerprint& fp) {
+  static constexpr char kHex[] = "0123456789abcdef";
+  for (const std::uint64_t lane : {fp.hi, fp.lo}) {
+    for (int shift = 60; shift >= 0; shift -= 4) {
+      out.push_back(kHex[(lane >> shift) & 0xf]);
+    }
+  }
 }
 
 std::optional<Fingerprint> Fingerprint::from_hex(std::string_view text) {

@@ -45,6 +45,10 @@ struct Fingerprint {
   static std::optional<Fingerprint> from_hex(std::string_view text);
 };
 
+/// Appends fp.to_hex()'s 32 digits to `out`: a text::append part, so a
+/// cache line renders its key with no temporary string.
+void append_part(std::string& out, const Fingerprint& fp);
+
 /// Incremental two-lane mixer behind every fingerprint: lane one is
 /// FNV-1a over 64-bit words, lane two an xxhash-style rotate-multiply
 /// accumulator, both finalized with a murmur-style avalanche. Values are

@@ -746,9 +746,8 @@ bool SweepCache::save(const std::string& path, std::string* error) const {
       auto add = [&](const Fingerprint& key, std::uint64_t gen,
                      const auto& value) {
         const std::size_t begin = content.size();
-        append(content, "{\"kind\":\"", K::kName, "\",\"key\":\"",
-               text::Hex64{key.hi}, text::Hex64{key.lo}, "\",\"gen\":", gen,
-               ',');
+        append(content, "{\"kind\":\"", K::kName, "\",\"key\":\"", key,
+               "\",\"gen\":", gen, ',');
         K::write(content, value);
         content += "}\n";
         lines.push_back(Line{gen, K::kEvictRank, begin, content.size()});

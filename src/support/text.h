@@ -15,8 +15,8 @@ namespace amdrel::text {
 // reused buffer with no stream and no temporary strings. Integers go
 // through std::to_chars; doubles through std::to_chars with a precision,
 // which the text tests prove byte-equal to the printf conversion each
-// tag names. Escaped strings, digit grouping and hex keys go through the
-// tags below.
+// tag names. Escaped strings and digit grouping go through the tags
+// below.
 // ---------------------------------------------------------------------------
 
 /// printf "%.<precision>f".
@@ -49,18 +49,12 @@ struct Thousands {
   std::int64_t value;
 };
 
-/// 16 lowercase hex digits, zero-padded.
-struct Hex64 {
-  std::uint64_t value;
-};
-
 inline void append_part(std::string& out, std::string_view text) {
   out.append(text);
 }
+// Without this overload a const char* would convert to bool, not to
+// std::string_view.
 inline void append_part(std::string& out, const char* text) {
-  out.append(text);
-}
-inline void append_part(std::string& out, const std::string& text) {
   out.append(text);
 }
 inline void append_part(std::string& out, char c) { out.push_back(c); }
@@ -148,13 +142,6 @@ inline void append_part(std::string& out, Thousands number) {
   for (std::size_t i = 0; i < count; ++i) {
     if (i != 0 && (count - i) % 3 == 0) out.push_back(',');
     out.push_back(digits[i]);
-  }
-}
-
-inline void append_part(std::string& out, Hex64 number) {
-  static constexpr char kHex[] = "0123456789abcdef";
-  for (int shift = 60; shift >= 0; shift -= 4) {
-    out.push_back(kHex[(number.value >> shift) & 0xf]);
   }
 }
 

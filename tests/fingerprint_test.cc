@@ -24,6 +24,8 @@ TEST(FingerprintTest, HexRoundTrip) {
   const auto parsed = Fingerprint::from_hex(fp.to_hex());
   ASSERT_TRUE(parsed.has_value());
   EXPECT_EQ(*parsed, fp);
+  EXPECT_EQ((Fingerprint{0, 0xabcdef}.to_hex()),
+            "00000000000000000000000000abcdef");
 }
 
 TEST(FingerprintTest, FromHexIsStrict) {

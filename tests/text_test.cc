@@ -151,12 +151,6 @@ TEST(TextAppendTest, ThousandsGroupsTheUnsignedMagnitude) {
             "-9,223,372,036,854,775,808");
 }
 
-TEST(TextAppendTest, HexIsZeroPadded) {
-  EXPECT_EQ(text::render(text::Hex64{0}, text::Hex64{0xabcdef}),
-            "0000000000000000""0000000000abcdef");
-  EXPECT_EQ(text::render(text::Hex64{~std::uint64_t{0}}), "ffffffffffffffff");
-}
-
 TEST(TextAppendTest, EscapesEveryControlByte) {
   std::string all;
   for (int c = 1; c < 0x20; ++c) all += static_cast<char>(c);
