@@ -200,6 +200,7 @@ IncrementalSplit::IncrementalSplit(HybridMapper& mapper,
       reconfig_saving_[b] = load * (std::max<std::int64_t>(1, iters_[b]) - 1);
     }
   }
+  exact_ = !objective_.needs_energy() && resident_regions_ == 0;
   if (!objective_.needs_energy()) return;
   // Price every block once; the all-fine starting breakdown accumulates
   // the fine-side terms in block order, matching estimate_energy({}).
@@ -289,6 +290,14 @@ void IncrementalSplit::unmove(ir::BlockId block) {
     reconfig_sum_ -=
         reconfig_load_[b] * std::max<std::int64_t>(1, iters_[b]);
     reprice_reconfig();
+  }
+}
+
+void IncrementalSplit::flip(ir::BlockId block) {
+  if (is_moved(block)) {
+    unmove(block);
+  } else {
+    move(block);
   }
 }
 

@@ -154,7 +154,10 @@ class HybridMapper {
 /// list; every per-block term (execution count, fine contribution,
 /// communication cycles, lazily-resolved coarse cycles, energy) is
 /// flattened into a dense array at construction, so move()/unmove() are
-/// a handful of array reads and integer adds.
+/// a handful of array reads and integer adds. The annealing walk prices
+/// a flip with propose_flip() and settles it with accept_flip() or
+/// reject_flip(); on the integer-exact path a proposal reads those
+/// arrays without mutating the split.
 ///
 /// Constructed with an objective that needs_energy(), the split also
 /// tracks an EnergyBreakdown with the same O(1) per-move deltas: every
@@ -204,7 +207,7 @@ class IncrementalSplit {
   /// The moved blocks. Movement order is preserved as long as unmove()
   /// always targets the most recent move (the greedy engine's pattern);
   /// an unmove from the middle swaps the last entry into the gap, which
-  /// keeps both operations O(1) for the annealing walk.
+  /// keeps both operations O(1) for accepted annealing flips.
   const std::vector<ir::BlockId>& moved() const { return order_; }
 
   /// Reassigns `block` to the CGC data-path. Throws Error when the block
@@ -215,7 +218,46 @@ class IncrementalSplit {
   /// block is not currently moved.
   void unmove(ir::BlockId block);
 
+  /// Prices flipping `block` to the other side and returns the
+  /// objective_value() the split would have after the flip; settle it
+  /// with exactly one accept_flip() or reject_flip() before any other
+  /// call. A block's coarse price resolves at its first proposal, as in
+  /// move(). On the integer-exact path (no energy tracking, no
+  /// reconfiguration load pricing) the proposal is
+  /// total +/- (coarse + comm - fine contribution) and leaves the split
+  /// untouched, so a rejected flip costs nothing. Otherwise it moves or
+  /// unmoves now and reject_flip() reverts, so the energy sums pick up
+  /// the same rounding a move-then-revert always has.
+  double propose_flip(ir::BlockId block) {
+    const auto b = static_cast<std::size_t>(block);
+    pending_ = block;
+    if (!exact_) {
+      flip(block);
+      return objective_value();
+    }
+    std::int64_t coarse = coarse_total_[b];
+    if (coarse < 0) coarse = coarse_total_cycles(block);
+    const std::int64_t delta = coarse + comm_total_[b] - fine_contrib_[b];
+    // The exact path is the timing objective, whose value is the cycle
+    // total as a double.
+    return static_cast<double>(cost_.total() +
+                               (moved_.test(b) ? -delta : delta));
+  }
+
+  /// Commits the pending flip.
+  void accept_flip() {
+    if (exact_) flip(pending_);
+  }
+
+  /// Drops the pending flip, leaving the split as before the proposal.
+  void reject_flip() {
+    if (!exact_) flip(pending_);
+  }
+
  private:
+  /// unmove() when `block` is moved, move() otherwise.
+  void flip(ir::BlockId block);
+
   std::int64_t coarse_total_cycles(ir::BlockId block);
 
   /// Recomputes the residency discount over the moved set and refreshes
@@ -245,6 +287,9 @@ class IncrementalSplit {
   SmallBitset moved_;                 ///< membership, block-id indexed
   std::vector<std::int32_t> pos_;     ///< position in order_; -1 = fine
   std::vector<ir::BlockId> order_;
+
+  bool exact_ = false;        ///< proposals priced without mutating
+  ir::BlockId pending_ = -1;  ///< block of the unsettled propose_flip()
 };
 
 }  // namespace amdrel::core

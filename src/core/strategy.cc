@@ -2,6 +2,9 @@
 
 #include <algorithm>
 #include <cmath>
+#include <cstdint>
+#include <limits>
+#include <optional>
 #include <random>
 
 #include "support/bitset.h"
@@ -234,10 +237,81 @@ StrategyResult exhaustive(const AxisContext& ctx, const AxisCell& cell) {
   return result;
 }
 
+// Every walk of a sweep seeds mt19937_64 with the same
+// options.random_seed, so they all consume one raw 64-bit stream. Each
+// thread records that stream once per seed, up to kTapeWords words
+// (128 KiB), and walks replay it; `tail` is the engine positioned right
+// after the last recorded word.
+constexpr std::size_t kTapeWords = std::size_t{1} << 14;
+constexpr std::size_t kTapeChunk = 1024;
+
+struct DrawTape {
+  std::optional<std::uint64_t> seed;  ///< empty until the first walk
+  std::vector<std::mt19937_64::result_type> words;
+  std::mt19937_64 tail;
+};
+
+DrawTape& draw_tape(std::uint64_t seed) {
+  thread_local DrawTape tape;
+  if (tape.seed != seed) {
+    tape.seed = seed;
+    tape.words.clear();
+    tape.words.reserve(kTapeWords);
+    tape.tail.seed(seed);
+  }
+  return tape;
+}
+
+// A URBG with the engine's type and range that replays the thread's
+// tape from its first word, so the unchanged distributions draw exactly
+// what a freshly seeded engine would give them. A walk that runs past
+// the tape's cap continues from its own copy of the tail engine.
+class TapeReplay {
+ public:
+  using result_type = std::mt19937_64::result_type;
+  static constexpr result_type min() { return std::mt19937_64::min(); }
+  static constexpr result_type max() { return std::mt19937_64::max(); }
+
+  explicit TapeReplay(DrawTape& tape)
+      : tape_(&tape), words_(tape.words.data()), size_(tape.words.size()) {}
+
+  result_type operator()() {
+    if (next_ < size_) return words_[next_++];
+    return refill();
+  }
+
+ private:
+  result_type refill() {
+    std::vector<result_type>& words = tape_->words;
+    if (words.size() < kTapeWords) {
+      const std::size_t grow = std::min(kTapeChunk, kTapeWords - words.size());
+      for (std::size_t k = 0; k < grow; ++k) words.push_back(tape_->tail());
+      words_ = words.data();
+      size_ = words.size();
+      return words_[next_++];
+    }
+    if (!past_cap_) past_cap_ = tape_->tail;
+    return (*past_cap_)();
+  }
+
+  DrawTape* tape_;
+  const result_type* words_;  ///< tape words recorded so far
+  std::size_t size_;
+  std::size_t next_ = 0;
+  std::optional<std::mt19937_64> past_cap_;
+};
+
+// Below this Metropolis exponent exp(x) < exp(-50) < 2^-64, the smallest
+// nonzero draw of uniform_real_distribution<double>(0, 1) over a 64-bit
+// engine, so `u < exp(x)` reduces to `u == 0 && exp(x) > 0`.
+// AnnealingShortcutTest pins both facts.
+constexpr double kExpCutoff = -50.0;
+
 std::vector<StrategyResult> annealing(const AxisContext& ctx) {
   const std::size_t cells = ctx.cells.size();
   std::vector<StrategyResult> results(cells);
   IncrementalSplit split(ctx.mapper, ctx.profile, ctx.options.cost);
+  const CostObjective& objective = ctx.options.cost.objective;
 
   std::vector<ir::BlockId> candidates;
   for (const analysis::KernelInfo& kernel : ctx.kernels) {
@@ -250,7 +324,7 @@ std::vector<StrategyResult> annealing(const AxisContext& ctx) {
   for (StrategyResult& result : results) result.cost = best_cost;
   if (candidates.empty()) return results;
 
-  std::mt19937_64 rng(ctx.options.random_seed);
+  TapeReplay rng(draw_tape(ctx.options.random_seed));
   std::uniform_int_distribution<std::size_t> pick(0, candidates.size() - 1);
   std::uniform_real_distribution<double> uniform(0.0, 1.0);
 
@@ -274,8 +348,7 @@ std::vector<StrategyResult> annealing(const AxisContext& ctx) {
   // every space instead of boiling forever in pJ space; the
   // AcceptanceRateIsObjectiveScaleFree test pins the resulting rates
   // to one band.
-  const bool normalized =
-      ctx.options.cost.objective.kind != ObjectiveKind::kTiming;
+  const bool normalized = objective.kind != ObjectiveKind::kTiming;
   const double scale = normalized ? std::max(1.0, best_value) : 1.0;
   const double floor_temp = normalized ? 1e-8 : 1.0;
   double temperature =
@@ -294,74 +367,92 @@ std::vector<StrategyResult> annealing(const AxisContext& ctx) {
   std::size_t unresolved = cells;
   int uphill_proposed = 0;
   int uphill_accepted = 0;
+  // The loosest limits over unresolved cells. met() is monotone in both
+  // limits, so a split that fails them meets no unresolved cell and the
+  // per-cell scan is skipped. A NaN budget never meets (and kTiming
+  // ignores budgets), so it is left out of the maximum.
+  std::int64_t loosest_constraint = 0;
+  double loosest_budget = 0.0;
+  const auto refresh_loosest = [&] {
+    loosest_constraint = std::numeric_limits<std::int64_t>::min();
+    loosest_budget = -std::numeric_limits<double>::infinity();
+    for (std::size_t c = 0; c < cells; ++c) {
+      if (resolved[c]) continue;
+      loosest_constraint =
+          std::max(loosest_constraint, ctx.cells[c].timing_constraint);
+      const double budget = ctx.cells[c].energy_budget_pj;
+      if (budget > loosest_budget) loosest_budget = budget;
+    }
+  };
+  refresh_loosest();
 
   SmallBitset state(candidates.size());
   double current = best_value;
   for (int step = 0; step < iterations && unresolved > 0; ++step) {
     const std::size_t i = pick(rng);
-    const ir::BlockId block = candidates[i];
-    if (state.test(i)) {
-      split.unmove(block);
-    } else {
-      split.move(block);
-    }
-    const double proposed = split.objective_value();
+    const double proposed = split.propose_flip(candidates[i]);
     const double delta = proposed - current;
     if (delta > 0.0) uphill_proposed++;
-    if (delta <= 0.0 ||
-        uniform(rng) < std::exp(-(delta / scale) / temperature)) {
-      if (delta > 0.0) uphill_accepted++;
-      state.flip(i);
-      current = proposed;
-      if (proposed < best_value) {
-        best_value = proposed;
-        best_cost = split.cost();
-        best_energy = split.energy().total_pj();
-        best_state = state;
-      }
-      if (ctx.options.stop_when_met) {
-        for (std::size_t c = 0; c < cells; ++c) {
-          if (resolved[c]) continue;
-          const AxisCell& cell = ctx.cells[c];
-          if (!split.meets(cell.timing_constraint, cell.energy_budget_pj)) {
-            continue;
-          }
-          // Stop this cell once its constraint holds (paper-flow
-          // semantics) — but hand it a split that actually meets it.
-          // For timing and energy objectives best_value <= current
-          // implies the recorded best meets too (the scalar IS the
-          // constrained quantity), so those cells take the shared best
-          // bit-identically; under kCombined the scalar is a weighted
-          // sum while met() is per-axis, so the lower-value best can
-          // violate an axis the current split satisfies — then the cell
-          // takes the current split instead. The shared best itself is
-          // never touched: later cells see the same walk state a
-          // standalone run would.
-          const bool best_meets = ctx.options.cost.objective.met(
-              best_cost.total(), best_energy, cell.timing_constraint,
-              cell.energy_budget_pj);
-          StrategyResult& result = results[c];
-          result.cost = best_meets ? best_cost : split.cost();
-          result.engine_iterations = step + 1;
-          result.uphill_proposed = uphill_proposed;
-          result.uphill_accepted = uphill_accepted;
-          const SmallBitset& chosen = best_meets ? best_state : state;
-          for (std::size_t k = 0; k < candidates.size(); ++k) {
-            if (chosen.test(k)) result.moved.push_back(candidates[k]);
-          }
-          resolved[c] = 1;
-          --unresolved;
-        }
-      }
-    } else {
-      // Rejected: revert the flip.
-      if (state.test(i)) {
-        split.move(block);
-      } else {
-        split.unmove(block);
-      }
+    bool accepted = delta <= 0.0;
+    if (!accepted) {
+      const double u = uniform(rng);
+      const double x = -(delta / scale) / temperature;
+      accepted = x < kExpCutoff ? u == 0.0 && std::exp(x) > 0.0
+                                : u < std::exp(x);
     }
     temperature = std::max(floor_temp, temperature * cooling);
+    if (!accepted) {
+      split.reject_flip();
+      continue;
+    }
+    split.accept_flip();
+    if (delta > 0.0) uphill_accepted++;
+    state.flip(i);
+    current = proposed;
+    if (proposed < best_value) {
+      best_value = proposed;
+      best_cost = split.cost();
+      best_energy = split.energy().total_pj();
+      best_state = state;
+    }
+    if (!ctx.options.stop_when_met ||
+        !objective.met(split.cost().total(), split.energy().total_pj(),
+                       loosest_constraint, loosest_budget)) {
+      continue;
+    }
+    for (std::size_t c = 0; c < cells; ++c) {
+      if (resolved[c]) continue;
+      const AxisCell& cell = ctx.cells[c];
+      if (!split.meets(cell.timing_constraint, cell.energy_budget_pj)) {
+        continue;
+      }
+      // Stop this cell once its constraint holds (paper-flow
+      // semantics) — but hand it a split that actually meets it.
+      // For timing and energy objectives best_value <= current
+      // implies the recorded best meets too (the scalar IS the
+      // constrained quantity), so those cells take the shared best
+      // bit-identically; under kCombined the scalar is a weighted
+      // sum while met() is per-axis, so the lower-value best can
+      // violate an axis the current split satisfies — then the cell
+      // takes the current split instead. The shared best itself is
+      // never touched: later cells see the same walk state a
+      // standalone run would.
+      const bool best_meets =
+          objective.met(best_cost.total(), best_energy,
+                        cell.timing_constraint, cell.energy_budget_pj);
+      StrategyResult& result = results[c];
+      result.cost = best_meets ? best_cost : split.cost();
+      result.engine_iterations = step + 1;
+      result.uphill_proposed = uphill_proposed;
+      result.uphill_accepted = uphill_accepted;
+      const SmallBitset& chosen = best_meets ? best_state : state;
+      for (std::size_t k = 0; k < candidates.size(); ++k) {
+        if (chosen.test(k)) result.moved.push_back(candidates[k]);
+      }
+      resolved[c] = 1;
+      --unresolved;
+    }
+    refresh_loosest();
   }
 
   // Cells the walk never satisfied get the best split of the full
