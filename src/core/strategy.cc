@@ -239,11 +239,10 @@ StrategyResult exhaustive(const AxisContext& ctx, const AxisCell& cell) {
 
 // Every walk of a sweep seeds mt19937_64 with the same
 // options.random_seed, so they all consume one raw 64-bit stream. Each
-// thread records that stream once per seed, up to kTapeWords words
-// (128 KiB), and walks replay it; `tail` is the engine positioned right
-// after the last recorded word.
+// thread records its first kTapeWords words (128 KiB) once per seed and
+// walks replay them; `tail` is the engine positioned right after the
+// last recorded word.
 constexpr std::size_t kTapeWords = std::size_t{1} << 14;
-constexpr std::size_t kTapeChunk = 1024;
 
 struct DrawTape {
   std::optional<std::uint64_t> seed;  ///< empty until the first walk
@@ -251,13 +250,13 @@ struct DrawTape {
   std::mt19937_64 tail;
 };
 
-DrawTape& draw_tape(std::uint64_t seed) {
+const DrawTape& draw_tape(std::uint64_t seed) {
   thread_local DrawTape tape;
   if (tape.seed != seed) {
     tape.seed = seed;
-    tape.words.clear();
-    tape.words.reserve(kTapeWords);
     tape.tail.seed(seed);
+    tape.words.resize(kTapeWords);
+    for (auto& word : tape.words) word = tape.tail();
   }
   return tape;
 }
@@ -265,40 +264,27 @@ DrawTape& draw_tape(std::uint64_t seed) {
 // A URBG with the engine's type and range that replays the thread's
 // tape from its first word, so the unchanged distributions draw exactly
 // what a freshly seeded engine would give them. A walk that runs past
-// the tape's cap continues from its own copy of the tail engine.
+// the tape continues from its own copy of the tail engine.
 class TapeReplay {
  public:
   using result_type = std::mt19937_64::result_type;
   static constexpr result_type min() { return std::mt19937_64::min(); }
   static constexpr result_type max() { return std::mt19937_64::max(); }
 
-  explicit TapeReplay(DrawTape& tape)
-      : tape_(&tape), words_(tape.words.data()), size_(tape.words.size()) {}
+  explicit TapeReplay(const DrawTape& tape)
+      : tape_(&tape), words_(tape.words.data()) {}
 
   result_type operator()() {
-    if (next_ < size_) return words_[next_++];
-    return refill();
+    if (next_ < kTapeWords) return words_[next_++];
+    if (!past_tape_) past_tape_ = tape_->tail;
+    return (*past_tape_)();
   }
 
  private:
-  result_type refill() {
-    std::vector<result_type>& words = tape_->words;
-    if (words.size() < kTapeWords) {
-      const std::size_t grow = std::min(kTapeChunk, kTapeWords - words.size());
-      for (std::size_t k = 0; k < grow; ++k) words.push_back(tape_->tail());
-      words_ = words.data();
-      size_ = words.size();
-      return words_[next_++];
-    }
-    if (!past_cap_) past_cap_ = tape_->tail;
-    return (*past_cap_)();
-  }
-
-  DrawTape* tape_;
-  const result_type* words_;  ///< tape words recorded so far
-  std::size_t size_;
+  const DrawTape* tape_;
+  const result_type* words_;
   std::size_t next_ = 0;
-  std::optional<std::mt19937_64> past_cap_;
+  std::optional<std::mt19937_64> past_tape_;
 };
 
 // Below this Metropolis exponent exp(x) < exp(-50) < 2^-64, the smallest
