@@ -1,8 +1,6 @@
 #include "finegrain/fpga_mapper.h"
 
 #include <algorithm>
-#include <map>
-#include <set>
 
 #include "support/error.h"
 
@@ -12,52 +10,73 @@ FpgaBlockMapping map_block_to_fpga(const ir::Dfg& dfg,
                                    const platform::FpgaModel& fpga,
                                    const platform::MemoryModel& memory) {
   FpgaBlockMapping mapping;
+  const LevelOrder order = level_order(dfg);
   mapping.partitioning = fpga.mapper == platform::FineMapper::kListPacking
-                             ? partition_dfg_list(dfg, fpga)
-                             : partition_dfg(dfg, fpga);
+                             ? partition_dfg_list(dfg, fpga, order)
+                             : partition_dfg(dfg, fpga, order);
 
-  const std::vector<int> levels = dfg.asap_levels();
   const std::vector<int>& part = mapping.partitioning.partition_of;
 
   // exec: ASAP levels run back to back; within one (partition, level)
   // group the fabric sustains `parallel_lanes` delay-units of issue per
   // cycle, so a group with total delay D and slowest op d costs
-  // max(d, ceil(D / lanes)) cycles.
-  std::map<std::pair<int, int>, std::pair<std::int64_t, std::int64_t>>
-      level_cost;  // (partition, level) -> (sum delay, max delay)
-  for (ir::NodeId id = 0; id < dfg.size(); ++id) {
-    const ir::Dfg::Node& node = dfg.node(id);
-    if (!ir::is_schedulable(node.kind)) continue;
-    const std::int64_t delay = fpga.delay_cycles(node.kind);
-    if (delay == 0) continue;  // copies are wiring
-    auto& [sum_delay, max_delay] = level_cost[{part[id], levels[id]}];
-    sum_delay += delay;
-    max_delay = std::max(max_delay, delay);
-  }
+  // max(d, ceil(D / lanes)) cycles. One level at a time, the groups live
+  // in per-partition slots, and `touched` lists the slots to drain.
+  struct Slot {
+    int level = 0;          ///< the level whose group the slot holds
+    ir::NodeId counted_for = ir::kNoNode;  ///< see the boundary count
+    std::int64_t sum_delay = 0;
+    std::int64_t max_delay = 0;
+  };
+  std::vector<Slot> slots(
+      static_cast<std::size_t>(mapping.partitioning.num_partitions) + 1);
   const std::int64_t lanes = std::max(1, fpga.parallel_lanes);
-  for (const auto& [key, group] : level_cost) {
-    const auto [sum_delay, max_delay] = group;
-    mapping.exec_cycles +=
-        std::max(max_delay, (sum_delay + lanes - 1) / lanes);
+  std::vector<int> touched;
+  bool any_group = false;
+  for (int level = 1; level + 1 < static_cast<int>(order.level_start.size());
+       ++level) {
+    for (int k = order.level_start[level]; k < order.level_start[level + 1];
+         ++k) {
+      const ir::NodeId id = order.nodes[k];
+      const std::int64_t delay = fpga.delay_cycles(dfg.node(id).kind);
+      if (delay == 0) continue;  // copies are wiring
+      Slot& slot = slots[part[id]];
+      if (slot.level != level) {
+        slot.level = level;
+        slot.sum_delay = 0;
+        slot.max_delay = 0;
+        touched.push_back(part[id]);
+      }
+      slot.sum_delay += delay;
+      slot.max_delay = std::max(slot.max_delay, delay);
+    }
+    for (const int p : touched) {
+      mapping.exec_cycles += std::max(
+          slots[p].max_delay, (slots[p].sum_delay + lanes - 1) / lanes);
+    }
+    any_group = any_group || !touched.empty();
+    touched.clear();
   }
-  if (!level_cost.empty()) {
+  if (any_group) {
     mapping.exec_cycles += fpga.invocation_overhead_cycles;
   }
 
   // Values crossing a partition boundary: a producer with at least one
   // consumer in a different partition is stored once and filled once per
-  // consuming partition.
+  // consuming partition. A slot's counted_for is the last producer that
+  // counted its partition.
   for (ir::NodeId id = 0; id < dfg.size(); ++id) {
     if (part[id] == 0) continue;
-    std::set<int> consumer_partitions;
+    std::int64_t consumer_partitions = 0;
     for (ir::NodeId user : dfg.users(id)) {
-      if (part[user] != 0 && part[user] != part[id]) {
-        consumer_partitions.insert(part[user]);
+      const int p = part[user];
+      if (p != 0 && p != part[id] && slots[p].counted_for != id) {
+        slots[p].counted_for = id;
+        ++consumer_partitions;
       }
     }
-    if (!consumer_partitions.empty()) {
-      mapping.boundary_words +=
-          1 + static_cast<std::int64_t>(consumer_partitions.size());
+    if (consumer_partitions > 0) {
+      mapping.boundary_words += 1 + consumer_partitions;
     }
   }
   mapping.boundary_cycles =

@@ -7,65 +7,85 @@
 
 namespace amdrel::finegrain {
 
+LevelOrder level_order(const ir::Dfg& dfg) {
+  LevelOrder order;
+  order.levels = dfg.asap_levels();
+  const std::vector<int>& levels = order.levels;
+  const int max_level =
+      levels.empty() ? 0 : *std::max_element(levels.begin(), levels.end());
+  // Counting sort: level_start[L + 1] first counts level L's nodes.
+  order.level_start.assign(static_cast<std::size_t>(max_level) + 2, 0);
+  for (const int level : levels) {
+    if (level > 0) order.level_start[level + 1]++;
+  }
+  for (std::size_t l = 1; l < order.level_start.size(); ++l) {
+    order.level_start[l] += order.level_start[l - 1];
+  }
+  order.nodes.resize(order.level_start.back());
+  // Placing a node advances its level's start to the next level's start;
+  // shifting the starts up one slot afterwards restores them.
+  for (ir::NodeId id = 0; id < dfg.size(); ++id) {
+    if (levels[id] > 0) order.nodes[order.level_start[levels[id]]++] = id;
+  }
+  std::copy_backward(order.level_start.begin(), order.level_start.end() - 1,
+                     order.level_start.end());
+  order.level_start[0] = 0;
+  return order;
+}
+
 TemporalPartitioning partition_dfg(const ir::Dfg& dfg,
                                    const platform::FpgaModel& fpga) {
+  return partition_dfg(dfg, fpga, level_order(dfg));
+}
+
+TemporalPartitioning partition_dfg(const ir::Dfg& dfg,
+                                   const platform::FpgaModel& fpga,
+                                   const LevelOrder& order) {
   TemporalPartitioning result;
   result.partition_of.assign(dfg.size(), 0);
   result.partition_area.assign(2, 0.0);  // index 0 unused; start partition 1
 
-  const std::vector<int> levels = dfg.asap_levels();
-  const int max_level = dfg.max_asap_level();
-
   int current = 1;
   double area_covered = 0.0;
-  bool any_node = false;
 
-  for (int level = 1; level <= max_level; ++level) {
-    for (ir::NodeId id = 0; id < dfg.size(); ++id) {
-      if (levels[id] != level) continue;
-      const ir::Dfg::Node& node = dfg.node(id);
-      if (!ir::is_schedulable(node.kind)) continue;
-      const double current_area = fpga.area(node.kind);
-      require(current_area <= fpga.usable_area,
-              "temporal partitioning: operation '", ir::op_name(node.kind),
-              "' (area ", current_area, ") exceeds A_FPGA = ",
-              fpga.usable_area);
-      any_node = true;
-      if (area_covered + current_area <= fpga.usable_area) {
-        result.partition_of[id] = current;
-        area_covered += current_area;
-      } else {
-        ++current;
-        result.partition_of[id] = current;
-        area_covered = current_area;
-        result.partition_area.push_back(0.0);
-      }
-      result.partition_area[current] += current_area;
+  for (const ir::NodeId id : order.nodes) {
+    const ir::Dfg::Node& node = dfg.node(id);
+    const double current_area = fpga.area(node.kind);
+    require(current_area <= fpga.usable_area,
+            "temporal partitioning: operation '", ir::op_name(node.kind),
+            "' (area ", current_area, ") exceeds A_FPGA = ",
+            fpga.usable_area);
+    if (area_covered + current_area <= fpga.usable_area) {
+      result.partition_of[id] = current;
+      area_covered += current_area;
+    } else {
+      ++current;
+      result.partition_of[id] = current;
+      area_covered = current_area;
+      result.partition_area.push_back(0.0);
     }
+    result.partition_area[current] += current_area;
   }
 
-  result.num_partitions = any_node ? current : 0;
+  result.num_partitions = order.nodes.empty() ? 0 : current;
   result.partition_area.resize(result.num_partitions + 1);
   return result;
 }
 
 TemporalPartitioning partition_dfg_list(const ir::Dfg& dfg,
                                         const platform::FpgaModel& fpga) {
+  return partition_dfg_list(dfg, fpga, level_order(dfg));
+}
+
+TemporalPartitioning partition_dfg_list(const ir::Dfg& dfg,
+                                        const platform::FpgaModel& fpga,
+                                        const LevelOrder& order) {
   TemporalPartitioning result;
   result.partition_of.assign(dfg.size(), 0);
   result.partition_area.assign(2, 0.0);
 
-  const std::vector<int> levels = dfg.asap_levels();
-
   // Schedulable nodes ordered by (ASAP level, id): the priority list.
-  std::vector<ir::NodeId> order;
-  for (ir::NodeId id = 0; id < dfg.size(); ++id) {
-    if (ir::is_schedulable(dfg.node(id).kind)) order.push_back(id);
-  }
-  std::stable_sort(order.begin(), order.end(),
-                   [&](ir::NodeId a, ir::NodeId b) {
-                     return levels[a] < levels[b];
-                   });
+  const std::vector<ir::NodeId>& priority = order.nodes;
 
   std::vector<bool> placed(dfg.size(), false);
   auto ready = [&](ir::NodeId id) {
@@ -79,10 +99,10 @@ TemporalPartitioning partition_dfg_list(const ir::Dfg& dfg,
 
   int current = 1;
   double area_covered = 0.0;
-  std::size_t remaining = order.size();
+  std::size_t remaining = priority.size();
   while (remaining > 0) {
     bool placed_any = false;
-    for (ir::NodeId id : order) {
+    for (ir::NodeId id : priority) {
       if (placed[id] || !ready(id)) continue;
       const double area = fpga.area(dfg.node(id).kind);
       require(area <= fpga.usable_area,
@@ -103,7 +123,7 @@ TemporalPartitioning partition_dfg_list(const ir::Dfg& dfg,
       result.partition_area.push_back(0.0);
     }
   }
-  result.num_partitions = order.empty() ? 0 : current;
+  result.num_partitions = priority.empty() ? 0 : current;
   result.partition_area.resize(result.num_partitions + 1);
   return result;
 }

@@ -20,6 +20,19 @@ struct TemporalPartitioning {
   std::vector<double> partition_area;
 };
 
+/// The schedulable nodes of a DFG in (ASAP level, id) order: the order in
+/// which both mappers visit them. Built by one ASAP pass and a counting
+/// sort over levels.
+struct LevelOrder {
+  std::vector<int> levels;  ///< dfg.asap_levels(): 0 for structural nodes
+  std::vector<ir::NodeId> nodes;  ///< schedulable nodes by (level, id)
+  /// Nodes of level L are nodes[level_start[L] .. level_start[L + 1]);
+  /// level 0 is empty, and the last level is level_start.size() - 2.
+  std::vector<int> level_start;
+};
+
+LevelOrder level_order(const ir::Dfg& dfg);
+
 /// The mapping algorithm of paper Figure 3, verbatim semantics: nodes are
 /// visited ASAP level by ASAP level (exposing the DFG's parallelism) and
 /// greedily packed into the available area A_FPGA; when an operation no
@@ -35,6 +48,10 @@ struct TemporalPartitioning {
 /// make it fit).
 TemporalPartitioning partition_dfg(const ir::Dfg& dfg,
                                    const platform::FpgaModel& fpga);
+/// As above, over an `order` the caller already built from `dfg`.
+TemporalPartitioning partition_dfg(const ir::Dfg& dfg,
+                                   const platform::FpgaModel& fpga,
+                                   const LevelOrder& order);
 
 /// Alternative mapper (ablation study): list-based packing. Where the
 /// Figure-3 algorithm closes a partition as soon as one node of the
@@ -46,5 +63,9 @@ TemporalPartitioning partition_dfg(const ir::Dfg& dfg,
 /// in examples/paper_tables.
 TemporalPartitioning partition_dfg_list(const ir::Dfg& dfg,
                                         const platform::FpgaModel& fpga);
+/// As above, over an `order` the caller already built from `dfg`.
+TemporalPartitioning partition_dfg_list(const ir::Dfg& dfg,
+                                        const platform::FpgaModel& fpga,
+                                        const LevelOrder& order);
 
 }  // namespace amdrel::finegrain

@@ -1,88 +1,54 @@
 #include "ir/build_cdfg.h"
 
-#include <map>
-#include <set>
+#include <algorithm>
 #include <string>
+#include <utility>
 
 #include "support/error.h"
 
 namespace amdrel::ir {
 
-namespace {
-
-/// Registers read in a block before any local write (upward-exposed uses):
-/// the values the block consumes from its predecessors.
-std::set<int> upward_exposed_uses(const TacBlock& block) {
-  std::set<int> defined;
-  std::set<int> exposed;
-  auto use = [&](int reg) {
-    if (reg >= 0 && defined.find(reg) == defined.end()) exposed.insert(reg);
-  };
-  for (const TacInstr& instr : block.body) {
-    switch (instr.op) {
-      case OpKind::kConst:
-        break;
-      case OpKind::kCopy:
-      case OpKind::kNot:
-      case OpKind::kNeg:
-      case OpKind::kLoad:
-        use(instr.src1);
-        break;
-      case OpKind::kStore:
-        use(instr.src1);
-        use(instr.src2);
-        break;
-      default:
-        use(instr.src1);
-        use(instr.src2);
-        break;
-    }
-    if (instr.dst >= 0) defined.insert(instr.dst);
-  }
-  if (block.term.kind == Terminator::Kind::kBr) use(block.term.cond_reg);
-  if (block.term.kind == Terminator::Kind::kRet) use(block.term.ret_reg);
-  return exposed;
-}
-
-}  // namespace
-
 Cdfg build_cdfg(const TacProgram& program) {
   program.validate();
   Cdfg cdfg(program.name);
 
-  // Which registers are consumed from outside by at least one block; a
-  // definition reaching the end of a different block must then be treated
-  // as live-out (may-live approximation, conservative in the right
-  // direction for communication costs).
-  std::vector<std::set<int>> exposed(program.blocks.size());
-  for (std::size_t i = 0; i < program.blocks.size(); ++i) {
-    exposed[i] = upward_exposed_uses(program.blocks[i]);
-  }
+  auto reg_label = [&](int reg) {
+    if (reg < static_cast<int>(program.reg_names.size()) &&
+        !program.reg_names[reg].empty()) {
+      return program.reg_names[reg];
+    }
+    return "%" + std::to_string(reg);
+  };
+
+  // Per-register tables, sized once and reset after each block through
+  // the registers it touched.
+  const auto regs = static_cast<std::size_t>(program.num_regs);
+  std::vector<NodeId> last_def(regs, kNoNode);  // defining node in block
+  std::vector<NodeId> live_in(regs, kNoNode);   // kInput node in block
+  std::vector<int> defined;                     // registers with last_def
+  std::vector<int> inputs;                      // registers with live_in
+  // exposed[reg]: some block reads `reg` before writing it, i.e. gave it
+  // a kInput node.
+  std::vector<bool> exposed(regs, false);
+  // Each block's final local definitions as (register, node), in
+  // ascending register order: block b's are
+  // finals[finals_start[b] .. finals_start[b + 1]).
+  std::vector<std::pair<int, NodeId>> finals;
+  std::vector<std::size_t> finals_start = {0};
 
   for (const TacBlock& tac_block : program.blocks) {
     const BlockId id = cdfg.add_block(tac_block.name);
     require(id == tac_block.id, "build_cdfg: block ids must be dense");
     Dfg& dfg = cdfg.block(id).dfg;
 
-    std::map<int, NodeId> last_def;   // register -> defining node in block
-    std::map<int, NodeId> live_in;    // register -> kInput node in block
-    auto reg_label = [&](int reg) {
-      if (reg < static_cast<int>(program.reg_names.size()) &&
-          !program.reg_names[reg].empty()) {
-        return program.reg_names[reg];
-      }
-      return "%" + std::to_string(reg);
-    };
     auto value_of = [&](int reg) -> NodeId {
-      if (const auto it = last_def.find(reg); it != last_def.end()) {
-        return it->second;
-      }
-      if (const auto it = live_in.find(reg); it != live_in.end()) {
-        return it->second;
-      }
+      if (last_def[reg] != kNoNode) return last_def[reg];
+      if (live_in[reg] != kNoNode) return live_in[reg];
       const NodeId input =
           dfg.add_node(OpKind::kInput, {}, reg_label(reg));
-      live_in.emplace(reg, input);
+      live_in[reg] = input;
+      inputs.push_back(reg);
+      exposed[reg] = true;
       return input;
     };
 
@@ -113,7 +79,10 @@ Cdfg build_cdfg(const TacProgram& program) {
                               reg_label(instr.dst));
           break;
       }
-      if (instr.dst >= 0) last_def[instr.dst] = node;
+      if (instr.dst >= 0) {
+        if (last_def[instr.dst] == kNoNode) defined.push_back(instr.dst);
+        last_def[instr.dst] = node;
+      }
     }
     // The branch condition is consumed by the block's controller; make
     // sure a live-in condition still surfaces as an input value.
@@ -124,22 +93,26 @@ Cdfg build_cdfg(const TacProgram& program) {
         tac_block.term.ret_reg != -1) {
       (void)value_of(tac_block.term.ret_reg);
     }
-    // Live-out markers: final local definitions of registers that some
-    // block consumes from outside.
-    for (const auto& [reg, node] : last_def) {
-      bool consumed_elsewhere = false;
-      for (std::size_t other = 0; other < exposed.size(); ++other) {
-        if (static_cast<BlockId>(other) == id) {
-          // A register can flow around a loop back into its own block.
-          consumed_elsewhere |= exposed[other].count(reg) > 0 &&
-                                last_def.find(reg) != last_def.end() &&
-                                live_in.count(reg) > 0;
-        } else {
-          consumed_elsewhere |= exposed[other].count(reg) > 0;
-        }
-        if (consumed_elsewhere) break;
-      }
-      if (consumed_elsewhere) {
+    std::sort(defined.begin(), defined.end());
+    for (const int reg : defined) {
+      finals.emplace_back(reg, last_def[reg]);
+      last_def[reg] = kNoNode;
+    }
+    for (const int reg : inputs) live_in[reg] = kNoNode;
+    defined.clear();
+    inputs.clear();
+    finals_start.push_back(finals.size());
+  }
+
+  // Live-out markers: final local definitions of registers that some
+  // block consumes from outside (may-live approximation, conservative in
+  // the right direction for communication costs). The defining block
+  // counts too: a value can flow around a loop back into its own block.
+  for (BlockId b = 0; b < cdfg.size(); ++b) {
+    Dfg& dfg = cdfg.block(b).dfg;
+    for (std::size_t k = finals_start[b]; k < finals_start[b + 1]; ++k) {
+      const auto [reg, node] = finals[k];
+      if (exposed[reg]) {
         dfg.add_node(OpKind::kOutput, {node}, reg_label(reg));
       }
     }

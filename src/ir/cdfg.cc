@@ -1,7 +1,6 @@
 #include "ir/cdfg.h"
 
 #include <algorithm>
-#include <set>
 
 #include "support/error.h"
 #include "support/strings.h"
@@ -54,50 +53,51 @@ const std::vector<BlockId>& Cdfg::predecessors(BlockId id) const {
   return preds_[id];
 }
 
-std::vector<std::vector<BlockId>> Cdfg::dominators() const {
-  require(entry_ != kNoBlock, "Cdfg::dominators: no entry block");
-  const BlockId n = size();
-  // dom_sets[b] as sorted vectors; start with "all blocks" except entry.
-  std::vector<BlockId> all(n);
-  for (BlockId i = 0; i < n; ++i) all[i] = i;
-  std::vector<std::vector<BlockId>> dom(n, all);
-  dom[entry_] = {entry_};
+namespace {
 
+/// RPO position of every block, -1 for blocks unreachable from the entry.
+std::vector<int> rpo_positions(const std::vector<BlockId>& rpo, BlockId n) {
+  std::vector<int> order(static_cast<std::size_t>(n), -1);
+  for (std::size_t i = 0; i < rpo.size(); ++i) {
+    order[rpo[i]] = static_cast<int>(i);
+  }
+  return order;
+}
+
+}  // namespace
+
+std::vector<BlockId> Cdfg::immediate_dominators() const {
+  require(entry_ != kNoBlock, "Cdfg::immediate_dominators: no entry block");
+  // Walk the RPO, meeting each block's processed predecessors by climbing
+  // their idom chains to the common ancestor, until nothing changes.
   const std::vector<BlockId> rpo = reverse_post_order();
+  const std::vector<int> order = rpo_positions(rpo, size());
+  std::vector<BlockId> idom(size(), kNoBlock);
+  idom[entry_] = entry_;
+  auto intersect = [&](BlockId a, BlockId b) {
+    while (a != b) {
+      while (order[a] > order[b]) a = idom[a];
+      while (order[b] > order[a]) b = idom[b];
+    }
+    return a;
+  };
   bool changed = true;
   while (changed) {
     changed = false;
-    for (BlockId b : rpo) {
+    for (const BlockId b : rpo) {
       if (b == entry_) continue;
-      std::vector<BlockId> meet;
-      bool first = true;
-      for (BlockId p : preds_[b]) {
-        if (first) {
-          meet = dom[p];
-          first = false;
-        } else {
-          std::vector<BlockId> tmp;
-          std::set_intersection(meet.begin(), meet.end(), dom[p].begin(),
-                                dom[p].end(), std::back_inserter(tmp));
-          meet = std::move(tmp);
-        }
+      BlockId meet = kNoBlock;
+      for (const BlockId p : preds_[b]) {
+        if (idom[p] == kNoBlock) continue;  // unreachable or not yet seen
+        meet = meet == kNoBlock ? p : intersect(p, meet);
       }
-      // Insert b itself.
-      auto it = std::lower_bound(meet.begin(), meet.end(), b);
-      if (it == meet.end() || *it != b) meet.insert(it, b);
-      if (meet != dom[b]) {
-        dom[b] = std::move(meet);
+      if (idom[b] != meet) {
+        idom[b] = meet;
         changed = true;
       }
     }
   }
-  return dom;
-}
-
-bool Cdfg::dominates(const std::vector<std::vector<BlockId>>& dom, BlockId a,
-                     BlockId b) const {
-  const auto& set = dom[b];
-  return std::binary_search(set.begin(), set.end(), a);
+  return idom;
 }
 
 const std::vector<Loop>& Cdfg::analyze_loops() {
@@ -105,31 +105,44 @@ const std::vector<Loop>& Cdfg::analyze_loops() {
   for (auto& bb : blocks_) bb.loop_depth = 0;
   if (entry_ == kNoBlock) return loops_;
 
-  const auto dom = dominators();
-  // Restrict to blocks reachable from the entry.
-  std::vector<bool> reachable(size(), false);
-  for (BlockId b : reverse_post_order()) reachable[b] = true;
+  const std::vector<BlockId> idom = immediate_dominators();
+  const std::vector<int> order = rpo_positions(reverse_post_order(), size());
+  // A dominator precedes the blocks it dominates in RPO, so the idom
+  // climb from b stops as soon as it passes a's position.
+  auto dominates = [&](BlockId a, BlockId b) {
+    while (order[b] > order[a]) b = idom[b];
+    return a == b;
+  };
 
+  // mark[b] is the index of the last loop whose body took b.
+  std::vector<int> mark(size(), -1);
+  std::vector<BlockId> work;
   for (BlockId u = 0; u < size(); ++u) {
-    if (!reachable[u]) continue;
+    if (order[u] < 0) continue;  // restrict to blocks reachable from entry
     for (BlockId h : succs_[u]) {
-      if (!dominates(dom, h, u)) continue;  // not a back edge
+      if (!dominates(h, u)) continue;  // not a back edge
       // Natural loop of back edge u->h: h plus all blocks that reach u
       // without passing through h.
-      std::set<BlockId> body = {h, u};
-      std::vector<BlockId> work = {u};
-      while (!work.empty()) {
-        const BlockId b = work.back();
-        work.pop_back();
-        if (b == h) continue;
-        for (BlockId p : preds_[b]) {
-          if (reachable[p] && body.insert(p).second) work.push_back(p);
-        }
-      }
+      const int stamp = static_cast<int>(loops_.size());
       Loop loop;
       loop.header = h;
       loop.latch = u;
-      loop.body.assign(body.begin(), body.end());
+      auto take = [&](BlockId b) {
+        mark[b] = stamp;
+        loop.body.push_back(b);
+        work.push_back(b);
+      };
+      mark[h] = stamp;
+      loop.body.push_back(h);
+      if (u != h) take(u);
+      while (!work.empty()) {
+        const BlockId b = work.back();
+        work.pop_back();
+        for (BlockId p : preds_[b]) {
+          if (order[p] >= 0 && mark[p] != stamp) take(p);
+        }
+      }
+      std::sort(loop.body.begin(), loop.body.end());
       loops_.push_back(std::move(loop));
     }
   }
@@ -139,18 +152,15 @@ const std::vector<Loop>& Cdfg::analyze_loops() {
   });
   // Nesting depth: number of loops whose body contains the block. Two
   // loops sharing a header count once (they are the same loop split over
-  // two latches), so deduplicate by header.
-  std::set<BlockId> seen_headers;
+  // two latches); the sort made them adjacent, so counted[b] only has to
+  // remember the header that last counted b.
+  std::vector<BlockId> counted(size(), kNoBlock);
   for (const Loop& loop : loops_) {
-    if (!seen_headers.insert(loop.header).second) continue;
-    // Union of bodies over all loops with this header.
-    std::set<BlockId> body;
-    for (const Loop& other : loops_) {
-      if (other.header == loop.header) {
-        body.insert(other.body.begin(), other.body.end());
-      }
+    for (BlockId b : loop.body) {
+      if (counted[b] == loop.header) continue;
+      counted[b] = loop.header;
+      blocks_[b].loop_depth++;
     }
-    for (BlockId b : body) blocks_[b].loop_depth++;
   }
   return loops_;
 }

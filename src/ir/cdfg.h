@@ -16,9 +16,9 @@ struct Loop {
 
 /// Control-data flow graph: the model of computation the methodology
 /// consumes (paper step 1). Blocks carry their DFGs; control edges connect
-/// blocks. analyze_loops() computes dominators, natural loops and per-block
-/// nesting depth, which the analysis step uses to restrict kernels to
-/// loop-resident blocks.
+/// blocks. analyze_loops() computes immediate dominators, natural loops and
+/// per-block nesting depth, which the analysis step uses to restrict
+/// kernels to loop-resident blocks.
 class Cdfg {
  public:
   explicit Cdfg(std::string name = "cdfg") : name_(std::move(name)) {}
@@ -42,11 +42,10 @@ class Cdfg {
   const std::vector<BlockId>& successors(BlockId id) const;
   const std::vector<BlockId>& predecessors(BlockId id) const;
 
-  /// Immediate-dominator-free dominator sets via the classic iterative
-  /// data-flow algorithm (blocks unreachable from the entry dominate
-  /// nothing and are dominated by everything, per convention).
-  /// Returns dom[b] = sorted list of blocks dominating b (including b).
-  std::vector<std::vector<BlockId>> dominators() const;
+  /// Immediate dominator of every block (Cooper, Harvey & Kennedy, "A
+  /// Simple, Fast Dominance Algorithm", over the reverse post-order).
+  /// idom[entry] == entry; blocks unreachable from the entry get kNoBlock.
+  std::vector<BlockId> immediate_dominators() const;
 
   /// Detects natural loops (back edge u->h with h dominating u) and fills
   /// every block's loop_depth with its nesting level. Returns the loops,
@@ -62,9 +61,6 @@ class Cdfg {
   void validate() const;
 
  private:
-  bool dominates(const std::vector<std::vector<BlockId>>& dom, BlockId a,
-                 BlockId b) const;
-
   std::string name_;
   std::vector<BasicBlock> blocks_;
   std::vector<std::vector<BlockId>> succs_;

@@ -59,7 +59,8 @@ std::vector<int> Dfg::asap_levels() const {
 
 std::vector<int> Dfg::alap_levels() const {
   const std::vector<int> asap = asap_levels();
-  const int depth = max_asap_level();
+  const int depth =
+      asap.empty() ? 0 : *std::max_element(asap.begin(), asap.end());
   std::vector<int> level(nodes_.size(), 0);
   // Walk in reverse topological (= reverse id) order.
   for (NodeId id = size() - 1; id >= 0; --id) {
@@ -78,16 +79,6 @@ std::vector<int> Dfg::alap_levels() const {
 int Dfg::max_asap_level() const {
   const std::vector<int> levels = asap_levels();
   return levels.empty() ? 0 : *std::max_element(levels.begin(), levels.end());
-}
-
-std::vector<int> Dfg::level_occupancy() const {
-  const std::vector<int> levels = asap_levels();
-  std::vector<int> occupancy(static_cast<std::size_t>(max_asap_level()) + 1,
-                             0);
-  for (NodeId id = 0; id < size(); ++id) {
-    if (is_schedulable(nodes_[id].kind)) occupancy[levels[id]]++;
-  }
-  return occupancy;
 }
 
 OpMix Dfg::op_mix() const {

@@ -66,9 +66,6 @@ class Dfg {
   /// Largest ASAP level of any schedulable node (0 for an empty graph).
   int max_asap_level() const;
 
-  /// Number of schedulable nodes per ASAP level (index 0 unused).
-  std::vector<int> level_occupancy() const;
-
   OpMix op_mix() const;
 
   /// Count of kInput nodes: values this block consumes from outside

@@ -65,6 +65,8 @@ void TacProgram::validate() const {
                   "TacProgram::validate: load from bad array");
           break;
         case OpKind::kStore:
+          require(instr.dst == -1, "TacProgram::validate: bad dst register ",
+                  instr.dst);
           check_reg(instr.src1, "index");
           check_reg(instr.src2, "value");
           require(instr.array >= 0 &&

