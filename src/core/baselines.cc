@@ -6,33 +6,6 @@
 
 namespace amdrel::core {
 
-PartitionReport all_coarse_split(const ir::Cdfg& cdfg,
-                                 const ir::ProfileData& profile,
-                                 const platform::Platform& platform,
-                                 std::int64_t timing_constraint_cycles) {
-  PartitionReport report;
-  report.app = cdfg.name();
-  report.timing_constraint = timing_constraint_cycles;
-
-  HybridMapper mapper(cdfg, platform);
-  report.initial_cycles = mapper.all_fine_cycles(profile);
-
-  std::vector<ir::BlockId> moved;
-  for (const ir::BasicBlock& block : cdfg.blocks()) {
-    if (profile.count(block.id) == 0) continue;
-    if (!mapper.cgc_eligible(block.id)) continue;
-    if (block.dfg.op_mix().total_schedulable() == 0) continue;
-    moved.push_back(block.id);
-  }
-  report.moved = moved;
-  report.cost = mapper.evaluate(profile, moved);
-  report.final_cycles = report.cost.total();
-  report.cycles_in_cgc = report.cost.t_coarse;
-  report.met = report.final_cycles <= timing_constraint_cycles;
-  report.engine_iterations = static_cast<int>(moved.size());
-  return report;
-}
-
 OptimalSplit exhaustive_optimal(const ir::Cdfg& cdfg,
                                 const ir::ProfileData& profile,
                                 const platform::Platform& platform,

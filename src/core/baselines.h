@@ -23,13 +23,6 @@ struct OptimalSplit {
   std::size_t subsets_evaluated = 0;
 };
 
-/// Moves every CGC-eligible block (not only loop kernels) to the
-/// coarse-grain data-path; the "all-coarse" end of the design space.
-PartitionReport all_coarse_split(const ir::Cdfg& cdfg,
-                                 const ir::ProfileData& profile,
-                                 const platform::Platform& platform,
-                                 std::int64_t timing_constraint_cycles);
-
 /// Exhaustively evaluates every subset of the top `max_kernels` eligible
 /// kernels (capped to keep 2^k tractable) and returns the optima. Used to
 /// measure how close the paper's greedy weight-ordered engine gets.

@@ -2,7 +2,9 @@
 
 #include <cstdint>
 #include <cstring>
+#include <limits>
 #include <string>
+#include <type_traits>
 #include <utility>
 #include <vector>
 
@@ -214,14 +216,36 @@ class JsonParser {
   const char* end_;
 };
 
-// Typed field accessors: each returns false when the field is missing or
-// of the wrong kind, so every malformed line is caught, never coerced.
-inline bool get_int(const JsonValue& object, const char* name,
-                    std::int64_t& out) {
-  const JsonValue* v = object.find(name);
-  if (!v || v->kind != JsonValue::Kind::kInt) return false;
-  out = v->integer;
+/// Checked narrowing: stores `value` in `out` only when it is an integer
+/// that `T` represents exactly. Every decoder narrows through this, so a
+/// value past the field's range (say 2^32 + 2 for an int) is a malformed
+/// field, never a silent wraparound.
+template <typename T>
+bool to_int(const JsonValue& value, T& out) {
+  static_assert(std::is_integral_v<T> && !std::is_same_v<T, bool>,
+                "to_int narrows to an integer type");
+  if (value.kind != JsonValue::Kind::kInt) return false;
+  const std::int64_t v = value.integer;
+  if constexpr (std::is_unsigned_v<T>) {
+    if (v < 0) return false;
+  }
+  if constexpr (sizeof(T) < sizeof(std::int64_t)) {
+    if (v < static_cast<std::int64_t>(std::numeric_limits<T>::min()) ||
+        v > static_cast<std::int64_t>(std::numeric_limits<T>::max())) {
+      return false;
+    }
+  }
+  out = static_cast<T>(v);
   return true;
+}
+
+// Typed field accessors: each returns false when the field is missing or
+// of the wrong kind (or, for get_int, out of `T`'s range), so every
+// malformed line is caught, never coerced.
+template <typename T>
+bool get_int(const JsonValue& object, const char* name, T& out) {
+  const JsonValue* v = object.find(name);
+  return v && to_int(*v, out);
 }
 
 inline bool get_bool(const JsonValue& object, const char* name, bool& out) {

@@ -121,7 +121,7 @@ std::vector<PartitionReport> run_methodology_axis(
   for (std::size_t j = 0; j < open.size(); ++j) {
     PartitionReport& report = reports[open[j]];
     const StrategyResult& result = results[j];
-    report.kernels = kernels;
+    report.kernels_found = kernels.size();
     report.moved = result.moved;
     report.cost = result.cost;
     std::int64_t moved_units = 0;

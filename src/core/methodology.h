@@ -1,5 +1,6 @@
 #pragma once
 
+#include <cstddef>
 #include <cstdint>
 #include <string>
 #include <vector>
@@ -68,8 +69,11 @@ struct PartitionReport {
   double initial_energy_pj = 0;     ///< all-fine-grain energy
   bool initial_meets = false;       ///< methodology exits at step 2 if true
 
-  std::vector<analysis::KernelInfo> kernels;  ///< analysis output, ordered
-  std::vector<ir::BlockId> moved;             ///< in movement order
+  /// Length of the step-3 kernel list the engine searched (0 when the
+  /// all-fine solution already meets). The list itself is recomputable
+  /// from (cdfg, profile, options), so reports carry only its size.
+  std::size_t kernels_found = 0;
+  std::vector<ir::BlockId> moved;  ///< in movement order
 
   SplitCost cost;              ///< final t_FPGA / t_coarse / t_comm
   std::int64_t final_cycles = 0;
@@ -136,7 +140,7 @@ PartitionReport run_methodology(HybridMapper& mapper,
 /// returned report is byte-identical to a standalone run_methodology
 /// with that cell's constraint and budget (the sweep goldens
 /// pin this). Cells already met by the all-fine solution early-exit
-/// with empty kernel lists, exactly like the single-cell flow.
+/// with kernels_found 0, exactly like the single-cell flow.
 std::vector<PartitionReport> run_methodology_axis(
     HybridMapper& mapper, const ir::ProfileData& profile,
     const std::vector<AxisCell>& cells,

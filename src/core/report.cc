@@ -73,7 +73,7 @@ std::string describe(const PartitionReport& report, const ir::Cdfg& cdfg) {
          Thousands{report.initial_cycles}, " cycles",
          report.initial_meets ? "  [already meets constraint]" : "", '\n');
   if (!report.initial_meets) {
-    append(out, "kernels found: ", report.kernels.size(),
+    append(out, "kernels found: ", report.kernels_found,
            "\nmoved to CGC data-path:");
     for (ir::BlockId block : report.moved) {
       append(out, ' ', cdfg.block(block).name);

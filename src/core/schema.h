@@ -28,7 +28,9 @@ inline constexpr int kSweepSchemaVersion = 3;
 /// Schema version of the cache FILE (core/sweep_cache.h). Distinct from
 /// kSweepSchemaVersion: the artifact and the cache evolve independently.
 ///  v4: cell payloads gained t_reconfig and floorplan_bits fields.
-inline constexpr int kSweepCacheSchemaVersion = 4;
+///  v5: cell payloads carry "kernels_found" (the step-3 list's length)
+///      in place of the "kernels" rows.
+inline constexpr int kSweepCacheSchemaVersion = 5;
 
 /// Version of the sweep-service wire protocol (core/wire.h). Covers the
 /// framing lines; the cell payload itself is additionally guarded by

@@ -28,6 +28,7 @@ using jsonl::double_to_bits;
 using jsonl::get_bool;
 using jsonl::get_int;
 using jsonl::get_string;
+using jsonl::to_int;
 using text::append;
 using text::JsonEscaped;
 
@@ -66,14 +67,8 @@ void append_part(std::string& out, const CellPayload& payload) {
          ",\"energy_budget_bits\":", double_to_bits(r.energy_budget_pj),
          ",\"initial_cycles\":", r.initial_cycles,
          ",\"initial_energy_bits\":", double_to_bits(r.initial_energy_pj),
-         ",\"initial_meets\":", r.initial_meets, ",\"kernels\":[");
-  for (std::size_t i = 0; i < r.kernels.size(); ++i) {
-    const analysis::KernelInfo& k = r.kernels[i];
-    append(out, i ? ",[" : "[", k.block, ',', k.exec_freq, ',', k.op_weight,
-           ',', k.total_weight, ',', k.loop_depth, ',',
-           k.cgc_eligible ? 1 : 0, ']');
-  }
-  out += "],\"moved\":";
+         ",\"initial_meets\":", r.initial_meets,
+         ",\"kernels_found\":", r.kernels_found, ",\"moved\":");
   append_int_array(out, r.moved);
   out += ",\"moved_names\":[";
   for (std::size_t i = 0; i < payload.moved_names.size(); ++i) {
@@ -92,8 +87,10 @@ void append_part(std::string& out, const CellPayload& payload) {
 }
 
 bool read_cell_payload(const JsonValue& object, CachedCell& cell) {
+  // A cell still carrying the pre-v5 kernel rows was written by an older
+  // codec and spliced under a v5 header; never drop its fields silently.
+  if (object.find("kernels")) return false;
   PartitionReport& r = cell.report;
-  std::int64_t iterations = 0;
   std::int64_t objective = 0;
   std::int64_t budget_bits = 0;
   std::int64_t initial_energy_bits = 0;
@@ -105,6 +102,7 @@ bool read_cell_payload(const JsonValue& object, CachedCell& cell) {
       !get_int(object, "initial_cycles", r.initial_cycles) ||
       !get_int(object, "initial_energy_bits", initial_energy_bits) ||
       !get_bool(object, "initial_meets", r.initial_meets) ||
+      !get_int(object, "kernels_found", r.kernels_found) ||
       !get_int(object, "t_fpga", r.cost.t_fpga) ||
       !get_int(object, "t_coarse", r.cost.t_coarse) ||
       !get_int(object, "t_comm", r.cost.t_comm) ||
@@ -113,10 +111,9 @@ bool read_cell_payload(const JsonValue& object, CachedCell& cell) {
       !get_int(object, "final_cycles", r.final_cycles) ||
       !get_int(object, "cycles_in_cgc", r.cycles_in_cgc) ||
       !get_bool(object, "met", r.met) ||
-      !get_int(object, "engine_iterations", iterations)) {
+      !get_int(object, "engine_iterations", r.engine_iterations)) {
     return false;
   }
-  r.engine_iterations = static_cast<int>(iterations);
   r.floorplan_cost = bits_to_double(floorplan_bits);
   if (objective < 0 ||
       objective > static_cast<int>(ObjectiveKind::kCombined)) {
@@ -136,28 +133,11 @@ bool read_cell_payload(const JsonValue& object, CachedCell& cell) {
   r.energy.reconfig_pj = bits_to_double(energy->items[2].integer);
   r.energy.comm_pj = bits_to_double(energy->items[3].integer);
 
-  const JsonValue* kernels = object.find("kernels");
-  if (!kernels || kernels->kind != JsonValue::Kind::kArray) return false;
-  for (const JsonValue& row : kernels->items) {
-    if (row.kind != JsonValue::Kind::kArray || row.items.size() != 6 ||
-        !ints_from(row, 0)) {
-      return false;
-    }
-    analysis::KernelInfo k;
-    k.block = static_cast<ir::BlockId>(row.items[0].integer);
-    k.exec_freq = static_cast<std::uint64_t>(row.items[1].integer);
-    k.op_weight = row.items[2].integer;
-    k.total_weight = row.items[3].integer;
-    k.loop_depth = static_cast<int>(row.items[4].integer);
-    k.cgc_eligible = row.items[5].integer != 0;
-    r.kernels.push_back(k);
-  }
-
   const JsonValue* moved = object.find("moved");
   if (!moved || moved->kind != JsonValue::Kind::kArray) return false;
-  for (const JsonValue& id : moved->items) {
-    if (id.kind != JsonValue::Kind::kInt) return false;
-    r.moved.push_back(static_cast<ir::BlockId>(id.integer));
+  r.moved.resize(moved->items.size());
+  for (std::size_t i = 0; i < r.moved.size(); ++i) {
+    if (!to_int(moved->items[i], r.moved[i])) return false;
   }
 
   const JsonValue* names = object.find("moved_names");
@@ -219,12 +199,12 @@ void append_mapper_payload(std::string& out, const MapperState& state) {
   out += ']';
 }
 
-bool read_int_array(const JsonValue& value, std::vector<std::int64_t>& out) {
+template <typename T>
+bool read_int_array(const JsonValue& value, std::vector<T>& out) {
   if (value.kind != JsonValue::Kind::kArray) return false;
-  out.reserve(value.items.size());
-  for (const JsonValue& item : value.items) {
-    if (item.kind != JsonValue::Kind::kInt) return false;
-    out.push_back(item.integer);
+  out.resize(value.items.size());
+  for (std::size_t i = 0; i < out.size(); ++i) {
+    if (!to_int(value.items[i], out[i])) return false;
   }
   return true;
 }
@@ -247,15 +227,11 @@ bool read_mapper_payload(const JsonValue& object, MapperState& state) {
       return false;
     }
     finegrain::FpgaBlockMapping m;
-    std::vector<std::int64_t> partition_of;
-    if (!read_int_array(row.items[0], partition_of)) return false;
-    m.partitioning.partition_of.assign(partition_of.begin(),
-                                       partition_of.end());
-    if (row.items[1].kind != JsonValue::Kind::kInt ||
-        row.items[1].integer < 0) {
+    if (!read_int_array(row.items[0], m.partitioning.partition_of) ||
+        !to_int(row.items[1], m.partitioning.num_partitions) ||
+        m.partitioning.num_partitions < 0) {
       return false;
     }
-    m.partitioning.num_partitions = static_cast<int>(row.items[1].integer);
     std::vector<std::int64_t> area_bits;
     if (!read_int_array(row.items[2], area_bits)) return false;
     m.partitioning.partition_area.reserve(area_bits.size());
@@ -288,24 +264,23 @@ bool read_mapper_payload(const JsonValue& object, MapperState& state) {
         m.schedule.start.size() != m.schedule.finish.size()) {
       return false;
     }
-    std::vector<std::int64_t> triples;
+    std::vector<int> triples;
     if (!read_int_array(row.items[2], triples) ||
         triples.size() != 3 * m.schedule.start.size()) {
       return false;
     }
     m.schedule.placement.reserve(m.schedule.start.size());
     for (std::size_t i = 0; i < triples.size(); i += 3) {
-      coarsegrain::CgcPlacement p;
-      p.cgc = static_cast<int>(triples[i]);
-      p.row = static_cast<int>(triples[i + 1]);
-      p.col = static_cast<int>(triples[i + 2]);
-      m.schedule.placement.push_back(p);
+      m.schedule.placement.push_back({triples[i], triples[i + 1],
+                                      triples[i + 2]});
     }
-    if (!ints_from(row, 3)) return false;
+    if (!ints_from(row, 3) ||
+        !to_int(row.items[6], m.schedule.peak_registers)) {
+      return false;
+    }
     m.schedule.total_cgc_cycles = row.items[3].integer;
     m.schedule.configurations = row.items[4].integer;
     m.schedule.mem_accesses = row.items[5].integer;
-    m.schedule.peak_registers = static_cast<int>(row.items[6].integer);
     m.cycles_per_invocation_fpga = row.items[7].integer;
     state.coarse.emplace_back(std::move(m));
   }
@@ -321,9 +296,7 @@ bool read_gen(const JsonValue& object, const char* name, std::uint64_t& out) {
     out = 0;
     return true;
   }
-  if (v->kind != JsonValue::Kind::kInt || v->integer < 0) return false;
-  out = static_cast<std::uint64_t>(v->integer);
-  return true;
+  return to_int(*v, out);
 }
 
 /// Exclusive advisory lock on a sidecar lock file, held for the

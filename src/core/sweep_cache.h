@@ -36,6 +36,8 @@ namespace amdrel::core {
 // fixtures without them still parse.
 // v4: cell lines carry the reconfiguration columns (t_reconfig cycles
 // and the floorplan cost's IEEE-754 bit pattern).
+// v5: cell lines carry "kernels_found", the kernel list's length, in
+// place of the "kernels" rows; a cell line with "kernels" is malformed.
 
 /// One memoized sweep cell: everything sweep_design_space derives per
 /// (app, platform, options, constraint) coordinate. moved_names duplicates report.moved as block names so a

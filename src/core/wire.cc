@@ -10,6 +10,7 @@ using jsonl::JsonParser;
 using jsonl::JsonValue;
 using jsonl::get_int;
 using jsonl::get_string;
+using jsonl::to_int;
 using text::append;
 using text::render;
 
@@ -25,18 +26,8 @@ void write_line(std::ostream& os, const Parts&... parts) {
   os.write(line.data(), static_cast<std::streamsize>(line.size()));
 }
 
-bool get_size(const JsonValue& object, const char* name, std::size_t& out) {
-  std::int64_t value = 0;
-  if (!get_int(object, name, value) || value < 0) return false;
-  out = static_cast<std::size_t>(value);
-  return true;
-}
-
 bool get_version(const JsonValue& object, const char* name, int& out) {
-  std::int64_t value = 0;
-  if (!get_int(object, name, value) || value < 0) return false;
-  out = static_cast<int>(value);
-  return true;
+  return get_int(object, name, out) && out >= 0;
 }
 
 }  // namespace
@@ -72,7 +63,7 @@ bool decode_header(const JsonValue& object, Header& header) {
          get_version(object, "schema_version", header.schema_version) &&
          get_version(object, "fingerprint_algorithm",
                      header.fingerprint_algorithm) &&
-         get_size(object, "shards", header.shards);
+         get_int(object, "shards", header.shards);
 }
 
 void encode_shard_begin(std::ostream& os, const ShardBegin& shard) {
@@ -82,8 +73,8 @@ void encode_shard_begin(std::ostream& os, const ShardBegin& shard) {
 
 bool decode_shard_begin(const JsonValue& object, ShardBegin& shard) {
   return line_kind(object) == LineKind::kShard &&
-         get_size(object, "shard", shard.shard) &&
-         get_size(object, "used", shard.used);
+         get_int(object, "shard", shard.shard) &&
+         get_int(object, "used", shard.used);
 }
 
 void encode_cell(std::ostream& os, std::size_t shard, std::size_t slot,
@@ -95,8 +86,8 @@ void encode_cell(std::ostream& os, std::size_t shard, std::size_t slot,
 
 bool decode_cell(const JsonValue& object, Cell& cell) {
   return line_kind(object) == LineKind::kCell &&
-         get_size(object, "shard", cell.shard) &&
-         get_size(object, "slot", cell.slot) &&
+         get_int(object, "shard", cell.shard) &&
+         get_int(object, "slot", cell.slot) &&
          read_cell_payload(object, cell.payload);
 }
 
@@ -106,7 +97,7 @@ void encode_worker_done(std::ostream& os, const WorkerDone& done) {
 
 bool decode_worker_done(const JsonValue& object, WorkerDone& done) {
   return line_kind(object) == LineKind::kWorkerDone &&
-         get_size(object, "cells", done.cells);
+         get_int(object, "cells", done.cells);
 }
 
 std::string encode_assign(const Assign& assign) {
@@ -121,16 +112,14 @@ std::string encode_assign(const Assign& assign) {
 
 bool decode_assign(const JsonValue& object, Assign& assign) {
   if (line_kind(object) != LineKind::kAssign ||
-      !get_size(object, "retry", assign.retry)) {
+      !get_int(object, "retry", assign.retry)) {
     return false;
   }
   const JsonValue* shards = object.find("shards");
   if (!shards || shards->kind != JsonValue::Kind::kArray) return false;
-  assign.shards.clear();
-  assign.shards.reserve(shards->items.size());
-  for (const JsonValue& item : shards->items) {
-    if (item.kind != JsonValue::Kind::kInt || item.integer < 0) return false;
-    assign.shards.push_back(static_cast<std::size_t>(item.integer));
+  assign.shards.resize(shards->items.size());
+  for (std::size_t i = 0; i < assign.shards.size(); ++i) {
+    if (!to_int(shards->items[i], assign.shards[i])) return false;
   }
   return true;
 }
@@ -141,7 +130,7 @@ std::string encode_round_done(const RoundDone& done) {
 
 bool decode_round_done(const JsonValue& object, RoundDone& done) {
   return line_kind(object) == LineKind::kRoundDone &&
-         get_size(object, "cells", done.cells);
+         get_int(object, "cells", done.cells);
 }
 
 std::string encode_shutdown() { return "{\"kind\":\"shutdown\"}\n"; }

@@ -76,11 +76,6 @@ std::vector<int> Dfg::alap_levels() const {
   return level;
 }
 
-int Dfg::max_asap_level() const {
-  const std::vector<int> levels = asap_levels();
-  return levels.empty() ? 0 : *std::max_element(levels.begin(), levels.end());
-}
-
 OpMix Dfg::op_mix() const {
   OpMix mix;
   for (const Node& n : nodes_) {

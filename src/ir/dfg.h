@@ -59,12 +59,9 @@ class Dfg {
   /// same level are free of mutual dependencies and may run in parallel.
   std::vector<int> asap_levels() const;
 
-  /// ALAP level per node, in the same 1..max_asap_level() range; the
+  /// ALAP level per node, in the same 1..max ASAP level range; the
   /// difference alap-asap is a node's mobility (list-scheduling priority).
   std::vector<int> alap_levels() const;
-
-  /// Largest ASAP level of any schedulable node (0 for an empty graph).
-  int max_asap_level() const;
 
   OpMix op_mix() const;
 

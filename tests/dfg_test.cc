@@ -4,6 +4,7 @@
 
 #include "frontend_oracle.h"
 #include "support/error.h"
+#include "test_helpers.h"
 
 namespace amdrel::ir {
 namespace {
@@ -37,7 +38,7 @@ TEST(DfgTest, AsapLevelsFollowLongestPath) {
   EXPECT_EQ(levels[4], 2);  // sub
   EXPECT_EQ(levels[5], 3);  // xor
   EXPECT_EQ(levels[6], 0);  // output marker
-  EXPECT_EQ(dfg.max_asap_level(), 3);
+  EXPECT_EQ(test::max_asap_level(dfg), 3);
 }
 
 TEST(DfgTest, AlapEqualsAsapOnCriticalPath) {
@@ -118,7 +119,7 @@ TEST(DfgTest, UsersTracksConsumers) {
 
 TEST(DfgTest, EmptyGraphHasZeroDepth) {
   Dfg dfg;
-  EXPECT_EQ(dfg.max_asap_level(), 0);
+  EXPECT_EQ(test::max_asap_level(dfg), 0);
   EXPECT_TRUE(dfg.empty());
   EXPECT_NO_THROW(dfg.validate());
 }

@@ -15,6 +15,7 @@
 #include "minic/frontend.h"
 #include "support/error.h"
 #include "support/strings.h"
+#include "test_helpers.h"
 #include "workloads/paper_models.h"
 
 namespace amdrel {
@@ -251,7 +252,7 @@ TEST(EngineEdgeCases, AllCoarseBeatsAllFineOnPaperApps) {
   for (const auto& app :
        {workloads::build_ofdm_model(), workloads::build_jpeg_model()}) {
     const auto p = platform::make_paper_platform(1500, 2);
-    const auto report = core::all_coarse_split(app.cdfg, app.profile, p, 1);
+    const auto report = test::all_coarse_split(app.cdfg, app.profile, p, 1);
     EXPECT_LT(report.final_cycles, report.initial_cycles) << app.cdfg.name();
   }
 }

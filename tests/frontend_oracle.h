@@ -26,6 +26,7 @@
 #include "ir/dfg.h"
 #include "ir/tac.h"
 #include "support/error.h"
+#include "test_helpers.h"
 
 namespace amdrel::oracle {
 
@@ -298,7 +299,7 @@ inline LoopAnalysis analyze_loops(const Cdfg& cdfg) {
 inline std::vector<int> level_occupancy(const Dfg& dfg) {
   const std::vector<int> levels = dfg.asap_levels();
   std::vector<int> occupancy(
-      static_cast<std::size_t>(dfg.max_asap_level()) + 1, 0);
+      static_cast<std::size_t>(test::max_asap_level(dfg)) + 1, 0);
   for (NodeId id = 0; id < dfg.size(); ++id) {
     if (ir::is_schedulable(dfg.node(id).kind)) occupancy[levels[id]]++;
   }
@@ -313,7 +314,7 @@ inline finegrain::TemporalPartitioning partition_dfg(
   result.partition_area.assign(2, 0.0);
 
   const std::vector<int> levels = dfg.asap_levels();
-  const int max_level = dfg.max_asap_level();
+  const int max_level = test::max_asap_level(dfg);
 
   int current = 1;
   double area_covered = 0.0;

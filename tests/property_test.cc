@@ -22,6 +22,7 @@
 #include "minic/optimizer.h"
 #include "synth/cdfg_generator.h"
 #include "synth/dfg_generator.h"
+#include "test_helpers.h"
 #include "workloads/golden.h"
 #include "workloads/minic_sources.h"
 
@@ -60,9 +61,9 @@ TEST_P(DfgGeneratorProperty, WidthKnobControlsDepth) {
   config.store_ops = 0;
   config.seed = GetParam();
   config.target_width = 1;
-  const int deep = synth::generate_dfg(config).max_asap_level();
+  const int deep = test::max_asap_level(synth::generate_dfg(config));
   config.target_width = 10;
-  const int shallow = synth::generate_dfg(config).max_asap_level();
+  const int shallow = test::max_asap_level(synth::generate_dfg(config));
   EXPECT_GT(deep, shallow);
 }
 

@@ -14,6 +14,7 @@
 #include <random>
 #include <vector>
 
+#include "analysis/kernels.h"
 #include "core/energy.h"
 #include "core/hybrid_mapper.h"
 #include "core/methodology.h"
@@ -374,9 +375,13 @@ TEST_P(ExhaustiveReconfigOptimality, MatchesBruteForceEnumeration) {
   const platform::ReconfigModel& model = options.cost.reconfig;
   ASSERT_GT(model.bitstream_cycles_per_unit, 0.0);
 
-  // The engine's candidate set: the first eligible kernels, capped.
+  // The engine's candidate set: the first eligible kernels (weight
+  // order, as extract_kernels returns them), capped.
+  const auto kernels =
+      analysis::extract_kernels(app.cdfg, app.profile, options.analysis);
+  ASSERT_EQ(kernels.size(), report.kernels_found);
   std::vector<ir::BlockId> candidates;
-  for (const auto& kernel : report.kernels) {
+  for (const auto& kernel : kernels) {
     if (!kernel.cgc_eligible) continue;
     if (candidates.size() >= 10) break;
     candidates.push_back(kernel.block);

@@ -22,8 +22,8 @@ TEST(SchemaVersionTest, SweepArtifactSchemaVersionIsPinned) {
 }
 
 TEST(SchemaVersionTest, SweepCacheSchemaVersionIsPinned) {
-  // v4: cell payloads carry t_reconfig and floorplan_bits fields.
-  EXPECT_EQ(core::kSweepCacheSchemaVersion, 4);
+  // v5: cell payloads carry kernels_found instead of the kernel rows.
+  EXPECT_EQ(core::kSweepCacheSchemaVersion, 5);
 }
 
 TEST(SchemaVersionTest, SweepWireProtocolVersionIsPinned) {

@@ -22,8 +22,11 @@
 
 #include <gtest/gtest.h>
 
+#include "analysis/kernels.h"
 #include "core/explorer.h"
+#include "core/json_lines.h"
 #include "core/sweep_io.h"
+#include "core/wire.h"
 #include "support/error.h"
 #include "synth/cdfg_generator.h"
 #include "workloads/paper_models.h"
@@ -169,6 +172,12 @@ TEST(SweepCacheTest, LoadRejectsMissingFile) {
   EXPECT_NE(error.find("cannot open"), std::string::npos) << error;
 }
 
+std::string slurp(const std::string& path) {
+  std::ifstream in(path, std::ios::binary);
+  return std::string((std::istreambuf_iterator<char>(in)),
+                     std::istreambuf_iterator<char>());
+}
+
 void expect_rejected(const std::string& content, const char* expect_in_error,
                      const char* tag) {
   const std::string path =
@@ -292,17 +301,108 @@ TEST(SweepCacheTest, LoadAcceptsOwnSave) {
   EXPECT_EQ(a.cycles_in_cgc, b.cycles_in_cgc);
   EXPECT_EQ(a.met, b.met);
   EXPECT_EQ(a.engine_iterations, b.engine_iterations);
-  ASSERT_EQ(a.kernels.size(), b.kernels.size());
-  for (std::size_t i = 0; i < a.kernels.size(); ++i) {
-    EXPECT_EQ(a.kernels[i].block, b.kernels[i].block);
-    EXPECT_EQ(a.kernels[i].exec_freq, b.kernels[i].exec_freq);
-    EXPECT_EQ(a.kernels[i].op_weight, b.kernels[i].op_weight);
-    EXPECT_EQ(a.kernels[i].total_weight, b.kernels[i].total_weight);
-    EXPECT_EQ(a.kernels[i].loop_depth, b.kernels[i].loop_depth);
-    EXPECT_EQ(a.kernels[i].cgc_eligible, b.kernels[i].cgc_eligible);
-  }
+  EXPECT_EQ(a.kernels_found, b.kernels_found);
   EXPECT_EQ(summary.cells.front().moved_names, warm.cells.front().moved_names);
   std::remove(path.c_str());
+}
+
+// A report carries only the length of the step-3 kernel list. It must
+// survive the cache file and the wire exactly: 0 for a cell the
+// all-fine solution already meets, the analysis list's length otherwise.
+TEST(SweepCacheTest, KernelsFoundRoundTripsThroughCacheAndWire) {
+  const auto ofdm = workloads::build_ofdm_model();
+  const std::vector<CorpusApp> corpus = {{"ofdm", ofdm.cdfg, ofdm.profile}};
+  SweepCache cache;
+  SweepSpec spec;
+  spec.constraints = {workloads::kOfdmTimingConstraint, 1'000'000'000'000};
+  spec.strategies = {StrategyKind::kGreedyPaper};
+  spec.threads = 1;
+  spec.cache = &cache;
+  const auto summary = sweep_design_space(corpus, spec);
+  const std::size_t analysed =
+      analysis::extract_kernels(ofdm.cdfg, ofdm.profile).size();
+  ASSERT_GT(analysed, 0u);
+  bool saw_met = false;
+  bool saw_open = false;
+  for (const SweepCell& cell : summary.cells) {
+    const PartitionReport& r = cell.report;
+    EXPECT_EQ(r.kernels_found, r.initial_meets ? 0u : analysed) << r.app;
+    (r.initial_meets ? saw_met : saw_open) = true;
+  }
+  ASSERT_TRUE(saw_met && saw_open);
+
+  const std::string path = temp_path("sweep_cache_kernels_found.jsonl");
+  std::string error;
+  ASSERT_TRUE(cache.save(path, &error)) << error;
+  SweepCache fresh;
+  ASSERT_TRUE(fresh.load(path, &error)) << error;
+  SweepSpec warm_spec = spec;
+  warm_spec.cache = &fresh;
+  const auto warm = sweep_design_space(corpus, warm_spec);
+  EXPECT_EQ(fresh.stats().cell_misses, 0u);
+  ASSERT_EQ(warm.cells.size(), summary.cells.size());
+  for (std::size_t i = 0; i < summary.cells.size(); ++i) {
+    const SweepCell& cell = summary.cells[i];
+    EXPECT_EQ(warm.cells[i].report.kernels_found, cell.report.kernels_found);
+
+    std::ostringstream line;
+    wire::encode_cell(line, 0, i, cell.report, cell.moved_names);
+    jsonl::JsonValue object;
+    ASSERT_TRUE(wire::parse_line(line.str().substr(0, line.str().size() - 1),
+                                 object));
+    wire::Cell decoded;
+    ASSERT_TRUE(wire::decode_cell(object, decoded));
+    EXPECT_EQ(decoded.payload.report.kernels_found, cell.report.kernels_found);
+  }
+  std::remove(path.c_str());
+  std::remove((path + ".lock").c_str());
+}
+
+// A cache file from the previous schema (v4, whose cells carried the
+// kernel rows) is rejected whole, and a sweep over it recomputes cold
+// with the uncached bytes; saving then replaces the stale file.
+TEST(SweepCacheTest, StaleV4CacheFileIsRejectedAndRecomputedCold) {
+  const auto corpus = workloads::paper_corpus();
+  const std::string uncached =
+      sweep_to_json(sweep_design_space(corpus, small_spec(2, nullptr)));
+  const std::string path = temp_path("sweep_cache_stale_v4.jsonl");
+  {
+    SweepCache cache;
+    sweep_design_space(corpus, small_spec(2, &cache));
+    std::string error;
+    ASSERT_TRUE(cache.save(path, &error)) << error;
+  }
+  std::string content = slurp(path);
+  const std::string current =
+      "\"schema_version\":" + std::to_string(kSweepCacheSchemaVersion) + ",";
+  ASSERT_EQ(content.find(current), content.find("\"schema_version\""));
+  content.replace(content.find(current), current.size(),
+                  "\"schema_version\":4,");
+  {
+    std::ofstream out(path, std::ios::binary | std::ios::trunc);
+    out << content;
+  }
+
+  SweepCache stale;
+  std::string error;
+  EXPECT_FALSE(stale.load(path, &error));
+  EXPECT_NE(error.find("schema_version 4 (this build reads " +
+                       std::to_string(kSweepCacheSchemaVersion) + ")"),
+            std::string::npos)
+      << error;
+  EXPECT_EQ(stale.stats().cells, 0u);
+  EXPECT_EQ(sweep_to_json(sweep_design_space(corpus, small_spec(2, &stale))),
+            uncached);
+  EXPECT_EQ(stale.stats().cell_hits, 0u);
+
+  ASSERT_TRUE(stale.save(path, &error)) << error;
+  SweepCache replaced;
+  ASSERT_TRUE(replaced.load(path, &error)) << error;
+  EXPECT_EQ(sweep_to_json(sweep_design_space(corpus, small_spec(2, &replaced))),
+            uncached);
+  EXPECT_EQ(replaced.stats().cell_misses, 0u);
+  std::remove(path.c_str());
+  std::remove((path + ".lock").c_str());
 }
 
 TEST(SweepCacheTest, SaveReportsUnwritablePath) {
@@ -352,6 +452,106 @@ CachedCell cell_named(const std::string& app, std::int64_t cycles) {
   cell.report.moved = {1};  // moved_names must stay parallel to moved
   cell.moved_names = {"BB1"};
   return cell;
+}
+
+// Saves `cache` to a temp file and returns the bytes.
+std::string saved_bytes(const SweepCache& cache, const char* tag) {
+  const std::string path =
+      temp_path((std::string("sweep_cache_saved_") + tag + ".jsonl").c_str());
+  std::remove(path.c_str());
+  std::string error;
+  EXPECT_TRUE(cache.save(path, &error)) << error;
+  std::string bytes = slurp(path);
+  std::remove(path.c_str());
+  std::remove((path + ".lock").c_str());
+  return bytes;
+}
+
+// Returns `bytes` with the first `from` replaced by `to` (which must be
+// there, so a codec change cannot turn a case into a no-op).
+std::string edited(std::string bytes, const std::string& from,
+                   const std::string& to) {
+  const std::size_t at = bytes.find(from);
+  EXPECT_NE(at, std::string::npos) << from;
+  if (at != std::string::npos) bytes.replace(at, from.size(), to);
+  return bytes;
+}
+
+// A v5 cell line carries "kernels_found", a non-negative count, and no
+// "kernels" rows; every decode that narrows an int64 rejects a value
+// past its field's range (2^32 + k used to wrap silently to k).
+TEST(SweepCacheTest, LoadRejectsCellsOutsideTheV5Payload) {
+  SweepCache cache;
+  CachedCell cell = cell_named("x", 7);
+  cell.report.engine_iterations = 2;
+  cell.report.kernels_found = 3;
+  cache.store_cell(key_of(1, 1), cell);
+  const std::string good = saved_bytes(cache, "v5_cell");
+  {
+    const std::string path = temp_path("sweep_cache_v5_cell.jsonl");
+    std::ofstream(path, std::ios::binary) << good;
+    SweepCache loaded;
+    std::string error;
+    ASSERT_TRUE(loaded.load(path, &error)) << error;
+    EXPECT_EQ(loaded.find_cell(key_of(1, 1))->report.kernels_found, 3u);
+    std::remove(path.c_str());
+  }
+  const char* malformed = "malformed cell entry";
+  expect_rejected(edited(good, "\"kernels_found\":3,",
+                         "\"kernels_found\":3,\"kernels\":[[1,2,3,4,5,1]],"),
+                  malformed, "kernels_rows");
+  expect_rejected(edited(good, "\"kernels_found\":3,",
+                         "\"kernels\":[[1,2,3,4,5,1]],"),
+                  malformed, "v4_cell");
+  expect_rejected(edited(good, "\"kernels_found\":3,", ""), malformed,
+                  "kernels_found_missing");
+  expect_rejected(edited(good, "\"kernels_found\":3", "\"kernels_found\":-1"),
+                  malformed, "kernels_found_negative");
+  expect_rejected(
+      edited(good, "\"kernels_found\":3", "\"kernels_found\":\"3\""),
+      malformed, "kernels_found_string");
+  expect_rejected(edited(good, "\"engine_iterations\":2",
+                         "\"engine_iterations\":4294967298"),
+                  malformed, "iterations_wrap");
+  expect_rejected(edited(good, "\"moved\":[1]", "\"moved\":[4294967297]"),
+                  malformed, "moved_wrap");
+}
+
+TEST(SweepCacheTest, LoadRejectsMapperIntegersPastTheirRange) {
+  MapperState state;
+  finegrain::FpgaBlockMapping fine;
+  fine.partitioning.partition_of = {1};
+  fine.partitioning.num_partitions = 1;
+  fine.partitioning.partition_area = {0.0};
+  state.fine.push_back(fine);
+  coarsegrain::CgcBlockMapping coarse;
+  coarse.schedule.start = {0};
+  coarse.schedule.finish = {1};
+  coarse.schedule.placement = {{0, 1, 1}};
+  coarse.schedule.peak_registers = 2;
+  state.coarse.emplace_back(coarse);
+  SweepCache cache;
+  cache.store_mapper(key_of(3, 1), std::make_shared<const MapperState>(state));
+  const std::string good = saved_bytes(cache, "mapper");
+  ASSERT_NE(good.find("\"fine\":[[[1],1,[0],"), std::string::npos) << good;
+  ASSERT_NE(good.find("[0,1,1],0,0,0,2,0]"), std::string::npos) << good;
+  {
+    const std::string path = temp_path("sweep_cache_mapper_ok.jsonl");
+    std::ofstream(path, std::ios::binary) << good;
+    SweepCache loaded;
+    std::string error;
+    EXPECT_TRUE(loaded.load(path, &error)) << error;
+    std::remove(path.c_str());
+  }
+  const char* malformed = "malformed mapper entry";
+  expect_rejected(edited(good, "\"fine\":[[[1],", "\"fine\":[[[4294967297],"),
+                  malformed, "partition_of_wrap");
+  expect_rejected(edited(good, "[[1],1,[0],", "[[1],4294967297,[0],"),
+                  malformed, "num_partitions_wrap");
+  expect_rejected(edited(good, "[0,1,1],", "[0,1,4294967297],"), malformed,
+                  "placement_wrap");
+  expect_rejected(edited(good, ",0,0,0,2,0]", ",0,0,0,4294967298,0]"),
+                  malformed, "peak_registers_wrap");
 }
 
 TEST(SweepCacheTest, CachedResultsAreThreadCountFree) {
@@ -571,12 +771,6 @@ TEST(SweepCacheTest, PersistedMappersWarmAcrossConstraintChanges) {
   EXPECT_EQ(stats.mapper_builds, 0u);
   std::remove(path.c_str());
   std::remove((path + ".lock").c_str());
-}
-
-std::string slurp(const std::string& path) {
-  std::ifstream in(path, std::ios::binary);
-  return std::string((std::istreambuf_iterator<char>(in)),
-                     std::istreambuf_iterator<char>());
 }
 
 // Eviction drops whole entries under the save lock when the rendered

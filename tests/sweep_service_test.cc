@@ -142,6 +142,52 @@ TEST_F(StreamRejectionTest, RejectsProtocolVersionMismatch) {
   expect_rejected(wire, "protocol_version");
 }
 
+// A version or a cell field past its int range is a protocol error, not
+// a value that wraps to a valid one (2^32 + v read as v).
+TEST_F(StreamRejectionTest, RejectsIntegersThatWrapIntoRange) {
+  auto wrapped = [&](const std::string& field, std::int64_t value) {
+    std::string wire = wire_;
+    const std::string from = "\"" + field + "\":" + std::to_string(value);
+    const auto pos = wire.find(from);
+    EXPECT_NE(pos, std::string::npos) << from;
+    if (pos != std::string::npos) {
+      wire.replace(pos, from.size(),
+                   "\"" + field + "\":" +
+                       std::to_string((std::int64_t{1} << 32) + value));
+    }
+    return wire;
+  };
+  expect_rejected(wrapped("protocol", core::kSweepWireProtocolVersion),
+                  "protocol_wrap");
+  expect_rejected(wrapped("schema_version", core::kSweepCacheSchemaVersion),
+                  "schema_wrap");
+  expect_rejected(
+      wrapped("fingerprint_algorithm", core::kFingerprintAlgorithmVersion),
+      "algorithm_wrap");
+
+  // The first integer right after `prefix` (the first id of a non-empty
+  // moved list, the first iteration count) wrapped the same way.
+  auto wrapped_after = [&](const std::string& prefix) {
+    std::string wire = wire_;
+    std::size_t begin = 0;
+    for (std::size_t at = wire.find(prefix); at != std::string::npos;
+         at = wire.find(prefix, at + 1)) {
+      begin = at + prefix.size();
+      if (begin < wire.size() && wire[begin] >= '0' && wire[begin] <= '9') break;
+      begin = 0;
+    }
+    EXPECT_NE(begin, 0u) << "no integer after " << prefix;
+    if (begin == 0) return wire;
+    const auto end = wire.find_first_not_of("0123456789", begin);
+    const std::int64_t value = std::stoll(wire.substr(begin, end - begin));
+    wire.replace(begin, end - begin,
+                 std::to_string((std::int64_t{1} << 32) + value));
+    return wire;
+  };
+  expect_rejected(wrapped_after("\"moved\":["), "moved_wrap");
+  expect_rejected(wrapped_after("\"engine_iterations\":"), "iterations_wrap");
+}
+
 TEST_F(StreamRejectionTest, RejectsTruncatedStream) {
   // Cut mid-way: the worker_done trailer never arrives.
   expect_rejected(wire_.substr(0, wire_.size() / 2), "truncated");

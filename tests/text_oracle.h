@@ -105,15 +105,8 @@ inline void write_cell_payload(std::ostream& os, const PartitionReport& r,
      << "\"initial_energy_bits\":" << double_to_bits(r.initial_energy_pj)
      << ","
      << "\"initial_meets\":" << (r.initial_meets ? "true" : "false") << ","
-     << "\"kernels\":[";
-  for (std::size_t i = 0; i < r.kernels.size(); ++i) {
-    const analysis::KernelInfo& k = r.kernels[i];
-    if (i) os << ',';
-    os << '[' << k.block << ',' << k.exec_freq << ',' << k.op_weight << ','
-       << k.total_weight << ',' << k.loop_depth << ','
-       << (k.cgc_eligible ? 1 : 0) << ']';
-  }
-  os << "],\"moved\":";
+     << "\"kernels_found\":" << r.kernels_found << ","
+     << "\"moved\":";
   write_int_array(os, r.moved);
   os << ",\"moved_names\":[";
   for (std::size_t i = 0; i < moved_names.size(); ++i) {
@@ -597,7 +590,7 @@ inline std::string describe(const PartitionReport& report,
      << " cycles" << (report.initial_meets ? "  [already meets constraint]" : "")
      << "\n";
   if (!report.initial_meets) {
-    os << "kernels found: " << report.kernels.size() << "\n";
+    os << "kernels found: " << report.kernels_found << "\n";
     os << "moved to CGC data-path:";
     for (ir::BlockId block : report.moved) {
       os << " " << cdfg.block(block).name;

@@ -102,18 +102,9 @@ class Gen {
     r.initial_cycles = pick<std::int64_t>();
     r.initial_energy_pj = real();
     r.initial_meets = coin();
-    for (std::size_t n = below(4); n > 0; --n) {
-      analysis::KernelInfo k;
-      k.block = pick<ir::BlockId>();
-      // The reader takes no integer past INT64_MAX.
-      k.exec_freq = static_cast<std::uint64_t>(
-          pick<std::int64_t>() & std::numeric_limits<std::int64_t>::max());
-      k.op_weight = pick<std::int64_t>();
-      k.total_weight = pick<std::int64_t>();
-      k.loop_depth = pick<int>();
-      k.cgc_eligible = coin();
-      r.kernels.push_back(k);
-    }
+    // The reader takes no integer past INT64_MAX.
+    r.kernels_found = static_cast<std::size_t>(
+        pick<std::int64_t>() & std::numeric_limits<std::int64_t>::max());
     for (std::size_t n = below(4); n > 0; --n) {
       r.moved.push_back(pick<ir::BlockId>());
     }

@@ -241,5 +241,91 @@ TEST(WireTest, DecodersRejectMissingFields) {
                                  round));
 }
 
+// Every decode that narrows an int64 to a smaller field checks the
+// range: 2^32 + k must not wrap to k.
+TEST(WireTest, DecodersRejectIntegersPastTheFieldRange) {
+  const std::string header =
+      "{\"kind\":\"wire_header\",\"protocol\":4,\"schema_version\":5,"
+      "\"fingerprint_algorithm\":3,\"shards\":1}";
+  Header out;
+  ASSERT_TRUE(decode_header(parsed(header), out));
+  EXPECT_FALSE(decode_header(
+      parsed("{\"kind\":\"wire_header\",\"protocol\":4294967300,"
+             "\"schema_version\":4294967301,"
+             "\"fingerprint_algorithm\":4294967299,\"shards\":1}"),
+      out));
+  EXPECT_FALSE(decode_header(
+      parsed("{\"kind\":\"wire_header\",\"protocol\":4294967300,"
+             "\"schema_version\":5,\"fingerprint_algorithm\":3,"
+             "\"shards\":1}"),
+      out));
+
+  PartitionReport report;
+  report.app = "a";
+  report.engine_iterations = 2;
+  report.kernels_found = 4;
+  report.moved = {1, 2};
+  std::ostringstream os;
+  encode_cell(os, 0, 0, report, {"BB1", "BB2"});
+  const std::string line = encoded_line(os.str());
+  Cell cell;
+  ASSERT_TRUE(decode_cell(parsed(line), cell));
+  EXPECT_EQ(cell.payload.report.kernels_found, 4u);
+
+  auto edited = [&](const std::string& from, const std::string& to) {
+    std::string text = line;
+    const std::size_t at = text.find(from);
+    EXPECT_NE(at, std::string::npos) << from;
+    if (at != std::string::npos) text.replace(at, from.size(), to);
+    return parsed(text);
+  };
+  Cell bad;
+  EXPECT_FALSE(decode_cell(
+      edited("\"engine_iterations\":2", "\"engine_iterations\":4294967298"),
+      bad));
+  EXPECT_FALSE(decode_cell(edited("\"moved\":[1,2]", "\"moved\":[4294967297,2]"),
+                           bad));
+  EXPECT_FALSE(decode_cell(
+      edited("\"kernels_found\":4", "\"kernels_found\":-4"), bad));
+  EXPECT_FALSE(decode_cell(edited("\"kernels_found\":4,", ""), bad));
+  EXPECT_FALSE(decode_cell(
+      edited("\"kernels_found\":4,", "\"kernels\":[[1,1,1,1,1,1]],"), bad));
+}
+
+TEST(JsonLinesTest, ToIntAcceptsExactlyTheTargetRange) {
+  auto value = [](std::int64_t v) {
+    jsonl::JsonValue out;
+    out.integer = v;
+    return out;
+  };
+  constexpr std::int64_t kIntMax = std::numeric_limits<int>::max();
+  constexpr std::int64_t kIntMin = std::numeric_limits<int>::min();
+  int i = 7;
+  EXPECT_TRUE(jsonl::to_int(value(kIntMax), i));
+  EXPECT_EQ(i, std::numeric_limits<int>::max());
+  EXPECT_TRUE(jsonl::to_int(value(kIntMin), i));
+  EXPECT_EQ(i, std::numeric_limits<int>::min());
+  i = 7;
+  EXPECT_FALSE(jsonl::to_int(value(kIntMax + 1), i));
+  EXPECT_FALSE(jsonl::to_int(value(kIntMin - 1), i));
+  EXPECT_EQ(i, 7);  // a rejected value leaves the target untouched
+
+  std::size_t size = 7;
+  EXPECT_FALSE(jsonl::to_int(value(-1), size));
+  EXPECT_TRUE(jsonl::to_int(value(std::numeric_limits<std::int64_t>::max()),
+                            size));
+  EXPECT_EQ(size, static_cast<std::size_t>(
+                      std::numeric_limits<std::int64_t>::max()));
+
+  std::int64_t wide = 0;
+  EXPECT_TRUE(jsonl::to_int(value(std::numeric_limits<std::int64_t>::min()),
+                            wide));
+  EXPECT_EQ(wide, std::numeric_limits<std::int64_t>::min());
+
+  jsonl::JsonValue text;
+  text.kind = jsonl::JsonValue::Kind::kString;
+  EXPECT_FALSE(jsonl::to_int(text, wide));
+}
+
 }  // namespace
 }  // namespace amdrel::core::wire
