@@ -16,7 +16,6 @@
 #include <vector>
 
 #include "analysis/kernels.h"
-#include "core/baselines.h"
 #include "core/energy.h"
 #include "core/hybrid_mapper.h"
 #include "core/methodology.h"
@@ -283,21 +282,14 @@ void print_ordering_ablation(const workloads::PaperApp& app,
         core::run_methodology(app.cdfg, app.profile, p, constraint, options));
   }
 
-  const auto optimal = core::exhaustive_optimal(app.cdfg, app.profile, p,
-                                                constraint, /*max_kernels=*/14);
-  if (optimal.fewest_moves) {
-    char red[32];
-    const auto initial =
-        core::HybridMapper(app.cdfg, p).all_fine_cycles(app.profile);
-    std::snprintf(red, sizeof red, "%.1f",
-                  100.0 * (1.0 - static_cast<double>(
-                                     optimal.fewest_moves_cycles) /
-                                     static_cast<double>(initial)));
-    table.add_row({"exhaustive optimum",
-                   std::to_string(optimal.fewest_moves->size()),
-                   core::with_thousands(optimal.fewest_moves_cycles), red,
-                   "yes"});
-  }
+  // The fewest moves that meet the constraint (ties: fewest cycles) over
+  // the 14 heaviest eligible kernels.
+  core::MethodologyOptions exhaustive;
+  exhaustive.strategy = core::StrategyKind::kExhaustive;
+  exhaustive.exhaustive_max_kernels = 14;
+  const auto optimal = core::run_methodology(app.cdfg, app.profile, p,
+                                             constraint, exhaustive);
+  if (optimal.met) add("exhaustive optimum", optimal);
   std::printf("%s\n", table.to_string().c_str());
 }
 

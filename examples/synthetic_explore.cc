@@ -6,7 +6,6 @@
 
 #include <cstdio>
 
-#include "core/baselines.h"
 #include "core/explorer.h"
 #include "core/methodology.h"
 #include "core/report.h"
@@ -63,15 +62,19 @@ int main() {
   const std::int64_t constraint = probe.all_fine_cycles(app.profile) / 2;
   const auto greedy =
       core::run_methodology(app.cdfg, app.profile, p, constraint);
-  const auto optimal = core::exhaustive_optimal(app.cdfg, app.profile, p,
-                                                constraint, 14);
+  core::MethodologyOptions exhaustive;
+  exhaustive.strategy = core::StrategyKind::kExhaustive;
+  exhaustive.exhaustive_max_kernels = 14;
+  const auto optimal = core::run_methodology(app.cdfg, app.profile, p,
+                                             constraint, exhaustive);
   std::printf("constraint %s: greedy moved %zu kernels (final %s), "
-              "optimal needs %zu (final %s), %zu subsets evaluated\n",
+              "the exhaustive search moves %zu (final %s, %s), %d search "
+              "nodes visited\n",
               core::with_thousands(constraint).c_str(), greedy.moved.size(),
               core::with_thousands(greedy.final_cycles).c_str(),
-              optimal.fewest_moves ? optimal.fewest_moves->size() : 0,
-              core::with_thousands(optimal.fewest_moves_cycles).c_str(),
-              optimal.subsets_evaluated);
+              optimal.moved.size(),
+              core::with_thousands(optimal.final_cycles).c_str(),
+              optimal.met ? "met" : "not met", optimal.engine_iterations);
 
   // Full design-space exploration: constraints x strategies x orderings
   // on the default one-point platform grid (A_FPGA 1500, 2 CGCs), with

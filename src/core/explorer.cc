@@ -12,6 +12,7 @@
 #include <thread>
 #include <tuple>
 
+#include "core/axis_memo.h"
 #include "core/report.h"
 #include "core/sweep_cache.h"
 #include "support/error.h"
@@ -205,7 +206,8 @@ std::vector<Fingerprint> sweep_app_fingerprints(
 std::size_t compute_sweep_shard(const std::vector<CorpusApp>& corpus,
                                 const SweepSpec& spec,
                                 const std::vector<Fingerprint>& app_fps,
-                                std::size_t shard, SweepCell* slots) {
+                                std::size_t shard, SweepCell* slots,
+                                AxisMemo* memo) {
   SweepCache* cache = spec.cache;
   const std::vector<double> budgets = sweep_energy_budgets(spec);
   const SweepShardCoords coords = sweep_shard_coords(spec, shard);
@@ -281,7 +283,8 @@ std::size_t compute_sweep_shard(const std::vector<CorpusApp>& corpus,
       }
       if (missed.empty()) continue;
       const std::vector<PartitionReport> reports =
-          run_methodology_axis(ensure_mapper(), app.profile, axis, options);
+          run_methodology_axis(ensure_mapper(), app.profile, axis, options,
+                               memo);
       for (std::size_t m = 0; m < missed.size(); ++m) {
         SweepCell& cell = slots[missed[m]];
         cell.report = reports[m];
@@ -411,10 +414,11 @@ void compute_sweep_shards(const std::vector<CorpusApp>& corpus,
   const std::size_t cells_per_shard = sweep_cells_per_shard(spec);
   const int threads = worker_count(shards.size(), spec.threads);
   if (threads == 1) {
+    AxisMemo memo;
     for (std::size_t job = 0; job < shards.size(); ++job) {
       std::vector<SweepCell> cells(cells_per_shard);
-      const std::size_t used =
-          compute_sweep_shard(corpus, spec, app_fps, shards[job], cells.data());
+      const std::size_t used = compute_sweep_shard(
+          corpus, spec, app_fps, shards[job], cells.data(), &memo);
       sink(job, cells, used);
     }
     return;
@@ -437,6 +441,7 @@ void compute_sweep_shards(const std::vector<CorpusApp>& corpus,
   std::atomic<std::size_t> next{0};
   std::atomic<bool> stop{false};
   auto worker = [&]() {
+    AxisMemo memo;
     while (!stop.load()) {
       const std::size_t job = next.fetch_add(1);
       if (job >= shards.size()) return;
@@ -445,7 +450,7 @@ void compute_sweep_shards(const std::vector<CorpusApp>& corpus,
       std::exception_ptr failure;
       try {
         used = compute_sweep_shard(corpus, spec, app_fps, shards[job],
-                                   cells.data());
+                                   cells.data(), &memo);
       } catch (...) {
         failure = std::current_exception();
         stop.store(true);

@@ -187,11 +187,14 @@ std::vector<Fingerprint> sweep_app_fingerprints(
 /// Returns the number of slots actually filled (the contiguous prefix;
 /// fewer than capacity only when default constraints collapsed).
 /// app_fps must be sweep_app_fingerprints(corpus) when spec.cache is
-/// set, and is ignored otherwise.
+/// set, and is ignored otherwise. A memo (core/axis_memo.h) shares
+/// kernel extraction and walks with the shards of the same app computed
+/// before on it; the cells are identical with or without one.
 std::size_t compute_sweep_shard(const std::vector<CorpusApp>& corpus,
                                 const SweepSpec& spec,
                                 const std::vector<Fingerprint>& app_fps,
-                                std::size_t shard, SweepCell* slots);
+                                std::size_t shard, SweepCell* slots,
+                                AxisMemo* memo = nullptr);
 
 /// Receives one computed shard on the thread that called
 /// compute_sweep_shards: its position in the shard list, its
@@ -204,10 +207,12 @@ using ShardSink = std::function<void(std::size_t index,
 /// sweep_shard_count) on worker_count(shards.size(), spec.threads)
 /// threads and hands each to `sink` strictly in list order, as soon as it
 /// and every shard before it are done. Threads claim shards in list
-/// order. When a shard throws, no further shard is claimed, the threads
-/// are joined and the failure first in list order is rethrown, after the
-/// shards before it reached `sink` — what a one-thread run reports. A
-/// throwing `sink` stops and joins the pool the same way.
+/// order, and each thread keeps one AxisMemo, which empties itself when
+/// the thread prices an axis of another app. When a shard throws, no
+/// further shard is claimed, the threads are joined and the failure
+/// first in list order is rethrown, after the shards before it reached
+/// `sink` — what a one-thread run reports. A throwing `sink` stops and
+/// joins the pool the same way.
 void compute_sweep_shards(const std::vector<CorpusApp>& corpus,
                           const SweepSpec& spec,
                           const std::vector<Fingerprint>& app_fps,

@@ -1,6 +1,7 @@
 #include "core/hybrid_mapper.h"
 
 #include <algorithm>
+#include <cstring>
 #include <functional>
 
 #include "core/energy.h"
@@ -8,6 +9,21 @@
 #include "support/strings.h"
 
 namespace amdrel::core {
+
+namespace {
+
+void append_bits(std::vector<std::uint64_t>& out, double value) {
+  std::uint64_t bits = 0;
+  static_assert(sizeof bits == sizeof value, "IEEE-754 double expected");
+  std::memcpy(&bits, &value, sizeof bits);
+  out.push_back(bits);
+}
+
+void append_bits(std::vector<std::uint64_t>& out, std::int64_t value) {
+  out.push_back(static_cast<std::uint64_t>(value));
+}
+
+}  // namespace
 
 void HybridMapper::build_block_tables() {
   const auto blocks = static_cast<std::size_t>(cdfg_->size());
@@ -229,8 +245,47 @@ std::int64_t IncrementalSplit::coarse_total_cycles(ir::BlockId block) {
   if (memo < 0) {
     memo = mapper_->coarse_cycles_per_invocation(block) *
            iters_[static_cast<std::size_t>(block)];
+    if (touch_log_ != nullptr) touch_log_->push_back(block);
   }
   return memo;
+}
+
+void IncrementalSplit::append_walk_header(
+    std::vector<std::uint64_t>& out) const {
+  append_bits(out, cost_.t_fpga);
+  append_bits(out, cost_.t_coarse);
+  append_bits(out, cost_.t_comm);
+  append_bits(out, cost_.t_reconfig);
+  append_bits(out, energy_.fine_pj);
+  append_bits(out, energy_.coarse_pj);
+  append_bits(out, energy_.reconfig_pj);
+  append_bits(out, energy_.comm_pj);
+  out.push_back(static_cast<std::uint64_t>(objective_.kind));
+  append_bits(out, objective_.cycle_weight);
+  append_bits(out, objective_.energy_weight);
+  append_bits(out, std::int64_t{resident_regions_});
+  append_bits(out, static_cast<std::int64_t>(pos_.size()));
+}
+
+void IncrementalSplit::append_block_row(ir::BlockId block,
+                                        std::vector<std::uint64_t>& out) {
+  const auto b = static_cast<std::size_t>(block);
+  append_bits(out, fine_contrib_[b]);
+  append_bits(out, comm_total_[b]);
+  append_bits(out, coarse_total_cycles(block));
+  append_bits(out, iters_[b]);
+  if (!block_energy_.empty()) {
+    const BlockEnergy& be = block_energy_[b];
+    append_bits(out, be.fine_pj);
+    append_bits(out, be.fine_comm_pj);
+    append_bits(out, be.fine_reconfig_pj);
+    append_bits(out, be.coarse_pj);
+    append_bits(out, be.coarse_comm_pj);
+  }
+  if (resident_regions_ > 0) {
+    append_bits(out, reconfig_load_[b]);
+    append_bits(out, reconfig_saving_[b]);
+  }
 }
 
 void IncrementalSplit::move(ir::BlockId block) {

@@ -254,6 +254,22 @@ class IncrementalSplit {
     if (!exact_) flip(pending_);
   }
 
+  /// From now on appends each block to `log` when its coarse price first
+  /// resolves (its first move or proposal); null stops logging.
+  void log_first_touches(std::vector<ir::BlockId>* log) { touch_log_ = log; }
+
+  /// Appends the split-wide terms a walk reads, as raw bits: the
+  /// starting cost and energy, the objective kind and weights, the
+  /// resident PR regions and the block count.
+  void append_walk_header(std::vector<std::uint64_t>& out) const;
+
+  /// Appends, as raw bits, every per-block term a walk reads when it
+  /// first moves or proposes `block`: fine contribution, communication,
+  /// coarse total and execution count, then the block's energy terms
+  /// when energy is tracked and its load and re-load saving when load
+  /// latency is priced. Resolves the coarse price as move() does.
+  void append_block_row(ir::BlockId block, std::vector<std::uint64_t>& out);
+
  private:
   /// unmove() when `block` is moved, move() otherwise.
   void flip(ir::BlockId block);
@@ -290,6 +306,7 @@ class IncrementalSplit {
 
   bool exact_ = false;        ///< proposals priced without mutating
   ir::BlockId pending_ = -1;  ///< block of the unsettled propose_flip()
+  std::vector<ir::BlockId>* touch_log_ = nullptr;  ///< log_first_touches
 };
 
 }  // namespace amdrel::core

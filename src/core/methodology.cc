@@ -4,6 +4,7 @@
 #include <map>
 #include <random>
 
+#include "core/axis_memo.h"
 #include "core/energy.h"
 #include "core/strategy.h"
 #include "support/error.h"
@@ -53,7 +54,8 @@ std::vector<analysis::KernelInfo> order_kernels(
 
 std::vector<PartitionReport> run_methodology_axis(
     HybridMapper& mapper, const ir::ProfileData& profile,
-    const std::vector<AxisCell>& cells, const MethodologyOptions& options) {
+    const std::vector<AxisCell>& cells, const MethodologyOptions& options,
+    AxisMemo* memo) {
   // The branch-and-bound lower bound (and the greedy/annealing "best"
   // tracking) assume the combined scalarization is monotone in both
   // axes; a negative weight would make the suffix-gain bound
@@ -98,9 +100,12 @@ std::vector<PartitionReport> run_methodology_axis(
   if (open.empty()) return reports;
 
   // Step 3 once: kernel extraction and ordering never consult the
-  // constraint or the budget.
+  // constraint or the budget, and extraction not even the platform.
+  if (memo) memo->bind(mapper.cdfg(), profile);
   const std::vector<analysis::KernelInfo> kernels = order_kernels(
-      analysis::extract_kernels(mapper.cdfg(), profile, options.analysis),
+      memo ? memo->kernels(options.analysis)
+           : analysis::extract_kernels(mapper.cdfg(), profile,
+                                       options.analysis),
       mapper, options);
 
   // Steps 4-5: the partitioning engine prices every open cell —
@@ -109,8 +114,10 @@ std::vector<PartitionReport> run_methodology_axis(
   std::vector<AxisCell> open_cells;
   open_cells.reserve(open.size());
   for (std::size_t c : open) open_cells.push_back(cells[c]);
-  const std::vector<StrategyResult> results = run_strategy(
-      options.strategy, {mapper, profile, options, kernels, open_cells});
+  const AxisContext ctx{mapper, profile, options, kernels, open_cells};
+  const std::vector<StrategyResult> results =
+      memo ? memo->run(options.strategy, ctx)
+           : run_strategy(options.strategy, ctx);
 
   // Reprice each final split's energy from scratch (block order, not
   // the search's move order) so the emitted numbers never depend on the

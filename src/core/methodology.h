@@ -131,6 +131,8 @@ PartitionReport run_methodology(HybridMapper& mapper,
                                 std::int64_t timing_constraint_cycles,
                                 const MethodologyOptions& options = {});
 
+class AxisMemo;
+
 /// Prices a whole constraint axis — every (timing constraint, energy
 /// budget) cell over one fixed (mapper, profile, strategy, ordering) —
 /// in a single pass: the all-fine baseline, kernel extraction and
@@ -141,9 +143,14 @@ PartitionReport run_methodology(HybridMapper& mapper,
 /// with that cell's constraint and budget (the sweep goldens
 /// pin this). Cells already met by the all-fine solution early-exit
 /// with kernels_found 0, exactly like the single-cell flow.
+/// With a memo (core/axis_memo.h), bound here to (mapper.cdfg(),
+/// profile), the app's kernel list is extracted once and a walk whose
+/// inputs an earlier axis on another platform already priced is reused;
+/// the reports and the mapper's scheduled blocks are the same as
+/// without it.
 std::vector<PartitionReport> run_methodology_axis(
     HybridMapper& mapper, const ir::ProfileData& profile,
     const std::vector<AxisCell>& cells,
-    const MethodologyOptions& options = {});
+    const MethodologyOptions& options = {}, AxisMemo* memo = nullptr);
 
 }  // namespace amdrel::core

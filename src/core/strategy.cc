@@ -14,10 +14,18 @@ namespace amdrel::core {
 
 namespace {
 
+// The all-fine split every search starts from, logging first touches
+// when the context asks for them.
+IncrementalSplit start_split(const AxisContext& ctx) {
+  IncrementalSplit split(ctx.mapper, ctx.profile, ctx.options.cost);
+  split.log_first_touches(ctx.first_touches);
+  return split;
+}
+
 std::vector<StrategyResult> greedy(const AxisContext& ctx) {
   const std::size_t cells = ctx.cells.size();
   std::vector<StrategyResult> results(cells);
-  IncrementalSplit split(ctx.mapper, ctx.profile, ctx.options.cost);
+  IncrementalSplit split = start_split(ctx);
   // Objective values of pure-timing splits are integer cycle counts held
   // exactly in a double, so these comparisons replicate the original
   // int64 ones bit-for-bit.
@@ -87,7 +95,7 @@ std::vector<StrategyResult> greedy(const AxisContext& ctx) {
 StrategyResult exhaustive(const AxisContext& ctx, const AxisCell& cell) {
   StrategyResult result;
   const CostObjective& objective = ctx.options.cost.objective;
-  IncrementalSplit split(ctx.mapper, ctx.profile, ctx.options.cost);
+  IncrementalSplit split = start_split(ctx);
   const double root_value = split.objective_value();
   const auto split_met = [&](const IncrementalSplit& s) {
     return s.meets(cell.timing_constraint, cell.energy_budget_pj);
@@ -296,7 +304,7 @@ constexpr double kExpCutoff = -50.0;
 std::vector<StrategyResult> annealing(const AxisContext& ctx) {
   const std::size_t cells = ctx.cells.size();
   std::vector<StrategyResult> results(cells);
-  IncrementalSplit split(ctx.mapper, ctx.profile, ctx.options.cost);
+  IncrementalSplit split = start_split(ctx);
   const CostObjective& objective = ctx.options.cost.objective;
 
   std::vector<ir::BlockId> candidates;

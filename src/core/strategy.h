@@ -27,6 +27,9 @@ struct AxisContext {
   const MethodologyOptions& options;
   const std::vector<analysis::KernelInfo>& kernels;  ///< already ordered
   const std::vector<AxisCell>& cells;
+  /// When set, every split the strategy prices appends each block there
+  /// at its first move or proposal (IncrementalSplit::log_first_touches).
+  std::vector<ir::BlockId>* first_touches = nullptr;
 };
 
 /// What a strategy hands back to the run_methodology dispatcher.

@@ -7,9 +7,9 @@
 #include <string>
 #include <string_view>
 
-#include "core/baselines.h"
 #include "core/methodology.h"
 #include "core/report.h"
+#include "exhaustive_oracle.h"
 #include "interp/interpreter.h"
 #include "ir/build_cdfg.h"
 #include "minic/frontend.h"

@@ -1,17 +1,42 @@
-#include "core/baselines.h"
+// The brute-force reference for the branch-and-bound kExhaustive
+// strategy: it prices every subset of the top-k eligible kernels with a
+// full HybridMapper::evaluate. Its objective is the strategy's: the
+// fewest moves that meet the constraint (ties: fewest cycles), else the
+// fewest cycles.
 
-#include <algorithm>
+#pragma once
 
+#include <cstdint>
+#include <optional>
+#include <vector>
+
+#include "core/hybrid_mapper.h"
+#include "core/methodology.h"
 #include "support/error.h"
 
 namespace amdrel::core {
 
-OptimalSplit exhaustive_optimal(const ir::Cdfg& cdfg,
-                                const ir::ProfileData& profile,
-                                const platform::Platform& platform,
-                                std::int64_t timing_constraint_cycles,
-                                int max_kernels,
-                                const analysis::AnalysisOptions& options) {
+/// Result of the exhaustive search over kernel subsets — the reference the
+/// greedy engine is compared against in the ordering ablation.
+struct OptimalSplit {
+  /// Subset meeting the constraint with the fewest moved kernels (ties:
+  /// fewest cycles); empty optional when no subset meets it.
+  std::optional<std::vector<ir::BlockId>> fewest_moves;
+  std::int64_t fewest_moves_cycles = 0;
+
+  /// Subset minimizing total cycles regardless of the constraint.
+  std::vector<ir::BlockId> best_cycles_subset;
+  std::int64_t best_cycles = 0;
+
+  std::size_t subsets_evaluated = 0;
+};
+
+/// Exhaustively evaluates every subset of the top `max_kernels` eligible
+/// kernels (capped to keep 2^k tractable) and returns the optima.
+inline OptimalSplit exhaustive_optimal(
+    const ir::Cdfg& cdfg, const ir::ProfileData& profile,
+    const platform::Platform& platform, std::int64_t timing_constraint_cycles,
+    int max_kernels = 16, const analysis::AnalysisOptions& options = {}) {
   require(max_kernels >= 0 && max_kernels <= 24,
           "exhaustive_optimal: max_kernels must be in [0, 24]");
   HybridMapper mapper(cdfg, platform);

@@ -2,11 +2,11 @@
 
 #include <gtest/gtest.h>
 
-#include "coarsegrain/schedule_dump.h"
 #include "core/report.h"
 #include "ir/build_cdfg.h"
 #include "ir/dot.h"
 #include "minic/frontend.h"
+#include "schedule_dump.h"
 #include "support/strings.h"
 
 namespace amdrel {
@@ -51,7 +51,7 @@ TEST(ScheduleDumpTest, ShowsChainsAndDma) {
 
   platform::CgcModel cgc;
   const auto schedule = coarsegrain::schedule_dfg_on_cgc(dfg, cgc);
-  const std::string dump = coarsegrain::describe_schedule(schedule, dfg, cgc);
+  const std::string dump = test::describe_schedule(schedule, dfg, cgc);
   EXPECT_NE(dump.find("CGC schedule:"), std::string::npos);
   EXPECT_NE(dump.find("mul#"), std::string::npos);
   EXPECT_NE(dump.find("DMA: 1 accesses"), std::string::npos);

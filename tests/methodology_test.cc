@@ -2,8 +2,8 @@
 
 #include <gtest/gtest.h>
 
-#include "core/baselines.h"
 #include "core/hybrid_mapper.h"
+#include "exhaustive_oracle.h"
 #include "support/error.h"
 #include "test_helpers.h"
 #include "workloads/paper_models.h"

@@ -10,7 +10,6 @@
 #include <set>
 
 #include "coarsegrain/cgc_scheduler.h"
-#include "core/baselines.h"
 #include "core/energy.h"
 #include "core/methodology.h"
 #include "core/pipeline.h"

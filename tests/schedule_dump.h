@@ -1,14 +1,24 @@
-#include "coarsegrain/schedule_dump.h"
+// A cycle-by-cycle text view of a CGC schedule, for tests and for
+// debugging the binder: for each CGC cycle, the operations executing in
+// every CGC (row/column placement, chains visible as same-cycle row
+// sequences) plus memory traffic.
+
+#pragma once
 
 #include <algorithm>
+#include <cstdint>
 #include <map>
 #include <sstream>
+#include <string>
 #include <vector>
 
-namespace amdrel::coarsegrain {
+#include "coarsegrain/cgc_scheduler.h"
 
-std::string describe_schedule(const CgcSchedule& schedule, const ir::Dfg& dfg,
-                              const platform::CgcModel& cgc) {
+namespace amdrel::test {
+
+inline std::string describe_schedule(const coarsegrain::CgcSchedule& schedule,
+                                     const ir::Dfg& dfg,
+                                     const platform::CgcModel& cgc) {
   std::ostringstream os;
   os << "CGC schedule: " << schedule.total_cgc_cycles << " T_CGC cycles, "
      << schedule.mem_accesses << " memory accesses, peak "
@@ -62,4 +72,4 @@ std::string describe_schedule(const CgcSchedule& schedule, const ir::Dfg& dfg,
   return os.str();
 }
 
-}  // namespace amdrel::coarsegrain
+}  // namespace amdrel::test

@@ -12,9 +12,10 @@
 #include <gtest/gtest.h>
 
 #include "anneal_oracle.h"
-#include "core/baselines.h"
 #include "core/energy.h"
+#include "exhaustive_oracle.h"
 #include "synth/cdfg_generator.h"
+#include "test_helpers.h"
 #include "workloads/paper_models.h"
 
 namespace amdrel::core {
@@ -264,16 +265,6 @@ synth::SyntheticApp anneal_app(std::uint64_t seed) {
   return synth::generate_app(config);
 }
 
-// Which blocks the mapper has scheduled on the CGC so far: the walks must
-// resolve coarse prices lazily, at a block's first proposal.
-std::vector<bool> scheduled_blocks(const HybridMapper& mapper) {
-  std::vector<bool> scheduled;
-  for (const auto& coarse : mapper.state().coarse) {
-    scheduled.push_back(coarse.has_value());
-  }
-  return scheduled;
-}
-
 // Runs annealing and the oracle on fresh mappers of one (app, platform)
 // and requires every StrategyResult field, and the set of CGC-scheduled
 // blocks, to be equal.
@@ -317,7 +308,10 @@ void expect_walk_matches_oracle(const synth::SyntheticApp& app,
         << g.uphill_proposed << " vs " << w.uphill_accepted << "/"
         << w.uphill_proposed;
   }
-  EXPECT_EQ(scheduled_blocks(mapper), scheduled_blocks(oracle_mapper))
+  // The walks must resolve coarse prices lazily, at a block's first
+  // proposal.
+  EXPECT_EQ(test::scheduled_blocks(mapper),
+            test::scheduled_blocks(oracle_mapper))
       << label;
 }
 

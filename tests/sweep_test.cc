@@ -324,6 +324,34 @@ TEST(SweepTest, ThrowingSinkStopsThePool) {
   EXPECT_EQ(seen, (std::vector<std::size_t>{0, 1}));
 }
 
+// Each pool thread shares walks only with the shards it computes itself,
+// so the thread count changes which walks hit. On a grid past the paper
+// models' saturation points (A_FPGA 9000, eight CGCs) the bytes must not
+// change, under the timing objective and under energy with
+// reconfiguration pricing.
+TEST(SweepTest, SaturatedSweepIsByteIdenticalForAnyThreadCount) {
+  const auto corpus = paper_corpus();
+  for (const bool energy : {false, true}) {
+    SweepSpec spec;
+    spec.grid.areas = {600, 1500, 5000, 9000};
+    spec.grid.cgc_counts = {1, 2, 4, 8};
+    spec.orderings = {KernelOrdering::kWeightDescending,
+                      KernelOrdering::kBenefitDescending};
+    spec.base.exhaustive_max_kernels = 10;
+    if (energy) {
+      spec.base.cost.objective.kind = ObjectiveKind::kEnergy;
+      spec.base.cost.reconfig.bitstream_cycles_per_unit = 2;
+      spec.energy_budgets = {1.0e6, 1.18e8};
+    }
+    spec.threads = 1;
+    const SweepSummary serial = sweep_design_space(corpus, spec);
+    spec.threads = 4;
+    const SweepSummary pooled = sweep_design_space(corpus, spec);
+    EXPECT_EQ(sweep_to_json(pooled), sweep_to_json(serial)) << energy;
+    EXPECT_EQ(sweep_to_csv(pooled), sweep_to_csv(serial)) << energy;
+  }
+}
+
 TEST(SweepTest, EnergyBudgetAxisMultipliesCells) {
   const auto corpus = paper_corpus();
   SweepSpec spec;

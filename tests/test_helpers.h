@@ -21,6 +21,18 @@ inline int max_asap_level(const ir::Dfg& dfg) {
   return levels.empty() ? 0 : *std::max_element(levels.begin(), levels.end());
 }
 
+/// Which blocks the mapper has scheduled on the CGC so far. Walks
+/// resolve coarse prices lazily, at a block's first move or proposal, so
+/// two runs that priced the same walk leave the same set.
+inline std::vector<bool> scheduled_blocks(
+    const core::HybridMapper& mapper) {
+  std::vector<bool> scheduled;
+  for (const auto& coarse : mapper.state().coarse) {
+    scheduled.push_back(coarse.has_value());
+  }
+  return scheduled;
+}
+
 /// Moves every CGC-eligible block (not only loop kernels) to the
 /// coarse-grain data-path; the "all-coarse" end of the design space.
 inline core::PartitionReport all_coarse_split(

@@ -27,9 +27,10 @@
 // apply function and help text — and parsed by one loop shared by every
 // subcommand; usage() renders its help from the same table. Malformed
 // values are usage errors (exit 2) that name the offending flag. A flag
-// that belongs to one command (OptionSpec::command) is a flag-named
-// usage error on any other; the remaining cross-flag rules are checked
-// at the end of parse_args.
+// that belongs to some commands (OptionSpec::commands) is a flag-named
+// usage error on any other, so a sweep flag given to partition or
+// analyze fails instead of being ignored; the remaining cross-flag
+// rules are checked at the end of parse_args.
 
 #include <algorithm>
 #include <cctype>
@@ -202,17 +203,27 @@ void set_host_port(std::string& field, const std::string& value,
 
 /// One CLI option: flag name, whether it consumes a value, the
 /// validating apply function (which reports problems as flag-named usage
-/// errors), the help text usage() renders, and the one command that owns
-/// the flag (nullptr = any command). This table is the entire flag
-/// surface — adding an option is one entry, and parse, validation, help
-/// and the forked worker's argv can never drift apart.
+/// errors), the help text usage() renders, and the commands that take
+/// the flag, '/'-separated (nullptr = any command); any other command
+/// rejects it as a usage error. This table is the entire flag surface —
+/// adding an option is one entry, and parse, validation, help and the
+/// forked worker's argv can never drift apart.
 struct OptionSpec {
   const char* name;
   bool takes_value;
   void (*apply)(Options&, const std::string& value, const std::string& flag);
   const char* help;
-  const char* command = nullptr;
+  const char* commands = nullptr;
 };
+
+/// The sweep family: the commands that build a sweep spec and corpus.
+constexpr const char* kSweepCommands = "explore/serve/worker";
+
+bool accepts(const OptionSpec& spec, const std::string& command) {
+  if (spec.commands == nullptr) return true;
+  const std::vector<std::string> names = split(spec.commands, '/');
+  return std::find(names.begin(), names.end(), command) != names.end();
+}
 
 const OptionSpec kOptions[] = {
     {"--area", true,
@@ -349,8 +360,9 @@ const OptionSpec kOptions[] = {
          o.constraints.push_back(constraint);
        }
      },
-     "explore only: c1,c2,... constraint sweep (default: 1/4, 1/2 and "
-     "3/4 of each cell's all-fine-grain cycles)"},
+     "c1,c2,... constraint sweep (default: 1/4, 1/2 and 3/4 of each "
+     "cell's all-fine-grain cycles)",
+     kSweepCommands},
     {"--energy-budgets", true,
      [](Options& o, const std::string& v, const std::string& f) {
        for (const std::string& item : split_list(v)) {
@@ -361,8 +373,9 @@ const OptionSpec kOptions[] = {
          o.energy_budgets.push_back(budget);
        }
      },
-     "explore only: b1,b2,... energy-budget axis in pJ (default: the "
-     "single --energy-budget value, or 0)"},
+     "b1,b2,... energy-budget axis in pJ (default: the single "
+     "--energy-budget value, or 0)",
+     kSweepCommands},
     {"--strategies", true,
      [](Options& o, const std::string& v, const std::string& f) {
        for (const std::string& item : split_list(v)) {
@@ -371,7 +384,7 @@ const OptionSpec kOptions[] = {
          o.strategies.push_back(*strategy);
        }
      },
-     "explore only: s1,s2,... strategies to sweep (default: all)"},
+     "s1,s2,... strategies to sweep (default: all)", kSweepCommands},
     {"--orderings", true,
      [](Options& o, const std::string& v, const std::string& f) {
        for (const std::string& item : split_list(v)) {
@@ -380,8 +393,8 @@ const OptionSpec kOptions[] = {
          o.orderings.push_back(*ordering);
        }
      },
-     "explore only: o1,o2,... orderings to sweep (default: "
-     "weight,benefit)"},
+     "o1,o2,... orderings to sweep (default: weight,benefit)",
+     kSweepCommands},
     {"--grid", true,
      [](Options& o, const std::string& v, const std::string& f) {
        o.grid = core::parse_platform_grid(v);
@@ -389,7 +402,8 @@ const OptionSpec kOptions[] = {
      },
      "platform grid \"a1,a2,...xc1,c2,...\" — A_FPGA values crossed with "
      "CGC counts, e.g. 1500,5000x2,3 (default: one platform from "
-     "--area/--cgcs)"},
+     "--area/--cgcs)",
+     kSweepCommands},
     {"--corpus", true,
      [](Options& o, const std::string& v, const std::string&) {
        // split() drops a trailing empty field, so "ofdm," would
@@ -404,48 +418,53 @@ const OptionSpec kOptions[] = {
      "l1,l2,...: sweep these apps as well as (or instead of) the "
      "positional file: built-ins ofdm | jpeg (the paper's calibrated "
      "models), fir | sobel (bundled MiniC sources), or a path to a .mc "
-     "file"},
+     "file",
+     kSweepCommands},
     {"--json", true,
      [](Options& o, const std::string& v, const std::string&) {
        set_path(o.json_path, v);
      },
-     "write the sweep as stable-schema JSON to PATH"},
+     "write the sweep as stable-schema JSON to PATH", "explore/serve"},
     {"--csv", true,
      [](Options& o, const std::string& v, const std::string&) {
        set_path(o.csv_path, v);
      },
-     "write the sweep as CSV to PATH"},
+     "write the sweep as CSV to PATH", "explore/serve"},
     {"--threads", true,
      [](Options& o, const std::string& v, const std::string& f) {
        o.threads = parse_int(v, f);
        if (o.threads < 0) usage_error(f, "thread count must be >= 0");
      },
      "worker threads for the in-process sweep (0 = one per core; "
-     "default 2)"},
+     "default 2)",
+     kSweepCommands},
     {"--cache", true,
      [](Options& o, const std::string& v, const std::string&) {
        set_path(o.cache_path, v);
      },
      "persistent sweep cache: loaded before the sweep (warn-and-"
      "recompute on any validation failure) and saved after it, so "
-     "repeated invocations start warm"},
+     "repeated invocations start warm",
+     kSweepCommands},
     {"--no-cache", false,
      [](Options& o, const std::string&, const std::string&) {
        o.no_cache = true;
      },
-     "run uncached (overrides --cache)"},
+     "run uncached (overrides --cache)", kSweepCommands},
     {"--cache-stats", true,
      [](Options& o, const std::string& v, const std::string&) {
        set_path(o.cache_stats_path, v);
      },
      "write the cache hit/miss counters as JSON (requires an effective "
-     "--cache; explore/worker only)"},
+     "--cache)",
+     "explore/worker"},
     {"--cache-cap-bytes", true,
      [](Options& o, const std::string& v, const std::string& f) {
        o.cache_cap = parse_u64(v, f);
      },
      "size cap for the saved cache file; entries beyond it are evicted "
-     "least-recently-touched first (0 = never evict; default 64 MiB)"},
+     "least-recently-touched first (0 = never evict; default 64 MiB)",
+     "explore/serve/worker/cache-merge"},
     {"--workers", true,
      [](Options& o, const std::string& v, const std::string& f) {
        const int workers = parse_int(v, f);
@@ -543,8 +562,8 @@ const OptionSpec* find_option(const std::string& name) {
     text += spec.name;
     if (spec.takes_value) text += " <value>";
     text += "\n      ";
-    if (spec.command != nullptr) {
-      text += spec.command;
+    if (spec.commands != nullptr) {
+      text += spec.commands;
       text += " only: ";
     }
     text += spec.help;
@@ -579,9 +598,9 @@ Options parse_args(int argc, char** argv) {
         if (++i >= argc) usage_error(arg, "missing value");
         value = argv[i];
       }
-      if (spec->command != nullptr && options.command != spec->command) {
+      if (!accepts(*spec, options.command)) {
         usage_error(arg, cat("wrong command `", options.command, "` (",
-                             spec->command, " only)"));
+                             spec->commands, " only)"));
       }
       spec->apply(options, value, arg);
     } else if (options.command == "cache-merge" && !arg.empty() &&
@@ -600,11 +619,6 @@ Options parse_args(int argc, char** argv) {
   // Every command needs a source file except the sweep family, which may
   // draw its whole corpus from --corpus.
   if (options.file.empty() && !(sweep_command && !options.corpus.empty())) {
-    usage();
-  }
-  // serve's own cache traffic is zero (its workers compute the cells),
-  // so a serve-side stats file would only ever hold zeros.
-  if (options.command == "serve" && !options.cache_stats_path.empty()) {
     usage();
   }
   // cache-merge with nothing to merge is a spec mistake, not a no-op.
@@ -942,7 +956,7 @@ int cmd_explore(const Options& options) {
 // verbatim EXCEPT the flags kOptions gives to serve (coordinator
 // concerns and the --stream-partial artifact) and the artifact outputs
 // --json/--csv (workers emit wire protocol on stdout, not artifacts;
-// --cache-stats is already rejected for serve in parse_args). --cache
+// --cache-stats is explore/worker only, so serve never has it). --cache
 // IS forwarded: each worker loads the shared file and persists with
 // merge-on-save, exactly the concurrent-writer regime the cache's file
 // lock exists for.
@@ -954,8 +968,8 @@ std::vector<std::string> forked_worker_command(int argc, char** argv) {
     const std::string arg = argv[i];
     const OptionSpec* spec = find_option(arg);
     const bool serve_side = spec != nullptr &&
-                            ((spec->command != nullptr &&
-                              std::strcmp(spec->command, "serve") == 0) ||
+                            ((spec->commands != nullptr &&
+                              std::strcmp(spec->commands, "serve") == 0) ||
                              arg == "--json" || arg == "--csv");
     if (!serve_side) {
       command.push_back(arg);
