@@ -22,10 +22,11 @@ namespace amdrel::core {
 
 namespace {
 
-/// Builds a (cdfg, platform) mapper through the cache's snapshot memo:
-/// a hit restores the fine-grain mapping in O(blocks) copies, a miss
-/// cold-builds and publishes the snapshot for the other workers. Without
-/// a cache this is a plain construction.
+/// Builds a (cdfg, platform) mapper through the cache's in-memory
+/// snapshot memo: a hit restores the fine-grain mapping in O(blocks)
+/// copies, a miss cold-builds and publishes the snapshot for the other
+/// threads of this process. Without a cache this is a plain
+/// construction.
 HybridMapper make_mapper(SweepCache* cache, const Fingerprint& shard,
                          const ir::Cdfg& cdfg,
                          const platform::Platform& platform) {
@@ -300,12 +301,6 @@ std::size_t compute_sweep_shard(const std::vector<CorpusApp>& corpus,
         }
       }
     }
-  }
-  // Republish the snapshot including the lazily-built coarse
-  // schedules of this group.
-  if (cache && mapper) {
-    cache->store_mapper(group_key,
-                        std::make_shared<MapperState>(mapper->state()));
   }
   return used;
 }

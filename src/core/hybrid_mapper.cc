@@ -73,11 +73,10 @@ HybridMapper::HybridMapper(const ir::Cdfg& cdfg,
   require(coarse_.size() <= fine_.size(),
           "HybridMapper: snapshot holds ", coarse_.size(),
           " coarse mappings for ", fine_.size(), " blocks");
-  // Snapshots persist on disk since cache schema v3, so the block-count
-  // vouch above is no longer enough: a snapshot keyed correctly but
-  // edited (or decoded from a corrupted line that slipped every other
-  // check) could still carry per-node vectors of the wrong shape, which
-  // the engine would index out of bounds.
+  // The block count alone is not enough: a snapshot of another CDFG with
+  // as many blocks (a caller keying it wrongly) would carry per-node
+  // vectors of the wrong shape, which the engine would index out of
+  // bounds.
   for (std::size_t b = 0; b < fine_.size(); ++b) {
     const ir::BasicBlock& bb = cdfg.block(static_cast<ir::BlockId>(b));
     require(static_cast<ir::NodeId>(fine_[b].partitioning.partition_of

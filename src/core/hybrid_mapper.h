@@ -32,13 +32,11 @@ struct SplitCost {
 
 /// Snapshot of a HybridMapper's computed mappings, detached from the
 /// (cdfg, platform) it was derived from. The sweep cache memoizes these
-/// per (app, platform) fingerprint so repeated cell groups restore the
-/// expensive fine-grain temporal partitioning in O(blocks) copies
-/// instead of recomputing it — and persists them to the cache file
-/// (schema v3, "mapper" lines), so even a fresh PROCESS with new
-/// constraints restores instead of re-mapping. Coarse mappings are
-/// dense, indexed by block id; unscheduled blocks hold an empty
-/// optional.
+/// in memory per (app, platform) fingerprint so repeated cell groups in
+/// one process restore the expensive fine-grain temporal partitioning in
+/// O(blocks) copies instead of recomputing it. Snapshots are never
+/// written to the cache file. Coarse mappings are dense, indexed by
+/// block id; unscheduled blocks hold an empty optional.
 struct MapperState {
   std::vector<finegrain::FpgaBlockMapping> fine;
   std::vector<std::optional<coarsegrain::CgcBlockMapping>> coarse;
@@ -61,10 +59,9 @@ class HybridMapper {
   /// Restores a mapper from a state() snapshot taken for the SAME
   /// (cdfg, platform) content — the caller vouches via the snapshot's
   /// cache key; the block count and every block's per-node vector
-  /// shapes are re-checked here (snapshots persist on disk since cache
-  /// schema v3, so shape errors must fail loudly, not index out of
-  /// bounds). Skips the per-block fine-grain mapping entirely, so
-  /// construction is a copy.
+  /// shapes are re-checked here, so a snapshot handed to the wrong
+  /// mapper fails loudly instead of indexing out of bounds. Skips the
+  /// per-block fine-grain mapping entirely, so construction is a copy.
   HybridMapper(const ir::Cdfg& cdfg, const platform::Platform& platform,
                const MapperState& state);
 

@@ -138,15 +138,15 @@ std::vector<PartitionReport> run_methodology_axis(
     report.floorplan_cost = options.cost.reconfig.floorplan_cost(moved_units);
     report.final_cycles = result.cost.total();
     report.cycles_in_cgc = result.cost.t_coarse;
-    auto memo = energy_memo.find(report.moved);
-    if (memo == energy_memo.end()) {
-      memo = energy_memo
-                 .emplace(report.moved,
-                          estimate_energy(mapper, profile, report.moved,
-                                          options.cost.objective.energy))
-                 .first;
+    auto energy = energy_memo.find(report.moved);
+    if (energy == energy_memo.end()) {
+      energy = energy_memo
+                   .emplace(report.moved,
+                            estimate_energy(mapper, profile, report.moved,
+                                            options.cost.objective.energy))
+                   .first;
     }
-    report.energy = memo->second;
+    report.energy = energy->second;
     report.met = options.cost.objective.met(report.final_cycles,
                                        report.energy.total_pj(),
                                        report.timing_constraint,

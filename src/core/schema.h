@@ -30,7 +30,9 @@ inline constexpr int kSweepSchemaVersion = 3;
 ///  v4: cell payloads gained t_reconfig and floorplan_bits fields.
 ///  v5: cell payloads carry "kernels_found" (the step-3 list's length)
 ///      in place of the "kernels" rows.
-inline constexpr int kSweepCacheSchemaVersion = 5;
+///  v6: the file holds only "all_fine" and "cell" lines; "mapper" lines,
+///      the header's "generation" and each line's "gen" stamp are gone.
+inline constexpr int kSweepCacheSchemaVersion = 6;
 
 /// Version of the sweep-service wire protocol (core/wire.h). Covers the
 /// framing lines; the cell payload itself is additionally guarded by

@@ -27,17 +27,16 @@ namespace amdrel::core {
 // doubles are stored as IEEE-754 bit patterns (signed 64-bit integers),
 // not decimal text, so a cache hit returns bit-identical values and the
 // warm-vs-cold byte-identity contract extends to the energy columns.
-// v3: HybridMapper snapshots persist as "mapper" lines (a disk-warm
-// worker with NEW constraints restores the fine-grain mapping instead of
-// rebuilding it); the header carries a monotonically increasing
-// "generation" counter and every entry a "gen" stamp of the last save
-// that touched it, which drive the size-capped eviction policy in
-// save(). Both fields default to 0 when absent, so hand-rolled v3 test
-// fixtures without them still parse.
+// v3: HybridMapper snapshots persisted as "mapper" lines; the header
+// carried a "generation" counter and every entry a "gen" stamp, which
+// drove a size-capped eviction policy.
 // v4: cell lines carry the reconfiguration columns (t_reconfig cycles
 // and the floorplan cost's IEEE-754 bit pattern).
 // v5: cell lines carry "kernels_found", the kernel list's length, in
 // place of the "kernels" rows; a cell line with "kernels" is malformed.
+// v6: the file holds a header, "all_fine" lines and "cell" lines only.
+// Mapper snapshots stay in memory, and there is no generation, "gen"
+// stamp or eviction; a "mapper" line is an unknown kind.
 
 /// One memoized sweep cell: everything sweep_design_space derives per
 /// (app, platform, options, constraint) coordinate. moved_names duplicates report.moved as block names so a
@@ -79,40 +78,35 @@ struct SweepCacheStats {
   std::uint64_t cells = 0;           ///< cell entries currently held
   std::uint64_t entries_loaded = 0;  ///< entries read by the last load()
   std::uint64_t lock_degraded = 0;   ///< saves that ran without the file lock
-  std::uint64_t entries_evicted = 0; ///< entries dropped by save()'s size cap
 };
 
 /// Content-addressed memoization store for design-space sweeps. Three
 /// entry kinds, all keyed by fingerprints of the inputs that determine
 /// the value:
 ///   - whole cell results       (cell_key: app x platform x options x
-///                               constraint),
+///                               constraint; persisted),
 ///   - all-fine-grain cycles    (shard_key: app x platform; resolves
-///                               default constraints without a mapper),
-///   - HybridMapper snapshots   (shard_key; persisted since schema v3 —
-///                               a disk-warm run with new constraints
-///                               restores instead of re-mapping).
+///                               default constraints without a mapper;
+///                               persisted),
+///   - HybridMapper snapshots   (shard_key; in memory only — a repeated
+///                               cell group in this process restores
+///                               instead of re-mapping).
 ///
 /// Thread-safe AND process-safe:
 ///   - In memory one mutex guards the entry tables and the counters.
 ///   - On disk, save() is merge-on-save under an advisory file lock
 ///     (sidecar "<path>.lock"): it re-loads the target file, unions it
-///     with the in-memory entries, applies the eviction policy, and
-///     atomically renames a temp file over the target. Two processes
-///     persisting to the same path therefore lose no entries —
-///     content-addressed keys make the union safe (equal keys imply
-///     equal payloads, asserted in debug builds for cells).
+///     with the in-memory entries and atomically renames a temp file
+///     over the target. Two processes persisting to the same path
+///     therefore lose no entries — content-addressed keys make the union
+///     safe (equal keys imply equal payloads, asserted in debug builds
+///     for cells).
 ///
 /// Cached values are byte-identical to recomputation by construction
 /// (they ARE prior results, addressed by everything that influences
 /// them).
 class SweepCache {
  public:
-  /// Default save() size cap: large enough that the builtin corpus never
-  /// evicts, small enough that a fleet-shared cache file stops growing
-  /// at "tens of MB" scale.
-  static constexpr std::uint64_t kDefaultSaveSizeCapBytes = 64ull << 20;
-
   SweepCache() = default;
   SweepCache(const SweepCache&) = delete;
   SweepCache& operator=(const SweepCache&) = delete;
@@ -127,36 +121,20 @@ class SweepCache {
   void store_mapper(const Fingerprint& key,
                     std::shared_ptr<const MapperState> state);
 
-  /// Byte budget for the file save() writes; serialized entries beyond
-  /// it are evicted least-recently-touched first (see save()). 0 turns
-  /// eviction off entirely.
-  void set_save_size_cap(std::uint64_t bytes);
-
   /// One consistent snapshot of the counters, taken under the lock.
   SweepCacheStats stats() const;
-  void reset_stats();
 
-  /// Unions another cache's cell, all-fine and mapper-snapshot entries
-  /// into this one (the coordinator folding per-worker caches; the CLI
-  /// surface is `amdrelc cache-merge`). On a key collision the existing
-  /// entry wins — entries are content-addressed, so colliding payloads
-  /// must be identical, which debug builds assert for cells (mapper
-  /// snapshots may legitimately differ in their lazily-accumulated
-  /// coarse half; any snapshot is correct). Merged entries count as
-  /// freshly touched for the eviction policy. Stats counters are not
-  /// merged; they describe each cache's own traffic.
-  void merge_from(const SweepCache& other);
-
-  /// Loads a cache file written by save(). Strict: any parse error,
-  /// schema/algorithm version mismatch, duplicate or malformed key
-  /// rejects the WHOLE file, leaves the cache unchanged and returns
-  /// false with a diagnostic in *error — the caller warns and runs cold.
-  /// A missing file is also reported as false (with a distinct message);
-  /// it is the normal first-run case.
+  /// Loads a cache file written by save(), replacing the cell and
+  /// all-fine entries (mapper snapshots are untouched). Strict: any parse
+  /// error, schema/algorithm version mismatch, unknown line kind,
+  /// duplicate or malformed key rejects the WHOLE file, leaves the cache
+  /// unchanged and returns false with a diagnostic in *error — the
+  /// caller warns and runs cold. A missing file is also reported as
+  /// false (with a distinct message); it is the normal first-run case.
   bool load(const std::string& path, std::string* error);
 
-  /// Persists every cell, all-fine and mapper entry as versioned JSON
-  /// lines (header line first, then entries sorted by key per kind, so
+  /// Persists every all-fine and cell entry as versioned JSON lines
+  /// (header line first, then entries sorted by key per kind, so
   /// identical caches serialize byte-identically). Concurrent-writer
   /// safe:
   ///   1. takes an exclusive advisory lock on "<path>.lock" (flock;
@@ -168,27 +146,12 @@ class SweepCache {
   ///      and now is preserved, not clobbered (a corrupt or
   ///      version-mismatched on-disk file is discarded — the strict
   ///      rejection backstop — and simply overwritten),
-  ///   3. applies the eviction policy INSIDE the same locked critical
-  ///      section, strictly after the union: when the serialized file
-  ///      exceeds the save size cap, entries are dropped oldest
-  ///      generation first (mapper snapshots before all-fine entries
-  ///      before cells at equal age, then by key — fully
-  ///      deterministic). Union-then-evict under one lock means a
-  ///      concurrent merge can never resurrect an entry this save
-  ///      evicts: whatever the merge contributed was part of the union
-  ///      the eviction ran on. (A LATER save by a process still holding
-  ///      an evicted entry in memory legitimately re-adds it, stamped
-  ///      as fresh.)
-  ///   4. writes a uniquely named temp file ("<path>.tmp.<pid>.<seq>")
+  ///   3. writes a uniquely named temp file ("<path>.tmp.<pid>.<seq>")
   ///      and renames it over the target, so readers and a crash
   ///      mid-write never observe a torn file AND two degraded-lock
   ///      writers can never promote or delete each other's half-written
   ///      temp (the historical "<path>.tmp" shared name could). Stale
   ///      temps left by crashed writers are swept when the lock is held.
-  /// Entries loaded from disk and never touched since (no hit, no
-  /// store) keep their on-disk generation; everything else is stamped
-  /// with the file's next generation — that is what makes the eviction
-  /// order "least recently touched".
   /// The in-memory cache is NOT mutated (disk-only entries stay on
   /// disk); load() afterwards to absorb them. The lines are rendered
   /// straight from the tables under the in-memory lock, so a concurrent
@@ -197,27 +160,16 @@ class SweepCache {
   bool save(const std::string& path, std::string* error) const;
 
  private:
-  /// One memoized value. untouched_gen is the on-disk generation of an
-  /// entry loaded and not touched since; a find hit, store or merge
-  /// clears it, so save() stamps touched entries with the new generation
-  /// while untouched ones keep aging (the substrate of
-  /// least-recently-touched eviction).
   template <typename V>
-  struct Entry {
-    V value;
-    std::optional<std::uint64_t> untouched_gen;
-  };
-  template <typename V>
-  using Table = std::map<Fingerprint, Entry<V>>;
+  using Table = std::map<Fingerprint, V>;
 
-  /// The three entry kinds, in file order. Kind<V> (sweep_cache.cc)
-  /// gives each its line name, eviction rank and payload codec; every
+  /// The two persisted entry kinds, in file order. Kind<V>
+  /// (sweep_cache.cc) gives each its line name and payload codec; every
   /// per-kind loop goes through for_each_kind there, which visits them
   /// in file order.
   struct Tables {
     Table<std::int64_t> all_fine;
     Table<CachedCell> cells;
-    Table<std::shared_ptr<const MapperState>> mappers;
   };
   template <typename V>
   struct Kind;
@@ -226,25 +178,21 @@ class SweepCache {
 
   using Counter = std::uint64_t SweepCacheStats::*;
   template <typename V>
-  std::optional<V> find(const Fingerprint& key, Counter hits, Counter misses);
+  std::optional<V> find(const Table<V>& table, const Fingerprint& key,
+                        Counter hits, Counter misses);
   template <typename V>
-  void store(const Fingerprint& key, V value);
+  void store(Table<V>& table, const Fingerprint& key, V value);
 
-  /// Copies every entry under the lock (the merge snapshot).
-  Tables snapshot() const;
-
-  static std::optional<std::uint64_t> parse_file(const std::string& path,
-                                                 Tables& out,
-                                                 std::string* error);
+  static bool parse_file(const std::string& path, Tables& out,
+                         std::string* error);
 
   // Everything below is guarded by mutex_. save() is const (it only
-  // reads the tables) but still counts degraded locks and evictions, so
-  // the counters are mutable. stats_.cells is derived in stats(), never
-  // counted.
+  // reads the tables) but still counts degraded locks, so the counters
+  // are mutable. stats_.cells is derived in stats(), never counted.
   mutable std::mutex mutex_;
   Tables tables_;
+  Table<std::shared_ptr<const MapperState>> mappers_;
   mutable SweepCacheStats stats_;
-  std::uint64_t save_size_cap_ = kDefaultSaveSizeCapBytes;
 };
 
 }  // namespace amdrel::core

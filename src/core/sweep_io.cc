@@ -149,8 +149,7 @@ std::string cache_stats_to_json(const SweepCacheStats& stats) {
       ",\n  \"all_fine_misses\": ", stats.all_fine_misses,
       ",\n  \"cells\": ", stats.cells,
       ",\n  \"entries_loaded\": ", stats.entries_loaded,
-      ",\n  \"lock_degraded\": ", stats.lock_degraded,
-      ",\n  \"entries_evicted\": ", stats.entries_evicted, "\n}\n");
+      ",\n  \"lock_degraded\": ", stats.lock_degraded, "\n}\n");
 }
 
 void write_partial_stream_header(std::ostream& os, std::size_t shards) {

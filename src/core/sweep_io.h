@@ -68,7 +68,7 @@ std::string sweep_to_csv(const SweepSummary& summary);
 ///     "mapper_restores": N, "mapper_builds": N,
 ///     "all_fine_hits": N, "all_fine_misses": N,
 ///     "cells": N, "entries_loaded": N,
-///     "lock_degraded": N, "entries_evicted": N
+///     "lock_degraded": N
 ///   }
 ///
 /// cell_hit_rate is hits / (hits + misses) rendered "%.2f" ("0.00" when

@@ -2,8 +2,6 @@
 
 #include <cstdint>
 
-#include "ir/op.h"
-
 namespace amdrel::platform {
 
 /// The coarse-grain data-path of the authors' FPL'04 companion paper: a
@@ -49,24 +47,6 @@ struct CgcModel {
 
   /// Compute slots usable per CGC cycle over the whole data-path.
   int slots_per_cycle() const { return count * rows * cols; }
-
-  /// The CGC node executes word-level ALU and multiply operations; it has
-  /// no divider, and memory traffic goes through the ports instead of
-  /// compute slots.
-  bool supports(ir::OpKind kind) const {
-    switch (ir::op_class(kind)) {
-      case ir::OpClass::kAlu:
-      case ir::OpClass::kMul:
-        return true;
-      case ir::OpClass::kMem:
-        return mem_ports > 0;
-      case ir::OpClass::kMeta:
-        return true;  // copies are interconnect routing
-      case ir::OpClass::kDiv:
-        return false;
-    }
-    return false;
-  }
 };
 
 }  // namespace amdrel::platform

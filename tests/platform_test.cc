@@ -28,18 +28,6 @@ TEST(FpgaModelTest, AreaAndDelayFollowOpClass) {
   EXPECT_EQ(model.delay_cycles(ir::OpKind::kInput), 0);
 }
 
-TEST(CgcModelTest, SupportsComputesButNotDivision) {
-  const CgcModel cgc;
-  EXPECT_TRUE(cgc.supports(ir::OpKind::kAdd));
-  EXPECT_TRUE(cgc.supports(ir::OpKind::kMul));
-  EXPECT_TRUE(cgc.supports(ir::OpKind::kLoad));
-  EXPECT_FALSE(cgc.supports(ir::OpKind::kDiv));
-  EXPECT_FALSE(cgc.supports(ir::OpKind::kMod));
-  CgcModel no_ports = cgc;
-  no_ports.mem_ports = 0;
-  EXPECT_FALSE(no_ports.supports(ir::OpKind::kLoad));
-}
-
 TEST(CgcModelTest, SlotsPerCycle) {
   CgcModel cgc;
   cgc.count = 3;

@@ -22,8 +22,8 @@ TEST(SchemaVersionTest, SweepArtifactSchemaVersionIsPinned) {
 }
 
 TEST(SchemaVersionTest, SweepCacheSchemaVersionIsPinned) {
-  // v5: cell payloads carry kernels_found instead of the kernel rows.
-  EXPECT_EQ(core::kSweepCacheSchemaVersion, 5);
+  // v6: only all_fine and cell lines; no mapper lines or gen stamps.
+  EXPECT_EQ(core::kSweepCacheSchemaVersion, 6);
 }
 
 TEST(SchemaVersionTest, SweepWireProtocolVersionIsPinned) {

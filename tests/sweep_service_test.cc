@@ -85,10 +85,10 @@ TEST(SweepServiceTest, WarmCacheRoundTripStaysByteIdentical) {
   // Cold distributed run populates the cache; warm rerun must hit every
   // cell and still reproduce the same bytes.
   EXPECT_EQ(sweep_to_json(roundtrip(corpus, small_spec(2, &cache), 2)), json);
-  cache.reset_stats();
+  const SweepCacheStats before = cache.stats();
   EXPECT_EQ(sweep_to_json(roundtrip(corpus, small_spec(2, &cache), 3)), json);
-  EXPECT_EQ(cache.stats().cell_misses, 0u);
-  EXPECT_GT(cache.stats().cell_hits, 0u);
+  EXPECT_EQ(cache.stats().cell_misses, before.cell_misses);
+  EXPECT_GT(cache.stats().cell_hits, before.cell_hits);
 }
 
 TEST(SweepServiceTest, WorkerRejectsBadShardAssignments) {

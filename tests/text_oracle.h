@@ -5,8 +5,10 @@
 // appender is pinned to the original bytes. The describe() of one
 // methodology run, which moved to the appender with them, is here too.
 // Only the names changed: the writers live in namespace oracle, and
-// SweepCache::save's rendering, eviction and ordering are lifted out of
-// the class into oracle::cache_file over explicit lines.
+// SweepCache::save's rendering and ordering are lifted out of the class
+// into oracle::cache_file over explicit lines. The cache-file writer
+// follows the current schema (no "generation", "gen" stamps, mapper
+// lines or eviction).
 //
 // Two original defects are kept too, so the tests steer around them:
 //   - with_thousands negates its argument, so INT64_MIN must never reach
@@ -28,7 +30,6 @@
 #include <vector>
 
 #include "core/explorer.h"
-#include "core/hybrid_mapper.h"
 #include "core/json_lines.h"
 #include "core/schema.h"
 #include "core/strategy.h"
@@ -40,7 +41,6 @@ namespace amdrel::oracle {
 
 using core::CachedCell;
 using core::Fingerprint;
-using core::MapperState;
 using core::PartitionReport;
 using core::SweepCacheStats;
 using core::SweepCell;
@@ -128,126 +128,48 @@ inline void write_cell_payload(std::ostream& os, const PartitionReport& r,
      << "\"engine_iterations\":" << r.engine_iterations;
 }
 
-inline void write_mapper_payload(std::ostream& os, const MapperState& state) {
-  os << "\"fine\":[";
-  for (std::size_t b = 0; b < state.fine.size(); ++b) {
-    const finegrain::FpgaBlockMapping& m = state.fine[b];
-    if (b) os << ',';
-    os << '[';
-    write_int_array(os, m.partitioning.partition_of);
-    os << ',' << m.partitioning.num_partitions << ",[";
-    for (std::size_t i = 0; i < m.partitioning.partition_area.size(); ++i) {
-      if (i) os << ',';
-      os << double_to_bits(m.partitioning.partition_area[i]);
-    }
-    os << "]," << m.exec_cycles << ',' << m.boundary_words << ','
-       << m.boundary_cycles << ',' << m.reconfigs_per_invocation << ','
-       << m.amortized_reconfigs << ']';
-  }
-  os << "],\"coarse\":[";
-  for (std::size_t b = 0; b < state.coarse.size(); ++b) {
-    if (b) os << ',';
-    if (!state.coarse[b].has_value()) {
-      os << "[]";
-      continue;
-    }
-    const coarsegrain::CgcBlockMapping& m = *state.coarse[b];
-    os << '[';
-    write_int_array(os, m.schedule.start);
-    os << ',';
-    write_int_array(os, m.schedule.finish);
-    os << ",[";
-    for (std::size_t i = 0; i < m.schedule.placement.size(); ++i) {
-      const coarsegrain::CgcPlacement& p = m.schedule.placement[i];
-      if (i) os << ',';
-      os << p.cgc << ',' << p.row << ',' << p.col;
-    }
-    os << "]," << m.schedule.total_cgc_cycles << ','
-       << m.schedule.configurations << ',' << m.schedule.mem_accesses << ','
-       << m.schedule.peak_registers << ',' << m.cycles_per_invocation_fpga
-       << ']';
-  }
-  os << ']';
-}
-
-/// One cache entry line as SweepCache::save rendered it, with the
-/// bookkeeping its eviction and ordering used.
+/// One cache entry line as SweepCache::save renders it, with the kind
+/// and key its ordering uses.
 struct CacheLine {
-  std::uint64_t gen;
-  int order;  ///< 0 all_fine, 1 cell, 2 mapper
-  int rank;   ///< eviction rank: 1 all_fine, 2 cell, 0 mapper
+  int order;  ///< 0 all_fine, 1 cell
   Fingerprint key;
   std::string text;
 };
 
 template <typename Write>
-CacheLine cache_line(const char* name, int order, int rank,
-                     const Fingerprint& key, std::uint64_t gen,
+CacheLine cache_line(const char* name, int order, const Fingerprint& key,
                      Write&& write) {
   std::ostringstream os;
-  os << "{\"kind\":\"" << name << "\",\"key\":\"" << to_hex(key)
-     << "\",\"gen\":" << gen << ",";
+  os << "{\"kind\":\"" << name << "\",\"key\":\"" << to_hex(key) << "\",";
   write(os);
   os << "}\n";
-  return CacheLine{gen, order, rank, key, os.str()};
+  return CacheLine{order, key, os.str()};
 }
 
-inline CacheLine all_fine_line(const Fingerprint& key, std::uint64_t gen,
-                               std::int64_t cycles) {
-  return cache_line("all_fine", 0, 1, key, gen,
+inline CacheLine all_fine_line(const Fingerprint& key, std::int64_t cycles) {
+  return cache_line("all_fine", 0, key,
                     [&](std::ostream& os) { os << "\"cycles\":" << cycles; });
 }
 
-inline CacheLine cell_line(const Fingerprint& key, std::uint64_t gen,
-                           const CachedCell& cell) {
-  return cache_line("cell", 1, 2, key, gen, [&](std::ostream& os) {
+inline CacheLine cell_line(const Fingerprint& key, const CachedCell& cell) {
+  return cache_line("cell", 1, key, [&](std::ostream& os) {
     write_cell_payload(os, cell.report, cell.moved_names);
   });
 }
 
-inline CacheLine mapper_line(const Fingerprint& key, std::uint64_t gen,
-                             const MapperState& state) {
-  return cache_line("mapper", 2, 0, key, gen, [&](std::ostream& os) {
-    write_mapper_payload(os, state);
-  });
-}
-
-/// The file SweepCache::save wrote for these entry lines under
-/// generation `new_gen` and size cap `cap` (0 = none); *evicted counts
-/// the lines the cap dropped.
-inline std::string cache_file(std::uint64_t new_gen,
-                              std::vector<CacheLine> lines, std::uint64_t cap,
-                              std::size_t* evicted) {
+/// The file SweepCache::save writes for these entry lines: the header,
+/// then the lines by kind and key.
+inline std::string cache_file(std::vector<CacheLine> lines) {
   std::ostringstream header_os;
   header_os << "{\"kind\":\"header\",\"schema_version\":"
             << core::kSweepCacheSchemaVersion << ",\"fingerprint_algorithm\":"
-            << core::kFingerprintAlgorithmVersion << ",\"generation\":"
-            << new_gen << ",\"generator\":\"amdrel\"}\n";
-  const std::string header = header_os.str();
-  *evicted = 0;
-  if (cap > 0) {
-    std::uint64_t total = header.size();
-    for (const CacheLine& line : lines) total += line.text.size();
-    if (total > cap) {
-      std::sort(lines.begin(), lines.end(),
-                [](const CacheLine& a, const CacheLine& b) {
-                  return std::tie(a.gen, a.rank, a.key) <
-                         std::tie(b.gen, b.rank, b.key);
-                });
-      std::size_t dropped = 0;
-      while (dropped < lines.size() && total > cap) {
-        total -= lines[dropped++].text.size();
-      }
-      lines.erase(lines.begin(),
-                  lines.begin() + static_cast<std::ptrdiff_t>(dropped));
-      *evicted = dropped;
-    }
-  }
+            << core::kFingerprintAlgorithmVersion
+            << ",\"generator\":\"amdrel\"}\n";
   std::sort(lines.begin(), lines.end(),
             [](const CacheLine& a, const CacheLine& b) {
               return std::tie(a.order, a.key) < std::tie(b.order, b.key);
             });
-  std::string content = header;
+  std::string content = header_os.str();
   for (const CacheLine& line : lines) content += line.text;
   return content;
 }
@@ -485,8 +407,7 @@ inline std::string cache_stats_to_json(const SweepCacheStats& stats) {
   os << "  \"all_fine_misses\": " << stats.all_fine_misses << ",\n";
   os << "  \"cells\": " << stats.cells << ",\n";
   os << "  \"entries_loaded\": " << stats.entries_loaded << ",\n";
-  os << "  \"lock_degraded\": " << stats.lock_degraded << ",\n";
-  os << "  \"entries_evicted\": " << stats.entries_evicted << "\n";
+  os << "  \"lock_degraded\": " << stats.lock_degraded << "\n";
   os << "}\n";
   return os.str();
 }

@@ -3,8 +3,7 @@
 // must give equal bytes. The inputs are adversarial where the formats
 // are delicate: strings full of quotes, backslashes, control bytes,
 // commas and newlines; integers at INT64_MIN and below zero; empty
-// vectors; mapper snapshots with never-built coarse schedules; cache
-// saves that merge with a file on disk and evict under a size cap.
+// vectors; cache saves that merge with a file on disk.
 
 #include <cmath>
 #include <cstdint>
@@ -133,46 +132,6 @@ class Gen {
     return cell;
   }
 
-  core::MapperState mapper() {
-    core::MapperState state;
-    for (std::size_t blocks = below(4); blocks > 0; --blocks) {
-      finegrain::FpgaBlockMapping fine;
-      for (std::size_t n = below(4); n > 0; --n) {
-        fine.partitioning.partition_of.push_back(pick<int>());
-      }
-      // The reader rejects a negative count, and with it the whole file.
-      fine.partitioning.num_partitions =
-          pick<int>() & std::numeric_limits<int>::max();
-      for (std::size_t n = below(3); n > 0; --n) {
-        fine.partitioning.partition_area.push_back(real(true));
-      }
-      fine.exec_cycles = pick<std::int64_t>();
-      fine.boundary_words = pick<std::int64_t>();
-      fine.boundary_cycles = pick<std::int64_t>();
-      fine.reconfigs_per_invocation = pick<std::int64_t>();
-      fine.amortized_reconfigs = pick<std::int64_t>();
-      state.fine.push_back(fine);
-      if (below(3) == 0) {
-        state.coarse.emplace_back(std::nullopt);
-        continue;
-      }
-      coarsegrain::CgcBlockMapping coarse;
-      for (std::size_t n = below(4); n > 0; --n) {
-        coarse.schedule.start.push_back(pick<std::int64_t>());
-        coarse.schedule.finish.push_back(pick<std::int64_t>());
-        coarse.schedule.placement.push_back({pick<int>(), pick<int>(),
-                                             pick<int>()});
-      }
-      coarse.schedule.total_cgc_cycles = pick<std::int64_t>();
-      coarse.schedule.configurations = pick<std::int64_t>();
-      coarse.schedule.mem_accesses = pick<std::int64_t>();
-      coarse.schedule.peak_registers = pick<int>();
-      coarse.cycles_per_invocation_fpga = pick<std::int64_t>();
-      state.coarse.emplace_back(coarse);
-    }
-    return state;
-  }
-
   core::SweepSummary summary() {
     core::SweepSummary s;
     for (std::size_t n = 1 + below(4); n > 0; --n) s.apps.push_back(text());
@@ -265,77 +224,60 @@ TEST(TextOracleTest, EveryWireLineKindMatches) {
 }
 
 // Two saves to one path: the first writes a fresh file, the second
-// unions a second cache with it (shared keys included) and, in most
-// rounds, evicts under a cap between the header and the whole file.
-TEST(TextOracleTest, CacheFilesMatchThroughMergeAndEviction) {
+// unions a second cache with it (shared keys included). Mapper snapshots
+// stored in either cache never reach the file.
+TEST(TextOracleTest, CacheFilesMatchThroughMerge) {
   Gen gen(3);
   const std::string path = testing::TempDir() + "text_oracle_cache.jsonl";
   for (int round = 0; round < 30; ++round) {
     std::remove(path.c_str());
     std::vector<oracle::CacheLine> first_lines;
-    std::vector<oracle::CacheLine> second_lines;
+    std::vector<oracle::CacheLine> union_lines;
     core::SweepCache first;
     core::SweepCache second;
     // Each entry of the first cache is, one time in three, held by the
-    // second too; the second save stamps those with its generation.
-    std::vector<oracle::CacheLine> disk_only;
-    auto add = [&](auto store, auto line) {
+    // second too; the union holds it once.
+    auto add = [&](auto store, const oracle::CacheLine& line) {
       store(first);
-      first_lines.push_back(line(1));
-      if (gen.below(3) == 0) {
-        store(second);
-        second_lines.push_back(line(2));
-      } else {
-        disk_only.push_back(line(1));
-      }
+      first_lines.push_back(line);
+      union_lines.push_back(line);
+      if (gen.below(3) == 0) store(second);
     };
     for (std::size_t n = gen.below(6); n > 0; --n) {
       const core::Fingerprint key = gen.key();
       const std::int64_t cycles = gen.pick<std::int64_t>();
       add([&](core::SweepCache& c) { c.store_all_fine(key, cycles); },
-          [&](std::uint64_t g) { return oracle::all_fine_line(key, g, cycles); });
+          oracle::all_fine_line(key, cycles));
     }
     for (std::size_t n = gen.below(6); n > 0; --n) {
       const core::Fingerprint key = gen.key();
       const core::CachedCell cell = gen.cell();
       add([&](core::SweepCache& c) { c.store_cell(key, cell); },
-          [&](std::uint64_t g) { return oracle::cell_line(key, g, cell); });
+          oracle::cell_line(key, cell));
     }
     for (std::size_t n = gen.below(4); n > 0; --n) {
-      const core::Fingerprint key = gen.key();
-      const auto state = std::make_shared<core::MapperState>(gen.mapper());
-      add([&](core::SweepCache& c) { c.store_mapper(key, state); },
-          [&](std::uint64_t g) { return oracle::mapper_line(key, g, *state); });
+      const auto state = std::make_shared<const core::MapperState>();
+      (gen.coin() ? first : second).store_mapper(gen.key(), state);
     }
     for (std::size_t n = gen.below(6); n > 0; --n) {
       const core::Fingerprint key = gen.key();
       const core::CachedCell cell = gen.cell();
       second.store_cell(key, cell);
-      second_lines.push_back(oracle::cell_line(key, 2, cell));
+      union_lines.push_back(oracle::cell_line(key, cell));
     }
 
-    std::size_t evicted = 0;
     std::string error;
-    first.set_save_size_cap(0);
     ASSERT_TRUE(first.save(path, &error)) << error;
     // The second save merges with this file only if the strict reader
     // takes it.
     core::SweepCache reader;
     ASSERT_TRUE(reader.load(path, &error)) << error;
-    EXPECT_EQ(read_file(path), oracle::cache_file(1, first_lines, 0, &evicted))
+    EXPECT_EQ(read_file(path), oracle::cache_file(first_lines))
         << "round " << round;
 
-    std::vector<oracle::CacheLine> union_lines = second_lines;
-    union_lines.insert(union_lines.end(), disk_only.begin(), disk_only.end());
-    const std::uint64_t full =
-        oracle::cache_file(2, union_lines, 0, &evicted).size();
-    const std::uint64_t cap =
-        gen.below(4) == 0 ? 0 : 1 + gen.below(static_cast<std::size_t>(full));
-    second.set_save_size_cap(cap);
     ASSERT_TRUE(second.save(path, &error)) << error;
-    EXPECT_EQ(read_file(path), oracle::cache_file(2, union_lines, cap, &evicted))
-        << "round " << round << ", cap " << cap;
-    EXPECT_EQ(second.stats().entries_evicted, evicted) << "round " << round;
+    EXPECT_EQ(read_file(path), oracle::cache_file(union_lines))
+        << "round " << round;
   }
   std::remove(path.c_str());
   std::remove((path + ".lock").c_str());
@@ -373,7 +315,6 @@ TEST(TextOracleTest, EmissionsMatch) {
     stats.cells = gen.pick<std::uint64_t>();
     stats.entries_loaded = gen.pick<std::uint64_t>();
     stats.lock_degraded = gen.pick<std::uint64_t>();
-    stats.entries_evicted = gen.pick<std::uint64_t>();
     EXPECT_EQ(core::cache_stats_to_json(stats),
               oracle::cache_stats_to_json(stats));
   }

@@ -20,8 +20,6 @@
 //                                           listening coordinator
 //   amdrelc dump-tac  <file.mc> [options]   lowered three-address code
 //   amdrelc dump-dot  <file.mc> [options]   CDFG in Graphviz DOT
-//   amdrelc cache-merge <out> <in...>       fold sweep cache files into one
-//                                           (per-worker caches -> coordinator)
 //
 // Options are declared once in kOptions below — name, arity, validating
 // apply function and help text — and parsed by one loop shared by every
@@ -104,7 +102,6 @@ struct Options {
   std::string cache_path;
   std::string cache_stats_path;
   bool no_cache = false;
-  std::optional<std::uint64_t> cache_cap;
   int threads = 2;
 
   // serve / worker (the distributed split of explore)
@@ -115,9 +112,6 @@ struct Options {
   std::optional<int> worker_timeout_ms;  ///< serve --worker-timeout, in ms
   std::optional<int> max_retries;        ///< serve --max-retries N
   std::optional<int> fail_after_shards;  ///< worker --fail-after-shards N
-
-  // cache-merge input files (the positional file is the output)
-  std::vector<std::string> merge_inputs;
 };
 
 [[noreturn]] void usage();
@@ -458,13 +452,6 @@ const OptionSpec kOptions[] = {
      "write the cache hit/miss counters as JSON (requires an effective "
      "--cache)",
      "explore/worker"},
-    {"--cache-cap-bytes", true,
-     [](Options& o, const std::string& v, const std::string& f) {
-       o.cache_cap = parse_u64(v, f);
-     },
-     "size cap for the saved cache file; entries beyond it are evicted "
-     "least-recently-touched first (0 = never evict; default 64 MiB)",
-     "explore/serve/worker/cache-merge"},
     {"--workers", true,
      [](Options& o, const std::string& v, const std::string& f) {
        const int workers = parse_int(v, f);
@@ -555,7 +542,6 @@ const OptionSpec* find_option(const std::string& name) {
       "usage: amdrelc "
       "<analyze|partition|explore|serve|worker|dump-tac|dump-dot> "
       "<file.mc> [options]\n"
-      "   or: amdrelc cache-merge <out> <in...>\n"
       "options:\n";
   for (const OptionSpec& spec : kOptions) {
     text += "  ";
@@ -603,12 +589,6 @@ Options parse_args(int argc, char** argv) {
                              spec->commands, " only)"));
       }
       spec->apply(options, value, arg);
-    } else if (options.command == "cache-merge" && !arg.empty() &&
-               arg[0] != '-') {
-      // cache-merge is the one multi-positional command: the first
-      // positional (options.file) is the output path, the rest are the
-      // input caches to fold in.
-      options.merge_inputs.push_back(arg);
     } else {
       usage();
     }
@@ -619,10 +599,6 @@ Options parse_args(int argc, char** argv) {
   // Every command needs a source file except the sweep family, which may
   // draw its whole corpus from --corpus.
   if (options.file.empty() && !(sweep_command && !options.corpus.empty())) {
-    usage();
-  }
-  // cache-merge with nothing to merge is a spec mistake, not a no-op.
-  if (options.command == "cache-merge" && options.merge_inputs.empty()) {
     usage();
   }
   // --cache-stats reports on a cache that actually ran; without one the
@@ -868,7 +844,6 @@ core::SweepSpec build_sweep_spec(const Options& options) {
 bool setup_cache(const Options& options, core::SweepCache& cache) {
   const bool use_cache = !options.cache_path.empty() && !options.no_cache;
   if (!use_cache) return false;
-  if (options.cache_cap) cache.set_save_size_cap(*options.cache_cap);
   if (!std::ifstream(options.cache_path).good()) {
     std::fprintf(stderr, "cache: %s not found, starting cold\n",
                  options.cache_path.c_str());
@@ -1104,33 +1079,6 @@ int cmd_worker(const Options& options) {
   return 0;
 }
 
-// Folds worker cache files into one coordinator cache. Inputs are
-// loaded with the same strict validation explore uses, but here a bad
-// input is a hard error (exit 1), not a warn-and-recompute — a merge
-// that silently drops a worker's results is exactly the data loss this
-// command exists to prevent. The output is written with merge-on-save,
-// so pre-existing entries in <out> survive too.
-int cmd_cache_merge(const Options& options) {
-  core::SweepCache merged;
-  for (const std::string& input : options.merge_inputs) {
-    core::SweepCache cache;
-    std::string error;
-    require(cache.load(input, &error), error);
-    const core::SweepCacheStats stats = cache.stats();
-    std::fprintf(stderr, "cache-merge: loaded %llu entr%s from %s\n",
-                 static_cast<unsigned long long>(stats.entries_loaded),
-                 stats.entries_loaded == 1 ? "y" : "ies", input.c_str());
-    merged.merge_from(cache);
-  }
-  if (options.cache_cap) merged.set_save_size_cap(*options.cache_cap);
-  std::string error;
-  require(merged.save(options.file, &error), error);
-  std::printf("cache-merge: wrote %llu cell(s) from %zu input(s) to %s\n",
-              static_cast<unsigned long long>(merged.stats().cells),
-              options.merge_inputs.size(), options.file.c_str());
-  return 0;
-}
-
 int cmd_dump_tac(const Options& options) {
   ir::TacProgram tac = minic::compile(read_file(options.file), options.file);
   if (options.optimize) minic::optimize(tac);
@@ -1158,7 +1106,6 @@ int main(int argc, char** argv) {
     if (options.command == "worker") return cmd_worker(options);
     if (options.command == "dump-tac") return cmd_dump_tac(options);
     if (options.command == "dump-dot") return cmd_dump_dot(options);
-    if (options.command == "cache-merge") return cmd_cache_merge(options);
     usage();
   } catch (const Error& e) {
     std::fprintf(stderr, "amdrelc: %s\n", e.what());
