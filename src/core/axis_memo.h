@@ -23,16 +23,14 @@ namespace amdrel::core {
 ///   - a header holding the strategy and every option a strategy reads,
 ///     the open cells, the ordered kernel list with eligibility, and
 ///     the starting split's bits (IncrementalSplit::append_walk_header);
-///   - then one row per block the walk touched, in the order it first
-///     resolved each block's coarse price
+///   - then one row per kernel the strategy may move (movable_kernels,
+///     core/strategy.h), in kernel-list order
 ///     (IncrementalSplit::append_block_row).
-/// A lookup rebuilds the header on the current mapper and re-reads the
-/// stored rows there in that order, stopping at the first mismatch. A
-/// walk's next touch depends only on the rows it has already read, so a
-/// lookup schedules on the mapper a prefix of the CGC blocks the walk
-/// itself would schedule, and a hit leaves the mapper exactly as the
-/// walk would. Results, lazily built schedules and mapper snapshots are
-/// therefore identical with or without a memo.
+/// No strategy reads any other block's terms, so two contexts with one
+/// key price the same walk. Building a key schedules every movable
+/// kernel on the CGC, hit or miss: a memoized axis may leave more
+/// blocks scheduled on the mapper than a memo-free one, never fewer,
+/// and never different results.
 ///
 /// Not thread-safe: a sweep gives each pool thread its own memo.
 class AxisMemo {
@@ -51,23 +49,16 @@ class AxisMemo {
   std::vector<StrategyResult> run(StrategyKind kind, const AxisContext& ctx);
 
   /// Walks stored for the bound app.
-  std::size_t walks() const { return walks_; }
+  std::size_t walks() const { return walks_.size(); }
   /// run() calls answered from a stored walk since construction.
   std::size_t hits() const { return hits_; }
 
  private:
-  struct Walk {
-    std::vector<ir::BlockId> touches;  ///< first-touch order
-    std::vector<std::uint64_t> rows;   ///< one row per touch, same width
-    std::vector<StrategyResult> results;
-  };
-
   const ir::Cdfg* cdfg_ = nullptr;
   const ir::ProfileData* profile_ = nullptr;
   std::optional<analysis::AnalysisOptions> analysis_;
   std::vector<analysis::KernelInfo> kernels_;
-  std::map<std::vector<std::uint64_t>, std::vector<Walk>> by_header_;
-  std::size_t walks_ = 0;
+  std::map<std::vector<std::uint64_t>, std::vector<StrategyResult>> walks_;
   std::size_t hits_ = 0;
 };
 

@@ -22,27 +22,6 @@ namespace amdrel::core {
 
 namespace {
 
-/// Builds a (cdfg, platform) mapper through the cache's in-memory
-/// snapshot memo: a hit restores the fine-grain mapping in O(blocks)
-/// copies, a miss cold-builds and publishes the snapshot for the other
-/// threads of this process. Without a cache this is a plain
-/// construction.
-HybridMapper make_mapper(SweepCache* cache, const Fingerprint& shard,
-                         const ir::Cdfg& cdfg,
-                         const platform::Platform& platform) {
-  if (cache) {
-    if (const std::shared_ptr<const MapperState> state =
-            cache->find_mapper(shard)) {
-      return HybridMapper(cdfg, platform, *state);
-    }
-    HybridMapper mapper(cdfg, platform);
-    cache->store_mapper(shard,
-                        std::make_shared<MapperState>(mapper.state()));
-    return mapper;
-  }
-  return HybridMapper(cdfg, platform);
-}
-
 std::vector<std::string> moved_block_names(const ir::Cdfg& cdfg,
                                            const PartitionReport& report) {
   std::vector<std::string> names;
@@ -221,13 +200,13 @@ std::size_t compute_sweep_shard(const std::vector<CorpusApp>& corpus,
     group_key = shard_key(app_fps[coords.app], platform_fp);
   }
 
-  // The mapper is built (or restored from a cached snapshot) only
-  // when some cell of this group actually misses — a fully warm
-  // group costs zero mapper constructions.
+  // The mapper is built only when some cell of this group actually
+  // misses — a fully warm group costs zero mapper constructions.
   std::optional<HybridMapper> mapper;
   auto ensure_mapper = [&]() -> HybridMapper& {
     if (!mapper) {
-      mapper.emplace(make_mapper(cache, group_key, app.cdfg, coords.platform));
+      mapper.emplace(app.cdfg, coords.platform);
+      if (cache) cache->count_mapper_build();
     }
     return *mapper;
   };

@@ -71,9 +71,9 @@ struct SweepSpec {
   /// identical for any thread count.
   int threads = 0;
   /// Optional content-addressed memoization store (core/sweep_cache.h).
-  /// Repeated cells hit whole cached results and repeated (cdfg,
-  /// platform) pairs restore mapper snapshots instead of re-mapping.
-  /// Null runs uncached; results are identical either way.
+  /// Repeated cells hit whole cached results, and a shard with a missed
+  /// cell counts its cold mapper build there. Null runs uncached;
+  /// results are identical either way.
   SweepCache* cache = nullptr;
 };
 
@@ -180,10 +180,11 @@ std::vector<Fingerprint> sweep_app_fingerprints(
     const std::vector<CorpusApp>& corpus);
 
 /// Computes ONE shard's cell group into slots[0 .. cells_per_shard), the
-/// work a sweep worker thread performs for one claimed shard: builds (or
-/// cache-restores) the shard's HybridMapper lazily, resolves the
+/// work a sweep worker thread performs for one claimed shard: builds the
+/// shard's HybridMapper lazily (only when a cell misses), resolves the
 /// constraint axis, prices the grid one (strategy, ordering) walk at a
-/// time, and publishes cells/mapper snapshots to spec.cache when set.
+/// time, and publishes cells and the all-fine count to spec.cache when
+/// set (no mapper snapshot: no later shard could restore it).
 /// Returns the number of slots actually filled (the contiguous prefix;
 /// fewer than capacity only when default constraints collapsed).
 /// app_fps must be sweep_app_fingerprints(corpus) when spec.cache is

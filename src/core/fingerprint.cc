@@ -1,7 +1,6 @@
 #include "core/fingerprint.h"
 
-#include <cstring>
-
+#include "core/json_lines.h"
 #include "support/text.h"
 
 namespace amdrel::core {
@@ -68,10 +67,7 @@ void Fingerprinter::mix(std::uint64_t value) {
 }
 
 void Fingerprinter::mix_double(double value) {
-  std::uint64_t bits = 0;
-  static_assert(sizeof bits == sizeof value, "IEEE-754 double expected");
-  std::memcpy(&bits, &value, sizeof bits);
-  mix(bits);
+  mix(static_cast<std::uint64_t>(jsonl::double_to_bits(value)));
 }
 
 void Fingerprinter::mix(std::string_view text) {

@@ -1,10 +1,10 @@
 #include "core/hybrid_mapper.h"
 
 #include <algorithm>
-#include <cstring>
 #include <functional>
 
 #include "core/energy.h"
+#include "core/json_lines.h"
 #include "support/error.h"
 #include "support/strings.h"
 
@@ -13,10 +13,7 @@ namespace amdrel::core {
 namespace {
 
 void append_bits(std::vector<std::uint64_t>& out, double value) {
-  std::uint64_t bits = 0;
-  static_assert(sizeof bits == sizeof value, "IEEE-754 double expected");
-  std::memcpy(&bits, &value, sizeof bits);
-  out.push_back(bits);
+  out.push_back(static_cast<std::uint64_t>(jsonl::double_to_bits(value)));
 }
 
 void append_bits(std::vector<std::uint64_t>& out, std::int64_t value) {
@@ -244,7 +241,6 @@ std::int64_t IncrementalSplit::coarse_total_cycles(ir::BlockId block) {
   if (memo < 0) {
     memo = mapper_->coarse_cycles_per_invocation(block) *
            iters_[static_cast<std::size_t>(block)];
-    if (touch_log_ != nullptr) touch_log_->push_back(block);
   }
   return memo;
 }

@@ -31,12 +31,11 @@ struct SplitCost {
 };
 
 /// Snapshot of a HybridMapper's computed mappings, detached from the
-/// (cdfg, platform) it was derived from. The sweep cache memoizes these
-/// in memory per (app, platform) fingerprint so repeated cell groups in
-/// one process restore the expensive fine-grain temporal partitioning in
-/// O(blocks) copies instead of recomputing it. Snapshots are never
-/// written to the cache file. Coarse mappings are dense, indexed by
-/// block id; unscheduled blocks hold an empty optional.
+/// (cdfg, platform) it was derived from. Only perfbench/perf_trace.cc
+/// and tests take and restore these (SweepCache::find_mapper); the
+/// sweep does not, and they go with ROADMAP item 2. Coarse mappings are
+/// dense, indexed by block id; unscheduled blocks hold an empty
+/// optional.
 struct MapperState {
   std::vector<finegrain::FpgaBlockMapping> fine;
   std::vector<std::optional<coarsegrain::CgcBlockMapping>> coarse;
@@ -62,6 +61,7 @@ class HybridMapper {
   /// shapes are re-checked here, so a snapshot handed to the wrong
   /// mapper fails loudly instead of indexing out of bounds. Skips the
   /// per-block fine-grain mapping entirely, so construction is a copy.
+  /// Not used by the sweep (see MapperState).
   HybridMapper(const ir::Cdfg& cdfg, const platform::Platform& platform,
                const MapperState& state);
 
@@ -251,10 +251,6 @@ class IncrementalSplit {
     if (!exact_) flip(pending_);
   }
 
-  /// From now on appends each block to `log` when its coarse price first
-  /// resolves (its first move or proposal); null stops logging.
-  void log_first_touches(std::vector<ir::BlockId>* log) { touch_log_ = log; }
-
   /// Appends the split-wide terms a walk reads, as raw bits: the
   /// starting cost and energy, the objective kind and weights, the
   /// resident PR regions and the block count.
@@ -303,7 +299,6 @@ class IncrementalSplit {
 
   bool exact_ = false;        ///< proposals priced without mutating
   ir::BlockId pending_ = -1;  ///< block of the unsettled propose_flip()
-  std::vector<ir::BlockId>* touch_log_ = nullptr;  ///< log_first_touches
 };
 
 }  // namespace amdrel::core

@@ -266,6 +266,7 @@ inline bool get_string(const JsonValue& object, const char* name,
 // Doubles round-trip through their IEEE-754 bit pattern (as a signed
 // 64-bit integer) so the strict integer-only parser needs no float
 // grammar and a reader recovers exactly the bits the writer held.
+// Fingerprints and walk keys use the same cast.
 inline std::int64_t double_to_bits(double value) {
   std::int64_t bits = 0;
   static_assert(sizeof bits == sizeof value, "IEEE-754 double expected");

@@ -146,8 +146,8 @@ class AxisMemo;
 /// With a memo (core/axis_memo.h), bound here to (mapper.cdfg(),
 /// profile), the app's kernel list is extracted once and a walk whose
 /// inputs an earlier axis on another platform already priced is reused;
-/// the reports and the mapper's scheduled blocks are the same as
-/// without it.
+/// the reports are the same as without it, and the mapper has also
+/// scheduled every kernel the strategy may move (movable_kernels).
 std::vector<PartitionReport> run_methodology_axis(
     HybridMapper& mapper, const ir::ProfileData& profile,
     const std::vector<AxisCell>& cells,

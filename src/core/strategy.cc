@@ -14,18 +14,10 @@ namespace amdrel::core {
 
 namespace {
 
-// The all-fine split every search starts from, logging first touches
-// when the context asks for them.
-IncrementalSplit start_split(const AxisContext& ctx) {
-  IncrementalSplit split(ctx.mapper, ctx.profile, ctx.options.cost);
-  split.log_first_touches(ctx.first_touches);
-  return split;
-}
-
 std::vector<StrategyResult> greedy(const AxisContext& ctx) {
   const std::size_t cells = ctx.cells.size();
   std::vector<StrategyResult> results(cells);
-  IncrementalSplit split = start_split(ctx);
+  IncrementalSplit split(ctx.mapper, ctx.profile, ctx.options.cost);
   // Objective values of pure-timing splits are integer cycle counts held
   // exactly in a double, so these comparisons replicate the original
   // int64 ones bit-for-bit.
@@ -92,20 +84,22 @@ std::vector<StrategyResult> greedy(const AxisContext& ctx) {
   return results;
 }
 
-StrategyResult exhaustive(const AxisContext& ctx, const AxisCell& cell) {
+StrategyResult exhaustive(const AxisContext& ctx,
+                          const std::vector<ir::BlockId>& movable,
+                          const AxisCell& cell) {
   StrategyResult result;
   const CostObjective& objective = ctx.options.cost.objective;
-  IncrementalSplit split = start_split(ctx);
+  IncrementalSplit split(ctx.mapper, ctx.profile, ctx.options.cost);
   const double root_value = split.objective_value();
   const auto split_met = [&](const IncrementalSplit& s) {
     return s.meets(cell.timing_constraint, cell.energy_budget_pj);
   };
 
-  // Candidates: the first eligible kernels in the analysis order (capped),
-  // then sorted most-beneficial-first so the bound prunes early. Each
-  // carries its per-axis deltas: the bound needs cycles and energy
-  // separately (the met() test is per-axis), the ordering and the
-  // best-value bound use the objective scalar.
+  // Candidates: the movable kernels (the first eligible ones in the
+  // analysis order, capped), sorted most-beneficial-first so the bound
+  // prunes early. Each carries its per-axis deltas: the bound needs
+  // cycles and energy separately (the met() test is per-axis), the
+  // ordering and the best-value bound use the objective scalar.
   struct Candidate {
     ir::BlockId block;
     double value_delta;        ///< objective-scalar change of the move
@@ -113,20 +107,16 @@ StrategyResult exhaustive(const AxisContext& ctx, const AxisCell& cell) {
     double energy_delta;       ///< total-pJ change of the move
   };
   std::vector<Candidate> candidates;
-  const auto cap =
-      static_cast<std::size_t>(std::max(0, ctx.options.exhaustive_max_kernels));
-  for (const analysis::KernelInfo& kernel : ctx.kernels) {
-    if (!kernel.cgc_eligible) continue;
-    if (candidates.size() >= cap) break;
+  candidates.reserve(movable.size());
+  for (const ir::BlockId block : movable) {
     const SplitCost root_cost = split.cost();
     const double root_energy = split.energy().total_pj();
-    split.move(kernel.block);
+    split.move(block);
     const double value_delta = split.objective_value() - root_value;
     const std::int64_t cycle_delta = split.cost().total() - root_cost.total();
     const double energy_delta = split.energy().total_pj() - root_energy;
-    split.unmove(kernel.block);
-    candidates.push_back({kernel.block, value_delta, cycle_delta,
-                          energy_delta});
+    split.unmove(block);
+    candidates.push_back({block, value_delta, cycle_delta, energy_delta});
   }
   std::stable_sort(candidates.begin(), candidates.end(),
                    [](const Candidate& a, const Candidate& b) {
@@ -304,13 +294,11 @@ constexpr double kExpCutoff = -50.0;
 std::vector<StrategyResult> annealing(const AxisContext& ctx) {
   const std::size_t cells = ctx.cells.size();
   std::vector<StrategyResult> results(cells);
-  IncrementalSplit split = start_split(ctx);
+  IncrementalSplit split(ctx.mapper, ctx.profile, ctx.options.cost);
   const CostObjective& objective = ctx.options.cost.objective;
 
-  std::vector<ir::BlockId> candidates;
-  for (const analysis::KernelInfo& kernel : ctx.kernels) {
-    if (kernel.cgc_eligible) candidates.push_back(kernel.block);
-  }
+  const std::vector<ir::BlockId> candidates =
+      movable_kernels(StrategyKind::kAnnealing, ctx);
   double best_value = split.objective_value();
   SplitCost best_cost = split.cost();
   double best_energy = split.energy().total_pj();
@@ -473,10 +461,11 @@ std::vector<StrategyResult> run_strategy(StrategyKind kind,
     case StrategyKind::kGreedyPaper:
       return greedy(ctx);
     case StrategyKind::kExhaustive: {
+      const std::vector<ir::BlockId> movable = movable_kernels(kind, ctx);
       std::vector<StrategyResult> results;
       results.reserve(ctx.cells.size());
       for (const AxisCell& cell : ctx.cells) {
-        results.push_back(exhaustive(ctx, cell));
+        results.push_back(exhaustive(ctx, movable, cell));
       }
       return results;
     }
@@ -484,6 +473,21 @@ std::vector<StrategyResult> run_strategy(StrategyKind kind,
       return annealing(ctx);
   }
   throw Error("run_strategy: unknown strategy kind");
+}
+
+std::vector<ir::BlockId> movable_kernels(StrategyKind kind,
+                                         const AxisContext& ctx) {
+  const auto cap =
+      kind == StrategyKind::kExhaustive
+          ? static_cast<std::size_t>(
+                std::max(0, ctx.options.exhaustive_max_kernels))
+          : ctx.kernels.size();
+  std::vector<ir::BlockId> movable;
+  for (const analysis::KernelInfo& kernel : ctx.kernels) {
+    if (movable.size() >= cap) break;
+    if (kernel.cgc_eligible) movable.push_back(kernel.block);
+  }
+  return movable;
 }
 
 const std::vector<StrategyKind>& all_strategies() {

@@ -27,9 +27,6 @@ struct AxisContext {
   const MethodologyOptions& options;
   const std::vector<analysis::KernelInfo>& kernels;  ///< already ordered
   const std::vector<AxisCell>& cells;
-  /// When set, every split the strategy prices appends each block there
-  /// at its first move or proposal (IncrementalSplit::log_first_touches).
-  std::vector<ir::BlockId>* first_touches = nullptr;
 };
 
 /// What a strategy hands back to the run_methodology dispatcher.
@@ -69,9 +66,17 @@ struct StrategyResult {
 /// constraint.
 ///
 /// To add a strategy: add a StrategyKind enumerator (core/methodology.h),
-/// a search function in strategy.cc dispatched from run_strategy, and
-/// its name in strategy_name / all_strategies.
+/// a search function in strategy.cc dispatched from run_strategy that
+/// moves only movable_kernels blocks, and its name in strategy_name /
+/// all_strategies.
 std::vector<StrategyResult> run_strategy(StrategyKind kind,
+                                         const AxisContext& ctx);
+
+/// The kernels run_strategy(kind, ctx) may move, in ctx.kernels order:
+/// every CGC-eligible kernel, or for exhaustive the first
+/// options.exhaustive_max_kernels of them. No strategy moves, proposes
+/// or prices any other block.
+std::vector<ir::BlockId> movable_kernels(StrategyKind kind,
                                          const AxisContext& ctx);
 
 /// All registered strategy kinds, in presentation order.

@@ -344,6 +344,11 @@ void SweepCache::store_all_fine(const Fingerprint& key, std::int64_t cycles) {
   store(tables_.all_fine, key, cycles);
 }
 
+void SweepCache::count_mapper_build() {
+  const std::lock_guard<std::mutex> lock(mutex_);
+  ++stats_.mapper_builds;
+}
+
 MapperPtr SweepCache::find_mapper(const Fingerprint& key) {
   return find(mappers_, key, &SweepCacheStats::mapper_restores,
               &SweepCacheStats::mapper_builds)

@@ -88,9 +88,8 @@ struct SweepCacheStats {
 ///   - all-fine-grain cycles    (shard_key: app x platform; resolves
 ///                               default constraints without a mapper;
 ///                               persisted),
-///   - HybridMapper snapshots   (shard_key; in memory only — a repeated
-///                               cell group in this process restores
-///                               instead of re-mapping).
+///   - HybridMapper snapshots   (shard_key; in memory only; see
+///                               find_mapper).
 ///
 /// Thread-safe AND process-safe:
 ///   - In memory one mutex guards the entry tables and the counters.
@@ -117,6 +116,11 @@ class SweepCache {
   std::optional<std::int64_t> find_all_fine(const Fingerprint& key);
   void store_all_fine(const Fingerprint& key, std::int64_t cycles);
 
+  /// Counts one cold HybridMapper build; the sweep's only mapper call.
+  void count_mapper_build();
+
+  /// The snapshot memo, used only by perfbench/perf_trace.cc and tests
+  /// (the sweep takes no snapshots); it goes with ROADMAP item 2.
   std::shared_ptr<const MapperState> find_mapper(const Fingerprint& key);
   void store_mapper(const Fingerprint& key,
                     std::shared_ptr<const MapperState> state);
@@ -191,7 +195,7 @@ class SweepCache {
   // are mutable. stats_.cells is derived in stats(), never counted.
   mutable std::mutex mutex_;
   Tables tables_;
-  Table<std::shared_ptr<const MapperState>> mappers_;
+  Table<std::shared_ptr<const MapperState>> mappers_;  ///< find_mapper
   mutable SweepCacheStats stats_;
 };
 

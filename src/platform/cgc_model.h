@@ -44,9 +44,6 @@ struct CgcModel {
   /// Register-bank capacity for values alive across CGC cycles; 0 means
   /// "unlimited" (the binder still reports the peak demand).
   int register_bank_size = 0;
-
-  /// Compute slots usable per CGC cycle over the whole data-path.
-  int slots_per_cycle() const { return count * rows * cols; }
 };
 
 }  // namespace amdrel::platform

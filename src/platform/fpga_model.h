@@ -35,8 +35,8 @@ enum class FineMapper {
 struct FpgaModel {
   /// Area available for mapping DFG operations (the paper's A_FPGA,
   /// quoted directly in "units of area" in the experiments). When
-  /// describing a physical device, use from_device_area() to apply the
-  /// 70%-for-routability rule the paper recommends.
+  /// describing a physical device, set it to 70% of the raw area, the
+  /// routability rule the paper recommends.
   double usable_area = 1500.0;
 
   /// Full-device reconfiguration cost in FPGA clock cycles.
@@ -101,15 +101,6 @@ struct FpgaModel {
         return kind == ir::OpKind::kCopy ? delay_copy : 0;
     }
     return 0;
-  }
-
-  /// Applies the paper's routability guidance: only `fraction` (typically
-  /// 0.70) of a device's raw area is available for operation mapping.
-  static FpgaModel from_device_area(double device_area,
-                                    double fraction = 0.70) {
-    FpgaModel model;
-    model.usable_area = device_area * fraction;
-    return model;
   }
 };
 

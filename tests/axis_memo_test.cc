@@ -1,14 +1,18 @@
 // AxisMemo against fresh runs: on a grid that saturates (areas 600-9000
 // x 1-8 CGCs), every memoized run_methodology_axis must give the report
-// a memo-free run gives, field for field, and leave the same CGC blocks
-// scheduled on its mapper — for every strategy, ordering and objective,
+// a memo-free run gives, field for field, and leave scheduled on its
+// mapper the fresh run's CGC blocks plus the movable kernels of every
+// axis the memo keyed — for every strategy, ordering and objective,
 // with and without reconfiguration pricing. Saturated platforms must
 // share walks, and binding another app must empty the memo.
 
 #include "core/axis_memo.h"
 
+#include <algorithm>
 #include <cstdint>
+#include <random>
 #include <string>
+#include <utility>
 #include <vector>
 
 #include <gtest/gtest.h>
@@ -119,6 +123,70 @@ MethodologyOptions grid_options(StrategyKind strategy, KernelOrdering ordering,
   return options;
 }
 
+// The kernel list run_methodology_axis hands the strategy: the app's
+// extract_kernels list in options.ordering.
+std::vector<analysis::KernelInfo> ordered_kernels(
+    const CorpusApp& app, HybridMapper& mapper,
+    const MethodologyOptions& options) {
+  std::vector<analysis::KernelInfo> kernels =
+      analysis::extract_kernels(app.cdfg, app.profile, options.analysis);
+  switch (options.ordering) {
+    case KernelOrdering::kWeightDescending:
+      break;
+    case KernelOrdering::kCodeOrder:
+      std::sort(kernels.begin(), kernels.end(),
+                [](const auto& a, const auto& b) { return a.block < b.block; });
+      break;
+    case KernelOrdering::kRandom: {
+      std::mt19937_64 rng(options.random_seed);
+      std::shuffle(kernels.begin(), kernels.end(), rng);
+      break;
+    }
+    case KernelOrdering::kBenefitDescending: {
+      std::vector<std::pair<std::int64_t, std::size_t>> benefit;
+      for (std::size_t i = 0; i < kernels.size(); ++i) {
+        benefit.emplace_back(
+            -mapper.move_benefit_cycles(kernels[i].block,
+                                        kernels[i].exec_freq),
+            i);
+      }
+      std::sort(benefit.begin(), benefit.end());
+      std::vector<analysis::KernelInfo> ordered;
+      for (const auto& entry : benefit) {
+        ordered.push_back(kernels[entry.second]);
+      }
+      kernels = std::move(ordered);
+      break;
+    }
+  }
+  return kernels;
+}
+
+// Marks on `keyed` the kernels an axis's strategy may move
+// (movable_kernels); the memo mapper schedules them all to build the
+// axis's key.
+void add_movable_kernels(const CorpusApp& app, HybridMapper& mapper,
+                         const std::vector<AxisCell>& cells,
+                         const MethodologyOptions& options,
+                         std::vector<bool>& keyed) {
+  const std::vector<analysis::KernelInfo> kernels =
+      ordered_kernels(app, mapper, options);
+  const AxisContext ctx{mapper, app.profile, options, kernels, cells};
+  for (const ir::BlockId block : movable_kernels(options.strategy, ctx)) {
+    keyed[static_cast<std::size_t>(block)] = true;
+  }
+}
+
+// The fresh mapper's scheduled set plus the recorded movable kernels.
+std::vector<bool> fresh_plus_keyed(const HybridMapper& fresh,
+                                   const std::vector<bool>& keyed) {
+  std::vector<bool> expected = test::scheduled_blocks(fresh);
+  for (std::size_t b = 0; b < expected.size(); ++b) {
+    expected[b] = expected[b] || keyed[b];
+  }
+  return expected;
+}
+
 class AxisMemoProperty : public ::testing::TestWithParam<std::size_t> {};
 
 TEST_P(AxisMemoProperty, MemoizedAxesMatchFreshRunsAcrossASaturatingGrid) {
@@ -133,9 +201,10 @@ TEST_P(AxisMemoProperty, MemoizedAxesMatchFreshRunsAcrossASaturatingGrid) {
         for (const KernelOrdering ordering : all_kernel_orderings()) {
           // A fresh mapper pair per (platform, strategy, ordering), so the
           // first walks on it schedule CGC blocks lazily and a lookup
-          // that scheduled more than the walk would shows.
+          // that scheduled a block outside the movable kernels shows.
           HybridMapper memo_mapper(app.cdfg, platform);
           HybridMapper fresh_mapper(app.cdfg, platform);
+          std::vector<bool> keyed(static_cast<std::size_t>(app.cdfg.size()));
           for (const ObjectiveKind objective : all_objectives()) {
             for (const bool reconfig : {false, true}) {
               const MethodologyOptions options =
@@ -146,6 +215,7 @@ TEST_P(AxisMemoProperty, MemoizedAxesMatchFreshRunsAcrossASaturatingGrid) {
                   kernel_ordering_name(ordering) + " " +
                   objective_name(objective) +
                   (reconfig ? " reconfig" : "");
+              const std::size_t lookups = memo.hits() + memo.walks();
               const std::vector<PartitionReport> memoized =
                   run_methodology_axis(memo_mapper, app.profile, cells,
                                        options, &memo);
@@ -157,8 +227,12 @@ TEST_P(AxisMemoProperty, MemoizedAxesMatchFreshRunsAcrossASaturatingGrid) {
                 expect_same_report(memoized[c], fresh[c],
                                    what + " cell " + std::to_string(c));
               }
+              // The memo keys an axis only when some cell is open.
+              if (memo.hits() + memo.walks() != lookups) {
+                add_movable_kernels(app, memo_mapper, cells, options, keyed);
+              }
               ASSERT_EQ(test::scheduled_blocks(memo_mapper),
-                        test::scheduled_blocks(fresh_mapper))
+                        fresh_plus_keyed(fresh_mapper, keyed))
                   << what;
               ++runs;
             }
@@ -203,6 +277,7 @@ TEST(AxisMemoTest, SaturatedPlatformsHit) {
           HybridMapper memo_mapper(app.cdfg, platform);
           HybridMapper fresh_mapper(app.cdfg, platform);
           const std::size_t hits = memo.hits();
+          const std::size_t lookups = memo.hits() + memo.walks();
           const std::vector<PartitionReport> memoized = run_methodology_axis(
               memo_mapper, app.profile, cells, options, &memo);
           const bool saturated = cgcs == 8 || area == 9000;
@@ -212,8 +287,12 @@ TEST(AxisMemoTest, SaturatedPlatformsHit) {
           for (std::size_t c = 0; c < fresh.size(); ++c) {
             expect_same_report(memoized[c], fresh[c], what);
           }
+          std::vector<bool> keyed(static_cast<std::size_t>(app.cdfg.size()));
+          if (memo.hits() + memo.walks() != lookups) {
+            add_movable_kernels(app, memo_mapper, cells, options, keyed);
+          }
           EXPECT_EQ(test::scheduled_blocks(memo_mapper),
-                    test::scheduled_blocks(fresh_mapper))
+                    fresh_plus_keyed(fresh_mapper, keyed))
               << what;
         }
       }

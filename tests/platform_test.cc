@@ -5,15 +5,16 @@
 #include "coarsegrain/cgc_scheduler.h"
 #include "core/hybrid_mapper.h"
 #include "support/error.h"
+#include "test_helpers.h"
 #include "workloads/paper_models.h"
 
 namespace amdrel::platform {
 namespace {
 
 TEST(FpgaModelTest, FromDeviceAreaAppliesRoutabilityFraction) {
-  const FpgaModel model = FpgaModel::from_device_area(10000.0);
+  const FpgaModel model = test::from_device_area(10000.0);
   EXPECT_DOUBLE_EQ(model.usable_area, 7000.0);  // the paper's 70% guidance
-  const FpgaModel custom = FpgaModel::from_device_area(10000.0, 0.5);
+  const FpgaModel custom = test::from_device_area(10000.0, 0.5);
   EXPECT_DOUBLE_EQ(custom.usable_area, 5000.0);
 }
 
@@ -33,7 +34,7 @@ TEST(CgcModelTest, SlotsPerCycle) {
   cgc.count = 3;
   cgc.rows = 2;
   cgc.cols = 4;
-  EXPECT_EQ(cgc.slots_per_cycle(), 24);
+  EXPECT_EQ(test::slots_per_cycle(cgc), 24);
 }
 
 TEST(PlatformTest, CgcToFpgaCyclesRoundsUp) {

@@ -212,7 +212,8 @@ TEST_P(CgcScheduleProperty, Invariants) {
   const ir::OpMix mix = dfg.op_mix();
   const std::int64_t compute = mix.alu + mix.mul;
   EXPECT_GE(sched.total_cgc_cycles,
-            (compute + cgc.slots_per_cycle() - 1) / cgc.slots_per_cycle());
+            (compute + test::slots_per_cycle(cgc) - 1) /
+                test::slots_per_cycle(cgc));
   EXPECT_GE(sched.peak_registers, 0);
 }
 

@@ -1,9 +1,9 @@
 // SweepCache (core/sweep_cache.h): memoization correctness (cached runs
-// byte-identical to uncached, for any thread count), in-memory
-// mapper-snapshot reuse, and the persistence layer's strict validation —
-// a cache file that fails ANY check is rejected whole and the caller
-// runs cold, so a stale or corrupt cache can cost a recompute but never
-// a wrong result.
+// byte-identical to uncached, for any thread count), the in-memory
+// mapper-snapshot memo (which the sweep leaves empty), and the
+// persistence layer's strict validation — a cache file that fails ANY
+// check is rejected whole and the caller runs cold, so a stale or
+// corrupt cache can cost a recompute but never a wrong result.
 
 #include "core/sweep_cache.h"
 
@@ -741,6 +741,30 @@ TEST(SweepCacheTest, WarmFileRebuildsMappersAcrossConstraintChanges) {
   EXPECT_EQ(stats.mapper_builds, sweep_shard_count(corpus, spec));
   std::remove(path.c_str());
   std::remove((path + ".lock").c_str());
+}
+
+// The sweep takes no mapper snapshot: a cold cached sweep cold-builds
+// one mapper per shard, counts each build, restores none and leaves the
+// snapshot memo empty, for any thread count.
+TEST(SweepCacheTest, CachedSweepStoresNoMapperSnapshots) {
+  const auto corpus = workloads::paper_corpus();
+  const std::vector<Fingerprint> app_fps = sweep_app_fingerprints(corpus);
+  for (const int threads : {1, 4}) {
+    SweepCache cache;
+    const SweepSpec spec = small_spec(threads, &cache);
+    sweep_design_space(corpus, spec);
+    const SweepCacheStats stats = cache.stats();
+    const std::size_t shards = sweep_shard_count(corpus, spec);
+    EXPECT_EQ(stats.mapper_restores, 0u) << threads << " threads";
+    EXPECT_EQ(stats.mapper_builds, shards) << threads << " threads";
+    for (std::size_t shard = 0; shard < shards; ++shard) {
+      const SweepShardCoords coords = sweep_shard_coords(spec, shard);
+      EXPECT_EQ(cache.find_mapper(shard_key(app_fps[coords.app],
+                                            fingerprint(coords.platform))),
+                nullptr)
+          << threads << " threads, shard " << shard;
+    }
+  }
 }
 
 #ifndef _WIN32

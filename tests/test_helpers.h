@@ -15,6 +15,20 @@
 
 namespace amdrel::test {
 
+/// Applies the paper's routability guidance: only `fraction` (typically
+/// 0.70) of a device's raw area is available for operation mapping.
+inline platform::FpgaModel from_device_area(double device_area,
+                                            double fraction = 0.70) {
+  platform::FpgaModel model;
+  model.usable_area = device_area * fraction;
+  return model;
+}
+
+/// Compute slots usable per CGC cycle over the whole data-path.
+inline int slots_per_cycle(const platform::CgcModel& cgc) {
+  return cgc.count * cgc.rows * cgc.cols;
+}
+
 /// Largest ASAP level of any schedulable node (0 for an empty graph).
 inline int max_asap_level(const ir::Dfg& dfg) {
   const std::vector<int> levels = dfg.asap_levels();
