@@ -1,7 +1,5 @@
 #include "coarsegrain/cgc_mapper.h"
 
-#include "support/error.h"
-
 namespace amdrel::coarsegrain {
 
 CgcBlockMapping map_block_to_cgc(const ir::Dfg& dfg,
@@ -11,19 +9,6 @@ CgcBlockMapping map_block_to_cgc(const ir::Dfg& dfg,
   mapping.cycles_per_invocation_fpga =
       platform.cgc_to_fpga_cycles(mapping.schedule.total_cgc_cycles);
   return mapping;
-}
-
-std::int64_t cgc_total_cycles(const std::vector<CgcBlockMapping>& mappings,
-                              const std::vector<ir::BlockId>& blocks,
-                              const ir::ProfileData& profile) {
-  std::int64_t total = 0;
-  for (ir::BlockId id : blocks) {
-    require(id >= 0 && id < static_cast<ir::BlockId>(mappings.size()),
-            "cgc_total_cycles: block id out of range");
-    total += mappings[id].cycles_per_invocation_fpga *
-             static_cast<std::int64_t>(profile.count(id));
-  }
-  return total;
 }
 
 }  // namespace amdrel::coarsegrain

@@ -4,7 +4,6 @@
 
 #include "coarsegrain/cgc_scheduler.h"
 #include "ir/cdfg.h"
-#include "ir/profile.h"
 #include "platform/platform.h"
 
 namespace amdrel::coarsegrain {
@@ -18,12 +17,5 @@ struct CgcBlockMapping {
 
 CgcBlockMapping map_block_to_cgc(const ir::Dfg& dfg,
                                  const platform::Platform& platform);
-
-/// Equation (3) of the paper for a set of moved blocks:
-/// t_coarse = sum over moved blocks of t_to_coarse(BB_i) * Iter(BB_i),
-/// in FPGA clock cycles.
-std::int64_t cgc_total_cycles(const std::vector<CgcBlockMapping>& mappings,
-                              const std::vector<ir::BlockId>& blocks,
-                              const ir::ProfileData& profile);
 
 }  // namespace amdrel::coarsegrain

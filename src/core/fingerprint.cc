@@ -141,11 +141,11 @@ Fingerprint fingerprint(const ir::ProfileData& profile) {
   Fingerprinter h;
   h.mix(static_cast<std::uint64_t>(kFingerprintAlgorithmVersion));
   h.mix("profile");
-  h.mix(profile.counts().size());
-  for (const auto& [block, count] : profile.counts()) {
+  h.mix(static_cast<std::uint64_t>(profile.recorded_count()));
+  profile.for_each_recorded([&h](ir::BlockId block, std::uint64_t count) {
     h.mix(static_cast<std::uint64_t>(block));
     h.mix(count);
-  }
+  });
   return h.digest();
 }
 

@@ -83,8 +83,9 @@ Fingerprint fingerprint(const ir::Dfg& dfg);
 /// kernels are reported by name, so they are part of a cell result).
 Fingerprint fingerprint(const ir::Cdfg& cdfg);
 
-/// Digest of a dynamic profile: every (block, execution count) pair in
-/// block order.
+/// Digest of a dynamic profile: the number of recorded blocks, then
+/// every recorded (block, execution count) pair in ascending block id. A
+/// block recorded with count 0 is hashed; a block never recorded is not.
 Fingerprint fingerprint(const ir::ProfileData& profile);
 
 /// Digest of a platform instance: every timing/area/policy field of the

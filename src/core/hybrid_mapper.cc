@@ -145,30 +145,6 @@ std::int64_t HybridMapper::move_benefit_cycles(ir::BlockId block,
          static_cast<std::int64_t>(exec_freq);
 }
 
-SplitCost HybridMapper::evaluate(const ir::ProfileData& profile,
-                                 const std::vector<ir::BlockId>& moved) {
-  SplitCost cost;
-  std::vector<bool> stays_fine(cdfg_->size(), true);
-  for (ir::BlockId block : moved) {
-    if (block < 0 || block >= cdfg_->size()) {
-      fail(cat("HybridMapper::evaluate: bad moved block ", block));
-    }
-    if (!stays_fine[block]) {
-      fail(cat("HybridMapper::evaluate: block ", block, " moved twice"));
-    }
-    stays_fine[block] = false;
-  }
-  cost.t_fpga =
-      finegrain::fpga_total_cycles(fine_, profile, platform_->fpga,
-                                   &stays_fine);
-  for (ir::BlockId block : moved) {
-    const auto iterations = static_cast<std::int64_t>(profile.count(block));
-    cost.t_coarse += coarse_cycles_per_invocation(block) * iterations;
-    cost.t_comm += comm_cycles_per_invocation(block) * iterations;
-  }
-  return cost;
-}
-
 std::int64_t HybridMapper::all_fine_cycles(
     const ir::ProfileData& profile) const {
   return finegrain::fpga_total_cycles(fine_, profile, platform_->fpga);
@@ -186,17 +162,13 @@ IncrementalSplit::IncrementalSplit(HybridMapper& mapper,
   fine_contrib_.resize(blocks);
   comm_total_.resize(blocks);
   coarse_total_.assign(blocks, -1);
-  // One pricing pass per construction: the all-fine t_fpga accumulates
-  // each block's cycles * iterations followed by its amortized charge,
-  // the same per-block integer adds as fpga_total_cycles, so the sum is
-  // bit-identical to mapper.all_fine_cycles(profile).
+  // One pricing pass per construction: the all-fine t_fpga sums every
+  // block's equation (4) contribution, the same integer terms as
+  // fpga_total_cycles, so it equals mapper.all_fine_cycles(profile).
   for (std::size_t b = 0; b < blocks; ++b) {
     const auto id = static_cast<ir::BlockId>(b);
     iters_[b] = static_cast<std::int64_t>(profile.count(id));
-    fine_contrib_[b] =
-        mapper.fine_cycles_per_invocation(id) * iters_[b] +
-        mapper.fine(id).amortized_reconfigs *
-            mapper.platform().fpga.reconfig_cycles;
+    fine_contrib_[b] = mapper.fine_contribution_cycles(id, profile);
     comm_total_[b] = mapper.comm_cycles_per_invocation(id) * iters_[b];
     cost_.t_fpga += fine_contrib_[b];
   }

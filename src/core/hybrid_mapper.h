@@ -49,7 +49,8 @@ struct MapperState {
 /// Construction flattens every per-block quantity the engine hot paths
 /// need — each block's op mix, live-in/out word count and node count,
 /// fine-grain invocation cycles, amortized reconfiguration charges,
-/// communication cycles — into dense arrays indexed by block id, so
+/// communication cycles — into dense arrays indexed by block id. Execution
+/// counts come from ir::ProfileData, which is block-id indexed too, so
 /// split and energy pricing never walk IR nodes or search a map.
 class HybridMapper {
  public:
@@ -115,11 +116,6 @@ class HybridMapper {
   /// strategies' candidate ranking; zero for CGC-ineligible blocks.
   std::int64_t move_benefit_cycles(ir::BlockId block, std::uint64_t exec_freq);
 
-  /// Prices the split where `moved` blocks run on the CGC data-path and
-  /// everything else on the fine-grain hardware (equations (2)-(4)).
-  SplitCost evaluate(const ir::ProfileData& profile,
-                     const std::vector<ir::BlockId>& moved);
-
   /// Cycles of the all-fine-grain solution (paper step 2).
   std::int64_t all_fine_cycles(const ir::ProfileData& profile) const;
 
@@ -144,8 +140,8 @@ class HybridMapper {
 /// Incrementally-priced fine/coarse split. Starts at the all-fine-grain
 /// solution and applies O(1) cost deltas on every move()/unmove(), so an
 /// engine loop pays O(blocks) once at construction instead of per
-/// candidate. cost() is bit-identical to HybridMapper::evaluate() on the
-/// same moved set (all terms are integer and per-block additive).
+/// candidate. cost() is bit-identical to pricing the same moved set from
+/// scratch (all terms are integer and per-block additive).
 ///
 /// The split state is a SmallBitset over block ids plus a movement-order
 /// list; every per-block term (execution count, fine contribution,

@@ -2,8 +2,6 @@
 
 #include <algorithm>
 
-#include "support/error.h"
-
 namespace amdrel::finegrain {
 
 FpgaBlockMapping map_block_to_fpga(const ir::Dfg& dfg,
@@ -113,13 +111,9 @@ std::vector<FpgaBlockMapping> map_cdfg_to_fpga(
 
 std::int64_t fpga_total_cycles(const std::vector<FpgaBlockMapping>& mappings,
                                const ir::ProfileData& profile,
-                               const platform::FpgaModel& fpga,
-                               const std::vector<bool>* include) {
-  require(include == nullptr || include->size() == mappings.size(),
-          "fpga_total_cycles: include mask size mismatch");
+                               const platform::FpgaModel& fpga) {
   std::int64_t total = 0;
   for (std::size_t id = 0; id < mappings.size(); ++id) {
-    if (include != nullptr && !(*include)[id]) continue;
     const auto iterations =
         static_cast<std::int64_t>(profile.count(static_cast<int>(id)));
     total += mappings[id].cycles_per_invocation(fpga) * iterations;

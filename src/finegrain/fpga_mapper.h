@@ -47,12 +47,8 @@ std::vector<FpgaBlockMapping> map_cdfg_to_fpga(
 
 /// Equation (4) of the paper: t_FPGA = sum over blocks of
 /// t_to_FPGA(BB_i) * Iter(BB_i), plus any amortized reconfiguration cost.
-/// `include` (when non-null) restricts the sum to blocks where
-/// include[id] is true — the partitioning engine uses this to price the
-/// part of the application that stays on the fine-grain hardware.
 std::int64_t fpga_total_cycles(const std::vector<FpgaBlockMapping>& mappings,
                                const ir::ProfileData& profile,
-                               const platform::FpgaModel& fpga,
-                               const std::vector<bool>* include = nullptr);
+                               const platform::FpgaModel& fpga);
 
 }  // namespace amdrel::finegrain

@@ -5,6 +5,7 @@
 
 #include "support/error.h"
 #include "synth/dfg_generator.h"
+#include "test_helpers.h"
 
 namespace amdrel::coarsegrain {
 namespace {
@@ -203,7 +204,7 @@ TEST(CgcMapperTest, TotalCyclesSumsMovedBlocks) {
   ir::ProfileData profile;
   profile.set_count(b0, 10);
   profile.set_count(b1, 5);
-  const auto total = cgc_total_cycles(mappings, {b0, b1}, profile);
+  const auto total = test::cgc_total_cycles(mappings, {b0, b1}, profile);
   EXPECT_EQ(total, 10 * mappings[0].cycles_per_invocation_fpga +
                        5 * mappings[1].cycles_per_invocation_fpga);
 }

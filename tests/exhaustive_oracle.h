@@ -1,6 +1,6 @@
 // The brute-force reference for the branch-and-bound kExhaustive
 // strategy: it prices every subset of the top-k eligible kernels with a
-// full HybridMapper::evaluate. Its objective is the strategy's: the
+// full test::evaluate. Its objective is the strategy's: the
 // fewest moves that meet the constraint (ties: fewest cycles), else the
 // fewest cycles.
 
@@ -13,6 +13,7 @@
 #include "core/hybrid_mapper.h"
 #include "core/methodology.h"
 #include "support/error.h"
+#include "test_helpers.h"
 
 namespace amdrel::core {
 
@@ -61,7 +62,7 @@ inline OptimalSplit exhaustive_optimal(
     for (std::size_t bit = 0; bit < n; ++bit) {
       if (mask & (std::size_t{1} << bit)) moved.push_back(candidates[bit]);
     }
-    const SplitCost cost = mapper.evaluate(profile, moved);
+    const SplitCost cost = test::evaluate(mapper, profile, moved);
     result.subsets_evaluated++;
     if (cost.total() < result.best_cycles) {
       result.best_cycles = cost.total();

@@ -5,6 +5,7 @@
 
 #include "support/error.h"
 #include "synth/dfg_generator.h"
+#include "test_helpers.h"
 
 namespace amdrel::finegrain {
 namespace {
@@ -218,9 +219,13 @@ TEST(FpgaMapperTest, TotalCyclesScalesWithProfile) {
   profile.set_count(b0, 100);
   EXPECT_EQ(fpga_total_cycles(mappings, profile, fpga),
             100 * mappings[0].cycles_per_invocation(fpga));
-  // Masking the block out removes its contribution.
+  // Masking the block out removes its contribution; keeping it gives the
+  // whole equation (4) sum.
   std::vector<bool> none(1, false);
-  EXPECT_EQ(fpga_total_cycles(mappings, profile, fpga, &none), 0);
+  EXPECT_EQ(test::masked_fpga_total_cycles(mappings, profile, fpga, none), 0);
+  std::vector<bool> all(1, true);
+  EXPECT_EQ(test::masked_fpga_total_cycles(mappings, profile, fpga, all),
+            fpga_total_cycles(mappings, profile, fpga));
 }
 
 }  // namespace

@@ -2,7 +2,7 @@
 // HybridMapper's packed per-block tables (op mix, live words, node count,
 // CGC eligibility) mirror the Dfgs they were computed from through both
 // constructors, the bitset-backed IncrementalSplit stays bit-identical to
-// full HybridMapper::evaluate repricing under random move/unmove churn,
+// full test::evaluate repricing under random move/unmove churn,
 // batched constraint-axis runs reproduce standalone per-cell runs
 // field-for-field (including engine_iterations), and MapperState
 // snapshots round-trip through the restore constructor.
@@ -17,6 +17,7 @@
 #include "core/methodology.h"
 #include "platform/platform.h"
 #include "synth/cdfg_generator.h"
+#include "test_helpers.h"
 #include "workloads/paper_models.h"
 
 namespace amdrel::core {
@@ -100,7 +101,8 @@ TEST_P(SplitChurnProperty, MatchesEvaluateAndEstimateEnergyUnderChurn) {
       split.move(block);
     }
 
-    const SplitCost full = mapper.evaluate(app.profile, split.moved());
+    const SplitCost full =
+        test::evaluate(mapper, app.profile, split.moved());
     EXPECT_EQ(split.cost().t_fpga, full.t_fpga) << "step " << step;
     EXPECT_EQ(split.cost().t_coarse, full.t_coarse) << "step " << step;
     EXPECT_EQ(split.cost().t_comm, full.t_comm) << "step " << step;
@@ -276,8 +278,8 @@ TEST(MapperStateTest, SnapshotRestoreRoundTripsDenseCoarseSlots) {
   HybridMapper restored(app.cdfg, platform, state);
   EXPECT_EQ(restored.all_fine_cycles(app.profile),
             mapper.all_fine_cycles(app.profile));
-  const SplitCost a = mapper.evaluate(app.profile, moved);
-  const SplitCost b = restored.evaluate(app.profile, moved);
+  const SplitCost a = test::evaluate(mapper, app.profile, moved);
+  const SplitCost b = test::evaluate(restored, app.profile, moved);
   EXPECT_EQ(a.t_fpga, b.t_fpga);
   EXPECT_EQ(a.t_coarse, b.t_coarse);
   EXPECT_EQ(a.t_comm, b.t_comm);

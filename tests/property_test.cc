@@ -272,7 +272,8 @@ TEST_P(MethodologyProperty, EvaluateMatchesReportedCost) {
       app.cdfg, app.profile, p,
       mapper.all_fine_cycles(app.profile) / 2);
   // re-pricing the reported split reproduces the reported cost exactly
-  const core::SplitCost cost = mapper.evaluate(app.profile, report.moved);
+  const core::SplitCost cost =
+      test::evaluate(mapper, app.profile, report.moved);
   EXPECT_EQ(cost.total(), report.final_cycles);
   EXPECT_EQ(cost.t_fpga, report.cost.t_fpga);
   EXPECT_EQ(cost.t_coarse, report.cost.t_coarse);
@@ -338,7 +339,7 @@ TEST_P(MethodologyProperty, IncrementalSplitMatchesEvaluate) {
       split.move(block);
     }
     const core::SplitCost reference =
-        mapper.evaluate(app.profile, split.moved());
+        test::evaluate(mapper, app.profile, split.moved());
     ASSERT_EQ(split.cost().t_fpga, reference.t_fpga) << "step " << step;
     ASSERT_EQ(split.cost().t_coarse, reference.t_coarse) << "step " << step;
     ASSERT_EQ(split.cost().t_comm, reference.t_comm) << "step " << step;
@@ -411,7 +412,8 @@ TEST_P(MethodologyProperty, StrategiesAgreeOnSplitPricing) {
     options.strategy = kind;
     const auto report =
         core::run_methodology(mapper, app.profile, constraint, options);
-    const core::SplitCost cost = mapper.evaluate(app.profile, report.moved);
+    const core::SplitCost cost =
+        test::evaluate(mapper, app.profile, report.moved);
     EXPECT_EQ(cost.total(), report.final_cycles)
         << core::strategy_name(kind);
     EXPECT_LE(report.final_cycles, report.initial_cycles)

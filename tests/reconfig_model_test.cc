@@ -21,6 +21,7 @@
 #include "platform/platform.h"
 #include "reconfig_oracle.h"
 #include "synth/cdfg_generator.h"
+#include "test_helpers.h"
 
 namespace amdrel {
 namespace {
@@ -180,7 +181,7 @@ class ReconfigChurnProperty : public ::testing::TestWithParam<std::uint64_t> {
 // The exact-window repricing contract: after ANY move/unmove sequence the
 // incremental t_reconfig equals the from-scratch oracle evaluation of
 // the current moved set, and the additive terms stay bit-identical to
-// HybridMapper::evaluate.
+// test::evaluate.
 TEST_P(ReconfigChurnProperty, IncrementalMatchesFullRepricing) {
   const auto app = make_app(GetParam());
   const auto p = platform::make_paper_platform(1500, 2);
@@ -215,7 +216,8 @@ TEST_P(ReconfigChurnProperty, IncrementalMatchesFullRepricing) {
     ASSERT_EQ(split.cost().t_reconfig,
               core::oracle_reconfig_cycles(spec.reconfig, mapper, app.profile,
                                            split.moved()));
-    const core::SplitCost full = mapper.evaluate(app.profile, split.moved());
+    const core::SplitCost full =
+        test::evaluate(mapper, app.profile, split.moved());
     ASSERT_EQ(split.cost().t_fpga, full.t_fpga);
     ASSERT_EQ(split.cost().t_coarse, full.t_coarse);
     ASSERT_EQ(split.cost().t_comm, full.t_comm);
@@ -397,7 +399,7 @@ TEST_P(ExhaustiveReconfigOptimality, MatchesBruteForceEnumeration) {
       if (mask & (1u << i)) moved.push_back(candidates[i]);
     }
     const std::int64_t total =
-        mapper.evaluate(app.profile, moved).total() +
+        test::evaluate(mapper, app.profile, moved).total() +
         core::oracle_reconfig_cycles(model, mapper, app.profile, moved);
     best = std::min(best, total);
   }
@@ -408,7 +410,7 @@ TEST_P(ExhaustiveReconfigOptimality, MatchesBruteForceEnumeration) {
             core::oracle_reconfig_cycles(model, mapper, app.profile,
                                          report.moved));
   EXPECT_EQ(report.final_cycles,
-            mapper.evaluate(app.profile, report.moved).total() +
+            test::evaluate(mapper, app.profile, report.moved).total() +
                 report.cost.t_reconfig);
 }
 

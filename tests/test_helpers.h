@@ -6,12 +6,16 @@
 #include <cstdint>
 #include <vector>
 
+#include "coarsegrain/cgc_mapper.h"
 #include "core/hybrid_mapper.h"
 #include "core/methodology.h"
+#include "finegrain/fpga_mapper.h"
 #include "ir/cdfg.h"
 #include "ir/dfg.h"
 #include "ir/profile.h"
 #include "platform/platform.h"
+#include "support/error.h"
+#include "support/strings.h"
 
 namespace amdrel::test {
 
@@ -47,6 +51,81 @@ inline std::vector<bool> scheduled_blocks(
   return scheduled;
 }
 
+/// One block's term of equation (4): t_to_FPGA(BB) * Iter(BB) plus its
+/// amortized reconfiguration charge.
+inline std::int64_t fine_block_cycles(
+    const finegrain::FpgaBlockMapping& mapping, std::uint64_t iterations,
+    const platform::FpgaModel& fpga) {
+  return mapping.cycles_per_invocation(fpga) *
+             static_cast<std::int64_t>(iterations) +
+         mapping.amortized_reconfigs * fpga.reconfig_cycles;
+}
+
+/// Equation (4) restricted to the blocks where include[id] is true: the
+/// part of the application that stays on the fine-grain hardware.
+inline std::int64_t masked_fpga_total_cycles(
+    const std::vector<finegrain::FpgaBlockMapping>& mappings,
+    const ir::ProfileData& profile, const platform::FpgaModel& fpga,
+    const std::vector<bool>& include) {
+  require(include.size() == mappings.size(),
+          "masked_fpga_total_cycles: include mask size mismatch");
+  std::int64_t total = 0;
+  for (std::size_t id = 0; id < mappings.size(); ++id) {
+    if (!include[id]) continue;
+    total += fine_block_cycles(
+        mappings[id], profile.count(static_cast<ir::BlockId>(id)), fpga);
+  }
+  return total;
+}
+
+/// Equation (3) of the paper for a set of moved blocks:
+/// t_coarse = sum over moved blocks of t_to_coarse(BB_i) * Iter(BB_i),
+/// in FPGA clock cycles.
+inline std::int64_t cgc_total_cycles(
+    const std::vector<coarsegrain::CgcBlockMapping>& mappings,
+    const std::vector<ir::BlockId>& blocks, const ir::ProfileData& profile) {
+  std::int64_t total = 0;
+  for (ir::BlockId id : blocks) {
+    require(id >= 0 && id < static_cast<ir::BlockId>(mappings.size()),
+            "cgc_total_cycles: block id out of range");
+    total += mappings[static_cast<std::size_t>(id)].cycles_per_invocation_fpga *
+             static_cast<std::int64_t>(profile.count(id));
+  }
+  return total;
+}
+
+/// Prices the split where `moved` blocks run on the CGC data-path and
+/// everything else on the fine-grain hardware (equations (2)-(4)), from
+/// scratch: the oracle IncrementalSplit's O(1) deltas are checked
+/// against. Throws Error for an out-of-range block or one moved twice.
+inline core::SplitCost evaluate(core::HybridMapper& mapper,
+                                const ir::ProfileData& profile,
+                                const std::vector<ir::BlockId>& moved) {
+  const ir::BlockId blocks = mapper.cdfg().size();
+  std::vector<bool> stays_fine(static_cast<std::size_t>(blocks), true);
+  for (ir::BlockId block : moved) {
+    if (block < 0 || block >= blocks) {
+      fail(cat("HybridMapper::evaluate: bad moved block ", block));
+    }
+    if (!stays_fine[static_cast<std::size_t>(block)]) {
+      fail(cat("HybridMapper::evaluate: block ", block, " moved twice"));
+    }
+    stays_fine[static_cast<std::size_t>(block)] = false;
+  }
+  core::SplitCost cost;
+  for (ir::BlockId block = 0; block < blocks; ++block) {
+    if (!stays_fine[static_cast<std::size_t>(block)]) continue;
+    cost.t_fpga += fine_block_cycles(mapper.fine(block), profile.count(block),
+                                     mapper.platform().fpga);
+  }
+  for (ir::BlockId block : moved) {
+    const auto iterations = static_cast<std::int64_t>(profile.count(block));
+    cost.t_coarse += mapper.coarse_cycles_per_invocation(block) * iterations;
+    cost.t_comm += mapper.comm_cycles_per_invocation(block) * iterations;
+  }
+  return cost;
+}
+
 /// Moves every CGC-eligible block (not only loop kernels) to the
 /// coarse-grain data-path; the "all-coarse" end of the design space.
 inline core::PartitionReport all_coarse_split(
@@ -68,7 +147,7 @@ inline core::PartitionReport all_coarse_split(
     moved.push_back(block.id);
   }
   report.moved = moved;
-  report.cost = mapper.evaluate(profile, moved);
+  report.cost = evaluate(mapper, profile, moved);
   report.final_cycles = report.cost.total();
   report.cycles_in_cgc = report.cost.t_coarse;
   report.met = report.final_cycles <= timing_constraint_cycles;
