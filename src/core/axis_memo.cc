@@ -44,15 +44,88 @@ std::vector<std::uint64_t> walk_header(StrategyKind kind,
   return header;
 }
 
+void append_double(std::vector<std::uint64_t>& key, double value) {
+  key.push_back(static_cast<std::uint64_t>(jsonl::double_to_bits(value)));
+}
+
+// Every field of the models fine-grain mapping reads: the FPGA model
+// and the memory model.
+std::vector<std::uint64_t> fine_key(const platform::Platform& platform) {
+  const platform::FpgaModel& fpga = platform.fpga;
+  std::vector<std::uint64_t> key;
+  key.reserve(19);
+  append_double(key, fpga.usable_area);
+  key.push_back(static_cast<std::uint64_t>(fpga.reconfig_cycles));
+  key.push_back(static_cast<std::uint64_t>(fpga.parallel_lanes));
+  key.push_back(static_cast<std::uint64_t>(fpga.invocation_overhead_cycles));
+  key.push_back(static_cast<std::uint64_t>(fpga.reconfig_policy));
+  key.push_back(static_cast<std::uint64_t>(fpga.mapper));
+  append_double(key, fpga.clock_period_ns);
+  append_double(key, fpga.area_alu);
+  append_double(key, fpga.area_mul);
+  append_double(key, fpga.area_div);
+  append_double(key, fpga.area_mem);
+  append_double(key, fpga.area_copy);
+  key.push_back(static_cast<std::uint64_t>(fpga.delay_alu));
+  key.push_back(static_cast<std::uint64_t>(fpga.delay_mul));
+  key.push_back(static_cast<std::uint64_t>(fpga.delay_div));
+  key.push_back(static_cast<std::uint64_t>(fpga.delay_mem));
+  key.push_back(static_cast<std::uint64_t>(fpga.delay_copy));
+  key.push_back(
+      static_cast<std::uint64_t>(platform.memory.transfer_cycles_per_word));
+  key.push_back(static_cast<std::uint64_t>(
+      platform.memory.partition_boundary_cycles_per_word));
+  return key;
+}
+
+// Every field of the CGC model, the only part of the platform CGC
+// scheduling reads.
+std::vector<std::uint64_t> coarse_key(const platform::CgcModel& cgc) {
+  return {static_cast<std::uint64_t>(cgc.count),
+          static_cast<std::uint64_t>(cgc.rows),
+          static_cast<std::uint64_t>(cgc.cols),
+          static_cast<std::uint64_t>(cgc.fpga_clock_ratio),
+          static_cast<std::uint64_t>(cgc.enable_chaining),
+          static_cast<std::uint64_t>(cgc.mem_ports),
+          static_cast<std::uint64_t>(cgc.mem_access_cgc_cycles),
+          static_cast<std::uint64_t>(cgc.dma_memory),
+          static_cast<std::uint64_t>(cgc.register_bank_size)};
+}
+
 }  // namespace
 
 void AxisMemo::bind(const ir::Cdfg& cdfg, const ir::ProfileData& profile) {
   if (cdfg_ == &cdfg && profile_ == &profile) return;
   cdfg_ = &cdfg;
   profile_ = &profile;
+  facts_.reset();
+  fine_.clear();
+  coarse_.clear();
   analysis_.reset();
   kernels_.clear();
   walks_.clear();
+}
+
+HybridMapper AxisMemo::mapper(const platform::Platform& platform) {
+  require(cdfg_ != nullptr, "AxisMemo::mapper: no app bound");
+  platform::validate_platform(platform);
+  if (!facts_) facts_ = std::make_shared<const BlockFacts>(*cdfg_);
+  std::vector<std::uint64_t> key = fine_key(platform);
+  auto fine = fine_.find(key);
+  if (fine == fine_.end()) {
+    // Built before it is stored, so a mapping that throws leaves no
+    // table to answer the next lookup.
+    auto built = std::make_shared<const FineTables>(*cdfg_, *facts_,
+                                                    platform.fpga,
+                                                    platform.memory);
+    fine = fine_.emplace(std::move(key), std::move(built)).first;
+  }
+  std::shared_ptr<CoarseTables>& coarse = coarse_[coarse_key(platform.cgc)];
+  if (!coarse) {
+    coarse = std::make_shared<CoarseTables>(
+        static_cast<std::size_t>(cdfg_->size()));
+  }
+  return HybridMapper(*cdfg_, platform, facts_, fine->second, coarse);
 }
 
 const std::vector<analysis::KernelInfo>& AxisMemo::kernels(

@@ -3,6 +3,7 @@
 #include <cstddef>
 #include <cstdint>
 #include <map>
+#include <memory>
 #include <optional>
 #include <vector>
 
@@ -11,13 +12,23 @@
 
 namespace amdrel::core {
 
-/// Shares the work of run_methodology_axis across the platforms of one
-/// app. A sweep prices every (strategy, ordering) axis of an app on many
-/// platforms, and past an app's saturation points (its DFGs fit the
-/// FPGA area, its CGC schedules stop shrinking) two platforms price
-/// every kernel a walk touches the same. The memo keeps the app's
-/// extract_kernels list and each distinct walk's results, so such a
-/// walk runs once per app.
+/// Shares the work of a sweep across the platforms of one app. A sweep
+/// prices every (strategy, ordering) axis of an app on many platforms.
+/// The memo keeps, for the bound app:
+///   - the mapper tables (core/hybrid_mapper.h): one BlockFacts, one
+///     FineTables per FPGA and memory model, and one lazily filled
+///     CoarseTables per CGC model. mapper() hands each platform a
+///     HybridMapper view over them, so a block is mapped once per
+///     A_FPGA and scheduled once per CGC count, not once per platform.
+///     The fine-table key is every FpgaModel and MemoryModel field and
+///     the coarse-table key every CgcModel field, doubles by their
+///     bits, never grid coordinates: hand-built platforms that differ
+///     in any field get tables of their own. A build that throws (an
+///     operation larger than A_FPGA) stores nothing.
+///   - the extract_kernels list and each distinct walk's results. Past
+///     an app's saturation points (its DFGs fit the FPGA area, its CGC
+///     schedules stop shrinking) two platforms price every kernel a
+///     walk touches the same, so such a walk runs once per app.
 ///
 /// A stored walk is keyed exactly, never by hash or platform name:
 ///   - a header holding the strategy and every option a strategy reads,
@@ -32,12 +43,19 @@ namespace amdrel::core {
 /// blocks scheduled on the mapper than a memo-free one, never fewer,
 /// and never different results.
 ///
-/// Not thread-safe: a sweep gives each pool thread its own memo.
+/// Not thread-safe, and neither are its views, which share CGC
+/// schedules: a sweep gives each pool thread its own memo.
 class AxisMemo {
  public:
   /// Binds the memo to one app. A different (cdfg, profile) pair than
   /// the bound one empties the memo first.
   void bind(const ir::Cdfg& cdfg, const ir::ProfileData& profile);
+
+  /// A mapper for the bound app on `platform`, a view over the memo's
+  /// tables that builds whichever of them is missing. `platform` must
+  /// outlive the view; the tables outlive the memo's next bind() while
+  /// a view holds them.
+  HybridMapper mapper(const platform::Platform& platform);
 
   /// extract_kernels of the bound app, computed once per analysis
   /// options.
@@ -56,6 +74,10 @@ class AxisMemo {
  private:
   const ir::Cdfg* cdfg_ = nullptr;
   const ir::ProfileData* profile_ = nullptr;
+  std::shared_ptr<const BlockFacts> facts_;
+  std::map<std::vector<std::uint64_t>, std::shared_ptr<const FineTables>>
+      fine_;
+  std::map<std::vector<std::uint64_t>, std::shared_ptr<CoarseTables>> coarse_;
   std::optional<analysis::AnalysisOptions> analysis_;
   std::vector<analysis::KernelInfo> kernels_;
   std::map<std::vector<std::uint64_t>, std::vector<StrategyResult>> walks_;

@@ -201,11 +201,18 @@ std::size_t compute_sweep_shard(const std::vector<CorpusApp>& corpus,
   }
 
   // The mapper is built only when some cell of this group actually
-  // misses — a fully warm group costs zero mapper constructions.
+  // misses — a fully warm group costs zero mapper constructions. With a
+  // memo it is a view over the tables the thread's earlier shards of
+  // this app built; either way it counts as one build.
   std::optional<HybridMapper> mapper;
   auto ensure_mapper = [&]() -> HybridMapper& {
     if (!mapper) {
-      mapper.emplace(app.cdfg, coords.platform);
+      if (memo) {
+        memo->bind(app.cdfg, app.profile);
+        mapper.emplace(memo->mapper(coords.platform));
+      } else {
+        mapper.emplace(app.cdfg, coords.platform);
+      }
       if (cache) cache->count_mapper_build();
     }
     return *mapper;

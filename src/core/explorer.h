@@ -112,10 +112,11 @@ struct SweepSummary {
 int worker_count(std::size_t jobs, int requested);
 
 /// Runs the whole grid x corpus sweep on a thread pool. Work is sharded
-/// by (app, platform) cell group: a worker claims one group, builds one
-/// HybridMapper for that (cdfg, platform) pair and reuses it across every
-/// (constraint, strategy, ordering) cell of the group — each cell
-/// identical to a standalone run_methodology call.
+/// by (app, platform) cell group: a worker claims one group, takes one
+/// HybridMapper for that (cdfg, platform) pair from its thread's
+/// AxisMemo and reuses it across every (constraint, strategy, ordering)
+/// cell of the group — each cell identical to a standalone
+/// run_methodology call.
 /// Deterministic: output depends only on (corpus, spec), never on thread
 /// scheduling.
 SweepSummary sweep_design_space(const std::vector<CorpusApp>& corpus,
@@ -189,8 +190,9 @@ std::vector<Fingerprint> sweep_app_fingerprints(
 /// fewer than capacity only when default constraints collapsed).
 /// app_fps must be sweep_app_fingerprints(corpus) when spec.cache is
 /// set, and is ignored otherwise. A memo (core/axis_memo.h) shares
-/// kernel extraction and walks with the shards of the same app computed
-/// before on it; the cells are identical with or without one.
+/// the mapper tables, kernel extraction and walks with the shards of
+/// the same app computed before on it, and the shard's mapper is then a
+/// view over those tables; the cells are identical with or without one.
 std::size_t compute_sweep_shard(const std::vector<CorpusApp>& corpus,
                                 const SweepSpec& spec,
                                 const std::vector<Fingerprint>& app_fps,

@@ -2,6 +2,8 @@
 
 #include <algorithm>
 #include <functional>
+#include <memory>
+#include <utility>
 
 #include "core/energy.h"
 #include "core/json_lines.h"
@@ -20,30 +22,68 @@ void append_bits(std::vector<std::uint64_t>& out, std::int64_t value) {
   out.push_back(static_cast<std::uint64_t>(value));
 }
 
+std::vector<finegrain::FpgaBlockMapping> map_blocks(
+    const ir::Cdfg& cdfg, const BlockFacts& facts,
+    const platform::FpgaModel& fpga, const platform::MemoryModel& memory) {
+  std::vector<finegrain::FpgaBlockMapping> mappings;
+  mappings.reserve(facts.level_orders.size());
+  for (std::size_t b = 0; b < facts.level_orders.size(); ++b) {
+    mappings.push_back(finegrain::map_block_to_fpga(
+        cdfg.block(static_cast<ir::BlockId>(b)).dfg, fpga, memory,
+        facts.level_orders[b]));
+  }
+  return mappings;
+}
+
 }  // namespace
 
-void HybridMapper::build_block_tables() {
-  const auto blocks = static_cast<std::size_t>(cdfg_->size());
-  op_mix_.resize(blocks);
-  live_words_.resize(blocks);
-  node_count_.resize(blocks);
-  fine_inv_cycles_.resize(blocks);
-  amortized_charge_.resize(blocks);
+BlockFacts::BlockFacts(const ir::Cdfg& cdfg) {
+  const auto blocks = static_cast<std::size_t>(cdfg.size());
+  op_mix.reserve(blocks);
+  live_words.reserve(blocks);
+  node_count.reserve(blocks);
+  level_orders.reserve(blocks);
+  for (const ir::BasicBlock& block : cdfg.blocks()) {
+    const ir::Dfg& dfg = block.dfg;
+    op_mix.push_back(dfg.op_mix());
+    live_words.push_back(dfg.live_in_count() + dfg.live_out_count());
+    node_count.push_back(dfg.size());
+    level_orders.push_back(finegrain::level_order(dfg));
+  }
+}
+
+FineTables::FineTables(const ir::Cdfg& cdfg, const BlockFacts& facts,
+                       const platform::FpgaModel& fpga,
+                       const platform::MemoryModel& memory)
+    : FineTables(map_blocks(cdfg, facts, fpga, memory), fpga) {}
+
+FineTables::FineTables(std::vector<finegrain::FpgaBlockMapping> mappings,
+                       const platform::FpgaModel& fpga)
+    : fine(std::move(mappings)) {
+  inv_cycles.reserve(fine.size());
+  amortized_charge.reserve(fine.size());
+  for (const finegrain::FpgaBlockMapping& mapping : fine) {
+    inv_cycles.push_back(mapping.cycles_per_invocation(fpga));
+    amortized_charge.push_back(mapping.amortized_reconfigs *
+                               fpga.reconfig_cycles);
+  }
+}
+
+HybridMapper::HybridMapper(const ir::Cdfg& cdfg,
+                           const platform::Platform& platform,
+                           std::shared_ptr<const BlockFacts> facts,
+                           std::shared_ptr<const FineTables> fine,
+                           std::shared_ptr<CoarseTables> coarse)
+    : cdfg_(&cdfg),
+      platform_(&platform),
+      facts_(std::move(facts)),
+      fine_(std::move(fine)),
+      coarse_(std::move(coarse)) {
+  const auto blocks = static_cast<std::size_t>(cdfg.size());
   comm_inv_cycles_.resize(blocks);
-  coarse_inv_cycles_.assign(blocks, -1);
   for (std::size_t b = 0; b < blocks; ++b) {
-    const ir::Dfg& dfg = cdfg_->block(static_cast<ir::BlockId>(b)).dfg;
-    op_mix_[b] = dfg.op_mix();
-    live_words_[b] = dfg.live_in_count() + dfg.live_out_count();
-    node_count_[b] = dfg.size();
-    fine_inv_cycles_[b] = fine_[b].cycles_per_invocation(platform_->fpga);
-    amortized_charge_[b] =
-        fine_[b].amortized_reconfigs * platform_->fpga.reconfig_cycles;
     comm_inv_cycles_[b] =
-        live_words_[b] * platform_->memory.transfer_cycles_per_word;
-    if (coarse_.size() > b && coarse_[b].has_value()) {
-      coarse_inv_cycles_[b] = coarse_[b]->cycles_per_invocation_fpga;
-    }
+        facts_->live_words[b] * platform.memory.transfer_cycles_per_word;
   }
 }
 
@@ -51,72 +91,83 @@ HybridMapper::HybridMapper(const ir::Cdfg& cdfg,
                            const platform::Platform& platform)
     : cdfg_(&cdfg), platform_(&platform) {
   platform::validate_platform(platform);
-  fine_ = finegrain::map_cdfg_to_fpga(cdfg, platform.fpga, platform.memory);
-  coarse_.resize(static_cast<std::size_t>(cdfg.size()));
-  build_block_tables();
+  auto facts = std::make_shared<const BlockFacts>(cdfg);
+  auto fine = std::make_shared<const FineTables>(cdfg, *facts, platform.fpga,
+                                                 platform.memory);
+  *this = HybridMapper(
+      cdfg, platform, std::move(facts), std::move(fine),
+      std::make_shared<CoarseTables>(static_cast<std::size_t>(cdfg.size())));
 }
 
 HybridMapper::HybridMapper(const ir::Cdfg& cdfg,
                            const platform::Platform& platform,
                            const MapperState& state)
-    : cdfg_(&cdfg),
-      platform_(&platform),
-      fine_(state.fine),
-      coarse_(state.coarse) {
+    : cdfg_(&cdfg), platform_(&platform) {
   platform::validate_platform(platform);
-  require(static_cast<ir::BlockId>(fine_.size()) == cdfg.size(),
-          "HybridMapper: snapshot covers ", fine_.size(),
+  require(static_cast<ir::BlockId>(state.fine.size()) == cdfg.size(),
+          "HybridMapper: snapshot covers ", state.fine.size(),
           " blocks but the CDFG has ", cdfg.size());
-  require(coarse_.size() <= fine_.size(),
-          "HybridMapper: snapshot holds ", coarse_.size(),
-          " coarse mappings for ", fine_.size(), " blocks");
+  require(state.coarse.size() <= state.fine.size(),
+          "HybridMapper: snapshot holds ", state.coarse.size(),
+          " coarse mappings for ", state.fine.size(), " blocks");
   // The block count alone is not enough: a snapshot of another CDFG with
   // as many blocks (a caller keying it wrongly) would carry per-node
   // vectors of the wrong shape, which the engine would index out of
   // bounds.
-  for (std::size_t b = 0; b < fine_.size(); ++b) {
+  for (std::size_t b = 0; b < state.fine.size(); ++b) {
     const ir::BasicBlock& bb = cdfg.block(static_cast<ir::BlockId>(b));
-    require(static_cast<ir::NodeId>(fine_[b].partitioning.partition_of
+    require(static_cast<ir::NodeId>(state.fine[b].partitioning.partition_of
                                         .size()) == bb.dfg.size(),
             "HybridMapper: snapshot partitioning of block ", b,
-            " covers ", fine_[b].partitioning.partition_of.size(),
+            " covers ", state.fine[b].partitioning.partition_of.size(),
             " nodes but the block has ", bb.dfg.size());
   }
-  coarse_.resize(static_cast<std::size_t>(cdfg.size()));
-  build_block_tables();
+  auto coarse =
+      std::make_shared<CoarseTables>(static_cast<std::size_t>(cdfg.size()));
+  for (std::size_t b = 0; b < state.coarse.size(); ++b) {
+    if (!state.coarse[b].has_value()) continue;
+    coarse->coarse[b] = state.coarse[b];
+    coarse->inv_cycles[b] = state.coarse[b]->cycles_per_invocation_fpga;
+  }
+  *this = HybridMapper(
+      cdfg, platform, std::make_shared<const BlockFacts>(cdfg),
+      std::make_shared<const FineTables>(state.fine, platform.fpga),
+      std::move(coarse));
+}
+
+void HybridMapper::check_block(ir::BlockId block, const char* caller) const {
+  if (block < 0 || block >= cdfg_->size()) {
+    fail(cat("HybridMapper::", caller, ": bad block ", block));
+  }
 }
 
 const finegrain::FpgaBlockMapping& HybridMapper::fine(
     ir::BlockId block) const {
-  if (block < 0 || block >= static_cast<ir::BlockId>(fine_.size())) {
-    fail(cat("HybridMapper::fine: bad block ", block));
-  }
-  return fine_[block];
+  check_block(block, "fine");
+  return fine_->fine[static_cast<std::size_t>(block)];
 }
 
 const coarsegrain::CgcBlockMapping& HybridMapper::coarse(ir::BlockId block) {
-  std::optional<coarsegrain::CgcBlockMapping>& slot =
-      coarse_[static_cast<std::size_t>(block)];
+  check_block(block, "coarse");
+  const auto b = static_cast<std::size_t>(block);
+  std::optional<coarsegrain::CgcBlockMapping>& slot = coarse_->coarse[b];
   if (!slot.has_value()) {
-    const ir::BasicBlock& bb = cdfg_->block(block);
-    slot = coarsegrain::map_block_to_cgc(bb.dfg, *platform_);
-    coarse_inv_cycles_[static_cast<std::size_t>(block)] =
-        slot->cycles_per_invocation_fpga;
+    slot = coarsegrain::map_block_to_cgc(cdfg_->block(block).dfg, *platform_);
+    coarse_->inv_cycles[b] = slot->cycles_per_invocation_fpga;
   }
   return *slot;
 }
 
 std::int64_t HybridMapper::fine_cycles_per_invocation(
     ir::BlockId block) const {
-  if (block < 0 || block >= static_cast<ir::BlockId>(fine_.size())) {
-    fail(cat("HybridMapper::fine: bad block ", block));
-  }
-  return fine_inv_cycles_[static_cast<std::size_t>(block)];
+  check_block(block, "fine");
+  return fine_->inv_cycles[static_cast<std::size_t>(block)];
 }
 
 std::int64_t HybridMapper::coarse_cycles_per_invocation(ir::BlockId block) {
+  check_block(block, "coarse");
   const std::int64_t memo =
-      coarse_inv_cycles_[static_cast<std::size_t>(block)];
+      coarse_->inv_cycles[static_cast<std::size_t>(block)];
   if (memo >= 0) return memo;
   return coarse(block).cycles_per_invocation_fpga;
 }
@@ -128,16 +179,15 @@ std::int64_t HybridMapper::comm_cycles_per_invocation(
 
 std::int64_t HybridMapper::fine_contribution_cycles(
     ir::BlockId block, const ir::ProfileData& profile) const {
-  if (block < 0 || block >= static_cast<ir::BlockId>(fine_.size())) {
-    fail(cat("HybridMapper::fine: bad block ", block));
-  }
+  check_block(block, "fine");
   const auto b = static_cast<std::size_t>(block);
   const auto iterations = static_cast<std::int64_t>(profile.count(block));
-  return fine_inv_cycles_[b] * iterations + amortized_charge_[b];
+  return fine_->inv_cycles[b] * iterations + fine_->amortized_charge[b];
 }
 
 std::int64_t HybridMapper::move_benefit_cycles(ir::BlockId block,
                                                std::uint64_t exec_freq) {
+  check_block(block, "move_benefit_cycles");
   if (!cgc_eligible(block)) return 0;
   return (fine_cycles_per_invocation(block) -
           coarse_cycles_per_invocation(block) -
@@ -147,7 +197,7 @@ std::int64_t HybridMapper::move_benefit_cycles(ir::BlockId block,
 
 std::int64_t HybridMapper::all_fine_cycles(
     const ir::ProfileData& profile) const {
-  return finegrain::fpga_total_cycles(fine_, profile, platform_->fpga);
+  return finegrain::fpga_total_cycles(fine_->fine, profile, platform_->fpga);
 }
 
 IncrementalSplit::IncrementalSplit(HybridMapper& mapper,

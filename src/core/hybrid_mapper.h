@@ -1,6 +1,8 @@
 #pragma once
 
+#include <cstddef>
 #include <cstdint>
+#include <memory>
 #include <optional>
 #include <vector>
 
@@ -41,17 +43,71 @@ struct MapperState {
   std::vector<std::optional<coarsegrain::CgcBlockMapping>> coarse;
 };
 
+/// What a mapper knows of each block of one app regardless of the
+/// platform, block-id indexed: Dfg::op_mix(), live_in_count() +
+/// live_out_count(), size(), and the finegrain::LevelOrder both fine
+/// mappers walk. One per app, shared by its mappers on every platform.
+struct BlockFacts {
+  explicit BlockFacts(const ir::Cdfg& cdfg);
+
+  std::vector<ir::OpMix> op_mix;
+  std::vector<std::int64_t> live_words;  ///< live-in + live-out count
+  std::vector<ir::NodeId> node_count;
+  std::vector<finegrain::LevelOrder> level_orders;
+};
+
+/// Every block's fine-grain mapping (paper Figure 3) on one FPGA and
+/// memory model, with the invocation cycles and amortized
+/// reconfiguration charge derived from it. Reads nothing of the CGC, so
+/// one table serves every CGC count of an A_FPGA.
+struct FineTables {
+  /// Maps every block over facts' level orders. Throws Error when an
+  /// operation exceeds fpga.usable_area.
+  FineTables(const ir::Cdfg& cdfg, const BlockFacts& facts,
+             const platform::FpgaModel& fpga,
+             const platform::MemoryModel& memory);
+  /// Adopts mappings computed earlier (the MapperState restore).
+  FineTables(std::vector<finegrain::FpgaBlockMapping> mappings,
+             const platform::FpgaModel& fpga);
+
+  std::vector<finegrain::FpgaBlockMapping> fine;
+  std::vector<std::int64_t> inv_cycles;        ///< cycles_per_invocation
+  std::vector<std::int64_t> amortized_charge;  ///< amortized reconfig cycles
+};
+
+/// CGC schedules of one app's blocks on one CGC data-path, filled
+/// lazily as blocks are first priced on the CGC. Reads nothing of the
+/// FPGA, so one table serves every A_FPGA of a CGC count.
+struct CoarseTables {
+  explicit CoarseTables(std::size_t blocks)
+      : coarse(blocks), inv_cycles(blocks, -1) {}
+
+  std::vector<std::optional<coarsegrain::CgcBlockMapping>> coarse;
+  std::vector<std::int64_t> inv_cycles;  ///< memo; -1 = unscheduled
+};
+
 /// Caches the fine-grain and coarse-grain mappings of every basic block of
 /// one application on one platform, and prices arbitrary splits. The
 /// partitioning engine re-evaluates the split after every kernel movement
 /// (paper section 3.4); caching keeps that loop cheap and deterministic.
 ///
-/// Construction flattens every per-block quantity the engine hot paths
-/// need — each block's op mix, live-in/out word count and node count,
-/// fine-grain invocation cycles, amortized reconfiguration charges,
-/// communication cycles — into dense arrays indexed by block id. Execution
-/// counts come from ir::ProfileData, which is block-id indexed too, so
-/// split and energy pricing never walk IR nodes or search a map.
+/// A mapper is a view over three tables: the app's BlockFacts, the
+/// FineTables of its FPGA and memory, and the CoarseTables of its CGC
+/// data-path, plus each block's communication cycles, the one array it
+/// derives per platform. The two constructors below build all three
+/// for this mapper alone. A sweep thread's core::AxisMemo instead
+/// builds each table once per app and hands every platform of the app
+/// a view over them (AxisMemo::mapper), so a block is mapped once per
+/// FPGA and scheduled once per CGC count however many platforms share
+/// them. Views share their CoarseTables, so a block one view schedules
+/// is scheduled for all; the schedule is a function of the block and
+/// the CGC model alone, so no price changes. Not copyable: a copy
+/// would share those schedules without saying so.
+///
+/// Every per-block quantity the engine hot paths need is in a dense
+/// array indexed by block id. Execution counts come from
+/// ir::ProfileData, which is block-id indexed too, so split and energy
+/// pricing never walk IR nodes or search a map.
 class HybridMapper {
  public:
   HybridMapper(const ir::Cdfg& cdfg, const platform::Platform& platform);
@@ -66,30 +122,34 @@ class HybridMapper {
   HybridMapper(const ir::Cdfg& cdfg, const platform::Platform& platform,
                const MapperState& state);
 
+  HybridMapper(const HybridMapper&) = delete;
+  HybridMapper& operator=(const HybridMapper&) = delete;
+  HybridMapper(HybridMapper&&) = default;
+  HybridMapper& operator=(HybridMapper&&) = default;
+
   /// Copies out every computed mapping (fine mappings are complete after
   /// construction; coarse ones cover the blocks scheduled so far).
-  MapperState state() const { return {fine_, coarse_}; }
+  MapperState state() const { return {fine_->fine, coarse_->coarse}; }
 
   const ir::Cdfg& cdfg() const { return *cdfg_; }
   const platform::Platform& platform() const { return *platform_; }
 
-  /// Per-block summaries of the block's Dfg, computed once at
-  /// construction: Dfg::op_mix(), live_in_count() + live_out_count(),
-  /// and size().
+  /// The block's BlockFacts entries: Dfg::op_mix(), live_in_count() +
+  /// live_out_count(), and size().
   const ir::OpMix& op_mix(ir::BlockId block) const {
-    return op_mix_[static_cast<std::size_t>(block)];
+    return facts_->op_mix[static_cast<std::size_t>(block)];
   }
   std::int64_t live_words(ir::BlockId block) const {
-    return live_words_[static_cast<std::size_t>(block)];
+    return facts_->live_words[static_cast<std::size_t>(block)];
   }
   ir::NodeId node_count(ir::BlockId block) const {
-    return node_count_[static_cast<std::size_t>(block)];
+    return facts_->node_count[static_cast<std::size_t>(block)];
   }
 
   const finegrain::FpgaBlockMapping& fine(ir::BlockId block) const;
 
-  /// Lazily schedules `block` on the CGC data-path. Throws Error for
-  /// blocks the CGC cannot execute (divisions).
+  /// Lazily schedules `block` on the CGC data-path. Throws Error for a
+  /// bad block id and for blocks the CGC cannot execute (divisions).
   const coarsegrain::CgcBlockMapping& coarse(ir::BlockId block);
 
   /// False for blocks holding a division, which the CGC cannot execute.
@@ -114,27 +174,31 @@ class HybridMapper {
   /// invocations (fine minus coarse minus communication). The shared
   /// benefit model behind kBenefitDescending ordering and the search
   /// strategies' candidate ranking; zero for CGC-ineligible blocks.
+  /// Throws Error for a bad block id.
   std::int64_t move_benefit_cycles(ir::BlockId block, std::uint64_t exec_freq);
 
   /// Cycles of the all-fine-grain solution (paper step 2).
   std::int64_t all_fine_cycles(const ir::ProfileData& profile) const;
 
  private:
-  void build_block_tables();
+  friend class AxisMemo;
+
+  /// A view over tables built for `cdfg` and for `platform`'s FPGA,
+  /// memory and CGC models (AxisMemo::mapper).
+  HybridMapper(const ir::Cdfg& cdfg, const platform::Platform& platform,
+               std::shared_ptr<const BlockFacts> facts,
+               std::shared_ptr<const FineTables> fine,
+               std::shared_ptr<CoarseTables> coarse);
+
+  /// Throws Error naming `caller` unless `block` is an id of the CDFG.
+  void check_block(ir::BlockId block, const char* caller) const;
 
   const ir::Cdfg* cdfg_;
   const platform::Platform* platform_;
-  std::vector<finegrain::FpgaBlockMapping> fine_;
-  std::vector<std::optional<coarsegrain::CgcBlockMapping>> coarse_;
-
-  // Dense per-block tables flattened at construction (block-id indexed).
-  std::vector<ir::OpMix> op_mix_;
-  std::vector<std::int64_t> live_words_;  ///< live-in + live-out count
-  std::vector<ir::NodeId> node_count_;
-  std::vector<std::int64_t> fine_inv_cycles_;   ///< cycles_per_invocation
-  std::vector<std::int64_t> amortized_charge_;  ///< amortized reconfig cycles
-  std::vector<std::int64_t> comm_inv_cycles_;   ///< live words * transfer cost
-  std::vector<std::int64_t> coarse_inv_cycles_;  ///< memo; -1 = unscheduled
+  std::shared_ptr<const BlockFacts> facts_;
+  std::shared_ptr<const FineTables> fine_;
+  std::shared_ptr<CoarseTables> coarse_;
+  std::vector<std::int64_t> comm_inv_cycles_;  ///< live words * transfer cost
 };
 
 /// Incrementally-priced fine/coarse split. Starts at the all-fine-grain

@@ -7,8 +7,14 @@ namespace amdrel::finegrain {
 FpgaBlockMapping map_block_to_fpga(const ir::Dfg& dfg,
                                    const platform::FpgaModel& fpga,
                                    const platform::MemoryModel& memory) {
+  return map_block_to_fpga(dfg, fpga, memory, level_order(dfg));
+}
+
+FpgaBlockMapping map_block_to_fpga(const ir::Dfg& dfg,
+                                   const platform::FpgaModel& fpga,
+                                   const platform::MemoryModel& memory,
+                                   const LevelOrder& order) {
   FpgaBlockMapping mapping;
-  const LevelOrder order = level_order(dfg);
   mapping.partitioning = fpga.mapper == platform::FineMapper::kListPacking
                              ? partition_dfg_list(dfg, fpga, order)
                              : partition_dfg(dfg, fpga, order);
@@ -96,17 +102,6 @@ FpgaBlockMapping map_block_to_fpga(const ir::Dfg& dfg,
       break;
   }
   return mapping;
-}
-
-std::vector<FpgaBlockMapping> map_cdfg_to_fpga(
-    const ir::Cdfg& cdfg, const platform::FpgaModel& fpga,
-    const platform::MemoryModel& memory) {
-  std::vector<FpgaBlockMapping> mappings;
-  mappings.reserve(cdfg.size());
-  for (const ir::BasicBlock& block : cdfg.blocks()) {
-    mappings.push_back(map_block_to_fpga(block.dfg, fpga, memory));
-  }
-  return mappings;
 }
 
 std::int64_t fpga_total_cycles(const std::vector<FpgaBlockMapping>& mappings,

@@ -38,12 +38,11 @@ struct FpgaBlockMapping {
 FpgaBlockMapping map_block_to_fpga(const ir::Dfg& dfg,
                                    const platform::FpgaModel& fpga,
                                    const platform::MemoryModel& memory);
-
-/// Fine-grain mapping of a whole application: one block mapping per CDFG
-/// block, in block-id order.
-std::vector<FpgaBlockMapping> map_cdfg_to_fpga(
-    const ir::Cdfg& cdfg, const platform::FpgaModel& fpga,
-    const platform::MemoryModel& memory);
+/// As above, over an `order` the caller already built from `dfg`.
+FpgaBlockMapping map_block_to_fpga(const ir::Dfg& dfg,
+                                   const platform::FpgaModel& fpga,
+                                   const platform::MemoryModel& memory,
+                                   const LevelOrder& order);
 
 /// Equation (4) of the paper: t_FPGA = sum over blocks of
 /// t_to_FPGA(BB_i) * Iter(BB_i), plus any amortized reconfiguration cost.

@@ -19,8 +19,6 @@ struct OpMix {
   std::int64_t div = 0;
   std::int64_t mem = 0;
   std::int64_t meta = 0;
-
-  std::int64_t total_schedulable() const { return alu + mul + div + mem; }
 };
 
 /// Data-flow graph of one basic block. Nodes are operations; edges are

@@ -11,6 +11,9 @@ namespace amdrel::platform {
 /// connections let a chain of up to `rows` dependent operations complete
 /// within a single CGC clock cycle (the "complex operations like
 /// multiply-add" of the paper).
+///
+/// A new field must join coarse_key in core/axis_memo.cc, which keys the
+/// sweep's shared mapper tables by every field.
 struct CgcModel {
   int count = 2;  ///< number of CGCs in the data-path
   int rows = 2;   ///< chaining depth within one CGC and one cycle

@@ -32,6 +32,9 @@ enum class FineMapper {
 /// reconfigurable hardware are characterized in terms of timing and area
 /// characteristics"), so any device can be described by filling the
 /// per-class area/delay entries.
+///
+/// A new field must join fine_key in core/axis_memo.cc, which keys the
+/// sweep's shared mapper tables by every field.
 struct FpgaModel {
   /// Area available for mapping DFG operations (the paper's A_FPGA,
   /// quoted directly in "units of area" in the experiments). When

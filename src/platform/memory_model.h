@@ -9,6 +9,9 @@ namespace amdrel::platform {
 /// between temporal partitions of the fine-grain hardware, and (c) values
 /// communicated between the fine- and coarse-grain parts when a kernel is
 /// moved (the t_comm term of equation (2)).
+///
+/// A new field must join fine_key in core/axis_memo.cc, which keys the
+/// sweep's shared mapper tables by every field.
 struct MemoryModel {
   /// Cost of transferring one word between the two reconfigurable blocks
   /// through the shared memory, in FPGA clock cycles (write + read).

@@ -284,14 +284,4 @@ std::vector<std::int32_t> random_pixels(std::size_t count,
   return pixels;
 }
 
-std::vector<std::int32_t> random_samples(std::size_t count,
-                                         std::uint64_t seed) {
-  std::uint64_t state = seed | 1;
-  std::vector<std::int32_t> samples(count);
-  for (auto& s : samples) {
-    s = static_cast<std::int32_t>(xorshift(state) % 2048) - 1024;
-  }
-  return samples;
-}
-
 }  // namespace amdrel::workloads

@@ -49,7 +49,5 @@ SobelGolden golden_sobel(const std::vector<std::int32_t>& image, int width,
 std::vector<std::int32_t> random_bits(std::size_t count, std::uint64_t seed);
 std::vector<std::int32_t> random_pixels(std::size_t count,
                                         std::uint64_t seed);
-std::vector<std::int32_t> random_samples(std::size_t count,
-                                         std::uint64_t seed);
 
 }  // namespace amdrel::workloads

@@ -75,7 +75,7 @@ TEST(DfgTest, OpMixCountsClasses) {
   EXPECT_EQ(mix.mul, 1);
   EXPECT_EQ(mix.mem, 0);
   EXPECT_EQ(mix.meta, 3);  // two inputs + one output
-  EXPECT_EQ(mix.total_schedulable(), 4);
+  EXPECT_EQ(test::total_schedulable(mix), 4);
 }
 
 TEST(DfgTest, LiveInAndOutCounts) {

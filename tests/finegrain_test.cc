@@ -214,7 +214,7 @@ TEST(FpgaMapperTest, TotalCyclesScalesWithProfile) {
   dfg.add_node(OpKind::kAdd, {a, a});
   platform::FpgaModel fpga = unit_fpga(10.0);
   platform::MemoryModel memory;
-  const auto mappings = map_cdfg_to_fpga(cdfg, fpga, memory);
+  const auto mappings = test::map_cdfg_to_fpga(cdfg, fpga, memory);
   ir::ProfileData profile;
   profile.set_count(b0, 100);
   EXPECT_EQ(fpga_total_cycles(mappings, profile, fpga),

@@ -16,7 +16,7 @@
 #include "minic/frontend.h"
 #include "minic/optimizer.h"
 #include "synth/minic_fuzzer.h"
-#include "workloads/golden.h"
+#include "test_helpers.h"
 
 namespace amdrel {
 namespace {
@@ -36,7 +36,7 @@ TEST_P(FuzzedProgramProperty, CompilesAndTerminates) {
   const ir::TacProgram tac = minic::compile(source(), "fuzz");
   EXPECT_NO_THROW(tac.validate());
   interp::Interpreter interp(tac);
-  interp.set_input("in", workloads::random_samples(16, GetParam()));
+  interp.set_input("in", test::random_samples(16, GetParam()));
   const auto result = interp.run(kBudget);
   EXPECT_GT(result.instructions_executed, 0u);
 }
@@ -47,7 +47,7 @@ TEST_P(FuzzedProgramProperty, OptimizerPreservesBehaviour) {
   ir::TacProgram optimized = plain;
   minic::optimize(optimized);
 
-  const auto input = workloads::random_samples(16, GetParam() * 31 + 7);
+  const auto input = test::random_samples(16, GetParam() * 31 + 7);
   interp::Interpreter a(std::move(plain));
   interp::Interpreter b(std::move(optimized));
   a.set_input("in", input);
@@ -70,7 +70,7 @@ TEST_P(FuzzedProgramProperty, CompilationIsDeterministic) {
 TEST_P(FuzzedProgramProperty, AnalysisPipelineAcceptsFuzzedPrograms) {
   const ir::TacProgram tac = minic::compile(source(), "fuzz");
   interp::Interpreter interp(tac);
-  interp.set_input("in", workloads::random_samples(16, GetParam()));
+  interp.set_input("in", test::random_samples(16, GetParam()));
   const auto run = interp.run(kBudget);
 
   const ir::Cdfg cdfg = ir::build_cdfg(tac);

@@ -5,6 +5,7 @@
 #include "ir/build_cdfg.h"
 #include "minic/frontend.h"
 #include "support/error.h"
+#include "test_helpers.h"
 
 namespace amdrel::interp {
 namespace {
@@ -178,7 +179,7 @@ TEST(InterpreterTest, ProfileCountsMatchLoopTripCounts) {
   bool found_depth2 = false;
   for (const auto& block : cdfg.blocks()) {
     if (block.loop_depth == 2 &&
-        block.dfg.op_mix().total_schedulable() > 0 &&
+        test::total_schedulable(block.dfg.op_mix()) > 0 &&
         result.profile.count(block.id) == 24) {
       found_depth2 = true;
     }

@@ -4,6 +4,7 @@
 
 #include "interp/interpreter.h"
 #include "minic/frontend.h"
+#include "test_helpers.h"
 #include "workloads/golden.h"
 #include "workloads/minic_sources.h"
 
@@ -148,7 +149,7 @@ TEST(OptimizerTest, OptimizedProgramRunsFewerInstructions) {
   ir::TacProgram optimized = compile(source, "fir");
   optimize(optimized);
 
-  const auto samples = workloads::random_samples(64 + 16, 3);
+  const auto samples = test::random_samples(64 + 16, 3);
   interp::Interpreter a(std::move(plain));
   interp::Interpreter b(std::move(optimized));
   a.set_input("samples", samples);

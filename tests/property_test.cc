@@ -431,7 +431,7 @@ class GoldenEquivalenceProperty
 
 TEST_P(GoldenEquivalenceProperty, FirMatches) {
   const int n = 48;
-  const auto samples = workloads::random_samples(n + 16, GetParam());
+  const auto samples = test::random_samples(n + 16, GetParam());
   interp::Interpreter interp(minic::compile(workloads::fir_source(n)));
   interp.set_input("samples", samples);
   const auto result = interp.run();

@@ -3,6 +3,7 @@
 // Computations that only tests use, kept out of the library.
 
 #include <algorithm>
+#include <cstddef>
 #include <cstdint>
 #include <vector>
 
@@ -28,6 +29,27 @@ inline platform::FpgaModel from_device_area(double device_area,
   return model;
 }
 
+/// Operations of an op mix that occupy hardware: every class but the
+/// structural meta nodes.
+inline std::int64_t total_schedulable(const ir::OpMix& mix) {
+  return mix.alu + mix.mul + mix.div + mix.mem;
+}
+
+/// Deterministic pseudo-random FIR input samples in [-1024, 1024), from
+/// the xorshift generator of workloads::random_bits and random_pixels.
+inline std::vector<std::int32_t> random_samples(std::size_t count,
+                                                std::uint64_t seed) {
+  std::uint64_t state = seed | 1;
+  std::vector<std::int32_t> samples(count);
+  for (auto& s : samples) {
+    state ^= state << 13;
+    state ^= state >> 7;
+    state ^= state << 17;
+    s = static_cast<std::int32_t>(state % 2048) - 1024;
+  }
+  return samples;
+}
+
 /// Compute slots usable per CGC cycle over the whole data-path.
 inline int slots_per_cycle(const platform::CgcModel& cgc) {
   return cgc.count * cgc.rows * cgc.cols;
@@ -49,6 +71,18 @@ inline std::vector<bool> scheduled_blocks(
     scheduled.push_back(coarse.has_value());
   }
   return scheduled;
+}
+
+/// Fine-grain mapping of a whole application: one block mapping per CDFG
+/// block, in block-id order.
+inline std::vector<finegrain::FpgaBlockMapping> map_cdfg_to_fpga(
+    const ir::Cdfg& cdfg, const platform::FpgaModel& fpga,
+    const platform::MemoryModel& memory) {
+  std::vector<finegrain::FpgaBlockMapping> mappings;
+  for (const ir::BasicBlock& block : cdfg.blocks()) {
+    mappings.push_back(finegrain::map_block_to_fpga(block.dfg, fpga, memory));
+  }
+  return mappings;
 }
 
 /// One block's term of equation (4): t_to_FPGA(BB) * Iter(BB) plus its
@@ -143,7 +177,7 @@ inline core::PartitionReport all_coarse_split(
   for (const ir::BasicBlock& block : cdfg.blocks()) {
     if (profile.count(block.id) == 0) continue;
     if (!mapper.cgc_eligible(block.id)) continue;
-    if (block.dfg.op_mix().total_schedulable() == 0) continue;
+    if (total_schedulable(block.dfg.op_mix()) == 0) continue;
     moved.push_back(block.id);
   }
   report.moved = moved;

@@ -7,6 +7,7 @@
 #include "interp/interpreter.h"
 #include "ir/build_cdfg.h"
 #include "minic/frontend.h"
+#include "test_helpers.h"
 
 namespace amdrel::workloads {
 namespace {
@@ -68,7 +69,7 @@ TEST(JpegWorkloadTest, FlatImageCompressesToNearNothing) {
 
 TEST(FirWorkloadTest, InterpreterMatchesGoldenReference) {
   const int n = 128;
-  const auto samples = random_samples(n + 16, 5);
+  const auto samples = test::random_samples(n + 16, 5);
 
   const ir::TacProgram tac = minic::compile(fir_source(n), "fir");
   interp::Interpreter interp(tac);
