@@ -1,7 +1,6 @@
 #include "core/fingerprint.h"
 
 #include "core/json_lines.h"
-#include "support/text.h"
 
 namespace amdrel::core {
 
@@ -27,8 +26,6 @@ std::uint64_t avalanche(std::uint64_t value) {
 }
 
 }  // namespace
-
-std::string Fingerprint::to_hex() const { return text::render(*this); }
 
 void append_part(std::string& out, const Fingerprint& fp) {
   static constexpr char kHex[] = "0123456789abcdef";

@@ -36,17 +36,16 @@ struct Fingerprint {
     return hi != other.hi ? hi < other.hi : lo < other.lo;
   }
 
-  /// Fixed-width lowercase hex rendering ("<hi:16><lo:16>", 32 chars) —
-  /// the on-disk key format of the sweep cache.
-  std::string to_hex() const;
-
-  /// Inverse of to_hex; nullopt unless `text` is exactly 32 lowercase
-  /// hex digits (strict: the cache loader rejects anything else).
+  /// Inverse of append_part's rendering; nullopt unless `text` is
+  /// exactly 32 lowercase hex digits (strict: the cache loader rejects
+  /// anything else).
   static std::optional<Fingerprint> from_hex(std::string_view text);
 };
 
-/// Appends fp.to_hex()'s 32 digits to `out`: a text::append part, so a
-/// cache line renders its key with no temporary string.
+/// Appends fp's fixed-width lowercase hex ("<hi:16><lo:16>", 32 digits,
+/// the on-disk key format of the sweep cache) to `out`: a text::append
+/// part, so a cache line renders its key with no temporary string;
+/// text::render(fp) gives it as a string.
 void append_part(std::string& out, const Fingerprint& fp);
 
 /// Incremental two-lane mixer behind every fingerprint: lane one is

@@ -55,6 +55,8 @@ struct Expr {
   BinaryOp bin_op = BinaryOp::kAdd;   // kBinary
   ExprPtr lhs;                        // kUnary operand / kBinary lhs
   ExprPtr rhs;                        // kBinary rhs
+  int slot = -1;  ///< set by check_program: kVarRef / kIndex the
+                  ///< declaration's slot, kCall the callee's index
 };
 
 struct Stmt;
@@ -93,6 +95,7 @@ struct Stmt {
   StmtPtr body_stmt;                         // loops
   StmtPtr for_init;                          // kFor (kDecl or kAssign)
   StmtPtr for_step;                          // kFor (kAssign or kExpr)
+  int slot = -1;                             // kDecl: set by check_program
 };
 
 struct ParamDecl {
@@ -103,6 +106,7 @@ struct ParamDecl {
   /// declare all dimensions so indexing can be flattened.
   std::vector<std::int64_t> dims;
   SourceLoc loc;
+  int slot = -1;  ///< set by check_program
 };
 
 struct FuncDecl {
@@ -116,6 +120,8 @@ struct FuncDecl {
 struct Program {
   std::vector<StmtPtr> globals;  ///< kDecl statements
   std::vector<FuncDecl> functions;
+  int slot_count = 0;   ///< set by check_program: declaration slots used
+  int main_index = -1;  ///< set by check_program: main in `functions`
 };
 
 }  // namespace amdrel::minic

@@ -1,7 +1,7 @@
 #include "minic/lowering.h"
 
-#include <map>
-#include <variant>
+#include <algorithm>
+#include <string_view>
 #include <vector>
 
 #include "support/error.h"
@@ -17,15 +17,12 @@ using ir::TacInstr;
 using ir::TacProgram;
 using ir::Terminator;
 
-/// What a name resolves to during lowering.
-struct ScalarBinding {
+/// What a declaration slot holds while its scope is being lowered: a
+/// scalar's register or an array's index into TacProgram::arrays.
+struct Binding {
   int reg = -1;
-  bool is_const = false;
+  int array = -1;
 };
-struct ArrayBinding {
-  int array = -1;  ///< index into TacProgram::arrays
-};
-using Binding = std::variant<ScalarBinding, ArrayBinding>;
 
 struct LoopContext {
   BlockId continue_target = ir::kNoBlock;
@@ -35,42 +32,25 @@ struct LoopContext {
 class Lowerer {
  public:
   Lowerer(const Program& program, std::string name)
-      : program_(program) {
+      : program_(program), slots_(program.slot_count) {
     prog_.name = std::move(name);
   }
 
   TacProgram run() {
-    for (const auto& function : program_.functions) {
-      functions_[function.name] = &function;
-    }
-
+    const FuncDecl& main_fn = program_.functions[checked(
+        program_.main_index, program_.functions.size(), SourceLoc{}, "main")];
     const BlockId entry = new_block("entry");
     prog_.entry = entry;
     start_block(entry);
 
     // Globals: arrays become shared-memory symbols, scalars become
     // registers initialized in the entry block.
-    push_scope();
     for (const auto& global : program_.globals) lower_decl(*global);
 
     // Inline main's body as the top-level frame.
-    const FuncDecl& main_fn = *functions_.at("main");
-    return_regs_.push_back(main_fn.returns_value ? fresh_reg("main.ret") : -1);
-    return_blocks_.push_back(new_block("program_exit"));
-    if (return_regs_.back() != -1) emit_const(return_regs_.back(), 0);
-    push_scope();
-    lower_stmt(*main_fn.body);
-    pop_scope();
-    if (!terminated_) {
-      terminate(Terminator{Terminator::Kind::kJmp, -1, return_blocks_.back(),
-                           ir::kNoBlock, -1});
-    }
-    start_block(return_blocks_.back());
+    const int main_ret = inline_body(main_fn, new_block("program_exit"));
     terminate(Terminator{Terminator::Kind::kRet, -1, ir::kNoBlock,
-                         ir::kNoBlock, return_regs_.back()});
-    return_blocks_.pop_back();
-    return_regs_.pop_back();
-    pop_scope();
+                         ir::kNoBlock, main_ret});
 
     prog_.validate();
     return std::move(prog_);
@@ -112,36 +92,41 @@ class Lowerer {
         Terminator{Terminator::Kind::kBr, cond_reg, if_true, if_false, -1});
   }
 
-  // ---- registers & scopes -------------------------------------------------
+  // ---- registers & slots --------------------------------------------------
   int fresh_reg(const std::string& name = {}) {
     const int reg = prog_.num_regs++;
     prog_.reg_names.push_back(name);
     return reg;
   }
 
-  void push_scope() { scopes_.emplace_back(); }
-  void pop_scope() { scopes_.pop_back(); }
-
-  void bind(const std::string& name, Binding binding) {
-    scopes_.back()[name] = std::move(binding);
+  /// `slot`, which check_program recorded for `name`, as an index below
+  /// `size`; an unset slot raises Error instead of reading out of range.
+  static std::size_t checked(int slot, std::size_t size, SourceLoc loc,
+                             const std::string& name) {
+    require(slot >= 0 && static_cast<std::size_t>(slot) < size,
+            "lowering: '", name, "' at line ", loc.line,
+            " has no slot; run check_program first");
+    return static_cast<std::size_t>(slot);
   }
 
-  const Binding& resolve(SourceLoc loc, const std::string& name) const {
-    for (auto it = scopes_.rbegin(); it != scopes_.rend(); ++it) {
-      const auto found = it->find(name);
-      if (found != it->end()) return found->second;
-    }
-    fail(cat("lowering: unresolved identifier '", name, "' at line ",
-             loc.line, " (sema should have caught this)"));
+  Binding& binding(int slot, SourceLoc loc, const std::string& name) {
+    return slots_[checked(slot, slots_.size(), loc, name)];
+  }
+  /// The binding a reference reads. Sema orders every use after its
+  /// declaration, except that a global's initializer may call a function
+  /// that reads a later global, whose slot is still empty.
+  Binding& binding(const Expr& ref) {
+    Binding& bound = binding(ref.slot, ref.loc, ref.name);
+    require(bound.reg != -1 || bound.array != -1, "lowering: '", ref.name,
+            "' at line ", ref.loc.line,
+            " is read before its declaration is lowered");
+    return bound;
   }
 
   // ---- helpers ----------------------------------------------------------------
+  // TacInstr fields in order: op, dst, src1, src2, imm, array.
   void emit_const(int dst, std::int64_t value) {
-    TacInstr instr;
-    instr.op = OpKind::kConst;
-    instr.dst = dst;
-    instr.imm = value;
-    emit(instr);
+    emit(TacInstr{OpKind::kConst, dst, -1, -1, value});
   }
 
   int materialize_const(std::int64_t value) {
@@ -150,32 +135,14 @@ class Lowerer {
     return reg;
   }
 
-  int emit_binary(OpKind op, int a, int b) {
-    TacInstr instr;
-    instr.op = op;
-    instr.dst = fresh_reg();
-    instr.src1 = a;
-    instr.src2 = b;
-    emit(instr);
-    return instr.dst;
+  /// A fresh register = `a` op `b` (unary ops leave `b` at -1).
+  int emit_op(OpKind op, int a, int b = -1) {
+    const int dst = fresh_reg();
+    emit(TacInstr{op, dst, a, b});
+    return dst;
   }
 
-  int emit_unary(OpKind op, int a) {
-    TacInstr instr;
-    instr.op = op;
-    instr.dst = fresh_reg();
-    instr.src1 = a;
-    emit(instr);
-    return instr.dst;
-  }
-
-  void emit_copy(int dst, int src) {
-    TacInstr instr;
-    instr.op = OpKind::kCopy;
-    instr.dst = dst;
-    instr.src1 = src;
-    emit(instr);
-  }
+  void emit_copy(int dst, int src) { emit(TacInstr{OpKind::kCopy, dst, src}); }
 
   static OpKind binop_kind(BinaryOp op) {
     switch (op) {
@@ -205,15 +172,13 @@ class Lowerer {
   // ---- declarations --------------------------------------------------------------
   void lower_decl(const Stmt& stmt) {
     if (stmt.dims.empty()) {
-      ScalarBinding binding;
-      binding.reg = fresh_reg(stmt.name);
-      binding.is_const = stmt.is_const;
+      const int reg = fresh_reg(stmt.name);
       if (stmt.value) {
-        emit_copy(binding.reg, lower_expr(*stmt.value));
+        emit_copy(reg, lower_expr(*stmt.value));
       } else {
-        emit_const(binding.reg, 0);
+        emit_const(reg, 0);
       }
-      bind(stmt.name, binding);
+      binding(stmt.slot, stmt.loc, stmt.name) = Binding{reg, -1};
       return;
     }
 
@@ -231,24 +196,28 @@ class Lowerer {
     }
     const int array = static_cast<int>(prog_.arrays.size());
     prog_.arrays.push_back(std::move(symbol));
-    bind(stmt.name, ArrayBinding{array});
+    binding(stmt.slot, stmt.loc, stmt.name) = Binding{-1, array};
 
     // A non-const array with an initializer list re-initializes at the
     // declaration point, like a C auto array.
     if (!stmt.is_const && !stmt.init_list.empty()) {
       for (std::size_t i = 0; i < stmt.init_list.size(); ++i) {
-        TacInstr store;
-        store.op = OpKind::kStore;
-        store.array = array;
-        store.src1 = materialize_const(static_cast<std::int64_t>(i));
-        store.src2 = materialize_const(stmt.init_list[i]);
-        emit(store);
+        // A braced list evaluates left to right: index, then value.
+        emit(TacInstr{OpKind::kStore, -1,
+                      materialize_const(static_cast<std::int64_t>(i)),
+                      materialize_const(stmt.init_list[i]), 0, array});
       }
     }
   }
 
-  std::string unique_array_name(const std::string& base) {
-    const int n = array_name_counter_[base]++;
+  /// `base`, then `base#1`, `base#2`, ... for each later array of that
+  /// name (identifiers never contain '#').
+  std::string unique_array_name(const std::string& base) const {
+    const auto n = std::count_if(
+        prog_.arrays.begin(), prog_.arrays.end(), [&](const auto& array) {
+          return std::string_view(array.name).substr(
+                     0, array.name.find('#')) == base;
+        });
     return n == 0 ? base : cat(base, "#", n);
   }
 
@@ -261,9 +230,7 @@ class Lowerer {
     }
     switch (stmt.kind) {
       case Stmt::Kind::kBlock:
-        push_scope();
         for (const auto& child : stmt.body) lower_stmt(*child);
-        pop_scope();
         break;
       case Stmt::Kind::kDecl:
         lower_decl(stmt);
@@ -297,7 +264,12 @@ class Lowerer {
         jump_to(loops_.back().continue_target);
         break;
       case Stmt::Kind::kExpr:
-        (void)lower_expr_maybe_void(*stmt.value);
+        // A call may discard its value (a void callee has none).
+        if (stmt.value->kind == Expr::Kind::kCall) {
+          lower_call(*stmt.value);
+        } else {
+          lower_expr(*stmt.value);
+        }
         break;
     }
   }
@@ -305,42 +277,31 @@ class Lowerer {
   void lower_assign(const Stmt& stmt) {
     const Expr& target = *stmt.target;
     if (target.kind == Expr::Kind::kVarRef) {
-      const auto& binding =
-          std::get<ScalarBinding>(resolve(target.loc, target.name));
+      const int reg = binding(target).reg;
       int value;
       if (stmt.compound) {
-        value = emit_binary(binop_kind(*stmt.compound), binding.reg,
-                            lower_expr(*stmt.value));
+        value = emit_op(binop_kind(*stmt.compound), reg,
+                        lower_expr(*stmt.value));
       } else {
         value = lower_expr(*stmt.value);
       }
-      emit_copy(binding.reg, value);
+      emit_copy(reg, value);
       return;
     }
     // Array element: evaluate the flattened index once (C evaluates the
     // lvalue once even for compound assignment).
-    const auto& binding =
-        std::get<ArrayBinding>(resolve(target.loc, target.name));
-    const int index = lower_flat_index(target, binding.array);
+    const int array = binding(target).array;
+    const int index = lower_flat_index(target, array);
     int value;
     if (stmt.compound) {
-      TacInstr load;
-      load.op = OpKind::kLoad;
-      load.dst = fresh_reg();
-      load.array = binding.array;
-      load.src1 = index;
-      emit(load);
-      value = emit_binary(binop_kind(*stmt.compound), load.dst,
-                          lower_expr(*stmt.value));
+      const int loaded = fresh_reg();
+      emit(TacInstr{OpKind::kLoad, loaded, index, -1, 0, array});
+      value = emit_op(binop_kind(*stmt.compound), loaded,
+                      lower_expr(*stmt.value));
     } else {
       value = lower_expr(*stmt.value);
     }
-    TacInstr store;
-    store.op = OpKind::kStore;
-    store.array = binding.array;
-    store.src1 = index;
-    store.src2 = value;
-    emit(store);
+    emit(TacInstr{OpKind::kStore, -1, index, value, 0, array});
   }
 
   void lower_if(const Stmt& stmt) {
@@ -399,7 +360,6 @@ class Lowerer {
   }
 
   void lower_for(const Stmt& stmt) {
-    push_scope();
     if (stmt.for_init) lower_stmt(*stmt.for_init);
 
     const BlockId cond_bb = new_block("for.cond");
@@ -426,7 +386,6 @@ class Lowerer {
     if (!terminated_) jump_to(cond_bb);
 
     start_block(exit_bb);
-    pop_scope();
   }
 
   /// Lowers a boolean context with short-circuit evaluation: control
@@ -466,16 +425,10 @@ class Lowerer {
     int index = lower_expr(*expr.indices[0]);
     for (std::size_t d = 1; d < expr.indices.size(); ++d) {
       const int scaled =
-          emit_binary(OpKind::kMul, index,
-                      materialize_const(symbol.dims[d]));
-      index = emit_binary(OpKind::kAdd, scaled, lower_expr(*expr.indices[d]));
+          emit_op(OpKind::kMul, index, materialize_const(symbol.dims[d]));
+      index = emit_op(OpKind::kAdd, scaled, lower_expr(*expr.indices[d]));
     }
     return index;
-  }
-
-  int lower_expr_maybe_void(const Expr& expr) {
-    if (expr.kind == Expr::Kind::kCall) return lower_call(expr);
-    return lower_expr(expr);
   }
 
   int lower_expr(const Expr& expr) {
@@ -483,27 +436,23 @@ class Lowerer {
       case Expr::Kind::kIntLit:
         return materialize_const(expr.value);
       case Expr::Kind::kVarRef:
-        return std::get<ScalarBinding>(resolve(expr.loc, expr.name)).reg;
+        return binding(expr).reg;
       case Expr::Kind::kIndex: {
-        const auto& binding =
-            std::get<ArrayBinding>(resolve(expr.loc, expr.name));
-        TacInstr load;
-        load.op = OpKind::kLoad;
-        load.dst = fresh_reg();
-        load.array = binding.array;
-        load.src1 = lower_flat_index(expr, binding.array);
-        emit(load);
-        return load.dst;
+        const int dst = fresh_reg();  // numbered before the index registers
+        const int array = binding(expr).array;
+        emit(TacInstr{OpKind::kLoad, dst, lower_flat_index(expr, array), -1,
+                      0, array});
+        return dst;
       }
       case Expr::Kind::kUnary:
         switch (expr.un_op) {
           case UnaryOp::kNeg:
-            return emit_unary(OpKind::kNeg, lower_expr(*expr.lhs));
+            return emit_op(OpKind::kNeg, lower_expr(*expr.lhs));
           case UnaryOp::kBitNot:
-            return emit_unary(OpKind::kNot, lower_expr(*expr.lhs));
+            return emit_op(OpKind::kNot, lower_expr(*expr.lhs));
           case UnaryOp::kLogicalNot:
-            return emit_binary(OpKind::kCmpEq, lower_expr(*expr.lhs),
-                               materialize_const(0));
+            return emit_op(OpKind::kCmpEq, lower_expr(*expr.lhs),
+                           materialize_const(0));
         }
         fail("lowering: bad unary op");
       case Expr::Kind::kBinary: {
@@ -513,7 +462,7 @@ class Lowerer {
         }
         const int lhs = lower_expr(*expr.lhs);
         const int rhs = lower_expr(*expr.rhs);
-        return emit_binary(binop_kind(expr.bin_op), lhs, rhs);
+        return emit_op(binop_kind(expr.bin_op), lhs, rhs);
       }
       case Expr::Kind::kCall: {
         const int reg = lower_call(expr);
@@ -543,58 +492,58 @@ class Lowerer {
   }
 
   /// Inlines a call; returns the value register or -1 for void callees.
+  /// Sema rejects recursion, so no caller's live binding sits in the
+  /// callee's slots. An argument may inline the same callee (f(1, f(2,
+  /// 3))), so every argument is evaluated before any parameter is bound.
   int lower_call(const Expr& call) {
-    const FuncDecl& callee = *functions_.at(call.name);
-    require(++inline_depth_ < 64,
-            "lowering: inline depth guard exceeded");
+    const FuncDecl& callee = program_.functions[checked(
+        call.slot, program_.functions.size(), call.loc, call.name)];
 
     // Evaluate arguments in the caller's scope first.
     std::vector<Binding> bindings;
     for (std::size_t i = 0; i < call.args.size(); ++i) {
       const ParamDecl& param = callee.params[i];
       if (param.is_array) {
-        bindings.push_back(resolve(call.args[i]->loc, call.args[i]->name));
+        bindings.push_back(binding(*call.args[i]));
       } else {
-        ScalarBinding scalar;
-        scalar.reg = fresh_reg(cat(callee.name, ".", param.name));
-        emit_copy(scalar.reg, lower_expr(*call.args[i]));
-        bindings.push_back(scalar);
+        const int reg = fresh_reg(cat(callee.name, ".", param.name));
+        emit_copy(reg, lower_expr(*call.args[i]));
+        bindings.push_back(Binding{reg, -1});
       }
     }
 
-    const int return_reg =
-        callee.returns_value ? fresh_reg(cat(callee.name, ".ret")) : -1;
-    if (return_reg != -1) emit_const(return_reg, 0);
-    const BlockId continuation = new_block(cat(callee.name, ".cont"));
-
-    return_regs_.push_back(return_reg);
-    return_blocks_.push_back(continuation);
-    push_scope();
     for (std::size_t i = 0; i < call.args.size(); ++i) {
-      bind(callee.params[i].name, bindings[i]);
+      const ParamDecl& param = callee.params[i];
+      binding(param.slot, param.loc, param.name) = bindings[i];
     }
-    lower_stmt(*callee.body);
-    if (!terminated_) jump_to(continuation);
-    pop_scope();
+    return inline_body(callee, new_block(cat(callee.name, ".cont")));
+  }
+
+  /// Lowers `function`'s body in place, every return jumping to `exit`,
+  /// and continues in `exit`. Returns the register holding the returned
+  /// value (0 until a return sets it), or -1 for a void function.
+  int inline_body(const FuncDecl& function, BlockId exit) {
+    const int return_reg =
+        function.returns_value ? fresh_reg(cat(function.name, ".ret")) : -1;
+    if (return_reg != -1) emit_const(return_reg, 0);
+    return_regs_.push_back(return_reg);
+    return_blocks_.push_back(exit);
+    lower_stmt(*function.body);
+    if (!terminated_) jump_to(exit);
     return_blocks_.pop_back();
     return_regs_.pop_back();
-
-    start_block(continuation);
-    --inline_depth_;
+    start_block(exit);
     return return_reg;
   }
 
   const Program& program_;
   TacProgram prog_;
-  std::map<std::string, const FuncDecl*> functions_;
-  std::vector<std::map<std::string, Binding>> scopes_;
-  std::map<std::string, int> array_name_counter_;
+  std::vector<Binding> slots_;  ///< by check_program's declaration slot
   std::vector<int> return_regs_;
   std::vector<BlockId> return_blocks_;
   std::vector<LoopContext> loops_;
   BlockId current_ = ir::kNoBlock;
   bool terminated_ = true;
-  int inline_depth_ = 0;
 };
 
 }  // namespace

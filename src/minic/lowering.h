@@ -17,6 +17,13 @@ namespace amdrel::minic {
 ///  * && and || short-circuit through the CFG like C requires, which also
 ///    gives the CDFG the basic-block structure a SUIF-style front-end
 ///    would produce.
+///
+/// `program` must have passed check_program, which owns name resolution
+/// (see sema.h): lowering binds and reads values only through the slots
+/// and callee indices sema recorded, so an inlined callee sees its own
+/// names, then the globals, never a caller's local. Sema rejects
+/// recursion, so each slot holds one live binding at a time. A node
+/// without a recorded slot raises Error.
 ir::TacProgram lower(const Program& program,
                      const std::string& program_name = "main");
 

@@ -1,7 +1,6 @@
 #include "minic/sema.h"
 
 #include <map>
-#include <set>
 #include <vector>
 
 #include "support/error.h"
@@ -12,6 +11,7 @@ namespace amdrel::minic {
 namespace {
 
 struct SymbolInfo {
+  int slot = -1;  ///< dense declaration slot recorded on every use
   bool is_array = false;
   bool is_const = false;
   bool any_length = false;  ///< 1-D array parameter declared as int a[]
@@ -25,27 +25,30 @@ struct SymbolInfo {
 
 class Checker {
  public:
-  explicit Checker(const Program& program, bool require_main)
+  explicit Checker(Program& program, bool require_main)
       : program_(program), require_main_(require_main) {}
 
   void run() {
-    for (const auto& function : program_.functions) {
-      require(functions_.emplace(function.name, &function).second,
+    for (std::size_t i = 0; i < program_.functions.size(); ++i) {
+      const FuncDecl& function = program_.functions[i];
+      require(functions_.emplace(function.name, static_cast<int>(i)).second,
               "semantic error at line ", function.loc.line,
               ": redefinition of function '", function.name, "'");
     }
+    const auto main_it = functions_.find("main");
+    program_.main_index = main_it == functions_.end() ? -1 : main_it->second;
     if (require_main_) {
-      const auto it = functions_.find("main");
-      require(it != functions_.end(),
+      require(program_.main_index != -1,
               "semantic error: program has no 'main' function");
-      require(it->second->params.empty(),
+      require(program_.functions[program_.main_index].params.empty(),
               "semantic error: 'main' must take no parameters");
     }
 
     push_scope();
-    for (const auto& global : program_.globals) check_stmt(*global);
-    for (const auto& function : program_.functions) check_function(function);
+    for (auto& global : program_.globals) check_stmt(*global);
+    for (auto& function : program_.functions) check_function(function);
     pop_scope();
+    program_.slot_count = next_slot_;
 
     check_recursion();
   }
@@ -55,39 +58,41 @@ class Checker {
   void push_scope() { scopes_.emplace_back(); }
   void pop_scope() { scopes_.pop_back(); }
 
-  void declare(SourceLoc loc, const std::string& name, SymbolInfo info) {
+  /// Declares `name` in the innermost scope; returns its new slot.
+  int declare(SourceLoc loc, const std::string& name, SymbolInfo info) {
     if (functions_.count(name) != 0) {
       sema_error(loc, cat("'", name, "' is already a function name"));
     }
+    info.slot = next_slot_;
     if (!scopes_.back().emplace(name, std::move(info)).second) {
       sema_error(loc, cat("redeclaration of '", name, "' in the same scope"));
     }
+    return next_slot_++;
   }
 
-  const SymbolInfo* lookup(const std::string& name) const {
+  /// Resolves the name `expr` uses, innermost scope first, and records
+  /// the declaration's slot on `expr`.
+  const SymbolInfo& resolve(Expr& expr) const {
     for (auto it = scopes_.rbegin(); it != scopes_.rend(); ++it) {
-      const auto found = it->find(name);
-      if (found != it->end()) return &found->second;
+      const auto found = it->find(expr.name);
+      if (found != it->end()) {
+        expr.slot = found->second.slot;
+        return found->second;
+      }
     }
-    return nullptr;
-  }
-
-  const SymbolInfo& resolve(SourceLoc loc, const std::string& name) const {
-    const SymbolInfo* info = lookup(name);
-    if (info == nullptr) sema_error(loc, cat("undeclared identifier '", name, "'"));
-    return *info;
+    sema_error(expr.loc, cat("undeclared identifier '", expr.name, "'"));
   }
 
   // ---- functions ----------------------------------------------------------
-  void check_function(const FuncDecl& function) {
+  void check_function(FuncDecl& function) {
     current_function_ = &function;
     push_scope();
-    for (const auto& param : function.params) {
+    for (auto& param : function.params) {
       SymbolInfo info;
       info.is_array = param.is_array;
       info.any_length = param.is_array && param.dims.empty();
       info.dims = param.dims;
-      declare(param.loc, param.name, std::move(info));
+      param.slot = declare(param.loc, param.name, std::move(info));
     }
     check_stmt(*function.body);
     pop_scope();
@@ -95,7 +100,7 @@ class Checker {
   }
 
   // ---- statements -----------------------------------------------------------
-  void check_stmt(const Stmt& stmt) {
+  void check_stmt(Stmt& stmt) {
     switch (stmt.kind) {
       case Stmt::Kind::kBlock:
         push_scope();
@@ -162,7 +167,7 @@ class Checker {
     }
   }
 
-  void check_decl(const Stmt& stmt) {
+  void check_decl(Stmt& stmt) {
     SymbolInfo info;
     info.is_array = !stmt.dims.empty();
     info.is_const = stmt.is_const;
@@ -192,13 +197,13 @@ class Checker {
       }
       if (stmt.value) check_expr_value(*stmt.value);
     }
-    declare(stmt.loc, stmt.name, std::move(info));
+    stmt.slot = declare(stmt.loc, stmt.name, std::move(info));
   }
 
-  void check_assign(const Stmt& stmt) {
-    const Expr& target = *stmt.target;
+  void check_assign(Stmt& stmt) {
+    Expr& target = *stmt.target;
     if (target.kind == Expr::Kind::kVarRef) {
-      const SymbolInfo& info = resolve(target.loc, target.name);
+      const SymbolInfo& info = resolve(target);
       if (info.is_array) {
         sema_error(target.loc, cat("cannot assign to array '", target.name,
                                    "' as a whole"));
@@ -208,7 +213,7 @@ class Checker {
                                    "'"));
       }
     } else if (target.kind == Expr::Kind::kIndex) {
-      const SymbolInfo& info = resolve(target.loc, target.name);
+      const SymbolInfo& info = resolve(target);
       check_index(target, info);
       if (info.is_const) {
         sema_error(target.loc, cat("cannot store into const array '",
@@ -222,7 +227,7 @@ class Checker {
   }
 
   // ---- expressions ------------------------------------------------------------
-  void check_index(const Expr& expr, const SymbolInfo& info) {
+  void check_index(Expr& expr, const SymbolInfo& info) {
     if (!info.is_array) {
       sema_error(expr.loc, cat("'", expr.name, "' is not an array"));
     }
@@ -234,13 +239,15 @@ class Checker {
     for (const auto& index : expr.indices) check_expr_value(*index);
   }
 
-  void check_call(const Expr& expr, bool value_needed) {
+  /// Checks a call and records the callee's index on `expr`.
+  void check_call(Expr& expr, bool value_needed) {
     const auto it = functions_.find(expr.name);
     if (it == functions_.end()) {
       sema_error(expr.loc, cat("call to undefined function '", expr.name,
                                "'"));
     }
-    const FuncDecl& callee = *it->second;
+    expr.slot = it->second;
+    const FuncDecl& callee = program_.functions[it->second];
     if (value_needed && !callee.returns_value) {
       sema_error(expr.loc, cat("void function '", expr.name,
                                "' used where a value is required"));
@@ -252,14 +259,14 @@ class Checker {
                      expr.args.size()));
     }
     for (std::size_t i = 0; i < expr.args.size(); ++i) {
-      const Expr& arg = *expr.args[i];
+      Expr& arg = *expr.args[i];
       const ParamDecl& param = callee.params[i];
       if (param.is_array) {
         if (arg.kind != Expr::Kind::kVarRef) {
           sema_error(arg.loc, cat("argument ", i + 1, " of '", expr.name,
                                   "' must name an array"));
         }
-        const SymbolInfo& info = resolve(arg.loc, arg.name);
+        const SymbolInfo& info = resolve(arg);
         if (!info.is_array) {
           sema_error(arg.loc, cat("argument ", i + 1, " of '", expr.name,
                                   "' must be an array"));
@@ -280,12 +287,12 @@ class Checker {
   }
 
   /// Checks an expression that must produce a scalar value.
-  void check_expr_value(const Expr& expr) {
+  void check_expr_value(Expr& expr) {
     switch (expr.kind) {
       case Expr::Kind::kIntLit:
         break;
       case Expr::Kind::kVarRef: {
-        const SymbolInfo& info = resolve(expr.loc, expr.name);
+        const SymbolInfo& info = resolve(expr);
         if (info.is_array) {
           sema_error(expr.loc, cat("array '", expr.name,
                                    "' used where a scalar is required"));
@@ -293,7 +300,7 @@ class Checker {
         break;
       }
       case Expr::Kind::kIndex:
-        check_index(expr, resolve(expr.loc, expr.name));
+        check_index(expr, resolve(expr));
         break;
       case Expr::Kind::kUnary:
         check_expr_value(*expr.lhs);
@@ -333,10 +340,11 @@ class Checker {
     state[name] = 2;
   }
 
-  const Program& program_;
+  Program& program_;
   bool require_main_;
-  std::map<std::string, const FuncDecl*> functions_;
+  std::map<std::string, int> functions_;  ///< name -> index in functions
   std::vector<std::map<std::string, SymbolInfo>> scopes_;
+  int next_slot_ = 0;
   std::multimap<std::string, std::string> call_edges_;
   const FuncDecl* current_function_ = nullptr;
   int loop_depth_ = 0;
@@ -344,7 +352,7 @@ class Checker {
 
 }  // namespace
 
-void check_program(const Program& program, bool require_main) {
+void check_program(Program& program, bool require_main) {
   Checker(program, require_main).run();
 }
 

@@ -14,6 +14,17 @@ namespace amdrel::minic {
 ///    call graph must be acyclic;
 ///  * when `require_main` is set, a function `main` must exist and take
 ///    no parameters (the whole-program entry the methodology analyzes).
-void check_program(const Program& program, bool require_main = true);
+///
+/// check_program is MiniC's only name resolver, with C's lexical scoping:
+/// a function body sees its own parameters and locals, then the globals.
+/// It numbers every declaration (global, parameter, local) with a dense
+/// slot in [0, Program::slot_count) and records the result on the AST:
+///  * `Stmt::slot` of each kDecl and `ParamDecl::slot` of each parameter;
+///  * `Expr::slot` of each kVarRef and kIndex (identifiers, index bases,
+///    assignment targets and array arguments): the declaration it names;
+///  * `Expr::slot` of each kCall: the callee's index in `functions`;
+///  * `Program::main_index`: main's index in `functions`, or -1.
+/// lower() reads only these; it resolves no names of its own.
+void check_program(Program& program, bool require_main = true);
 
 }  // namespace amdrel::minic

@@ -212,54 +212,6 @@ JpegGolden golden_jpeg(const std::vector<std::int32_t>& image, int width,
   return out;
 }
 
-FirGolden golden_fir(const std::vector<std::int32_t>& samples, int n) {
-  static constexpr std::array<std::int32_t, 16> kTaps = {
-      -2, -5, 3, 17, 38, 62, 84, 97, 97, 84, 62, 38, 17, 3, -5, -2};
-  require(static_cast<int>(samples.size()) >= n + 16,
-          "golden_fir: not enough samples");
-  FirGolden out;
-  out.filtered.assign(n, 0);
-  for (int i = 0; i < n; ++i) {
-    std::int32_t acc = 0;
-    for (int t = 0; t < 16; ++t) {
-      acc = wrap(std::int64_t{acc} + mul(samples[i + t], kTaps[t]));
-    }
-    out.filtered[i] = acc >> 8;
-  }
-  for (int i = 0; i < n; ++i) out.checksum ^= out.filtered[i];
-  return out;
-}
-
-SobelGolden golden_sobel(const std::vector<std::int32_t>& image, int width,
-                         int height) {
-  require(width >= 3 && height >= 3, "golden_sobel: image too small");
-  require(static_cast<int>(image.size()) >= width * height,
-          "golden_sobel: image too small for dimensions");
-  SobelGolden out;
-  out.edges.assign(static_cast<std::size_t>(width) * height, 0);
-  for (int y = 1; y < height - 1; ++y) {
-    for (int x = 1; x < width - 1; ++x) {
-      const int up = (y - 1) * width + x;
-      const int mid = y * width + x;
-      const int down = (y + 1) * width + x;
-      std::int32_t gx = image[up + 1] - image[up - 1] +
-                        2 * image[mid + 1] - 2 * image[mid - 1] +
-                        image[down + 1] - image[down - 1];
-      std::int32_t gy = image[down - 1] + 2 * image[down] + image[down + 1] -
-                        image[up - 1] - 2 * image[up] - image[up + 1];
-      if (gx < 0) gx = -gx;
-      if (gy < 0) gy = -gy;
-      std::int32_t mag = gx + gy;
-      if (mag > 255) mag = 255;
-      out.edges[mid] = mag;
-    }
-  }
-  for (const std::int32_t v : out.edges) {
-    out.checksum = wrap(std::int64_t{out.checksum} + v);
-  }
-  return out;
-}
-
 namespace {
 std::uint64_t xorshift(std::uint64_t& state) {
   state ^= state << 13;

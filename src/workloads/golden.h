@@ -5,10 +5,12 @@
 
 namespace amdrel::workloads {
 
-/// Bit-exact C++ reference implementations of the MiniC workloads
-/// (minic_sources.h). Tests run the MiniC programs through the
-/// interpreter and assert outputs match these references element by
-/// element, validating the whole front-end + interpreter stack.
+/// Bit-exact C++ reference implementations of the OFDM and JPEG MiniC
+/// workloads (minic_sources.h). Tests and examples run the MiniC programs
+/// through the interpreter and assert outputs match these references
+/// element by element, validating the whole front-end + interpreter
+/// stack. The FIR and Sobel references serve only tests and live in
+/// tests/test_helpers.h.
 
 struct OfdmGolden {
   std::vector<std::int32_t> out_re;
@@ -27,23 +29,6 @@ struct JpegGolden {
 /// `image` holds width*height pixels (0..255).
 JpegGolden golden_jpeg(const std::vector<std::int32_t>& image, int width,
                        int height);
-
-struct FirGolden {
-  std::vector<std::int32_t> filtered;
-  std::int32_t checksum = 0;
-};
-
-/// `samples` holds n+16 input samples.
-FirGolden golden_fir(const std::vector<std::int32_t>& samples, int n);
-
-struct SobelGolden {
-  std::vector<std::int32_t> edges;
-  std::int32_t checksum = 0;
-};
-
-/// `image` holds width*height pixels (0..255).
-SobelGolden golden_sobel(const std::vector<std::int32_t>& image, int width,
-                         int height);
 
 /// Deterministic pseudo-random test vectors (xorshift-based).
 std::vector<std::int32_t> random_bits(std::size_t count, std::uint64_t seed);

@@ -7,8 +7,9 @@ namespace amdrel::workloads {
 /// Real MiniC implementations of the paper's two applications (and a
 /// small FIR used by the quickstart). These run through the whole
 /// pipeline: front-end -> TAC -> interpreter (dynamic analysis) -> CDFG ->
-/// partitioning. Bit-exact C++ golden references live in golden.h; tests
-/// assert the interpreter reproduces them.
+/// partitioning. Bit-exact C++ golden references live in golden.h (OFDM,
+/// JPEG) and tests/test_helpers.h (FIR, Sobel); tests assert the
+/// interpreter reproduces them.
 
 /// IEEE 802.11a OFDM transmitter front-end: QPSK mapping onto the 48 data
 /// carriers (+4 pilots), 64-point radix-2 fixed-point IFFT (Q14 twiddles,

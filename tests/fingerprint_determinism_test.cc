@@ -20,6 +20,7 @@
 #include "interp/interpreter.h"
 #include "ir/build_cdfg.h"
 #include "minic/frontend.h"
+#include "support/text.h"
 #include "workloads/minic_sources.h"
 #include "workloads/paper_models.h"
 
@@ -70,9 +71,10 @@ std::string render_fingerprints() {
   os << "fingerprint_algorithm " << core::kFingerprintAlgorithmVersion
      << "\n";
   for (const NamedApp& app : builtin_apps()) {
-    os << app.name << " cdfg=" << core::fingerprint(app.cdfg).to_hex()
-       << " profile=" << core::fingerprint(app.profile).to_hex()
-       << " app=" << core::app_fingerprint(app.cdfg, app.profile).to_hex()
+    os << app.name << " cdfg=" << text::render(core::fingerprint(app.cdfg))
+       << " profile=" << text::render(core::fingerprint(app.profile))
+       << " app="
+       << text::render(core::app_fingerprint(app.cdfg, app.profile))
        << "\n";
   }
   return os.str();

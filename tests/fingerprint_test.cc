@@ -10,6 +10,7 @@
 
 #include <gtest/gtest.h>
 
+#include "support/text.h"
 #include "synth/cdfg_generator.h"
 #include "workloads/paper_models.h"
 
@@ -20,11 +21,11 @@ TEST(FingerprintTest, HexRoundTrip) {
   Fingerprint fp;
   fp.hi = 0x0123456789abcdefULL;
   fp.lo = 0xfedcba9876543210ULL;
-  EXPECT_EQ(fp.to_hex(), "0123456789abcdeffedcba9876543210");
-  const auto parsed = Fingerprint::from_hex(fp.to_hex());
+  EXPECT_EQ(text::render(fp), "0123456789abcdeffedcba9876543210");
+  const auto parsed = Fingerprint::from_hex(text::render(fp));
   ASSERT_TRUE(parsed.has_value());
   EXPECT_EQ(*parsed, fp);
-  EXPECT_EQ((Fingerprint{0, 0xabcdef}.to_hex()),
+  EXPECT_EQ(text::render(Fingerprint{0, 0xabcdef}),
             "00000000000000000000000000abcdef");
 }
 

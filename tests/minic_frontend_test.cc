@@ -4,7 +4,9 @@
 
 #include <string>
 
+#include "interp/interpreter.h"
 #include "minic/lexer.h"
+#include "minic/lowering.h"
 #include "minic/parser.h"
 #include "minic/sema.h"
 #include "support/error.h"
@@ -156,7 +158,8 @@ TEST(ParserTest, SyntaxErrorsCarryLocation) {
 
 void expect_sema_error(const std::string& source, const char* fragment) {
   try {
-    check_program(parse(source));
+    Program program = parse(source);
+    check_program(program);
     FAIL() << "expected semantic error containing '" << fragment << "'";
   } catch (const Error& e) {
     EXPECT_NE(std::string(e.what()).find(fragment), std::string::npos)
@@ -165,7 +168,7 @@ void expect_sema_error(const std::string& source, const char* fragment) {
 }
 
 TEST(SemaTest, AcceptsWellFormedProgram) {
-  EXPECT_NO_THROW(check_program(parse(R"(
+  Program program = parse(R"(
     const int kTaps[4] = {1, 2, 3, 4};
     int acc;
     int mac(int x[], int n) {
@@ -175,7 +178,8 @@ TEST(SemaTest, AcceptsWellFormedProgram) {
     }
     int samples[16];
     int main() { acc = mac(samples, 16); return acc; }
-  )")));
+  )");
+  EXPECT_NO_THROW(check_program(program));
 }
 
 TEST(SemaTest, UndeclaredAndRedeclared) {
@@ -230,8 +234,8 @@ TEST(SemaTest, BreakOutsideLoop) {
 
 TEST(SemaTest, MissingMain) {
   expect_sema_error("int f() { return 1; }", "main");
-  EXPECT_NO_THROW(
-      check_program(parse("int f() { return 1; }"), /*require_main=*/false));
+  Program program = parse("int f() { return 1; }");
+  EXPECT_NO_THROW(check_program(program, /*require_main=*/false));
 }
 
 TEST(SemaTest, ReturnValueMismatch) {
@@ -290,6 +294,79 @@ TEST(LoweringTest, TwoDimIndexingEmitsAddressArithmetic) {
     for (const auto& instr : block.body) muls += instr.op == ir::OpKind::kMul;
   }
   EXPECT_EQ(muls, 1);  // row * 8
+}
+
+// Inlined callees follow C's lexical scoping: a global a callee reads is
+// the global, even where the call site shadows its name with a local.
+std::int32_t run_main(const std::string& source) {
+  return interp::Interpreter(compile(source)).run().return_value;
+}
+
+TEST(LoweringTest, CalleeReadsGlobalShadowedByCallerScalar) {
+  EXPECT_EQ(run_main(R"(
+    int g = 5;
+    int f() { return g; }
+    int main() { int g = 100; return f(); }
+  )"), 5);
+}
+
+TEST(LoweringTest, NestedCalleeReadsGlobalShadowedByItsCaller) {
+  EXPECT_EQ(run_main(R"(
+    int g = 5;
+    int h() { return g; }
+    int f() { int g = 40; return h(); }
+    int main() { return f(); }
+  )"), 5);
+}
+
+TEST(LoweringTest, CalleeReadsGlobalScalarShadowedByCallerArray) {
+  EXPECT_EQ(run_main(R"(
+    int n = 7;
+    int f() { return n; }
+    int main() { int n[4]; n[0] = 1; return f(); }
+  )"), 7);
+}
+
+TEST(LoweringTest, CalleeReadsGlobalArrayShadowedByCallerArray) {
+  EXPECT_EQ(run_main(R"(
+    int t[2];
+    int f() { return t[1]; }
+    int main() { t[1] = 9; int t[2]; t[1] = 3; return f() * 10 + t[1]; }
+  )"), 93);
+}
+
+TEST(LoweringTest, ArgumentsMayInlineTheSameCallee) {
+  EXPECT_EQ(run_main(R"(
+    int a[2];
+    int f(int x, int y) { return x - y; }
+    int g(int v[], int k) { return v[0] * k; }
+    int main() { a[0] = 3; return f(10, f(4, 1)) + g(a, g(a, 2)); }
+  )"), 25);
+}
+
+// A global's initializer may call a function that reads a later global;
+// lowering must refuse that loudly instead of reading an empty slot.
+TEST(LoweringTest, GlobalInitializerReadingALaterGlobalRaisesError) {
+  EXPECT_THROW(compile(R"(
+    int h = f();
+    int g = 3;
+    int f() { return g; }
+    int main() { return h; }
+  )"), Error);
+  EXPECT_THROW(compile(R"(
+    int h = f();
+    int t[2];
+    int f() { return t[1]; }
+    int main() { return h; }
+  )"), Error);
+}
+
+TEST(LoweringTest, UncheckedProgramRaisesError) {
+  const Program unchecked = parse("int g; int main() { return g; }");
+  EXPECT_THROW(lower(unchecked), Error);
+  Program checked = parse("int g; int main() { return g; }");
+  check_program(checked);
+  EXPECT_NO_THROW(lower(checked));
 }
 
 TEST(LoweringTest, LocalArraysGetUniqueSymbols) {

@@ -435,7 +435,7 @@ TEST_P(GoldenEquivalenceProperty, FirMatches) {
   interp::Interpreter interp(minic::compile(workloads::fir_source(n)));
   interp.set_input("samples", samples);
   const auto result = interp.run();
-  const auto golden = workloads::golden_fir(samples, n);
+  const auto golden = test::golden_fir(samples, n);
   EXPECT_EQ(result.return_value, golden.checksum);
   EXPECT_EQ(interp.array("filtered"), golden.filtered);
 }

@@ -76,7 +76,7 @@ TEST(FirWorkloadTest, InterpreterMatchesGoldenReference) {
   interp.set_input("samples", samples);
   const auto result = interp.run();
 
-  const FirGolden golden = golden_fir(samples, n);
+  const test::FirGolden golden = test::golden_fir(samples, n);
   EXPECT_EQ(result.return_value, golden.checksum);
   EXPECT_EQ(interp.array("filtered"), golden.filtered);
 }
@@ -88,14 +88,14 @@ TEST(SobelWorkloadTest, InterpreterMatchesGoldenReference) {
   interp::Interpreter interp(tac);
   interp.set_input("image", image);
   const auto result = interp.run();
-  const SobelGolden golden = golden_sobel(image, w, h);
+  const test::SobelGolden golden = test::golden_sobel(image, w, h);
   EXPECT_EQ(result.return_value, golden.checksum);
   EXPECT_EQ(interp.array("edges"), golden.edges);
 }
 
 TEST(SobelWorkloadTest, FlatImageHasNoEdges) {
   std::vector<std::int32_t> flat(16 * 16, 200);
-  const SobelGolden golden = golden_sobel(flat, 16, 16);
+  const test::SobelGolden golden = test::golden_sobel(flat, 16, 16);
   EXPECT_EQ(golden.checksum, 0);
 }
 
@@ -107,7 +107,7 @@ TEST(SobelWorkloadTest, StepEdgeDetected) {
   for (int y = 0; y < h; ++y) {
     for (int x = w / 2; x < w; ++x) image[y * w + x] = 255;
   }
-  const SobelGolden golden = golden_sobel(image, w, h);
+  const test::SobelGolden golden = test::golden_sobel(image, w, h);
   for (int y = 1; y < h - 1; ++y) {
     EXPECT_EQ(golden.edges[y * w + w / 2 - 1], 255) << "row " << y;
     EXPECT_EQ(golden.edges[y * w + w / 4], 0) << "row " << y;

@@ -101,7 +101,6 @@ struct Options {
   std::string csv_path;
   std::string cache_path;
   std::string cache_stats_path;
-  bool no_cache = false;
   int threads = 2;
 
   // serve / worker (the distributed split of explore)
@@ -440,11 +439,6 @@ const OptionSpec kOptions[] = {
      "recompute on any validation failure) and saved after it, so "
      "repeated invocations start warm",
      kSweepCommands},
-    {"--no-cache", false,
-     [](Options& o, const std::string&, const std::string&) {
-       o.no_cache = true;
-     },
-     "run uncached (overrides --cache)", kSweepCommands},
     {"--cache-stats", true,
      [](Options& o, const std::string& v, const std::string&) {
        set_path(o.cache_stats_path, v);
@@ -603,10 +597,8 @@ Options parse_args(int argc, char** argv) {
   }
   // --cache-stats reports on a cache that actually ran; without one the
   // counters would be an all-zero file indistinguishable from a broken
-  // cache, so asking for stats with no (effective) --cache is a usage
-  // error.
-  if (!options.cache_stats_path.empty() &&
-      (options.cache_path.empty() || options.no_cache)) {
+  // cache, so asking for stats without --cache is a usage error.
+  if (!options.cache_stats_path.empty() && options.cache_path.empty()) {
     usage();
   }
   return options;
@@ -842,8 +834,7 @@ core::SweepSpec build_sweep_spec(const Options& options) {
 // first-run case and warns with a gentler message. Returns whether the
 // cache is in use (the caller wires it into the spec and saves after).
 bool setup_cache(const Options& options, core::SweepCache& cache) {
-  const bool use_cache = !options.cache_path.empty() && !options.no_cache;
-  if (!use_cache) return false;
+  if (options.cache_path.empty()) return false;
   if (!std::ifstream(options.cache_path).good()) {
     std::fprintf(stderr, "cache: %s not found, starting cold\n",
                  options.cache_path.c_str());
