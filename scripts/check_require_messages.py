@@ -2,10 +2,12 @@
 """Fails on require() calls whose message is built before the check runs.
 
 `require(cond, parts...)` (src/support/error.h) formats its parts only
-when `cond` is false. A call that passes `cat(...)` or
-`std::string(...) + ...` as its message formats the string on every
-call instead, which on hot accessors costs more than the work they
-guard. Pass the parts directly: `require(ok, "bad id ", id)`.
+when `cond` is false, but C++ evaluates every argument before the call.
+A message part that calls `cat(...)`, `std::string(...)`, `op_name(...)`
+or `token_kind_name(...)` (qualified or not) does that work on every
+call, which on hot accessors costs more than the check it guards. Pass
+plain parts (`require(ok, "bad id ", id)`), or name the value only on the
+failure path: `if (!ok) fail(cat("bad op ", op_name(kind)));`.
 
     scripts/check_require_messages.py [PATH ...]
 
@@ -21,7 +23,9 @@ import re
 import sys
 
 SOURCE_SUFFIXES = (".h", ".hh", ".hpp", ".cc", ".cpp", ".cxx")
-EAGER_MESSAGE = re.compile(r"(?:(?:amdrel)?::)?cat\s*\(|std::string\s*\(")
+EAGER_CALL = re.compile(
+    r"(?<![\w:])(?:\w*::)*(?:cat|op_name|token_kind_name)\s*\("
+    r"|(?<![\w:])std::string\s*\(")
 RAW_STRING_START = re.compile(r'(?:u8|[uUL])?R"([^()\\\s]{0,16})\(')
 IDENT_CHARS = set("abcdefghijklmnopqrstuvwxyzABCDEFGHIJKLMNOPQRSTUVWXYZ"
                   "0123456789_")
@@ -102,7 +106,9 @@ def call_arguments(code, open_paren):
 
 
 def eager_sites(text):
-    """Yields (line, message_head) for each eager require() in text."""
+    """Yields (line, call_name) for each eager require() in text: one
+    whose message parts (every argument after the condition) call a
+    formatting function."""
     code = blank_literals(text)
     for match in re.finditer(r"\brequire\s*\(", code):
         if match.start() > 0 and code[match.start() - 1] in IDENT_CHARS:
@@ -110,11 +116,12 @@ def eager_sites(text):
         args = call_arguments(code, match.end() - 1)
         if not args or len(args) < 2:
             continue
-        start, end = args[1]
-        message = code[start:end].strip()
-        if EAGER_MESSAGE.match(message):
-            line = code.count("\n", 0, match.start()) + 1
-            yield line, message.split("(", 1)[0]
+        for start, end in args[1:]:
+            call = EAGER_CALL.search(code, start, end)
+            if call:
+                line = code.count("\n", 0, match.start()) + 1
+                yield line, re.sub(r"\s*\($", "", call.group(0))
+                break
 
 
 def source_files(paths):
@@ -143,8 +150,9 @@ def main(argv):
             text = handle.read()
         for line, head in eager_sites(text):
             found += 1
-            print(f"{path}:{line}: require() message built eagerly with "
-                  f"{head}(...); pass its parts to require directly")
+            print(f"{path}:{line}: require() message calls {head}(...) "
+                  f"before the check; pass plain parts, or format it "
+                  f"on the failure path")
     print(f"check_require_messages: {found} eager require() message(s)")
     return 1 if found else 0
 

@@ -124,7 +124,7 @@ CgcSchedule schedule_dfg_on_cgc(const ir::Dfg& dfg,
         const Dfg::Node& node = dfg.node(id);
         bool ready = true;
         std::int64_t t = 0;
-        for (NodeId pred : node.operands) {
+        for (NodeId pred : node.operands()) {
           if (!scheduled[pred]) {
             ready = false;
             break;
@@ -163,7 +163,7 @@ CgcSchedule schedule_dfg_on_cgc(const ir::Dfg& dfg,
       bool ready = true;
       int chain_cgc = -1;
       int chain_min_row = 1;
-      for (NodeId pred : node.operands) {
+      for (NodeId pred : node.operands()) {
         if (!scheduled[pred]) {
           ready = false;
           break;

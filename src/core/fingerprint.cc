@@ -104,8 +104,8 @@ Fingerprint fingerprint(const ir::Dfg& dfg) {
     h.mix(static_cast<std::uint64_t>(node.kind));
     h.mix(static_cast<std::uint64_t>(node.bit_width));
     h.mix_i64(node.imm);
-    h.mix(static_cast<std::uint64_t>(node.operands.size()));
-    for (const ir::NodeId operand : node.operands) {
+    h.mix(static_cast<std::uint64_t>(node.operand_count));
+    for (const ir::NodeId operand : node.operands()) {
       h.mix(static_cast<std::uint64_t>(operand));
     }
   }

@@ -51,10 +51,11 @@ TemporalPartitioning partition_dfg(const ir::Dfg& dfg,
   for (const ir::NodeId id : order.nodes) {
     const ir::Dfg::Node& node = dfg.node(id);
     const double current_area = fpga.area(node.kind);
-    require(current_area <= fpga.usable_area,
-            "temporal partitioning: operation '", ir::op_name(node.kind),
-            "' (area ", current_area, ") exceeds A_FPGA = ",
-            fpga.usable_area);
+    if (!(current_area <= fpga.usable_area)) {
+      fail(cat("temporal partitioning: operation '", ir::op_name(node.kind),
+               "' (area ", current_area, ") exceeds A_FPGA = ",
+               fpga.usable_area));
+    }
     if (area_covered + current_area <= fpga.usable_area) {
       result.partition_of[id] = current;
       area_covered += current_area;
@@ -89,7 +90,7 @@ TemporalPartitioning partition_dfg_list(const ir::Dfg& dfg,
 
   std::vector<bool> placed(dfg.size(), false);
   auto ready = [&](ir::NodeId id) {
-    for (ir::NodeId pred : dfg.node(id).operands) {
+    for (ir::NodeId pred : dfg.node(id).operands()) {
       if (ir::is_schedulable(dfg.node(pred).kind) && !placed[pred]) {
         return false;
       }
@@ -105,10 +106,11 @@ TemporalPartitioning partition_dfg_list(const ir::Dfg& dfg,
     for (ir::NodeId id : priority) {
       if (placed[id] || !ready(id)) continue;
       const double area = fpga.area(dfg.node(id).kind);
-      require(area <= fpga.usable_area,
-              "list temporal partitioning: operation '",
-              ir::op_name(dfg.node(id).kind), "' (area ", area,
-              ") exceeds A_FPGA = ", fpga.usable_area);
+      if (!(area <= fpga.usable_area)) {
+        fail(cat("list temporal partitioning: operation '",
+                 ir::op_name(dfg.node(id).kind), "' (area ", area,
+                 ") exceeds A_FPGA = ", fpga.usable_area));
+      }
       if (area_covered + area > fpga.usable_area) continue;
       placed[id] = true;
       result.partition_of[id] = current;

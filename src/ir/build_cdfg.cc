@@ -1,23 +1,39 @@
 #include "ir/build_cdfg.h"
 
 #include <algorithm>
-#include <string>
+#include <charconv>
+#include <string_view>
 #include <utility>
 
 #include "support/error.h"
 
 namespace amdrel::ir {
 
+namespace {
+
+// Room reserved per TAC instruction of a block: its own node plus the
+// block's share of inputs and live-out markers, and a short label each.
+constexpr std::size_t kNodesPerInstr = 2;
+constexpr std::size_t kLabelCharsPerInstr = 8;
+
+}  // namespace
+
 Cdfg build_cdfg(const TacProgram& program) {
   program.validate();
   Cdfg cdfg(program.name);
+  cdfg.reserve(static_cast<BlockId>(program.blocks.size()));
 
-  auto reg_label = [&](int reg) {
+  // A register's label: its source name, or "%N" for a temporary,
+  // formatted in `temp_name` and valid until the next call.
+  char temp_name[16] = {'%'};
+  auto reg_label = [&](int reg) -> std::string_view {
     if (reg < static_cast<int>(program.reg_names.size()) &&
         !program.reg_names[reg].empty()) {
       return program.reg_names[reg];
     }
-    return "%" + std::to_string(reg);
+    const char* end =
+        std::to_chars(temp_name + 1, temp_name + sizeof temp_name, reg).ptr;
+    return {temp_name, static_cast<std::size_t>(end - temp_name)};
   };
 
   // Per-register tables, sized once and reset after each block through
@@ -40,6 +56,8 @@ Cdfg build_cdfg(const TacProgram& program) {
     const BlockId id = cdfg.add_block(tac_block.name);
     require(id == tac_block.id, "build_cdfg: block ids must be dense");
     Dfg& dfg = cdfg.block(id).dfg;
+    dfg.reserve(kNodesPerInstr * tac_block.body.size(),
+                kLabelCharsPerInstr * tac_block.body.size());
 
     auto value_of = [&](int reg) -> NodeId {
       if (last_def[reg] != kNoNode) return last_def[reg];
@@ -52,6 +70,8 @@ Cdfg build_cdfg(const TacProgram& program) {
       return input;
     };
 
+    // Operands are looked up before the label is formatted: a live-in
+    // operand formats its own input's label.
     for (const TacInstr& instr : tac_block.body) {
       NodeId node = kNoNode;
       switch (instr.op) {
@@ -60,10 +80,11 @@ Cdfg build_cdfg(const TacProgram& program) {
           break;
         case OpKind::kCopy:
         case OpKind::kNot:
-        case OpKind::kNeg:
-          node = dfg.add_node(instr.op, {value_of(instr.src1)},
-                              reg_label(instr.dst));
+        case OpKind::kNeg: {
+          const NodeId src = value_of(instr.src1);
+          node = dfg.add_node(instr.op, {src}, reg_label(instr.dst));
           break;
+        }
         case OpKind::kLoad:
           node = dfg.add_node(instr.op, {value_of(instr.src1)},
                               program.arrays[instr.array].name);
@@ -73,11 +94,12 @@ Cdfg build_cdfg(const TacProgram& program) {
               instr.op, {value_of(instr.src1), value_of(instr.src2)},
               program.arrays[instr.array].name);
           break;
-        default:
-          node = dfg.add_node(instr.op,
-                              {value_of(instr.src1), value_of(instr.src2)},
-                              reg_label(instr.dst));
+        default: {
+          const NodeId lhs = value_of(instr.src1);
+          const NodeId rhs = value_of(instr.src2);
+          node = dfg.add_node(instr.op, {lhs, rhs}, reg_label(instr.dst));
           break;
+        }
       }
       if (instr.dst >= 0) {
         if (last_def[instr.dst] == kNoNode) defined.push_back(instr.dst);

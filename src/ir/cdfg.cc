@@ -19,6 +19,13 @@ BlockId Cdfg::add_block(std::string block_name) {
   return id;
 }
 
+void Cdfg::reserve(BlockId blocks) {
+  const auto total = static_cast<std::size_t>(size() + blocks);
+  blocks_.reserve(total);
+  succs_.reserve(total);
+  preds_.reserve(total);
+}
+
 void Cdfg::add_edge(BlockId from, BlockId to) {
   require(from >= 0 && from < size() && to >= 0 && to < size(),
           "Cdfg::add_edge: bad edge ", from, " -> ", to);

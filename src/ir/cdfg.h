@@ -26,6 +26,9 @@ class Cdfg {
   /// Appends an (empty) block and returns its id.
   BlockId add_block(std::string block_name = {});
 
+  /// Makes room for `blocks` more blocks without reallocating.
+  void reserve(BlockId blocks);
+
   /// Adds a control edge from -> to. Parallel edges are ignored.
   void add_edge(BlockId from, BlockId to);
 

@@ -1,15 +1,32 @@
 #include "ir/dfg.h"
 
 #include <algorithm>
+#include <type_traits>
 
 #include "support/error.h"
 #include "support/strings.h"
 
 namespace amdrel::ir {
 
-NodeId Dfg::add_node(OpKind kind, std::vector<NodeId> operands,
-                     std::string label) {
+static_assert(std::is_trivially_copyable_v<Dfg::Node>);
+
+bool operator==(Dfg::NodeIds a, Dfg::NodeIds b) {
+  return std::equal(a.begin(), a.end(), b.begin(), b.end());
+}
+
+std::size_t Dfg::Users::size() const {
+  return static_cast<std::size_t>(std::distance(begin(), end()));
+}
+
+bool operator==(const Dfg::Users& a, const Dfg::Users& b) {
+  return std::equal(a.begin(), a.end(), b.begin(), b.end());
+}
+
+NodeId Dfg::add_node(OpKind kind, std::initializer_list<NodeId> operands,
+                     std::string_view label) {
   const NodeId id = size();
+  require(operands.size() <= 2, "Dfg::add_node: ", operands.size(),
+          " operands for new node ", id, "; a node takes at most 2");
   for (NodeId operand : operands) {
     require(operand >= 0 && operand < id,
             "Dfg::add_node: operand ", operand,
@@ -17,20 +34,36 @@ NodeId Dfg::add_node(OpKind kind, std::vector<NodeId> operands,
   }
   Node node;
   node.kind = kind;
-  node.operands = std::move(operands);
-  node.label = std::move(label);
-  nodes_.push_back(std::move(node));
-  users_.emplace_back();
-  for (NodeId operand : nodes_.back().operands) {
-    users_[operand].push_back(id);
+  node.operand_count = static_cast<std::uint8_t>(operands.size());
+  std::copy(operands.begin(), operands.end(), node.operand_ids);
+  nodes_.push_back(node);
+  links_.emplace_back();
+  for (int k = 0; k < node.operand_count; ++k) {
+    const NodeId slot = 2 * id + k;
+    UseLinks& operand = links_[node.operand_ids[k]];
+    if (operand.last_use == kNoNode) {
+      operand.first_use = slot;
+    } else {
+      links_[operand.last_use >> 1].next_use[operand.last_use & 1] = slot;
+    }
+    operand.last_use = slot;
   }
+  label_chars_.append(label);
+  label_end_.push_back(static_cast<std::uint32_t>(label_chars_.size()));
   return id;
 }
 
-NodeId Dfg::add_const(std::int64_t value, std::string label) {
-  const NodeId id = add_node(OpKind::kConst, {}, std::move(label));
+NodeId Dfg::add_const(std::int64_t value, std::string_view label) {
+  const NodeId id = add_node(OpKind::kConst, {}, label);
   nodes_[id].imm = value;
   return id;
+}
+
+void Dfg::reserve(std::size_t nodes, std::size_t label_chars) {
+  nodes_.reserve(nodes_.size() + nodes);
+  links_.reserve(links_.size() + nodes);
+  label_end_.reserve(label_end_.size() + nodes);
+  label_chars_.reserve(label_chars_.size() + label_chars);
 }
 
 const Dfg::Node& Dfg::node(NodeId id) const {
@@ -38,9 +71,15 @@ const Dfg::Node& Dfg::node(NodeId id) const {
   return nodes_[id];
 }
 
-const std::vector<NodeId>& Dfg::users(NodeId id) const {
+std::string_view Dfg::label(NodeId id) const {
+  require(id >= 0 && id < size(), "Dfg::label: bad id ", id);
+  const std::uint32_t begin = id == 0 ? 0 : label_end_[id - 1];
+  return std::string_view(label_chars_).substr(begin, label_end_[id] - begin);
+}
+
+Dfg::Users Dfg::users(NodeId id) const {
   require(id >= 0 && id < size(), "Dfg::users: bad id ", id);
-  return users_[id];
+  return {links_.data(), links_[id].first_use};
 }
 
 std::vector<int> Dfg::asap_levels() const {
@@ -49,7 +88,7 @@ std::vector<int> Dfg::asap_levels() const {
     const Node& n = nodes_[id];
     if (!is_schedulable(n.kind)) continue;
     int max_pred = 0;
-    for (NodeId operand : n.operands) {
+    for (NodeId operand : n.operands()) {
       max_pred = std::max(max_pred, level[operand]);
     }
     level[id] = max_pred + 1;
@@ -67,7 +106,7 @@ std::vector<int> Dfg::alap_levels() const {
     const Node& n = nodes_[id];
     if (!is_schedulable(n.kind)) continue;
     int min_succ = depth + 1;
-    for (NodeId user : users_[id]) {
+    for (NodeId user : users(id)) {
       if (!is_schedulable(nodes_[user].kind)) continue;
       min_succ = std::min(min_succ, level[user]);
     }
@@ -115,39 +154,39 @@ bool Dfg::has_division() const {
 void Dfg::validate() const {
   for (NodeId id = 0; id < size(); ++id) {
     const Node& n = nodes_[id];
-    for (NodeId operand : n.operands) {
+    for (NodeId operand : n.operands()) {
       require(operand >= 0 && operand < id,
               "Dfg::validate: node ", id, " has bad operand ", operand);
     }
     switch (n.kind) {
       case OpKind::kConst:
       case OpKind::kInput:
-        require(n.operands.empty(),
+        require(n.operand_count == 0,
                 "Dfg::validate: source node ", id, " has operands");
         break;
       case OpKind::kOutput:
-        require(n.operands.size() == 1,
+        require(n.operand_count == 1,
                 "Dfg::validate: output node ", id,
                 " must have exactly one operand");
         break;
       case OpKind::kNot:
       case OpKind::kNeg:
       case OpKind::kCopy:
-        require(n.operands.size() == 1,
+        require(n.operand_count == 1,
                 "Dfg::validate: unary node ", id, " arity != 1");
         break;
       case OpKind::kLoad:
-        require(n.operands.size() == 1,
+        require(n.operand_count == 1,
                 "Dfg::validate: load node ", id,
                 " must have exactly one (address) operand");
         break;
       case OpKind::kStore:
-        require(n.operands.size() == 2,
+        require(n.operand_count == 2,
                 "Dfg::validate: store node ", id,
                 " must have (address, value) operands");
         break;
       default:
-        require(n.operands.size() == 2,
+        require(n.operand_count == 2,
                 "Dfg::validate: binary node ", id, " arity != 2");
         break;
     }

@@ -2,12 +2,13 @@
 
 #include <algorithm>
 #include <sstream>
+#include <string_view>
 
 namespace amdrel::ir {
 
 namespace {
 
-std::string escape(const std::string& text) {
+std::string escape(std::string_view text) {
   std::string out;
   for (const char c : text) {
     if (c == '"' || c == '\\') out.push_back('\\');
@@ -28,7 +29,9 @@ std::string to_dot(const Dfg& dfg, const std::string& graph_name) {
     if (node.kind == OpKind::kConst) {
       label = "#" + std::to_string(node.imm);
     }
-    if (!node.label.empty()) label += "\\n" + escape(node.label);
+    if (const std::string_view name = dfg.label(id); !name.empty()) {
+      label += "\\n" + escape(name);
+    }
     const bool structural = !is_schedulable(node.kind);
     os << "  n" << id << " [label=\"" << label << "\", shape="
        << (structural ? "box" : "ellipse");
@@ -37,7 +40,7 @@ std::string to_dot(const Dfg& dfg, const std::string& graph_name) {
     os << "];\n";
   }
   for (NodeId id = 0; id < dfg.size(); ++id) {
-    for (NodeId operand : dfg.node(id).operands) {
+    for (NodeId operand : dfg.node(id).operands()) {
       os << "  n" << operand << " -> n" << id << ";\n";
     }
   }

@@ -44,9 +44,10 @@ void TacProgram::validate() const {
     require(block.id == static_cast<BlockId>(bi),
             "TacProgram::validate: block ", bi, " id mismatch");
     for (const TacInstr& instr : block.body) {
-      require(is_tac_body_op(instr.op),
-              "TacProgram::validate: structural op '",
-              op_name(instr.op), "' in TAC body");
+      if (!is_tac_body_op(instr.op)) {
+        fail(cat("TacProgram::validate: structural op '", op_name(instr.op),
+                 "' in TAC body"));
+      }
       switch (instr.op) {
         case OpKind::kConst:
           check_reg(instr.dst, "dst");

@@ -450,9 +450,11 @@ class Lowerer {
             return emit_op(OpKind::kNeg, lower_expr(*expr.lhs));
           case UnaryOp::kBitNot:
             return emit_op(OpKind::kNot, lower_expr(*expr.lhs));
-          case UnaryOp::kLogicalNot:
-            return emit_op(OpKind::kCmpEq, lower_expr(*expr.lhs),
-                           materialize_const(0));
+          case UnaryOp::kLogicalNot: {
+            // The constant's register is numbered before the operand's.
+            const int zero = materialize_const(0);
+            return emit_op(OpKind::kCmpEq, lower_expr(*expr.lhs), zero);
+          }
         }
         fail("lowering: bad unary op");
       case Expr::Kind::kBinary: {

@@ -34,10 +34,10 @@ class Parser {
   }
   const Token& advance() { return tokens_[pos_++]; }
   const Token& expect(TokenKind kind, const char* context) {
-    require(check(kind),
-            "parse error at line ", peek().loc.line, ", column ",
-            peek().loc.column, ": expected ", token_kind_name(kind),
-            " in ", context, ", got ", token_kind_name(peek().kind));
+    if (!check(kind)) {
+      error_here(cat("expected ", token_kind_name(kind), " in ", context,
+                     ", got ", token_kind_name(peek().kind)));
+    }
     return advance();
   }
   [[noreturn]] void error_here(const std::string& message) const {

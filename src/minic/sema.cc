@@ -271,8 +271,14 @@ class Checker {
           sema_error(arg.loc, cat("argument ", i + 1, " of '", expr.name,
                                   "' must be an array"));
         }
-        if (!param.dims.empty() && !info.any_length &&
-            info.dims != param.dims) {
+        // An int a[] parameter's dimensions are unknown here, so it can
+        // only be passed on to another int a[] parameter.
+        if (!param.dims.empty() && info.any_length) {
+          sema_error(arg.loc, cat("array argument ", i + 1, " of '",
+                                  expr.name, "' has unknown dimensions, but '",
+                                  expr.name, "' declares them"));
+        }
+        if (!param.dims.empty() && info.dims != param.dims) {
           sema_error(arg.loc, cat("array argument ", i + 1, " of '",
                                   expr.name,
                                   "' has mismatching dimensions"));

@@ -135,7 +135,7 @@ TEST(CgcSchedulerTest, PrecedenceInvariantHoldsOnRandomGraphs) {
     for (NodeId v = 0; v < dfg.size(); ++v) {
       const auto& node = dfg.node(v);
       if (!ir::is_schedulable(node.kind)) continue;
-      for (NodeId u : node.operands) {
+      for (NodeId u : node.operands()) {
         if (!ir::is_schedulable(dfg.node(u).kind)) continue;
         // Either the operand finished in an earlier cycle, or both are in
         // the same cycle of the same CGC with increasing rows (chaining).

@@ -2,8 +2,13 @@
 
 #include <gtest/gtest.h>
 
+#include <string>
+#include <utility>
+#include <vector>
+
 #include "frontend_oracle.h"
 #include "support/error.h"
+#include "synth/dfg_generator.h"
 #include "test_helpers.h"
 
 namespace amdrel::ir {
@@ -113,8 +118,111 @@ TEST(DfgTest, UsersTracksConsumers) {
   const NodeId mul = dfg.add_node(OpKind::kMul, {a, add});
   EXPECT_EQ(dfg.users(a).size(), 2u);
   EXPECT_EQ(dfg.users(add).size(), 1u);
-  EXPECT_EQ(dfg.users(add)[0], mul);
+  EXPECT_EQ(*dfg.users(add).begin(), mul);
   EXPECT_TRUE(dfg.users(mul).empty());
+}
+
+std::vector<NodeId> users_of(const Dfg& dfg, NodeId id) {
+  const Dfg::Users users = dfg.users(id);
+  return {users.begin(), users.end()};
+}
+
+/// Every (user, operand) pair in ascending user id, found by scanning
+/// every node's operands.
+std::vector<NodeId> scanned_users(const Dfg& dfg, NodeId id) {
+  std::vector<NodeId> users;
+  for (NodeId user = 0; user < dfg.size(); ++user) {
+    for (NodeId operand : dfg.node(user).operands()) {
+      if (operand == id) users.push_back(user);
+    }
+  }
+  return users;
+}
+
+TEST(DfgTest, AddNodeRejectsThreeOperandsAndLeavesGraphUnchanged) {
+  Dfg dfg;
+  const NodeId a = dfg.add_node(OpKind::kInput, {}, "a");
+  const NodeId b = dfg.add_node(OpKind::kInput, {}, "b");
+  const NodeId add = dfg.add_node(OpKind::kAdd, {a, b}, "sum");
+  EXPECT_THROW(dfg.add_node(OpKind::kAdd, {a, b, add}, "bad"), Error);
+  EXPECT_THROW(dfg.add_node(OpKind::kAdd, {a, 7}, "bad"), Error);
+  ASSERT_EQ(dfg.size(), 3);
+  EXPECT_EQ(dfg.label(add), "sum");
+  EXPECT_EQ(users_of(dfg, a), std::vector<NodeId>{add});
+  EXPECT_EQ(users_of(dfg, b), std::vector<NodeId>{add});
+  EXPECT_TRUE(dfg.users(add).empty());
+  const NodeId next = dfg.add_node(OpKind::kNeg, {add}, "next");
+  EXPECT_EQ(next, 3);
+  EXPECT_EQ(dfg.label(next), "next");
+  EXPECT_EQ(users_of(dfg, add), std::vector<NodeId>{next});
+  EXPECT_NO_THROW(dfg.validate());
+}
+
+TEST(DfgTest, LabelsRoundTrip) {
+  const std::string long_label = "a_label_longer_than_fifteen_chars";
+  Dfg dfg;
+  const NodeId empty = dfg.add_node(OpKind::kInput);
+  const NodeId shorter = dfg.add_node(OpKind::kInput, {}, "x");
+  const NodeId longer = dfg.add_node(OpKind::kAdd, {empty, shorter},
+                                     long_label);
+  const NodeId constant = dfg.add_const(-4, "%12");
+  const NodeId after = dfg.add_node(OpKind::kOutput, {longer});
+  EXPECT_EQ(dfg.label(empty), "");
+  EXPECT_EQ(dfg.label(shorter), "x");
+  EXPECT_EQ(dfg.label(longer), long_label);
+  EXPECT_EQ(dfg.label(constant), "%12");
+  EXPECT_EQ(dfg.node(constant).imm, -4);
+  EXPECT_EQ(dfg.label(after), "");
+  EXPECT_THROW(dfg.label(after + 1), Error);
+}
+
+TEST(DfgTest, UsersEqualAnOperandScanOnSynthGraphs) {
+  for (std::uint64_t seed = 1; seed <= 20; ++seed) {
+    synth::DfgGenConfig config;
+    config.alu_ops = 10 + static_cast<int>(seed % 7) * 6;
+    config.mul_ops = static_cast<int>(seed % 5);
+    config.load_ops = 3;
+    config.store_ops = 2;
+    config.target_width = 1 + static_cast<int>(seed % 4);
+    config.seed = seed;
+    const Dfg dfg = synth::generate_dfg(config);
+    for (NodeId id = 0; id < dfg.size(); ++id) {
+      const std::vector<NodeId> want = scanned_users(dfg, id);
+      EXPECT_EQ(users_of(dfg, id), want) << "seed " << seed << " node " << id;
+      EXPECT_EQ(dfg.users(id).size(), want.size());
+      EXPECT_EQ(dfg.users(id).empty(), want.empty());
+    }
+  }
+}
+
+TEST(DfgTest, UsersListAUserOnceForEachOperandSlot) {
+  Dfg dfg;
+  const NodeId a = dfg.add_node(OpKind::kInput, {}, "a");
+  const NodeId twice = dfg.add_node(OpKind::kMul, {a, a});
+  const NodeId once = dfg.add_node(OpKind::kAdd, {twice, a});
+  EXPECT_EQ(users_of(dfg, a), (std::vector<NodeId>{twice, twice, once}));
+}
+
+TEST(DfgTest, CopiedAndMovedGraphsKeepLabelsAndUsers) {
+  synth::DfgGenConfig config;
+  config.seed = 7;
+  const Dfg original = synth::generate_dfg(config);
+  const Dfg copy = original;
+  Dfg source = original;
+  const Dfg moved = std::move(source);
+  Dfg assigned;
+  assigned = copy;
+  const Dfg* const graphs[] = {&copy, &moved, &assigned};
+  for (const Dfg* dfg : graphs) {
+    ASSERT_EQ(dfg->size(), original.size());
+    for (NodeId id = 0; id < original.size(); ++id) {
+      EXPECT_EQ(dfg->node(id).kind, original.node(id).kind);
+      EXPECT_EQ(dfg->node(id).operands(), original.node(id).operands());
+      EXPECT_EQ(dfg->label(id), original.label(id)) << "node " << id;
+      EXPECT_EQ(dfg->users(id), original.users(id)) << "node " << id;
+      EXPECT_EQ(users_of(*dfg, id), scanned_users(original, id));
+    }
+  }
 }
 
 TEST(DfgTest, EmptyGraphHasZeroDepth) {

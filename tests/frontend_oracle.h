@@ -369,7 +369,7 @@ inline finegrain::TemporalPartitioning partition_dfg_list(
 
   std::vector<bool> placed(dfg.size(), false);
   auto ready = [&](NodeId id) {
-    for (NodeId pred : dfg.node(id).operands) {
+    for (NodeId pred : dfg.node(id).operands()) {
       if (ir::is_schedulable(dfg.node(pred).kind) && !placed[pred]) {
         return false;
       }

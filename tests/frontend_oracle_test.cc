@@ -55,8 +55,8 @@ void expect_same_cdfg(const Cdfg& got, const Cdfg& want,
       const Dfg::Node& wn = w.node(id);
       const std::string at = where + " node " + std::to_string(id);
       EXPECT_EQ(gn.kind, wn.kind) << at;
-      EXPECT_EQ(gn.operands, wn.operands) << at;
-      EXPECT_EQ(gn.label, wn.label) << at;
+      EXPECT_EQ(gn.operands(), wn.operands()) << at;
+      EXPECT_EQ(g.label(id), w.label(id)) << at;
       EXPECT_EQ(gn.imm, wn.imm) << at;
       EXPECT_EQ(gn.bit_width, wn.bit_width) << at;
       EXPECT_EQ(g.users(id), w.users(id)) << at;

@@ -4,6 +4,7 @@
 #include <string>
 #include <string_view>
 
+#include "ir/op.h"
 #include "support/error.h"
 
 namespace amdrel {
@@ -17,7 +18,14 @@ int checked_id(int id, int size, const std::string& name) {
   require(name != "(", ')', std::string_view("(cat("), name);
   const char open = '(';
   require(size > 0, "checked_id: size must be positive, not ", size, open);
+  const int concat_count = size;
+  require(concat_count > 0, "checked_id: ", concat_count, " op_name(s)");
   return id;
+}
+
+// A message that names a value only on the failure path.
+void checked_op(ir::OpKind kind, bool ok) {
+  if (!ok) fail(cat("checked_op: bad op '", ir::op_name(kind), "'"));
 }
 
 }  // namespace amdrel

@@ -216,6 +216,31 @@ TEST(SemaTest, CallChecks) {
       "array");
 }
 
+// An int a[] parameter hides its argument's dimensions, so passing it on
+// to a parameter that declares dimensions is rejected in sema rather
+// than read with the wrong shape (or failing in lowering).
+TEST(SemaTest, UnknownLengthArrayCannotReachDeclaredDimensions) {
+  expect_sema_error(R"(
+    int m[2][4];
+    int g(int b[4][2]) { return b[1][1]; }
+    int f(int a[]) { return g(a); }
+    int main() { m[0][3] = 5; return f(m); }
+  )", "array argument 1 of 'g' has unknown dimensions");
+  expect_sema_error(R"(
+    int v[8];
+    int g(int b[4][2]) { return b[1][1]; }
+    int f(int a[]) { return g(a); }
+    int main() { v[3] = 5; return f(v); }
+  )", "array argument 1 of 'g' has unknown dimensions");
+  Program program = parse(R"(
+    int v[8];
+    int g(int b[]) { return b[3]; }
+    int f(int a[]) { return g(a); }
+    int main() { v[3] = 5; return f(v); }
+  )");
+  EXPECT_NO_THROW(check_program(program));
+}
+
 TEST(SemaTest, RecursionRejected) {
   expect_sema_error(
       "int f(int n) { return f(n - 1); } int main() { return f(3); }",
@@ -282,6 +307,28 @@ TEST(LoweringTest, InliningDuplicatesCallees) {
   };
   EXPECT_EQ(count_muls(once), 1);
   EXPECT_EQ(count_muls(twice), 2);
+}
+
+// `!x` lowers to cmpeq(x, 0). The zero's register is numbered before the
+// operand's, whatever order the compiler evaluates call arguments in.
+TEST(LoweringTest, LogicalNotNumbersItsZeroFirst) {
+  const ir::TacProgram tac = compile(
+      "int main() { int x = 1; int y = 2; return !(x + y); }\n", "not.mc");
+  EXPECT_EQ(tac.to_string(), R"(program not.mc (regs: 8)
+bb0.entry:  ; id 0 (entry)
+  %0:main.ret = 0
+  %2 = 1
+  %1:x = %2
+  %4 = 2
+  %3:y = %4
+  %5 = 0
+  %6 = add %1:x, %3:y
+  %7 = cmpeq %6, %5
+  %0:main.ret = %7
+  jmp bb1
+bb1.program_exit:  ; id 1
+  ret %0:main.ret
+)");
 }
 
 TEST(LoweringTest, TwoDimIndexingEmitsAddressArithmetic) {

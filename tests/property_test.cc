@@ -110,7 +110,7 @@ TEST_P(TemporalPartitionProperty, Invariants) {
             static_cast<int>(std::ceil(total_area / fpga.usable_area)));
   // level-by-level traversal: partitions never decrease along data edges
   for (ir::NodeId v = 0; v < dfg.size(); ++v) {
-    for (ir::NodeId u : dfg.node(v).operands) {
+    for (ir::NodeId u : dfg.node(v).operands()) {
       if (result.partition_of[u] > 0 && result.partition_of[v] > 0 &&
           levels[u] < levels[v]) {
         EXPECT_LE(result.partition_of[u], result.partition_of[v]);
@@ -136,7 +136,7 @@ TEST_P(TemporalPartitionProperty, ListPackingInvariantsAndDominance) {
 
   // Data dependencies never point into a later partition's past.
   for (ir::NodeId v = 0; v < dfg.size(); ++v) {
-    for (ir::NodeId u : dfg.node(v).operands) {
+    for (ir::NodeId u : dfg.node(v).operands()) {
       if (list.partition_of[u] > 0 && list.partition_of[v] > 0) {
         EXPECT_LE(list.partition_of[u], list.partition_of[v]);
       }
@@ -194,7 +194,7 @@ TEST_P(CgcScheduleProperty, Invariants) {
     EXPECT_LT(p.cgc, cgc.count);
     per_cgc_cycle[{sched.start[id], p.cgc}]++;
     // precedence: operands ready, or same-cycle chain in lower row
-    for (ir::NodeId u : node.operands) {
+    for (ir::NodeId u : node.operands()) {
       if (!ir::is_schedulable(dfg.node(u).kind)) continue;
       if (sched.finish[u] > sched.start[id]) {
         EXPECT_EQ(sched.start[u], sched.start[id]);

@@ -613,7 +613,6 @@ std::string read_file(const std::string& path) {
 }
 
 struct CompiledApp {
-  ir::TacProgram tac;
   ir::Cdfg cdfg{"app"};
   ir::ProfileData profile;
 };
@@ -621,33 +620,33 @@ struct CompiledApp {
 constexpr std::uint64_t kProfileBudget = 4'000'000'000ULL;
 
 // The dynamic-analysis pipeline behind both the positional file and
-// compiled --corpus entries: optional optimizer pass, profiling
-// interpreter run, CDFG construction. --input arrays only apply to the
-// positional file (apply_inputs) — corpus entries profile on
+// compiled --corpus entries: optional optimizer pass, CDFG construction,
+// profiling interpreter run. The CDFG is built first so the program can
+// move into the interpreter instead of being copied. --input arrays only
+// apply to the positional file (apply_inputs) — corpus entries profile on
 // zero-initialized inputs, since they need not share array names.
 CompiledApp profile_tac(ir::TacProgram tac, const Options& options,
                         const std::string& label, bool apply_inputs) {
-  CompiledApp app;
-  app.tac = std::move(tac);
   if (options.optimize) {
-    const int rewrites = minic::optimize(app.tac);
+    const int rewrites = minic::optimize(tac);
     std::fprintf(stderr, "optimizer(%s): %d rewrites\n", label.c_str(),
                  rewrites);
   }
-  interp::Interpreter interp(app.tac);
+  CompiledApp app;
+  app.cdfg = ir::build_cdfg(tac);
+  interp::Interpreter interp(std::move(tac));
   if (apply_inputs) {
     for (const auto& [name, values] : options.inputs) {
       interp.set_input(name, values);
     }
   }
-  const auto run = interp.run(kProfileBudget);
+  auto run = interp.run(kProfileBudget);
   std::fprintf(stderr,
                "profiled %s: %llu instructions, main returned %d\n",
                label.c_str(),
                static_cast<unsigned long long>(run.instructions_executed),
                run.return_value);
-  app.profile = run.profile;
-  app.cdfg = ir::build_cdfg(app.tac);
+  app.profile = std::move(run.profile);
   return app;
 }
 
