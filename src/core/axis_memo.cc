@@ -98,12 +98,19 @@ void AxisMemo::bind(const ir::Cdfg& cdfg, const ir::ProfileData& profile) {
   if (cdfg_ == &cdfg && profile_ == &profile) return;
   cdfg_ = &cdfg;
   profile_ = &profile;
+  app_key_.reset();
   facts_.reset();
   fine_.clear();
   coarse_.clear();
   analysis_.reset();
   kernels_.clear();
   walks_.clear();
+}
+
+const Fingerprint& AxisMemo::app_key() {
+  require(cdfg_ != nullptr, "AxisMemo::app_key: no app bound");
+  if (!app_key_) app_key_ = app_fingerprint(*cdfg_, *profile_);
+  return *app_key_;
 }
 
 HybridMapper AxisMemo::mapper(const platform::Platform& platform) {

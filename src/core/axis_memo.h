@@ -8,6 +8,7 @@
 #include <vector>
 
 #include "analysis/kernels.h"
+#include "core/fingerprint.h"
 #include "core/strategy.h"
 
 namespace amdrel::core {
@@ -44,12 +45,16 @@ namespace amdrel::core {
 /// and never different results.
 ///
 /// Not thread-safe, and neither are its views, which share CGC
-/// schedules: a sweep gives each pool thread its own memo.
+/// schedules: each thread computing sweep shards keeps its own memo.
 class AxisMemo {
  public:
   /// Binds the memo to one app. A different (cdfg, profile) pair than
   /// the bound one empties the memo first.
   void bind(const ir::Cdfg& cdfg, const ir::ProfileData& profile);
+
+  /// app_fingerprint of the bound app, the app part of its sweep cache
+  /// keys, computed on the first call after a bind.
+  const Fingerprint& app_key();
 
   /// A mapper for the bound app on `platform`, a view over the memo's
   /// tables that builds whichever of them is missing. `platform` must
@@ -74,6 +79,7 @@ class AxisMemo {
  private:
   const ir::Cdfg* cdfg_ = nullptr;
   const ir::ProfileData* profile_ = nullptr;
+  std::optional<Fingerprint> app_key_;
   std::shared_ptr<const BlockFacts> facts_;
   std::map<std::vector<std::uint64_t>, std::shared_ptr<const FineTables>>
       fine_;

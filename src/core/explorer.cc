@@ -184,35 +184,27 @@ std::vector<Fingerprint> sweep_app_fingerprints(
 }
 
 std::size_t compute_sweep_shard(const std::vector<CorpusApp>& corpus,
-                                const SweepSpec& spec,
-                                const std::vector<Fingerprint>& app_fps,
-                                std::size_t shard, SweepCell* slots,
-                                AxisMemo* memo) {
+                                const SweepSpec& spec, std::size_t shard,
+                                SweepCell* slots, AxisMemo& memo) {
   SweepCache* cache = spec.cache;
   const std::vector<double> budgets = sweep_energy_budgets(spec);
   const SweepShardCoords coords = sweep_shard_coords(spec, shard);
   const CorpusApp& app = corpus[coords.app];
+  memo.bind(app.cdfg, app.profile);
 
   Fingerprint platform_fp;
   Fingerprint group_key;
   if (cache) {
     platform_fp = fingerprint(coords.platform);
-    group_key = shard_key(app_fps[coords.app], platform_fp);
+    group_key = shard_key(memo.app_key(), platform_fp);
   }
 
-  // The mapper is built only when some cell of this group actually
-  // misses — a fully warm group costs zero mapper constructions. With a
-  // memo it is a view over the tables the thread's earlier shards of
-  // this app built; either way it counts as one build.
+  // The mapper, a view over the memo's tables, is taken only when some
+  // cell of this group misses: a fully warm group counts no build.
   std::optional<HybridMapper> mapper;
   auto ensure_mapper = [&]() -> HybridMapper& {
     if (!mapper) {
-      if (memo) {
-        memo->bind(app.cdfg, app.profile);
-        mapper.emplace(memo->mapper(coords.platform));
-      } else {
-        mapper.emplace(app.cdfg, coords.platform);
-      }
+      mapper.emplace(memo.mapper(coords.platform));
       if (cache) cache->count_mapper_build();
     }
     return *mapper;
@@ -220,8 +212,6 @@ std::size_t compute_sweep_shard(const std::vector<CorpusApp>& corpus,
 
   std::vector<std::int64_t> constraints = spec.constraints;
   if (constraints.empty()) {
-    // Resolved through the all-fine memo when warm; on a miss the
-    // mapper built here is the group's mapper, reused by every cell.
     std::optional<std::int64_t> all_fine =
         cache ? cache->find_all_fine(group_key) : std::nullopt;
     if (!all_fine) {
@@ -235,9 +225,8 @@ std::size_t compute_sweep_shard(const std::vector<CorpusApp>& corpus,
   const std::size_t used =
       constraints.size() * budgets.size() * strategy_count * ordering_count;
 
-  // One walk per (strategy, ordering) pair prices the shard's whole
-  // constraints x budgets axis; cached cells are filtered out first
-  // so a fully warm group still costs zero mapper constructions.
+  // One walk per (strategy, ordering) pair prices the shard's
+  // constraints x budgets axis, less its cached cells.
   for (std::size_t si = 0; si < strategy_count; ++si) {
     for (std::size_t oi = 0; oi < ordering_count; ++oi) {
       MethodologyOptions options = spec.base;
@@ -256,8 +245,8 @@ std::size_t compute_sweep_shard(const std::vector<CorpusApp>& corpus,
           cell.constraint = constraints[ci];
           if (cache) {
             options.cost.energy_budget_pj = budgets[bi];
-            const Fingerprint key = cell_key(app_fps[coords.app], platform_fp,
-                                             options, constraints[ci]);
+            const Fingerprint key =
+                cell_key(memo.app_key(), platform_fp, options, constraints[ci]);
             if (std::optional<CachedCell> hit = cache->find_cell(key)) {
               cell.report = std::move(hit->report);
               cell.moved_names = std::move(hit->moved_names);
@@ -271,7 +260,7 @@ std::size_t compute_sweep_shard(const std::vector<CorpusApp>& corpus,
       if (missed.empty()) continue;
       const std::vector<PartitionReport> reports =
           run_methodology_axis(ensure_mapper(), app.profile, axis, options,
-                               memo);
+                               &memo);
       for (std::size_t m = 0; m < missed.size(); ++m) {
         SweepCell& cell = slots[missed[m]];
         cell.report = reports[m];
@@ -281,9 +270,9 @@ std::size_t compute_sweep_shard(const std::vector<CorpusApp>& corpus,
           CachedCell fresh;
           fresh.report = cell.report;
           fresh.moved_names = cell.moved_names;
-          cache->store_cell(cell_key(app_fps[coords.app], platform_fp,
-                                     options, cell.constraint),
-                            std::move(fresh));
+          cache->store_cell(
+              cell_key(memo.app_key(), platform_fp, options, cell.constraint),
+              std::move(fresh));
         }
       }
     }
@@ -389,27 +378,15 @@ void finalize_sweep_summary(SweepSummary& summary,
 
 void compute_sweep_shards(const std::vector<CorpusApp>& corpus,
                           const SweepSpec& spec,
-                          const std::vector<Fingerprint>& app_fps,
                           const std::vector<std::size_t>& shards,
                           const ShardSink& sink) {
   const std::size_t cells_per_shard = sweep_cells_per_shard(spec);
   const int threads = worker_count(shards.size(), spec.threads);
-  if (threads == 1) {
-    AxisMemo memo;
-    for (std::size_t job = 0; job < shards.size(); ++job) {
-      std::vector<SweepCell> cells(cells_per_shard);
-      const std::size_t used = compute_sweep_shard(
-          corpus, spec, app_fps, shards[job], cells.data(), &memo);
-      sink(job, cells, used);
-    }
-    return;
-  }
 
-  // Threads compute in claim order; the calling thread hands the shards
-  // to `sink` in list order. A failed shard stops the claiming, so every
-  // shard before it is already claimed and will finish: the in-order walk
-  // below reaches the first failure in list order and never waits on an
-  // unclaimed shard.
+  // Shards are claimed in list order. A failed shard stops the claiming,
+  // so every shard before it is already claimed and will finish: the
+  // caller's in-order walk reaches the first failure in list order and
+  // never waits on an unclaimed shard.
   struct Pending {
     std::vector<SweepCell> cells;
     std::size_t used = 0;
@@ -421,36 +398,50 @@ void compute_sweep_shards(const std::vector<CorpusApp>& corpus,
   std::condition_variable ready;
   std::atomic<std::size_t> next{0};
   std::atomic<bool> stop{false};
-  auto worker = [&]() {
-    AxisMemo memo;
-    while (!stop.load()) {
-      const std::size_t job = next.fetch_add(1);
-      if (job >= shards.size()) return;
-      std::vector<SweepCell> cells(cells_per_shard);
-      std::size_t used = 0;
-      std::exception_ptr failure;
-      try {
-        used = compute_sweep_shard(corpus, spec, app_fps, shards[job],
-                                   cells.data(), &memo);
-      } catch (...) {
-        failure = std::current_exception();
-        stop.store(true);
-      }
-      {
-        const std::lock_guard<std::mutex> lock(mutex);
-        pending[job] = Pending{std::move(cells), used, failure, true};
-      }
-      ready.notify_all();
+  // Claims and computes the next shard; false once none is left to claim.
+  auto compute_next = [&](AxisMemo& memo) {
+    if (stop.load()) return false;
+    const std::size_t job = next.fetch_add(1);
+    if (job >= shards.size()) return false;
+    std::vector<SweepCell> cells(cells_per_shard);
+    std::size_t used = 0;
+    std::exception_ptr failure;
+    try {
+      used = compute_sweep_shard(corpus, spec, shards[job], cells.data(), memo);
+    } catch (...) {
+      failure = std::current_exception();
+      stop.store(true);
     }
+    {
+      const std::lock_guard<std::mutex> lock(mutex);
+      pending[job] = Pending{std::move(cells), used, failure, true};
+    }
+    ready.notify_all();
+    return true;
   };
-  std::vector<std::thread> pool;
+
+  std::vector<std::thread> helpers;
   std::exception_ptr failure;
   try {
-    pool.reserve(static_cast<std::size_t>(threads));
-    for (int t = 0; t < threads; ++t) pool.emplace_back(worker);
+    helpers.reserve(static_cast<std::size_t>(threads - 1));
+    for (int t = 1; t < threads; ++t) {
+      helpers.emplace_back([&] {
+        AxisMemo memo;
+        while (compute_next(memo)) {
+        }
+      });
+    }
+    // The caller computes too, and between its shards hands every
+    // finished one to `sink` in list order.
+    AxisMemo memo;
     for (std::size_t job = 0; job < shards.size(); ++job) {
       std::unique_lock<std::mutex> lock(mutex);
-      ready.wait(lock, [&] { return pending[job].done; });
+      while (!pending[job].done) {
+        lock.unlock();
+        const bool computed = compute_next(memo);
+        lock.lock();
+        if (!computed) ready.wait(lock, [&] { return pending[job].done; });
+      }
       Pending shard = std::move(pending[job]);
       lock.unlock();
       if (shard.failure) {
@@ -463,7 +454,7 @@ void compute_sweep_shards(const std::vector<CorpusApp>& corpus,
     failure = std::current_exception();
   }
   stop.store(true);
-  for (std::thread& t : pool) t.join();
+  for (std::thread& t : helpers) t.join();
   if (failure) std::rethrow_exception(failure);
 }
 
@@ -471,14 +462,8 @@ SweepSummary sweep_design_space(const std::vector<CorpusApp>& corpus,
                                 const SweepSpec& spec) {
   validate_sweep_inputs(corpus, spec);
 
-  // A shard is one (app, platform) cell group; its constraint slots are
-  // resolved inside the shard (the default fractions depend on the
-  // shard's all-fine-grain cycles), but the slot CAPACITY is fixed up
-  // front, so every cell has a precomputed output slot and thread
-  // scheduling cannot reorder anything. Default fractions that collapse
-  // on tiny apps (see default_constraints) leave trailing slots unused;
-  // each shard records how many it filled and the unused tail is
-  // compacted away after the join.
+  // Every cell has a fixed slot, so scheduling cannot reorder anything;
+  // finalize_sweep_summary drops the tail slots a shard left unused.
   const std::size_t cells_per_shard = sweep_cells_per_shard(spec);
   const std::size_t shards = sweep_shard_count(corpus, spec);
 
@@ -487,18 +472,11 @@ SweepSummary sweep_design_space(const std::vector<CorpusApp>& corpus,
   for (const CorpusApp& app : corpus) summary.apps.push_back(app.name);
   summary.cells.resize(shards * cells_per_shard);
 
-  // App fingerprints are shared by every platform cell of an app;
-  // computed once up front rather than per shard.
-  const std::vector<Fingerprint> app_fps =
-      spec.cache ? sweep_app_fingerprints(corpus) : std::vector<Fingerprint>{};
-
-  // Cells each shard actually filled (== cells_per_shard except when
-  // default constraints collapsed).
   std::vector<std::size_t> shard_used(shards, 0);
   std::vector<std::size_t> all(shards);
   std::iota(all.begin(), all.end(), std::size_t{0});
   compute_sweep_shards(
-      corpus, spec, app_fps, all,
+      corpus, spec, all,
       [&](std::size_t shard, std::vector<SweepCell>& cells, std::size_t used) {
         std::move(cells.begin(), cells.end(),
                   summary.cells.begin() +

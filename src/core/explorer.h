@@ -67,12 +67,12 @@ struct SweepSpec {
   /// Per-run options (seed, annealing budget, ...); strategy, ordering
   /// and energy budget are overwritten per cell.
   MethodologyOptions base;
-  /// Worker threads; 0 picks the hardware concurrency. Results are
-  /// identical for any thread count.
+  /// Threads computing shards, the caller included; 0 picks the
+  /// hardware concurrency. Results are identical for any thread count.
   int threads = 0;
   /// Optional content-addressed memoization store (core/sweep_cache.h).
   /// Repeated cells hit whole cached results, and a shard with a missed
-  /// cell counts its cold mapper build there. Null runs uncached;
+  /// cell counts its mapper build there. Null runs uncached;
   /// results are identical either way.
   SweepCache* cache = nullptr;
 };
@@ -111,14 +111,10 @@ struct SweepSummary {
 /// [1, jobs]. Shared by the sweep, its workers and the CLI's reporting.
 int worker_count(std::size_t jobs, int requested);
 
-/// Runs the whole grid x corpus sweep on a thread pool. Work is sharded
-/// by (app, platform) cell group: a worker claims one group, takes one
-/// HybridMapper for that (cdfg, platform) pair from its thread's
-/// AxisMemo and reuses it across every (constraint, strategy, ordering)
-/// cell of the group — each cell identical to a standalone
-/// run_methodology call.
-/// Deterministic: output depends only on (corpus, spec), never on thread
-/// scheduling.
+/// Runs the whole grid x corpus sweep through compute_sweep_shards, one
+/// shard per (app, platform) cell group; each cell is identical to a
+/// standalone run_methodology call. The output depends only on (corpus,
+/// spec), never on thread scheduling.
 SweepSummary sweep_design_space(const std::vector<CorpusApp>& corpus,
                                 const SweepSpec& spec);
 
@@ -174,30 +170,23 @@ void fill_slot_coords(const SweepSpec& spec, const std::vector<double>& budgets,
 void validate_sweep_inputs(const std::vector<CorpusApp>& corpus,
                            const SweepSpec& spec);
 
-/// App fingerprints, one per corpus app (shared by every platform cell
-/// of an app, so computed once, not per shard). Only meaningful with a
-/// cache; pass the empty vector when spec.cache is null.
+/// App fingerprints, one per corpus app. The sweep itself takes them
+/// from AxisMemo::app_key; perfbench's perf_trace calls this.
 std::vector<Fingerprint> sweep_app_fingerprints(
     const std::vector<CorpusApp>& corpus);
 
-/// Computes ONE shard's cell group into slots[0 .. cells_per_shard), the
-/// work a sweep worker thread performs for one claimed shard: builds the
-/// shard's HybridMapper lazily (only when a cell misses), resolves the
-/// constraint axis, prices the grid one (strategy, ordering) walk at a
-/// time, and publishes cells and the all-fine count to spec.cache when
-/// set (no mapper snapshot: no later shard could restore it).
-/// Returns the number of slots actually filled (the contiguous prefix;
-/// fewer than capacity only when default constraints collapsed).
-/// app_fps must be sweep_app_fingerprints(corpus) when spec.cache is
-/// set, and is ignored otherwise. A memo (core/axis_memo.h) shares
-/// the mapper tables, kernel extraction and walks with the shards of
-/// the same app computed before on it, and the shard's mapper is then a
-/// view over those tables; the cells are identical with or without one.
+/// Computes ONE shard's cell group into slots[0 .. cells_per_shard) and
+/// returns how many slots it filled (a contiguous prefix, shorter only
+/// when default constraints collapsed). Binds `memo` to the shard's app,
+/// resolves the constraint axis and prices one (strategy, ordering) walk
+/// at a time on a mapper view from the memo, taken only when a cell
+/// misses spec.cache. Fresh cells and the all-fine count are stored in
+/// spec.cache when set, keyed by memo.app_key(). A memo shares tables
+/// and walks with the shards of the same app computed on it before; the
+/// cells are the same as with a fresh memo.
 std::size_t compute_sweep_shard(const std::vector<CorpusApp>& corpus,
-                                const SweepSpec& spec,
-                                const std::vector<Fingerprint>& app_fps,
-                                std::size_t shard, SweepCell* slots,
-                                AxisMemo* memo = nullptr);
+                                const SweepSpec& spec, std::size_t shard,
+                                SweepCell* slots, AxisMemo& memo);
 
 /// Receives one computed shard on the thread that called
 /// compute_sweep_shards: its position in the shard list, its
@@ -206,19 +195,17 @@ using ShardSink = std::function<void(std::size_t index,
                                      std::vector<SweepCell>& cells,
                                      std::size_t used)>;
 
-/// The one sweep pool: computes the listed shards (indices as in
+/// The one sweep loop: computes the listed shards (indices as in
 /// sweep_shard_count) on worker_count(shards.size(), spec.threads)
-/// threads and hands each to `sink` strictly in list order, as soon as it
-/// and every shard before it are done. Threads claim shards in list
-/// order, and each thread keeps one AxisMemo, which empties itself when
-/// the thread prices an axis of another app. When a shard throws, no
-/// further shard is claimed, the threads are joined and the failure
-/// first in list order is rethrown, after the shards before it reached
-/// `sink` — what a one-thread run reports. A throwing `sink` stops and
-/// joins the pool the same way.
+/// threads, the caller and the helpers it starts, each with its own
+/// AxisMemo. Shards are claimed in list order. The caller hands each
+/// finished shard to `sink` in list order; while the next one is not
+/// done it computes an unclaimed shard, and it waits only when none is
+/// left. When a shard throws, no further shard is claimed, the helpers
+/// are joined and the failure first in list order is rethrown after the
+/// shards before it reached `sink`. A throwing `sink` stops the same way.
 void compute_sweep_shards(const std::vector<CorpusApp>& corpus,
                           const SweepSpec& spec,
-                          const std::vector<Fingerprint>& app_fps,
                           const std::vector<std::size_t>& shards,
                           const ShardSink& sink);
 

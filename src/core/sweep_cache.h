@@ -39,8 +39,8 @@ namespace amdrel::core {
 // stamp or eviction; a "mapper" line is an unknown kind.
 
 /// One memoized sweep cell: everything sweep_design_space derives per
-/// (app, platform, options, constraint) coordinate. moved_names duplicates report.moved as block names so a
-/// hit never needs the CDFG.
+/// (app, platform, options, constraint) coordinate. moved_names
+/// duplicates report.moved as block names so a hit never needs the CDFG.
 struct CachedCell {
   PartitionReport report;
   std::vector<std::string> moved_names;
@@ -59,15 +59,16 @@ struct CellPayload {
 };
 void append_part(std::string& out, const CellPayload& payload);
 
-/// Inverse of the CellPayload serialization over a parsed JSON object; false on any
-/// missing, mistyped or inconsistent field (never coerces).
+/// Inverse of the CellPayload serialization over a parsed JSON object;
+/// false on any missing, mistyped or inconsistent field (never coerces).
 bool read_cell_payload(const jsonl::JsonValue& object, CachedCell& cell);
 
-/// Hit/miss counters. "builds" are cold HybridMapper constructions (the
-/// full per-block fine-grain mapping); "restores" are snapshot copies.
-/// Counter values depend on thread interleaving (two workers can miss
-/// the same key concurrently) — only the memoized RESULTS are
-/// deterministic, which the property tests pin.
+/// Hit/miss counters. mapper_builds counts one per shard with a missed
+/// cell: the mapper that shard takes, usually a view over tables its
+/// thread's AxisMemo already holds. mapper_restores counts snapshot
+/// copies, which the sweep never takes. Counter values depend on thread
+/// interleaving (two workers can miss the same key concurrently); only
+/// the memoized RESULTS are deterministic, which the property tests pin.
 struct SweepCacheStats {
   std::uint64_t cell_hits = 0;
   std::uint64_t cell_misses = 0;

@@ -29,22 +29,18 @@ namespace {
 /// progress without one: at launch, and whenever no worker is live.
 constexpr int kSpawnTimeoutMs = 60000;
 
-/// Computes `assigned` shards and streams them in assigned order —
-/// shared by the one-shot and the serve worker. Honors spec.threads
-/// through compute_sweep_shards, with a per-shard flush so a pipe/socket
-/// transport streams instead of buffering the whole run.
-/// `emitted_shards` counts across calls (rounds) for the after_shard
-/// hook.
+/// Computes `assigned` shards through compute_sweep_shards and streams
+/// them in assigned order, flushing each so a pipe or socket streams.
+/// `emitted_shards` counts across rounds for the after_shard hook.
 std::size_t emit_assigned_shards(const std::vector<CorpusApp>& corpus,
                                  const SweepSpec& spec,
-                                 const std::vector<Fingerprint>& app_fps,
                                  const std::vector<std::size_t>& assigned,
                                  std::ostream& os,
                                  const ShardEmitHook& after_shard,
                                  std::size_t& emitted_shards) {
   std::size_t total = 0;
   compute_sweep_shards(
-      corpus, spec, app_fps, assigned,
+      corpus, spec, assigned,
       [&](std::size_t job, std::vector<SweepCell>& cells, std::size_t used) {
         const std::size_t shard = assigned[job];
         wire::encode_shard_begin(os, {shard, used});
@@ -85,13 +81,11 @@ std::size_t run_sweep_worker(const std::vector<CorpusApp>& corpus,
     require(!claimed[shard], "run_sweep_worker: duplicate shard ", shard);
     claimed[shard] = 1;
   }
-  const std::vector<Fingerprint> app_fps =
-      spec.cache ? sweep_app_fingerprints(corpus) : std::vector<Fingerprint>{};
 
   wire::encode_header(os, local_header(shards));
   std::size_t emitted_shards = 0;
   const std::size_t total =
-      emit_assigned_shards(corpus, spec, app_fps, assigned, os, after_shard,
+      emit_assigned_shards(corpus, spec, assigned, os, after_shard,
                            emitted_shards);
   wire::encode_worker_done(os, {total});
   os.flush();
@@ -105,8 +99,6 @@ std::size_t run_sweep_worker_connected(const std::vector<CorpusApp>& corpus,
                                        const ShardEmitHook& after_shard) {
   validate_sweep_inputs(corpus, spec);
   const std::size_t shards = sweep_shard_count(corpus, spec);
-  const std::vector<Fingerprint> app_fps =
-      spec.cache ? sweep_app_fingerprints(corpus) : std::vector<Fingerprint>{};
 
   wire::encode_header(out, local_header(shards));
   out.flush();
@@ -133,7 +125,7 @@ std::size_t run_sweep_worker_connected(const std::vector<CorpusApp>& corpus,
           computed[s] = 1;
         }
         const std::size_t round =
-            emit_assigned_shards(corpus, spec, app_fps, assign.shards, out,
+            emit_assigned_shards(corpus, spec, assign.shards, out,
                                  after_shard, emitted_shards);
         total += round;
         out << wire::encode_round_done({round});

@@ -27,8 +27,8 @@ namespace amdrel::core {
 // self-scheduling), so one worker gets the whole sweep in one assign and
 // N workers get shrinking batches whose tail the first idle one steals.
 // Both transports speak one protocol: the coordinator sends "assign"
-// batches, and every worker runs its shards through compute_sweep_shard — the EXACT code path a
-// single-process sweep's threads run — and streams the resulting cell
+// batches, and every worker runs them through compute_sweep_shards, the
+// loop a single-process sweep runs, and streams the resulting cell
 // groups back as newline-delimited JSON (core/wire.h). The coordinator
 // writes each streamed cell into the slot the single-process layout
 // assigns it and derives the Pareto fronts itself
@@ -71,10 +71,8 @@ using ShardEmitHook = std::function<void(std::size_t)>;
 /// spec) sweep and streams them to `os` in the one-directional wire
 /// format, in assigned order. No serve transport uses it; it is the
 /// in-process reference that consume_worker_stream reads back. Honors
-/// spec.threads (shards are computed by a pool but emitted in order) and
-/// spec.cache exactly like sweep_design_space — a disk-warm cache
-/// short-circuits compute, and freshly computed cells/mapper snapshots
-/// are published to it for the eventual save.
+/// spec.threads and spec.cache exactly like sweep_design_space: cached
+/// cells are not recomputed, and fresh cells are stored in the cache.
 /// Returns the number of cells emitted. Throws Error on invalid inputs
 /// (out-of-range or duplicate shard indices) or an unwritable stream.
 std::size_t run_sweep_worker(const std::vector<CorpusApp>& corpus,

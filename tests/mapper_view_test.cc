@@ -357,9 +357,10 @@ TEST(MapperViewTest, BadBlockIdsThrow) {
   EXPECT_THROW(AxisMemo().mapper(platform), Error);
 }
 
-// The sweep through per-thread memos equals a memo-free sweep built from
-// compute_sweep_shard(..., nullptr), shard by shard, and still counts
-// one mapper build per shard, at one thread and at four.
+// The sweep through per-thread memos equals a sweep that computes every
+// shard with a fresh memo of its own, so no tables are shared across
+// shards, and still counts one mapper build per shard, at one thread
+// and at four.
 TEST(MapperViewTest, SweepMatchesMemoFreeShardsAndCountsOneBuildPerShard) {
   const std::vector<CorpusApp>& corpus = view_corpus();
   SweepSpec spec;
@@ -371,7 +372,7 @@ TEST(MapperViewTest, SweepMatchesMemoFreeShardsAndCountsOneBuildPerShard) {
   spec.base.exhaustive_max_kernels = 8;
   spec.base.anneal_iterations = 300;
 
-  // The oracle: every shard computed alone with a per-shard mapper.
+  // The oracle: every shard computed alone with a per-shard memo.
   const std::size_t per_shard = sweep_cells_per_shard(spec);
   const std::size_t shards = sweep_shard_count(corpus, spec);
   SweepSummary oracle;
@@ -379,9 +380,9 @@ TEST(MapperViewTest, SweepMatchesMemoFreeShardsAndCountsOneBuildPerShard) {
   oracle.cells.resize(shards * per_shard);
   std::vector<std::size_t> used(shards);
   for (std::size_t shard = 0; shard < shards; ++shard) {
-    used[shard] = compute_sweep_shard(corpus, spec, {}, shard,
-                                      oracle.cells.data() + shard * per_shard,
-                                      nullptr);
+    AxisMemo memo;
+    used[shard] = compute_sweep_shard(
+        corpus, spec, shard, oracle.cells.data() + shard * per_shard, memo);
   }
   finalize_sweep_summary(oracle, used, per_shard);
   const std::string expected = sweep_to_json(oracle);

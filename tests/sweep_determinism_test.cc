@@ -103,7 +103,7 @@ std::string partial_stream_bytes() {
   std::ostringstream os;
   core::write_partial_stream_header(os, all.size());
   core::compute_sweep_shards(
-      corpus, spec, {}, all,
+      corpus, spec, all,
       [&](std::size_t shard, std::vector<core::SweepCell>& cells,
           std::size_t used) {
         core::write_partial_stream_shard(os, apps, shard, cells.data(), used);

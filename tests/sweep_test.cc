@@ -19,9 +19,11 @@
 #include <gtest/gtest.h>
 
 #include "core/report.h"
+#include "core/sweep_cache.h"
 #include "core/sweep_io.h"
 #include "pareto_oracle.h"
 #include "support/error.h"
+#include "support/text.h"
 #include "synth/cdfg_generator.h"
 #include "workloads/paper_models.h"
 
@@ -297,7 +299,11 @@ TEST(SweepTest, FailingShardRethrowsFirstFailureInShardOrder) {
   };
   const std::string serial = failure(1);
   EXPECT_NE(serial.find("exceeds A_FPGA = 10"), std::string::npos) << serial;
-  for (int round = 0; round < 5; ++round) EXPECT_EQ(failure(4), serial);
+  for (const int threads : {2, 4}) {
+    for (int round = 0; round < 5; ++round) {
+      EXPECT_EQ(failure(threads), serial) << threads << " threads";
+    }
+  }
 }
 
 // A throwing sink stops the pool too: no later shard reaches the sink,
@@ -309,19 +315,72 @@ TEST(SweepTest, ThrowingSinkStopsThePool) {
   spec.grid.cgc_counts = {2, 3};
   spec.strategies = {StrategyKind::kGreedyPaper};
   spec.orderings = {KernelOrdering::kWeightDescending};
-  spec.threads = 4;
   std::vector<std::size_t> shards(sweep_shard_count(corpus, spec));
   std::iota(shards.begin(), shards.end(), std::size_t{0});
-  std::vector<std::size_t> seen;
-  EXPECT_THROW(compute_sweep_shards(
-                   corpus, spec, {}, shards,
-                   [&](std::size_t index, std::vector<SweepCell>&,
-                       std::size_t) {
-                     seen.push_back(index);
-                     if (index == 1) fail("sink failed");
-                   }),
-               Error);
-  EXPECT_EQ(seen, (std::vector<std::size_t>{0, 1}));
+  for (const int threads : {1, 4}) {
+    spec.threads = threads;
+    std::vector<std::size_t> seen;
+    EXPECT_THROW(compute_sweep_shards(
+                     corpus, spec, shards,
+                     [&](std::size_t index, std::vector<SweepCell>&,
+                         std::size_t) {
+                       seen.push_back(index);
+                       if (index == 1) fail("sink failed");
+                     }),
+                 Error);
+    EXPECT_EQ(seen, (std::vector<std::size_t>{0, 1})) << threads << " threads";
+  }
+}
+
+// The caller computes shards too, but every shard reaches the sink on
+// the calling thread, in list order, with the cells sweep_design_space
+// gives that shard. The list is a reversed subset, like a serve retry
+// batch.
+TEST(SweepTest, SinkRunsOnTheCallingThreadInListOrder) {
+  const auto corpus = paper_corpus();
+  SweepSpec spec;
+  spec.grid.areas = {1500, 5000};
+  spec.grid.cgc_counts = {2, 3};
+  spec.orderings = {KernelOrdering::kWeightDescending,
+                    KernelOrdering::kBenefitDescending};
+  spec.base.anneal_iterations = 300;
+  const SweepSummary whole = sweep_design_space(corpus, spec);
+  const std::size_t per_shard = sweep_cells_per_shard(spec);
+  ASSERT_EQ(whole.cells.size(), sweep_shard_count(corpus, spec) * per_shard);
+  auto cell_bytes = [](const SweepCell& cell) {
+    return text::render(cell.app, ' ', text::General{cell.a_fpga, 17}, ' ',
+                        cell.cgcs, ' ', cell.constraint, ' ',
+                        text::General{cell.energy_budget_pj, 17}, ' ',
+                        strategy_name(cell.strategy), ' ',
+                        kernel_ordering_name(cell.ordering), ' ',
+                        CellPayload{cell.report, cell.moved_names});
+  };
+
+  std::vector<std::size_t> shards;
+  for (std::size_t shard = sweep_shard_count(corpus, spec); shard-- > 0;) {
+    if (shard % 3 != 1) shards.push_back(shard);
+  }
+  const std::thread::id caller = std::this_thread::get_id();
+  for (const int threads : {1, 2, 4}) {
+    spec.threads = threads;
+    std::vector<std::size_t> seen;
+    compute_sweep_shards(
+        corpus, spec, shards,
+        [&](std::size_t index, std::vector<SweepCell>& cells,
+            std::size_t used) {
+          EXPECT_EQ(std::this_thread::get_id(), caller) << threads;
+          seen.push_back(index);
+          ASSERT_EQ(used, per_shard) << threads;
+          for (std::size_t i = 0; i < used; ++i) {
+            EXPECT_EQ(cell_bytes(cells[i]),
+                      cell_bytes(whole.cells[shards[index] * per_shard + i]))
+                << threads << " threads, shard " << shards[index];
+          }
+        });
+    std::vector<std::size_t> expected(shards.size());
+    std::iota(expected.begin(), expected.end(), std::size_t{0});
+    EXPECT_EQ(seen, expected) << threads << " threads";
+  }
 }
 
 // Each pool thread shares walks only with the shards it computes itself,

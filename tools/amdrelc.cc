@@ -855,9 +855,9 @@ bool setup_cache(const Options& options, core::SweepCache& cache) {
   return true;
 }
 
-// Reports the cache traffic and persists the cache (merge-on-save), for
-// explore and worker alike. The stats line goes to stderr so worker
-// stdout stays pure wire protocol.
+// Reports the cache traffic, persists the cache (merge-on-save) and
+// writes --cache-stats, for explore and worker alike. The stats line
+// goes to stderr so worker stdout stays pure wire protocol.
 void report_and_save_cache(const Options& options, core::SweepCache& cache) {
   const core::SweepCacheStats stats = cache.stats();
   std::fprintf(stderr,
@@ -877,6 +877,10 @@ void report_and_save_cache(const Options& options, core::SweepCache& cache) {
     // costs the next run its warm start.
     std::fprintf(stderr, "amdrelc: warning: cannot write cache: %s\n",
                  error.c_str());
+  }
+  if (!options.cache_stats_path.empty()) {
+    write_output_file(options.cache_stats_path,
+                      core::cache_stats_to_json(cache.stats()), "cache stats");
   }
 }
 
@@ -902,16 +906,11 @@ int cmd_explore(const Options& options) {
   std::printf("design-space sweep: %zu app(s) x %zu platform(s), "
               "%zu cells, %d thread(s)\n",
               summary.apps.size(), spec.grid.size(), summary.cells.size(),
-              core::worker_count(corpus.size() * spec.grid.size(),
+              core::worker_count(core::sweep_shard_count(corpus, spec),
                                  spec.threads));
   std::printf("%s", core::describe(summary).c_str());
   write_sweep_outputs(options, summary);
   if (use_cache) report_and_save_cache(options, cache);
-  if (use_cache && !options.cache_stats_path.empty()) {
-    write_output_file(options.cache_stats_path,
-                      core::cache_stats_to_json(cache.stats()),
-                      "cache stats");
-  }
   return 0;
 }
 
@@ -1061,11 +1060,6 @@ int cmd_worker(const Options& options) {
             "worker: cannot write result stream to stdout");
   }
   if (use_cache) report_and_save_cache(options, cache);
-  if (use_cache && !options.cache_stats_path.empty()) {
-    write_output_file(options.cache_stats_path,
-                      core::cache_stats_to_json(cache.stats()),
-                      "cache stats");
-  }
   return 0;
 }
 
