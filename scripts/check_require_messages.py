@@ -12,7 +12,7 @@ failure path: `if (!ok) fail(cat("bad op ", op_name(kind)));`.
     scripts/check_require_messages.py [PATH ...]
 
 Each PATH is a file or a directory searched for C++ sources; the
-default is the repository's src/ and tools/. Calls may span lines:
+default is the repository's src/, tools/ and examples/. Calls may span lines:
 the scanner matches parentheses and skips comments and string, char
 and raw-string literals. Prints `file:line: ...` for each eager site
 and exits 1 if there is any, 0 otherwise.
@@ -138,7 +138,8 @@ def source_files(paths):
 
 def main(argv):
     repo = os.path.dirname(os.path.dirname(os.path.abspath(__file__)))
-    paths = argv[1:] or [os.path.join(repo, d) for d in ("src", "tools")]
+    paths = argv[1:] or [os.path.join(repo, d)
+                         for d in ("src", "tools", "examples")]
     missing = [p for p in paths if not os.path.exists(p)]
     if missing:
         print("check_require_messages: no such path: " + ", ".join(missing),

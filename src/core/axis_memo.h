@@ -21,11 +21,12 @@ namespace amdrel::core {
 ///     CoarseTables per CGC model. mapper() hands each platform a
 ///     HybridMapper view over them, so a block is mapped once per
 ///     A_FPGA and scheduled once per CGC count, not once per platform.
-///     The fine-table key is every FpgaModel and MemoryModel field and
-///     the coarse-table key every CgcModel field, doubles by their
-///     bits, never grid coordinates: hand-built platforms that differ
-///     in any field get tables of their own. A build that throws (an
-///     operation larger than A_FPGA) stores nothing.
+///     The fine-table key is the FpgaModel then the MemoryModel words
+///     and the coarse-table key the CgcModel words (append_key,
+///     core/fingerprint.h), never grid coordinates: hand-built
+///     platforms that differ in any field get tables of their own. A
+///     build that throws (an operation larger than A_FPGA) stores
+///     nothing.
 ///   - the extract_kernels list and each distinct walk's results. Past
 ///     an app's saturation points (its DFGs fit the FPGA area, its CGC
 ///     schedules stop shrinking) two platforms price every kernel a
@@ -62,8 +63,8 @@ class AxisMemo {
   /// a view holds them.
   HybridMapper mapper(const platform::Platform& platform);
 
-  /// extract_kernels of the bound app, computed once per analysis
-  /// options.
+  /// extract_kernels of the bound app, computed again only when the
+  /// analysis options' words (append_key) differ from the last call's.
   const std::vector<analysis::KernelInfo>& kernels(
       const analysis::AnalysisOptions& options);
 
@@ -84,7 +85,7 @@ class AxisMemo {
   std::map<std::vector<std::uint64_t>, std::shared_ptr<const FineTables>>
       fine_;
   std::map<std::vector<std::uint64_t>, std::shared_ptr<CoarseTables>> coarse_;
-  std::optional<analysis::AnalysisOptions> analysis_;
+  std::vector<std::uint64_t> analysis_key_;  ///< of kernels_; empty = none
   std::vector<analysis::KernelInfo> kernels_;
   std::map<std::vector<std::uint64_t>, std::vector<StrategyResult>> walks_;
   std::size_t hits_ = 0;

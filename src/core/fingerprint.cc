@@ -1,7 +1,5 @@
 #include "core/fingerprint.h"
 
-#include "core/json_lines.h"
-
 namespace amdrel::core {
 
 namespace {
@@ -25,7 +23,64 @@ std::uint64_t avalanche(std::uint64_t value) {
   return value;
 }
 
+// An empty buffer for one keyed input's words, kept per thread so a
+// digest allocates nothing once its thread has made one: the sweep
+// fingerprints the options of every cache cell.
+std::vector<std::uint64_t>& digest_words() {
+  thread_local std::vector<std::uint64_t> words;
+  words.clear();
+  return words;
+}
+
+// The digest of one keyed input: the algorithm version, the input's
+// tag, then its words.
+Fingerprint keyed_digest(std::string_view tag,
+                         const std::vector<std::uint64_t>& words) {
+  Fingerprinter h;
+  h.mix(static_cast<std::uint64_t>(kFingerprintAlgorithmVersion));
+  h.mix(tag);
+  for (const std::uint64_t word : words) h.mix(word);
+  return h.digest();
+}
+
 }  // namespace
+
+void append_key(std::vector<std::uint64_t>& out,
+                const platform::FpgaModel& fpga) {
+  append_words(out, fpga.usable_area, fpga.reconfig_cycles,
+               fpga.parallel_lanes, fpga.invocation_overhead_cycles,
+               fpga.reconfig_policy, fpga.mapper, fpga.clock_period_ns,
+               fpga.area_alu, fpga.area_mul, fpga.area_div, fpga.area_mem,
+               fpga.area_copy, fpga.delay_alu, fpga.delay_mul,
+               fpga.delay_div, fpga.delay_mem, fpga.delay_copy);
+}
+
+void append_key(std::vector<std::uint64_t>& out,
+                const platform::CgcModel& cgc) {
+  append_words(out, cgc.count, cgc.rows, cgc.cols, cgc.fpga_clock_ratio,
+               cgc.enable_chaining, cgc.mem_ports, cgc.mem_access_cgc_cycles,
+               cgc.dma_memory, cgc.register_bank_size);
+}
+
+void append_key(std::vector<std::uint64_t>& out,
+                const platform::MemoryModel& memory) {
+  append_words(out, memory.transfer_cycles_per_word,
+               memory.partition_boundary_cycles_per_word);
+}
+
+void append_key(std::vector<std::uint64_t>& out,
+                const analysis::AnalysisOptions& analysis) {
+  append_words(out, analysis.weights.alu, analysis.weights.mul,
+               analysis.weights.div, analysis.weights.mem,
+               analysis.loops_only, analysis.min_exec_freq);
+}
+
+void append_search_knobs(std::vector<std::uint64_t>& out,
+                         const MethodologyOptions& options) {
+  append_words(out, options.random_seed, options.stop_when_met,
+               options.skip_unprofitable, options.exhaustive_max_kernels,
+               options.anneal_iterations);
+}
 
 void append_part(std::string& out, const Fingerprint& fp) {
   static constexpr char kHex[] = "0123456789abcdef";
@@ -61,10 +116,6 @@ std::optional<Fingerprint> Fingerprint::from_hex(std::string_view text) {
 void Fingerprinter::mix(std::uint64_t value) {
   fnv_ = (fnv_ ^ value) * kFnvPrime;
   xxh_ = rotl(xxh_ + value * kXxhPrime2, 31) * kXxhPrime1;
-}
-
-void Fingerprinter::mix_double(double value) {
-  mix(static_cast<std::uint64_t>(jsonl::double_to_bits(value)));
 }
 
 void Fingerprinter::mix(std::string_view text) {
@@ -103,7 +154,7 @@ Fingerprint fingerprint(const ir::Dfg& dfg) {
   for (const ir::Dfg::Node& node : dfg.nodes()) {
     h.mix(static_cast<std::uint64_t>(node.kind));
     h.mix(static_cast<std::uint64_t>(node.bit_width));
-    h.mix_i64(node.imm);
+    h.mix(key_word(node.imm));
     h.mix(static_cast<std::uint64_t>(node.operand_count));
     for (const ir::NodeId operand : node.operands()) {
       h.mix(static_cast<std::uint64_t>(operand));
@@ -147,83 +198,33 @@ Fingerprint fingerprint(const ir::ProfileData& profile) {
 }
 
 Fingerprint fingerprint(const platform::Platform& platform) {
-  Fingerprinter h;
-  h.mix(static_cast<std::uint64_t>(kFingerprintAlgorithmVersion));
-  h.mix("platform");
-  const platform::FpgaModel& fpga = platform.fpga;
-  h.mix_double(fpga.usable_area);
-  h.mix_i64(fpga.reconfig_cycles);
-  h.mix(static_cast<std::uint64_t>(fpga.parallel_lanes));
-  h.mix_i64(fpga.invocation_overhead_cycles);
-  h.mix(static_cast<std::uint64_t>(fpga.reconfig_policy));
-  h.mix(static_cast<std::uint64_t>(fpga.mapper));
-  h.mix_double(fpga.clock_period_ns);
-  h.mix_double(fpga.area_alu);
-  h.mix_double(fpga.area_mul);
-  h.mix_double(fpga.area_div);
-  h.mix_double(fpga.area_mem);
-  h.mix_double(fpga.area_copy);
-  h.mix_i64(fpga.delay_alu);
-  h.mix_i64(fpga.delay_mul);
-  h.mix_i64(fpga.delay_div);
-  h.mix_i64(fpga.delay_mem);
-  h.mix_i64(fpga.delay_copy);
-  const platform::CgcModel& cgc = platform.cgc;
-  h.mix(static_cast<std::uint64_t>(cgc.count));
-  h.mix(static_cast<std::uint64_t>(cgc.rows));
-  h.mix(static_cast<std::uint64_t>(cgc.cols));
-  h.mix(static_cast<std::uint64_t>(cgc.fpga_clock_ratio));
-  h.mix(static_cast<std::uint64_t>(cgc.enable_chaining));
-  h.mix(static_cast<std::uint64_t>(cgc.mem_ports));
-  h.mix_i64(cgc.mem_access_cgc_cycles);
-  h.mix(static_cast<std::uint64_t>(cgc.dma_memory));
-  h.mix(static_cast<std::uint64_t>(cgc.register_bank_size));
-  const platform::MemoryModel& memory = platform.memory;
-  h.mix_i64(memory.transfer_cycles_per_word);
-  h.mix_i64(memory.partition_boundary_cycles_per_word);
-  return h.digest();
+  std::vector<std::uint64_t>& words = digest_words();
+  append_key(words, platform.fpga);
+  append_key(words, platform.cgc);
+  append_key(words, platform.memory);
+  return keyed_digest("platform", words);
 }
 
 Fingerprint fingerprint(const MethodologyOptions& options) {
-  Fingerprinter h;
-  h.mix(static_cast<std::uint64_t>(kFingerprintAlgorithmVersion));
-  h.mix("options");
-  h.mix_i64(options.analysis.weights.alu);
-  h.mix_i64(options.analysis.weights.mul);
-  h.mix_i64(options.analysis.weights.div);
-  h.mix_i64(options.analysis.weights.mem);
-  h.mix(static_cast<std::uint64_t>(options.analysis.loops_only));
-  h.mix(options.analysis.min_exec_freq);
-  h.mix(static_cast<std::uint64_t>(options.strategy));
-  h.mix(static_cast<std::uint64_t>(options.ordering));
+  std::vector<std::uint64_t>& words = digest_words();
+  append_key(words, options.analysis);
   const CostObjective& objective = options.cost.objective;
-  h.mix(static_cast<std::uint64_t>(objective.kind));
-  h.mix_double(objective.energy.fpga_alu_pj);
-  h.mix_double(objective.energy.fpga_mul_pj);
-  h.mix_double(objective.energy.fpga_div_pj);
-  h.mix_double(objective.energy.fpga_mem_pj);
-  h.mix_double(objective.energy.cgc_alu_pj);
-  h.mix_double(objective.energy.cgc_mul_pj);
-  h.mix_double(objective.energy.cgc_mem_pj);
-  h.mix_double(objective.energy.reconfiguration_pj);
-  h.mix_double(objective.energy.transfer_pj_per_word);
-  h.mix_double(objective.energy.spill_pj_per_word);
-  h.mix_double(objective.cycle_weight);
-  h.mix_double(objective.energy_weight);
-  h.mix_double(options.cost.energy_budget_pj);
+  const EnergyModel& energy = objective.energy;
+  append_words(words, options.strategy, options.ordering, objective.kind,
+               energy.fpga_alu_pj, energy.fpga_mul_pj, energy.fpga_div_pj,
+               energy.fpga_mem_pj, energy.cgc_alu_pj, energy.cgc_mul_pj,
+               energy.cgc_mem_pj, energy.reconfiguration_pj,
+               energy.transfer_pj_per_word, energy.spill_pj_per_word,
+               objective.cycle_weight, objective.energy_weight,
+               options.cost.energy_budget_pj);
   // v3: the reconfiguration model prices moved sets, so two runs that
   // differ only here must never alias a cache cell.
   const platform::ReconfigModel& reconfig = options.cost.reconfig;
-  h.mix_double(reconfig.bitstream_cycles_per_unit);
-  h.mix_double(reconfig.prefetch_overlap);
-  h.mix_double(reconfig.floorplan_cost_per_unit);
-  h.mix(static_cast<std::uint64_t>(reconfig.regions));
-  h.mix(options.random_seed);
-  h.mix(static_cast<std::uint64_t>(options.stop_when_met));
-  h.mix(static_cast<std::uint64_t>(options.skip_unprofitable));
-  h.mix(static_cast<std::uint64_t>(options.exhaustive_max_kernels));
-  h.mix(static_cast<std::uint64_t>(options.anneal_iterations));
-  return h.digest();
+  append_words(words, reconfig.bitstream_cycles_per_unit,
+               reconfig.prefetch_overlap, reconfig.floorplan_cost_per_unit,
+               reconfig.regions);
+  append_search_knobs(words, options);
+  return keyed_digest("options", words);
 }
 
 Fingerprint app_fingerprint(const ir::Cdfg& cdfg,
@@ -261,7 +262,7 @@ Fingerprint cell_key(const Fingerprint& app, const Fingerprint& platform,
   const Fingerprint o = fingerprint(options);
   h.mix(o.hi);
   h.mix(o.lo);
-  h.mix_i64(constraint);
+  h.mix(key_word(constraint));
   return h.digest();
 }
 

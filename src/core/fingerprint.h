@@ -4,7 +4,10 @@
 #include <optional>
 #include <string>
 #include <string_view>
+#include <type_traits>
+#include <vector>
 
+#include "core/json_lines.h"
 #include "core/methodology.h"
 #include "core/schema.h"
 #include "ir/cdfg.h"
@@ -48,19 +51,57 @@ struct Fingerprint {
 /// text::render(fp) gives it as a string.
 void append_part(std::string& out, const Fingerprint& fp);
 
+/// The one word encoding of a keyed value, shared by the persisted
+/// fingerprints and the in-process memo keys (core::AxisMemo): a double
+/// by its bit pattern (jsonl::double_to_bits), an integer, enum or bool
+/// by static_cast<std::uint64_t>.
+inline std::uint64_t key_word(double value) {
+  return static_cast<std::uint64_t>(jsonl::double_to_bits(value));
+}
+template <typename T, typename = std::enable_if_t<std::is_integral_v<T> ||
+                                                  std::is_enum_v<T>>>
+constexpr std::uint64_t key_word(T value) {
+  return static_cast<std::uint64_t>(value);
+}
+
+/// Appends key_word(value) of each value, in order.
+template <typename... Values>
+void append_words(std::vector<std::uint64_t>& out, Values... values) {
+  (out.push_back(key_word(values)), ...);
+}
+
+/// The keyed words of one input: every field that can change a result,
+/// listed here and nowhere else. fingerprint(Platform) and
+/// fingerprint(MethodologyOptions) mix them, and AxisMemo keys its
+/// tables by them (fine: FPGA then memory; coarse: CGC; kernel list:
+/// analysis), so a new field of one of these types joins its list in
+/// core/fingerprint.cc and keys the cache and the memo alike.
+void append_key(std::vector<std::uint64_t>& out,
+                const platform::FpgaModel& fpga);
+void append_key(std::vector<std::uint64_t>& out,
+                const platform::CgcModel& cgc);
+void append_key(std::vector<std::uint64_t>& out,
+                const platform::MemoryModel& memory);
+void append_key(std::vector<std::uint64_t>& out,
+                const analysis::AnalysisOptions& analysis);
+
+/// The search knobs of `options`, the options a strategy reads besides
+/// its kind and the cost objective: seed, early stop, profitability
+/// filter, exhaustive limit and annealing iterations. A strategy that
+/// reads a new option adds it here, which keys both the cache and the
+/// memo's walks.
+void append_search_knobs(std::vector<std::uint64_t>& out,
+                         const MethodologyOptions& options);
+
 /// Incremental two-lane mixer behind every fingerprint: lane one is
 /// FNV-1a over 64-bit words, lane two an xxhash-style rotate-multiply
 /// accumulator, both finalized with a murmur-style avalanche. Values are
-/// mixed as explicit integers (doubles by bit pattern, strings
-/// length-prefixed byte-wise), so digests are identical across
-/// platforms, build types and runs.
+/// mixed as explicit integers (key_word above; strings length-prefixed
+/// byte-wise), so digests are identical across platforms, build types
+/// and runs.
 class Fingerprinter {
  public:
   void mix(std::uint64_t value);
-  void mix_i64(std::int64_t value) {
-    mix(static_cast<std::uint64_t>(value));
-  }
-  void mix_double(double value);
   void mix(std::string_view text);
 
   Fingerprint digest() const;

@@ -6,21 +6,13 @@
 #include <utility>
 
 #include "core/energy.h"
-#include "core/json_lines.h"
+#include "core/fingerprint.h"
 #include "support/error.h"
 #include "support/strings.h"
 
 namespace amdrel::core {
 
 namespace {
-
-void append_bits(std::vector<std::uint64_t>& out, double value) {
-  out.push_back(static_cast<std::uint64_t>(jsonl::double_to_bits(value)));
-}
-
-void append_bits(std::vector<std::uint64_t>& out, std::int64_t value) {
-  out.push_back(static_cast<std::uint64_t>(value));
-}
 
 std::vector<finegrain::FpgaBlockMapping> map_blocks(
     const ir::Cdfg& cdfg, const BlockFacts& facts,
@@ -64,8 +56,7 @@ FineTables::FineTables(std::vector<finegrain::FpgaBlockMapping> mappings,
   amortized_charge.reserve(fine.size());
   for (const finegrain::FpgaBlockMapping& mapping : fine) {
     inv_cycles.push_back(mapping.cycles_per_invocation(fpga));
-    amortized_charge.push_back(mapping.amortized_reconfigs *
-                               fpga.reconfig_cycles);
+    amortized_charge.push_back(mapping.amortized_cycles(fpga));
   }
 }
 
@@ -83,7 +74,7 @@ HybridMapper::HybridMapper(const ir::Cdfg& cdfg,
   comm_inv_cycles_.resize(blocks);
   for (std::size_t b = 0; b < blocks; ++b) {
     comm_inv_cycles_[b] =
-        facts_->live_words[b] * platform.memory.transfer_cycles_per_word;
+        platform.memory.transfer_cycles(facts_->live_words[b]);
   }
 }
 
@@ -135,10 +126,8 @@ HybridMapper::HybridMapper(const ir::Cdfg& cdfg,
       std::move(coarse));
 }
 
-void HybridMapper::check_block(ir::BlockId block, const char* caller) const {
-  if (block < 0 || block >= cdfg_->size()) {
-    fail(cat("HybridMapper::", caller, ": bad block ", block));
-  }
+void HybridMapper::fail_bad_block(ir::BlockId block, const char* caller) {
+  fail(cat("HybridMapper::", caller, ": bad block ", block));
 }
 
 const finegrain::FpgaBlockMapping& HybridMapper::fine(
@@ -174,6 +163,7 @@ std::int64_t HybridMapper::coarse_cycles_per_invocation(ir::BlockId block) {
 
 std::int64_t HybridMapper::comm_cycles_per_invocation(
     ir::BlockId block) const {
+  check_block(block, "comm_cycles_per_invocation");
   return comm_inv_cycles_[static_cast<std::size_t>(block)];
 }
 
@@ -269,39 +259,25 @@ std::int64_t IncrementalSplit::coarse_total_cycles(ir::BlockId block) {
 
 void IncrementalSplit::append_walk_header(
     std::vector<std::uint64_t>& out) const {
-  append_bits(out, cost_.t_fpga);
-  append_bits(out, cost_.t_coarse);
-  append_bits(out, cost_.t_comm);
-  append_bits(out, cost_.t_reconfig);
-  append_bits(out, energy_.fine_pj);
-  append_bits(out, energy_.coarse_pj);
-  append_bits(out, energy_.reconfig_pj);
-  append_bits(out, energy_.comm_pj);
-  out.push_back(static_cast<std::uint64_t>(objective_.kind));
-  append_bits(out, objective_.cycle_weight);
-  append_bits(out, objective_.energy_weight);
-  append_bits(out, std::int64_t{resident_regions_});
-  append_bits(out, static_cast<std::int64_t>(pos_.size()));
+  append_words(out, cost_.t_fpga, cost_.t_coarse, cost_.t_comm,
+               cost_.t_reconfig, energy_.fine_pj, energy_.coarse_pj,
+               energy_.reconfig_pj, energy_.comm_pj, objective_.kind,
+               objective_.cycle_weight, objective_.energy_weight,
+               resident_regions_, pos_.size());
 }
 
 void IncrementalSplit::append_block_row(ir::BlockId block,
                                         std::vector<std::uint64_t>& out) {
   const auto b = static_cast<std::size_t>(block);
-  append_bits(out, fine_contrib_[b]);
-  append_bits(out, comm_total_[b]);
-  append_bits(out, coarse_total_cycles(block));
-  append_bits(out, iters_[b]);
+  append_words(out, fine_contrib_[b], comm_total_[b],
+               coarse_total_cycles(block), iters_[b]);
   if (!block_energy_.empty()) {
     const BlockEnergy& be = block_energy_[b];
-    append_bits(out, be.fine_pj);
-    append_bits(out, be.fine_comm_pj);
-    append_bits(out, be.fine_reconfig_pj);
-    append_bits(out, be.coarse_pj);
-    append_bits(out, be.coarse_comm_pj);
+    append_words(out, be.fine_pj, be.fine_comm_pj, be.fine_reconfig_pj,
+                 be.coarse_pj, be.coarse_comm_pj);
   }
   if (resident_regions_ > 0) {
-    append_bits(out, reconfig_load_[b]);
-    append_bits(out, reconfig_saving_[b]);
+    append_words(out, reconfig_load_[b], reconfig_saving_[b]);
   }
 }
 

@@ -135,14 +135,17 @@ class HybridMapper {
   const platform::Platform& platform() const { return *platform_; }
 
   /// The block's BlockFacts entries: Dfg::op_mix(), live_in_count() +
-  /// live_out_count(), and size().
+  /// live_out_count(), and size(). Each throws Error for a bad block id.
   const ir::OpMix& op_mix(ir::BlockId block) const {
+    check_block(block, "op_mix");
     return facts_->op_mix[static_cast<std::size_t>(block)];
   }
   std::int64_t live_words(ir::BlockId block) const {
+    check_block(block, "live_words");
     return facts_->live_words[static_cast<std::size_t>(block)];
   }
   ir::NodeId node_count(ir::BlockId block) const {
+    check_block(block, "node_count");
     return facts_->node_count[static_cast<std::size_t>(block)];
   }
 
@@ -153,6 +156,7 @@ class HybridMapper {
   const coarsegrain::CgcBlockMapping& coarse(ir::BlockId block);
 
   /// False for blocks holding a division, which the CGC cannot execute.
+  /// Throws Error for a bad block id.
   bool cgc_eligible(ir::BlockId block) const { return op_mix(block).div == 0; }
 
   std::int64_t fine_cycles_per_invocation(ir::BlockId block) const;
@@ -160,7 +164,8 @@ class HybridMapper {
 
   /// Data moved between the two hardware types through the shared memory
   /// when `block` runs on the CGC: its live-ins and live-outs, per
-  /// invocation (the t_comm contribution).
+  /// invocation (the t_comm contribution). Throws Error for a bad block
+  /// id.
   std::int64_t comm_cycles_per_invocation(ir::BlockId block) const;
 
   /// The block's whole contribution to equation (4): invocation cycles
@@ -191,7 +196,11 @@ class HybridMapper {
                std::shared_ptr<CoarseTables> coarse);
 
   /// Throws Error naming `caller` unless `block` is an id of the CDFG.
-  void check_block(ir::BlockId block, const char* caller) const;
+  void check_block(ir::BlockId block, const char* caller) const {
+    if (block < 0 || block >= cdfg_->size()) fail_bad_block(block, caller);
+  }
+  [[noreturn]] static void fail_bad_block(ir::BlockId block,
+                                          const char* caller);
 
   const ir::Cdfg* cdfg_;
   const platform::Platform* platform_;

@@ -112,7 +112,7 @@ std::int64_t fpga_total_cycles(const std::vector<FpgaBlockMapping>& mappings,
     const auto iterations =
         static_cast<std::int64_t>(profile.count(static_cast<int>(id)));
     total += mappings[id].cycles_per_invocation(fpga) * iterations;
-    total += mappings[id].amortized_reconfigs * fpga.reconfig_cycles;
+    total += mappings[id].amortized_cycles(fpga);
   }
   return total;
 }

@@ -33,6 +33,12 @@ struct FpgaBlockMapping {
     return exec_cycles + boundary_cycles +
            reconfigs_per_invocation * fpga.reconfig_cycles;
   }
+
+  /// Reconfiguration cycles charged once per run, not per invocation
+  /// (kAmortizedOnce).
+  std::int64_t amortized_cycles(const platform::FpgaModel& fpga) const {
+    return amortized_reconfigs * fpga.reconfig_cycles;
+  }
 };
 
 FpgaBlockMapping map_block_to_fpga(const ir::Dfg& dfg,

@@ -1,5 +1,7 @@
 #include "interp/interpreter.h"
 
+#include <optional>
+
 #include "support/error.h"
 #include "support/strings.h"
 
@@ -8,38 +10,20 @@ namespace amdrel::interp {
 namespace {
 
 using ir::OpKind;
+using ir::wrap;
 
-std::int32_t wrap(std::int64_t value) {
-  return static_cast<std::int32_t>(static_cast<std::uint32_t>(value));
-}
-
-std::int32_t eval_binary(OpKind op, std::int32_t a, std::int32_t b) {
-  switch (op) {
-    case OpKind::kAdd: return wrap(std::int64_t{a} + b);
-    case OpKind::kSub: return wrap(std::int64_t{a} - b);
-    case OpKind::kMul: return wrap(std::int64_t{a} * b);
-    case OpKind::kDiv:
-      require(b != 0, "interpreter: division by zero");
-      require(!(a == INT32_MIN && b == -1), "interpreter: INT_MIN / -1");
-      return a / b;
-    case OpKind::kMod:
-      require(b != 0, "interpreter: modulo by zero");
-      require(!(a == INT32_MIN && b == -1), "interpreter: INT_MIN % -1");
-      return a % b;
-    case OpKind::kAnd: return a & b;
-    case OpKind::kOr: return a | b;
-    case OpKind::kXor: return a ^ b;
-    case OpKind::kShl: return wrap(std::int64_t{a} << (b & 31));
-    case OpKind::kShr: return a >> (b & 31);  // arithmetic, like C on ints
-    case OpKind::kCmpEq: return a == b;
-    case OpKind::kCmpNe: return a != b;
-    case OpKind::kCmpLt: return a < b;
-    case OpKind::kCmpLe: return a <= b;
-    case OpKind::kCmpGt: return a > b;
-    case OpKind::kCmpGe: return a >= b;
-    default:
-      fail(cat("interpreter: '", ir::op_name(op), "' is not a binary op"));
+// The error of a binary op ir::eval_binary refused, built only on this
+// failure path.
+[[noreturn]] void trap(OpKind op, std::int32_t b) {
+  if (op == OpKind::kDiv) {
+    fail(b == 0 ? "interpreter: division by zero"
+                : "interpreter: INT_MIN / -1");
   }
+  if (op == OpKind::kMod) {
+    fail(b == 0 ? "interpreter: modulo by zero"
+                : "interpreter: INT_MIN % -1");
+  }
+  fail(cat("interpreter: '", ir::op_name(op), "' is not a binary op"));
 }
 
 }  // namespace
@@ -134,10 +118,14 @@ RunResult Interpreter::run(std::uint64_t max_instructions) {
           memory[index] = regs[instr.src2];
           break;
         }
-        default:
-          regs[instr.dst] =
-              eval_binary(instr.op, regs[instr.src1], regs[instr.src2]);
+        default: {
+          const std::int32_t b = regs[instr.src2];
+          const std::optional<std::int32_t> value =
+              ir::eval_binary(instr.op, regs[instr.src1], b);
+          if (!value) trap(instr.op, b);
+          regs[instr.dst] = *value;
           break;
+        }
       }
     }
 

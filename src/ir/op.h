@@ -1,6 +1,7 @@
 #pragma once
 
 #include <cstdint>
+#include <optional>
 #include <string_view>
 
 namespace amdrel::ir {
@@ -84,6 +85,46 @@ constexpr bool is_schedulable(OpKind kind) {
       return false;
     default:
       return true;
+  }
+}
+
+/// Two's-complement truncation to 32 bits, the width of every TAC value.
+inline std::int32_t wrap(std::int64_t value) {
+  return static_cast<std::int32_t>(static_cast<std::uint32_t>(value));
+}
+
+/// The 32-bit semantics of a binary TAC op, shared by the interpreter and
+/// the optimizer's constant folding: add, sub, mul and shl wrap, shifts
+/// take b & 31 (shr is arithmetic, like C on ints) and comparisons give
+/// 0 or 1. nullopt on a trap (div or mod by zero, INT32_MIN / -1,
+/// INT32_MIN % -1) and for an op that is not binary. Always inlined: GCC
+/// returns the optional through the stack from an out-of-line call,
+/// which made the interpreter loop about 60% slower.
+[[gnu::always_inline]] inline std::optional<std::int32_t> eval_binary(
+    OpKind op, std::int32_t a, std::int32_t b) {
+  switch (op) {
+    case OpKind::kAdd: return wrap(std::int64_t{a} + b);
+    case OpKind::kSub: return wrap(std::int64_t{a} - b);
+    case OpKind::kMul: return wrap(std::int64_t{a} * b);
+    case OpKind::kDiv:
+      if (b == 0 || (a == INT32_MIN && b == -1)) return std::nullopt;
+      return a / b;
+    case OpKind::kMod:
+      if (b == 0 || (a == INT32_MIN && b == -1)) return std::nullopt;
+      return a % b;
+    case OpKind::kAnd: return a & b;
+    case OpKind::kOr: return a | b;
+    case OpKind::kXor: return a ^ b;
+    case OpKind::kShl:
+      return wrap(static_cast<std::uint32_t>(a) << (b & 31));
+    case OpKind::kShr: return a >> (b & 31);
+    case OpKind::kCmpEq: return a == b;
+    case OpKind::kCmpNe: return a != b;
+    case OpKind::kCmpLt: return a < b;
+    case OpKind::kCmpLe: return a <= b;
+    case OpKind::kCmpGt: return a > b;
+    case OpKind::kCmpGe: return a >= b;
+    default: return std::nullopt;
   }
 }
 

@@ -13,38 +13,7 @@ namespace {
 using ir::OpKind;
 using ir::TacInstr;
 using ir::TacProgram;
-
-std::int32_t wrap(std::int64_t value) {
-  return static_cast<std::int32_t>(static_cast<std::uint32_t>(value));
-}
-
-/// Compile-time evaluation mirroring the interpreter's semantics; returns
-/// nullopt for trapping cases (division by zero stays a runtime error).
-std::optional<std::int32_t> fold(OpKind op, std::int32_t a, std::int32_t b) {
-  switch (op) {
-    case OpKind::kAdd: return wrap(std::int64_t{a} + b);
-    case OpKind::kSub: return wrap(std::int64_t{a} - b);
-    case OpKind::kMul: return wrap(std::int64_t{a} * b);
-    case OpKind::kDiv:
-      if (b == 0 || (a == INT32_MIN && b == -1)) return std::nullopt;
-      return a / b;
-    case OpKind::kMod:
-      if (b == 0 || (a == INT32_MIN && b == -1)) return std::nullopt;
-      return a % b;
-    case OpKind::kAnd: return a & b;
-    case OpKind::kOr: return a | b;
-    case OpKind::kXor: return a ^ b;
-    case OpKind::kShl: return wrap(std::int64_t{a} << (b & 31));
-    case OpKind::kShr: return a >> (b & 31);
-    case OpKind::kCmpEq: return a == b;
-    case OpKind::kCmpNe: return a != b;
-    case OpKind::kCmpLt: return a < b;
-    case OpKind::kCmpLe: return a <= b;
-    case OpKind::kCmpGt: return a > b;
-    case OpKind::kCmpGe: return a >= b;
-    default: return std::nullopt;
-  }
-}
+using ir::wrap;
 
 bool is_binary(OpKind op) {
   switch (op) {
@@ -139,7 +108,7 @@ class Optimizer {
         const auto a = known(instr.src1);
         const auto b = known(instr.src2);
         if (a && b) {
-          if (const auto value = fold(instr.op, *a, *b)) {
+          if (const auto value = ir::eval_binary(instr.op, *a, *b)) {
             make_const(instr, *value);
           }
         } else if (a || b) {

@@ -12,8 +12,9 @@ namespace amdrel::platform {
 /// within a single CGC clock cycle (the "complex operations like
 /// multiply-add" of the paper).
 ///
-/// A new field must join coarse_key in core/axis_memo.cc, which keys the
-/// sweep's shared mapper tables by every field.
+/// A new field must join this model's append_key list in
+/// core/fingerprint.cc, the one list that keys both the persisted sweep
+/// cache and the sweep's shared mapper tables (core::AxisMemo).
 struct CgcModel {
   int count = 2;  ///< number of CGCs in the data-path
   int rows = 2;   ///< chaining depth within one CGC and one cycle

@@ -33,8 +33,9 @@ enum class FineMapper {
 /// characteristics"), so any device can be described by filling the
 /// per-class area/delay entries.
 ///
-/// A new field must join fine_key in core/axis_memo.cc, which keys the
-/// sweep's shared mapper tables by every field.
+/// A new field must join this model's append_key list in
+/// core/fingerprint.cc, the one list that keys both the persisted sweep
+/// cache and the sweep's shared mapper tables (core::AxisMemo).
 struct FpgaModel {
   /// Area available for mapping DFG operations (the paper's A_FPGA,
   /// quoted directly in "units of area" in the experiments). When

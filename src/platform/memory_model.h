@@ -10,8 +10,9 @@ namespace amdrel::platform {
 /// communicated between the fine- and coarse-grain parts when a kernel is
 /// moved (the t_comm term of equation (2)).
 ///
-/// A new field must join fine_key in core/axis_memo.cc, which keys the
-/// sweep's shared mapper tables by every field.
+/// A new field must join this model's append_key list in
+/// core/fingerprint.cc, the one list that keys both the persisted sweep
+/// cache and the sweep's shared mapper tables (core::AxisMemo).
 struct MemoryModel {
   /// Cost of transferring one word between the two reconfigurable blocks
   /// through the shared memory, in FPGA clock cycles (write + read).
@@ -20,6 +21,11 @@ struct MemoryModel {
   /// Cost of spilling/filling one live value across a temporal-partition
   /// boundary of the fine-grain hardware, in FPGA clock cycles.
   std::int64_t partition_boundary_cycles_per_word = 2;
+
+  /// Cycles to move `words` between the two reconfigurable blocks.
+  std::int64_t transfer_cycles(std::int64_t words) const {
+    return words * transfer_cycles_per_word;
+  }
 };
 
 }  // namespace amdrel::platform

@@ -12,6 +12,7 @@
 
 #include "support/text.h"
 #include "synth/cdfg_generator.h"
+#include "test_helpers.h"
 #include "workloads/paper_models.h"
 
 namespace amdrel::core {
@@ -187,26 +188,12 @@ TEST(FingerprintTest, PlatformFieldsChangeDigest) {
   const platform::Platform base = platform::make_paper_platform(1500, 2);
   std::set<Fingerprint> seen;
   seen.insert(fingerprint(base));
-
-  platform::Platform p = base;
-  p.fpga.usable_area = 1501;
-  EXPECT_TRUE(seen.insert(fingerprint(p)).second) << "usable_area";
-
-  p = base;
-  p.fpga.reconfig_policy = platform::ReconfigPolicy::kPerPartition;
-  EXPECT_TRUE(seen.insert(fingerprint(p)).second) << "reconfig_policy";
-
-  p = base;
-  p.cgc.count += 1;
-  EXPECT_TRUE(seen.insert(fingerprint(p)).second) << "cgc count";
-
-  p = base;
-  p.cgc.enable_chaining = false;
-  EXPECT_TRUE(seen.insert(fingerprint(p)).second) << "chaining";
-
-  p = base;
-  p.memory.transfer_cycles_per_word += 1;
-  EXPECT_TRUE(seen.insert(fingerprint(p)).second) << "memory transfer";
+  ASSERT_EQ(test::platform_field_edits().size(), 28u);
+  for (const test::PlatformFieldEdit& edit : test::platform_field_edits()) {
+    platform::Platform p = base;
+    edit.edit(p);
+    EXPECT_TRUE(seen.insert(fingerprint(p)).second) << edit.field;
+  }
 }
 
 TEST(FingerprintTest, OptionFieldsChangeDigest) {

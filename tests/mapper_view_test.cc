@@ -29,6 +29,7 @@
 #include "minic/frontend.h"
 #include "support/error.h"
 #include "synth/minic_fuzzer.h"
+#include "test_helpers.h"
 #include "workloads/minic_sources.h"
 #include "workloads/paper_models.h"
 
@@ -274,57 +275,44 @@ TEST(MapperViewTest, FailedAreaLeavesOtherAreasUnaffected) {
 // little, gets its own tables and prices like its own oracle.
 TEST(MapperViewTest, HandBuiltPlatformsDoNotAlias) {
   const CorpusApp& app = view_corpus()[0];
-  std::deque<platform::Platform> platforms;
+  struct Variant {
+    std::string name;
+    bool cgc;  ///< a CGC field edit
+    platform::Platform platform;
+  };
   const platform::Platform base = platform::make_paper_platform(1500, 2);
-  auto variant = [&](auto&& edit) -> const platform::Platform& {
-    platforms.push_back(base);
-    edit(platforms.back());
-    return platforms.back();
-  };
-  const std::vector<const platform::Platform*> all = {
-      &variant([](platform::Platform&) {}),
-      &variant([](platform::Platform& p) {
-        p.fpga.usable_area = std::nextafter(1500.0, 0.0);
-      }),
-      &variant([](platform::Platform& p) { p.fpga.usable_area = 700; }),
-      &variant([](platform::Platform& p) { p.fpga.area_mul = 61; }),
-      &variant([](platform::Platform& p) { p.fpga.parallel_lanes = 2; }),
-      &variant([](platform::Platform& p) {
-        p.fpga.invocation_overhead_cycles = 3;
-      }),
-      &variant([](platform::Platform& p) { p.fpga.delay_alu = 2; }),
-      &variant([](platform::Platform& p) { p.fpga.reconfig_cycles = 9; }),
-      &variant([](platform::Platform& p) {
-        p.fpga.reconfig_policy = platform::ReconfigPolicy::kPerPartition;
-      }),
-      &variant([](platform::Platform& p) {
-        p.fpga.mapper = platform::FineMapper::kListPacking;
-      }),
-      &variant([](platform::Platform& p) {
-        p.memory.partition_boundary_cycles_per_word = 7;
-      }),
-      &variant([](platform::Platform& p) {
-        p.memory.transfer_cycles_per_word = 5;
-      }),
-      &variant([](platform::Platform& p) { p.cgc.count = 3; }),
-      &variant([](platform::Platform& p) { p.cgc.rows = 3; }),
-      &variant([](platform::Platform& p) { p.cgc.cols = 3; }),
-      &variant([](platform::Platform& p) { p.cgc.mem_ports = 1; }),
-      &variant([](platform::Platform& p) { p.cgc.mem_access_cgc_cycles = 9; }),
-      &variant([](platform::Platform& p) { p.cgc.fpga_clock_ratio = 2; }),
-      &variant([](platform::Platform& p) { p.cgc.enable_chaining = false; }),
-      &variant([](platform::Platform& p) { p.cgc.dma_memory = false; }),
-  };
+  // Views keep the platform's address, so a deque, not a vector.
+  std::deque<Variant> variants;
+  platform::Platform ulp_below = base;
+  ulp_below.fpga.usable_area = std::nextafter(1500.0, 0.0);
+  variants.push_back({"fpga.usable_area one ulp below", false, ulp_below});
+  for (const test::PlatformFieldEdit& edit : test::platform_field_edits()) {
+    variants.push_back({edit.field, edit.cgc, base});
+    edit.edit(variants.back().platform);
+  }
   AxisMemo memo;
   memo.bind(app.cdfg, app.profile);
+  HybridMapper base_view = memo.mapper(base);
+  ir::BlockId eligible = 0;
+  while (eligible < app.cdfg.size() && !base_view.cgc_eligible(eligible)) {
+    ++eligible;
+  }
+  ASSERT_LT(eligible, app.cdfg.size());
+  const finegrain::FpgaBlockMapping* base_fine = &base_view.fine(0);
+  const coarsegrain::CgcBlockMapping* base_coarse =
+      &base_view.coarse(eligible);
   // Twice over, so the second round reads only tables the first built.
   for (int round = 0; round < 2; ++round) {
-    for (std::size_t i = 0; i < all.size(); ++i) {
-      HybridMapper view = memo.mapper(*all[i]);
-      HybridMapper fresh(app.cdfg, *all[i]);
-      expect_same_mapper(view, fresh, app,
-                         "variant " + std::to_string(i) + " round " +
-                             std::to_string(round));
+    for (const Variant& variant : variants) {
+      const std::string what =
+          variant.name + " round " + std::to_string(round);
+      HybridMapper view = memo.mapper(variant.platform);
+      HybridMapper fresh(app.cdfg, variant.platform);
+      expect_same_mapper(view, fresh, app, what);
+      // An FPGA or memory field gets fine tables of its own and shares
+      // the base's coarse ones; a CGC field the reverse.
+      EXPECT_EQ(&view.fine(0) == base_fine, variant.cgc) << what;
+      EXPECT_EQ(&view.coarse(eligible) == base_coarse, !variant.cgc) << what;
     }
   }
 }
@@ -347,6 +335,11 @@ TEST(MapperViewTest, BadBlockIdsThrow) {
       EXPECT_THROW(mapper->fine_cycles_per_invocation(bad), Error) << bad;
       EXPECT_THROW(mapper->fine_contribution_cycles(bad, app.profile), Error)
           << bad;
+      EXPECT_THROW(mapper->comm_cycles_per_invocation(bad), Error) << bad;
+      EXPECT_THROW(mapper->op_mix(bad), Error) << bad;
+      EXPECT_THROW(mapper->live_words(bad), Error) << bad;
+      EXPECT_THROW(mapper->node_count(bad), Error) << bad;
+      EXPECT_THROW(mapper->cgc_eligible(bad), Error) << bad;
       EXPECT_NE(error_of([&] { mapper->coarse(bad); }).find("bad block"),
                 std::string::npos);
       EXPECT_NE(error_of([&] { mapper->move_benefit_cycles(bad, 1); })

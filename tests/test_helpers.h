@@ -29,6 +29,68 @@ inline platform::FpgaModel from_device_area(double device_area,
   return model;
 }
 
+/// One edit of one field of platform::FpgaModel, CgcModel or
+/// MemoryModel, away from make_paper_platform(1500, 2)'s value.
+struct PlatformFieldEdit {
+  const char* field;
+  bool cgc;  ///< a CgcModel field; otherwise an FPGA or memory field
+  void (*edit)(platform::Platform&);
+};
+
+/// An edit for every field of the three platform models, to a value the
+/// built-in apps still map with. Every field keys the sweep cache and
+/// the sweep's shared mapper tables, so the tests that pin that walk
+/// this list: a new model field joins it.
+inline const std::vector<PlatformFieldEdit>& platform_field_edits() {
+  using platform::Platform;
+  static const std::vector<PlatformFieldEdit> edits = {
+      {"fpga.usable_area", false,
+       [](Platform& p) { p.fpga.usable_area = 700; }},
+      {"fpga.reconfig_cycles", false,
+       [](Platform& p) { p.fpga.reconfig_cycles = 9; }},
+      {"fpga.parallel_lanes", false,
+       [](Platform& p) { p.fpga.parallel_lanes = 2; }},
+      {"fpga.invocation_overhead_cycles", false,
+       [](Platform& p) { p.fpga.invocation_overhead_cycles = 3; }},
+      {"fpga.reconfig_policy", false,
+       [](Platform& p) {
+         p.fpga.reconfig_policy = platform::ReconfigPolicy::kPerPartition;
+       }},
+      {"fpga.mapper", false,
+       [](Platform& p) { p.fpga.mapper = platform::FineMapper::kListPacking; }},
+      {"fpga.clock_period_ns", false,
+       [](Platform& p) { p.fpga.clock_period_ns = 7.5; }},
+      {"fpga.area_alu", false, [](Platform& p) { p.fpga.area_alu = 13; }},
+      {"fpga.area_mul", false, [](Platform& p) { p.fpga.area_mul = 61; }},
+      {"fpga.area_div", false, [](Platform& p) { p.fpga.area_div = 121; }},
+      {"fpga.area_mem", false, [](Platform& p) { p.fpga.area_mem = 11; }},
+      {"fpga.area_copy", false, [](Platform& p) { p.fpga.area_copy = 1; }},
+      {"fpga.delay_alu", false, [](Platform& p) { p.fpga.delay_alu = 2; }},
+      {"fpga.delay_mul", false, [](Platform& p) { p.fpga.delay_mul = 3; }},
+      {"fpga.delay_div", false, [](Platform& p) { p.fpga.delay_div = 9; }},
+      {"fpga.delay_mem", false, [](Platform& p) { p.fpga.delay_mem = 3; }},
+      {"fpga.delay_copy", false, [](Platform& p) { p.fpga.delay_copy = 1; }},
+      {"cgc.count", true, [](Platform& p) { p.cgc.count = 3; }},
+      {"cgc.rows", true, [](Platform& p) { p.cgc.rows = 3; }},
+      {"cgc.cols", true, [](Platform& p) { p.cgc.cols = 3; }},
+      {"cgc.fpga_clock_ratio", true,
+       [](Platform& p) { p.cgc.fpga_clock_ratio = 2; }},
+      {"cgc.enable_chaining", true,
+       [](Platform& p) { p.cgc.enable_chaining = false; }},
+      {"cgc.mem_ports", true, [](Platform& p) { p.cgc.mem_ports = 1; }},
+      {"cgc.mem_access_cgc_cycles", true,
+       [](Platform& p) { p.cgc.mem_access_cgc_cycles = 9; }},
+      {"cgc.dma_memory", true, [](Platform& p) { p.cgc.dma_memory = false; }},
+      {"cgc.register_bank_size", true,
+       [](Platform& p) { p.cgc.register_bank_size = 8; }},
+      {"memory.transfer_cycles_per_word", false,
+       [](Platform& p) { p.memory.transfer_cycles_per_word = 5; }},
+      {"memory.partition_boundary_cycles_per_word", false,
+       [](Platform& p) { p.memory.partition_boundary_cycles_per_word = 7; }},
+  };
+  return edits;
+}
+
 /// Operations of an op mix that occupy hardware: every class but the
 /// structural meta nodes.
 inline std::int64_t total_schedulable(const ir::OpMix& mix) {
