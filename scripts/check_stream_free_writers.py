@@ -1,29 +1,29 @@
 #!/usr/bin/env python3
-"""Fails when a hot sweep writer builds its text through a string stream.
+"""Fails when a src/core source builds its text through a string stream.
 
 The cache, wire and emission writers build each line in one reused
-buffer with `text::append` (src/support/text.h). A string stream per
-line costs more than the rest of the line's work, and one quiet edit
-brings it back, so this lint rejects any of these in the writer files:
+buffer with `text::append` (src/support/text.h), and so does every other
+src/core source. A string stream per line costs more than the rest of
+the line's work, and one quiet edit brings it back, so this lint rejects
+any of these in the checked files:
 
   - an `#include <sstream>`;
   - the name `ostringstream` or `stringstream`, with or without `std::`.
 
     scripts/check_stream_free_writers.py [FILE ...]
 
-The default files are src/core/sweep_io.cc, src/core/wire.cc and
-src/core/sweep_cache.cc. Comments and string literals are skipped.
-Prints `file:line: ...` for each site and exits 1 if there is any, 0
-otherwise.
+The default files are every src/core/*.cc. Comments and string literals
+are skipped. Prints `file:line: ...` for each site and exits 1 if there
+is any, 0 otherwise.
 """
 
+import glob
 import os
 import re
 import sys
 
 from check_require_messages import blank_literals
 
-WRITERS = ("sweep_io.cc", "wire.cc", "sweep_cache.cc")
 SSTREAM_INCLUDE = re.compile(r"^[ \t]*#[ \t]*include[ \t]*<sstream>", re.M)
 STREAM_NAME = re.compile(r"\b(?:std\s*::\s*)?o?stringstream\b")
 
@@ -41,8 +41,8 @@ def stream_sites(text):
 
 def main(argv):
     repo = os.path.dirname(os.path.dirname(os.path.abspath(__file__)))
-    paths = argv[1:] or [os.path.join(repo, "src", "core", name)
-                         for name in WRITERS]
+    paths = argv[1:] or sorted(
+        glob.glob(os.path.join(repo, "src", "core", "*.cc")))
     missing = [p for p in paths if not os.path.isfile(p)]
     if missing:
         print("check_stream_free_writers: no such file: " +
@@ -54,7 +54,7 @@ def main(argv):
             text = handle.read()
         for line, what in stream_sites(text):
             found += 1
-            print(f"{path}:{line}: {what} in a hot writer; build the line "
+            print(f"{path}:{line}: {what}: build the line "
                   f"with text::append (support/text.h)")
     print(f"check_stream_free_writers: {found} string-stream site(s)")
     return 1 if found else 0

@@ -68,11 +68,6 @@ std::optional<PlatformGrid> parse_platform_grid(std::string_view spec) {
 
   const std::string areas_part(spec.substr(0, cross));
   const std::string counts_part(spec.substr(cross + 1));
-  // split() drops a trailing empty field, so "1500,x2" would otherwise
-  // silently parse as "1500x2".
-  if (areas_part.empty() || areas_part.back() == ',') return std::nullopt;
-  if (counts_part.empty() || counts_part.back() == ',') return std::nullopt;
-
   // std::sto* skip leading whitespace; the spec grammar does not.
   auto strict = [](const std::string& item) {
     return !item.empty() &&
@@ -106,7 +101,6 @@ std::optional<PlatformGrid> parse_platform_grid(std::string_view spec) {
       return std::nullopt;
     }
   }
-  if (grid.areas.empty() || grid.cgc_counts.empty()) return std::nullopt;
   return grid;
 }
 

@@ -7,12 +7,10 @@
 #include <fstream>
 #include <utility>
 
-#ifndef _WIN32
 #include <dirent.h>
 #include <fcntl.h>
 #include <sys/file.h>
 #include <unistd.h>
-#endif
 
 #include "support/strings.h"
 #include "support/text.h"
@@ -163,40 +161,24 @@ namespace {
 class ScopedFileLock {
  public:
   explicit ScopedFileLock(const std::string& path) {
-#ifndef _WIN32
     fd_ = ::open(path.c_str(), O_CREAT | O_RDWR | O_CLOEXEC, 0666);
     if (fd_ >= 0 && ::flock(fd_, LOCK_EX) != 0) {
       ::close(fd_);
       fd_ = -1;
     }
-#else
-    (void)path;
-#endif
   }
 
   ScopedFileLock(const ScopedFileLock&) = delete;
   ScopedFileLock& operator=(const ScopedFileLock&) = delete;
 
   ~ScopedFileLock() {
-#ifndef _WIN32
     if (fd_ >= 0) ::close(fd_);  // releases the flock
-#endif
   }
 
-  bool held() const {
-#ifndef _WIN32
-    return fd_ >= 0;
-#else
-    // No locking on this platform; report held so single-process saves
-    // stay silent (there is no cross-process union window to lose).
-    return true;
-#endif
-  }
+  bool held() const { return fd_ >= 0; }
 
  private:
-#ifndef _WIN32
   int fd_ = -1;
-#endif
 };
 
 // One-shot operator-facing warning for the degraded-lock path: losing
@@ -220,11 +202,7 @@ void warn_lock_degraded(const std::string& path) {
 // threads of one process distinct without consulting thread ids.
 std::string unique_temp_path(const std::string& path) {
   static std::atomic<std::uint64_t> sequence{0};
-#ifndef _WIN32
   const long long pid = static_cast<long long>(::getpid());
-#else
-  const long long pid = 0;
-#endif
   return cat(path, ".tmp.", pid, ".",
              sequence.fetch_add(1, std::memory_order_relaxed));
 }
@@ -235,7 +213,6 @@ std::string unique_temp_path(const std::string& path) {
 // garbage; in degraded mode a matching temp might be another writer's
 // in-flight data and must be left alone.
 void remove_stale_temps(const std::string& path) {
-#ifndef _WIN32
   const std::size_t slash = path.find_last_of('/');
   const std::string dir =
       slash == std::string::npos ? std::string(".")
@@ -253,9 +230,6 @@ void remove_stale_temps(const std::string& path) {
     }
   }
   ::closedir(d);
-#else
-  (void)path;
-#endif
 }
 
 }  // namespace

@@ -9,10 +9,8 @@
 #include <ostream>
 #include <utility>
 
-#ifndef _WIN32
 #include <cerrno>
 #include <poll.h>
-#endif
 
 #include "core/sweep_cache.h"
 #include "core/wire.h"
@@ -361,12 +359,6 @@ void consume_worker_stream(std::istream& in,
 SweepSummary serve_design_space(const std::vector<CorpusApp>& corpus,
                                 const SweepSpec& spec,
                                 const ServeOptions& options) {
-#ifdef _WIN32
-  (void)corpus;
-  (void)spec;
-  (void)options;
-  fail("serve_design_space: requires POSIX poll/fork");
-#else
   using Clock = std::chrono::steady_clock;
   using Event = WorkerStreamConsumer::Event;
 
@@ -604,7 +596,6 @@ SweepSummary serve_design_space(const std::vector<CorpusApp>& corpus,
 
   finalize_sweep_summary(summary, shard_used, cells_per_shard);
   return summary;
-#endif
 }
 
 }  // namespace amdrel::core

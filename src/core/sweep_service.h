@@ -215,8 +215,7 @@ struct ServeOptions {
 /// summary. The result is byte-identical to sweep_design_space(corpus,
 /// spec) at any worker count and under any injected worker failure that
 /// stays within the retry budget. Throws Error on protocol violations,
-/// on a shard exhausting its retries, when no worker materializes, or
-/// when the platform lacks poll/fork (non-POSIX builds).
+/// on a shard exhausting its retries, or when no worker materializes.
 SweepSummary serve_design_space(const std::vector<CorpusApp>& corpus,
                                 const SweepSpec& spec,
                                 const ServeOptions& options);

@@ -3,7 +3,6 @@
 #include <cstdio>
 #include <utility>
 
-#ifndef _WIN32
 #include <cerrno>
 #include <csignal>
 #include <fcntl.h>
@@ -12,36 +11,11 @@
 #include <sys/types.h>
 #include <sys/wait.h>
 #include <unistd.h>
-#endif
 
 #include "support/error.h"
 #include "support/strings.h"
 
 namespace amdrel::core {
-
-#ifdef _WIN32
-
-ForkPipeTransport::ForkPipeTransport(std::vector<std::string> command)
-    : command_(std::move(command)), describe_("fork") {}
-
-std::unique_ptr<WorkerChannel> ForkPipeTransport::open_worker(int) {
-  fail("ForkPipeTransport: requires POSIX fork/socketpair");
-}
-
-const std::string& ForkPipeTransport::describe() const { return describe_; }
-
-TcpTransport::TcpTransport(support::net::Socket listener)
-    : listener_(std::move(listener)), describe_("tcp") {}
-
-int TcpTransport::port() const { fail("TcpTransport: requires POSIX sockets"); }
-
-std::unique_ptr<WorkerChannel> TcpTransport::open_worker(int) {
-  fail("TcpTransport: requires POSIX sockets");
-}
-
-const std::string& TcpTransport::describe() const { return describe_; }
-
-#else
 
 namespace {
 
@@ -221,7 +195,5 @@ std::unique_ptr<WorkerChannel> TcpTransport::open_worker(int timeout_ms) {
 }
 
 const std::string& TcpTransport::describe() const { return describe_; }
-
-#endif
 
 }  // namespace amdrel::core

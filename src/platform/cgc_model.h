@@ -45,8 +45,10 @@ struct CgcModel {
   /// port cycle-by-cycle inside the kernel.
   bool dma_memory = true;
 
-  /// Register-bank capacity for values alive across CGC cycles; 0 means
-  /// "unlimited" (the binder still reports the peak demand).
+  /// Register-bank capacity for values alive across CGC cycles. No
+  /// scheduler, pricer or report reads it: it only joins the key lists
+  /// in core/fingerprint.cc, so a new value changes the cache and memo
+  /// keys but no result.
   int register_bank_size = 0;
 };
 

@@ -62,8 +62,10 @@ struct FpgaModel {
 
   FineMapper mapper = FineMapper::kFigure3;
 
-  /// T_FPGA in nanoseconds (only ratios matter for the cycle counts the
-  /// paper reports; kept for absolute-time reporting).
+  /// T_FPGA in nanoseconds. No scheduler, pricer or report reads it:
+  /// every result is in cycles, as the paper reports them. It only joins
+  /// the key lists in core/fingerprint.cc, so a new value changes the
+  /// cache and memo keys but no result.
   double clock_period_ns = 6.0;
 
   // Per-class area occupied by one mapped operation, in the same abstract

@@ -5,7 +5,6 @@
 #include "support/error.h"
 #include "support/strings.h"
 
-#ifndef _WIN32
 #include <arpa/inet.h>
 #include <cerrno>
 #include <chrono>
@@ -18,7 +17,6 @@
 #include <sys/types.h>
 #include <thread>
 #include <unistd.h>
-#endif
 
 namespace amdrel::support::net {
 
@@ -38,9 +36,7 @@ int Socket::release() {
 }
 
 void Socket::close() {
-#ifndef _WIN32
   if (fd_ >= 0) ::close(fd_);
-#endif
   fd_ = -1;
 }
 
@@ -59,33 +55,6 @@ bool parse_host_port(const std::string& spec, std::string& host, int& port) {
   port = static_cast<int>(value);
   return true;
 }
-
-#ifdef _WIN32
-
-bool available() { return false; }
-
-Socket listen_tcp(const std::string&, int) {
-  fail("net: requires POSIX sockets");
-}
-int local_port(const Socket&) { fail("net: requires POSIX sockets"); }
-std::optional<Socket> accept_tcp(const Socket&, int) {
-  fail("net: requires POSIX sockets");
-}
-Socket connect_tcp(const std::string&, int, int) {
-  fail("net: requires POSIX sockets");
-}
-
-FdStreamBuf::FdStreamBuf(int fd) : fd_(fd) {}
-FdStreamBuf::int_type FdStreamBuf::underflow() { return traits_type::eof(); }
-FdStreamBuf::int_type FdStreamBuf::overflow(int_type) {
-  return traits_type::eof();
-}
-int FdStreamBuf::sync() { return -1; }
-bool FdStreamBuf::flush_buffer() { return false; }
-
-#else
-
-bool available() { return true; }
 
 namespace {
 
@@ -226,7 +195,5 @@ FdStreamBuf::int_type FdStreamBuf::overflow(int_type ch) {
 }
 
 int FdStreamBuf::sync() { return flush_buffer() ? 0 : -1; }
-
-#endif
 
 }  // namespace amdrel::support::net

@@ -12,13 +12,8 @@ namespace amdrel::support::net {
 // (core/transport.h). Deliberately tiny: RAII fds, listen/accept/connect
 // with explicit timeouts, and a streambuf so the newline-delimited wire
 // protocol can ride a socket through the same iostream code paths it
-// rides a pipe or a stringstream. On non-POSIX builds every entry point
-// throws Error (available() reports false) — mirroring
-// serve_design_space's existing platform gate.
+// rides a pipe or a stringstream.
 // ---------------------------------------------------------------------------
-
-/// Whether this build has the POSIX socket layer.
-bool available();
 
 /// RAII file descriptor (socket or otherwise). Move-only; closes on
 /// destruction.

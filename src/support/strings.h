@@ -27,26 +27,29 @@ std::string cat(const Ts&... parts) {
   return os.str();
 }
 
-/// Escapes a string for embedding in a JSON string literal: quotes,
-/// backslashes, and the common control characters get two-char escapes,
-/// any other byte below 0x20 becomes \u00xx. Shared by the sweep
-/// emitters and the sweep-cache persistence, whose byte-for-byte
-/// round-trip contracts require one escaping rule.
+/// Escapes a string for embedding in a JSON string literal, as a string:
+/// text::render(text::JsonEscaped{text}). The library's writers append
+/// text::JsonEscaped directly; perfbench/perf_trace.cc calls this one
+/// for its report header.
 inline std::string json_escape(const std::string& text) {
   return text::render(text::JsonEscaped{text});
 }
 
-/// Splits on a separator. Note getline semantics: a trailing separator
-/// produces NO final empty item ("a," -> {"a"}), while interior empties
-/// are kept ("a,,b" -> {"a", "", "b"}) — callers validating list specs
-/// must reject a trailing separator themselves. Shared by the CLI flag
-/// lists and the platform-grid spec parser.
+/// Splits on a separator and returns every field, empty ones included:
+/// "a,,b" -> {"a", "", "b"}, "a," -> {"a", ""} and "" -> {""}, so a
+/// caller that rejects an empty item rejects an empty list and a
+/// trailing separator too. Shared by the CLI flag lists and the
+/// platform-grid spec parser.
 inline std::vector<std::string> split(const std::string& text,
                                       char separator = ',') {
-  std::vector<std::string> items;
-  std::stringstream ss(text);
-  std::string item;
-  while (std::getline(ss, item, separator)) items.push_back(item);
+  std::vector<std::string> items(1);
+  for (const char c : text) {
+    if (c == separator) {
+      items.emplace_back();
+    } else {
+      items.back() += c;
+    }
+  }
   return items;
 }
 

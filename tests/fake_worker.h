@@ -9,8 +9,6 @@
 
 #pragma once
 
-#ifndef _WIN32
-
 #include <unistd.h>
 
 #include <algorithm>
@@ -158,5 +156,3 @@ class FakeWorker {
 };
 
 }  // namespace amdrel::core
-
-#endif  // !_WIN32

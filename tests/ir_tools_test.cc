@@ -92,6 +92,16 @@ TEST(StringsTest, CatConcatenatesMixedTypes) {
   EXPECT_EQ(cat(), "");
 }
 
+TEST(StringsTest, SplitKeepsEveryField) {
+  using Fields = std::vector<std::string>;
+  EXPECT_EQ(split("a,,b"), (Fields{"a", "", "b"}));
+  EXPECT_EQ(split("a,"), (Fields{"a", ""}));
+  EXPECT_EQ(split(""), (Fields{""}));
+  EXPECT_EQ(split(",a"), (Fields{"", "a"}));
+  EXPECT_EQ(split("explore/serve/", '/'), (Fields{"explore", "serve", ""}));
+  EXPECT_EQ(split("a,b", '/'), (Fields{"a,b"}));
+}
+
 TEST(BuildCdfgTest, LiveInsAndOutsAcrossBlocks) {
   // x defined in entry, consumed in the loop body -> entry has an output
   // marker for x, the body has an input for it.

@@ -15,11 +15,9 @@
 #include <string>
 #include <thread>
 
-#ifndef _WIN32
 #include <sys/stat.h>
 #include <sys/wait.h>
 #include <unistd.h>
-#endif
 
 #include <gtest/gtest.h>
 
@@ -641,7 +639,6 @@ TEST(SweepCacheTest, SaveOverwritesACorruptTargetFile) {
   std::remove((path + ".lock").c_str());
 }
 
-#ifndef _WIN32
 // The multi-process acceptance property: several writer processes, each
 // holding a disjoint slice of entries, save to one path concurrently.
 // The advisory lock serializes the load-merge-write cycles, so the
@@ -689,7 +686,6 @@ TEST(SweepCacheTest, ConcurrentWriterProcessesLoseNoEntries) {
   std::remove(path.c_str());
   std::remove((path + ".lock").c_str());
 }
-#endif  // !_WIN32
 
 TEST(SweepCacheTest, CacheStatsJsonShape) {
   SweepCacheStats stats;
@@ -767,7 +763,6 @@ TEST(SweepCacheTest, CachedSweepStoresNoMapperSnapshots) {
   }
 }
 
-#ifndef _WIN32
 // Forcing lock degradation deterministically: a DIRECTORY at the lock
 // path makes open(O_RDWR|O_CREAT) fail with EISDIR for every process —
 // including root, which CAP_DAC_OVERRIDE lets sail past chmod-based
@@ -894,7 +889,6 @@ TEST(SweepCacheTest, SaveSweepsStaleTempFilesUnderTheLock) {
   std::remove(path.c_str());
   std::remove((path + ".lock").c_str());
 }
-#endif  // !_WIN32
 
 }  // namespace
 }  // namespace amdrel::core

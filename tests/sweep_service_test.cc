@@ -223,7 +223,6 @@ TEST_F(StreamRejectionTest, RejectsEmptyStream) {
 // workers that answer assigns with pre-rendered valid shard bodies must
 // reproduce the sweep, and a worker that exits nonzero must fail the
 // run.
-#ifndef _WIN32
 TEST(SweepServiceTest, ServeMergesCommandWorkers) {
   const auto corpus = workloads::paper_corpus();
   const SweepSpec spec = small_spec(1, nullptr);
@@ -248,7 +247,6 @@ TEST(SweepServiceTest, ServeFailsWhenAWorkerExitsNonzero) {
   options.transport = &transport;
   EXPECT_THROW(serve_design_space(corpus, spec, options), Error);
 }
-#endif  // !_WIN32
 
 }  // namespace
 }  // namespace amdrel::core

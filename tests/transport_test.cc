@@ -11,10 +11,8 @@
 
 #include "core/transport.h"
 
-#ifndef _WIN32
 #include <signal.h>
 #include <unistd.h>
-#endif
 
 #include <cerrno>
 #include <chrono>
@@ -49,8 +47,6 @@ SweepSpec small_spec() {
   spec.threads = 1;
   return spec;
 }
-
-#ifndef _WIN32
 
 // Shared scaffolding for the fork-transport fault tests: the expected
 // single-process summary and a scripted fake worker (tests/fake_worker.h)
@@ -352,8 +348,6 @@ TEST(TransportTest, TcpServeRetriesAfterDeadDialIn) {
   worker.join();
   EXPECT_EQ(sweep_to_json(summary), expected);
 }
-
-#endif  // !_WIN32
 
 }  // namespace
 }  // namespace amdrel::core

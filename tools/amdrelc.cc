@@ -124,10 +124,6 @@ struct Options {
   usage();
 }
 
-std::vector<std::string> split_list(const std::string& spec) {
-  return split(spec, ',');
-}
-
 // Malformed numeric flag values are usage errors naming the offending
 // flag, matching how unknown strategy/ordering names are handled. The
 // whole token must parse: std::sto* skip leading blanks and stop at the
@@ -328,7 +324,7 @@ const OptionSpec kOptions[] = {
          usage_error(f, "expected NAME=v0,v1,...");
        }
        std::vector<std::int32_t> values;
-       for (const std::string& item : split_list(v.substr(eq + 1))) {
+       for (const std::string& item : split(v.substr(eq + 1))) {
          values.push_back(static_cast<std::int32_t>(parse_i64(item, f)));
        }
        o.inputs.emplace_back(v.substr(0, eq), std::move(values));
@@ -347,7 +343,7 @@ const OptionSpec kOptions[] = {
      "rows to print in analyze (default 10)"},
     {"--constraints", true,
      [](Options& o, const std::string& v, const std::string& f) {
-       for (const std::string& item : split_list(v)) {
+       for (const std::string& item : split(v)) {
          const std::int64_t constraint = parse_i64(item, f);
          if (constraint < 0) usage_error(f, "constraints must be >= 0");
          o.constraints.push_back(constraint);
@@ -358,7 +354,7 @@ const OptionSpec kOptions[] = {
      kSweepCommands},
     {"--energy-budgets", true,
      [](Options& o, const std::string& v, const std::string& f) {
-       for (const std::string& item : split_list(v)) {
+       for (const std::string& item : split(v)) {
          const double budget = parse_double(item, f);
          if (!std::isfinite(budget) || budget < 0) {
            usage_error(f, "energy budgets must be >= 0 and finite");
@@ -371,7 +367,7 @@ const OptionSpec kOptions[] = {
      kSweepCommands},
     {"--strategies", true,
      [](Options& o, const std::string& v, const std::string& f) {
-       for (const std::string& item : split_list(v)) {
+       for (const std::string& item : split(v)) {
          const auto strategy = core::parse_strategy(item);
          if (!strategy) usage_error(f, "unknown strategy '" + item + "'");
          o.strategies.push_back(*strategy);
@@ -380,7 +376,7 @@ const OptionSpec kOptions[] = {
      "s1,s2,... strategies to sweep (default: all)", kSweepCommands},
     {"--orderings", true,
      [](Options& o, const std::string& v, const std::string& f) {
-       for (const std::string& item : split_list(v)) {
+       for (const std::string& item : split(v)) {
          const auto ordering = core::parse_kernel_ordering(item);
          if (!ordering) usage_error(f, "unknown ordering '" + item + "'");
          o.orderings.push_back(*ordering);
@@ -399,11 +395,7 @@ const OptionSpec kOptions[] = {
      kSweepCommands},
     {"--corpus", true,
      [](Options& o, const std::string& v, const std::string&) {
-       // split() drops a trailing empty field, so "ofdm," would
-       // otherwise silently pass the per-item empty check below.
-       if (v.empty() || v.back() == ',') usage();
-       o.corpus = split_list(v);
-       if (o.corpus.empty()) usage();
+       o.corpus = split(v);
        for (const std::string& item : o.corpus) {
          if (item.empty()) usage();
        }
@@ -1032,11 +1024,7 @@ int cmd_worker(const Options& options) {
         static_cast<std::size_t>(*options.fail_after_shards);
     after_shard = [limit](std::size_t emitted) {
       if (emitted >= limit) {
-#ifndef _WIN32
         std::raise(SIGKILL);
-#else
-        fail("worker: --fail-after-shards requires POSIX signals");
-#endif
       }
     };
   }
