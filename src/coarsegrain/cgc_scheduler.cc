@@ -1,7 +1,6 @@
 #include "coarsegrain/cgc_scheduler.h"
 
 #include <algorithm>
-#include <numeric>
 
 #include "support/error.h"
 #include "support/strings.h"
@@ -231,32 +230,6 @@ CgcSchedule schedule_dfg_on_cgc(const ir::Dfg& dfg,
     const std::int64_t bursts =
         (sched.mem_accesses + cgc.mem_ports - 1) / cgc.mem_ports;
     sched.total_cgc_cycles += bursts * cgc.mem_access_cgc_cycles;
-  }
-  sched.configurations = compute_latency;
-
-  // Register-bank pressure: a value produced at finish[u] and consumed by
-  // a user whose start is later than (or equal to) that boundary lives in
-  // the register bank across every boundary in between. Chained uses
-  // (same cycle) bypass the bank.
-  std::vector<int> live(static_cast<std::size_t>(compute_latency) + 1, 0);
-  for (NodeId u = 0; u < dfg.size(); ++u) {
-    const OpKind kind = dfg.node(u).kind;
-    if (!is_compute(kind) && !is_mem(kind)) continue;
-    std::int64_t last_use = sched.finish[u];
-    for (NodeId v : dfg.users(u)) {
-      if (dfg.node(v).kind == OpKind::kOutput) {
-        last_use = compute_latency;  // live-outs persist to the end
-      } else if (sched.start[v] >= sched.finish[u]) {
-        last_use = std::max(last_use, sched.start[v]);
-      }
-    }
-    for (std::int64_t b = sched.finish[u];
-         b < last_use && b < static_cast<std::int64_t>(live.size()); ++b) {
-      live[b]++;
-    }
-  }
-  for (int count : live) {
-    sched.peak_registers = std::max(sched.peak_registers, count);
   }
 
   return sched;

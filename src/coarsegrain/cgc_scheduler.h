@@ -27,10 +27,8 @@ struct CgcSchedule {
   std::vector<std::int64_t> finish;  ///< cycle at which the value is ready
   std::vector<CgcPlacement> placement;
 
-  std::int64_t total_cgc_cycles = 0;   ///< DFG latency in T_CGC cycles
-  std::int64_t configurations = 0;     ///< interconnect contexts used
-  std::int64_t mem_accesses = 0;       ///< loads+stores issued to memory
-  int peak_registers = 0;              ///< register-bank pressure
+  std::int64_t total_cgc_cycles = 0;  ///< DFG latency in T_CGC cycles
+  std::int64_t mem_accesses = 0;      ///< loads+stores issued to memory
 };
 
 /// Schedules and binds `dfg` on the CGC data-path. Operations execute with

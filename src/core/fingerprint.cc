@@ -47,11 +47,10 @@ Fingerprint keyed_digest(std::string_view tag,
 
 void append_key(std::vector<std::uint64_t>& out,
                 const platform::FpgaModel& fpga) {
-  append_words(out, fpga.usable_area, fpga.reconfig_cycles,
-               fpga.parallel_lanes, fpga.invocation_overhead_cycles,
-               fpga.reconfig_policy, fpga.mapper, fpga.clock_period_ns,
-               fpga.area_alu, fpga.area_mul, fpga.area_div, fpga.area_mem,
-               fpga.area_copy, fpga.delay_alu, fpga.delay_mul,
+  append_words(out, fpga.usable_area, fpga.reconfig_cycles, fpga.parallel_lanes,
+               fpga.invocation_overhead_cycles, fpga.reconfig_policy,
+               fpga.mapper, fpga.area_alu, fpga.area_mul, fpga.area_div,
+               fpga.area_mem, fpga.area_copy, fpga.delay_alu, fpga.delay_mul,
                fpga.delay_div, fpga.delay_mem, fpga.delay_copy);
 }
 
@@ -59,7 +58,7 @@ void append_key(std::vector<std::uint64_t>& out,
                 const platform::CgcModel& cgc) {
   append_words(out, cgc.count, cgc.rows, cgc.cols, cgc.fpga_clock_ratio,
                cgc.enable_chaining, cgc.mem_ports, cgc.mem_access_cgc_cycles,
-               cgc.dma_memory, cgc.register_bank_size);
+               cgc.dma_memory);
 }
 
 void append_key(std::vector<std::uint64_t>& out,

@@ -19,7 +19,8 @@ namespace amdrel::core {
 ///  v3: MethodologyOptions grew the reconfiguration model
 ///      (bitstream_cycles_per_unit, prefetch_overlap,
 ///      floorplan_cost_per_unit, regions).
-inline constexpr int kFingerprintAlgorithmVersion = 3;
+///  v4: the FPGA clock period and CGC register-bank size left the keys.
+inline constexpr int kFingerprintAlgorithmVersion = 4;
 
 /// Schema version of the sweep JSON/CSV artifact (core/sweep_io.h).
 ///  v3: cells gained reconfig_cycles and floorplan_cost columns.

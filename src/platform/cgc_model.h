@@ -12,9 +12,11 @@ namespace amdrel::platform {
 /// within a single CGC clock cycle (the "complex operations like
 /// multiply-add" of the paper).
 ///
-/// A new field must join this model's append_key list in
-/// core/fingerprint.cc, the one list that keys both the persisted sweep
-/// cache and the sweep's shared mapper tables (core::AxisMemo).
+/// Every field must price something: a new one must change some cycle
+/// count, and it joins this model's append_key list in
+/// core/fingerprint.cc (the one list that keys both the persisted sweep
+/// cache and the sweep's shared mapper tables, core::AxisMemo) and
+/// test::platform_field_edits. The ctest lint.model_fields checks both.
 struct CgcModel {
   int count = 2;  ///< number of CGCs in the data-path
   int rows = 2;   ///< chaining depth within one CGC and one cycle
@@ -44,12 +46,6 @@ struct CgcModel {
   /// slots mid-kernel. When false, every load/store is scheduled on a
   /// port cycle-by-cycle inside the kernel.
   bool dma_memory = true;
-
-  /// Register-bank capacity for values alive across CGC cycles. No
-  /// scheduler, pricer or report reads it: it only joins the key lists
-  /// in core/fingerprint.cc, so a new value changes the cache and memo
-  /// keys but no result.
-  int register_bank_size = 0;
 };
 
 }  // namespace amdrel::platform

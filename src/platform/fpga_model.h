@@ -33,9 +33,11 @@ enum class FineMapper {
 /// characteristics"), so any device can be described by filling the
 /// per-class area/delay entries.
 ///
-/// A new field must join this model's append_key list in
-/// core/fingerprint.cc, the one list that keys both the persisted sweep
-/// cache and the sweep's shared mapper tables (core::AxisMemo).
+/// Every field must price something: a new one must change some cycle
+/// count, and it joins this model's append_key list in
+/// core/fingerprint.cc (the one list that keys both the persisted sweep
+/// cache and the sweep's shared mapper tables, core::AxisMemo) and
+/// test::platform_field_edits. The ctest lint.model_fields checks both.
 struct FpgaModel {
   /// Area available for mapping DFG operations (the paper's A_FPGA,
   /// quoted directly in "units of area" in the experiments). When
@@ -51,7 +53,7 @@ struct FpgaModel {
   /// shared-memory ports; an ASAP level with total operation delay D and
   /// slowest operation d costs max(d, ceil(D / parallel_lanes)) cycles.
   /// The default of 1 models the near-serial execution the paper's cycle
-  /// counts imply (see EXPERIMENTS.md calibration notes).
+  /// counts imply.
   int parallel_lanes = 1;
 
   /// Fixed per-invocation control cost of a basic block on the FPGA
@@ -61,12 +63,6 @@ struct FpgaModel {
   ReconfigPolicy reconfig_policy = ReconfigPolicy::kSwitchOnly;
 
   FineMapper mapper = FineMapper::kFigure3;
-
-  /// T_FPGA in nanoseconds. No scheduler, pricer or report reads it:
-  /// every result is in cycles, as the paper reports them. It only joins
-  /// the key lists in core/fingerprint.cc, so a new value changes the
-  /// cache and memo keys but no result.
-  double clock_period_ns = 6.0;
 
   // Per-class area occupied by one mapped operation, in the same abstract
   // units as usable_area.

@@ -10,9 +10,11 @@ namespace amdrel::platform {
 /// communicated between the fine- and coarse-grain parts when a kernel is
 /// moved (the t_comm term of equation (2)).
 ///
-/// A new field must join this model's append_key list in
-/// core/fingerprint.cc, the one list that keys both the persisted sweep
-/// cache and the sweep's shared mapper tables (core::AxisMemo).
+/// Every field must price something: a new one must change some cycle
+/// count, and it joins this model's append_key list in
+/// core/fingerprint.cc (the one list that keys both the persisted sweep
+/// cache and the sweep's shared mapper tables, core::AxisMemo) and
+/// test::platform_field_edits. The ctest lint.model_fields checks both.
 struct MemoryModel {
   /// Cost of transferring one word between the two reconfigurable blocks
   /// through the shared memory, in FPGA clock cycles (write + read).

@@ -37,8 +37,7 @@ void validate_platform(const Platform& platform);
 
 /// The platform configuration used throughout the paper's experiments:
 /// A_FPGA units of usable fine-grain area and `cgc_count` 2x2 CGCs, with
-/// T_FPGA = 3 T_CGC. Remaining knobs take the calibrated defaults
-/// documented in DESIGN.md / EXPERIMENTS.md.
+/// T_FPGA = 3 T_CGC. Remaining knobs take the model headers' defaults.
 Platform make_paper_platform(double a_fpga, int cgc_count);
 
 /// Area-equivalent cost of a platform instance, in the same abstract

@@ -64,7 +64,7 @@ ir::BlockId PaperApp::block_by_label(const std::string& label) const {
 PaperApp build_ofdm_model() {
   // Top-8 rows of Table 1 (exec_freq and op weight = alu + 2*mul are the
   // paper's exact values); mem/live/width are modelling assumptions for
-  // the IFFT-dominated front-end (see DESIGN.md section 4).
+  // the IFFT-dominated front-end.
   std::vector<PaperBlockSpec> specs = {
       // label        freq   mul alu mem  li lo width loop
       {"BB22", 336, 30, 55, 8, 7, 2, 8, true},     // IFFT butterfly stage

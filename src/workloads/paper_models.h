@@ -14,7 +14,7 @@ namespace amdrel::workloads {
 /// model. The paper's analysis weights are ALU = 1, MUL = 2, so the
 /// block's Table-1 operation weight is alu + 2 * mul by construction;
 /// mem is the block's shared-memory traffic (loads + stores), which the
-/// paper's weight column does not include (see DESIGN.md).
+/// paper's weight column does not include.
 struct PaperBlockSpec {
   std::string label;         ///< the paper's "Basic Block no.", e.g. "BB22"
   std::uint64_t exec_freq = 0;

@@ -188,7 +188,7 @@ TEST(FingerprintTest, PlatformFieldsChangeDigest) {
   const platform::Platform base = platform::make_paper_platform(1500, 2);
   std::set<Fingerprint> seen;
   seen.insert(fingerprint(base));
-  ASSERT_EQ(test::platform_field_edits().size(), 28u);
+  ASSERT_EQ(test::platform_field_edits().size(), 26u);
   for (const test::PlatformFieldEdit& edit : test::platform_field_edits()) {
     platform::Platform p = base;
     edit.edit(p);

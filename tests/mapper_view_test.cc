@@ -3,8 +3,9 @@
 // grids over the built-in apps and fuzzed MiniC programs are visited in
 // shuffled orders that interleave apps; every block's fine, coarse,
 // communication and benefit prices must equal the oracle's, a fine
-// mapping that throws must leave no table behind, and hand-built
-// platforms that differ in any model field must not share tables.
+// mapping that throws must leave no table behind, hand-built platforms
+// that differ in any model field must not share tables, and every model
+// field must change some price.
 
 #include "core/axis_memo.h"
 
@@ -314,6 +315,50 @@ TEST(MapperViewTest, HandBuiltPlatformsDoNotAlias) {
       EXPECT_EQ(&view.fine(0) == base_fine, variant.cgc) << what;
       EXPECT_EQ(&view.coarse(eligible) == base_coarse, !variant.cgc) << what;
     }
+  }
+}
+
+// The prices a fresh mapper gives `app` on `platform`: the all-fine
+// total, then each block's fine and communication cycles and, for an
+// eligible block, its coarse cycles.
+std::vector<std::int64_t> prices(const CorpusApp& app,
+                                 const platform::Platform& platform) {
+  HybridMapper mapper(app.cdfg, platform);
+  std::vector<std::int64_t> out = {mapper.all_fine_cycles(app.profile)};
+  for (ir::BlockId b = 0; b < app.cdfg.size(); ++b) {
+    out.push_back(mapper.fine_cycles_per_invocation(b));
+    out.push_back(mapper.comm_cycles_per_invocation(b));
+    if (mapper.cgc_eligible(b)) {
+      out.push_back(mapper.coarse_cycles_per_invocation(b));
+    }
+  }
+  return out;
+}
+
+// A model field that no price reads is a knob with no effect: setting
+// it would only split the cache and memo keys. Every edit must change
+// some price of some view-corpus app on one of two bases: the paper
+// platform, and a smaller fabric on which the two fine mappers pack
+// differently. The built-in apps hold no division, so the fuzzed
+// programs are the ones that price the division fields.
+TEST(MapperViewTest, EveryPlatformFieldPricesSomething) {
+  const std::vector<CorpusApp>& corpus = view_corpus();
+  const std::vector<platform::Platform> bases = {
+      platform::make_paper_platform(1500, 2),
+      platform::make_paper_platform(700, 2)};
+  // unedited[b * corpus.size() + a]: app a's prices on bases[b].
+  std::vector<std::vector<std::int64_t>> unedited;
+  for (const platform::Platform& base : bases) {
+    for (const CorpusApp& app : corpus) unedited.push_back(prices(app, base));
+  }
+  for (const test::PlatformFieldEdit& edit : test::platform_field_edits()) {
+    bool priced = false;
+    for (std::size_t i = 0; i < unedited.size() && !priced; ++i) {
+      platform::Platform edited = bases[i / corpus.size()];
+      edit.edit(edited);
+      priced = prices(corpus[i % corpus.size()], edited) != unedited[i];
+    }
+    EXPECT_TRUE(priced) << edit.field << " changes no price";
   }
 }
 

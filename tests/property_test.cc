@@ -214,7 +214,6 @@ TEST_P(CgcScheduleProperty, Invariants) {
   EXPECT_GE(sched.total_cgc_cycles,
             (compute + test::slots_per_cycle(cgc) - 1) /
                 test::slots_per_cycle(cgc));
-  EXPECT_GE(sched.peak_registers, 0);
 }
 
 INSTANTIATE_TEST_SUITE_P(

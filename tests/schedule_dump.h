@@ -21,8 +21,7 @@ inline std::string describe_schedule(const coarsegrain::CgcSchedule& schedule,
                                      const platform::CgcModel& cgc) {
   std::ostringstream os;
   os << "CGC schedule: " << schedule.total_cgc_cycles << " T_CGC cycles, "
-     << schedule.mem_accesses << " memory accesses, peak "
-     << schedule.peak_registers << " bank registers\n";
+     << schedule.mem_accesses << " memory accesses\n";
 
   // cycle -> cgc -> placements (sorted row-major for chain readability)
   std::map<std::int64_t, std::map<int, std::vector<ir::NodeId>>> by_cycle;

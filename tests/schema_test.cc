@@ -13,7 +13,7 @@ namespace {
 
 TEST(SchemaVersionTest, FingerprintAlgorithmVersionIsPinned) {
   // v3: MethodologyOptions fingerprints cover the reconfiguration model.
-  EXPECT_EQ(core::kFingerprintAlgorithmVersion, 3);
+  EXPECT_EQ(core::kFingerprintAlgorithmVersion, 4);
 }
 
 TEST(SchemaVersionTest, SweepArtifactSchemaVersionIsPinned) {

@@ -39,8 +39,11 @@ struct PlatformFieldEdit {
 
 /// An edit for every field of the three platform models, to a value the
 /// built-in apps still map with. Every field keys the sweep cache and
-/// the sweep's shared mapper tables, so the tests that pin that walk
-/// this list: a new model field joins it.
+/// the sweep's shared mapper tables and must price something, so the
+/// tests that pin both walk this list: a new model field joins it, with
+/// a value that changes some price
+/// (MapperViewTest.EveryPlatformFieldPricesSomething), and
+/// scripts/check_model_fields.py checks that it did.
 inline const std::vector<PlatformFieldEdit>& platform_field_edits() {
   using platform::Platform;
   static const std::vector<PlatformFieldEdit> edits = {
@@ -58,13 +61,11 @@ inline const std::vector<PlatformFieldEdit>& platform_field_edits() {
        }},
       {"fpga.mapper", false,
        [](Platform& p) { p.fpga.mapper = platform::FineMapper::kListPacking; }},
-      {"fpga.clock_period_ns", false,
-       [](Platform& p) { p.fpga.clock_period_ns = 7.5; }},
       {"fpga.area_alu", false, [](Platform& p) { p.fpga.area_alu = 13; }},
       {"fpga.area_mul", false, [](Platform& p) { p.fpga.area_mul = 61; }},
-      {"fpga.area_div", false, [](Platform& p) { p.fpga.area_div = 121; }},
+      {"fpga.area_div", false, [](Platform& p) { p.fpga.area_div = 240; }},
       {"fpga.area_mem", false, [](Platform& p) { p.fpga.area_mem = 11; }},
-      {"fpga.area_copy", false, [](Platform& p) { p.fpga.area_copy = 1; }},
+      {"fpga.area_copy", false, [](Platform& p) { p.fpga.area_copy = 200; }},
       {"fpga.delay_alu", false, [](Platform& p) { p.fpga.delay_alu = 2; }},
       {"fpga.delay_mul", false, [](Platform& p) { p.fpga.delay_mul = 3; }},
       {"fpga.delay_div", false, [](Platform& p) { p.fpga.delay_div = 9; }},
@@ -81,8 +82,6 @@ inline const std::vector<PlatformFieldEdit>& platform_field_edits() {
       {"cgc.mem_access_cgc_cycles", true,
        [](Platform& p) { p.cgc.mem_access_cgc_cycles = 9; }},
       {"cgc.dma_memory", true, [](Platform& p) { p.cgc.dma_memory = false; }},
-      {"cgc.register_bank_size", true,
-       [](Platform& p) { p.cgc.register_bank_size = 8; }},
       {"memory.transfer_cycles_per_word", false,
        [](Platform& p) { p.memory.transfer_cycles_per_word = 5; }},
       {"memory.partition_boundary_cycles_per_word", false,

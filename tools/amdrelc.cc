@@ -394,10 +394,10 @@ const OptionSpec kOptions[] = {
      "--area/--cgcs)",
      kSweepCommands},
     {"--corpus", true,
-     [](Options& o, const std::string& v, const std::string&) {
+     [](Options& o, const std::string& v, const std::string& f) {
        o.corpus = split(v);
        for (const std::string& item : o.corpus) {
-         if (item.empty()) usage();
+         if (item.empty()) usage_error(f, "empty app name");
        }
      },
      "l1,l2,...: sweep these apps as well as (or instead of) the "
@@ -738,7 +738,7 @@ core::CorpusApp corpus_app(const std::string& name, const Options& options) {
              name.find('/') != std::string::npos) {
     source = read_file(name);
   } else {
-    usage();
+    usage_error("--corpus", "unknown app '" + name + "'");
   }
   CompiledApp compiled = profile_tac(minic::compile(source, name), options,
                                      name, /*apply_inputs=*/false);
@@ -776,7 +776,9 @@ std::vector<core::CorpusApp> build_corpus(const Options& options) {
   }
   for (std::size_t i = 0; i < corpus.size(); ++i) {
     for (std::size_t j = i + 1; j < corpus.size(); ++j) {
-      if (corpus[i].name == corpus[j].name) usage();
+      if (corpus[i].name == corpus[j].name) {
+        usage_error("--corpus", "duplicate app name '" + corpus[i].name + "'");
+      }
     }
   }
   return corpus;
