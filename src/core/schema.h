@@ -47,6 +47,9 @@ inline constexpr int kSweepCacheSchemaVersion = 6;
 ///      unchanged byte-for-byte.
 ///  v4: "shard_ack" removed; forked workers speak the round protocol on
 ///      stdin/stdout, so every serve worker runs assign rounds.
-inline constexpr int kSweepWireProtocolVersion = 4;
+///  v5: one grammar: a round ends at its last assigned shard, so
+///      "round_done" and the assign line's "retry" are gone, and the
+///      one-shot stream is a one-round session without "shutdown".
+inline constexpr int kSweepWireProtocolVersion = 5;
 
 }  // namespace amdrel::core

@@ -7,6 +7,8 @@
 #include <istream>
 #include <memory>
 #include <ostream>
+#include <iterator>
+#include <set>
 #include <utility>
 
 #include <cerrno>
@@ -27,78 +29,217 @@ namespace {
 /// progress without one: at launch, and whenever no worker is live.
 constexpr int kSpawnTimeoutMs = 60000;
 
-/// Computes `assigned` shards through compute_sweep_shards and streams
-/// them in assigned order, flushing each so a pipe or socket streams.
-/// `emitted_shards` counts across rounds for the after_shard hook.
-std::size_t emit_assigned_shards(const std::vector<CorpusApp>& corpus,
-                                 const SweepSpec& spec,
-                                 const std::vector<std::size_t>& assigned,
-                                 std::ostream& os,
-                                 const ShardEmitHook& after_shard,
-                                 std::size_t& emitted_shards) {
-  std::size_t total = 0;
-  compute_sweep_shards(
-      corpus, spec, assigned,
-      [&](std::size_t job, std::vector<SweepCell>& cells, std::size_t used) {
-        const std::size_t shard = assigned[job];
-        wire::encode_shard_begin(os, {shard, used});
-        for (std::size_t i = 0; i < used; ++i) {
-          wire::encode_cell(os, shard, i, cells[i].report,
-                            cells[i].moved_names);
-        }
-        os.flush();
-        total += used;
-        ++emitted_shards;
-        if (after_shard) after_shard(emitted_shards);
-      });
-  return total;
-}
+/// Incremental validator/merger of one worker connection's stream, fed
+/// one wire line at a time: serve's event loop keeps one per live
+/// connection, and consume_worker_stream runs one over a whole stream.
+/// A round is active while some shard of the last begin_round has not
+/// landed, and it ends when the last one lands. Cell coordinates that
+/// are derivable from the shard/slot index alone (app, platform axes,
+/// platform cost, strategy, ordering, energy budget) are re-derived
+/// locally — the wire carries only the computed payload — so a byte on
+/// the wire can never move a cell to the wrong coordinate. Every
+/// protocol violation throws Error.
+class StreamConsumer {
+ public:
+  StreamConsumer(std::size_t shards, const SweepSpec& spec,
+                 SweepSummary& summary, std::vector<std::size_t>& shard_used)
+      : spec_(spec), summary_(summary), shard_used_(shard_used),
+        shards_(shards), cells_per_shard_(sweep_cells_per_shard(spec)),
+        budgets_(sweep_energy_budgets(spec)),
+        inner_(budgets_.size() * spec.strategies.size() *
+               spec.orderings.size()) {
+    require(summary.cells.size() == shards_ * cells_per_shard_,
+            "consume_worker_stream: summary slot layout mismatch");
+    require(shard_used.size() == shards_,
+            "consume_worker_stream: shard_used size mismatch");
+  }
 
-wire::Header local_header(std::size_t shards) {
+  /// Starts a round over `assigned` shards; an empty one is complete at
+  /// once. The first round also expects the wire_header before any data
+  /// line.
+  void begin_round(const std::vector<std::size_t>& assigned) {
+    require(!round_active(), "worker stream: round already active");
+    require(!done_, "worker stream: connection already closed");
+    pending_.insert(assigned.begin(), assigned.end());
+    require(pending_.size() == assigned.size(),
+            "worker stream: duplicate shard in assignment");
+  }
+
+  /// Feeds one line (no trailing newline). True when it completed a
+  /// shard, whose index and fill count last_shard()/last_used() give.
+  /// Throws Error on protocol violations.
+  bool feed(const std::string& line) {
+    ++line_no_;
+    require(!done_, "worker stream: data after worker_done");
+    JsonValue object;
+    require(wire::parse_line(line, object),
+            "worker stream:", line_no_, ": not a JSON object");
+    const wire::LineKind kind = wire::line_kind(object);
+    if (!header_seen_) {
+      require(kind == wire::LineKind::kHeader,
+              "worker stream: missing wire_header line");
+      feed_header(object);
+      return false;
+    }
+    switch (kind) {
+      case wire::LineKind::kHeader:
+        fail("worker stream: repeated wire_header");
+      case wire::LineKind::kShard:
+        return feed_shard(object);
+      case wire::LineKind::kCell:
+        return feed_cell(object);
+      case wire::LineKind::kWorkerDone: {
+        // Only legal between rounds, and it closes the connection.
+        wire::WorkerDone done;
+        require(wire::decode_worker_done(object, done),
+                "worker stream:", line_no_, ": malformed worker_done");
+        require(!round_active(), "worker stream: worker_done inside a round");
+        require(done.cells == total_cells_,
+                "worker stream: worker_done cell count mismatch");
+        done_ = true;
+        return false;
+      }
+      default:
+        fail(cat("worker stream:", line_no_, ": unexpected line"));
+    }
+  }
+
+  /// EOF check for a one-shot stream: throws the truncation errors if
+  /// the stream ended before its worker_done.
+  void finish_stream() const {
+    require(header_seen_, "worker stream: empty (no wire_header)");
+    if (in_shard_) {
+      fail(cat("worker stream: truncated inside shard ", cur_shard_, " (",
+               cur_slot_, " of ", cur_used_, " cells)"));
+    }
+    require(done_, "worker stream: truncated (no worker_done)");
+  }
+
+  bool round_active() const { return !pending_.empty(); }
+  std::size_t last_shard() const { return last_shard_; }
+  std::size_t last_used() const { return last_used_; }
+  bool header_seen() const { return header_seen_; }
+  bool connection_done() const { return done_; }
+  /// Shards of the current round not yet fully streamed — the retry set
+  /// when the connection dies mid-round.
+  std::vector<std::size_t> round_unfinished() const {
+    return {pending_.begin(), pending_.end()};
+  }
+
+ private:
+  void feed_header(const JsonValue& object) {
+    wire::Header header;
+    require(wire::decode_header(object, header),
+            "worker stream: missing wire_header line");
+    require(header.protocol == kSweepWireProtocolVersion,
+            "worker stream: wire protocol version mismatch");
+    require(header.schema_version == kSweepCacheSchemaVersion,
+            "worker stream: schema version mismatch");
+    require(header.fingerprint_algorithm == kFingerprintAlgorithmVersion,
+            "worker stream: fingerprint algorithm mismatch");
+    require(header.shards == shards_, "worker stream: shard count mismatch");
+    header_seen_ = true;
+  }
+
+  bool feed_shard(const JsonValue& object) {
+    require(!in_shard_, "worker stream:", line_no_, ": expected cell ",
+            cur_slot_, " of shard ", cur_shard_);
+    wire::ShardBegin shard;
+    require(wire::decode_shard_begin(object, shard),
+            "worker stream:", line_no_, ": malformed shard line");
+    // A replayed shard arrives after its round closed, so this check
+    // runs before the round check to name what went wrong.
+    require(consumed_.insert(shard.shard).second,
+            "worker stream: shard ", shard.shard, " streamed twice");
+    require(round_active(),
+            "worker stream:", line_no_, ": shard outside a round");
+    require(pending_.count(shard.shard) != 0,
+            "worker stream: shard ", shard.shard, " was not assigned");
+    require(shard.used <= cells_per_shard_ && shard.used % inner_ == 0,
+            "worker stream: shard ", shard.shard, " claims ", shard.used,
+            " cells (capacity ", cells_per_shard_, ")");
+    if (shard.used == 0) return complete_shard(shard.shard, 0);
+    in_shard_ = true;
+    cur_shard_ = shard.shard;
+    cur_coords_ = sweep_shard_coords(spec_, cur_shard_);
+    cur_used_ = shard.used;
+    cur_slot_ = 0;
+    return false;
+  }
+
+  bool feed_cell(const JsonValue& object) {
+    require(in_shard_, "worker stream:", line_no_, ": unexpected cell line");
+    wire::Cell cell;
+    require(wire::decode_cell(object, cell),
+            "worker stream:", line_no_, ": malformed cell payload");
+    require(cell.shard == cur_shard_ && cell.slot == cur_slot_,
+            "worker stream:", line_no_, ": expected cell ", cur_slot_,
+            " of shard ", cur_shard_);
+
+    // Coordinates derivable from the shard and slot indices are derived
+    // HERE, by the slot layout the single-process sweep uses — the wire
+    // cannot place a cell on a platform it was not computed for.
+    SweepCell& dest =
+        summary_.cells[cur_shard_ * cells_per_shard_ + cur_slot_];
+    fill_slot_coords(spec_, budgets_, cur_coords_, cur_slot_, dest);
+    dest.constraint = cell.payload.report.timing_constraint;
+    dest.report = std::move(cell.payload.report);
+    dest.moved_names = std::move(cell.payload.moved_names);
+
+    ++cur_slot_;
+    return cur_slot_ == cur_used_ && complete_shard(cur_shard_, cur_used_);
+  }
+
+  bool complete_shard(std::size_t shard, std::size_t used) {
+    in_shard_ = false;
+    pending_.erase(shard);
+    shard_used_[shard] = used;
+    total_cells_ += used;
+    last_shard_ = shard;
+    last_used_ = used;
+    return true;
+  }
+
+  const SweepSpec& spec_;
+  SweepSummary& summary_;
+  std::vector<std::size_t>& shard_used_;
+  const std::size_t shards_;
+  const std::size_t cells_per_shard_;
+  const std::vector<double> budgets_;
+  const std::size_t inner_;
+
+  bool header_seen_ = false;
+  bool done_ = false;
+  std::size_t line_no_ = 0;
+  std::size_t total_cells_ = 0;
+  std::set<std::size_t> pending_;   ///< this round's shards not yet landed
+  std::set<std::size_t> consumed_;  ///< across all rounds of the connection
+
+  bool in_shard_ = false;
+  std::size_t cur_shard_ = 0;
+  SweepShardCoords cur_coords_;  ///< priced once per shard line
+  std::size_t cur_used_ = 0;
+  std::size_t cur_slot_ = 0;
+  std::size_t last_shard_ = 0;
+  std::size_t last_used_ = 0;
+};
+
+/// The worker half both entry points run: announces the header, then
+/// answers each assign line `next_line` yields until a shutdown.
+/// `next_line(line)` reads one coordinator line, false at end of input.
+template <class NextLine>
+std::size_t serve_assigns(const std::vector<CorpusApp>& corpus,
+                          const SweepSpec& spec, NextLine next_line,
+                          std::ostream& out, const ShardEmitHook& after_shard) {
+  validate_sweep_inputs(corpus, spec);
+  const std::size_t shards = sweep_shard_count(corpus, spec);
+
   wire::Header header;
   header.protocol = kSweepWireProtocolVersion;
   header.schema_version = kSweepCacheSchemaVersion;
   header.fingerprint_algorithm = kFingerprintAlgorithmVersion;
   header.shards = shards;
-  return header;
-}
-
-}  // namespace
-
-std::size_t run_sweep_worker(const std::vector<CorpusApp>& corpus,
-                             const SweepSpec& spec,
-                             const std::vector<std::size_t>& assigned,
-                             std::ostream& os,
-                             const ShardEmitHook& after_shard) {
-  validate_sweep_inputs(corpus, spec);
-  const std::size_t shards = sweep_shard_count(corpus, spec);
-  std::vector<char> claimed(shards, 0);
-  for (const std::size_t shard : assigned) {
-    require(shard < shards, "run_sweep_worker: shard ", shard,
-            " out of range (", shards, " shards)");
-    require(!claimed[shard], "run_sweep_worker: duplicate shard ", shard);
-    claimed[shard] = 1;
-  }
-
-  wire::encode_header(os, local_header(shards));
-  std::size_t emitted_shards = 0;
-  const std::size_t total =
-      emit_assigned_shards(corpus, spec, assigned, os, after_shard,
-                           emitted_shards);
-  wire::encode_worker_done(os, {total});
-  os.flush();
-  require(os.good(), "run_sweep_worker: stream write failed");
-  return total;
-}
-
-std::size_t run_sweep_worker_connected(const std::vector<CorpusApp>& corpus,
-                                       const SweepSpec& spec, std::istream& in,
-                                       std::ostream& out,
-                                       const ShardEmitHook& after_shard) {
-  validate_sweep_inputs(corpus, spec);
-  const std::size_t shards = sweep_shard_count(corpus, spec);
-
-  wire::encode_header(out, local_header(shards));
+  wire::encode_header(out, header);
   out.flush();
   require(out.good(), "run_sweep_worker_connected: stream write failed");
 
@@ -106,7 +247,7 @@ std::size_t run_sweep_worker_connected(const std::vector<CorpusApp>& corpus,
   std::size_t emitted_shards = 0;
   std::vector<char> computed(shards, 0);
   std::string line;
-  while (std::getline(in, line)) {
+  while (next_line(line)) {
     JsonValue object;
     require(wire::parse_line(line, object),
             "connected worker: malformed coordinator line");
@@ -122,12 +263,23 @@ std::size_t run_sweep_worker_connected(const std::vector<CorpusApp>& corpus,
                   "connected worker: shard ", s, " assigned twice");
           computed[s] = 1;
         }
-        const std::size_t round =
-            emit_assigned_shards(corpus, spec, assign.shards, out,
-                                 after_shard, emitted_shards);
-        total += round;
-        out << wire::encode_round_done({round});
-        out.flush();
+        // Streams the batch in assigned order, flushing each shard so a
+        // pipe or socket streams; nothing follows the last one.
+        compute_sweep_shards(
+            corpus, spec, assign.shards,
+            [&](std::size_t job, std::vector<SweepCell>& cells,
+                std::size_t used) {
+              const std::size_t shard = assign.shards[job];
+              wire::encode_shard_begin(out, {shard, used});
+              for (std::size_t i = 0; i < used; ++i) {
+                wire::encode_cell(out, shard, i, cells[i].report,
+                                  cells[i].moved_names);
+              }
+              out.flush();
+              total += used;
+              ++emitted_shards;
+              if (after_shard) after_shard(emitted_shards);
+            });
         require(out.good(),
                 "run_sweep_worker_connected: stream write failed");
         break;
@@ -147,195 +299,33 @@ std::size_t run_sweep_worker_connected(const std::vector<CorpusApp>& corpus,
        "shutdown");
 }
 
-// ---------------------------------------------------------------------------
-// WorkerStreamConsumer
-// ---------------------------------------------------------------------------
+}  // namespace
 
-WorkerStreamConsumer::WorkerStreamConsumer(
-    const std::vector<CorpusApp>& corpus, const SweepSpec& spec,
-    SweepSummary& summary, std::vector<std::size_t>& shard_used, bool dynamic)
-    : spec_(spec), summary_(summary), shard_used_(shard_used),
-      dynamic_(dynamic) {
-  shards_ = sweep_shard_count(corpus, spec);
-  cells_per_shard_ = sweep_cells_per_shard(spec);
-  require(summary.cells.size() == shards_ * cells_per_shard_,
-          "consume_worker_stream: summary slot layout mismatch");
-  require(shard_used.size() == shards_,
-          "consume_worker_stream: shard_used size mismatch");
-  budgets_ = sweep_energy_budgets(spec);
-  inner_ = budgets_.size() * spec.strategies.size() * spec.orderings.size();
+std::size_t run_sweep_worker(const std::vector<CorpusApp>& corpus,
+                             const SweepSpec& spec,
+                             const std::vector<std::size_t>& assigned,
+                             std::ostream& os,
+                             const ShardEmitHook& after_shard) {
+  const std::string control[] = {wire::encode_assign({assigned}),
+                                 wire::encode_shutdown()};
+  std::size_t next = 0;
+  const auto next_line = [&](std::string& line) {
+    if (next == std::size(control)) return false;
+    line = control[next++];
+    line.pop_back();  // the encoders end each line with '\n'
+    return true;
+  };
+  return serve_assigns(corpus, spec, next_line, os, after_shard);
 }
 
-void WorkerStreamConsumer::begin_round(
-    const std::vector<std::size_t>& assigned) {
-  require(!round_active_, "WorkerStreamConsumer: round already active");
-  require(!done_, "WorkerStreamConsumer: connection already closed");
-  expected_.clear();
-  expected_.insert(assigned.begin(), assigned.end());
-  require(expected_.size() == assigned.size(),
-          "WorkerStreamConsumer: duplicate shard in assignment");
-  round_completed_ = 0;
-  round_cells_ = 0;
-  in_shard_ = false;
-  round_active_ = true;
-}
-
-WorkerStreamConsumer::Event WorkerStreamConsumer::feed(
-    const std::string& line) {
-  ++line_no_;
-  require(!done_, "worker stream: data after worker_done");
-  JsonValue object;
-  require(wire::parse_line(line, object),
-          "worker stream:", line_no_, ": not a JSON object");
-  const wire::LineKind kind = wire::line_kind(object);
-  if (!header_seen_) {
-    require(kind == wire::LineKind::kHeader,
-            "worker stream: missing wire_header line");
-    return feed_header(object);
-  }
-  switch (kind) {
-    case wire::LineKind::kHeader:
-      fail("worker stream: repeated wire_header");
-    case wire::LineKind::kShard:
-      return feed_shard(object);
-    case wire::LineKind::kCell:
-      return feed_cell(object);
-    case wire::LineKind::kWorkerDone: {
-      wire::WorkerDone done;
-      require(wire::decode_worker_done(object, done),
-              "worker stream:", line_no_, ": malformed worker_done");
-      require(done.cells == total_cells_,
-              "worker stream: worker_done cell count mismatch");
-      if (dynamic_) {
-        // Only legal between rounds, as the response to shutdown.
-        require(!round_active_, "worker stream: worker_done inside a round");
-        done_ = true;
-        return Event::kNone;
-      }
-      require(round_active_, "worker stream: worker_done outside a round");
-      require(round_completed_ == expected_.size(),
-              "worker stream: streamed ", round_completed_, " of ",
-              expected_.size(), " assigned shards");
-      round_active_ = false;
-      done_ = true;
-      return Event::kRoundComplete;
-    }
-    case wire::LineKind::kRoundDone: {
-      require(dynamic_, "worker stream:", line_no_,
-              ": unexpected kind \"round_done\"");
-      require(round_active_ && !in_shard_,
-              "worker stream:", line_no_, ": round_done out of place");
-      wire::RoundDone done;
-      require(wire::decode_round_done(object, done),
-              "worker stream:", line_no_, ": malformed round_done");
-      require(done.cells == round_cells_,
-              "worker stream: round_done cell count mismatch");
-      require(round_completed_ == expected_.size(),
-              "worker stream: round streamed ", round_completed_, " of ",
-              expected_.size(), " assigned shards");
-      round_active_ = false;
-      return Event::kRoundComplete;
-    }
-    default:
-      fail(cat("worker stream:", line_no_, ": unexpected line"));
-  }
-}
-
-WorkerStreamConsumer::Event WorkerStreamConsumer::feed_header(
-    const JsonValue& object) {
-  wire::Header header;
-  require(wire::decode_header(object, header),
-          "worker stream: missing wire_header line");
-  require(header.protocol == kSweepWireProtocolVersion,
-          "worker stream: wire protocol version mismatch");
-  require(header.schema_version == kSweepCacheSchemaVersion,
-          "worker stream: schema version mismatch");
-  require(header.fingerprint_algorithm == kFingerprintAlgorithmVersion,
-          "worker stream: fingerprint algorithm mismatch");
-  require(header.shards == shards_, "worker stream: shard count mismatch");
-  header_seen_ = true;
-  return Event::kNone;
-}
-
-WorkerStreamConsumer::Event WorkerStreamConsumer::feed_shard(
-    const JsonValue& object) {
-  require(round_active_,
-          "worker stream:", line_no_, ": shard outside a round");
-  require(!in_shard_, "worker stream:", line_no_, ": expected cell ",
-          cur_slot_, " of shard ", cur_shard_);
-  wire::ShardBegin shard;
-  require(wire::decode_shard_begin(object, shard),
-          "worker stream:", line_no_, ": malformed shard line");
-  require(expected_.count(shard.shard) != 0,
-          "worker stream: shard ", shard.shard, " was not assigned");
-  require(consumed_.insert(shard.shard).second,
-          "worker stream: shard ", shard.shard, " streamed twice");
-  require(shard.used <= cells_per_shard_ && shard.used % inner_ == 0,
-          "worker stream: shard ", shard.shard, " claims ", shard.used,
-          " cells (capacity ", cells_per_shard_, ")");
-  if (shard.used == 0) return complete_shard(shard.shard, 0);
-  in_shard_ = true;
-  cur_shard_ = shard.shard;
-  cur_coords_ = sweep_shard_coords(spec_, cur_shard_);
-  cur_used_ = shard.used;
-  cur_slot_ = 0;
-  return Event::kNone;
-}
-
-WorkerStreamConsumer::Event WorkerStreamConsumer::feed_cell(
-    const JsonValue& object) {
-  require(round_active_ && in_shard_,
-          "worker stream:", line_no_, ": unexpected cell line");
-  wire::Cell cell;
-  require(wire::decode_cell(object, cell),
-          "worker stream:", line_no_, ": malformed cell payload");
-  require(cell.shard == cur_shard_ && cell.slot == cur_slot_,
-          "worker stream:", line_no_, ": expected cell ", cur_slot_,
-          " of shard ", cur_shard_);
-
-  // Coordinates derivable from the shard and slot indices are derived
-  // HERE, by the slot layout the single-process sweep uses — the wire
-  // cannot place a cell on a platform it was not computed for.
-  SweepCell& dest = summary_.cells[cur_shard_ * cells_per_shard_ + cur_slot_];
-  fill_slot_coords(spec_, budgets_, cur_coords_, cur_slot_, dest);
-  dest.constraint = cell.payload.report.timing_constraint;
-  dest.report = std::move(cell.payload.report);
-  dest.moved_names = std::move(cell.payload.moved_names);
-
-  ++cur_slot_;
-  if (cur_slot_ == cur_used_) return complete_shard(cur_shard_, cur_used_);
-  return Event::kNone;
-}
-
-WorkerStreamConsumer::Event WorkerStreamConsumer::complete_shard(
-    std::size_t shard, std::size_t used) {
-  in_shard_ = false;
-  shard_used_[shard] = used;
-  total_cells_ += used;
-  round_cells_ += used;
-  ++round_completed_;
-  last_shard_ = shard;
-  last_used_ = used;
-  return Event::kShardComplete;
-}
-
-void WorkerStreamConsumer::finish_stream() const {
-  require(header_seen_, "worker stream: empty (no wire_header)");
-  if (in_shard_) {
-    fail(cat("worker stream: truncated inside shard ", cur_shard_, " (",
-             cur_slot_, " of ", cur_used_, " cells)"));
-  }
-  require(done_, "worker stream: truncated (no worker_done)");
-}
-
-std::vector<std::size_t> WorkerStreamConsumer::round_unfinished() const {
-  std::vector<std::size_t> out;
-  for (const std::size_t s : expected_) {
-    if (consumed_.count(s) == 0 || (in_shard_ && s == cur_shard_)) {
-      out.push_back(s);
-    }
-  }
-  return out;
+std::size_t run_sweep_worker_connected(const std::vector<CorpusApp>& corpus,
+                                       const SweepSpec& spec, std::istream& in,
+                                       std::ostream& out,
+                                       const ShardEmitHook& after_shard) {
+  const auto next_line = [&](std::string& line) {
+    return static_cast<bool>(std::getline(in, line));
+  };
+  return serve_assigns(corpus, spec, next_line, out, after_shard);
 }
 
 void consume_worker_stream(std::istream& in,
@@ -344,8 +334,8 @@ void consume_worker_stream(std::istream& in,
                            const std::vector<std::size_t>& assigned,
                            SweepSummary& summary,
                            std::vector<std::size_t>& shard_used) {
-  WorkerStreamConsumer consumer(corpus, spec, summary, shard_used,
-                                /*dynamic=*/false);
+  StreamConsumer consumer(sweep_shard_count(corpus, spec), spec, summary,
+                          shard_used);
   consumer.begin_round(assigned);
   std::string line;
   while (std::getline(in, line)) consumer.feed(line);
@@ -360,7 +350,6 @@ SweepSummary serve_design_space(const std::vector<CorpusApp>& corpus,
                                 const SweepSpec& spec,
                                 const ServeOptions& options) {
   using Clock = std::chrono::steady_clock;
-  using Event = WorkerStreamConsumer::Event;
 
   validate_sweep_inputs(corpus, spec);
   require(options.transport != nullptr,
@@ -381,19 +370,18 @@ SweepSummary serve_design_space(const std::vector<CorpusApp>& corpus,
   // health bookkeeping.
   struct Conn {
     std::unique_ptr<WorkerChannel> channel;
-    WorkerStreamConsumer consumer;
+    StreamConsumer consumer;
     Clock::time_point last_activity;
-    bool busy = false;
     /// A fresh worker's first assign line, held back until its
     /// wire_header arrives: a worker still building its corpus is not
     /// reading yet, and a large batch would overrun the socket buffer.
     std::string first_assign;
 
-    Conn(std::unique_ptr<WorkerChannel> ch,
-         const std::vector<CorpusApp>& corpus, const SweepSpec& spec,
-         SweepSummary& summary, std::vector<std::size_t>& shard_used)
+    Conn(std::unique_ptr<WorkerChannel> ch, std::size_t shards,
+         const SweepSpec& spec, SweepSummary& summary,
+         std::vector<std::size_t>& shard_used)
         : channel(std::move(ch)),
-          consumer(corpus, spec, summary, shard_used, /*dynamic=*/true),
+          consumer(shards, spec, summary, shard_used),
           last_activity(Clock::now()) {}
   };
   std::vector<std::unique_ptr<Conn>> conns;
@@ -447,11 +435,7 @@ SweepSummary serve_design_space(const std::vector<CorpusApp>& corpus,
     const auto end = queue.begin() + static_cast<std::ptrdiff_t>(
                                          (queue.size() + width - 1) / width);
     const std::vector<std::size_t> batch(queue.begin(), end);
-    std::size_t retry = 0;
-    for (const std::size_t s : batch) {
-      retry = std::max(retry, static_cast<std::size_t>(attempts[s]));
-    }
-    const std::string line = wire::encode_assign({batch, retry});
+    const std::string line = wire::encode_assign({batch});
     if (!conn.consumer.header_seen()) {
       conn.first_assign = line;
     } else if (!conn.channel->write_line(line)) {
@@ -459,7 +443,6 @@ SweepSummary serve_design_space(const std::vector<CorpusApp>& corpus,
     }
     queue.erase(queue.begin(), end);
     conn.consumer.begin_round(batch);
-    conn.busy = true;
     conn.last_activity = Clock::now();
     for (const std::size_t s : batch) ++attempts[s];
     return true;
@@ -475,7 +458,7 @@ SweepSummary serve_design_space(const std::vector<CorpusApp>& corpus,
       std::unique_ptr<WorkerChannel> channel =
           options.transport->open_worker(kSpawnTimeoutMs);
       if (!channel) continue;
-      conns.push_back(std::make_unique<Conn>(std::move(channel), corpus, spec,
+      conns.push_back(std::make_unique<Conn>(std::move(channel), shards, spec,
                                              summary, shard_used));
       assign(*conns.back());
       ++started;
@@ -501,9 +484,7 @@ SweepSummary serve_design_space(const std::vector<CorpusApp>& corpus,
     const ChannelStatus status = conn.channel->read_lines(lines);
     if (!lines.empty()) conn.last_activity = Clock::now();
     for (const std::string& line : lines) {
-      const Event event = conn.consumer.feed(line);
-      if (event == Event::kShardComplete) note_complete(conn);
-      if (event == Event::kRoundComplete) conn.busy = false;
+      if (conn.consumer.feed(line)) note_complete(conn);
     }
     if (!conn.first_assign.empty() && conn.consumer.header_seen()) {
       if (!conn.channel->write_line(conn.first_assign)) return false;
@@ -517,7 +498,8 @@ SweepSummary serve_design_space(const std::vector<CorpusApp>& corpus,
     // Every idle live worker takes the next batch. One whose assign
     // cannot be written is dropped; nothing was handed to it.
     for (auto it = conns.begin(); it != conns.end();) {
-      if (!(*it)->busy && !queue.empty() && !assign(**it)) {
+      if (!(*it)->consumer.round_active() && !queue.empty() &&
+          !assign(**it)) {
         it = conns.erase(it);
       } else {
         ++it;
@@ -544,10 +526,12 @@ SweepSummary serve_design_space(const std::vector<CorpusApp>& corpus,
       if (readable && !drain_conn(conn)) {
         // Gone mid-round: its unfinished shards are queued again. Gone
         // between rounds: nothing is lost. Either way ~Conn reaps it.
-        if (conn.busy) fail_conn(conn, "disconnected mid-round");
+        if (conn.consumer.round_active()) {
+          fail_conn(conn, "disconnected mid-round");
+        }
         continue;
       }
-      if (conn.busy && options.idle_timeout_ms > 0 &&
+      if (conn.consumer.round_active() && options.idle_timeout_ms > 0 &&
           Clock::now() - conn.last_activity >
               std::chrono::milliseconds(options.idle_timeout_ms)) {
         fail_conn(conn, "idle timeout");
@@ -558,35 +542,32 @@ SweepSummary serve_design_space(const std::vector<CorpusApp>& corpus,
     conns.swap(kept);
   }
 
-  // Every shard landed. Wind every worker down with the shutdown
-  // handshake: finish its last round (the round_done may still be
-  // unread), send shutdown, read worker_done, then finish() — which for
-  // a forked worker waits for its exit, so its --cache save is on disk
-  // before serve returns. All shutdowns go out before the first wait,
-  // so the workers' saves overlap. A worker that misses a step or exits
-  // nonzero fails the run.
+  // Every shard landed, so every live worker's round has ended. Wind
+  // every worker down with the shutdown handshake: send shutdown, read
+  // worker_done, then finish() — which for a forked worker waits for
+  // its exit, so its --cache save is on disk before serve returns. All
+  // shutdowns go out before the first wait, so the workers' saves
+  // overlap. A worker that misses a step or exits nonzero fails the
+  // run.
   const Clock::time_point goodbye_deadline =
       Clock::now() + std::chrono::seconds(10);
-  auto drain_until = [&](Conn& conn, const auto& done) {
-    while (!done() && Clock::now() < goodbye_deadline) {
-      pollfd pfd{conn.channel->poll_fd(), POLLIN, 0};
-      const int ready = ::poll(&pfd, 1, 100);
-      if (ready < 0 && errno == EINTR) continue;
-      require(ready >= 0, "serve_design_space: poll failed");
-      if (ready > 0 && !drain_conn(conn)) break;
-    }
-  };
   auto handshake_error = [](const Conn& conn) {
     return cat("serve_design_space: ", conn.channel->describe(),
                " did not complete the shutdown handshake");
   };
   for (const std::unique_ptr<Conn>& conn : conns) {
-    drain_until(*conn, [&] { return !conn->busy; });
-    require(!conn->busy && conn->channel->write_line(wire::encode_shutdown()),
+    require(conn->channel->write_line(wire::encode_shutdown()),
             handshake_error(*conn));
   }
   for (const std::unique_ptr<Conn>& conn : conns) {
-    drain_until(*conn, [&] { return conn->consumer.connection_done(); });
+    while (!conn->consumer.connection_done() &&
+           Clock::now() < goodbye_deadline) {
+      pollfd pfd{conn->channel->poll_fd(), POLLIN, 0};
+      const int ready = ::poll(&pfd, 1, 100);
+      if (ready < 0 && errno == EINTR) continue;
+      require(ready >= 0, "serve_design_space: poll failed");
+      if (ready > 0 && !drain_conn(*conn)) break;
+    }
     require(conn->consumer.connection_done(), handshake_error(*conn));
     require(conn->channel->finish(),
             "serve_design_space: ", conn->channel->describe(),

@@ -3,12 +3,10 @@
 #include <cstddef>
 #include <functional>
 #include <iosfwd>
-#include <set>
 #include <string>
 #include <vector>
 
 #include "core/explorer.h"
-#include "core/json_lines.h"
 #include "core/schema.h"
 #include "core/transport.h"
 
@@ -16,7 +14,7 @@ namespace amdrel::core {
 
 // ---------------------------------------------------------------------------
 // Distributed sweep service: the coordinator/worker split of
-// sweep_design_space (ROADMAP direction 1, "serve a corpus on a fleet").
+// sweep_design_space, serving a corpus on a fleet of workers.
 //
 // Topology: `amdrelc serve` keeps the deterministic (app, platform)
 // shard indices in one queue and hands them out to N workers reached
@@ -29,12 +27,13 @@ namespace amdrel::core {
 // Both transports speak one protocol: the coordinator sends "assign"
 // batches, and every worker runs them through compute_sweep_shards, the
 // loop a single-process sweep runs, and streams the resulting cell
-// groups back as newline-delimited JSON (core/wire.h). The coordinator
-// writes each streamed cell into the slot the single-process layout
-// assigns it and derives the Pareto fronts itself
-// (finalize_sweep_summary), so the merged summary is byte-identical to
-// a single-process sweep at ANY worker count — and under ANY injected
-// worker failure — by construction rather than by comparison.
+// groups back as newline-delimited JSON (core/wire.h); a round ends
+// when its last assigned shard lands. The coordinator writes each
+// streamed cell into the slot the single-process layout assigns it and
+// derives the Pareto fronts itself (finalize_sweep_summary), so the
+// merged summary is byte-identical to a single-process sweep at ANY
+// worker count — and under ANY injected worker failure — by
+// construction rather than by comparison.
 //
 // Fault tolerance: the coordinator tracks per-worker health (disconnect
 // detection plus an idle timeout) and puts a dead worker's *unfinished*
@@ -67,14 +66,15 @@ namespace amdrel::core {
 /// fault-injection flag (--fail-after-shards) rides here.
 using ShardEmitHook = std::function<void(std::size_t)>;
 
-/// One-shot worker half: computes `assigned` shards of the (corpus,
-/// spec) sweep and streams them to `os` in the one-directional wire
-/// format, in assigned order. No serve transport uses it; it is the
-/// in-process reference that consume_worker_stream reads back. Honors
-/// spec.threads and spec.cache exactly like sweep_design_space: cached
-/// cells are not recomputed, and fresh cells are stored in the cache.
-/// Returns the number of cells emitted. Throws Error on invalid inputs
-/// (out-of-range or duplicate shard indices) or an unwritable stream.
+/// The in-process reference worker: run_sweep_worker_connected fed one
+/// assign over `assigned` and a shutdown, so `os` gets the wire_header,
+/// the assigned shards' shard/cell lines in assigned order, then
+/// worker_done. No serve transport uses it; consume_worker_stream reads
+/// it back. Honors spec.threads and spec.cache exactly like
+/// sweep_design_space: cached cells are not recomputed, and fresh cells
+/// are stored in the cache. Returns the number of cells emitted. Throws
+/// Error on invalid inputs (out-of-range or duplicate shard indices) or
+/// an unwritable stream.
 std::size_t run_sweep_worker(const std::vector<CorpusApp>& corpus,
                              const SweepSpec& spec,
                              const std::vector<std::size_t>& assigned,
@@ -82,103 +82,24 @@ std::size_t run_sweep_worker(const std::vector<CorpusApp>& corpus,
                              const ShardEmitHook& after_shard = {});
 
 /// Serve worker half: announces the header on `out`, then serves
-/// "assign" batches read from `in` — each computed exactly like
-/// run_sweep_worker and answered with shard/cell lines plus a
-/// round_done — until a "shutdown" line, acknowledged with a final
-/// worker_done. `amdrelc worker` runs it on stdin/stdout when forked by
-/// serve and on a socket with --connect. Returns total cells across all
-/// rounds. Throws Error if the coordinator breaks protocol or
-/// disconnects before shutdown.
+/// "assign" batches read from `in`, each computed through
+/// compute_sweep_shards and answered with its shard/cell lines and
+/// nothing after the last shard, until a "shutdown" line, acknowledged
+/// with a final worker_done. `amdrelc worker` runs it on stdin/stdout
+/// when forked by serve and on a socket with --connect. Returns total
+/// cells across all rounds. Throws Error if the coordinator breaks
+/// protocol or disconnects before shutdown.
 std::size_t run_sweep_worker_connected(const std::vector<CorpusApp>& corpus,
                                        const SweepSpec& spec, std::istream& in,
                                        std::ostream& out,
                                        const ShardEmitHook& after_shard = {});
 
-/// Incremental validator/merger of one worker connection's stream, fed
-/// one wire line at a time — the heart of both the fault-tolerant event
-/// loop (which interleaves many live connections) and the one-shot
-/// consume_worker_stream below. Cell coordinates that are derivable from
-/// the shard/slot index alone (app, platform axes, platform cost,
-/// strategy, ordering, energy budget) are re-derived locally — the wire
-/// carries only the computed payload — so a byte on the wire can never
-/// move a cell to the wrong coordinate. Every protocol violation throws
-/// Error.
-class WorkerStreamConsumer {
- public:
-  /// `dynamic` selects the round protocol serve speaks (round_done
-  /// terminates an assign batch; worker_done only closes the
-  /// connection) over the one-shot stream of consume_worker_stream
-  /// (worker_done terminates the one round).
-  WorkerStreamConsumer(const std::vector<CorpusApp>& corpus,
-                       const SweepSpec& spec, SweepSummary& summary,
-                       std::vector<std::size_t>& shard_used, bool dynamic);
-
-  /// Starts a round over `assigned` shards. The first round also expects
-  /// the wire_header before any data line.
-  void begin_round(const std::vector<std::size_t>& assigned);
-
-  enum class Event {
-    kNone,           ///< line consumed, nothing completed
-    kShardComplete,  ///< last_shard()/last_used() just filled its slots
-    kRoundComplete,  ///< every shard of the round landed + terminator seen
-  };
-
-  /// Feeds one line (no trailing newline). Throws Error on protocol
-  /// violations.
-  Event feed(const std::string& line);
-
-  /// EOF check for a one-shot stream: throws the classic truncation /
-  /// missing-shards errors if the stream ended mid-round.
-  void finish_stream() const;
-
-  std::size_t last_shard() const { return last_shard_; }
-  std::size_t last_used() const { return last_used_; }
-  bool header_seen() const { return header_seen_; }
-  bool connection_done() const { return done_; }
-  /// Shards of the current round not yet fully streamed — the retry set
-  /// when the connection dies mid-round.
-  std::vector<std::size_t> round_unfinished() const;
-
- private:
-  Event feed_header(const jsonl::JsonValue& object);
-  Event feed_shard(const jsonl::JsonValue& object);
-  Event feed_cell(const jsonl::JsonValue& object);
-  Event complete_shard(std::size_t shard, std::size_t used);
-
-  const SweepSpec& spec_;
-  SweepSummary& summary_;
-  std::vector<std::size_t>& shard_used_;
-  bool dynamic_ = false;
-
-  std::size_t shards_ = 0;
-  std::size_t cells_per_shard_ = 0;
-  std::vector<double> budgets_;
-  std::size_t inner_ = 0;
-
-  bool header_seen_ = false;
-  bool done_ = false;
-  bool round_active_ = false;
-  std::size_t line_no_ = 0;
-  std::size_t total_cells_ = 0;
-  std::size_t round_cells_ = 0;
-  std::set<std::size_t> expected_;
-  std::set<std::size_t> consumed_;  ///< across all rounds of the connection
-  std::size_t round_completed_ = 0;
-
-  bool in_shard_ = false;
-  std::size_t cur_shard_ = 0;
-  SweepShardCoords cur_coords_;  ///< priced once per shard line
-  std::size_t cur_used_ = 0;
-  std::size_t cur_slot_ = 0;
-  std::size_t last_shard_ = 0;
-  std::size_t last_used_ = 0;
-};
-
-/// Coordinator half of one run_sweep_worker stream, one-shot: validates and
-/// parses the whole stream and writes its cells into `summary.cells`
-/// (which must hold the full shards x cells_per_shard slot layout) and
-/// its per-shard fill counts into `shard_used`. Implemented on
-/// WorkerStreamConsumer; throws Error on any protocol violation.
+/// Coordinator half of one run_sweep_worker stream: validates and
+/// parses the whole stream as one round over `assigned` and writes its
+/// cells into `summary.cells` (which must hold the full shards x
+/// cells_per_shard slot layout) and its per-shard fill counts into
+/// `shard_used`. It validates exactly as serve_design_space validates
+/// each connection. Throws Error on any protocol violation.
 void consume_worker_stream(std::istream& in,
                            const std::vector<CorpusApp>& corpus,
                            const SweepSpec& spec,

@@ -10,11 +10,12 @@ namespace amdrel::core {
 
 // ---------------------------------------------------------------------------
 // Pluggable worker transports for the distributed sweep service
-// (core/sweep_service.h). Both transports carry the same wire round
-// protocol (core/wire.h): the coordinator writes assign/shutdown lines,
-// the worker answers with its header, per-round shard/cell lines plus a
-// round_done, and a final worker_done. The coordinator's fault-tolerant
-// event loop is written against two small interfaces:
+// (core/sweep_service.h). Both transports carry the one wire grammar
+// (core/wire.h): the coordinator writes assign/shutdown lines, and the
+// worker answers with its header, each assign batch's shard/cell lines
+// (the round ends at its last shard) and a final worker_done after
+// shutdown. The coordinator's fault-tolerant event loop is written
+// against two small interfaces:
 //
 //   WorkerChannel — one connected worker: a pollable fd, a non-blocking
 //   line reader and a line writer. The channel owns the worker's

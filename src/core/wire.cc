@@ -12,7 +12,6 @@ using jsonl::get_int;
 using jsonl::get_string;
 using jsonl::to_int;
 using text::append;
-using text::render;
 
 namespace {
 
@@ -45,7 +44,6 @@ LineKind line_kind(const JsonValue& object) {
   if (kind == "cell") return LineKind::kCell;
   if (kind == "worker_done") return LineKind::kWorkerDone;
   if (kind == "assign") return LineKind::kAssign;
-  if (kind == "round_done") return LineKind::kRoundDone;
   if (kind == "shutdown") return LineKind::kShutdown;
   return LineKind::kUnknown;
 }
@@ -101,8 +99,7 @@ bool decode_worker_done(const JsonValue& object, WorkerDone& done) {
 }
 
 std::string encode_assign(const Assign& assign) {
-  std::string line = render("{\"kind\":\"assign\",\"retry\":", assign.retry,
-                            ",\"shards\":[");
+  std::string line = "{\"kind\":\"assign\",\"shards\":[";
   for (std::size_t i = 0; i < assign.shards.size(); ++i) {
     append(line, i ? "," : "", assign.shards[i]);
   }
@@ -111,10 +108,7 @@ std::string encode_assign(const Assign& assign) {
 }
 
 bool decode_assign(const JsonValue& object, Assign& assign) {
-  if (line_kind(object) != LineKind::kAssign ||
-      !get_int(object, "retry", assign.retry)) {
-    return false;
-  }
+  if (line_kind(object) != LineKind::kAssign) return false;
   const JsonValue* shards = object.find("shards");
   if (!shards || shards->kind != JsonValue::Kind::kArray) return false;
   assign.shards.resize(shards->items.size());
@@ -122,15 +116,6 @@ bool decode_assign(const JsonValue& object, Assign& assign) {
     if (!to_int(shards->items[i], assign.shards[i])) return false;
   }
   return true;
-}
-
-std::string encode_round_done(const RoundDone& done) {
-  return render("{\"kind\":\"round_done\",\"cells\":", done.cells, "}\n");
-}
-
-bool decode_round_done(const JsonValue& object, RoundDone& done) {
-  return line_kind(object) == LineKind::kRoundDone &&
-         get_int(object, "cells", done.cells);
 }
 
 std::string encode_shutdown() { return "{\"kind\":\"shutdown\"}\n"; }

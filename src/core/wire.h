@@ -17,26 +17,25 @@ namespace amdrel::core::wire {
 // so transports, the coordinator, workers and tests all share ONE
 // encode/decode per line kind instead of re-parsing ad hoc.
 //
-// One-shot stream — the reference pair run_sweep_worker /
-// consume_worker_stream (core/sweep_service.h) writes and reads it in
-// process; no serve transport carries it:
-//   {"kind":"wire_header","protocol":P,"schema_version":S,
-//    "fingerprint_algorithm":F,"shards":N}      // exactly once, first
-//   {"kind":"shard","shard":S,"used":U}         // one per shard,
-//   {"kind":"cell","shard":S,"slot":I,...}      //   then its U cells,
-//                                               //   slots 0..U-1 in order
-//   {"kind":"worker_done","cells":M}            // exactly once, then EOF
-//
-// Round protocol — what every serve worker speaks, forked (over a
-// socketpair on its stdin/stdout) or dialed in with `worker --connect`:
+// One grammar. A serve worker, forked (over a socketpair on its
+// stdin/stdout) or dialed in with `worker --connect`, reads control
+// lines and answers with data lines:
 //   coordinator -> worker:
-//     {"kind":"assign","retry":R,"shards":[...]}  // compute these next;
-//                                                 //   R = prior attempts
-//     {"kind":"shutdown"}                         // no further work
+//     {"kind":"assign","shards":[...]}          // compute these next
+//     {"kind":"shutdown"}                       // no further work
 //   worker -> coordinator:
-//     wire_header once, then per assign batch the shard/cell lines
-//     above followed by {"kind":"round_done","cells":M}, and a final
-//     worker_done (cells = total across rounds) after shutdown.
+//     {"kind":"wire_header","protocol":P,"schema_version":S,
+//      "fingerprint_algorithm":F,"shards":N}    // exactly once, first
+//     per assign batch, one group per shard:
+//     {"kind":"shard","shard":S,"used":U}       //   the shard line,
+//     {"kind":"cell","shard":S,"slot":I,...}    //   then its U cells,
+//                                               //   slots 0..U-1 in order
+//     {"kind":"worker_done","cells":M}          // after shutdown; M =
+//                                               //   cells over all rounds
+// A round ends when the last shard of its batch lands; nothing marks
+// it on the wire. The one-shot stream of run_sweep_worker /
+// consume_worker_stream (core/sweep_service.h) is this session with
+// one implicit round and no shutdown line.
 //
 // Encoders for the potentially large data lines (header, shard, cell,
 // worker_done) write a complete line INCLUDING the trailing newline to
@@ -53,7 +52,6 @@ enum class LineKind {
   kCell,
   kWorkerDone,
   kAssign,
-  kRoundDone,
   kShutdown,
 };
 
@@ -81,13 +79,6 @@ struct WorkerDone {
 
 struct Assign {
   std::vector<std::size_t> shards;
-  /// How many times any shard in the batch had been assigned before
-  /// (0 on first assignment; > 0 marks a retry round).
-  std::size_t retry = 0;
-};
-
-struct RoundDone {
-  std::size_t cells = 0;
 };
 
 /// Parses one wire line into a JSON object. False on anything that is
@@ -115,9 +106,6 @@ bool decode_worker_done(const jsonl::JsonValue& object, WorkerDone& done);
 
 std::string encode_assign(const Assign& assign);
 bool decode_assign(const jsonl::JsonValue& object, Assign& assign);
-
-std::string encode_round_done(const RoundDone& done);
-bool decode_round_done(const jsonl::JsonValue& object, RoundDone& done);
 
 std::string encode_shutdown();
 

@@ -1,8 +1,8 @@
 // A scripted stand-in for a forked `amdrelc worker`: a /bin/sh loop that
-// speaks the wire round protocol on stdin/stdout (core/wire.h). It
-// prints the header, answers each assign by cat-ing shard bodies that
-// the real worker (run_sweep_worker_connected) rendered in-process plus
-// a round_done, and answers shutdown with worker_done. Shell hooks let a
+// speaks the wire protocol on stdin/stdout (core/wire.h). It prints the
+// header, answers each assign by cat-ing the shard bodies that the real
+// worker (run_sweep_worker_connected) rendered in-process, and answers
+// shutdown with worker_done. Shell hooks let a
 // test inject a fault at a chosen shard or step. Every spawn, every
 // assign's shard list, every assigned shard and every served (shard,
 // pid) pair is logged, so tests can assert retries and batch shapes.
@@ -33,7 +33,7 @@ struct FakeWorkerHooks {
   /// Runs before shard $s of an assign is answered. The shell function
   /// `first_try` succeeds only on $s's first assignment.
   std::string before_shard;
-  /// Runs after each round_done line.
+  /// Runs after a round's last shard.
   std::string after_round;
   /// Answers shutdown; the shell function `done_line` prints the
   /// worker_done trailer.
@@ -52,16 +52,16 @@ class FakeWorker {
     std::filesystem::create_directories(dir_);
     const std::size_t shards = sweep_shard_count(corpus, spec);
     for (std::size_t s = 0; s < shards; ++s) {
-      std::istringstream in(wire::encode_assign({{s}, 0}) +
+      std::istringstream in(wire::encode_assign({{s}}) +
                             wire::encode_shutdown());
       std::ostringstream out;
       run_sweep_worker_connected(corpus, spec, in, out);
       const std::string stream = out.str();
       const std::size_t body = stream.find('\n') + 1;
-      const std::size_t round_done = stream.find("{\"kind\":\"round_done\"");
+      const std::size_t done = stream.find("{\"kind\":\"worker_done\"");
       std::ofstream(path("header"), std::ios::binary)
           << stream.substr(0, body);
-      const std::string lines = stream.substr(body, round_done - body);
+      const std::string lines = stream.substr(body, done - body);
       std::ofstream(path("body_" + std::to_string(s)), std::ios::binary)
           << lines;
       // Cells = body lines minus the one shard line.
@@ -92,16 +92,13 @@ class FakeWorker {
         "    *'\"kind\":\"assign\"'*)\n"
         "      list=${line#*\\[}; list=${list%\\]*}\n"
         "      echo \"$list\" >> \"$d/rounds\"\n"
-        "      cells=0\n"
         "      for s in $(echo \"$list\" | tr , ' '); do\n"
         "        echo \"$s\" >> \"$d/assigned\"\n"
         "        " + hook(hooks.before_shard) + "\n"
         "        cat \"$d/body_$s\"\n"
         "        echo \"$s $$\" >> \"$d/served\"\n"
-        "        cells=$((cells + $(cat \"$d/count_$s\")))\n"
+        "        total=$((total + $(cat \"$d/count_$s\")))\n"
         "      done\n"
-        "      total=$((total + cells))\n"
-        "      printf '{\"kind\":\"round_done\",\"cells\":%d}\\n' \"$cells\"\n"
         "      " + hook(hooks.after_round) + "\n"
         "      ;;\n"
         "    *'\"kind\":\"shutdown\"'*)\n"

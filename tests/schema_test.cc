@@ -27,8 +27,8 @@ TEST(SchemaVersionTest, SweepCacheSchemaVersionIsPinned) {
 }
 
 TEST(SchemaVersionTest, SweepWireProtocolVersionIsPinned) {
-  // v4: shard_ack removed; every serve worker runs assign rounds.
-  EXPECT_EQ(core::kSweepWireProtocolVersion, 4);
+  // v5: one grammar; a round ends at its last assigned shard.
+  EXPECT_EQ(core::kSweepWireProtocolVersion, 5);
 }
 
 }  // namespace

@@ -20,6 +20,7 @@
 #include "core/sweep_cache.h"
 #include "core/sweep_io.h"
 #include "core/transport.h"
+#include "core/wire.h"
 #include "fake_worker.h"
 #include "support/error.h"
 #include "workloads/paper_models.h"
@@ -91,6 +92,42 @@ TEST(SweepServiceTest, WarmCacheRoundTripStaysByteIdentical) {
   EXPECT_GT(cache.stats().cell_hits, before.cell_hits);
 }
 
+// No shards assigned is one empty round: the stream is the header and
+// a worker_done over zero cells, and the consumer accepts it.
+TEST(SweepServiceTest, EmptyAssignmentRoundTrips) {
+  const auto corpus = workloads::paper_corpus();
+  const SweepSpec spec = small_spec(1, nullptr);
+  const std::size_t shards = sweep_shard_count(corpus, spec);
+  std::stringstream wire;
+  EXPECT_EQ(run_sweep_worker(corpus, spec, {}, wire), 0u);
+  const std::string bytes = wire.str();
+  EXPECT_EQ(std::count(bytes.begin(), bytes.end(), '\n'), 2);
+  EXPECT_NE(bytes.find("{\"kind\":\"worker_done\",\"cells\":0}\n"),
+            std::string::npos);
+
+  SweepSummary summary;
+  summary.cells.resize(shards * sweep_cells_per_shard(spec));
+  std::vector<std::size_t> shard_used(shards, 0);
+  EXPECT_NO_THROW(
+      consume_worker_stream(wire, corpus, spec, {}, summary, shard_used));
+  EXPECT_EQ(shard_used, std::vector<std::size_t>(shards, 0));
+}
+
+// The one-shot stream is a one-round serve session: the same bytes the
+// connected worker writes for that assign and a shutdown.
+TEST(SweepServiceTest, OneShotStreamIsAOneRoundSession) {
+  const auto corpus = workloads::paper_corpus();
+  const SweepSpec spec = small_spec(1, nullptr);
+  const std::vector<std::size_t> assigned = {3, 0, 2};
+  std::ostringstream one_shot;
+  run_sweep_worker(corpus, spec, assigned, one_shot);
+  std::istringstream control(wire::encode_assign({assigned}) +
+                             wire::encode_shutdown());
+  std::ostringstream connected;
+  run_sweep_worker_connected(corpus, spec, control, connected);
+  EXPECT_EQ(one_shot.str(), connected.str());
+}
+
 TEST(SweepServiceTest, WorkerRejectsBadShardAssignments) {
   const auto corpus = workloads::paper_corpus();
   const SweepSpec spec = small_spec(1, nullptr);
@@ -113,17 +150,24 @@ class StreamRejectionTest : public testing::Test {
     wire_ = os.str();
   }
 
-  void expect_rejected(const std::string& wire, const char* tag) {
+  /// Expects `wire` to be rejected, with an Error naming `what` when
+  /// one is given.
+  void expect_rejected(const std::string& wire, const char* tag,
+                       const std::string& what = "") {
     const std::size_t shards = sweep_shard_count(corpus_, spec_);
     SweepSummary summary;
     for (const CorpusApp& app : corpus_) summary.apps.push_back(app.name);
     summary.cells.resize(shards * sweep_cells_per_shard(spec_));
     std::vector<std::size_t> shard_used(shards, 0);
     std::istringstream in(wire);
-    EXPECT_THROW(consume_worker_stream(in, corpus_, spec_, assigned_, summary,
-                                       shard_used),
-                 Error)
-        << tag;
+    try {
+      consume_worker_stream(in, corpus_, spec_, assigned_, summary,
+                            shard_used);
+      ADD_FAILURE() << tag << ": stream accepted";
+    } catch (const Error& e) {
+      EXPECT_NE(std::string(e.what()).find(what), std::string::npos)
+          << tag << ": " << e.what();
+    }
   }
 
   std::vector<CorpusApp> corpus_;
@@ -195,6 +239,19 @@ TEST_F(StreamRejectionTest, RejectsTruncatedStream) {
   const auto done = wire_.rfind("{\"kind\":\"worker_done\"");
   ASSERT_NE(done, std::string::npos);
   expect_rejected(wire_.substr(0, done), "missing_done");
+}
+
+TEST_F(StreamRejectionTest, RejectsWorkerDoneInsideARound) {
+  // The trailer moved in front of the last shard's lines: the round is
+  // still open when it arrives.
+  const auto last = wire_.find("{\"kind\":\"shard\",\"shard\":1,");
+  const auto done = wire_.rfind("{\"kind\":\"worker_done\"");
+  ASSERT_NE(last, std::string::npos);
+  ASSERT_NE(done, std::string::npos);
+  ASSERT_LT(last, done);
+  const std::string wire = wire_.substr(0, last) + wire_.substr(done) +
+                           wire_.substr(last, done - last);
+  expect_rejected(wire, "done_inside_round", "worker_done inside a round");
 }
 
 TEST_F(StreamRejectionTest, RejectsUnassignedShard) {

@@ -205,18 +205,12 @@ inline void encode_worker_done(std::ostream& os,
 
 inline std::string encode_assign(const core::wire::Assign& assign) {
   std::ostringstream os;
-  os << "{\"kind\":\"assign\",\"retry\":" << assign.retry << ",\"shards\":[";
+  os << "{\"kind\":\"assign\",\"shards\":[";
   for (std::size_t i = 0; i < assign.shards.size(); ++i) {
     if (i) os << ',';
     os << assign.shards[i];
   }
   os << "]}\n";
-  return os.str();
-}
-
-inline std::string encode_round_done(const core::wire::RoundDone& done) {
-  std::ostringstream os;
-  os << "{\"kind\":\"round_done\",\"cells\":" << done.cells << "}\n";
   return os.str();
 }
 

@@ -199,6 +199,14 @@ TEST_F(ForkFaultTest, DuplicateShardReplayFailsLoudly) {
   expect_serve_error(hooks, "streamed twice");
 }
 
+TEST_F(ForkFaultTest, ShardReplayedAfterItsRoundEndsFailsLoudly) {
+  // A round ends when its last shard lands, so a replay of that shard
+  // arrives between rounds. It is still a repeat, and says so.
+  FakeWorkerHooks hooks;
+  hooks.after_round = "cat \"$d/body_$s\"";
+  expect_serve_error(hooks, "streamed twice");
+}
+
 TEST_F(ForkFaultTest, MissedShutdownHandshakeFailsServe) {
   // Every shard arrives, but the workers exit 0 on shutdown without
   // the worker_done trailer.
@@ -290,7 +298,7 @@ TEST_F(ForkFaultTest, IdleWorkerStealsTheQueuedTail) {
 
 // ---------------------------------------------------------------------------
 // TCP transport, end-to-end over loopback: in-process worker threads
-// speaking the dynamic protocol through real sockets.
+// speaking the wire protocol through real sockets.
 
 void run_tcp_worker(const std::vector<CorpusApp>& corpus,
                     const SweepSpec& spec, int port) {

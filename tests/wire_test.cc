@@ -160,7 +160,6 @@ TEST(WireTest, WorkerDoneRoundTrips) {
 TEST(WireTest, AssignRoundTrips) {
   Assign assign;
   assign.shards = {4, 0, 9};
-  assign.retry = 2;
 
   const std::string line = encoded_line(encode_assign(assign));
   const jsonl::JsonValue object = parsed(line);
@@ -169,30 +168,18 @@ TEST(WireTest, AssignRoundTrips) {
   Assign out;
   ASSERT_TRUE(decode_assign(object, out));
   EXPECT_EQ(out.shards, (std::vector<std::size_t>{4, 0, 9}));
-  EXPECT_EQ(out.retry, 2u);
   EXPECT_EQ(encode_assign(out), encode_assign(assign));
 }
 
 TEST(WireTest, EmptyAssignRoundTrips) {
-  // An empty batch is legal on the wire (a worker that dialed in after
-  // all shards were handed out gets nothing but a later shutdown).
+  // An empty batch is legal on the wire, and a worker answers it with
+  // no lines. The coordinator never sends one (it assigns only from a
+  // non-empty queue); run_sweep_worker over no shards does.
   Assign assign;
   Assign out;
   ASSERT_TRUE(decode_assign(parsed(encoded_line(encode_assign(assign))),
                             out));
   EXPECT_TRUE(out.shards.empty());
-  EXPECT_EQ(out.retry, 0u);
-}
-
-TEST(WireTest, RoundDoneRoundTrips) {
-  RoundDone done;
-  done.cells = 18;
-  const jsonl::JsonValue object =
-      parsed(encoded_line(encode_round_done(done)));
-  EXPECT_EQ(line_kind(object), LineKind::kRoundDone);
-  RoundDone out;
-  ASSERT_TRUE(decode_round_done(object, out));
-  EXPECT_EQ(out.cells, 18u);
 }
 
 TEST(WireTest, ShutdownEncodes) {
@@ -231,14 +218,9 @@ TEST(WireTest, DecodersRejectMissingFields) {
                                   done));
 
   Assign assign;
-  EXPECT_FALSE(decode_assign(parsed("{\"kind\":\"assign\",\"retry\":0}"),
-                             assign));
+  EXPECT_FALSE(decode_assign(parsed("{\"kind\":\"assign\"}"), assign));
   EXPECT_FALSE(decode_assign(
-      parsed("{\"kind\":\"assign\",\"retry\":0,\"shards\":[-1]}"), assign));
-
-  RoundDone round;
-  EXPECT_FALSE(decode_round_done(parsed("{\"kind\":\"round_done\"}"),
-                                 round));
+      parsed("{\"kind\":\"assign\",\"shards\":[-1]}"), assign));
 }
 
 // Every decode that narrows an int64 to a smaller field checks the

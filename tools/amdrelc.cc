@@ -172,10 +172,13 @@ double parse_double(const std::string& text, const std::string& flag) {
 }
 
 // A path-valued flag must not swallow the next flag as its value; the
-// classic mistake `--json --csv out.csv` is a plain usage error (the
-// flag got A value, just not a path).
-void set_path(std::string& field, const std::string& value) {
-  if (value.empty() || value.rfind("--", 0) == 0) usage();
+// classic mistake `--json --csv out.csv` is a usage error naming the
+// flag (it got A value, just not a path).
+void set_path(std::string& field, const std::string& value,
+              const std::string& flag) {
+  if (value.empty() || value.rfind("--", 0) == 0) {
+    usage_error(flag, "missing output path");
+  }
   field = value;
 }
 
@@ -406,13 +409,13 @@ const OptionSpec kOptions[] = {
      "file",
      kSweepCommands},
     {"--json", true,
-     [](Options& o, const std::string& v, const std::string&) {
-       set_path(o.json_path, v);
+     [](Options& o, const std::string& v, const std::string& f) {
+       set_path(o.json_path, v, f);
      },
      "write the sweep as stable-schema JSON to PATH", "explore/serve"},
     {"--csv", true,
-     [](Options& o, const std::string& v, const std::string&) {
-       set_path(o.csv_path, v);
+     [](Options& o, const std::string& v, const std::string& f) {
+       set_path(o.csv_path, v, f);
      },
      "write the sweep as CSV to PATH", "explore/serve"},
     {"--threads", true,
@@ -424,16 +427,16 @@ const OptionSpec kOptions[] = {
      "default 2)",
      kSweepCommands},
     {"--cache", true,
-     [](Options& o, const std::string& v, const std::string&) {
-       set_path(o.cache_path, v);
+     [](Options& o, const std::string& v, const std::string& f) {
+       set_path(o.cache_path, v, f);
      },
      "persistent sweep cache: loaded before the sweep (warn-and-"
      "recompute on any validation failure) and saved after it, so "
      "repeated invocations start warm",
      kSweepCommands},
     {"--cache-stats", true,
-     [](Options& o, const std::string& v, const std::string&) {
-       set_path(o.cache_stats_path, v);
+     [](Options& o, const std::string& v, const std::string& f) {
+       set_path(o.cache_stats_path, v, f);
      },
      "write the cache hit/miss counters as JSON (requires an effective "
      "--cache)",
@@ -460,10 +463,7 @@ const OptionSpec kOptions[] = {
      "serve"},
     {"--stream-partial", true,
      [](Options& o, const std::string& v, const std::string& f) {
-       if (v.empty() || v.rfind("--", 0) == 0) {
-         usage_error(f, "missing output path");
-       }
-       o.stream_partial_path = v;
+       set_path(o.stream_partial_path, v, f);
      },
      "append finished shards to PATH as schema-v3 NDJSON while the sweep "
      "runs (completion order; the merged artifact stays the deterministic "
@@ -591,7 +591,7 @@ Options parse_args(int argc, char** argv) {
   // counters would be an all-zero file indistinguishable from a broken
   // cache, so asking for stats without --cache is a usage error.
   if (!options.cache_stats_path.empty() && options.cache_path.empty()) {
-    usage();
+    usage_error("--cache-stats", "requires --cache");
   }
   return options;
 }
