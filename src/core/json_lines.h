@@ -14,10 +14,12 @@ namespace amdrel::core::jsonl {
 // Minimal strict JSON machinery shared by the two newline-delimited JSON
 // surfaces of the system: the sweep cache's on-disk format
 // (core/sweep_cache.cc) and the sweep service's coordinator<->worker wire
-// protocol (core/sweep_service.cc). Header-only so both stay free of a
-// shared translation unit; the strictness is the point — every malformed
-// line is rejected, never coerced, which is what makes "corrupt input ->
-// reject whole stream" a reliable contract on both surfaces.
+// protocol (core/wire.cc). Header-only so both stay free of a shared
+// translation unit; the strictness is the point — every malformed line
+// is rejected, never coerced, which is what makes "corrupt input ->
+// reject whole stream" a reliable contract on both surfaces. The wire's
+// cell-line cursor (wire::decode_cell_line) reads values through the
+// same scan_int, scan_string and narrow as the tree parser.
 // ---------------------------------------------------------------------------
 
 /// Minimal strict JSON value: everything the cache/wire schemas use
@@ -41,9 +43,76 @@ struct JsonValue {
   }
 };
 
+/// Scans one integer at `p`, advancing `p` past it. Strict: an optional
+/// '-', then digits with no leading zero, and a magnitude int64 holds.
+/// A negative magnitude may reach 2^63: INT64_MIN is a real value here
+/// (the bit pattern of the double -0.0).
+inline bool scan_int(const char*& p, const char* end, std::int64_t& out) {
+  const bool negative = p != end && *p == '-';
+  if (negative) ++p;
+  if (p == end || *p < '0' || *p > '9') return false;
+  if (*p == '0' && p + 1 != end && p[1] >= '0' && p[1] <= '9') return false;
+  const std::uint64_t limit =
+      negative ? 0x8000000000000000ULL : 0x7fffffffffffffffULL;
+  std::uint64_t magnitude = 0;
+  while (p != end && *p >= '0' && *p <= '9') {
+    const std::uint64_t digit = static_cast<std::uint64_t>(*p++ - '0');
+    if (magnitude > (limit - digit) / 10) return false;
+    magnitude = magnitude * 10 + digit;
+  }
+  // Negating magnitude - 1 keeps -2^63 clear of signed overflow.
+  out = !negative || magnitude == 0
+            ? static_cast<std::int64_t>(magnitude)
+            : -static_cast<std::int64_t>(magnitude - 1) - 1;
+  return true;
+}
+
+/// Scans one string literal starting at its opening quote into `out`,
+/// advancing `p` past the closing quote. Only the escapes the writers
+/// emit are accepted (\" \\ \n \r \t and \u00xx up to 0x7f in lowercase
+/// hex); a raw byte below 0x20 is rejected (RFC 8259 section 7).
+inline bool scan_string(const char*& p, const char* end, std::string& out) {
+  if (p == end || *p != '"') return false;
+  ++p;
+  out.clear();
+  for (;;) {
+    const char* run = p;
+    while (p != end && *p != '"' && *p != '\\' &&
+           static_cast<unsigned char>(*p) >= 0x20) {
+      ++p;
+    }
+    out.append(run, p);
+    if (p == end || static_cast<unsigned char>(*p) < 0x20) return false;
+    if (*p++ == '"') return true;
+    if (p == end) return false;
+    switch (*p++) {
+      case '"': out += '"'; break;
+      case '\\': out += '\\'; break;
+      case 'n': out += '\n'; break;
+      case 'r': out += '\r'; break;
+      case 't': out += '\t'; break;
+      case 'u': {
+        unsigned value = 0;
+        for (int i = 0; i < 4; ++i) {
+          const char d = p == end ? 'x' : *p++;
+          const bool decimal = d >= '0' && d <= '9';
+          if (!decimal && (d < 'a' || d > 'f')) return false;
+          value = value << 4 |
+                  static_cast<unsigned>(decimal ? d - '0' : d - 'a' + 10);
+        }
+        if (value > 0x7f) return false;  // writer only escapes control chars
+        out += static_cast<char>(value);
+        break;
+      }
+      default:
+        return false;
+    }
+  }
+}
+
 /// Recursive-descent parser for one JSON line. Strict: unknown escape
-/// sequences, floats, trailing garbage and depth past the schemas' needs
-/// all fail.
+/// sequences, raw control bytes, floats, leading zeros, duplicate keys,
+/// trailing garbage and depth past the schemas' needs all fail.
 class JsonParser {
  public:
   explicit JsonParser(const std::string& text)
@@ -85,79 +154,15 @@ class JsonParser {
         return literal("false");
       case '"':
         out.kind = JsonValue::Kind::kString;
-        return parse_string(out.string);
+        return scan_string(p_, end_, out.string);
       case '[':
         return parse_array(out, depth);
       case '{':
         return parse_object(out, depth);
       default:
-        return parse_int(out);
+        out.kind = JsonValue::Kind::kInt;
+        return scan_int(p_, end_, out.integer);
     }
-  }
-
-  bool parse_string(std::string& out) {
-    ++p_;  // opening quote
-    out.clear();
-    while (p_ != end_ && *p_ != '"') {
-      char c = *p_++;
-      if (c != '\\') {
-        out += c;
-        continue;
-      }
-      if (p_ == end_) return false;
-      switch (*p_++) {
-        case '"': out += '"'; break;
-        case '\\': out += '\\'; break;
-        case 'n': out += '\n'; break;
-        case 'r': out += '\r'; break;
-        case 't': out += '\t'; break;
-        case 'u': {
-          unsigned value = 0;
-          for (int i = 0; i < 4; ++i) {
-            if (p_ == end_) return false;
-            const char d = *p_++;
-            value <<= 4;
-            if (d >= '0' && d <= '9') {
-              value |= static_cast<unsigned>(d - '0');
-            } else if (d >= 'a' && d <= 'f') {
-              value |= static_cast<unsigned>(d - 'a' + 10);
-            } else {
-              return false;
-            }
-          }
-          if (value > 0x7f) return false;  // writer only escapes control chars
-          out += static_cast<char>(value);
-          break;
-        }
-        default:
-          return false;
-      }
-    }
-    if (p_ == end_) return false;
-    ++p_;  // closing quote
-    return true;
-  }
-
-  bool parse_int(JsonValue& out) {
-    out.kind = JsonValue::Kind::kInt;
-    const bool negative = p_ != end_ && *p_ == '-';
-    if (negative) ++p_;
-    if (p_ == end_ || *p_ < '0' || *p_ > '9') return false;
-    // A negative magnitude may reach 2^63: INT64_MIN is a real value here
-    // (the bit pattern of the double -0.0).
-    const std::uint64_t limit =
-        negative ? 0x8000000000000000ULL : 0x7fffffffffffffffULL;
-    std::uint64_t magnitude = 0;
-    while (p_ != end_ && *p_ >= '0' && *p_ <= '9') {
-      const std::uint64_t digit = static_cast<std::uint64_t>(*p_++ - '0');
-      if (magnitude > (limit - digit) / 10) return false;
-      magnitude = magnitude * 10 + digit;
-    }
-    // Negating magnitude - 1 keeps -2^63 clear of signed overflow.
-    out.integer = !negative || magnitude == 0
-                      ? static_cast<std::int64_t>(magnitude)
-                      : -static_cast<std::int64_t>(magnitude - 1) - 1;
-    return true;
   }
 
   bool parse_array(JsonValue& out, int depth) {
@@ -192,14 +197,13 @@ class JsonParser {
       return true;
     }
     for (;;) {
-      if (p_ == end_ || *p_ != '"') return false;
       std::string key;
-      if (!parse_string(key)) return false;
+      if (!scan_string(p_, end_, key)) return false;
       skip_space();
       if (p_ == end_ || *p_++ != ':') return false;
       skip_space();
       JsonValue value;
-      if (!parse_value(value, depth + 1)) return false;
+      if (!parse_value(value, depth + 1) || out.find(key)) return false;
       out.fields.emplace_back(std::move(key), std::move(value));
       skip_space();
       if (p_ == end_) return false;
@@ -216,16 +220,14 @@ class JsonParser {
   const char* end_;
 };
 
-/// Checked narrowing: stores `value` in `out` only when it is an integer
-/// that `T` represents exactly. Every decoder narrows through this, so a
-/// value past the field's range (say 2^32 + 2 for an int) is a malformed
-/// field, never a silent wraparound.
+/// Checked narrowing: stores `v` in `out` only when `T` represents it
+/// exactly. Every decoder narrows through this, so a value past the
+/// field's range (say 2^32 + 2 for an int) is a malformed field, never a
+/// silent wraparound.
 template <typename T>
-bool to_int(const JsonValue& value, T& out) {
+bool narrow(std::int64_t v, T& out) {
   static_assert(std::is_integral_v<T> && !std::is_same_v<T, bool>,
-                "to_int narrows to an integer type");
-  if (value.kind != JsonValue::Kind::kInt) return false;
-  const std::int64_t v = value.integer;
+                "narrow targets an integer type");
   if constexpr (std::is_unsigned_v<T>) {
     if (v < 0) return false;
   }
@@ -237,6 +239,12 @@ bool to_int(const JsonValue& value, T& out) {
   }
   out = static_cast<T>(v);
   return true;
+}
+
+/// narrow() over a parsed value; false unless it is an integer.
+template <typename T>
+bool to_int(const JsonValue& value, T& out) {
+  return value.kind == JsonValue::Kind::kInt && narrow(value.integer, out);
 }
 
 // Typed field accessors: each returns false when the field is missing or

@@ -71,6 +71,19 @@ class StreamConsumer {
   bool feed(const std::string& line) {
     ++line_no_;
     require(!done_, "worker stream: data after worker_done");
+    if (in_shard_) {
+      // The fast path writes straight into the expected slot. A line it
+      // declines, or one for another slot, takes the tree path below,
+      // which rewrites the slot or throws.
+      SweepCell& dest = cur_dest();
+      std::size_t shard = 0;
+      std::size_t slot = 0;
+      if (wire::decode_cell_line(line, shard, slot, dest.report,
+                                 dest.moved_names) &&
+          shard == cur_shard_ && slot == cur_slot_) {
+        return land_cell(dest);
+      }
+    }
     JsonValue object;
     require(wire::parse_line(line, object),
             "worker stream:", line_no_, ": not a JSON object");
@@ -176,16 +189,23 @@ class StreamConsumer {
             "worker stream:", line_no_, ": expected cell ", cur_slot_,
             " of shard ", cur_shard_);
 
-    // Coordinates derivable from the shard and slot indices are derived
-    // HERE, by the slot layout the single-process sweep uses — the wire
-    // cannot place a cell on a platform it was not computed for.
-    SweepCell& dest =
-        summary_.cells[cur_shard_ * cells_per_shard_ + cur_slot_];
-    fill_slot_coords(spec_, budgets_, cur_coords_, cur_slot_, dest);
-    dest.constraint = cell.payload.report.timing_constraint;
+    SweepCell& dest = cur_dest();
     dest.report = std::move(cell.payload.report);
     dest.moved_names = std::move(cell.payload.moved_names);
+    return land_cell(dest);
+  }
 
+  SweepCell& cur_dest() {
+    return summary_.cells[cur_shard_ * cells_per_shard_ + cur_slot_];
+  }
+
+  /// Completes the current slot once its payload is in `dest`.
+  /// Coordinates derivable from the shard and slot indices are derived
+  /// HERE, by the slot layout the single-process sweep uses — the wire
+  /// cannot place a cell on a platform it was not computed for.
+  bool land_cell(SweepCell& dest) {
+    fill_slot_coords(spec_, budgets_, cur_coords_, cur_slot_, dest);
+    dest.constraint = dest.report.timing_constraint;
     ++cur_slot_;
     return cur_slot_ == cur_used_ && complete_shard(cur_shard_, cur_used_);
   }

@@ -3,6 +3,7 @@
 #include <cstddef>
 #include <iosfwd>
 #include <string>
+#include <string_view>
 #include <vector>
 
 #include "core/json_lines.h"
@@ -43,6 +44,13 @@ namespace amdrel::core::wire {
 // newline-terminated) as a string for channel writers. Decoders take a
 // parsed JSON object (see parse_line) and return false on a missing or
 // malformed field — never throwing, so callers own the error story.
+//
+// Cell lines, nearly all of a stream, also have decode_cell_line: a
+// cursor over the line text that expects encode_cell's exact layout (key
+// order, no whitespace) and builds no tree. It declines on the first
+// byte that departs from it, and the caller takes the tree path, which
+// still defines the accepted lines and their errors. A line the cursor
+// accepts decodes to the cell the tree path gives.
 // ---------------------------------------------------------------------------
 
 enum class LineKind {
@@ -100,6 +108,13 @@ void encode_cell(std::ostream& os, std::size_t shard, std::size_t slot,
                  const PartitionReport& report,
                  const std::vector<std::string>& moved_names);
 bool decode_cell(const jsonl::JsonValue& object, Cell& cell);
+
+/// The tree-free fast path for a cell line (no trailing newline), written
+/// straight into the caller's slot. False, with the outputs partly
+/// written, when `line` is not exactly in encode_cell's layout.
+bool decode_cell_line(std::string_view line, std::size_t& shard,
+                      std::size_t& slot, PartitionReport& report,
+                      std::vector<std::string>& moved_names);
 
 void encode_worker_done(std::ostream& os, const WorkerDone& done);
 bool decode_worker_done(const jsonl::JsonValue& object, WorkerDone& done);

@@ -468,6 +468,23 @@ TEST(SweepCacheTest, LoadRejectsCellsOutsideTheV5Payload) {
                   malformed, "moved_wrap");
 }
 
+// The reader shares the wire's parser, so it rejects the three inputs
+// no writer produces: a leading zero, a raw control byte inside a
+// string, and a repeated key.
+TEST(SweepCacheTest, LoadRejectsLeadingZerosRawControlBytesAndDuplicateKeys) {
+  SweepCache cache;
+  cache.store_cell(key_of(1, 1), cell_named("x", 7));
+  const std::string good = saved_bytes(cache, "strict_json");
+  const char* bad_json = "not a JSON object";
+  expect_rejected(edited(good, "\"final_cycles\":7", "\"final_cycles\":07"),
+                  bad_json, "leading_zero");
+  expect_rejected(edited(good, "\"app\":\"x\"", "\"app\":\"x\ty\""),
+                  bad_json, "raw_tab");
+  expect_rejected(edited(good, "\"met\":false",
+                         "\"met\":false,\"met\":true"),
+                  bad_json, "duplicate_met");
+}
+
 // A cache file in the previous schema (v5: a header "generation", a
 // "gen" stamp on every line and "mapper" lines) is rejected whole, and a
 // sweep over it recomputes cold with the uncached bytes; saving then

@@ -22,6 +22,7 @@
 #include "core/transport.h"
 #include "core/wire.h"
 #include "fake_worker.h"
+#include "line_mutator.h"
 #include "support/error.h"
 #include "workloads/paper_models.h"
 
@@ -170,6 +171,19 @@ class StreamRejectionTest : public testing::Test {
     }
   }
 
+  /// The finalized summary's JSON and CSV after consuming `wire`.
+  std::string consumed(const std::string& wire) {
+    const std::size_t shards = sweep_shard_count(corpus_, spec_);
+    SweepSummary summary;
+    for (const CorpusApp& app : corpus_) summary.apps.push_back(app.name);
+    summary.cells.resize(shards * sweep_cells_per_shard(spec_));
+    std::vector<std::size_t> shard_used(shards, 0);
+    std::istringstream in(wire);
+    consume_worker_stream(in, corpus_, spec_, assigned_, summary, shard_used);
+    finalize_sweep_summary(summary, shard_used, sweep_cells_per_shard(spec_));
+    return sweep_to_json(summary) + sweep_to_csv(summary);
+  }
+
   std::vector<CorpusApp> corpus_;
   SweepSpec spec_;
   std::vector<std::size_t> assigned_;
@@ -274,6 +288,32 @@ TEST_F(StreamRejectionTest, RejectsGarbageLine) {
 
 TEST_F(StreamRejectionTest, RejectsEmptyStream) {
   expect_rejected("", "empty");
+}
+
+// Cell lines the fast path declines go down the tree path: every cell
+// line rewritten with its keys reversed, a space after each key's colon
+// and an unknown key appended still yields the original summary.
+TEST_F(StreamRejectionTest, CellLinesOutsideTheEncoderLayoutFallBack) {
+  std::istringstream in(wire_);
+  std::string rewritten;
+  int cells = 0;
+  for (std::string line; std::getline(in, line);) {
+    if (line.rfind("{\"kind\":\"cell\",", 0) == 0) {
+      std::string body;
+      const auto members = test::LineMutator::members(line);
+      for (auto it = members.rbegin(); it != members.rend(); ++it) {
+        std::string member = line.substr(it->first, it->second - it->first);
+        member.insert(member.find("\":") + 2, 1, ' ');
+        body += member + ",";
+      }
+      line = "{" + body + "\"unknown\": [1,{\"x\":\"y\"}]}";
+      ++cells;
+    }
+    rewritten += line + "\n";
+  }
+  ASSERT_GT(cells, 0);
+  ASSERT_NE(rewritten, wire_);
+  EXPECT_EQ(consumed(rewritten), consumed(wire_));
 }
 
 // End-to-end through real fork/exec: serve_design_space with /bin/sh

@@ -274,6 +274,49 @@ TEST(WireTest, DecodersRejectIntegersPastTheFieldRange) {
       edited("\"kernels_found\":4,", "\"kernels\":[[1,1,1,1,1,1]],"), bad));
 }
 
+// No writer emits a leading zero, so "007" is malformed, not 7. A lone
+// zero and -0 stay integers.
+TEST(JsonLinesTest, RejectsLeadingZeros) {
+  jsonl::JsonValue value;
+  EXPECT_FALSE(jsonl::JsonParser("007").parse(value));
+  EXPECT_FALSE(jsonl::JsonParser("-01").parse(value));
+  EXPECT_FALSE(jsonl::JsonParser("00").parse(value));
+  EXPECT_FALSE(parse_line("{\"kind\":\"shard\",\"shard\":007,\"used\":1}",
+                          value));
+  ASSERT_TRUE(jsonl::JsonParser("0").parse(value));
+  EXPECT_EQ(value.integer, 0);
+  ASSERT_TRUE(jsonl::JsonParser("-0").parse(value));
+  EXPECT_EQ(value.integer, 0);
+  ASSERT_TRUE(jsonl::JsonParser("[0,10,-105]").parse(value));
+  EXPECT_EQ(value.items.at(2).integer, -105);
+}
+
+// RFC 8259 section 7: a byte below 0x20 inside a string must be escaped,
+// and text::JsonEscaped always escapes it. DEL and UTF-8 bytes pass.
+TEST(JsonLinesTest, RejectsRawControlBytesInStrings) {
+  jsonl::JsonValue value;
+  for (const char* text : {"\"a\tb\"", "\"a\nb\"", "\"\x01\"", "\"\x1f\""}) {
+    EXPECT_FALSE(jsonl::JsonParser(text).parse(value)) << text;
+  }
+  EXPECT_FALSE(jsonl::JsonParser(std::string("\"a\0b\"", 5)).parse(value));
+  ASSERT_TRUE(jsonl::JsonParser("\"a\\tb\\u001f\x7f\xc3\xa9\"").parse(value));
+  EXPECT_EQ(value.string, "a\tb\x1f\x7f\xc3\xa9");
+}
+
+// A repeated key used to keep its first value, so a line could say
+// "met":false and "met":true and read false.
+TEST(JsonLinesTest, RejectsDuplicateKeys) {
+  jsonl::JsonValue value;
+  EXPECT_FALSE(
+      jsonl::JsonParser("{\"met\":false,\"x\":1,\"met\":true}").parse(value));
+  EXPECT_FALSE(parse_line("{\"kind\":\"shutdown\",\"kind\":\"assign\"}",
+                          value));
+  EXPECT_FALSE(jsonl::JsonParser("{\"a\":{\"b\":1,\"b\":1}}").parse(value));
+  // The same key in two different objects is fine.
+  EXPECT_TRUE(jsonl::JsonParser("{\"a\":{\"b\":1},\"c\":{\"b\":1}}")
+                  .parse(value));
+}
+
 TEST(JsonLinesTest, ToIntAcceptsExactlyTheTargetRange) {
   auto value = [](std::int64_t v) {
     jsonl::JsonValue out;
